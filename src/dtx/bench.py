@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .server import ServerConfig, owner_of
 from .sim import ClosedLoopDriver, NetConfig, Simulator
-from .workload import WorkloadSpec, key_bytes, pick_txn, random_value, txn_script
+from .workload import WorkloadSpec, key_bytes, random_value, txn_script
 
 
 @dataclass
@@ -218,32 +218,14 @@ def run_socket_bench(cluster, spec: WorkloadSpec) -> BenchReport:
         except OSError:
             died = True
             return
-        rng = bc.state.rng
-        while time.monotonic() - t0 < spec.duration:
-            keys, writes = pick_txn(rng, spec)
-            h = bc.open_txn()
-            started = time.monotonic() - t0
-            try:
-                for k in sorted(keys):
-                    bc.read(h, k)
-                for k, v in writes.items():
-                    bc.write(h, k, v)
-                ok, reason = bc.commit(h)
-            except Exception:
-                died = True
-                return
-            histories[idx].append(
-                {
-                    "ok": ok,
-                    "reason": reason.value if reason else None,
-                    "reads": {k: ver for k, (_, ver) in h.reads.items()},
-                    "writes": dict(h.writes),
-                    "attempts": h.attempts,
-                    "started": started,
-                    "finished": time.monotonic() - t0,
-                }
-            )
-        bc.driver.close()
+        script = txn_script(spec, clock=lambda: time.monotonic() - t0)
+        try:
+            while time.monotonic() - t0 < spec.duration:
+                histories[idx].append(bc._run(script(bc.state)))
+        except Exception:
+            died = True
+        finally:
+            bc.driver.close()
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(spec.clients)]
     for t in threads:

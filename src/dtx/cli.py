@@ -262,8 +262,8 @@ def cmd_log_dump(args) -> int:
 
 def cmd_db_dump(args) -> int:
     import os
-    import struct
-    import zlib
+
+    from .storage import read_store_log
 
     path = os.path.join(args.dir, "db", "data.log")
     if not os.path.exists(path):
@@ -271,25 +271,14 @@ def cmd_db_dump(args) -> int:
         return 0
     with open(path, "rb") as f:
         data = f.read()
-    rows: dict[bytes, tuple[bytes, int]] = {}
-    pos = 0
+    writes, stop = read_store_log(data)
     status = 0
-    while pos + 8 <= len(data):
-        n, crc = struct.unpack_from("<II", data, pos)
-        if pos + 8 + n > len(data):
-            print(f"WARNING: torn tail at offset {pos} ({len(data) - pos} bytes)")
-            break
-        frame = data[pos + 8 : pos + 8 + n]
-        if zlib.crc32(frame) & 0xFFFFFFFF != crc:
-            print(f"CORRUPT: checksum mismatch at offset {pos}")
-            status = 2
-            break
-        klen, vlen = struct.unpack_from("<II", frame, 0)
-        key = frame[8 : 8 + klen]
-        value = frame[8 + klen : 8 + klen + vlen]
-        (version,) = struct.unpack_from("<Q", frame, 8 + klen + vlen)
-        rows[key] = (value, version)
-        pos += 8 + n
+    if stop is not None and stop[0] == "torn":
+        print(f"WARNING: torn tail at offset {stop[1]} ({len(data) - stop[1]} bytes)")
+    elif stop is not None:
+        print(f"CORRUPT: checksum mismatch at offset {stop[1]}")
+        status = 2
+    rows = {key: (value, version) for key, value, version in writes}
     for key in sorted(rows):
         value, version = rows[key]
         shown = value[:16].hex() + ("..." if len(value) > 16 else "")

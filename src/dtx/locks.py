@@ -14,8 +14,8 @@ processed locally; a late prepare for such an id is rejected instead of
 leaving orphaned locks.  The set is pruned by the garbage collector's
 watermarks.
 
-The table is single-threaded by contract (it runs as one Internal stage);
-deadline expiry arrives as a timer callback on the same thread.
+The table is single-threaded by contract (it runs on the server's protocol
+thread); deadline expiry arrives as a timer callback on the same thread.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class _Request:
     timer: object = None
     waiting_on: bytes | None = None
     done: bool = False
-    wait: float = DEFAULT_EXCLUSIVE_WAIT
 
 
 class LockTable:
@@ -74,14 +73,7 @@ class LockTable:
 
     # -- acquisition ------------------------------------------------------
 
-    def acquire_for_prepare(
-        self,
-        tranx: TranxID,
-        shared_keys,
-        exclusive_keys,
-        on_result,
-        exclusive_wait: float | None = None,
-    ) -> None:
+    def acquire_for_prepare(self, tranx: TranxID, shared_keys, exclusive_keys, on_result) -> None:
         """Atomically acquire all locks for a prepare; result via callback.
 
         The callback may fire synchronously (immediate grant/reject) or
@@ -93,11 +85,6 @@ class LockTable:
         assert tranx not in self._pending, f"concurrent acquire for {tranx}"
         plan = sorted([(k, False) for k in shared_keys] + [(k, True) for k in exclusive_keys])
         req = _Request(tranx, plan, on_result)
-        if exclusive_wait is not None:
-            req_wait = exclusive_wait
-        else:
-            req_wait = self.exclusive_wait
-        req.wait = req_wait
         self._pending[tranx] = req
         self._advance(req)
 
@@ -123,7 +110,7 @@ class LockTable:
                 entry.waiters.append(req)
                 req.waiting_on = key
                 if req.timer is None:
-                    req.timer = self._set_timer(req.wait, lambda r=req: self._on_deadline(r))
+                    req.timer = self._set_timer(self.exclusive_wait, lambda r=req: self._on_deadline(r))
                 return
             req.pos += 1
         self._complete(req)

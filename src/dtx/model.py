@@ -130,12 +130,6 @@ class TranxIdIssuer:
         return self._last
 
 
-def tranx_id_cmp(a: TranxID, b: TranxID) -> int:
-    """-1 / 0 / 1 lexicographic comparison on (coordinator, seq)."""
-    ka, kb = (a.coordinator, a.seq), (b.coordinator, b.seq)
-    return (ka > kb) - (ka < kb)
-
-
 @dataclass(frozen=True)
 class Transaction:
     """Client-buffered read set (key, observed version) and write set."""

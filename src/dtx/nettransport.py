@@ -6,27 +6,35 @@ Replies to clients go back on the inbound connection the request arrived
 on; replies to servers travel through the normal outbound channel, exactly
 as in the simulator, so the protocol code cannot tell the difference.
 
-Threading: reader threads parse frames and enqueue work onto a
-single-threaded protocol stage (the node's state machines assume one
-writer); a scheduler thread funnels timer callbacks onto the same stage.
+Threading: the node's state machines assume one writer, so everything
+they do runs on one protocol thread (ProtocolLoop): recovery at start-up,
+every received message and every timer callback, each passed through
+ServerRuntime._handle_event.  The thread owns a bounded FIFO queue and a
+timer heap; it runs due timers, then waits on the queue until the next
+deadline.  Reader threads parse frames and submit them to the queue; a
+full queue blocks the reader, and nothing is dropped.  The thread can be
+pinned to one core (ClusterConfig.protocol_core).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
+import os
 import socket
 import struct
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 from . import rpc
 from .client import BlockingClient, ClientState
 from .env import DiskEnv
 from .rpc import Envelope, FrameError, MsgType
 from .server import ServerConfig, ServerNode
-from .stages import StageCategory, StageRuntime, StageSpec
 from .storage import FileKvStore
 from .workload import ClusterConfig
 
@@ -70,64 +78,111 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
     return buf
 
 
-class _Timer:
-    __slots__ = ("cancelled",)
+class _Item:
+    """One unit of protocol work: a received message or a timer callback.
 
-    def __init__(self) -> None:
+    A timer's item is also its cancel handle.  `enqueued_at` is the
+    monotonic time the item was queued or, for a timer, fell due.
+    """
+
+    __slots__ = ("fn", "enqueued_at", "cancelled")
+
+    def __init__(self, fn, enqueued_at: float = 0.0) -> None:
+        self.fn = fn
+        self.enqueued_at = enqueued_at
         self.cancelled = False
 
 
-class _Scheduler:
-    """Dedicated thread firing timer callbacks through a sink callable."""
+_STOP = _Item(None)
 
-    def __init__(self, sink) -> None:
-        self._sink = sink
-        self._heap: list = []
-        self._seq = 0
-        self._cond = threading.Condition()
-        self._stop = False
-        self._thread = threading.Thread(target=self._loop, daemon=True, name="dtx-timer")
-        self._thread.start()
 
-    def set_timer(self, delay: float, fn) -> _Timer:
-        handle = _Timer()
-        with self._cond:
-            self._seq += 1
-            heapq.heappush(self._heap, (time.monotonic() + delay, self._seq, handle, fn))
-            self._cond.notify()
-        return handle
+class ProtocolLoop:
+    """One thread that runs queued items and due timers through `handler`.
+
+    Queued items run in FIFO order; a timer that has fallen due runs before
+    the next queued item.  A full queue blocks the producer (counted in
+    `backpressured`).  stop() runs what is already queued, then ends the
+    thread; items submitted after stop() are dropped.
+    """
+
+    CAPACITY = 1024
+
+    def __init__(self, handler, core: int | None = None) -> None:
+        self._handler = handler
+        self._core = core
+        self._queue: deque[_Item] = deque()
+        self._timers: list = []  # heap of (due, seq, item)
+        self._seq = itertools.count()
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._not_full = threading.Condition(self._lock)
+        self._closed = False
+        self.backpressured = 0
+        self.thread = threading.Thread(target=self._run, daemon=True, name="dtx-protocol")
+
+    def start(self) -> None:
+        self.thread.start()
+        if self._core is not None:
+            os.sched_setaffinity(self.thread.native_id, {self._core})
+
+    def submit(self, fn) -> None:
+        item = _Item(fn)
+        with self._lock:
+            if len(self._queue) >= self.CAPACITY and not self._closed:
+                self.backpressured += 1
+                while len(self._queue) >= self.CAPACITY and not self._closed:
+                    self._not_full.wait()
+            if self._closed:
+                return
+            item.enqueued_at = time.monotonic()
+            self._queue.append(item)
+            self._not_empty.notify()
+
+    def set_timer(self, delay: float, fn) -> _Item:
+        item = _Item(fn, time.monotonic() + delay)
+        with self._lock:
+            heapq.heappush(self._timers, (item.enqueued_at, next(self._seq), item))
+            self._not_empty.notify()
+        return item
 
     @staticmethod
-    def cancel_timer(handle: _Timer) -> None:
-        handle.cancelled = True
-
-    def _loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._stop and (
-                    not self._heap or self._heap[0][0] > time.monotonic()
-                ):
-                    timeout = (
-                        self._heap[0][0] - time.monotonic() if self._heap else None
-                    )
-                    self._cond.wait(timeout=max(0.0, timeout) if timeout is not None else None)
-                if self._stop:
-                    return
-                _, _, handle, fn = heapq.heappop(self._heap)
-            if not handle.cancelled:
-                self._sink(fn)
+    def cancel_timer(item: _Item) -> None:
+        item.cancelled = True
 
     def stop(self) -> None:
-        with self._cond:
-            self._stop = True
-            self._cond.notify()
-        self._thread.join(timeout=2.0)
+        with self._lock:
+            self._closed = True
+            self._queue.append(_STOP)
+            self._not_empty.notify()
+            self._not_full.notify_all()
+        if self.thread.is_alive():
+            self.thread.join(timeout=5.0)
+
+    def _run(self) -> None:
+        while True:
+            with self._lock:
+                item = self._next()
+            if item is _STOP:
+                return
+            self._handler(item)
+
+    def _next(self) -> _Item:
+        """The next due timer, else the next queued item; waits for one."""
+        while True:
+            now = time.monotonic()
+            if self._timers and self._timers[0][0] <= now:
+                item = heapq.heappop(self._timers)[2]
+                if not item.cancelled:
+                    return item
+            elif self._queue:
+                self._not_full.notify()
+                return self._queue.popleft()
+            else:
+                self._not_empty.wait(self._timers[0][0] - now if self._timers else None)
 
 
 class ServerRuntime:
-    """One server process: sockets + stages + scheduler around a ServerNode."""
-
-    PROTOCOL_STAGE = "protocol"
+    """One server process: sockets and a protocol loop around a ServerNode."""
 
     def __init__(self, cluster: ClusterConfig, sid: int, data_dir: str | None = None) -> None:
         self.cluster = cluster
@@ -136,21 +191,16 @@ class ServerRuntime:
         root = data_dir or f"{cluster.data_dir}/server-{sid}"
         self.env = DiskEnv(root, backend=_BACKENDS[cluster.backend])
         self.store = FileKvStore(root)
-        self._conn_locks: dict[socket.socket, threading.Lock] = {}
         self._outbound: dict[int, tuple[socket.socket, threading.Lock]] = {}
         self._reply_conns: OrderedDict = OrderedDict()  # (sender_id, msg_id) -> conn
         self._lock = threading.Lock()
         self._stopping = False
 
-        self.stages = StageRuntime()
-        spec = StageSpec(self.PROTOCOL_STAGE, StageCategory.INTERNAL, thread_count=1)
-        for s in cluster.stages:
-            if s.name == self.PROTOCOL_STAGE:
-                if s.threads != 1:
-                    raise ValueError("protocol stage is single-writer; threads must be 1")
-                spec.core_binding = [s.cores[0]] if s.cores else None
-        self.stages.register(spec, self._handle_event)
-        self.scheduler = _Scheduler(self._submit)
+        # _handle_event is looked up per item, so a wrapper put on the class
+        # after construction (perfbench's tracer) still sees every item.
+        self.loop = ProtocolLoop(lambda item: self._handle_event(item), cluster.protocol_core)
+        # Read by perfbench/server_main.py: the backpressure count, per stage.
+        self.stages = SimpleNamespace(stages={"protocol": self.loop})
 
         config = ServerConfig(
             members=list(cluster.member_ids),
@@ -166,11 +216,11 @@ class ServerRuntime:
     def now(self) -> float:
         return time.monotonic()
 
-    def set_timer(self, delay: float, fn) -> _Timer:
-        return self.scheduler.set_timer(delay, fn)
+    def set_timer(self, delay: float, fn) -> _Item:
+        return self.loop.set_timer(delay, fn)
 
-    def cancel_timer(self, handle: _Timer) -> None:
-        self.scheduler.cancel_timer(handle)
+    def cancel_timer(self, handle: _Item) -> None:
+        self.loop.cancel_timer(handle)
 
     def send(self, dest: int, env: Envelope) -> None:
         try:
@@ -196,19 +246,12 @@ class ServerRuntime:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _submit(self, fn) -> None:
-        from .stages import EnqueueResult
-
-        while self.stages.enqueue(self.PROTOCOL_STAGE, fn) is EnqueueResult.BACKPRESSURE:
-            time.sleep(0.0005)  # push back on the producer thread
-
-    def _handle_event(self, ev) -> None:
-        fn = ev.payload
-        self.stages.pool.put(ev)
+    def _handle_event(self, item: _Item) -> None:
+        """The protocol thread's one entry point, for messages and timers."""
         try:
-            fn()
+            item.fn()
         except Exception:
-            log.exception("protocol stage handler failed")
+            log.exception("protocol handler failed")
 
     def _peer_conn(self, dest: int):
         with self._lock:
@@ -225,8 +268,20 @@ class ServerRuntime:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> None:
-        self.stages.start()
-        self.node.start()
+        self.loop.start()
+        # Recovery arms the first timers, so it runs on the protocol thread too.
+        booted: Future = Future()
+
+        def boot() -> None:
+            try:
+                self.node.start()
+            except Exception as exc:
+                booted.set_exception(exc)
+            else:
+                booted.set_result(None)
+
+        self.loop.submit(boot)
+        booted.result()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(self.addr)
@@ -258,7 +313,7 @@ class ServerRuntime:
                         self._reply_conns[(env.sender_id, env.message_id)] = (sock, write_lock)
                         while len(self._reply_conns) > 4096:
                             self._reply_conns.popitem(last=False)
-                self._submit(lambda e=env: self.node.on_message(e))
+                self.loop.submit(lambda e=env: self.node.on_message(e))
         except (OSError, FrameError) as exc:
             log.debug("connection dropped: %s", exc)
         finally:
@@ -268,8 +323,7 @@ class ServerRuntime:
         self._stopping = True
         if self._listener is not None:
             self._listener.close()
-        self.scheduler.stop()
-        self.stages.shutdown(drain=True)
+        self.loop.stop()
         self.node.shutdown()
         with self._lock:
             for sock, _ in self._outbound.values():

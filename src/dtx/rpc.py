@@ -263,13 +263,11 @@ class ClientWindow:
     def __init__(self, capacity: int = 1024) -> None:
         self.capacity = capacity
         self.responses: OrderedDict[int, bytes] = OrderedDict()
-        self.max_seen = 0
 
     def check(self, message_id: int) -> bytes | None:
         return self.responses.get(message_id)
 
     def record(self, message_id: int, response_payload: bytes) -> None:
-        self.max_seen = max(self.max_seen, message_id)
         self.responses[message_id] = response_payload
         while len(self.responses) > self.capacity:
             self.responses.popitem(last=False)

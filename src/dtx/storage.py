@@ -1,7 +1,7 @@
 """Per-server versioned key-value storage with a write-through read cache.
 
-Values are stored together with their version as a fixed 8-byte
-little-endian suffix (binary-safe, unlike a text delimiter).  The durable
+Every stored value carries its version as a fixed 8-byte little-endian
+field (binary-safe, unlike a text delimiter).  The durable
 map sits behind a narrow interface (get/apply/sync/items) with two
 backends: an in-process one for the deterministic simulator, where crash
 durability is modelled by a volatile overlay that a restart discards, and
@@ -15,21 +15,29 @@ import struct
 import zlib
 from collections import OrderedDict
 
-from .model import MalformedRecordError
 
-VERSION_SUFFIX = 8
+def read_store_log(data: bytes):
+    """Parse a db/data.log image into (rows, stop).
 
-
-def encode_value(value: bytes, version: int) -> bytes:
-    return value + struct.pack("<Q", version)
-
-
-def decode_value(data: bytes) -> tuple[bytes, int]:
-    if len(data) < VERSION_SUFFIX:
-        raise MalformedRecordError(f"versioned value of {len(data)} bytes is too short")
-    (version,) = struct.unpack("<Q", data[-VERSION_SUFFIX:])
-    return data[:-VERSION_SUFFIX], version
-
+    rows are the (key, value, version) writes in log order.  Parsing stops
+    at the first frame that is cut short or fails its checksum; stop is then
+    ("torn", offset) or ("corrupt", offset), and None when the image ends
+    cleanly.
+    """
+    rows = []
+    pos = 0
+    while pos + 8 <= len(data):
+        n, crc = struct.unpack_from("<II", data, pos)
+        if pos + 8 + n > len(data):
+            return rows, ("torn", pos)
+        frame = data[pos + 8 : pos + 8 + n]
+        if zlib.crc32(frame) & 0xFFFFFFFF != crc:
+            return rows, ("corrupt", pos)
+        klen, vlen = struct.unpack_from("<II", frame, 0)
+        (version,) = struct.unpack_from("<Q", frame, 8 + klen + vlen)
+        rows.append((frame[8 : 8 + klen], frame[8 + klen : 8 + klen + vlen], version))
+        pos += 8 + n
+    return rows, None
 
 class KvStore:
     """Durable ordered key -> (value, version) map."""
@@ -83,7 +91,7 @@ class MemKvStore(KvStore):
 class FileKvStore(KvStore):
     """Append-log backed store: <dir>/db/data.log holds framed writes.
 
-    Open replays the log (tolerating a torn tail); sync is flush+fsync.
+    Open replays the log up to a torn or corrupt tail; sync is flush+fsync.
     """
 
     def __init__(self, root: str) -> None:
@@ -97,21 +105,9 @@ class FileKvStore(KvStore):
         if not os.path.exists(self.path):
             return
         with open(self.path, "rb") as f:
-            data = f.read()
-        pos = 0
-        while pos + 8 <= len(data):
-            n, crc = struct.unpack_from("<II", data, pos)
-            if pos + 8 + n > len(data):
-                break  # torn tail
-            frame = data[pos + 8 : pos + 8 + n]
-            if zlib.crc32(frame) & 0xFFFFFFFF != crc:
-                break
-            klen, vlen = struct.unpack_from("<II", frame, 0)
-            key = frame[8 : 8 + klen]
-            value = frame[8 + klen : 8 + klen + vlen]
-            (version,) = struct.unpack_from("<Q", frame, 8 + klen + vlen)
+            rows, _ = read_store_log(f.read())
+        for key, value, version in rows:
             self._map[key] = (value, version)
-            pos += 8 + n
 
     def get(self, key: bytes) -> tuple[bytes, int] | None:
         return self._map.get(key)

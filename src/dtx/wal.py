@@ -199,14 +199,13 @@ class TranxLog:
     def __init__(self, env: NodeEnv, file_capacity: int) -> None:
         self.env = env
         self.manager = LogManager(env, file_capacity)
-        self._lsn = 0
         # file name -> {coordinator: max seq in file}
         self.summaries: dict[str, dict[ServerId, int]] = {}
         self.reclaimed_files = 0
         # test hook: called with (file name, [records]) before deletion
         self.on_reclaim = None
 
-    def append(self, record: LogRecord, durable: bool) -> int:
+    def append(self, record: LogRecord, durable: bool) -> None:
         if isinstance(record, GcCheckpoint):
             raise ValueError("GcCheckpoint records belong to the GCLog")
         fname, _ = self.manager.append(encode_record(record))
@@ -216,8 +215,6 @@ class TranxLog:
             summary[t.coordinator] = t.seq
         if durable:
             self.manager.flush()
-        self._lsn += 1
-        return self._lsn
 
     def flush(self) -> None:
         self.manager.flush()

@@ -1,8 +1,9 @@
 """Cluster/workload configuration files and the benchmark transaction mix.
 
 Both file kinds use the same plain-text format: one `key = value` pair per
-line, `#` comments, blank lines ignored.  Repeatable keys (member, stage)
-accumulate in order; member order defines server ids.
+line, `#` comments, blank lines ignored.  The repeatable key (member)
+accumulates in order; member order defines server ids.  A cluster file
+rejects unknown keys; a workload spec ignores them.
 
 Workload shape: transactions touch a uniform 1..3 distinct keys; a read
 transaction reads all of them; an update transaction additionally writes
@@ -14,9 +15,10 @@ spec + seed pins the exact request sequence.
 
 from __future__ import annotations
 
+import os
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import client as cl
 
@@ -52,11 +54,14 @@ def _single(kv: dict, key: str, default=None, required: bool = False) -> str | N
     return vals[0]
 
 
-@dataclass
-class StageConfig:
-    name: str
-    threads: int = 1
-    cores: list[int] | None = None
+def _number(kv: dict, key: str, kind, default):
+    raw = _single(kv, key)
+    if raw is None:
+        return default
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: {raw!r} is not a {kind.__name__}") from None
 
 
 @dataclass
@@ -67,7 +72,10 @@ class ClusterConfig:
     gc_period: float = 0.100
     lock_wait: float = 0.050
     backend: str = "mapped-flush"  # or "file-sync"
-    stages: list[StageConfig] = field(default_factory=list)
+    protocol_core: int | None = None  # pin the protocol thread to this core
+
+    KEYS = ("member", "data_dir", "wal_file_capacity", "gc_period", "lock_wait", "backend",
+            "protocol_core")
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -77,6 +85,9 @@ class ClusterConfig:
             raise ConfigError(f"member ids must be 0..n-1 in order, got {ids}")
         if self.backend not in ("mapped-flush", "file-sync"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        cores = os.cpu_count() or 1
+        if self.protocol_core is not None and not 0 <= self.protocol_core < cores:
+            raise ConfigError(f"protocol_core {self.protocol_core} is not a core 0..{cores - 1}")
 
     @property
     def member_ids(self) -> list[int]:
@@ -88,6 +99,9 @@ class ClusterConfig:
     @classmethod
     def parse(cls, text: str) -> "ClusterConfig":
         kv = parse_kv_file(text)
+        unknown = sorted(set(kv) - set(cls.KEYS))
+        if unknown:
+            raise ConfigError(f"unknown cluster config key(s) {unknown}")
         members = []
         for i, m in enumerate(kv.get("member", [])):
             parts = m.split()
@@ -97,27 +111,14 @@ class ClusterConfig:
             if sid != i:
                 raise ConfigError(f"member ids must appear in order; got {sid} at position {i}")
             members.append((sid, parts[1]))
-        stages = []
-        for s in kv.get("stage", []):
-            parts = s.split()
-            stage = StageConfig(parts[0])
-            for opt in parts[1:]:
-                k, _, v = opt.partition("=")
-                if k == "threads":
-                    stage.threads = int(v)
-                elif k == "cores":
-                    stage.cores = [int(c) for c in v.split(",")]
-                else:
-                    raise ConfigError(f"unknown stage option {k!r}")
-            stages.append(stage)
         return cls(
             members=members,
             data_dir=_single(kv, "data_dir", "data"),
-            wal_file_capacity=int(_single(kv, "wal_file_capacity", str(1 << 20))),
-            gc_period=float(_single(kv, "gc_period", "0.1")),
-            lock_wait=float(_single(kv, "lock_wait", "0.05")),
+            wal_file_capacity=_number(kv, "wal_file_capacity", int, 1 << 20),
+            gc_period=_number(kv, "gc_period", float, 0.1),
+            lock_wait=_number(kv, "lock_wait", float, 0.05),
             backend=_single(kv, "backend", "mapped-flush"),
-            stages=stages,
+            protocol_core=_number(kv, "protocol_core", int, None),
         )
 
     @classmethod

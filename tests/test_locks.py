@@ -32,9 +32,9 @@ def make_table(wait=0.05):
     return LockTable(t.set_timer, t.cancel_timer, wait), t
 
 
-def acquire(table, tranx, shared, exclusive, wait=None):
+def acquire(table, tranx, shared, exclusive):
     out = []
-    table.acquire_for_prepare(tranx, shared, exclusive, lambda ok, why: out.append((ok, why)), wait)
+    table.acquire_for_prepare(tranx, shared, exclusive, lambda ok, why: out.append((ok, why)))
     return out
 
 

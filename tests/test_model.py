@@ -25,7 +25,6 @@ from dtx.model import (
     decode_record,
     encode_record,
     part_transition_legal,
-    tranx_id_cmp,
 )
 
 keys = st.binary(min_size=1, max_size=32)
@@ -86,9 +85,6 @@ def test_byte_writer_reader_round_trip(items):
 def test_tranx_id_order_is_lexicographic():
     a, b, c = TranxID(0, 5), TranxID(1, 1), TranxID(1, 2)
     assert a < b < c
-    assert tranx_id_cmp(a, b) == -1
-    assert tranx_id_cmp(c, c) == 0
-    assert tranx_id_cmp(c, a) == 1
 
 
 def test_issuer_is_monotone_and_resumes():

@@ -1,12 +1,13 @@
 """Real-socket runtime: a three-server cluster over loopback TCP."""
 
 import socket
+import threading
 import time
 
 import pytest
 
 from dtx.nettransport import ServerRuntime, connect_client
-from dtx.server import owner_of
+from dtx.server import ServerNode, owner_of
 from dtx.workload import ClusterConfig
 
 
@@ -105,3 +106,54 @@ def test_server_restart_preserves_committed_data(cluster):
     h2 = c2.open_txn()
     assert c2.read(h2, k) == b"persisted" and h2.reads[k][1] == 1
     c2.driver.close()
+
+
+def test_live_node_runs_on_one_protocol_thread(tmp_path, monkeypatch):
+    """start, on_message and every timer callback share one thread per server."""
+    seen = {}  # sid -> {(what, thread ident)}
+
+    def record(sid, what):
+        seen.setdefault(sid, set()).add((what, threading.get_ident()))
+
+    def traced(name, orig):
+        def wrapper(self, *args):
+            record(self.sid, name)
+            return orig(self, *args)
+
+        return wrapper
+
+    orig_set_timer = ServerRuntime.set_timer
+
+    def set_timer(self, delay, fn):
+        def fire():
+            record(self.sid, "timer")
+            fn()
+
+        return orig_set_timer(self, delay, fire)
+
+    monkeypatch.setattr(ServerNode, "start", traced("start", ServerNode.start))
+    monkeypatch.setattr(ServerNode, "on_message", traced("on_message", ServerNode.on_message))
+    monkeypatch.setattr(ServerRuntime, "set_timer", set_timer)
+
+    cfg = make_cluster(tmp_path, free_ports(3))
+    runtimes = [ServerRuntime(cfg, sid) for sid in cfg.member_ids]
+    try:
+        for r in runtimes:
+            r.start()
+        client = connect_client(cfg, seed=1)
+        h = client.open_txn()
+        for i in range(6):  # keys on several owners: a two-phase commit
+            client.write(h, b"spread-%d" % i, b"v")
+        assert client.commit(h)[0]
+        client.driver.close()
+        time.sleep(3 * cfg.gc_period)  # let the periodic timers fire
+        names = [t.name for t in threading.enumerate()]
+        assert "dtx-timer" not in names
+        assert names.count("dtx-protocol") == len(runtimes)
+        for r in runtimes:
+            kinds = {what for what, _ in seen[r.sid]}
+            assert kinds == {"start", "on_message", "timer"}
+            assert {ident for _, ident in seen[r.sid]} == {r.loop.thread.ident}
+    finally:
+        for r in runtimes:
+            r.stop()

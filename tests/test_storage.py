@@ -1,21 +1,13 @@
 """Versioned stores, the LRU cache, and version discipline."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from dtx.storage import (
     FileKvStore,
     MemKvStore,
     ServerCache,
     StorageEngine,
-    decode_value,
-    encode_value,
 )
-
-
-@given(st.binary(max_size=128), st.integers(0, 2**64 - 1))
-def test_value_codec_round_trip(value, version):
-    assert decode_value(encode_value(value, version)) == (value, version)
 
 
 def test_mem_store_overlay_vs_durable():
