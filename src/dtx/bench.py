@@ -23,7 +23,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .server import ServerConfig, owner_of
-from .sim import ClosedLoopDriver, NetConfig, Simulator
+from .sim import ClosedLoopDriver, Simulator
 from .workload import WorkloadSpec, key_bytes, random_value, txn_script
 
 
@@ -74,9 +74,6 @@ class BenchReport:
             return {"p50_ms": 0.0, "p99_ms": 0.0}
         qs = statistics.quantiles(lats, n=100)
         return {"p50_ms": qs[49], "p99_ms": qs[98]}
-
-    def throughput_series(self) -> list[int]:
-        return [s.committed for s in self.seconds]
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
@@ -130,14 +127,30 @@ def preload_sim(sim: Simulator, spec: WorkloadSpec, seed: int) -> None:
         sim.nodes[sid].durable[k] = (value, 1)
 
 
+def start_clients(
+    sim: Simulator, spec: WorkloadSpec, max_txns: int | None = None
+) -> list[ClosedLoopDriver]:
+    """Start spec.clients closed-loop drivers running the workload mix
+    until spec.duration (virtual), each stopping after max_txns if given."""
+    drivers = []
+    for c in range(spec.clients):
+        client = sim.new_client(seed=spec.seed * 100_003 + c)
+        d = ClosedLoopDriver(
+            sim,
+            client,
+            txn_script(spec, clock=lambda: sim.now),
+            until=spec.duration,
+            max_txns=max_txns,
+        )
+        drivers.append(d)
+        d.start()
+    return drivers
+
+
 def run_sim_bench(
     members: list[int],
     spec: WorkloadSpec,
     gc: bool = True,
-    net: NetConfig | None = None,
-    service_time: float = 50e-6,
-    keep_trace: bool = False,
-    config: ServerConfig | None = None,
     tail: float = 5.0,
 ) -> tuple[BenchReport, Simulator]:
     """Preload, run the workload for spec.duration (virtual), sample per second.
@@ -145,18 +158,10 @@ def run_sim_bench(
     Sampling continues for `tail` extra seconds after the workload ends so
     footprint convergence after quiescence is visible in the series.
     """
-    if config is None:
-        config = ServerConfig(members=list(members))
+    config = ServerConfig(members=list(members))
     if not gc:
         config.gc_period = 10_000_000.0  # effectively disabled
-    sim = Simulator(
-        members,
-        config=config,
-        seed=spec.seed,
-        net=net,
-        service_time=service_time,
-        keep_trace=keep_trace,
-    )
+    sim = Simulator(members, config=config, seed=spec.seed, keep_trace=False)
     preload_sim(sim, spec, spec.seed)
 
     total_seconds = int(spec.duration + tail)
@@ -169,15 +174,7 @@ def run_sim_bench(
         )
         s.footprint_files = s.wal_files + sum(1 for n in sim.nodes.values() if n.alive)
 
-    drivers = []
-    for c in range(spec.clients):
-        client = sim.new_client(seed=spec.seed * 100_003 + c)
-        d = ClosedLoopDriver(
-            sim, client, txn_script(spec, clock=lambda: sim.now), until=spec.duration
-        )
-        drivers.append(d)
-        d.start()
-
+    drivers = start_clients(sim, spec)
     for second in range(total_seconds + 1):
         sim.run_until(float(second))
         sample(second)

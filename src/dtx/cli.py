@@ -25,16 +25,17 @@ import argparse
 import sys
 
 from . import oracle
-from .bench import run_sim_bench, run_socket_bench
-from .sim import NetConfig, Simulator, ClosedLoopDriver
+from .bench import run_sim_bench, run_socket_bench, start_clients
+from .sim import NetConfig, Simulator
 from .workload import (
     ClusterConfig,
     ConfigError,
     WorkloadSpec,
+    check_keys,
     load_script,
     owner_batches,
     parse_kv_file,
-    txn_script,
+    read_number,
 )
 
 
@@ -87,39 +88,45 @@ def cmd_bench(args) -> int:
     return 0
 
 
+SCENARIO_KEYS = (
+    "servers", "clients", "key_count", "read_fraction", "duration", "txns_per_client",
+    "drop", "dup", "delay", "crash", "partition",
+)
+
+
 def _parse_scenario(text: str) -> dict:
     kv = parse_kv_file(text)
-
-    def one(key, default):
-        vals = kv.get(key, [])
-        return vals[0] if vals else default
+    check_keys(kv, SCENARIO_KEYS, "scenario")
 
     crashes = []
-    for c in kv.get("crash", []):
-        sid, at, down = c.split()
-        crashes.append((int(sid), float(at), float(down)))
     partitions = []
-    for p in kv.get("partition", []):
-        groups, at, dur = p.split()
-        a, _, b = groups.partition("|")
-        partitions.append(
-            (
-                [int(x) for x in a.split(",")],
-                [int(x) for x in b.split(",")],
-                float(at),
-                float(dur),
+    try:
+        for c in kv.get("crash", []):
+            sid, at, down = c.split()
+            crashes.append((int(sid), float(at), float(down)))
+        for p in kv.get("partition", []):
+            groups, at, dur = p.split()
+            a, _, b = groups.partition("|")
+            partitions.append(
+                (
+                    [int(x) for x in a.split(",")],
+                    [int(x) for x in b.split(",")],
+                    float(at),
+                    float(dur),
+                )
             )
-        )
+    except ValueError as e:
+        raise ConfigError(f"bad crash or partition entry: {e}") from None
     return {
-        "servers": int(one("servers", "3")),
-        "clients": int(one("clients", "4")),
-        "key_count": int(one("key_count", "8")),
-        "read_fraction": float(one("read_fraction", "0.50")),
-        "duration": float(one("duration", "2.0")),
-        "txns_per_client": int(one("txns_per_client", "0")),  # 0 = unlimited
-        "drop": float(one("drop", "0")),
-        "dup": float(one("dup", "0")),
-        "delay": float(one("delay", "0")),
+        "servers": read_number(kv, "servers", int, 3),
+        "clients": read_number(kv, "clients", int, 4),
+        "key_count": read_number(kv, "key_count", int, 8),
+        "read_fraction": read_number(kv, "read_fraction", float, 0.50),
+        "duration": read_number(kv, "duration", float, 2.0),
+        "txns_per_client": read_number(kv, "txns_per_client", int, 0),  # 0 = unlimited
+        "drop": read_number(kv, "drop", float, 0.0),
+        "dup": read_number(kv, "dup", float, 0.0),
+        "delay": read_number(kv, "delay", float, 0.0),
         "crashes": crashes,
         "partitions": partitions,
     }
@@ -138,18 +145,7 @@ def run_scenario(scenario: dict, seed: int) -> tuple[list[tuple[str, bool, str]]
         clients=scenario["clients"],
         seed=seed,
     )
-    drivers = []
-    for c in range(spec.clients):
-        client = sim.new_client(seed=seed * 7919 + c)
-        d = ClosedLoopDriver(
-            sim,
-            client,
-            txn_script(spec, clock=lambda: sim.now),
-            until=spec.duration,
-            max_txns=scenario.get("txns_per_client") or None,
-        )
-        drivers.append(d)
-        d.start()
+    drivers = start_clients(sim, spec, max_txns=scenario["txns_per_client"] or None)
     for sid, at, down in scenario["crashes"]:
         sim.schedule(at, lambda s=sid: sim.crash(s))
         sim.schedule(at + down, lambda s=sid: sim.restart(s))

@@ -131,7 +131,7 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             tuple(sorted(h.writes.items())),
         )
         coordinator = coordinator_for(txn.keys, cs.members)
-        env = cs.env(MsgType.COMMIT, rpc.enc_commit_req(txn))
+        env = cs.env(MsgType.COMMIT, rpc.enc_txn(txn))
         h.last_mid = env.message_id
         cs.stats["rpcs"] += 1
         resp = yield ("rpc", coordinator, env)

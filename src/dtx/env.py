@@ -245,9 +245,6 @@ class MemEnv(NodeEnv):
         for r in self._regions.values():
             r.crash()
 
-    def total_region_bytes(self) -> int:
-        return sum(r.length for r in self._regions.values())
-
 
 class DiskEnv(NodeEnv):
     """Directory-backed environment: <dir>/wal/*.log, <dir>/gclog, <dir>/db/."""

@@ -112,14 +112,6 @@ class CompletionTracker:
 
 
 @dataclass
-class GcReport:
-    lc_local: int
-    files_reclaimed: int
-    gclog_written: bool
-    broadcast: bool
-
-
-@dataclass
 class GcManager:
     """Glue between the tracker, GCLog, WAL reclamation, and lock pruning.
 
@@ -158,7 +150,7 @@ class GcManager:
         self.final[tranx] = final
         self._emit("gc.volatile", tranx=tranx, final=final, lc=self.tracker.lc)
 
-    def tick(self) -> GcReport:
+    def tick(self) -> None:
         """Periodic coordinator-side pass, in the mandated order."""
         self.table[self.server] = self.tracker.lc  # (1) snapshot volatile state
         self.gclog.write(self.table)  # (2) persist
@@ -169,7 +161,6 @@ class GcManager:
             self._emit("gc.reclaim", files=reclaimed)
         self.lock_table.prune_aborted(dict(self.table))
         self.broadcast_fn(self.tracker.lc)  # (4) broadcast, fire-and-forget
-        return GcReport(self.tracker.lc, reclaimed, True, True)
 
     def on_lc_broadcast(self, sender: ServerId, lc_seq: int) -> bool:
         """Participant-side watermark intake; stale or unknown senders ignored."""

@@ -132,7 +132,10 @@ class TranxIdIssuer:
 
 @dataclass(frozen=True)
 class Transaction:
-    """Client-buffered read set (key, observed version) and write set."""
+    """Read set (key, observed version) and write set.
+
+    The client's whole transaction, and also one participant's slice of it.
+    """
 
     reads: tuple[tuple[bytes, int], ...]
     writes: tuple[tuple[bytes, bytes], ...]
@@ -166,7 +169,10 @@ class Transaction:
     def decode_from(r: ByteReader) -> "Transaction":
         reads = tuple((r.blob(), r.u64()) for _ in range(r.u32()))
         writes = tuple((r.blob(), r.blob()) for _ in range(r.u32()))
-        return Transaction(reads, writes)
+        try:
+            return Transaction(reads, writes)
+        except ValueError as e:
+            raise MalformedRecordError(str(e)) from e
 
 
 class CoordState(enum.Enum):
@@ -217,33 +223,9 @@ _KIND_GC_CHECKPOINT = 7
 
 
 @dataclass(frozen=True)
-class SubTranx:
-    """One participant's slice of a transaction."""
-
-    reads: tuple[tuple[bytes, int], ...]
-    writes: tuple[tuple[bytes, bytes], ...]
-
-    def encode_into(self, w: ByteWriter) -> None:
-        w.u32(len(self.reads))
-        for k, v in self.reads:
-            w.blob(k)
-            w.u64(v)
-        w.u32(len(self.writes))
-        for k, val in self.writes:
-            w.blob(k)
-            w.blob(val)
-
-    @staticmethod
-    def decode_from(r: ByteReader) -> "SubTranx":
-        reads = tuple((r.blob(), r.u64()) for _ in range(r.u32()))
-        writes = tuple((r.blob(), r.blob()) for _ in range(r.u32()))
-        return SubTranx(reads, writes)
-
-
-@dataclass(frozen=True)
 class CoordPrepare:
     tranx: TranxID
-    participants: tuple[tuple[ServerId, SubTranx], ...]  # sorted by server id
+    participants: tuple[tuple[ServerId, Transaction], ...]  # sorted by server id
 
     kind = _KIND_COORD_PREPARE
 
@@ -357,7 +339,7 @@ def decode_record(data: bytes) -> LogRecord:
     rec: LogRecord
     if kind == _KIND_COORD_PREPARE:
         tranx = TranxID.decode_from(r)
-        parts = tuple((r.u32(), SubTranx.decode_from(r)) for _ in range(r.u32()))
+        parts = tuple((r.u32(), Transaction.decode_from(r)) for _ in range(r.u32()))
         rec = CoordPrepare(tranx, parts)
     elif kind in (_KIND_COORD_COMMIT, _KIND_COORD_ABORT):
         tranx = TranxID.decode_from(r)

@@ -29,7 +29,6 @@ from .model import (
     ByteWriter,
     MalformedRecordError,
     ServerId,
-    SubTranx,
     Transaction,
     TranxID,
 )
@@ -167,13 +166,15 @@ def dec_read_resp(b: bytes) -> tuple[bytes, int] | None:
     return (r.blob(), r.u64())
 
 
-def enc_commit_req(txn: Transaction) -> bytes:
+def enc_txn(txn: Transaction) -> bytes:
+    """COMMIT request payload (the whole transaction) and PREPARE payload
+    (one participant's slice)."""
     w = ByteWriter()
     txn.encode_into(w)
     return w.getvalue()
 
 
-def dec_commit_req(b: bytes) -> Transaction:
+def dec_txn(b: bytes) -> Transaction:
     return Transaction.decode_from(ByteReader(b))
 
 
@@ -200,16 +201,6 @@ def dec_commit_resp(b: bytes):
     reason = _CODE_REASON.get(code)
     piggyback = [(r.blob(), r.blob(), r.u64()) for _ in range(r.u32())]
     return committed, reason, piggyback
-
-
-def enc_prepare(sub: SubTranx) -> bytes:
-    w = ByteWriter()
-    sub.encode_into(w)
-    return w.getvalue()
-
-
-def dec_prepare(b: bytes) -> SubTranx:
-    return SubTranx.decode_from(ByteReader(b))
 
 
 def enc_vote_abort(reason: AbortReason, piggyback: list[tuple[bytes, bytes, int]]) -> bytes:
@@ -276,9 +267,8 @@ class ClientWindow:
 class DedupTable:
     """At-most-once processing state for one server."""
 
-    def __init__(self, client_window: int = 1024) -> None:
+    def __init__(self) -> None:
         self._clients: dict[int, ClientWindow] = {}
-        self._client_window = client_window
         # (tranx, msg_type) -> cached reply payload (may be b"")
         self._tranx: dict[tuple[TranxID, MsgType], bytes] = {}
         self.duplicates_blocked = 0
@@ -294,11 +284,8 @@ class DedupTable:
         return hit
 
     def record_client(self, client_id: int, message_id: int, response_payload: bytes) -> None:
-        win = self._clients.setdefault(client_id, ClientWindow(self._client_window))
+        win = self._clients.setdefault(client_id, ClientWindow())
         win.record(message_id, response_payload)
-
-    def retire_client(self, client_id: int) -> None:
-        self._clients.pop(client_id, None)
 
     # Transaction messages
     def check_tranx(self, tranx: TranxID, msg_type: MsgType) -> bytes | None:

@@ -41,7 +41,6 @@ from .model import (
     PartReady,
     PartState,
     ServerId,
-    SubTranx,
     Transaction,
     TranxID,
     TranxIdIssuer,
@@ -58,25 +57,25 @@ def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
     return members[zlib.crc32(key) % len(members)]
 
 
+ACK_FLUSH_PERIOD = 0.002  # batched decision fan-out and resend pass
+DECISION_RESEND = 0.250  # resend a decision not acked for this long
+PREPARE_RETRY = 0.200  # resend PREPARE to owners that have not voted
+PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
+STATUS_RETRY = 0.100  # re-ask an in-doubt transaction's coordinator
+
+
 @dataclass
 class ServerConfig:
     members: list[ServerId]
     wal_file_capacity: int = 1 << 20
     lock_wait: float = 0.050
     gc_period: float = 0.100
-    ack_flush_period: float = 0.002
-    decision_resend: float = 0.250
-    prepare_retry: float = 0.200
-    prepare_budget: int = 8
-    status_retry: float = 0.100
-    cache_capacity: int = 0
-    client_window: int = 1024
 
 
 @dataclass
 class CoordRec:
     tranx: TranxID
-    subs: dict[ServerId, SubTranx]
+    subs: dict[ServerId, Transaction]
     state: CoordState = CoordState.START
     pending_ready: set[ServerId] = field(default_factory=set)
     pending_ack: set[ServerId] = field(default_factory=set)
@@ -117,10 +116,10 @@ class ServerNode:
         self.peers = [m for m in self.members if m != sid]
 
         self.tranxlog = TranxLog(env, config.wal_file_capacity)
-        self.storage = StorageEngine(store, config.cache_capacity)
+        self.storage = StorageEngine(store)
         self.locks = LockTable(ctx.set_timer, ctx.cancel_timer, config.lock_wait)
         self.locks.trace = self._trace
-        self.dedup = DedupTable(config.client_window)
+        self.dedup = DedupTable()
         self.gclog = GcLog(env, self.members)
         self.gc = GcManager(
             server=sid,
@@ -146,7 +145,6 @@ class ServerNode:
         self._pending_status: dict[int, TranxID] = {}
         self._client_epoch = 0
         self._next_client = 0
-        self.recovered = False
         self.stats = {
             "commits": 0,
             "aborts": 0,
@@ -207,7 +205,7 @@ class ServerNode:
         """Local recovery, then periodic stages; call before serving traffic."""
         self.recover_local()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
-        self.ctx.set_timer(self.config.ack_flush_period, self._ack_tick)
+        self.ctx.set_timer(ACK_FLUSH_PERIOD, self._ack_tick)
         self.recover_global()
 
     def assign_client_id(self) -> int:
@@ -279,7 +277,7 @@ class ServerNode:
                 rec.reply_to = env
             return
         try:
-            txn = rpc.dec_commit_req(env.payload)
+            txn = rpc.dec_txn(env.payload)
         except Exception:
             self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
             return
@@ -297,14 +295,14 @@ class ServerNode:
             return
         self.coordinate(txn, env)
 
-    def _split(self, txn: Transaction) -> dict[ServerId, SubTranx]:
+    def _split(self, txn: Transaction) -> dict[ServerId, Transaction]:
         per: dict[ServerId, tuple[list, list]] = {}
         for k, ver in txn.reads:
             per.setdefault(owner_of(k, self.members), ([], []))[0].append((k, ver))
         for k, v in txn.writes:
             per.setdefault(owner_of(k, self.members), ([], []))[1].append((k, v))
         return {
-            sid: SubTranx(tuple(reads), tuple(writes))
+            sid: Transaction(tuple(reads), tuple(writes))
             for sid, (reads, writes) in sorted(per.items())
         }
 
@@ -334,10 +332,10 @@ class ServerNode:
                 continue
             self._send(
                 sid,
-                self._server_env(MsgType.PREPARE, tranx, rpc.enc_prepare(sub)),
+                self._server_env(MsgType.PREPARE, tranx, rpc.enc_txn(sub)),
             )
         rec.retry_timer = self.ctx.set_timer(
-            self.config.prepare_retry, lambda t=tranx: self._prepare_retry(t)
+            PREPARE_RETRY, lambda t=tranx: self._prepare_retry(t)
         )
         if self.sid in subs:
             self._local_prepare(tranx, subs[self.sid])
@@ -348,7 +346,7 @@ class ServerNode:
         if rec is None or rec.decision is not None or not rec.pending_ready:
             return
         rec.retries += 1
-        if rec.retries >= self.config.prepare_budget:
+        if rec.retries >= PREPARE_BUDGET:
             self._decide(rec, "Abort", AbortReason.TIMEOUT, [])
             return
         for sid in rec.pending_ready:
@@ -356,10 +354,10 @@ class ServerNode:
                 continue
             self._send(
                 sid,
-                self._server_env(MsgType.PREPARE, tranx, rpc.enc_prepare(rec.subs[sid])),
+                self._server_env(MsgType.PREPARE, tranx, rpc.enc_txn(rec.subs[sid])),
             )
         rec.retry_timer = self.ctx.set_timer(
-            self.config.prepare_retry, lambda t=tranx: self._prepare_retry(t)
+            PREPARE_RETRY, lambda t=tranx: self._prepare_retry(t)
         )
 
     def _handle_vote(self, env: Envelope, yes: bool) -> None:
@@ -445,28 +443,20 @@ class ServerNode:
         self.stats["one_phase"] += 1
         self._set_coord_state(rec, CoordState.PREPARE)
         sub = rec.subs[self.sid]
-        shared = [k for k, _ in sub.reads if k not in {w for w, _ in sub.writes}]
-        exclusive = [k for k, _ in sub.writes]
-        self.locks.acquire_for_prepare(
+        self._lock_slice(
             rec.tranx,
-            shared,
-            exclusive,
+            sub.reads,
+            sub.writes,
             lambda ok, why, r=rec: self._one_phase_locked(r, ok, why),
         )
 
     def _one_phase_locked(self, rec: CoordRec, granted: bool, why) -> None:
         sub = rec.subs[self.sid]
-        if not granted:
-            self._finish_one_phase(rec, self._map_lock_reason(why), [])
+        reason, out = self._check_locked(rec.tranx, sub, granted, why)
+        if reason is not None:
+            self._finish_one_phase(rec, reason, out)
             return
-        stale = self._validate_reads(sub.reads)
-        if stale:
-            self.locks.release_all(rec.tranx)
-            self._finish_one_phase(rec, AbortReason.STALE_READ, self._piggyback(stale))
-            return
-        writes = tuple(
-            (k, v, self.storage.current_version(k) + 1) for k, v in sub.writes
-        )
+        writes = out
         # combined record: write set + decision in a single durable flush
         if writes:
             self.tranxlog.append(PartReady(rec.tranx, sub.reads, writes), durable=False)
@@ -502,19 +492,33 @@ class ServerNode:
             RejectReason.ALREADY_ABORTED: AbortReason.ALREADY_ABORTED,
         }[why]
 
-    def _validate_reads(self, reads) -> list[bytes]:
-        """Keys whose stored version no longer matches the observed one."""
-        return [
-            k for k, ver in reads if self.storage.current_version(k) != ver
-        ]
+    def _lock_slice(self, tranx: TranxID, reads, writes, on_result) -> None:
+        """Shared locks on the keys a slice only reads, exclusive on those it writes."""
+        written = {w[0] for w in writes}
+        self.locks.acquire_for_prepare(
+            tranx, [k for k, _ in reads if k not in written], sorted(written), on_result
+        )
 
-    def _piggyback(self, keys) -> list[tuple[bytes, bytes, int]]:
-        out = []
-        for k in keys:
-            entry = self.storage.get(k)
-            if entry is not None:
-                out.append((k, entry[0], entry[1]))
-        return out
+    def _check_locked(self, tranx: TranxID, sub: Transaction, granted: bool, why):
+        """Validate a slice once its lock request resolved.
+
+        Returns (reason, piggyback) to abort: the locks were denied, or a
+        read is stale, which releases the locks and piggybacks the stored
+        entries of the stale keys.  Otherwise returns (None, writes) with
+        each post-version frozen at current+1 under the exclusive locks.
+        """
+        if not granted:
+            return self._map_lock_reason(why), []
+        stale = [k for k, ver in sub.reads if self.storage.current_version(k) != ver]
+        if stale:
+            self.locks.release_all(tranx)
+            piggyback = []
+            for k in stale:
+                entry = self.storage.get(k)
+                if entry is not None:
+                    piggyback.append((k, entry[0], entry[1]))
+            return AbortReason.STALE_READ, piggyback
+        return None, tuple((k, v, self.storage.current_version(k) + 1) for k, v in sub.writes)
 
     def _handle_prepare(self, env: Envelope) -> None:
         tranx = env.tranx
@@ -534,39 +538,30 @@ class ServerNode:
             return
         if tranx in self.part:
             return  # duplicate while the first prepare is still in flight
-        sub = rpc.dec_prepare(env.payload)
+        sub = rpc.dec_txn(env.payload)
         self._local_prepare(tranx, sub)
 
-    def _local_prepare(self, tranx: TranxID, sub: SubTranx) -> None:
+    def _local_prepare(self, tranx: TranxID, sub: Transaction) -> None:
         rec = PartRec(tranx, sub.reads)
         self.part[tranx] = rec
         self._trace("part.state", tranx=tranx, frm=None, to=PartState.START.value)
-        written = {k for k, _ in sub.writes}
-        shared = [k for k, _ in sub.reads if k not in written]
-        self.locks.acquire_for_prepare(
+        self._lock_slice(
             tranx,
-            shared,
-            sorted(written),
+            sub.reads,
+            sub.writes,
             lambda ok, why, t=tranx, s=sub: self._prepare_locked(t, s, ok, why),
         )
 
-    def _prepare_locked(self, tranx: TranxID, sub: SubTranx, granted: bool, why) -> None:
+    def _prepare_locked(self, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
         rec = self.part.get(tranx)
         if rec is None or rec.state != PartState.START:
             return  # a concurrent abort decision already settled this one
-        if not granted:
-            self._prepare_abort(rec, self._map_lock_reason(why), [])
+        reason, out = self._check_locked(tranx, sub, granted, why)
+        if reason is not None:
+            self._prepare_abort(rec, reason, out)
             return
-        stale = self._validate_reads(sub.reads)
-        if stale:
-            self.locks.release_all(tranx)
-            self._prepare_abort(rec, AbortReason.STALE_READ, self._piggyback(stale))
-            return
-        writes = tuple(
-            (k, v, self.storage.current_version(k) + 1) for k, v in sub.writes
-        )
-        rec.writes = writes
-        self._append(PartReady(tranx, sub.reads, writes), durable=True)
+        rec.writes = out
+        self._append(PartReady(tranx, sub.reads, out), durable=True)
         self._set_part_state(rec, PartState.READY)
         vote = b""
         self.dedup.record_tranx(tranx, MsgType.PREPARE, vote)
@@ -633,7 +628,7 @@ class ServerNode:
     def _ack_tick(self) -> None:
         self._flush_ack_batches()
         self._resend_undelivered()
-        self.ctx.set_timer(self.config.ack_flush_period, self._ack_tick)
+        self.ctx.set_timer(ACK_FLUSH_PERIOD, self._ack_tick)
 
     def _flush_ack_batches(self) -> None:
         batches, self._ack_batches = self._ack_batches, {}
@@ -659,7 +654,7 @@ class ServerNode:
             if rec is None or rec.decision is None or rec.complete:
                 self._undelivered.discard(tranx)
                 continue
-            if rec.last_fanout < 0 or now - rec.last_fanout < self.config.decision_resend:
+            if rec.last_fanout < 0 or now - rec.last_fanout < DECISION_RESEND:
                 continue
             for sid in rec.pending_ack:
                 if sid != self.sid:
@@ -723,7 +718,7 @@ class ServerNode:
         env = Envelope(MsgType.TRANX_STATUS, rpc.SERVER, self.sid, msg_id, tranx, b"")
         self._send(tranx.coordinator, env)
         self.ctx.set_timer(
-            self.config.status_retry,
+            STATUS_RETRY,
             lambda t=tranx, m=msg_id: self._status_retry(t, m),
         )
 
@@ -738,9 +733,7 @@ class ServerNode:
             return
         status = rpc.dec_status_resp(env.payload)
         if status == "Pending":
-            self.ctx.set_timer(
-                self.config.status_retry, lambda t=tranx: self._query_status(t)
-            )
+            self.ctx.set_timer(STATUS_RETRY, lambda t=tranx: self._query_status(t))
             return
         if self._handle_decision(tranx, status):
             self._send(
@@ -750,8 +743,8 @@ class ServerNode:
 
     # -- recovery ---------------------------------------------------------------------------
 
-    def recover_local(self) -> dict:
-        """Fold the WAL into volatile state; returns a summary for diagnostics."""
+    def recover_local(self) -> None:
+        """Fold the WAL into volatile state."""
         coord_state: dict[TranxID, str] = {}
         coord_parts: dict[TranxID, tuple] = {}
         part_ready: dict[TranxID, PartReady] = {}
@@ -816,12 +809,8 @@ class ServerNode:
             else:
                 rec = PartRec(t, ready.reads, ready.writes, PartState.START)
                 self.part[t] = rec
-                written = {k for k, _, _ in ready.writes}
-                shared = [k for k, _ in ready.reads if k not in written]
                 result: list = []
-                self.locks.acquire_for_prepare(
-                    t, shared, sorted(written), lambda ok, why: result.append(ok)
-                )
+                self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
                 assert result and result[0], f"recovery re-lock failed for {t}"
                 rec.state = PartState.READY
                 self.dedup.record_tranx(t, MsgType.PREPARE, b"")
@@ -852,11 +841,8 @@ class ServerNode:
                 continue
             rec.decision = state
             remote = [sid for sid in participants if sid != self.sid]
+            # the local slice was replayed above, so only remote owners ack
             rec.pending_ack = set(remote)
-            local_state = part_state.get(t)
-            if self.sid in participants or local_state is not None:
-                # the local slice was replayed above; self-ack is implicit
-                pass
             if not remote:
                 rec.complete = True
                 self.gc.mark_complete(t, state)
@@ -879,7 +865,6 @@ class ServerNode:
 
         self.gc.table[self.sid] = self.gc.tracker.lc
         self._client_epoch = self._bump_epoch()
-        self.recovered = True
         self._trace(
             "recovered",
             coord=len(coord_state),
@@ -887,11 +872,6 @@ class ServerNode:
             in_doubt_part=len(in_doubt_participant),
         )
         self._in_doubt_participant = in_doubt_participant
-        return {
-            "in_doubt_coord": list(self._in_doubt_coord),
-            "in_doubt_participant": list(in_doubt_participant),
-            "max_seq": max_seq,
-        }
 
     def _bump_epoch(self) -> int:
         raw = self.env.get_blob("epoch")

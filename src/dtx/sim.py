@@ -41,6 +41,7 @@ from .server import ServerConfig, ServerNode, owner_of
 from .storage import MemKvStore
 
 _TRANX_LIST_TYPES = (MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION, MsgType.ACK)
+SERVICE_TIME = 50e-6  # virtual seconds a server spends on each message
 
 
 class SimCrash(Exception):
@@ -144,20 +145,12 @@ class SimClient:
         rng: random.Random,
         rpc_timeout: float = 0.050,
         rpc_tries: int = 40,
-        cache_capacity: int = 256,
-        max_retries: int = 12,
     ) -> None:
         self.sim = sim
         self.client_id = client_id
         self.rpc_timeout = rpc_timeout
         self.rpc_tries = rpc_tries
-        self.state = ClientState(
-            client_id,
-            list(sim.members),
-            rng,
-            cache_capacity=cache_capacity,
-            max_retries=max_retries,
-        )
+        self.state = ClientState(client_id, list(sim.members), rng)
         self._waiters: dict[int, tuple] = {}  # message_id -> (continuation, timer)
 
     def on_reply(self, env: Envelope) -> None:
@@ -265,9 +258,7 @@ class Simulator:
         config: ServerConfig | None = None,
         seed: int = 0,
         net: NetConfig | None = None,
-        service_time: float = 50e-6,
         keep_trace: bool = True,
-        audit_messages: bool = False,
     ) -> None:
         self.members = sorted(members)
         self.config = config or ServerConfig(members=list(self.members))
@@ -275,9 +266,8 @@ class Simulator:
         self.net = net or NetConfig()
         self.rng = random.Random(seed)
         self.seed = seed
-        self.service_time = service_time
         self.keep_trace = keep_trace
-        self.audit_messages = audit_messages
+        self.audit_messages = False  # True: count server messages per transaction
 
         self.now = 0.0
         self._heap: list = []
@@ -373,9 +363,6 @@ class Simulator:
         self._partitions.remove(rule)
         self._trace(-1, "net.heal")
 
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
     def _blocked(self, src, dst) -> bool:
         for a, b in self._partitions:
             if (src in a and dst in b) or (src in b and dst in a):
@@ -410,7 +397,7 @@ class Simulator:
             self.dropped_dead += 1
             return
         start = max(self.now, n.busy_until)
-        n.busy_until = start + self.service_time
+        n.busy_until = start + SERVICE_TIME
         incarnation = n.incarnation
 
         def handle() -> None:

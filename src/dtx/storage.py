@@ -1,4 +1,4 @@
-"""Per-server versioned key-value storage with a write-through read cache.
+"""Per-server versioned key-value storage.
 
 Every stored value carries its version as a fixed 8-byte little-endian
 field (binary-safe, unlike a text delimiter).  The durable
@@ -172,20 +172,13 @@ class ServerCache:
 
 
 class StorageEngine:
-    """get/apply facade with write-through cache coherence."""
+    """get/apply facade that enforces the version discipline."""
 
-    def __init__(self, store: KvStore, cache_capacity: int = 0) -> None:
+    def __init__(self, store: KvStore) -> None:
         self.store = store
-        self.cache = ServerCache(cache_capacity)
 
     def get(self, key: bytes) -> tuple[bytes, int] | None:
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        entry = self.store.get(key)
-        if entry is not None:
-            self.cache.put(key, entry[0], entry[1])
-        return entry
+        return self.store.get(key)
 
     def current_version(self, key: bytes) -> int:
         entry = self.store.get(key)
@@ -194,7 +187,7 @@ class StorageEngine:
     def apply_writes(
         self, writes: list[tuple[bytes, bytes, int]], replay: bool = False
     ) -> None:
-        """Apply (key, value, post_version) writes, write-through to the cache.
+        """Apply (key, value, post_version) writes.
 
         On the live commit path the post-version must be exactly current+1
         (1 for an insert); during WAL replay already-applied writes are
@@ -213,9 +206,6 @@ class StorageEngine:
             effective.append((key, value, version))
         if effective:
             self.store.apply(effective)
-            for key, value, version in effective:
-                if key in self.cache._map:
-                    self.cache.put(key, value, version)
 
     def sync(self) -> None:
         self.store.sync()

@@ -201,9 +201,6 @@ class TranxLog:
         self.manager = LogManager(env, file_capacity)
         # file name -> {coordinator: max seq in file}
         self.summaries: dict[str, dict[ServerId, int]] = {}
-        self.reclaimed_files = 0
-        # test hook: called with (file name, [records]) before deletion
-        self.on_reclaim = None
 
     def append(self, record: LogRecord, durable: bool) -> None:
         if isinstance(record, GcCheckpoint):
@@ -215,9 +212,6 @@ class TranxLog:
             summary[t.coordinator] = t.seq
         if durable:
             self.manager.flush()
-
-    def flush(self) -> None:
-        self.manager.flush()
 
     def scan(self):
         """Yield every intact record, oldest file first (recovery path).
@@ -253,13 +247,9 @@ class TranxLog:
             summary = self.summaries.get(name, {})
             if not all(seq <= lc.get(coord, 0) for coord, seq in summary.items()):
                 break
-            if self.on_reclaim is not None:
-                records = [decode_record(e) for e in self.manager.read_file(name, newest=False)]
-                self.on_reclaim(name, records)
             self.env.delete_region(name)
             self.summaries.pop(name, None)
             deleted += 1
-            self.reclaimed_files += 1
         return deleted
 
     def file_count(self) -> int:

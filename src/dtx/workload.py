@@ -2,8 +2,8 @@
 
 Both file kinds use the same plain-text format: one `key = value` pair per
 line, `#` comments, blank lines ignored.  The repeatable key (member)
-accumulates in order; member order defines server ids.  A cluster file
-rejects unknown keys; a workload spec ignores them.
+accumulates in order; member order defines server ids.  Both reject
+unknown keys and numbers that do not parse.
 
 Workload shape: transactions touch a uniform 1..3 distinct keys; a read
 transaction reads all of them; an update transaction additionally writes
@@ -54,7 +54,13 @@ def _single(kv: dict, key: str, default=None, required: bool = False) -> str | N
     return vals[0]
 
 
-def _number(kv: dict, key: str, kind, default):
+def check_keys(kv: dict, allowed, what: str) -> None:
+    unknown = sorted(set(kv) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}")
+
+
+def read_number(kv: dict, key: str, kind, default):
     raw = _single(kv, key)
     if raw is None:
         return default
@@ -99,9 +105,7 @@ class ClusterConfig:
     @classmethod
     def parse(cls, text: str) -> "ClusterConfig":
         kv = parse_kv_file(text)
-        unknown = sorted(set(kv) - set(cls.KEYS))
-        if unknown:
-            raise ConfigError(f"unknown cluster config key(s) {unknown}")
+        check_keys(kv, cls.KEYS, "cluster config")
         members = []
         for i, m in enumerate(kv.get("member", [])):
             parts = m.split()
@@ -114,11 +118,11 @@ class ClusterConfig:
         return cls(
             members=members,
             data_dir=_single(kv, "data_dir", "data"),
-            wal_file_capacity=_number(kv, "wal_file_capacity", int, 1 << 20),
-            gc_period=_number(kv, "gc_period", float, 0.1),
-            lock_wait=_number(kv, "lock_wait", float, 0.05),
+            wal_file_capacity=read_number(kv, "wal_file_capacity", int, 1 << 20),
+            gc_period=read_number(kv, "gc_period", float, 0.1),
+            lock_wait=read_number(kv, "lock_wait", float, 0.05),
             backend=_single(kv, "backend", "mapped-flush"),
-            protocol_core=_number(kv, "protocol_core", int, None),
+            protocol_core=read_number(kv, "protocol_core", int, None),
         )
 
     @classmethod
@@ -136,6 +140,8 @@ class WorkloadSpec:
     clients: int = 4
     seed: int = 1
 
+    KEYS = ("key_count", "value_size", "read_fraction", "duration", "clients", "seed")
+
     def __post_init__(self) -> None:
         if self.read_fraction not in READ_FRACTION_PRESETS:
             raise ConfigError(
@@ -147,13 +153,14 @@ class WorkloadSpec:
     @classmethod
     def parse(cls, text: str) -> "WorkloadSpec":
         kv = parse_kv_file(text)
+        check_keys(kv, cls.KEYS, "workload spec")
         return cls(
-            key_count=int(_single(kv, "key_count", "100000")),
-            value_size=int(_single(kv, "value_size", "100")),
-            read_fraction=float(_single(kv, "read_fraction", "0.95")),
-            duration=float(_single(kv, "duration", "10")),
-            clients=int(_single(kv, "clients", "4")),
-            seed=int(_single(kv, "seed", "1")),
+            key_count=read_number(kv, "key_count", int, 100_000),
+            value_size=read_number(kv, "value_size", int, 100),
+            read_fraction=read_number(kv, "read_fraction", float, 0.95),
+            duration=read_number(kv, "duration", float, 10.0),
+            clients=read_number(kv, "clients", int, 4),
+            seed=read_number(kv, "seed", int, 1),
         )
 
     @classmethod

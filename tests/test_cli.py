@@ -3,10 +3,13 @@
 import struct
 import zlib
 
+import pytest
+
 from dtx.cli import _parse_scenario, main, run_scenario
 from dtx.env import DiskEnv
 from dtx.model import CoordCommit, TranxID
 from dtx.wal import TranxLog
+from dtx.workload import ConfigError, WorkloadSpec
 
 
 def test_parse_scenario_defaults_and_fields():
@@ -30,6 +33,23 @@ def test_parse_scenario_defaults_and_fields():
     # everything has a default
     empty = _parse_scenario("")
     assert empty["servers"] == 3 and empty["txns_per_client"] == 0
+
+
+@pytest.mark.parametrize("parse", [WorkloadSpec.parse, _parse_scenario], ids=["spec", "scenario"])
+@pytest.mark.parametrize(
+    "text", ["read_fracton = 0.50\n", "duration = ten\n"], ids=["misspelt-key", "not-a-number"]
+)
+def test_spec_and_scenario_files_are_strict(parse, text):
+    with pytest.raises(ConfigError):
+        parse(text)
+
+
+def test_bench_and_sim_report_config_errors(tmp_path, capsys):
+    path = tmp_path / "bad.spec"
+    path.write_text("duration = ten\n")
+    assert main(["bench", "--spec", str(path), "--csv", str(tmp_path / "o.csv")]) == 2
+    assert main(["sim", "--scenario", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_run_scenario_all_verdicts_pass():
@@ -108,7 +128,7 @@ def test_db_dump_empty_dir(tmp_path, capsys):
 def test_bench_sim_mode_writes_csv(tmp_path, capsys):
     spec = tmp_path / "bench.spec"
     spec.write_text(
-        "key_count = 32\nread_fraction = 0.75\nduration = 1.0\nclients = 2\nwarmup = 0.2\n"
+        "key_count = 32\nread_fraction = 0.75\nduration = 1.0\nclients = 2\n"
     )
     csv_path = tmp_path / "out.csv"
     assert main(["bench", "--spec", str(spec), "--csv", str(csv_path)]) == 0

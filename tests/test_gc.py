@@ -145,8 +145,8 @@ def test_tick_persists_before_reclaiming_and_broadcasts():
     mgr, broadcasts, events = make_manager()
     mgr.mark_complete(TranxID(0, 1), "Commit")
     mgr.mark_complete(TranxID(0, 2), "Abort")
-    report = mgr.tick()
-    assert report.lc_local == 2 and report.files_reclaimed == 1
+    mgr.tick()
+    assert mgr.tracker.lc == 2 and "gc.reclaim" in events
     assert broadcasts == [2]
     # the GCLog write is traced before the reclaim
     assert events.index("gc.gclog") < events.index("gc.reclaim")

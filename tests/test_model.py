@@ -17,7 +17,6 @@ from dtx.model import (
     PartCommit,
     PartReady,
     PartState,
-    SubTranx,
     Transaction,
     TranxID,
     TranxIdIssuer,
@@ -33,7 +32,12 @@ tranx_ids = st.builds(TranxID, st.integers(0, 2**32 - 1), st.integers(0, 2**64 -
 reads = st.lists(st.tuples(keys, st.integers(0, 2**64 - 1)), max_size=5).map(tuple)
 plain_writes = st.lists(st.tuples(keys, values), max_size=5).map(tuple)
 ready_writes = st.lists(st.tuples(keys, values, st.integers(1, 2**64 - 1)), max_size=5).map(tuple)
-subs = st.builds(SubTranx, reads, plain_writes)
+# a participant slice is cut from a Transaction, so its keys are unique
+subs = st.builds(
+    Transaction,
+    st.lists(st.tuples(keys, st.integers(0, 2**64 - 1)), max_size=5, unique_by=lambda r: r[0]).map(tuple),
+    st.lists(st.tuples(keys, values), max_size=5, unique_by=lambda w: w[0]).map(tuple),
+)
 client_keys = st.one_of(st.none(), st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
 
 records = st.one_of(
@@ -127,6 +131,20 @@ def test_transaction_rejects_duplicate_keys():
         Transaction(((b"a", 1), (b"a", 2)), ())
     with pytest.raises(ValueError):
         Transaction((), ((b"a", b"x"), (b"a", b"y")))
+    # decoded from a log record, a repeated key is a malformed record, which
+    # a WAL scan reports as corruption
+    w = ByteWriter()
+    w.u8(CoordPrepare.kind)
+    TranxID(0, 1).encode_into(w)
+    w.u32(1)  # one participant slice
+    w.u32(0)  # owned by server 0
+    w.u32(2)  # two reads of the same key
+    for _ in range(2):
+        w.blob(b"a")
+        w.u64(1)
+    w.u32(0)  # no writes
+    with pytest.raises(MalformedRecordError):
+        decode_record(w.getvalue())
 
 
 @given(reads, plain_writes)

@@ -95,10 +95,3 @@ def test_engine_replay_is_idempotent():
     eng.apply_writes([(b"k", b"v2", 2)], replay=True)
     assert eng.get(b"k") == (b"v2", 2)
 
-
-def test_engine_write_through_keeps_cache_coherent():
-    eng = StorageEngine(MemKvStore({}), cache_capacity=4)
-    eng.apply_writes([(b"k", b"v1", 1)])
-    assert eng.get(b"k") == (b"v1", 1)  # now cached
-    eng.apply_writes([(b"k", b"v2", 2)])
-    assert eng.cache.get(b"k") == (b"v2", 2)  # cache updated, not stale
