@@ -10,6 +10,10 @@ The protocol logic lives in generator functions that yield effects:
 so exactly the same code runs under the deterministic simulator (virtual
 clock, single thread) and the blocking socket client.
 
+A transaction that wrote nothing is committed the same way; the server
+validates its reads without locks, a log record or a transaction id, and
+aborts it with a stale read or a denied read lock as below.
+
 Retry policy on a failed commit: a stale read or a denied read lock means a
 concurrent writer got there first, so the transaction is rebuilt immediately
 from fresh reads (retrying the old versions would fail again); a denied

@@ -221,6 +221,11 @@ class LockTable:
 
     # -- introspection ---------------------------------------------------------
 
+    def exclusively_held(self, key: bytes) -> bool:
+        """True while a transaction holds the key's exclusive lock."""
+        entry = self._entries.get(key)
+        return entry is not None and entry.exclusive
+
     def holders_of(self, key: bytes):
         entry = self._entries.get(key)
         return set(entry.holders) if entry else set()

@@ -384,12 +384,14 @@ class SocketDriver:
     def sleep(seconds: float) -> None:
         time.sleep(seconds)
 
-    def handshake(self, seed: int | None = None) -> int:
+    def handshake(self) -> int:
+        """Ask each member in turn for a client id; any one may assign it."""
         env = Envelope(MsgType.CLIENT_HELLO, rpc.CLIENT, 0, 0, None, b"")
-        payload = self.request(self.cluster.member_ids[0], env)
-        if payload is None:
-            raise ConnectionError("no server answered the client handshake")
-        return int.from_bytes(payload[:8], "little")
+        for sid in self.cluster.member_ids:
+            payload = self.request(sid, env)
+            if payload is not None:
+                return int.from_bytes(payload[:8], "little")
+        raise ConnectionError("no server answered the client handshake")
 
     def close(self) -> None:
         for sid in list(self._conns):

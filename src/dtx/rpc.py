@@ -3,7 +3,9 @@
 At-least-once delivery comes from sender retries (identical envelope,
 identical ids); at-most-once processing comes from receiver-side dedup:
 
-* Read requests are idempotent and never deduplicated.
+* Read requests, and the commit of a transaction that wrote nothing
+  (validated with VALIDATE at each remote owner), are idempotent and never
+  deduplicated.
 * Commit requests dedup on (client id, message id); the client's message
   ids are contiguous, so a bounded sliding window of cached responses
   suffices.
@@ -56,6 +58,7 @@ class MsgType(enum.IntEnum):
     TRANX_STATUS = 9
     RESPONSE = 10
     CLIENT_HELLO = 11  # connection handshake: server assigns a client id
+    VALIDATE = 12  # read-only commit: one owner's slice of reads to check
 
 
 class AbortReason(enum.Enum):

@@ -20,10 +20,25 @@ Commit flow for a multi-owner transaction:
 
 Single-owner transactions take the one-phase path: no wire messages, one
 durable flush carrying both the write set and the commit decision.
+
+A transaction that wrote nothing commits by validation alone: no TranxID,
+lock, log record, dedup entry or watermark.  Each owner checks, within one
+step of its protocol loop, that every read key still has the version the
+client observed (else STALE_READ with the current entries piggybacked) and
+that no read key is exclusively locked (else LOCK_DENIED_READ).  The
+coordinator checks its own slice, then sends VALIDATE with each remote
+owner's slice and answers the client at the first failure or once every
+owner answered ok.  The lock check is what stops a fractured read: a 2PC
+participant holds its exclusive locks from prepare until it applies the
+decision, so a reader that saw one owner's post-commit value and another
+owner's pre-commit value finds the second key locked or its version moved.
+Validation is idempotent, so a crash loses nothing and a resent COMMIT
+simply validates again.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -91,6 +106,16 @@ class CoordRec:
 
 
 @dataclass
+class ValidateRec:
+    """A read-only commit waiting on its remote owners' VALIDATE answers."""
+
+    reply_to: Envelope
+    pending: dict[ServerId, Envelope]  # owner -> the VALIDATE it has not answered
+    retries: int = 0
+    retry_timer: object = None
+
+
+@dataclass
 class PartRec:
     tranx: TranxID
     reads: tuple
@@ -136,11 +161,18 @@ class ServerNode:
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
         self.pending_client: dict[tuple[int, int], TranxID] = {}
+        # read-only commits in flight, by (client id, message id), and the
+        # message id of each VALIDATE they sent, for routing the answers
+        self.validating: dict[tuple[int, int], ValidateRec] = {}
+        self._validate_msgs: dict[int, tuple[int, int]] = {}
         # decision fan-out batches: dest -> {"Commit": [tranx...], "Abort": [...]}
         self._ack_batches: dict[ServerId, dict[str, list[TranxID]]] = {}
         # decided transactions still missing participant acks; kept as an
         # index so the resend pass never scans the whole coordinator map
         self._undelivered: set[TranxID] = set()
+        self._ack_grid = 0.0  # origin of the ACK_FLUSH_PERIOD grid
+        self._ack_step = 0  # grid step the tick is armed for, or last ran at
+        self._ack_timer = None  # armed only while there is work to flush
         self._msg_seq = 0
         self._pending_status: dict[int, TranxID] = {}
         self._client_epoch = 0
@@ -151,6 +183,7 @@ class ServerNode:
             "msgs_sent": 0,
             "reads": 0,
             "one_phase": 0,
+            "read_only": 0,
         }
 
     # -- plumbing --------------------------------------------------------------
@@ -203,9 +236,9 @@ class ServerNode:
 
     def start(self) -> None:
         """Local recovery, then periodic stages; call before serving traffic."""
+        self._ack_grid = self.ctx.now()
         self.recover_local()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
-        self.ctx.set_timer(ACK_FLUSH_PERIOD, self._ack_tick)
         self.recover_global()
 
     def assign_client_id(self) -> int:
@@ -225,6 +258,9 @@ class ServerNode:
             self._handle_read(env)
         elif mt == MsgType.COMMIT:
             self._handle_commit(env)
+        elif mt == MsgType.VALIDATE:
+            reason, piggyback = self._validate_slice(rpc.dec_txn(env.payload))
+            self._reply(env, rpc.enc_commit_resp(reason is None, reason, piggyback))
         elif mt == MsgType.PREPARE:
             self._handle_prepare(env)
         elif mt == MsgType.READY:
@@ -252,7 +288,10 @@ class ServerNode:
         elif mt == MsgType.TRANX_STATUS:
             self._handle_status_query(env)
         elif mt == MsgType.RESPONSE:
-            self._handle_status_response(env)
+            if env.message_id in self._validate_msgs:
+                self._handle_validate_response(env)
+            else:
+                self._handle_status_response(env)
 
     # -- reads -----------------------------------------------------------------
 
@@ -276,6 +315,9 @@ class ServerNode:
             if rec is not None:
                 rec.reply_to = env
             return
+        if key in self.validating:
+            self.validating[key].reply_to = env
+            return
         try:
             txn = rpc.dec_txn(env.payload)
         except Exception:
@@ -283,6 +325,9 @@ class ServerNode:
             return
         if txn.is_empty():
             self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
+            return
+        if not txn.writes:
+            self._commit_read_only(txn, env)
             return
         # admission bound: every log record derived from this transaction
         # (prepare with all slices, a participant's ready record with frozen
@@ -414,6 +459,7 @@ class ServerNode:
                 self._handle_ack(rec.tranx, self.sid)
         if not rec.complete:
             self._undelivered.add(rec.tranx)
+            self._arm_ack_tick()
 
     def _answer_client(self, rec: CoordRec) -> None:
         if rec.reply_to is None:
@@ -458,14 +504,12 @@ class ServerNode:
             return
         writes = out
         # combined record: write set + decision in a single durable flush
-        if writes:
-            self.tranxlog.append(PartReady(rec.tranx, sub.reads, writes), durable=False)
+        self.tranxlog.append(PartReady(rec.tranx, sub.reads, writes), durable=False)
         self._append(CoordCommit(rec.tranx, rec.client_key), durable=True)
         self._set_coord_state(rec, CoordState.COMMIT)
         rec.decision = "Commit"
-        if writes:
-            self.storage.apply_writes(list(writes))
-            self._trace("part.apply", tranx=rec.tranx, writes=writes)
+        self.storage.apply_writes(list(writes))
+        self._trace("part.apply", tranx=rec.tranx, writes=writes)
         self.locks.release_all(rec.tranx)
         rec.complete = True
         self.gc.mark_complete(rec.tranx, "Commit")
@@ -480,6 +524,72 @@ class ServerNode:
         rec.complete = True
         self.gc.mark_complete(rec.tranx, "Abort")
         self._answer_client(rec)
+
+    # -- read-only path ------------------------------------------------------------
+
+    def _commit_read_only(self, txn: Transaction, env: Envelope) -> None:
+        self.stats["read_only"] += 1
+        slices = self._split(txn)
+        local = slices.pop(self.sid, None)
+        reason, piggyback = self._validate_slice(local) if local else (None, [])
+        if reason is not None or not slices:
+            self._answer_read_only(env, reason, piggyback)
+            return
+        key = (env.sender_id, env.message_id)
+        rec = ValidateRec(env, {})
+        for sid, sub in slices.items():
+            validate = self._server_env(MsgType.VALIDATE, None, rpc.enc_txn(sub))
+            rec.pending[sid] = validate
+            self._validate_msgs[validate.message_id] = key
+        self.validating[key] = rec
+        self._send_validates(key, rec)
+
+    def _validate_slice(self, sub: Transaction):
+        """(reason, piggyback) if a read key is exclusively locked or its
+        version moved, else (None, []).  Reads only, so it is idempotent."""
+        if any(self.locks.exclusively_held(k) for k, _ in sub.reads):
+            return AbortReason.LOCK_DENIED_READ, []
+        piggyback = self._stale_reads(sub.reads)
+        if piggyback is not None:
+            return AbortReason.STALE_READ, piggyback
+        return None, []
+
+    def _send_validates(self, key: tuple[int, int], rec: ValidateRec) -> None:
+        for sid, env in rec.pending.items():
+            self._send(sid, env)
+        rec.retry_timer = self.ctx.set_timer(
+            PREPARE_RETRY, lambda k=key: self._validate_retry(k)
+        )
+
+    def _validate_retry(self, key: tuple[int, int]) -> None:
+        rec = self.validating[key]
+        rec.retries += 1
+        if rec.retries >= PREPARE_BUDGET:
+            self._finish_read_only(key, AbortReason.TIMEOUT, [])
+        else:
+            self._send_validates(key, rec)
+
+    def _handle_validate_response(self, env: Envelope) -> None:
+        key = self._validate_msgs[env.message_id]
+        rec = self.validating[key]
+        del rec.pending[env.sender_id]
+        del self._validate_msgs[env.message_id]
+        committed, reason, piggyback = rpc.dec_commit_resp(env.payload)
+        if not committed:
+            self._finish_read_only(key, reason or AbortReason.UNKNOWN, piggyback)
+        elif not rec.pending:
+            self._finish_read_only(key, None, [])
+
+    def _finish_read_only(self, key: tuple[int, int], reason, piggyback) -> None:
+        rec = self.validating.pop(key)
+        self.ctx.cancel_timer(rec.retry_timer)
+        for env in rec.pending.values():
+            del self._validate_msgs[env.message_id]
+        self._answer_read_only(rec.reply_to, reason, piggyback)
+
+    def _answer_read_only(self, reply_to: Envelope, reason, piggyback) -> None:
+        self.stats["commits" if reason is None else "aborts"] += 1
+        self._reply(reply_to, rpc.enc_commit_resp(reason is None, reason, piggyback))
 
     # -- participant ----------------------------------------------------------------
 
@@ -509,16 +619,24 @@ class ServerNode:
         """
         if not granted:
             return self._map_lock_reason(why), []
-        stale = [k for k, ver in sub.reads if self.storage.current_version(k) != ver]
-        if stale:
+        piggyback = self._stale_reads(sub.reads)
+        if piggyback is not None:
             self.locks.release_all(tranx)
-            piggyback = []
-            for k in stale:
-                entry = self.storage.get(k)
-                if entry is not None:
-                    piggyback.append((k, entry[0], entry[1]))
             return AbortReason.STALE_READ, piggyback
         return None, tuple((k, v, self.storage.current_version(k) + 1) for k, v in sub.writes)
+
+    def _stale_reads(self, reads):
+        """None when every read version is current; otherwise the stored
+        entries of the stale keys, to piggyback on the abort."""
+        stale = [k for k, ver in reads if self.storage.current_version(k) != ver]
+        if not stale:
+            return None
+        piggyback = []
+        for k in stale:
+            entry = self.storage.get(k)
+            if entry is not None:
+                piggyback.append((k, entry[0], entry[1]))
+        return piggyback
 
     def _handle_prepare(self, env: Envelope) -> None:
         tranx = env.tranx
@@ -624,11 +742,28 @@ class ServerNode:
 
     def _enqueue_decision(self, dest: ServerId, tranx: TranxID, decision: str) -> None:
         self._ack_batches.setdefault(dest, {"Commit": [], "Abort": []})[decision].append(tranx)
+        self._arm_ack_tick()
+
+    def _arm_ack_tick(self) -> None:
+        """Arm the tick, unless armed, for the next point of the grid of
+        ACK_FLUSH_PERIOD steps from start: an idle node does not wake, and
+        a decision is flushed when a tick that never stopped would have."""
+        if self._ack_timer is not None:
+            return
+        now = self.ctx.now()
+        # past the step that last fired, even where rounding puts now a hair
+        # before it, so the tick never re-arms for the instant it runs at
+        passed = math.floor((now - self._ack_grid) / ACK_FLUSH_PERIOD)
+        self._ack_step = max(passed, self._ack_step) + 1
+        due = self._ack_grid + self._ack_step * ACK_FLUSH_PERIOD
+        self._ack_timer = self.ctx.set_timer(max(due - now, 0.0), self._ack_tick)
 
     def _ack_tick(self) -> None:
+        self._ack_timer = None
         self._flush_ack_batches()
         self._resend_undelivered()
-        self.ctx.set_timer(ACK_FLUSH_PERIOD, self._ack_tick)
+        if self._ack_batches or self._undelivered:
+            self._arm_ack_tick()
 
     def _flush_ack_batches(self) -> None:
         batches, self._ack_batches = self._ack_batches, {}
@@ -865,6 +1000,9 @@ class ServerNode:
 
         self.gc.table[self.sid] = self.gc.tracker.lc
         self._client_epoch = self._bump_epoch()
+        # server message ids are unique across restarts, so a late RESPONSE
+        # to a previous incarnation's VALIDATE or TRANX_STATUS matches nothing
+        self._msg_seq = self._client_epoch << 32
         self._trace(
             "recovered",
             coord=len(coord_state),
@@ -903,6 +1041,7 @@ class ServerNode:
             "wal_files": self.tranxlog.file_count(),
             "lc": dict(self.gc.table),
             "in_flight_coord": sum(1 for r in self.coord.values() if not r.complete),
+            "in_flight_read_only": len(self.validating),
         }
 
     def shutdown(self) -> None:

@@ -5,7 +5,7 @@ from conftest import commit_txn, make_sim, run_gen, txn_gen
 from dtx import oracle
 from dtx.cli import format_trace
 from dtx.sim import CrashPlan, NetConfig, Simulator
-from dtx.server import owner_of
+from dtx.server import ACK_FLUSH_PERIOD, ServerNode, owner_of
 from dtx.workload import WorkloadSpec, txn_script
 from dtx.sim import ClosedLoopDriver
 
@@ -128,6 +128,25 @@ def test_three_owner_commit_scales_per_participant():
     (counts,) = sim.msgs_by_tranx.values()
     assert counts["PREPARE"] == 2 and counts["READY"] == 2
     assert counts["COMMIT_DECISION"] == 2 and counts["ACK"] == 2
+
+
+def test_idle_node_sleeps_and_decisions_flush_on_the_tick_grid(monkeypatch):
+    sim = make_sim(3, seed=5)
+    ticks = []
+    orig_tick = ServerNode._ack_tick
+    monkeypatch.setattr(
+        ServerNode, "_ack_tick", lambda self: ticks.append(sim.now) or orig_tick(self)
+    )
+    sim.run(1.0)
+    assert ticks == []  # nothing batched: the flush tick stays unarmed
+    span = key_spanning(sim.members)
+    c = sim.new_client(seed=1)
+    assert commit_txn(sim, c, list(span.values()), {k: b"g" for k in span.values()})[0]
+    sim.run(2.0)
+    assert ticks
+    # every node started at time 0, so its grid is the multiples of the period
+    assert all(abs(t / ACK_FLUSH_PERIOD - round(t / ACK_FLUSH_PERIOD)) < 1e-6 for t in ticks)
+    assert all(n.node._ack_timer is None for n in sim.nodes.values())
 
 
 # -- crash/recovery ---------------------------------------------------------------

@@ -157,3 +157,23 @@ def test_live_node_runs_on_one_protocol_thread(tmp_path, monkeypatch):
     finally:
         for r in runtimes:
             r.stop()
+
+
+def test_handshake_skips_a_member_that_is_down(tmp_path):
+    cfg = make_cluster(tmp_path, free_ports(3))
+    runtimes = [ServerRuntime(cfg, sid) for sid in cfg.member_ids[1:]]  # member 0 down
+    try:
+        for r in runtimes:
+            r.start()
+        client = connect_client(cfg, seed=1)
+        assert client.state.client_id >> 48 == 1  # assigned by member 1
+        members = list(cfg.member_ids)
+        k = next(b"up-%d" % i for i in range(64) if owner_of(b"up-%d" % i, members) == 1)
+        h = client.open_txn()
+        client.read(h, k)
+        client.write(h, k, b"v")
+        assert client.commit(h)[0]
+        client.driver.close()
+    finally:
+        for r in runtimes:
+            r.stop()
