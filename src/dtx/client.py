@@ -5,14 +5,43 @@ The protocol logic lives in generator functions that yield effects:
     ("rpc", dest_server, envelope)  -> driver sends with retries, resumes the
                                        generator with the response payload
                                        bytes (or None after budget exhaustion)
+    ("rpcs", [(dest, envelope)...]) -> driver sends every request before
+                                       waiting on any, resumes with the list
+                                       of payloads (None where one stayed
+                                       silent), in request order
     ("sleep", seconds)              -> driver resumes after the delay
 
 so exactly the same code runs under the deterministic simulator (virtual
 clock, single thread) and the blocking socket client.
 
-A transaction that wrote nothing is committed the same way; the server
-validates its reads without locks, a log record or a transaction id, and
-aborts it with a stale read or a denied read lock as below.
+A transaction that wrote nothing commits without a coordinator.  The client
+splits its reads by owner and sends each owner one VALIDATE in parallel;
+each owner answers, within one step of its protocol loop, whether no read
+key is exclusively locked and every read version is current, and keeps no
+state.  The read of the transaction's latest READ RPC is left out when that
+READ said the key was unlocked; if nothing is left, the commit sends nothing.
+The reason of a failure is that of the lowest-id owner that failed (TIMEOUT
+for one that stayed silent), and all piggybacked entries are merged.  Why
+leaving out that one read is safe:
+
+* The common instant.  Every read finishes before any validation starts.
+  Call t the instant the owner served the left-out read.  Every other entry
+  was obtained before t: by an earlier READ RPC, or from the cache, which
+  only earlier answers filled.
+* Each read is current at t.  Each validated key is unchanged and unlocked
+  at an instant >= t.  Versions only grow, so every read is current at t.
+  (A version the client's own 2PC commit cached may land at a remote owner
+  after t; that commit was decided before t and locks the key until it
+  lands, so it still orders before t.)
+* No fractured read.  The left-out key was unlocked at t.  A 2PC writer
+  holds its exclusive locks from prepare until it applies, so no 2PC write
+  can be half-applied across the keys read: a writer applied at one owner
+  and still prepared at another has that second key locked, which the READ
+  or the VALIDATE reports.
+
+A piggyback refresh after an abort forgets the left-out key, because the
+entries it brings are newer than that read; the refresh's own READ RPCs
+record the key anew.
 
 Retry policy on a failed commit: a stale read or a denied read lock means a
 concurrent writer got there first, so the transaction is rebuilt immediately
@@ -50,6 +79,9 @@ class TxnHandle:
     status: str = "Open"
     attempts: int = 0
     last_mid: int | None = None  # message id of the latest commit attempt
+    # key of the latest READ RPC when its answer said the key was unlocked:
+    # a read-only commit need not validate it (see the module docstring)
+    fresh_key: bytes | None = None
 
 
 @dataclass
@@ -87,17 +119,21 @@ def coordinator_for(keys, members) -> int:
     return min(sid for sid, c in counts.items() if c == best)
 
 
-def _remote_read(cs: ClientState, key: bytes):
+def _remote_read(cs: ClientState, h: TxnHandle, key: bytes):
+    """READ RPC into the handle's read set; returns the value."""
     env = cs.env(MsgType.READ, rpc.enc_read_req(key))
     cs.stats["rpcs"] += 1
     resp = yield ("rpc", owner_of(key, cs.members), env)
     if resp is None:
         raise ReadUnavailableError(key)
-    entry = rpc.dec_read_resp(resp)
+    entry, locked = rpc.dec_read_resp(resp)
     if entry is not None:
         cs.cache.put(key, entry[0], entry[1])
-        return entry
-    return (None, 0)  # missing key reads as version 0; validated like any other
+    else:
+        entry = (None, 0)  # missing key reads as version 0; validated like any other
+    h.reads[key] = entry
+    h.fresh_key = None if locked else key
+    return entry[0]
 
 
 def txn_read(cs: ClientState, h: TxnHandle, key: bytes):
@@ -112,9 +148,7 @@ def txn_read(cs: ClientState, h: TxnHandle, key: bytes):
         cs.stats["cache_hits"] += 1
         h.reads[key] = cached
         return cached[0]
-    value, version = yield from _remote_read(cs, key)
-    h.reads[key] = (value, version)
-    return value
+    return (yield from _remote_read(cs, h, key))
 
 
 def txn_write(h: TxnHandle, key: bytes, value: bytes) -> None:
@@ -134,17 +168,20 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             tuple((k, ver) for k, (_, ver) in sorted(h.reads.items())),
             tuple(sorted(h.writes.items())),
         )
-        coordinator = coordinator_for(txn.keys, cs.members)
-        env = cs.env(MsgType.COMMIT, rpc.enc_txn(txn))
-        h.last_mid = env.message_id
-        cs.stats["rpcs"] += 1
-        resp = yield ("rpc", coordinator, env)
-        if resp is None:
-            # silence is safe: an in-doubt transaction is aborted by recovery
-            h.status = "Done"
-            cs.stats["aborts"] += 1
-            return False, AbortReason.UNKNOWN
-        committed, reason, piggyback = rpc.dec_commit_resp(resp)
+        if not txn.writes:
+            committed, reason, piggyback = yield from _validate(cs, h, txn)
+        else:
+            coordinator = coordinator_for(txn.keys, cs.members)
+            env = cs.env(MsgType.COMMIT, rpc.enc_txn(txn))
+            h.last_mid = env.message_id
+            cs.stats["rpcs"] += 1
+            resp = yield ("rpc", coordinator, env)
+            if resp is None:
+                # silence is safe: an in-doubt transaction is aborted by recovery
+                h.status = "Done"
+                cs.stats["aborts"] += 1
+                return False, AbortReason.UNKNOWN
+            committed, reason, piggyback = rpc.dec_commit_resp(resp)
         if committed:
             # Validation guarantees each read key's stored version equalled
             # the observed one at prepare, so a read-then-written key landed
@@ -164,13 +201,12 @@ def txn_commit(cs: ClientState, h: TxnHandle):
                       AbortReason.ALREADY_ABORTED):
             # immediate restart from fresh reads
             refreshed = {k: (v, ver) for k, v, ver in piggyback}
-            new_reads: dict[bytes, tuple[bytes | None, int]] = {}
-            for k in h.reads:
+            h.fresh_key = None  # the piggybacked entries are newer than its read
+            for k in list(h.reads):
                 if k in refreshed:
-                    new_reads[k] = refreshed[k]
+                    h.reads[k] = refreshed[k]
                 else:
-                    new_reads[k] = (yield from _remote_read(cs, k))
-            h.reads = new_reads
+                    yield from _remote_read(cs, h, k)
         elif reason == AbortReason.LOCK_DENIED_WRITE:
             if attempt + 1 >= cs.max_retries:
                 break  # out of attempts: no point sleeping before giving up
@@ -185,11 +221,39 @@ def txn_commit(cs: ClientState, h: TxnHandle):
     return False, reason
 
 
+def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
+    """Check a read-only transaction's reads at every owner in parallel;
+    returns (committed, reason, piggyback) like a COMMIT answer."""
+    slices: dict[int, list[tuple[bytes, int]]] = {}
+    for k, ver in txn.reads:
+        if k != h.fresh_key:
+            slices.setdefault(owner_of(k, cs.members), []).append((k, ver))
+    if not slices:
+        return True, None, []
+    requests = [
+        (sid, cs.env(MsgType.VALIDATE, rpc.enc_txn(Transaction(tuple(reads), ()))))
+        for sid, reads in sorted(slices.items())
+    ]
+    cs.stats["rpcs"] += len(requests)
+    answers = yield ("rpcs", requests)
+    reason: AbortReason | None = None
+    piggyback: list = []
+    for answer in answers:  # in owner-id order: the lowest failed owner's reason
+        if answer is None:
+            ok, why, entries = False, AbortReason.TIMEOUT, []
+        else:
+            ok, why, entries = rpc.dec_commit_resp(answer)
+        if not ok:
+            reason = reason or why or AbortReason.UNKNOWN
+            piggyback += entries
+    return reason is None, reason, piggyback
+
+
 class BlockingClient:
     """Synchronous wrapper used by the benchmark driver and socket transport.
 
-    The driver object must expose request(dest, env, ...) -> payload | None
-    and sleep(seconds).
+    The driver object must expose request(dest, env) -> payload | None,
+    request_many([(dest, env)...]) -> [payload | None...] and sleep(seconds).
     """
 
     def __init__(self, driver, state: ClientState) -> None:
@@ -202,6 +266,8 @@ class BlockingClient:
             while True:
                 if effect[0] == "rpc":
                     result = self.driver.request(effect[1], effect[2])
+                elif effect[0] == "rpcs":
+                    result = self.driver.request_many(effect[1])
                 elif effect[0] == "sleep":
                     self.driver.sleep(effect[1])
                     result = None

@@ -152,9 +152,6 @@ class Transaction:
     def keys(self) -> set[bytes]:
         return {k for k, _ in self.reads} | {k for k, _ in self.writes}
 
-    def is_empty(self) -> bool:
-        return not self.reads and not self.writes
-
     def encode_into(self, w: ByteWriter) -> None:
         w.u32(len(self.reads))
         for k, v in self.reads:

@@ -364,21 +364,46 @@ class SocketDriver:
             sock.close()
 
     def request(self, dest: int, env: Envelope) -> bytes | None:
+        return self.request_many([(dest, env)])[0]
+
+    def request_many(self, requests: list[tuple[int, Envelope]]) -> list[bytes | None]:
+        """Write every request's frame before reading any answer, so the
+        requests cost one round trip together.  At most one request per
+        destination.  Returns the answers in request order, None for a
+        destination that stayed silent through every try."""
+        assert len({dest for dest, _ in requests}) == len(requests)
+        answers: list[bytes | None] = [None] * len(requests)
+        todo = list(range(len(requests)))
         for _ in range(self.tries):
-            try:
-                sock = self._conn(dest)
-                sock.sendall(rpc.frame_encode(env))
-                while True:
-                    resp = recv_frame(sock)
-                    if resp is None:
-                        raise OSError("connection closed")
-                    if resp.message_id == env.message_id:
-                        return resp.payload
-                    # stale reply to an earlier timed-out request: skip it
-            except (OSError, FrameError):
-                self._drop(dest)
-                time.sleep(0.05)
-        return None
+            sent = []
+            for i in todo:
+                dest, env = requests[i]
+                try:
+                    self._conn(dest).sendall(rpc.frame_encode(env))
+                    sent.append(i)
+                except (OSError, FrameError):
+                    self._drop(dest)
+            for i in sent:
+                dest, env = requests[i]
+                try:
+                    answers[i] = self._answer(self._conns[dest], env.message_id)
+                except (OSError, FrameError):
+                    self._drop(dest)
+            todo = [i for i in todo if answers[i] is None]
+            if not todo:
+                break
+            time.sleep(0.05)
+        return answers
+
+    @staticmethod
+    def _answer(sock: socket.socket, message_id: int) -> bytes:
+        while True:
+            resp = recv_frame(sock)
+            if resp is None:
+                raise OSError("connection closed")
+            if resp.message_id == message_id:
+                return resp.payload
+            # stale reply to an earlier timed-out request: skip it
 
     @staticmethod
     def sleep(seconds: float) -> None:

@@ -3,9 +3,10 @@
 At-least-once delivery comes from sender retries (identical envelope,
 identical ids); at-most-once processing comes from receiver-side dedup:
 
-* Read requests, and the commit of a transaction that wrote nothing
-  (validated with VALIDATE at each remote owner), are idempotent and never
-  deduplicated.
+* READ and VALIDATE requests are idempotent and never deduplicated.  A
+  transaction that wrote nothing never sends COMMIT: its client sends each
+  owner one VALIDATE, so no server keeps state for it and a resend simply
+  checks again.
 * Commit requests dedup on (client id, message id); the client's message
   ids are contiguous, so a bounded sliding window of cached responses
   suffices.
@@ -18,6 +19,20 @@ Wire format, bit exact: frame = total_len: u32 LE | version: u8 (=1) |
 envelope.  envelope = msg_type: u8 | sender_kind: u8 (0 client, 1 server)
 | sender_id: u64 LE | message_id: u64 LE | has_tranx: u8 | [tranx:
 coordinator u32 LE + seq u64 LE] | payload bytes (rest of frame).
+
+Payloads (blob = len: u32 LE | bytes):
+
+* READ request: key blob.  Answer (RESPONSE): found: u8 | [value blob |
+  version u64 LE] | locked: u8, where locked is 1 if the key was
+  exclusively locked, i.e. held by a writer between prepare and apply,
+  when the owner read it.
+* VALIDATE request, client to owner: a Transaction holding that owner's
+  read keys and versions and no writes (n_reads: u32 LE | (key blob |
+  version u64 LE)* | n_writes: u32 LE = 0).  Answer: the COMMIT answer,
+  committed: u8 | reason: u8 | n: u32 LE | (key blob | value blob |
+  version u64 LE)*, with committed 1 when no read key is exclusively locked
+  and every read version is current, else the reason and the current
+  entries of the stale keys.
 """
 
 from __future__ import annotations
@@ -58,7 +73,7 @@ class MsgType(enum.IntEnum):
     TRANX_STATUS = 9
     RESPONSE = 10
     CLIENT_HELLO = 11  # connection handshake: server assigns a client id
-    VALIDATE = 12  # read-only commit: one owner's slice of reads to check
+    VALIDATE = 12  # read-only commit: a client asks one owner to check its reads
 
 
 class AbortReason(enum.Enum):
@@ -151,7 +166,7 @@ def dec_read_req(b: bytes) -> bytes:
     return ByteReader(b).blob()
 
 
-def enc_read_resp(entry: tuple[bytes, int] | None) -> bytes:
+def enc_read_resp(entry: tuple[bytes, int] | None, locked: bool) -> bytes:
     w = ByteWriter()
     if entry is None:
         w.u8(0)
@@ -159,14 +174,15 @@ def enc_read_resp(entry: tuple[bytes, int] | None) -> bytes:
         w.u8(1)
         w.blob(entry[0])
         w.u64(entry[1])
+    w.u8(1 if locked else 0)
     return w.getvalue()
 
 
-def dec_read_resp(b: bytes) -> tuple[bytes, int] | None:
+def dec_read_resp(b: bytes) -> tuple[tuple[bytes, int] | None, bool]:
+    """(entry or None, locked)."""
     r = ByteReader(b)
-    if not r.u8():
-        return None
-    return (r.blob(), r.u64())
+    entry = (r.blob(), r.u64()) if r.u8() else None
+    return entry, bool(r.u8())
 
 
 def enc_txn(txn: Transaction) -> bytes:

@@ -21,19 +21,19 @@ Commit flow for a multi-owner transaction:
 Single-owner transactions take the one-phase path: no wire messages, one
 durable flush carrying both the write set and the commit decision.
 
-A transaction that wrote nothing commits by validation alone: no TranxID,
-lock, log record, dedup entry or watermark.  Each owner checks, within one
-step of its protocol loop, that every read key still has the version the
-client observed (else STALE_READ with the current entries piggybacked) and
-that no read key is exclusively locked (else LOCK_DENIED_READ).  The
-coordinator checks its own slice, then sends VALIDATE with each remote
-owner's slice and answers the client at the first failure or once every
-owner answered ok.  The lock check is what stops a fractured read: a 2PC
+A transaction that wrote nothing never reaches a coordinator: its client
+sends each owner a VALIDATE with that owner's reads (see client.py), and a
+COMMIT with no writes is answered UNKNOWN.  A VALIDATE takes no TranxID,
+lock, log record, dedup entry or watermark, and leaves no state behind.
+Within one step of the protocol loop the owner checks that no read key is
+exclusively locked (else LOCK_DENIED_READ) and that every read key still
+has the version the client observed (else STALE_READ with the current
+entries piggybacked).  The lock check is what stops a fractured read: a 2PC
 participant holds its exclusive locks from prepare until it applies the
 decision, so a reader that saw one owner's post-commit value and another
 owner's pre-commit value finds the second key locked or its version moved.
-Validation is idempotent, so a crash loses nothing and a resent COMMIT
-simply validates again.
+For the same reason a READ answer says whether the key was exclusively
+locked when it was read.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ class CoordRec:
 
 
 @dataclass
-class ValidateRec:
-    """A read-only commit waiting on its remote owners' VALIDATE answers."""
-
-    reply_to: Envelope
-    pending: dict[ServerId, Envelope]  # owner -> the VALIDATE it has not answered
-    retries: int = 0
-    retry_timer: object = None
-
-
-@dataclass
 class PartRec:
     tranx: TranxID
     reads: tuple
@@ -161,10 +151,6 @@ class ServerNode:
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
         self.pending_client: dict[tuple[int, int], TranxID] = {}
-        # read-only commits in flight, by (client id, message id), and the
-        # message id of each VALIDATE they sent, for routing the answers
-        self.validating: dict[tuple[int, int], ValidateRec] = {}
-        self._validate_msgs: dict[int, tuple[int, int]] = {}
         # decision fan-out batches: dest -> {"Commit": [tranx...], "Abort": [...]}
         self._ack_batches: dict[ServerId, dict[str, list[TranxID]]] = {}
         # decided transactions still missing participant acks; kept as an
@@ -183,7 +169,6 @@ class ServerNode:
             "msgs_sent": 0,
             "reads": 0,
             "one_phase": 0,
-            "read_only": 0,
         }
 
     # -- plumbing --------------------------------------------------------------
@@ -288,10 +273,7 @@ class ServerNode:
         elif mt == MsgType.TRANX_STATUS:
             self._handle_status_query(env)
         elif mt == MsgType.RESPONSE:
-            if env.message_id in self._validate_msgs:
-                self._handle_validate_response(env)
-            else:
-                self._handle_status_response(env)
+            self._handle_status_response(env)
 
     # -- reads -----------------------------------------------------------------
 
@@ -299,7 +281,8 @@ class ServerNode:
         # Idempotent, lock-free, never deduplicated.
         key = rpc.dec_read_req(env.payload)
         self.stats["reads"] += 1
-        self._reply(env, rpc.enc_read_resp(self.storage.get(key)))
+        locked = self.locks.exclusively_held(key)
+        self._reply(env, rpc.enc_read_resp(self.storage.get(key), locked))
 
     # -- coordinator -------------------------------------------------------------
 
@@ -315,19 +298,13 @@ class ServerNode:
             if rec is not None:
                 rec.reply_to = env
             return
-        if key in self.validating:
-            self.validating[key].reply_to = env
-            return
         try:
             txn = rpc.dec_txn(env.payload)
         except Exception:
             self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
             return
-        if txn.is_empty():
+        if not txn.writes:  # a read-only transaction validates from its client
             self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
-            return
-        if not txn.writes:
-            self._commit_read_only(txn, env)
             return
         # admission bound: every log record derived from this transaction
         # (prepare with all slices, a participant's ready record with frozen
@@ -525,24 +502,7 @@ class ServerNode:
         self.gc.mark_complete(rec.tranx, "Abort")
         self._answer_client(rec)
 
-    # -- read-only path ------------------------------------------------------------
-
-    def _commit_read_only(self, txn: Transaction, env: Envelope) -> None:
-        self.stats["read_only"] += 1
-        slices = self._split(txn)
-        local = slices.pop(self.sid, None)
-        reason, piggyback = self._validate_slice(local) if local else (None, [])
-        if reason is not None or not slices:
-            self._answer_read_only(env, reason, piggyback)
-            return
-        key = (env.sender_id, env.message_id)
-        rec = ValidateRec(env, {})
-        for sid, sub in slices.items():
-            validate = self._server_env(MsgType.VALIDATE, None, rpc.enc_txn(sub))
-            rec.pending[sid] = validate
-            self._validate_msgs[validate.message_id] = key
-        self.validating[key] = rec
-        self._send_validates(key, rec)
+    # -- read-only validation ------------------------------------------------------
 
     def _validate_slice(self, sub: Transaction):
         """(reason, piggyback) if a read key is exclusively locked or its
@@ -553,43 +513,6 @@ class ServerNode:
         if piggyback is not None:
             return AbortReason.STALE_READ, piggyback
         return None, []
-
-    def _send_validates(self, key: tuple[int, int], rec: ValidateRec) -> None:
-        for sid, env in rec.pending.items():
-            self._send(sid, env)
-        rec.retry_timer = self.ctx.set_timer(
-            PREPARE_RETRY, lambda k=key: self._validate_retry(k)
-        )
-
-    def _validate_retry(self, key: tuple[int, int]) -> None:
-        rec = self.validating[key]
-        rec.retries += 1
-        if rec.retries >= PREPARE_BUDGET:
-            self._finish_read_only(key, AbortReason.TIMEOUT, [])
-        else:
-            self._send_validates(key, rec)
-
-    def _handle_validate_response(self, env: Envelope) -> None:
-        key = self._validate_msgs[env.message_id]
-        rec = self.validating[key]
-        del rec.pending[env.sender_id]
-        del self._validate_msgs[env.message_id]
-        committed, reason, piggyback = rpc.dec_commit_resp(env.payload)
-        if not committed:
-            self._finish_read_only(key, reason or AbortReason.UNKNOWN, piggyback)
-        elif not rec.pending:
-            self._finish_read_only(key, None, [])
-
-    def _finish_read_only(self, key: tuple[int, int], reason, piggyback) -> None:
-        rec = self.validating.pop(key)
-        self.ctx.cancel_timer(rec.retry_timer)
-        for env in rec.pending.values():
-            del self._validate_msgs[env.message_id]
-        self._answer_read_only(rec.reply_to, reason, piggyback)
-
-    def _answer_read_only(self, reply_to: Envelope, reason, piggyback) -> None:
-        self.stats["commits" if reason is None else "aborts"] += 1
-        self._reply(reply_to, rpc.enc_commit_resp(reason is None, reason, piggyback))
 
     # -- participant ----------------------------------------------------------------
 
@@ -1001,7 +924,7 @@ class ServerNode:
         self.gc.table[self.sid] = self.gc.tracker.lc
         self._client_epoch = self._bump_epoch()
         # server message ids are unique across restarts, so a late RESPONSE
-        # to a previous incarnation's VALIDATE or TRANX_STATUS matches nothing
+        # to a previous incarnation's TRANX_STATUS matches nothing
         self._msg_seq = self._client_epoch << 32
         self._trace(
             "recovered",
@@ -1041,7 +964,6 @@ class ServerNode:
             "wal_files": self.tranxlog.file_count(),
             "lc": dict(self.gc.table),
             "in_flight_coord": sum(1 for r in self.coord.values() if not r.complete),
-            "in_flight_read_only": len(self.validating),
         }
 
     def shutdown(self) -> None:

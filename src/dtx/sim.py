@@ -177,6 +177,22 @@ class SimClient:
         self._waiters[env.message_id] = (cont, timer)
         self.sim.net_send(("c", self.client_id), ("s", dest), env)
 
+    def _request_all(self, requests, cont) -> None:
+        """Issue every request at once; cont gets the payloads, in request
+        order, once each has been answered or given up."""
+        payloads: list = [None] * len(requests)
+        waiting = len(requests)
+
+        def answered(i: int, payload) -> None:
+            nonlocal waiting
+            payloads[i] = payload
+            waiting -= 1
+            if not waiting:
+                cont(payloads)
+
+        for i, (dest, env) in enumerate(requests):
+            self._request(dest, env, lambda p, i=i: answered(i, p), self.rpc_tries)
+
     def run(self, gen, on_done) -> None:
         """Drive a client generator; on_done gets ("ok", value) or ("error", e)."""
         self._step(gen, None, True, on_done)
@@ -197,6 +213,8 @@ class SimClient:
                 lambda payload: self._step(gen, payload, False, on_done),
                 self.rpc_tries,
             )
+        elif effect[0] == "rpcs":
+            self._request_all(effect[1], lambda payloads: self._step(gen, payloads, False, on_done))
         elif effect[0] == "sleep":
             self.sim._push(self.sim.now + effect[1], lambda: self._step(gen, None, False, on_done))
         else:

@@ -39,8 +39,8 @@ def drive(gen, responder):
         return stop.value, effects
 
 
-def read_resp(entry):
-    return rpc.enc_read_resp(entry)
+def read_resp(entry, locked=False):
+    return rpc.enc_read_resp(entry, locked)
 
 
 def commit_resp(ok, reason=None, piggyback=()):
@@ -203,3 +203,74 @@ def test_retry_reuses_fresh_message_ids_and_targets_coordinator():
     assert [s for s, _ in seen] == [coordinator] * 3
     mids = [m for _, m in seen]
     assert len(set(mids)) == 3 and h.last_mid == mids[-1]
+
+
+# -- read-only commit -------------------------------------------------------------
+
+
+def keys_by_owner():
+    by_owner = {}
+    for k in (b"k%d" % i for i in range(50)):
+        by_owner.setdefault(owner_of(k, MEMBERS), []).append(k)
+    return by_owner
+
+
+def test_read_only_commit_validates_every_owner_in_one_effect():
+    by_owner = keys_by_owner()
+    a, b, c = by_owner[0][0], by_owner[1][0], by_owner[2][0]
+    cs = make_state()
+    h = TxnHandle(reads={a: (b"va", 1), b: (b"vb", 2)})
+    val, fx = drive(txn_read(cs, h, c), lambda e: read_resp((b"vc", 3)))
+    assert h.fresh_key == c  # the latest READ said unlocked: c needs no VALIDATE
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True)] * 2)
+    assert ok and reason is None and len(fx) == 1
+    assert fx[0][0] == "rpcs" and [dest for dest, _ in fx[0][1]] == [0, 1]
+    slices = [rpc.dec_txn(env.payload) for _, env in fx[0][1]]
+    assert [s.reads for s in slices] == [((a, 1),), ((b, 2),)] and not any(s.writes for s in slices)
+
+
+def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyback():
+    by_owner = keys_by_owner()
+    a, b, c = by_owner[0][0], by_owner[1][0], by_owner[2][0]
+    cs = make_state()
+    h = TxnHandle(reads={a: (b"va", 1), b: (b"vb", 2), c: (b"vc", 3)})  # all from the cache
+    script = iter(
+        [
+            [
+                commit_resp(True),
+                commit_resp(False, AbortReason.LOCK_DENIED_READ),
+                commit_resp(False, AbortReason.STALE_READ, [(c, b"vc", 5)]),
+            ],
+            read_resp((b"va", 1)),  # a and b were not piggybacked: re-read
+            read_resp((b"vb", 2), locked=True),  # b is locked, so it stays in the VALIDATE
+            [commit_resp(False, AbortReason.STALE_READ, [(a, b"va", 6)]), None, commit_resp(True)],
+            read_resp((b"vb", 7)),
+            read_resp((b"vc", 8)),
+        ]
+    )
+    cs.max_retries = 2
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: next(script))
+    assert [e[0] for e in fx] == ["rpcs", "rpc", "rpc", "rpcs", "rpc", "rpc"]
+    # the second commit validates all three owners: c came with the abort
+    # and b's READ said locked
+    assert [dest for dest, _ in fx[3][1]] == [0, 1, 2]
+    # the first attempt failed for owner 1's reason; the second took owner
+    # 0's stale read over owner 1's silence, and a's piggyback
+    assert not ok and reason == AbortReason.STALE_READ and h.attempts == 2
+    assert h.reads == {a: (b"va", 6), b: (b"vb", 7), c: (b"vc", 8)}
+
+
+def test_read_only_commit_reports_timeout_for_a_silent_owner():
+    by_owner = keys_by_owner()
+    cs = make_state()
+    h = TxnHandle(reads={by_owner[0][0]: (b"v", 1), by_owner[2][0]: (b"v", 1)})
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True), None])
+    assert not ok and reason == AbortReason.TIMEOUT and len(fx) == 1
+
+
+def test_one_unlocked_read_commits_without_an_rpc():
+    cs = make_state()
+    h = TxnHandle()
+    drive(txn_read(cs, h, b"k"), lambda e: read_resp((b"v", 1)))
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: None)
+    assert ok and reason is None and fx == []

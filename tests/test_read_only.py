@@ -1,14 +1,17 @@
-"""The validate-only commit of a transaction that wrote nothing."""
+"""The commit of a transaction that wrote nothing: the client validates its
+reads at each owner, and leaves out the latest read when it was unlocked."""
 
 import pytest
 
 from conftest import commit_txn, make_sim, run_gen, txn_gen
 from test_sim import keys_owned_by
 
-from dtx import oracle
+from dtx import client as cl
+from dtx import oracle, rpc
 from dtx.bench import preload_sim, start_clients
 from dtx.model import PartState
-from dtx.rpc import AbortReason
+from dtx.rpc import AbortReason, MsgType
+from dtx.server import owner_of
 from dtx.wal import LogManager, TranxLog
 from dtx.workload import WorkloadSpec, key_bytes
 
@@ -18,12 +21,30 @@ def server_counts(sim):
     return {m: n for m, n in sim.server_msgs.items() if m != "GC_LC"}
 
 
+def client_sends(sim):
+    """From now on, record (dest, type, key of a READ) of every message a
+    client puts on the wire, resends included."""
+    sent = []
+    orig = sim.net_send
+
+    def net_send(src, dst, env):
+        if src[0] == "c":
+            key = rpc.dec_read_req(env.payload) if env.msg_type == MsgType.READ else None
+            sent.append((dst[1], env.msg_type.name, key))
+        orig(src, dst, env)
+
+    sim.net_send = net_send
+    return sent
+
+
+def types(sent):
+    return [t for _, t, _ in sent]
+
+
 def quiet(sim):
-    """Every node idle: no read-only commit or VALIDATE answer outstanding."""
+    """Every node idle: no coordinator record in flight, no lock held."""
     for n in sim.nodes.values():
-        node = n.node
-        assert node.validating == {} and node._validate_msgs == {}
-        assert node.stats_dump()["in_flight_read_only"] == 0
+        assert n.node.stats_dump()["in_flight_coord"] == 0
     assert oracle.locks_clean(sim) == []
 
 
@@ -34,10 +55,40 @@ def step_until(sim, pred, timeout=5.0):
         sim.run_until(sim._heap[0][0])
 
 
+def half_applied_write(sim, x, y):
+    """Commit a writer of x (server 0, its coordinator) and y (server 1),
+    cutting 0 from 1 once 1 is Ready: 0 applies x at its decision while 1
+    stays prepared, holding y's exclusive lock.  Returns the cut."""
+    writer = sim.new_client(seed=1)
+    box = []
+    writer.run(txn_gen(writer.state, [x, y], {x: b"new", y: b"new"}), box.append)
+    n1 = sim.nodes[1].node
+    step_until(sim, lambda: any(r.state == PartState.READY for r in n1.part.values()))
+    cut = sim.partition([0], [1])
+    step_until(sim, lambda: box)
+    assert box[0][1][0] is True
+    assert sim.nodes[0].node.storage.current_version(x) == 1
+    assert n1.storage.current_version(y) == 0 and n1.locks.exclusively_held(y)
+    return cut
+
+
+def read_in_order(cs, first, last, pause=0.0):
+    """Read `first`, wait `pause`, read `last`, then commit; returns (ok,
+    reason, the versions read before the commit, the handle)."""
+    h = cl.TxnHandle()
+    yield from cl.txn_read(cs, h, first)
+    if pause:
+        yield ("sleep", pause)
+    yield from cl.txn_read(cs, h, last)
+    seen = {k: ver for k, (_, ver) in h.reads.items()}
+    ok, reason = yield from cl.txn_commit(cs, h)
+    return ok, reason, seen, h
+
+
 @pytest.mark.parametrize("owners", [1, 2, 3])
 def test_read_only_commit_logs_locks_and_numbers_nothing(owners, monkeypatch):
     sim = make_sim(3, seed=3)
-    # two keys on server 0 make it the coordinator; one on each other owner
+    # two keys on server 0, one on each other owner
     keys = keys_owned_by(0, sim.members, 2)
     keys += [keys_owned_by(sid, sim.members, 1)[0] for sid in range(1, owners)]
     writer = sim.new_client(seed=1)
@@ -57,8 +108,10 @@ def test_read_only_commit_logs_locks_and_numbers_nothing(owners, monkeypatch):
     dedup = [node.dedup.size() for node in nodes]
     msgs = server_counts(sim)
     mark = len(sim.trace)
+    sent = client_sends(sim)
 
-    ok, reason, h = commit_txn(sim, sim.new_client(seed=2), keys, {})
+    reader = sim.new_client(seed=2)
+    ok, reason, h = commit_txn(sim, reader, keys, {})
     assert ok and reason is None and h.attempts == 1
     assert all(ver == 1 for _, ver in h.reads.values())
 
@@ -66,12 +119,86 @@ def test_read_only_commit_logs_locks_and_numbers_nothing(owners, monkeypatch):
     assert [e for e in sim.trace[mark:] if e[2] == "lock.grant"] == []
     assert [node.issuer.last_issued for node in nodes] == issued
     assert [node.dedup.size() for node in nodes] == dedup
-    after = server_counts(sim)
-    sent = {m: after.get(m, 0) - msgs.get(m, 0) for m in after}
-    sent = {m: n for m, n in sent.items() if n}
-    expected = {"VALIDATE": owners - 1, "RESPONSE": owners - 1} if owners > 1 else {}
-    assert sent == expected
-    assert sim.nodes[0].node.stats["read_only"] == 1
+    assert server_counts(sim) == msgs  # no server-to-server message
+    # one READ per key, then one VALIDATE per owner of a key other than the
+    # last one read, all sent before any answer
+    validated = {owner_of(k, sim.members) for k in sorted(keys)[:-1]}
+    assert types(sent) == ["READ"] * len(keys) + ["VALIDATE"] * len(validated)
+    assert {dest for dest, t, _ in sent if t == "VALIDATE"} == validated
+    assert reader.state.stats["rpcs"] == len(keys) + len(validated)
+    quiet(sim)
+
+
+def test_unlocked_one_key_read_commits_with_one_rpc():
+    sim = make_sim(3, seed=10)
+    k = keys_owned_by(1, sim.members, 1)[0]
+    assert commit_txn(sim, sim.new_client(seed=1), [k], {k: b"w"})[0]
+    sim.run(0.5)
+    msgs = server_counts(sim)
+    reader = sim.new_client(seed=2)
+    ok, reason, h = commit_txn(sim, reader, [k], {})
+    assert ok and reason is None and h.reads[k] == (b"w", 1)
+    assert reader.state.stats["rpcs"] == 1  # the READ; the commit sends nothing
+    assert server_counts(sim) == msgs
+
+
+def test_locked_one_key_read_is_validated_until_the_decision_lands():
+    sim = make_sim(3, seed=11)
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y = keys_owned_by(1, sim.members, 1)[0]
+    cut = half_applied_write(sim, x, y)
+
+    reader = sim.new_client(seed=2)
+    reader.state.max_retries = 1
+    sent = client_sends(sim)
+    ok, reason, h = commit_txn(sim, reader, [y], {})
+    assert h.reads[y][1] == 0  # the writer's decision has not reached y's owner
+    assert not ok and reason == AbortReason.LOCK_DENIED_READ
+    # the rebuild after the last attempt reads y once more
+    assert sent == [(1, "READ", y), (1, "VALIDATE", None), (1, "READ", y)]
+
+    sim.heal(cut)
+    sim.run(1.0)  # the decision resend reaches server 1, which applies y
+    del sent[:]
+    ok, reason, h = commit_txn(sim, reader, [y], {})
+    assert ok and h.reads[y] == (b"new", 1)
+    assert sent == [(1, "READ", y)]  # unlocked now: no VALIDATE
+    quiet(sim)
+
+
+@pytest.mark.parametrize("post_commit_read", ["first", "last"])
+def test_fractured_read_is_denied_in_both_read_orders(post_commit_read):
+    sim = make_sim(3, seed=12)
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y = keys_owned_by(1, sim.members, 1)[0]
+    reader = sim.new_client(seed=2)
+    reader.state.max_retries = 1
+    if post_commit_read == "first":
+        # x already applied, y still locked by the same writer: the READ of
+        # y says locked, so y is validated although it was read last
+        cut = half_applied_write(sim, x, y)
+        ok, reason, seen, _ = run_gen(sim, reader, read_in_order(reader.state, x, y))
+        expected = AbortReason.LOCK_DENIED_READ
+    else:
+        # y read before a writer of x and y starts, x read after it applied
+        # both: y must be validated although its READ said unlocked
+        cut = None
+        writer = sim.new_client(seed=1)
+        box = []
+        w = txn_gen(writer.state, [x, y], {x: b"new", y: b"new"})
+        sim.schedule(0.1, lambda: writer.run(w, box.append))
+        ok, reason, seen, _ = run_gen(sim, reader, read_in_order(reader.state, y, x, pause=0.5))
+        assert box and box[0][1][0] is True
+        expected = AbortReason.STALE_READ
+    assert seen == {x: 1, y: 0}  # the fractured view
+    assert not ok and reason == expected
+
+    if cut is not None:
+        sim.heal(cut)
+    sim.run(1.0)
+    reader.state.max_retries = 12
+    ok, reason, _, h = run_gen(sim, reader, read_in_order(reader.state, x, y))
+    assert ok and h.reads[x] == (b"new", 1) and h.reads[y] == (b"new", 1)
     quiet(sim)
 
 
@@ -79,20 +206,8 @@ def test_fractured_read_is_denied_until_the_decision_lands():
     sim = make_sim(3, seed=4)
     x = keys_owned_by(0, sim.members, 1)[0]
     y = keys_owned_by(1, sim.members, 1)[0]
-    z = keys_owned_by(2, sim.members, 2)  # two keys: server 2 coordinates the reader
-
-    # writer: x on 0 (its coordinator) and y on 1; cut 0 from 1 once 1 is
-    # Ready, so 0 applies x at its decision while 1 stays prepared on y
-    writer = sim.new_client(seed=1)
-    box = []
-    writer.run(txn_gen(writer.state, [x, y], {x: b"new", y: b"new"}), box.append)
-    n1 = sim.nodes[1].node
-    step_until(sim, lambda: any(r.state == PartState.READY for r in n1.part.values()))
-    cut = sim.partition([0], [1])
-    step_until(sim, lambda: box)
-    assert box[0][1][0] is True
-    assert sim.nodes[0].node.storage.current_version(x) == 1
-    assert n1.storage.current_version(y) == 0 and n1.locks.exclusively_held(y)
+    z = keys_owned_by(2, sim.members, 2)  # a third owner in the read set
+    cut = half_applied_write(sim, x, y)
 
     reader = sim.new_client(seed=2)
     reader.state.max_retries = 1
@@ -120,12 +235,16 @@ def test_stale_read_piggybacks_the_current_entry_and_the_retry_commits():
     sim.run(0.5)
 
     rpcs = reader.state.stats["rpcs"]
+    sent = client_sends(sim)
     ok, reason, h = commit_txn(sim, reader, [*home, k1], {})
     assert ok and h.attempts == 2
     assert h.reads[k1] == (b"moved", 2)
-    # commit, stale at server 1's VALIDATE, re-read of the two keys not in
-    # the piggyback, commit: k1 came with the abort, not with a READ
-    assert reader.state.stats["rpcs"] - rpcs == 4
+    # every read came from the cache, so all three keys are validated: stale
+    # at server 1; the two home keys are re-read while k1 came with the
+    # abort; the retry leaves out the last home key re-read
+    assert types(sent) == ["VALIDATE", "VALIDATE", "READ", "READ", "VALIDATE", "VALIDATE"]
+    assert sorted(key for _, t, key in sent if t == "READ") == sorted(home)
+    assert reader.state.stats["rpcs"] - rpcs == 6
     quiet(sim)
 
 
@@ -133,28 +252,47 @@ def test_partitioned_owner_is_resent_validate_then_commits_or_times_out():
     sim = make_sim(3, seed=6)
     keys = keys_owned_by(0, sim.members, 2) + keys_owned_by(1, sim.members, 1)
     client = sim.new_client(seed=1)
+    assert commit_txn(sim, client, keys, {k: b"v" for k in keys})[0]
+    sim.run(0.5)
     assert commit_txn(sim, client, keys, {})[0]  # warm the cache: no READ crosses the cut
 
-    cut = sim.partition([0], [1])
-    before = sim.server_msgs["VALIDATE"]
+    cut = sim.partition([("c", client.client_id)], [1])
+    sent = client_sends(sim)
     box = []
     client.run(txn_gen(client.state, keys, {}), box.append)
     sim.run(0.5)
     assert not box
-    assert sim.server_msgs["VALIDATE"] - before >= 3  # first send and two resends
+    assert types(sent).count("VALIDATE") >= 4  # server 0's, and server 1's resends
     sim.heal(cut)
     step_until(sim, lambda: box)
     ok, reason, _ = box[0][1]
     assert ok and reason is None
-    sim.run(1.0)
+    assert sent.count((0, "VALIDATE", None)) == 1  # the owner that answered is not asked again
     quiet(sim)
 
-    # never healed: the coordinator gives up after its resend budget
-    sim.partition([0], [1])
+    # never healed: the client gives up once its resend budget is spent
+    sim.partition([("c", client.client_id)], [1])
+    start = sim.now
     ok, reason, _ = commit_txn(sim, client, keys, {})
     assert not ok and reason == AbortReason.TIMEOUT
-    sim.run(2.0)  # a resent COMMIT that arrived after the answer validates anew, and times out
+    assert sim.now - start >= client.rpc_timeout * (client.rpc_tries - 1)
     quiet(sim)
+
+
+def test_abandoned_read_only_commit_sends_nothing_afterwards():
+    sim = make_sim(3, seed=13)
+    keys = keys_owned_by(0, sim.members, 2) + keys_owned_by(1, sim.members, 1)
+    client = sim.new_client(seed=1)
+    assert commit_txn(sim, client, keys, {k: b"v" for k in keys})[0]
+    sim.run(0.5)
+    assert commit_txn(sim, client, keys, {})[0]  # warm the cache
+    sim.partition([0, ("c", client.client_id)], [1])
+    ok, reason, _ = commit_txn(sim, client, keys, {})
+    assert not ok and reason == AbortReason.TIMEOUT
+    # after the client gave up, only heartbeats cross the wire
+    total, heartbeats = sim.msgs_total, sim.server_msgs["GC_LC"]
+    sim.run(2.0)
+    assert sim.msgs_total - total == sim.server_msgs["GC_LC"] - heartbeats
 
 
 def test_read_mostly_run_makes_under_one_durable_flush_per_commit(monkeypatch):
@@ -175,7 +313,7 @@ def test_read_mostly_run_makes_under_one_durable_flush_per_commit(monkeypatch):
 
 
 def test_server_message_ids_do_not_repeat_across_restarts():
-    # a late answer to a VALIDATE sent before a crash must not match one sent after
+    # a late answer to a TRANX_STATUS sent before a crash must not match one sent after
     sim = make_sim(3, seed=8)
     before = sim.nodes[0].node._next_msg_id()
     sim.crash(0)

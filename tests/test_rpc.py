@@ -48,9 +48,9 @@ def test_read_codec(k):
     assert rpc.dec_read_req(rpc.enc_read_req(k)) == k
 
 
-@given(st.one_of(st.none(), st.tuples(values, st.integers(0, 2**64 - 1))))
-def test_read_resp_codec(entry):
-    assert rpc.dec_read_resp(rpc.enc_read_resp(entry)) == entry
+@given(st.one_of(st.none(), st.tuples(values, st.integers(0, 2**64 - 1))), st.booleans())
+def test_read_resp_codec(entry, locked):
+    assert rpc.dec_read_resp(rpc.enc_read_resp(entry, locked)) == (entry, locked)
 
 
 @given(
@@ -108,6 +108,22 @@ def test_prepare_record_and_payload_bytes_are_stable():
     )
     assert encode_record(CoordPrepare(TranxID(1, 258), ((0, a), (2, b)))).hex() == record
     assert rpc.enc_txn(a).hex() == slice_a
+
+
+def test_read_answer_and_validate_bytes_are_stable():
+    """Golden bytes: the READ answer with its trailing locked byte, and a
+    client's VALIDATE frame and its answers."""
+    assert rpc.enc_read_resp((b"v1", 7), True).hex() == "01" "020000007631" "0700000000000000" "01"
+    assert rpc.enc_read_resp(None, False).hex() == "0000"
+    reads = Transaction(((b"k1", 3),), ())
+    validate = Envelope(MsgType.VALIDATE, rpc.CLIENT, 5, 9, None, rpc.enc_txn(reads))
+    assert rpc.frame_encode(validate).hex() == (
+        "2a000000" "01" "0c" "00" "0500000000000000" "0900000000000000" "00"
+        "01000000" "020000006b31" "0300000000000000" "00000000"
+    )
+    assert rpc.enc_commit_resp(True, None, []).hex() == "010000000000"
+    stale = rpc.enc_commit_resp(False, AbortReason.STALE_READ, [(b"k1", b"v", 4)])
+    assert stale.hex() == "000301000000" "020000006b31" "0100000076" "0400000000000000"
 
 
 # -- dedup ---------------------------------------------------------------

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from dtx import rpc
 from dtx.nettransport import ServerRuntime, connect_client
+from dtx.rpc import AbortReason, MsgType
 from dtx.server import ServerNode, owner_of
 from dtx.workload import ClusterConfig
 
@@ -177,3 +179,59 @@ def test_handshake_skips_a_member_that_is_down(tmp_path):
     finally:
         for r in runtimes:
             r.stop()
+
+
+def test_read_only_commit_validates_at_each_owner_over_sockets(cluster, monkeypatch):
+    cfg, holder = cluster
+    members = list(cfg.member_ids)
+    keys = [
+        next(b"ro-%d" % i for i in range(256) if owner_of(b"ro-%d" % i, members) == sid)
+        for sid in members
+    ]
+    writer = connect_client(cfg, seed=1)
+    h = writer.open_txn()
+    for k in keys:
+        writer.write(h, k, b"v")
+    assert writer.commit(h)[0]
+    writer.driver.close()
+    time.sleep(0.3)  # let the decision fan-out and acks finish
+    reader = connect_client(cfg, seed=2)
+
+    received = []
+    orig_on_message = ServerNode.on_message
+
+    def on_message(self, env):
+        if env.msg_type != MsgType.GC_LC:
+            received.append((env.sender_kind, env.msg_type.name))
+        return orig_on_message(self, env)
+
+    monkeypatch.setattr(ServerNode, "on_message", on_message)
+    h = reader.open_txn()
+    for k in keys:
+        assert reader.read(h, k) == b"v"
+    assert reader.commit(h) == (True, None)
+    assert {kind for kind, _ in received} == {rpc.CLIENT}
+    assert {name for _, name in received} == {"READ", "VALIDATE"}
+
+    # with every key cached, the commit validates at all three owners
+    victim = holder["runtimes"][2]
+    victim.stop()
+    holder["runtimes"].remove(victim)
+    driver = reader.driver
+    h = reader.open_txn()
+    for k in keys:
+        reader.read(h, k)
+    started = time.monotonic()
+    assert reader.commit(h) == (False, AbortReason.TIMEOUT)
+    assert time.monotonic() - started < driver.tries * (driver.timeout + 0.05)
+
+    requests = [(sid, reader.state.env(MsgType.READ, rpc.enc_read_req(k))) for sid, k in zip(members, keys)]
+    answers = driver.request_many(requests)
+    assert answers[2] is None
+    assert [rpc.dec_read_resp(a) for a in answers[:2]] == [((b"v", 1), False)] * 2
+
+    # the live owners still answer each request with its own answer
+    h = reader.open_txn()
+    assert [reader.read(h, k) for k in keys[:2]] == [b"v", b"v"]
+    assert reader.commit(h) == (True, None)
+    driver.close()
