@@ -19,15 +19,19 @@ splits its reads by owner and sends each owner one VALIDATE in parallel;
 each owner answers, within one step of its protocol loop, whether no read
 key is exclusively locked and every read version is current, and keeps no
 state.  The read of the transaction's latest READ RPC is left out when that
-READ said the key was unlocked; if nothing is left, the commit sends nothing.
-The reason of a failure is that of the lowest-id owner that failed (TIMEOUT
-for one that stayed silent), and all piggybacked entries are merged.  Why
-leaving out that one read is safe:
+READ said the key was unlocked and the client has sent no other RPC since;
+if nothing is left, the commit sends nothing.  The reason of a failure is
+that of the lowest-id owner that failed (TIMEOUT for one that stayed
+silent), and all piggybacked entries are merged.  Why leaving out that one
+read is safe:
 
 * The common instant.  Every read finishes before any validation starts.
   Call t the instant the owner served the left-out read.  Every other entry
   was obtained before t: by an earlier READ RPC, or from the cache, which
-  only earlier answers filled.
+  only answers to the client's RPCs fill.  The client sent no RPC after
+  that READ, so every such answer came before it.  (Handles of one client
+  share its cache: an answer to another handle's later READ may be newer
+  than t, which is why any later RPC cancels the rule.)
 * Each read is current at t.  Each validated key is unchanged and unlocked
   at an instant >= t.  Versions only grow, so every read is current at t.
   (A version the client's own 2PC commit cached may land at a remote owner
@@ -38,10 +42,6 @@ leaving out that one read is safe:
   can be half-applied across the keys read: a writer applied at one owner
   and still prepared at another has that second key locked, which the READ
   or the VALIDATE reports.
-
-A piggyback refresh after an abort forgets the left-out key, because the
-entries it brings are newer than that read; the refresh's own READ RPCs
-record the key anew.
 
 Retry policy on a failed commit: a stale read or a denied read lock means a
 concurrent writer got there first, so the transaction is rebuilt immediately
@@ -79,9 +79,10 @@ class TxnHandle:
     status: str = "Open"
     attempts: int = 0
     last_mid: int | None = None  # message id of the latest commit attempt
-    # key of the latest READ RPC when its answer said the key was unlocked:
-    # a read-only commit need not validate it (see the module docstring)
-    fresh_key: bytes | None = None
+    # (message id, key) of the latest READ RPC when its answer said the key
+    # was unlocked: a read-only commit sent right after it need not validate
+    # the key (see the module docstring)
+    fresh: tuple[int, bytes] | None = None
 
 
 @dataclass
@@ -132,7 +133,7 @@ def _remote_read(cs: ClientState, h: TxnHandle, key: bytes):
     else:
         entry = (None, 0)  # missing key reads as version 0; validated like any other
     h.reads[key] = entry
-    h.fresh_key = None if locked else key
+    h.fresh = None if locked else (env.message_id, key)
     return entry[0]
 
 
@@ -201,7 +202,6 @@ def txn_commit(cs: ClientState, h: TxnHandle):
                       AbortReason.ALREADY_ABORTED):
             # immediate restart from fresh reads
             refreshed = {k: (v, ver) for k, v, ver in piggyback}
-            h.fresh_key = None  # the piggybacked entries are newer than its read
             for k in list(h.reads):
                 if k in refreshed:
                     h.reads[k] = refreshed[k]
@@ -224,9 +224,12 @@ def txn_commit(cs: ClientState, h: TxnHandle):
 def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
     """Check a read-only transaction's reads at every owner in parallel;
     returns (committed, reason, piggyback) like a COMMIT answer."""
+    # a later RPC of this client, for any handle, may have cached an entry
+    # newer than the fresh read
+    skip = h.fresh[1] if h.fresh and h.fresh[0] == cs.next_msg_id else None
     slices: dict[int, list[tuple[bytes, int]]] = {}
     for k, ver in txn.reads:
-        if k != h.fresh_key:
+        if k != skip:
             slices.setdefault(owner_of(k, cs.members), []).append((k, ver))
     if not slices:
         return True, None, []

@@ -221,7 +221,8 @@ def test_read_only_commit_validates_every_owner_in_one_effect():
     cs = make_state()
     h = TxnHandle(reads={a: (b"va", 1), b: (b"vb", 2)})
     val, fx = drive(txn_read(cs, h, c), lambda e: read_resp((b"vc", 3)))
-    assert h.fresh_key == c  # the latest READ said unlocked: c needs no VALIDATE
+    # the latest READ said unlocked and no RPC followed it: c needs no VALIDATE
+    assert h.fresh == (cs.next_msg_id, c)
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True)] * 2)
     assert ok and reason is None and len(fx) == 1
     assert fx[0][0] == "rpcs" and [dest for dest, _ in fx[0][1]] == [0, 1]

@@ -202,6 +202,41 @@ def test_fractured_read_is_denied_in_both_read_orders(post_commit_read):
     quiet(sim)
 
 
+def test_interleaved_handles_of_one_client_validate_the_fresh_key():
+    """h1 reads x; a writer commits x and y; h2 on the same client reads y,
+    which caches the new y; h1 then reads y from that cache.  x was h1's
+    latest READ and said unlocked, but h2's READ came after it, so h1's
+    commit must validate x, or it would commit old x with new y."""
+    sim = make_sim(3, seed=13)
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y = keys_owned_by(1, sim.members, 1)[0]
+    writer = sim.new_client(seed=1)
+    assert commit_txn(sim, writer, [x, y], {x: b"old", y: b"old"})[0]
+    sim.run(0.5)
+    reader = sim.new_client(seed=2)
+    reader.state.max_retries = 1
+
+    def interleaved(cs):
+        h1 = cl.TxnHandle()
+        yield from cl.txn_read(cs, h1, x)
+        yield ("sleep", 0.5)  # the writer commits x and y meanwhile
+        yield from cl.txn_read(cs, cl.TxnHandle(), y)
+        hits = cs.stats["cache_hits"]
+        yield from cl.txn_read(cs, h1, y)
+        assert cs.stats["cache_hits"] == hits + 1  # h2's answer, from the cache
+        seen = {k: ver for k, (_, ver) in h1.reads.items()}
+        ok, reason = yield from cl.txn_commit(cs, h1)
+        return ok, reason, seen
+
+    box = []
+    sim.schedule(0.1, lambda: writer.run(txn_gen(writer.state, [x, y], {x: b"new", y: b"new"}), box.append))
+    ok, reason, seen = run_gen(sim, reader, interleaved(reader.state))
+    assert box and box[0][1][0] is True
+    assert seen == {x: 1, y: 2}  # the fractured view
+    assert not ok and reason == AbortReason.STALE_READ
+    quiet(sim)
+
+
 def test_fractured_read_is_denied_until_the_decision_lands():
     sim = make_sim(3, seed=4)
     x = keys_owned_by(0, sim.members, 1)[0]
