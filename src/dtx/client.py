@@ -18,37 +18,54 @@ A transaction that wrote nothing commits without a coordinator.  The client
 splits its reads by owner and sends each owner one VALIDATE in parallel;
 each owner answers, within one step of its protocol loop, whether no read
 key is exclusively locked and every read version is current, and keeps no
-state.  The read of the transaction's latest READ RPC is left out when that
-READ said the key was unlocked and the client has sent no other RPC since;
-if nothing is left, the commit sends nothing.  The reason of a failure is
-that of the lowest-id owner that failed (TIMEOUT for one that stayed
-silent), and all piggybacked entries are merged.  Why leaving out that one
-read is safe:
+state.  Keys some owner has vouched for are left out, while the client has
+sent no other RPC since that owner answered: the key of the transaction's
+latest READ RPC when that READ said the key was unlocked, and, after a
+failed round in which a single owner answered STALE_READ, every key of the
+slice that owner checked.  If nothing is left, the commit sends nothing.
+The reason of a failure is that of the lowest-id owner that failed (TIMEOUT
+for one that stayed silent), and all piggybacked entries are merged.  Why
+leaving out the vouched keys is safe:
 
 * The common instant.  Every read finishes before any validation starts.
-  Call t the instant the owner served the left-out read.  Every other entry
-  was obtained before t: by an earlier READ RPC, or from the cache, which
-  only answers to the client's RPCs fill.  The client sent no RPC after
-  that READ, so every such answer came before it.  (Handles of one client
-  share its cache: an answer to another handle's later READ may be newer
-  than t, which is why any later RPC cancels the rule.)
+  Call t the instant the owner served the READ, or answered the failed
+  VALIDATE.  Its answer vouches for its keys at t: a READ answer is the
+  current entry, and a STALE_READ answer means none of the slice's keys was
+  exclusively locked, the keys it did not report were current, and the
+  entries it piggybacked, which replace the reported reads, are current.
+  Every other entry was obtained before t: by an earlier READ RPC, or from
+  the cache, which only answers to the client's RPCs fill.  The client sent
+  no RPC after that answer, so every such answer came before it.  (Handles
+  of one client share its cache: an answer to another handle's later READ
+  may be newer than t, which is why any later RPC cancels the rule.)
 * Each read is current at t.  Each validated key is unchanged and unlocked
-  at an instant >= t.  Versions only grow, so every read is current at t.
+  at an instant >= t.  Versions only grow, so every read is current at t;
+  for the same reason a stale key always has an entry to piggyback.
   (A version the client's own 2PC commit cached may land at a remote owner
   after t; that commit was decided before t and locks the key until it
   lands, so it still orders before t.)
-* No fractured read.  The left-out key was unlocked at t.  A 2PC writer
+* No fractured read.  The left-out keys were unlocked at t.  A 2PC writer
   holds its exclusive locks from prepare until it applies, so no 2PC write
   can be half-applied across the keys read: a writer applied at one owner
   and still prepared at another has that second key locked, which the READ
   or the VALIDATE reports.
+* One owner only.  Two owners that answer STALE_READ in one round vouch
+  for two different instants, and the later one's piggyback may hold a
+  writer's new value where the earlier one's slice still holds the old
+  value of another key that writer changed.  Skipping both slices would
+  commit that fractured view, so after such a round every slice is
+  validated again.
 
-Retry policy on a failed commit: a stale read or a denied read lock means a
-concurrent writer got there first, so the transaction is rebuilt immediately
-from fresh reads (retrying the old versions would fail again); a denied
-write lock is retried with the same reads after exponential backoff with
-jitter.  Failure responses piggyback current values for the keys that
-failed validation and those refresh the cache before the rebuild.
+Retry policy on a failed commit: a stale read means a concurrent writer got
+there first, and the failure answer piggybacks the current entry of each
+stale key.  Those entries replace the stale reads in the transaction and
+the cache, every other read and cache entry stands (the next validation
+rechecks them), and the transaction is resubmitted at once with no READ.
+A denied read lock or an already aborted transaction drops the
+transaction's keys from the cache and rebuilds the reads from fresh READs;
+a denied write lock is retried with the same reads after exponential
+backoff with jitter.  Nothing is rebuilt or slept on after the last
+attempt.
 """
 
 from __future__ import annotations
@@ -79,10 +96,11 @@ class TxnHandle:
     status: str = "Open"
     attempts: int = 0
     last_mid: int | None = None  # message id of the latest commit attempt
-    # (message id, key) of the latest READ RPC when its answer said the key
-    # was unlocked: a read-only commit sent right after it need not validate
-    # the key (see the module docstring)
-    fresh: tuple[int, bytes] | None = None
+    # (message id, keys) of the latest answer that vouched for keys: a READ
+    # that said its key was unlocked, or the single STALE_READ of a failed
+    # validation round; a read-only commit sent right after it need not
+    # validate those keys (see the module docstring)
+    fresh: tuple[int, frozenset[bytes]] | None = None
 
 
 @dataclass
@@ -133,7 +151,7 @@ def _remote_read(cs: ClientState, h: TxnHandle, key: bytes):
     else:
         entry = (None, 0)  # missing key reads as version 0; validated like any other
     h.reads[key] = entry
-    h.fresh = None if locked else (env.message_id, key)
+    h.fresh = None if locked else (env.message_id, frozenset((key,)))
     return entry[0]
 
 
@@ -195,21 +213,24 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             h.status = "Done"
             cs.stats["commits"] += 1
             return True, None
-        cs.cache.invalidate(txn.keys)
-        for k, v, ver in piggyback:
+        refreshed = {k: (v, ver) for k, v, ver in piggyback}
+        if reason != AbortReason.STALE_READ:
+            cs.cache.invalidate(txn.keys)
+        for k, (v, ver) in refreshed.items():
             cs.cache.put(k, v, ver)
-        if reason in (AbortReason.STALE_READ, AbortReason.LOCK_DENIED_READ,
-                      AbortReason.ALREADY_ABORTED):
+        if attempt + 1 >= cs.max_retries:
+            break  # out of attempts: nothing to rebuild or wait for
+        if reason == AbortReason.STALE_READ:
+            # the stale keys came with the answer; the other reads stand
+            h.reads.update(refreshed)
+        elif reason in (AbortReason.LOCK_DENIED_READ, AbortReason.ALREADY_ABORTED):
             # immediate restart from fresh reads
-            refreshed = {k: (v, ver) for k, v, ver in piggyback}
             for k in list(h.reads):
                 if k in refreshed:
                     h.reads[k] = refreshed[k]
                 else:
                     yield from _remote_read(cs, h, k)
         elif reason == AbortReason.LOCK_DENIED_WRITE:
-            if attempt + 1 >= cs.max_retries:
-                break  # out of attempts: no point sleeping before giving up
             delay = min(BACKOFF_BASE * (BACKOFF_FACTOR ** backoff_step), BACKOFF_CAP)
             delay *= 1.0 + cs.rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
             backoff_step += 1
@@ -223,13 +244,15 @@ def txn_commit(cs: ClientState, h: TxnHandle):
 
 def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
     """Check a read-only transaction's reads at every owner in parallel;
-    returns (committed, reason, piggyback) like a COMMIT answer."""
+    returns (committed, reason, piggyback) like a COMMIT answer, and leaves
+    in h.fresh the slice of the one owner that answered STALE_READ, if only
+    one owner failed."""
     # a later RPC of this client, for any handle, may have cached an entry
-    # newer than the fresh read
-    skip = h.fresh[1] if h.fresh and h.fresh[0] == cs.next_msg_id else None
+    # newer than the answer that vouched for the fresh keys
+    skip = h.fresh[1] if h.fresh and h.fresh[0] == cs.next_msg_id else frozenset()
     slices: dict[int, list[tuple[bytes, int]]] = {}
     for k, ver in txn.reads:
-        if k != skip:
+        if k not in skip:
             slices.setdefault(owner_of(k, cs.members), []).append((k, ver))
     if not slices:
         return True, None, []
@@ -241,14 +264,20 @@ def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
     answers = yield ("rpcs", requests)
     reason: AbortReason | None = None
     piggyback: list = []
-    for answer in answers:  # in owner-id order: the lowest failed owner's reason
+    failed: list[int] = []
+    for (sid, _), answer in zip(requests, answers):  # in owner-id order
         if answer is None:
             ok, why, entries = False, AbortReason.TIMEOUT, []
         else:
             ok, why, entries = rpc.dec_commit_resp(answer)
         if not ok:
+            failed.append(sid)
             reason = reason or why or AbortReason.UNKNOWN
             piggyback += entries
+    h.fresh = None
+    if len(failed) == 1 and reason == AbortReason.STALE_READ:
+        # the one failed owner vouches for its whole slice (module docstring)
+        h.fresh = (cs.next_msg_id, frozenset(k for k, _ in slices[failed[0]]))
     return reason is None, reason, piggyback
 
 

@@ -171,7 +171,8 @@ class LockTable:
             # still waiting; cancel it
             self._finish(req, False, RejectReason.ALREADY_ABORTED)
             return
-        for key in list(self._holdings.get(tranx, ())):
+        # in key order, so waiters wake in the same order in every process
+        for key in sorted(self._holdings.get(tranx, ())):
             self._release_key(tranx, key)
         self._holdings.pop(tranx, None)
 

@@ -11,9 +11,12 @@ Commit flow for a multi-owner transaction:
   2. each participant locks (shared for read-only keys, exclusive for
      written keys), validates read versions, freezes post-versions,
      persists PartReady (durable), votes Ready -- or votes Abort;
-  3. all Ready -> persist CoordCommit (durable), answer the client, and
-     hand the decision fan-out to the batched ack stage; any Abort vote ->
-     persist CoordAbort and fan the abort out immediately;
+  3. all Ready -> persist CoordCommit (durable); any Abort vote -> persist
+     CoordAbort without waiting for the other votes.  Either way, in that
+     same step, answer the client and send the decision to every remote
+     participant, so their locks go one hop after the decision; the batched
+     ack stage only resends decisions left unacked and fans out the
+     decisions found at recovery;
   4. participants persist the decision, apply frozen post-versions,
      release locks, and acknowledge; once every participant acked, the
      transaction is reported complete to the garbage collector.
@@ -72,7 +75,7 @@ def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
     return members[zlib.crc32(key) % len(members)]
 
 
-ACK_FLUSH_PERIOD = 0.002  # batched decision fan-out and resend pass
+ACK_FLUSH_PERIOD = 0.002  # batched decision resends and recovery fan-out
 DECISION_RESEND = 0.250  # resend a decision not acked for this long
 PREPARE_RETRY = 0.200  # resend PREPARE to owners that have not voted
 PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
@@ -151,7 +154,7 @@ class ServerNode:
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
         self.pending_client: dict[tuple[int, int], TranxID] = {}
-        # decision fan-out batches: dest -> {"Commit": [tranx...], "Abort": [...]}
+        # decision resend batches: dest -> {"Commit": [tranx...], "Abort": [...]}
         self._ack_batches: dict[ServerId, dict[str, list[TranxID]]] = {}
         # decided transactions still missing participant acks; kept as an
         # index so the resend pass never scans the whole coordinator map
@@ -418,19 +421,14 @@ class ServerNode:
         self._set_coord_state(
             rec, CoordState.COMMIT if decision == "Commit" else CoordState.ABORT
         )
-        # the client is answered at decision-persist time; participant acks
-        # are handled by the batched ack stage afterwards
+        # the client and the participants hear the decision once it is
+        # persisted; the batched ack stage resends what stays unacked
         self._answer_client(rec)
-        remote = [sid for sid in rec.pending_ack if sid != self.sid]
-        if decision == "Abort":
-            for sid in remote:
-                self._send(
-                    sid, self._server_env(MsgType.ABORT_DECISION, rec.tranx, b"")
-                )
-            rec.last_fanout = self.ctx.now()
-        else:
-            for sid in remote:
-                self._enqueue_decision(sid, rec.tranx, decision)
+        mt = MsgType.COMMIT_DECISION if decision == "Commit" else MsgType.ABORT_DECISION
+        for sid in rec.pending_ack:
+            if sid != self.sid:
+                self._send(sid, self._server_env(mt, rec.tranx, b""))
+        rec.last_fanout = self.ctx.now()
         if self.sid in rec.pending_ack:
             if self._handle_decision(rec.tranx, decision):
                 self._handle_ack(rec.tranx, self.sid)

@@ -17,7 +17,7 @@ from dtx.client import (
     txn_read,
     txn_write,
 )
-from dtx.rpc import AbortReason
+from dtx.rpc import AbortReason, MsgType
 from dtx.server import owner_of
 
 MEMBERS = [0, 1, 2]
@@ -127,21 +127,24 @@ def test_commit_success_updates_cache_at_read_version_plus_one():
     assert cs.stats["commits"] == 1
 
 
-def test_stale_read_rebuilds_from_piggyback_and_remote():
+def test_stale_read_retries_with_the_piggyback_and_no_read():
     cs = make_state()
+    cs.cache.put(b"j", b"o2", 1)
     h = TxnHandle(reads={b"k": (b"old", 3), b"j": (b"o2", 1)})
     txn_write(h, b"k", b"new")
     script = iter(
         [
             commit_resp(False, AbortReason.STALE_READ, [(b"k", b"cur", 5)]),
-            read_resp((b"j2", 2)),  # j was not piggybacked: refetched
             commit_resp(True),
         ]
     )
     (ok, _), fx = drive(txn_commit(cs, h), lambda e: next(script))
     assert ok and h.attempts == 2
-    assert h.reads == {b"k": (b"cur", 5), b"j": (b"j2", 2)}
-    assert all(e[0] == "rpc" for e in fx)  # no sleeps on the read-denied path
+    # j was not reported stale: its read and its cache entry stand, no READ
+    assert h.reads == {b"k": (b"cur", 5), b"j": (b"o2", 1)}
+    assert cs.cache.get(b"j") == (b"o2", 1)
+    assert [(e[0], e[2].msg_type) for e in fx] == [("rpc", MsgType.COMMIT)] * 2  # no sleeps
+    assert rpc.dec_txn(fx[1][2].payload).reads == ((b"j", 1), (b"k", 5))
 
 
 def test_write_denied_backs_off_exponentially_with_cap_and_jitter():
@@ -222,7 +225,7 @@ def test_read_only_commit_validates_every_owner_in_one_effect():
     h = TxnHandle(reads={a: (b"va", 1), b: (b"vb", 2)})
     val, fx = drive(txn_read(cs, h, c), lambda e: read_resp((b"vc", 3)))
     # the latest READ said unlocked and no RPC followed it: c needs no VALIDATE
-    assert h.fresh == (cs.next_msg_id, c)
+    assert h.fresh == (cs.next_msg_id, frozenset((c,)))
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True)] * 2)
     assert ok and reason is None and len(fx) == 1
     assert fx[0][0] == "rpcs" and [dest for dest, _ in fx[0][1]] == [0, 1]
@@ -245,20 +248,20 @@ def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyb
             read_resp((b"va", 1)),  # a and b were not piggybacked: re-read
             read_resp((b"vb", 2), locked=True),  # b is locked, so it stays in the VALIDATE
             [commit_resp(False, AbortReason.STALE_READ, [(a, b"va", 6)]), None, commit_resp(True)],
-            read_resp((b"vb", 7)),
-            read_resp((b"vc", 8)),
         ]
     )
     cs.max_retries = 2
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: next(script))
-    assert [e[0] for e in fx] == ["rpcs", "rpc", "rpc", "rpcs", "rpc", "rpc"]
+    # nothing is re-read after the last attempt
+    assert [e[0] for e in fx] == ["rpcs", "rpc", "rpc", "rpcs"]
     # the second commit validates all three owners: c came with the abort
     # and b's READ said locked
     assert [dest for dest, _ in fx[3][1]] == [0, 1, 2]
+    assert rpc.dec_txn(fx[3][1][2][1].payload).reads == ((c, 5),)
     # the first attempt failed for owner 1's reason; the second took owner
     # 0's stale read over owner 1's silence, and a's piggyback
     assert not ok and reason == AbortReason.STALE_READ and h.attempts == 2
-    assert h.reads == {a: (b"va", 6), b: (b"vb", 7), c: (b"vc", 8)}
+    assert cs.cache.get(a) == (b"va", 6) and cs.cache.get(c) == (b"vc", 5)
 
 
 def test_read_only_commit_reports_timeout_for_a_silent_owner():

@@ -154,8 +154,8 @@ def test_locked_one_key_read_is_validated_until_the_decision_lands():
     ok, reason, h = commit_txn(sim, reader, [y], {})
     assert h.reads[y][1] == 0  # the writer's decision has not reached y's owner
     assert not ok and reason == AbortReason.LOCK_DENIED_READ
-    # the rebuild after the last attempt reads y once more
-    assert sent == [(1, "READ", y), (1, "VALIDATE", None), (1, "READ", y)]
+    # nothing is re-read after the last attempt
+    assert sent == [(1, "READ", y), (1, "VALIDATE", None)]
 
     sim.heal(cut)
     sim.run(1.0)  # the decision resend reaches server 1, which applies y
@@ -274,12 +274,92 @@ def test_stale_read_piggybacks_the_current_entry_and_the_retry_commits():
     ok, reason, h = commit_txn(sim, reader, [*home, k1], {})
     assert ok and h.attempts == 2
     assert h.reads[k1] == (b"moved", 2)
-    # every read came from the cache, so all three keys are validated: stale
-    # at server 1; the two home keys are re-read while k1 came with the
-    # abort; the retry leaves out the last home key re-read
-    assert types(sent) == ["VALIDATE", "VALIDATE", "READ", "READ", "VALIDATE", "VALIDATE"]
-    assert sorted(key for _, t, key in sent if t == "READ") == sorted(home)
-    assert reader.state.stats["rpcs"] - rpcs == 6
+    # every read came from the cache, so both owners are validated; only
+    # server 1 found a stale read, so its answer vouches for k1 and the
+    # retry validates the home keys alone, with no READ
+    assert sent[:2] == [(0, "VALIDATE", None), (1, "VALIDATE", None)]
+    assert sent[2:] == [(0, "VALIDATE", None)]
+    assert reader.state.stats["rpcs"] - rpcs == 3
+    quiet(sim)
+
+
+def test_single_stale_owner_vouches_for_its_slice():
+    sim = make_sim(3, seed=15)
+    home = keys_owned_by(0, sim.members, 2)
+    reader, writer = sim.new_client(seed=1), sim.new_client(seed=2)
+    assert commit_txn(sim, writer, home, {k: b"first" for k in home})[0]
+    sim.run(0.5)
+    assert commit_txn(sim, reader, home, {})[0]  # caches both at version 1
+    assert commit_txn(sim, writer, [home[0]], {home[0]: b"moved"})[0]
+    sim.run(0.5)
+
+    sent = client_sends(sim)
+    ok, reason, h = commit_txn(sim, reader, home, {})
+    # the one VALIDATE found home[0] stale and piggybacked it: the retry
+    # commits with no RPC
+    assert ok and h.attempts == 2 and sent == [(0, "VALIDATE", None)]
+    assert h.reads == {home[0]: (b"moved", 2), home[1]: (b"first", 1)}
+    quiet(sim)
+
+
+def test_two_stale_owners_vouch_for_nothing():
+    """x and y are cached stale.  Server 0 answers that x is stale; then a
+    writer of x and y commits; then server 1 answers that y is stale and
+    piggybacks the writer's y.  The answers vouch for two instants with the
+    writer between them, so the retry validates both slices again instead
+    of committing the old x with the new y."""
+    sim = make_sim(3, seed=14)
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y = keys_owned_by(1, sim.members, 1)[0]
+    reader, writer = sim.new_client(seed=1), sim.new_client(seed=2)
+    for value in (b"v1", b"v2"):
+        assert commit_txn(sim, writer, [x, y], {x: value, y: value})[0]
+        sim.run(0.5)
+        if value == b"v1":
+            assert commit_txn(sim, reader, [x, y], {})[0]  # caches both at version 1
+
+    cut = sim.partition([("c", reader.client_id)], [1])  # hold y's VALIDATE back
+    mark = len(sim.trace)
+    box = []
+    reader.run(txn_gen(reader.state, [x, y], {}), box.append)
+    step_until(sim, lambda: any(
+        e[1] == 0 and e[2] == "msg.recv" and e[3]["type"] == "VALIDATE" for e in sim.trace[mark:]
+    ))
+    assert commit_txn(sim, writer, [x, y], {x: b"v3", y: b"v3"})[0]
+    assert not box
+    sent = client_sends(sim)
+    sim.heal(cut)
+    step_until(sim, lambda: box)
+    ok, reason, h = box[0][1]
+    assert ok and h.attempts == 3
+    assert h.reads == {x: (b"v3", 3), y: (b"v3", 3)}
+    # the second round validated both slices: x was stale again, alone, so
+    # the third round validated y alone
+    assert sent == [(1, "VALIDATE", None), (0, "VALIDATE", None), (1, "VALIDATE", None),
+                    (1, "VALIDATE", None)]
+    quiet(sim)
+
+
+def test_stale_read_abort_keeps_the_unreported_keys_cached():
+    sim = make_sim(3, seed=16)
+    home = keys_owned_by(0, sim.members, 2)
+    k1 = keys_owned_by(1, sim.members, 1)[0]
+    keys = [*home, k1]
+    reader, writer = sim.new_client(seed=1), sim.new_client(seed=2)
+    assert commit_txn(sim, writer, keys, {k: b"first" for k in keys})[0]
+    sim.run(0.5)
+    assert commit_txn(sim, reader, keys, {})[0]  # caches all three at version 1
+    assert commit_txn(sim, writer, [k1], {k1: b"moved"})[0]
+    sim.run(0.5)
+
+    reader.state.max_retries = 1
+    ok, reason, _ = commit_txn(sim, reader, keys, {home[0]: b"mine"})
+    assert not ok and reason == AbortReason.STALE_READ
+    sent = client_sends(sim)
+    ok, reason, h = commit_txn(sim, reader, keys, {})
+    # the home keys stayed cached and k1 came with the abort: no READ
+    assert ok and "READ" not in types(sent)
+    assert h.reads == {home[0]: (b"first", 1), home[1]: (b"first", 1), k1: (b"moved", 2)}
     quiet(sim)
 
 

@@ -1,5 +1,10 @@
 """End-to-end protocol behaviour under the deterministic simulator."""
 
+import json
+import os
+import subprocess
+import sys
+
 from conftest import commit_txn, make_sim, run_gen, txn_gen
 
 from dtx import oracle
@@ -85,6 +90,36 @@ def test_same_seed_is_bit_identical():
     assert format_trace(sim_a.trace) != format_trace(sim_c.trace)
 
 
+# One contended run, printed as JSON: commit count, latencies, final state.
+CONTENDED_RUN = """
+import json
+from dtx.bench import run_sim_bench
+from dtx.workload import WorkloadSpec
+spec = WorkloadSpec(key_count=64, read_fraction=0.5, clients=8, duration=0.5, seed=1)
+report, sim = run_sim_bench([0, 1, 2], spec, tail=0.0)
+done = [r for r in report.history if r["ok"]]
+print(json.dumps({
+    "commits": len(done),
+    "latencies": [r["finished"] - r["started"] for r in done],
+    "state": sorted([k.hex(), v.hex(), ver] for k, (v, ver) in sim.global_state().items()),
+}))
+"""
+
+
+def test_contended_run_does_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = []
+    for hash_seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", CONTENDED_RUN], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        runs.append(json.loads(out.stdout))
+    assert runs[0]["commits"] > 100
+    assert runs[0] == runs[1]
+
+
 # -- message accounting ----------------------------------------------------------
 
 
@@ -128,6 +163,24 @@ def test_three_owner_commit_scales_per_participant():
     (counts,) = sim.msgs_by_tranx.values()
     assert counts["PREPARE"] == 2 and counts["READY"] == 2
     assert counts["COMMIT_DECISION"] == 2 and counts["ACK"] == 2
+
+
+def test_commit_decision_is_sent_in_the_step_that_persists_it():
+    sim = make_sim(3, seed=5)
+    span = key_spanning(sim.members)
+    c = sim.new_client(seed=1)
+    assert commit_txn(sim, c, list(span.values()), {k: b"d" for k in span.values()})[0]
+    decided = [i for i, e in enumerate(sim.trace) if e[2] == "coord.state" and e[3]["to"] == "Commit"]
+    assert len(decided) == 1
+    at, sid, _, info = sim.trace[decided[0]]
+    step = []  # what the coordinator did in the step that persisted CoordCommit
+    for e in sim.trace[decided[0] + 1:]:
+        if e[0] != at or e[1] != sid or e[2] == "msg.recv":
+            break
+        step.append(e)
+    sent = [e[3]["dest"] for e in step if e[2] == "msg.send" and e[3]["type"] == "COMMIT_DECISION"
+            and e[3]["tranx"] == info["tranx"]]
+    assert sorted(sent) == [s for s in sim.members if s != sid]
 
 
 def test_idle_node_sleeps_and_decisions_flush_on_the_tick_grid(monkeypatch):
