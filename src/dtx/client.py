@@ -21,11 +21,11 @@ key is exclusively locked and every read version is current, and keeps no
 state.  Keys some owner has vouched for are left out, while the client has
 sent no other RPC since that owner answered: the key of the transaction's
 latest READ RPC when that READ said the key was unlocked, and, after a
-failed round in which a single owner answered STALE_READ, every key of the
-slice that owner checked.  If nothing is left, the commit sends nothing.
-The reason of a failure is that of the lowest-id owner that failed (TIMEOUT
-for one that stayed silent), and all piggybacked entries are merged.  Why
-leaving out the vouched keys is safe:
+failed round in which only one owner failed and it answered STALE_READ,
+every key of the slice that owner checked.  If nothing is left, the commit
+sends nothing.  The reason of a failure is that of the lowest-id owner that
+failed (TIMEOUT for one that stayed silent), and all piggybacked entries
+are merged.  Why leaving out the vouched keys is safe:
 
 * The common instant.  Every read finishes before any validation starts.
   Call t the instant the owner served the READ, or answered the failed
@@ -49,12 +49,12 @@ leaving out the vouched keys is safe:
   can be half-applied across the keys read: a writer applied at one owner
   and still prepared at another has that second key locked, which the READ
   or the VALIDATE reports.
-* One owner only.  Two owners that answer STALE_READ in one round vouch
-  for two different instants, and the later one's piggyback may hold a
-  writer's new value where the earlier one's slice still holds the old
-  value of another key that writer changed.  Skipping both slices would
-  commit that fractured view, so after such a round every slice is
-  validated again.
+* One failed owner only.  Two owners that answer STALE_READ in one round
+  vouch for two different instants, and the later one's piggyback may
+  hold a writer's new value where the earlier one's slice still holds the
+  old value of another key that writer changed.  Skipping both slices
+  would commit that fractured view, so after a round in which two owners
+  failed, for any reason, every slice is validated again.
 
 Retry policy on a failed commit: a stale read means a concurrent writer got
 there first, and the failure answer piggybacks the current entry of each
