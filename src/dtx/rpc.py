@@ -33,6 +33,14 @@ Payloads (blob = len: u32 LE | bytes):
   version u64 LE)*, with committed 1 when no read key is exclusively locked
   and every read version is current, else the reason and the current
   entries of the stale keys.
+* COMMIT_DECISION and ABORT_DECISION, coordinator to participant, and the
+  participant's ACK of either: the TranxID in the envelope, an empty
+  payload.  One message names one transaction.
+
+A server drops a message whose type names a transaction (PREPARE, READY,
+the decisions, ACK, TRANX_STATUS) but whose envelope carries none, and a
+message whose payload does not decode; a COMMIT or VALIDATE whose payload
+does not decode is answered UNKNOWN.
 """
 
 from __future__ import annotations
@@ -231,19 +239,6 @@ def dec_vote_abort(b: bytes):
     return reason, piggyback
 
 
-def enc_tranx_list(tranxes: list[TranxID]) -> bytes:
-    w = ByteWriter()
-    w.u32(len(tranxes))
-    for t in tranxes:
-        t.encode_into(w)
-    return w.getvalue()
-
-
-def dec_tranx_list(b: bytes) -> list[TranxID]:
-    r = ByteReader(b)
-    return [TranxID.decode_from(r) for _ in range(r.u32())]
-
-
 def enc_gc_lc(lc_seq: int) -> bytes:
     w = ByteWriter()
     w.u64(lc_seq)
@@ -261,7 +256,10 @@ def enc_status_resp(status: str) -> bytes:
 
 
 def dec_status_resp(b: bytes) -> str:
-    return ByteReader(b).blob().decode()
+    status = ByteReader(b).blob()
+    if status not in (b"Commit", b"Abort", b"Pending"):
+        raise MalformedRecordError(f"unknown transaction status {status!r}")
+    return status.decode()
 
 
 # --- dedup ---------------------------------------------------------------------

@@ -14,12 +14,16 @@ Commit flow for a multi-owner transaction:
   3. all Ready -> persist CoordCommit (durable); any Abort vote -> persist
      CoordAbort without waiting for the other votes.  Either way, in that
      same step, answer the client and send the decision to every remote
-     participant, so their locks go one hop after the decision; the batched
-     ack stage only resends decisions left unacked and fans out the
-     decisions found at recovery;
+     participant, so their locks go one hop after the decision;
   4. participants persist the decision, apply frozen post-versions,
      release locks, and acknowledge; once every participant acked, the
      transaction is reported complete to the garbage collector.
+
+Until it is complete the coordinator repeats, every RESEND, PREPARE to the
+owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
+rounds) and the decision to those that have not acked.  Every repeat waits
+the same RESEND, so one map ordered by insertion is also ordered by due
+time, and one timer armed for its head serves every pending resend.
 
 Single-owner transactions take the one-phase path: no wire messages, one
 durable flush carrying both the write set and the commit decision.
@@ -41,7 +45,6 @@ locked when it was read.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -54,6 +57,7 @@ from .model import (
     CoordCommit,
     CoordPrepare,
     CoordState,
+    MalformedRecordError,
     PartAbort,
     PartCommit,
     PartReady,
@@ -75,11 +79,15 @@ def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
     return members[zlib.crc32(key) % len(members)]
 
 
-ACK_FLUSH_PERIOD = 0.002  # batched decision resends and recovery fan-out
-DECISION_RESEND = 0.250  # resend a decision not acked for this long
-PREPARE_RETRY = 0.200  # resend PREPARE to owners that have not voted
+RESEND = 0.200  # repeat PREPARE or a decision an owner has not answered
 PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
 STATUS_RETRY = 0.100  # re-ask an in-doubt transaction's coordinator
+
+# message types that name their transaction in the envelope
+_TRANX_TYPES = frozenset({
+    MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION,
+    MsgType.ACK, MsgType.TRANX_STATUS,
+})
 
 
 @dataclass
@@ -102,9 +110,7 @@ class CoordRec:
     piggyback: list = field(default_factory=list)
     client_key: tuple[int, int] | None = None  # (client id, message id)
     reply_to: Envelope | None = None
-    retry_timer: object = None
     retries: int = 0
-    last_fanout: float = -1.0
     complete: bool = False
 
 
@@ -154,14 +160,11 @@ class ServerNode:
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
         self.pending_client: dict[tuple[int, int], TranxID] = {}
-        # decision resend batches: dest -> {"Commit": [tranx...], "Abort": [...]}
-        self._ack_batches: dict[ServerId, dict[str, list[TranxID]]] = {}
-        # decided transactions still missing participant acks; kept as an
-        # index so the resend pass never scans the whole coordinator map
-        self._undelivered: set[TranxID] = set()
-        self._ack_grid = 0.0  # origin of the ACK_FLUSH_PERIOD grid
-        self._ack_step = 0  # grid step the tick is armed for, or last ran at
-        self._ack_timer = None  # armed only while there is work to flush
+        # 2PC coordinator records still waiting for a vote or an ack -> when
+        # to resend; each entry is due RESEND after it was (re)inserted, so
+        # insertion order is due order
+        self._resend: dict[TranxID, float] = {}
+        self._resend_timer = None  # armed for the head of _resend, if any
         self._msg_seq = 0
         self._pending_status: dict[int, TranxID] = {}
         self._client_epoch = 0
@@ -224,7 +227,6 @@ class ServerNode:
 
     def start(self) -> None:
         """Local recovery, then periodic stages; call before serving traffic."""
-        self._ack_grid = self.ctx.now()
         self.recover_local()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
         self.recover_global()
@@ -240,49 +242,62 @@ class ServerNode:
         self._trace("msg.recv", type=env.msg_type.name, tranx=env.tranx, frm=env.sender_id)
         self._crash_point(f"recv.{env.msg_type.name}")
         mt = env.msg_type
+        if env.tranx is None and mt in _TRANX_TYPES:
+            self._trace("msg.malformed", type=mt.name, frm=env.sender_id)
+            return
         if mt == MsgType.CLIENT_HELLO:
             self._reply(env, self.assign_client_id().to_bytes(8, "little"))
         elif mt == MsgType.READ:
-            self._handle_read(env)
+            key = self._decode(env, rpc.dec_read_req)
+            if key is not None:
+                self._handle_read(env, key)
         elif mt == MsgType.COMMIT:
             self._handle_commit(env)
         elif mt == MsgType.VALIDATE:
-            reason, piggyback = self._validate_slice(rpc.dec_txn(env.payload))
+            sub = self._decode(env, rpc.dec_txn)
+            reason, piggyback = (
+                (AbortReason.UNKNOWN, []) if sub is None else self._validate_slice(sub)
+            )
             self._reply(env, rpc.enc_commit_resp(reason is None, reason, piggyback))
         elif mt == MsgType.PREPARE:
-            self._handle_prepare(env)
+            sub = self._decode(env, rpc.dec_txn)
+            if sub is not None:
+                self._handle_prepare(env.tranx, sub)
         elif mt == MsgType.READY:
-            self._handle_vote(env, yes=True)
-        elif mt == MsgType.ABORT_DECISION and env.tranx and env.tranx.coordinator == self.sid:
-            self._handle_vote(env, yes=False)
+            self._vote(env.tranx, env.sender_id, None, [])
+        elif mt == MsgType.ABORT_DECISION and env.tranx.coordinator == self.sid:
+            vote = self._decode(env, rpc.dec_vote_abort)
+            if vote is not None:
+                self._vote(env.tranx, env.sender_id, vote[0] or AbortReason.UNKNOWN, vote[1])
         elif mt in (MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION):
-            decision = "Commit" if mt == MsgType.COMMIT_DECISION else "Abort"
-            tranxes = [env.tranx] if env.tranx else rpc.dec_tranx_list(env.payload)
-            acked = []
-            for t in tranxes:
-                if self._handle_decision(t, decision):
-                    acked.append(t)
-            if acked:
-                self._send(
-                    env.sender_id,
-                    self._server_env(MsgType.ACK, None, rpc.enc_tranx_list(acked)),
-                )
+            self._handle_decision(env.tranx, "Commit" if mt == MsgType.COMMIT_DECISION else "Abort")
+            self._send(env.sender_id, self._server_env(MsgType.ACK, env.tranx, b""))
         elif mt == MsgType.ACK:
-            for t in rpc.dec_tranx_list(env.payload):
-                self._handle_ack(t, env.sender_id)
+            self._handle_ack(env.tranx, env.sender_id)
         elif mt == MsgType.GC_LC:
-            self.gc.on_lc_broadcast(env.sender_id, rpc.dec_gc_lc(env.payload))
-            self.dedup.prune(self.gc.table)
+            lc_seq = self._decode(env, rpc.dec_gc_lc)
+            if lc_seq is not None:
+                self.gc.on_lc_broadcast(env.sender_id, lc_seq)
+                self.dedup.prune(self.gc.table)
         elif mt == MsgType.TRANX_STATUS:
             self._handle_status_query(env)
         elif mt == MsgType.RESPONSE:
-            self._handle_status_response(env)
+            status = self._decode(env, rpc.dec_status_resp)
+            if status is not None:
+                self._handle_status_response(env.message_id, status)
+
+    def _decode(self, env: Envelope, decoder):
+        """The decoded payload, or None, traced, when it does not decode."""
+        try:
+            return decoder(env.payload)
+        except MalformedRecordError:
+            self._trace("msg.malformed", type=env.msg_type.name, frm=env.sender_id)
+            return None
 
     # -- reads -----------------------------------------------------------------
 
-    def _handle_read(self, env: Envelope) -> None:
+    def _handle_read(self, env: Envelope, key: bytes) -> None:
         # Idempotent, lock-free, never deduplicated.
-        key = rpc.dec_read_req(env.payload)
         self.stats["reads"] += 1
         locked = self.locks.exclusively_held(key)
         self._reply(env, rpc.enc_read_resp(self.storage.get(key), locked))
@@ -301,12 +316,8 @@ class ServerNode:
             if rec is not None:
                 rec.reply_to = env
             return
-        try:
-            txn = rpc.dec_txn(env.payload)
-        except Exception:
-            self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
-            return
-        if not txn.writes:  # a read-only transaction validates from its client
+        txn = self._decode(env, rpc.dec_txn)
+        if txn is None or not txn.writes:  # a read-only transaction validates from its client
             self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
             return
         # admission bound: every log record derived from this transaction
@@ -352,52 +363,21 @@ class ServerNode:
         self._append(
             CoordPrepare(tranx, tuple(sorted(subs.items()))), durable=True
         )
-        for sid, sub in subs.items():
-            if sid == self.sid:
-                continue
-            self._send(
-                sid,
-                self._server_env(MsgType.PREPARE, tranx, rpc.enc_txn(sub)),
-            )
-        rec.retry_timer = self.ctx.set_timer(
-            PREPARE_RETRY, lambda t=tranx: self._prepare_retry(t)
-        )
+        self._send_prepare(rec)
+        self._queue_resend(rec)
         if self.sid in subs:
             self._local_prepare(tranx, subs[self.sid])
         return tranx
 
-    def _prepare_retry(self, tranx: TranxID) -> None:
-        rec = self.coord.get(tranx)
-        if rec is None or rec.decision is not None or not rec.pending_ready:
-            return
-        rec.retries += 1
-        if rec.retries >= PREPARE_BUDGET:
-            self._decide(rec, "Abort", AbortReason.TIMEOUT, [])
-            return
-        for sid in rec.pending_ready:
-            if sid == self.sid:
-                continue
-            self._send(
-                sid,
-                self._server_env(MsgType.PREPARE, tranx, rpc.enc_txn(rec.subs[sid])),
-            )
-        rec.retry_timer = self.ctx.set_timer(
-            PREPARE_RETRY, lambda t=tranx: self._prepare_retry(t)
-        )
+    def _send_prepare(self, rec: CoordRec) -> None:
+        """PREPARE to every remote owner that has not voted."""
+        for sid, sub in rec.subs.items():
+            if sid != self.sid and sid in rec.pending_ready:
+                self._send(sid, self._server_env(MsgType.PREPARE, rec.tranx, rpc.enc_txn(sub)))
 
-    def _handle_vote(self, env: Envelope, yes: bool) -> None:
-        tranx = env.tranx
+    def _vote(self, tranx: TranxID, voter: ServerId, reason, piggyback) -> None:
         rec = self.coord.get(tranx)
-        if rec is None or rec.decision is not None:
-            return
-        if yes:
-            self._vote(rec, env.sender_id, None, [])
-        else:
-            reason, piggyback = rpc.dec_vote_abort(env.payload)
-            self._vote(rec, env.sender_id, reason or AbortReason.UNKNOWN, piggyback)
-
-    def _vote(self, rec: CoordRec, voter: ServerId, reason, piggyback) -> None:
-        if rec.decision is not None or voter not in rec.pending_ready:
+        if rec is None or rec.decision is not None or voter not in rec.pending_ready:
             return
         rec.pending_ready.discard(voter)
         if reason is None:
@@ -413,28 +393,27 @@ class ServerNode:
         rec.decision = decision
         rec.abort_reason = reason
         rec.piggyback = list(piggyback)
-        if rec.retry_timer is not None:
-            self.ctx.cancel_timer(rec.retry_timer)
-            rec.retry_timer = None
         kind = CoordCommit if decision == "Commit" else CoordAbort
         self._append(kind(rec.tranx, rec.client_key), durable=True)
         self._set_coord_state(
             rec, CoordState.COMMIT if decision == "Commit" else CoordState.ABORT
         )
         # the client and the participants hear the decision once it is
-        # persisted; the batched ack stage resends what stays unacked
+        # persisted; the resend timer repeats it to owners that do not ack
         self._answer_client(rec)
-        mt = MsgType.COMMIT_DECISION if decision == "Commit" else MsgType.ABORT_DECISION
+        self._send_decision(rec)
+        if self.sid in rec.pending_ack:
+            self._handle_decision(rec.tranx, decision)
+            self._handle_ack(rec.tranx, self.sid)
+        if not rec.complete:
+            self._queue_resend(rec)
+
+    def _send_decision(self, rec: CoordRec) -> None:
+        """The decision to every remote owner that has not acked."""
+        mt = MsgType.COMMIT_DECISION if rec.decision == "Commit" else MsgType.ABORT_DECISION
         for sid in rec.pending_ack:
             if sid != self.sid:
                 self._send(sid, self._server_env(mt, rec.tranx, b""))
-        rec.last_fanout = self.ctx.now()
-        if self.sid in rec.pending_ack:
-            if self._handle_decision(rec.tranx, decision):
-                self._handle_ack(rec.tranx, self.sid)
-        if not rec.complete:
-            self._undelivered.add(rec.tranx)
-            self._arm_ack_tick()
 
     def _answer_client(self, rec: CoordRec) -> None:
         if rec.reply_to is None:
@@ -455,7 +434,7 @@ class ServerNode:
         rec.pending_ack.discard(sender)
         if not rec.pending_ack and not rec.complete:
             rec.complete = True
-            self._undelivered.discard(tranx)
+            self._resend.pop(tranx, None)
             self.gc.mark_complete(tranx, rec.decision)
 
     # -- one-phase path -----------------------------------------------------------
@@ -559,8 +538,7 @@ class ServerNode:
                 piggyback.append((k, entry[0], entry[1]))
         return piggyback
 
-    def _handle_prepare(self, env: Envelope) -> None:
-        tranx = env.tranx
+    def _handle_prepare(self, tranx: TranxID, sub: Transaction) -> None:
         cached = self.dedup.check_tranx(tranx, MsgType.PREPARE)
         if cached is not None:
             self._send_vote_bytes(tranx, cached)
@@ -577,7 +555,6 @@ class ServerNode:
             return
         if tranx in self.part:
             return  # duplicate while the first prepare is still in flight
-        sub = rpc.dec_txn(env.payload)
         self._local_prepare(tranx, sub)
 
     def _local_prepare(self, tranx: TranxID, sub: Transaction) -> None:
@@ -623,23 +600,21 @@ class ServerNode:
         else:
             env_type, payload = MsgType.ABORT_DECISION, vote
         if coordinator == self.sid:
-            rec = self.coord.get(tranx)
-            if rec is not None and rec.decision is None:
-                if env_type == MsgType.READY:
-                    self._vote(rec, self.sid, None, [])
-                else:
-                    reason, piggyback = rpc.dec_vote_abort(vote)
-                    self._vote(rec, self.sid, reason or AbortReason.UNKNOWN, piggyback)
+            if env_type == MsgType.READY:
+                self._vote(tranx, self.sid, None, [])
+            else:
+                reason, piggyback = rpc.dec_vote_abort(vote)
+                self._vote(tranx, self.sid, reason or AbortReason.UNKNOWN, piggyback)
             return
         self._send(coordinator, self._server_env(env_type, tranx, payload))
 
-    def _handle_decision(self, tranx: TranxID, decision: str) -> bool:
-        """Apply a commit/abort decision; returns True when an ack is owed."""
+    def _handle_decision(self, tranx: TranxID, decision: str) -> None:
+        """Apply a commit/abort decision; the sender is owed an ack either way."""
         mt = MsgType.COMMIT_DECISION if decision == "Commit" else MsgType.ABORT_DECISION
         if self.dedup.seen_tranx(tranx, mt):
-            return True  # replay: ack again, no side effects
+            return  # replay: ack again, no side effects
         if self.gc.is_final_by_watermark(tranx):
-            return True
+            return
         rec = self.part.get(tranx)
         if decision == "Commit":
             assert rec is not None and rec.state == PartState.READY, (
@@ -657,65 +632,46 @@ class ServerNode:
                 self._set_part_state(rec, PartState.ABORT)
             self.locks.record_abort(tranx)
         self.dedup.record_tranx(tranx, mt)
-        return True
 
-    # -- batched ack stage -------------------------------------------------------------
+    # -- resend timer --------------------------------------------------------------------
 
-    def _enqueue_decision(self, dest: ServerId, tranx: TranxID, decision: str) -> None:
-        self._ack_batches.setdefault(dest, {"Commit": [], "Abort": []})[decision].append(tranx)
-        self._arm_ack_tick()
-
-    def _arm_ack_tick(self) -> None:
-        """Arm the tick, unless armed, for the next point of the grid of
-        ACK_FLUSH_PERIOD steps from start: an idle node does not wake, and
-        a decision is flushed when a tick that never stopped would have."""
-        if self._ack_timer is not None:
-            return
-        now = self.ctx.now()
-        # past the step that last fired, even where rounding puts now a hair
-        # before it, so the tick never re-arms for the instant it runs at
-        passed = math.floor((now - self._ack_grid) / ACK_FLUSH_PERIOD)
-        self._ack_step = max(passed, self._ack_step) + 1
-        due = self._ack_grid + self._ack_step * ACK_FLUSH_PERIOD
-        self._ack_timer = self.ctx.set_timer(max(due - now, 0.0), self._ack_tick)
+    def _queue_resend(self, rec: CoordRec) -> None:
+        """(Re)insert rec at the end of _resend, due RESEND from now."""
+        self._resend.pop(rec.tranx, None)
+        self._resend[rec.tranx] = self.ctx.now() + RESEND
+        if self._resend_timer is None:
+            self._resend_timer = self.ctx.set_timer(RESEND, self._ack_tick)
 
     def _ack_tick(self) -> None:
-        self._ack_timer = None
-        self._flush_ack_batches()
-        self._resend_undelivered()
-        if self._ack_batches or self._undelivered:
-            self._arm_ack_tick()
+        """Resend for every due entry of _resend, then re-arm for its head.
 
-    def _flush_ack_batches(self) -> None:
-        batches, self._ack_batches = self._ack_batches, {}
-        for dest, by_decision in batches.items():
-            for decision, tranxes in by_decision.items():
-                if not tranxes:
-                    continue
-                mt = (
-                    MsgType.COMMIT_DECISION
-                    if decision == "Commit"
-                    else MsgType.ABORT_DECISION
-                )
-                self._send(dest, self._server_env(mt, None, rpc.enc_tranx_list(tranxes)))
-                for t in tranxes:
-                    rec = self.coord.get(t)
-                    if rec is not None:
-                        rec.last_fanout = self.ctx.now()
-
-    def _resend_undelivered(self) -> None:
+        An undecided record repeats PREPARE to the owners that have not
+        voted, or aborts with TIMEOUT after PREPARE_BUDGET rounds; a decided
+        one repeats its decision to the owners that have not acked.  The
+        benchmark's tracer wraps this timer by its name, _ack_tick.
+        """
         now = self.ctx.now()
-        for tranx in list(self._undelivered):
-            rec = self.coord.get(tranx)
-            if rec is None or rec.decision is None or rec.complete:
-                self._undelivered.discard(tranx)
+        while self._resend:
+            tranx, due = next(iter(self._resend.items()))
+            if due > now:
+                break
+            rec = self.coord[tranx]
+            if rec.decision is not None:
+                self._send_decision(rec)
+                self._queue_resend(rec)
                 continue
-            if rec.last_fanout < 0 or now - rec.last_fanout < DECISION_RESEND:
-                continue
-            for sid in rec.pending_ack:
-                if sid != self.sid:
-                    self._enqueue_decision(sid, rec.tranx, rec.decision)
-            rec.last_fanout = now
+            rec.retries += 1
+            if rec.retries >= PREPARE_BUDGET:
+                self._decide(rec, "Abort", AbortReason.TIMEOUT, [])
+            else:
+                self._send_prepare(rec)
+                self._queue_resend(rec)
+        # _resend_timer held the fired timer during the loop, so the
+        # re-queues above armed none: arm one timer for the new head
+        self._resend_timer = None
+        if self._resend:
+            due = next(iter(self._resend.values()))
+            self._resend_timer = self.ctx.set_timer(due - now, self._ack_tick)
 
     # -- gc stage ------------------------------------------------------------------------
 
@@ -783,19 +739,15 @@ class ServerNode:
             self._pending_status.pop(msg_id, None)
             self._query_status(tranx)
 
-    def _handle_status_response(self, env: Envelope) -> None:
-        tranx = self._pending_status.pop(env.message_id, None)
+    def _handle_status_response(self, message_id: int, status: str) -> None:
+        tranx = self._pending_status.pop(message_id, None)
         if tranx is None:
             return
-        status = rpc.dec_status_resp(env.payload)
         if status == "Pending":
             self.ctx.set_timer(STATUS_RETRY, lambda t=tranx: self._query_status(t))
             return
-        if self._handle_decision(tranx, status):
-            self._send(
-                tranx.coordinator,
-                self._server_env(MsgType.ACK, None, rpc.enc_tranx_list([tranx])),
-            )
+        self._handle_decision(tranx, status)
+        self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
 
     # -- recovery ---------------------------------------------------------------------------
 
@@ -877,8 +829,8 @@ class ServerNode:
                 self.locks.record_abort(t)
                 self.dedup.record_tranx(t, MsgType.ABORT_DECISION)
 
-        # coordinator side: resume fan-out for decided, re-abort in-doubt
-        self._in_doubt_coord: list[TranxID] = []
+        # coordinator side: recover_global re-aborts the undecided and resends
+        # the decided that some owner has not acked
         for t, state in sorted(coord_state.items()):
             if t.seq <= base_lc:
                 continue
@@ -893,19 +845,13 @@ class ServerNode:
             if state == "Prepare":
                 rec.pending_ready = set(participants)
                 rec.pending_ack = set(participants)
-                self._in_doubt_coord.append(t)
                 continue
             rec.decision = state
-            remote = [sid for sid in participants if sid != self.sid]
             # the local slice was replayed above, so only remote owners ack
-            rec.pending_ack = set(remote)
-            if not remote:
+            rec.pending_ack = {sid for sid in participants if sid != self.sid}
+            if not rec.pending_ack:
                 rec.complete = True
                 self.gc.mark_complete(t, state)
-            else:
-                for sid in remote:
-                    self._enqueue_decision(sid, t, state)
-                self._undelivered.add(t)
 
         # rebuild the client-request dedup window for decided transactions so
         # a resent commit request gets the original answer instead of being
@@ -927,7 +873,7 @@ class ServerNode:
         self._trace(
             "recovered",
             coord=len(coord_state),
-            in_doubt_coord=len(self._in_doubt_coord),
+            in_doubt_coord=sum(1 for r in self.coord.values() if r.decision is None),
             in_doubt_part=len(in_doubt_participant),
         )
         self._in_doubt_participant = in_doubt_participant
@@ -939,15 +885,16 @@ class ServerNode:
         return epoch
 
     def recover_global(self) -> None:
-        """Resolve in-doubt transactions; runs after service stages start."""
-        for t in self._in_doubt_coord:
-            rec = self.coord[t]
-            if rec.decision is not None:
-                continue
-            # silence means failure to the client: abort even if every
-            # participant turned out to be ready
-            self._decide(rec, "Abort", AbortReason.UNKNOWN, [])
-        self._in_doubt_coord = []
+        """Resolve in-doubt transactions and resend the decisions found by
+        recovery; runs after service stages start."""
+        for rec in self.coord.values():
+            if rec.decision is None:
+                # silence means failure to the client: abort even if every
+                # participant turned out to be ready
+                self._decide(rec, "Abort", AbortReason.UNKNOWN, [])
+            elif not rec.complete:
+                self._send_decision(rec)
+                self._queue_resend(rec)
         for t in self._in_doubt_participant:
             self._query_status(t)
         self._in_doubt_participant = []

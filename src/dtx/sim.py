@@ -36,11 +36,10 @@ from . import rpc
 from .client import ClientState
 from .env import MemEnv
 from .model import ServerId, TranxID
-from .rpc import Envelope, MsgType
+from .rpc import Envelope
 from .server import ServerConfig, ServerNode, owner_of
 from .storage import MemKvStore
 
-_TRANX_LIST_TYPES = (MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION, MsgType.ACK)
 SERVICE_TIME = 50e-6  # virtual seconds a server spends on each message
 
 
@@ -431,16 +430,8 @@ class Simulator:
             return
         name = env.msg_type.name
         self.server_msgs[name] += 1
-        if not self.audit_messages:
-            return
-        if env.tranx is not None:
-            tranxes = [env.tranx]
-        elif env.msg_type in _TRANX_LIST_TYPES:
-            tranxes = rpc.dec_tranx_list(env.payload)
-        else:
-            return
-        for t in tranxes:
-            self.msgs_by_tranx.setdefault(t, Counter())[name] += 1
+        if self.audit_messages and env.tranx is not None:
+            self.msgs_by_tranx.setdefault(env.tranx, Counter())[name] += 1
 
     # -- clients ---------------------------------------------------------------
 

@@ -400,11 +400,11 @@ def test_07_single_owner_fast_path_and_exact_accounting():
     for ks, remotes in plan:
         ok, _, _ = commit_txn(sim, c, ks, {k: b"m" for k in ks})
         assert ok
-        # let the batched commit decision reach remote participants before
-        # the next txn prepares against them, or it aborts on a stale read
-        # and the retry skews the per-txn counts
+        # let the commit decision reach remote participants before the next
+        # txn prepares against them, or it aborts on a stale read and the
+        # retry skews the per-txn counts
         sim.run(0.1)
-    sim.run(2.0)  # flush batched decisions and acks
+    sim.run(2.0)  # let the last decisions and their acks land
 
     audited = sim.msgs_by_tranx
     multi_owner = [remotes for _, remotes in plan if remotes]

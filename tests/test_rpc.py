@@ -78,11 +78,6 @@ def test_prepare_and_vote_codecs():
     assert piggy == [(b"k", b"v", 8)]
 
 
-@given(st.lists(tranx_ids, max_size=8))
-def test_tranx_list_codec(ts):
-    assert rpc.dec_tranx_list(rpc.enc_tranx_list(ts)) == ts
-
-
 @given(st.integers(0, 2**64 - 1))
 def test_gc_lc_codec(lc):
     assert rpc.dec_gc_lc(rpc.enc_gc_lc(lc)) == lc
@@ -111,8 +106,9 @@ def test_prepare_record_and_payload_bytes_are_stable():
 
 
 def test_read_answer_and_validate_bytes_are_stable():
-    """Golden bytes: the READ answer with its trailing locked byte, and a
-    client's VALIDATE frame and its answers."""
+    """Golden bytes: the READ answer with its trailing locked byte, a
+    client's VALIDATE frame and its answers, and the COMMIT_DECISION and ACK
+    frames, which carry their TranxID in the envelope and no payload."""
     assert rpc.enc_read_resp((b"v1", 7), True).hex() == "01" "020000007631" "0700000000000000" "01"
     assert rpc.enc_read_resp(None, False).hex() == "0000"
     reads = Transaction(((b"k1", 3),), ())
@@ -124,6 +120,17 @@ def test_read_answer_and_validate_bytes_are_stable():
     assert rpc.enc_commit_resp(True, None, []).hex() == "010000000000"
     stale = rpc.enc_commit_resp(False, AbortReason.STALE_READ, [(b"k1", b"v", 4)])
     assert stale.hex() == "000301000000" "020000006b31" "0100000076" "0400000000000000"
+    tranx = TranxID(1, 258)
+    decision = Envelope(MsgType.COMMIT_DECISION, rpc.SERVER, 1, 3, tranx, b"")
+    assert rpc.frame_encode(decision).hex() == (
+        "20000000" "01" "05" "01" "0100000000000000" "0300000000000000" "01"
+        "01000000" "0201000000000000"
+    )
+    ack = Envelope(MsgType.ACK, rpc.SERVER, 2, 4, tranx, b"")
+    assert rpc.frame_encode(ack).hex() == (
+        "20000000" "01" "07" "01" "0200000000000000" "0400000000000000" "01"
+        "01000000" "0201000000000000"
+    )
 
 
 # -- dedup ---------------------------------------------------------------

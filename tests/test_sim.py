@@ -7,10 +7,16 @@ import sys
 
 from conftest import commit_txn, make_sim, run_gen, txn_gen
 
-from dtx import oracle
+import pytest
+
+from dtx import oracle, rpc
+from dtx import sim as simmod
+from dtx.bench import run_sim_bench
 from dtx.cli import format_trace
+from dtx.model import Transaction, TranxID
+from dtx.rpc import AbortReason, Envelope, MsgType
 from dtx.sim import CrashPlan, NetConfig, Simulator
-from dtx.server import ACK_FLUSH_PERIOD, ServerNode, owner_of
+from dtx.server import PREPARE_BUDGET, RESEND, ServerNode, owner_of
 from dtx.workload import WorkloadSpec, txn_script
 from dtx.sim import ClosedLoopDriver
 
@@ -142,7 +148,7 @@ def test_two_owner_commit_uses_four_messages_per_remote_participant():
     c = sim.new_client(seed=1)
     ok, _, _ = commit_txn(sim, c, ks, {k: b"y" for k in ks})
     assert ok
-    sim.run(2.0)  # let the batched decision and its ack flush
+    sim.run(2.0)  # let the decision and its ack land
     (counts,) = sim.msgs_by_tranx.values()
     assert counts["PREPARE"] == 1  # one remote participant
     assert counts["READY"] == 1
@@ -183,23 +189,184 @@ def test_commit_decision_is_sent_in_the_step_that_persists_it():
     assert sorted(sent) == [s for s in sim.members if s != sid]
 
 
-def test_idle_node_sleeps_and_decisions_flush_on_the_tick_grid(monkeypatch):
-    sim = make_sim(3, seed=5)
+def count_ack_ticks(monkeypatch, sim):
+    """Record (time, sid) of every _ack_tick run."""
     ticks = []
     orig_tick = ServerNode._ack_tick
     monkeypatch.setattr(
-        ServerNode, "_ack_tick", lambda self: ticks.append(sim.now) or orig_tick(self)
+        ServerNode, "_ack_tick", lambda self: ticks.append((sim.now, self.sid)) or orig_tick(self)
     )
+    return ticks
+
+
+def count_timers(monkeypatch):
+    """Record (sid, callback name) of every timer a server node arms."""
+    armed = []
+    orig_set = simmod._Ctx.set_timer
+    monkeypatch.setattr(
+        simmod._Ctx,
+        "set_timer",
+        lambda self, delay, fn: armed.append((self.sid, getattr(fn, "__name__", "")))
+        or orig_set(self, delay, fn),
+    )
+    return armed
+
+
+def drop_first(sim, pred):
+    """Drop the messages pred selects; pred sees (dst, env) and its count so far."""
+    orig_send = sim.net_send
+    dropped = []
+
+    def net_send(src, dst, env):
+        if pred(dst, env, len(dropped)):
+            dropped.append(env)
+            return
+        orig_send(src, dst, env)
+
+    sim.net_send = net_send
+    return dropped
+
+
+def resend_idle(sim):
+    return all(not n.node._resend and n.node._resend_timer is None for n in sim.nodes.values())
+
+
+def sends(sim, msg_type):
+    return [e for e in sim.trace if e[2] == "msg.send" and e[3]["type"] == msg_type]
+
+
+def test_idle_node_arms_nothing_and_the_resend_timer_runs_once_per_resend(monkeypatch):
+    armed = count_timers(monkeypatch)
+    sim = make_sim(3, seed=5)
+    ticks = count_ack_ticks(monkeypatch, sim)
     sim.run(1.0)
-    assert ticks == []  # nothing batched: the flush tick stays unarmed
+    assert [name for _, name in armed if name != "_gc_tick"] == []
+    assert ticks == [] and resend_idle(sim)
     span = key_spanning(sim.members)
     c = sim.new_client(seed=1)
-    assert commit_txn(sim, c, list(span.values()), {k: b"g" for k in span.values()})[0]
+    start = sim.now
+    for i in range(20):
+        assert commit_txn(sim, c, list(span.values()), {k: b"g%d" % i for k in span.values()})[0]
+    sim.run(0.5)
+    per_resend = (sim.now - start) / RESEND + 1
+    for sid in sim.members:
+        assert sum(1 for _, s in ticks if s == sid) <= per_resend
+    assert resend_idle(sim)
+
+
+def test_lost_ack_resends_the_decision_once_after_resend():
+    sim = make_sim(3, seed=5)
+    span = key_spanning(sim.members)
+    ks = [span[0], span[1]]
+    dropped = drop_first(sim, lambda dst, env, n: env.msg_type == MsgType.ACK and n == 0)
+    c = sim.new_client(seed=1)
+    assert commit_txn(sim, c, ks, {k: b"a" for k in ks})[0]
     sim.run(2.0)
-    assert ticks
-    # every node started at time 0, so its grid is the multiples of the period
-    assert all(abs(t / ACK_FLUSH_PERIOD - round(t / ACK_FLUSH_PERIOD)) < 1e-6 for t in ticks)
-    assert all(n.node._ack_timer is None for n in sim.nodes.values())
+    assert len(dropped) == 1
+    sent = [e[0] for e in sends(sim, "COMMIT_DECISION")]
+    assert len(sent) == 2
+    assert sent[1] - sent[0] == pytest.approx(RESEND, abs=1e-9)
+    assert len(sends(sim, "ACK")) == 2
+    assert resend_idle(sim)
+
+
+def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
+    sim = make_sim(3, seed=5)
+    ticks = count_ack_ticks(monkeypatch, sim)
+    span = key_spanning(sim.members)
+    dropped = drop_first(
+        sim, lambda dst, env, n: env.msg_type == MsgType.PREPARE and dst == ("s", 1)
+    )
+    txn = Transaction(((span[0], 0), (span[1], 0)), ((span[0], b"x"), (span[1], b"y")))
+    node = sim.nodes[0].node
+    start = sim.now
+    rec = node.coord[node.coordinate(txn, None)]
+    sim.run(3.0)
+    assert len(dropped) == PREPARE_BUDGET  # the first round and PREPARE_BUDGET - 1 resends
+    prepared = [e[0] - start for e in sends(sim, "PREPARE")]
+    assert prepared == pytest.approx([RESEND * i for i in range(PREPARE_BUDGET)], abs=1e-9)
+    (aborted,) = [e[0] - start for e in sim.trace if e[2] == "coord.state" and e[3]["to"] == "Abort"]
+    assert aborted == pytest.approx(RESEND * PREPARE_BUDGET, abs=1e-9)
+    # one tick per round; then at most one more, armed for the abort's ack
+    assert [at - start for at, _ in ticks][:PREPARE_BUDGET] == prepared[1:] + [aborted]
+    assert len(ticks) <= PREPARE_BUDGET + 1
+    assert rec.decision == "Abort" and rec.abort_reason is AbortReason.TIMEOUT
+    assert rec.complete and resend_idle(sim)
+    assert oracle.locks_clean(sim) == []
+
+
+def test_contended_run_arms_few_timers_per_2pc_decision(monkeypatch):
+    armed = count_timers(monkeypatch)
+    decided = []
+    orig_decide = ServerNode._decide
+    monkeypatch.setattr(
+        ServerNode, "_decide", lambda self, *a: decided.append(a[1]) or orig_decide(self, *a)
+    )
+    spec = WorkloadSpec(key_count=64, read_fraction=0.5, clients=4, duration=1.0, seed=1000)
+    report, sim = run_sim_bench([0, 1, 2], spec, tail=0.0)
+    assert report.committed > 1000 and len(decided) > 500
+    assert len(armed) / len(decided) < 0.1
+    assert resend_idle(sim)
+
+
+# -- malformed input -------------------------------------------------------------
+
+SLICE = rpc.enc_txn(Transaction(((b"k", 0),), ((b"k", b"v"),)))
+UNKNOWN = rpc.enc_commit_resp(False, AbortReason.UNKNOWN, [])
+
+# (message type, transaction: none/pending/foreign, payload, expected reply)
+MALFORMED = {
+    "prepare-without-tranx": (MsgType.PREPARE, "none", SLICE, None),
+    "ready-without-tranx": (MsgType.READY, "none", b"", None),
+    "commit-decision-without-tranx": (MsgType.COMMIT_DECISION, "none", b"", None),
+    "abort-decision-without-tranx": (MsgType.ABORT_DECISION, "none", b"", None),
+    "ack-without-tranx": (MsgType.ACK, "none", b"", None),
+    "status-without-tranx": (MsgType.TRANX_STATUS, "none", b"", None),
+    "truncated-read": (MsgType.READ, "none", b"\x05\x00", None),
+    "truncated-validate": (MsgType.VALIDATE, "none", b"\x01\x00\x00\x00\x02", UNKNOWN),
+    "truncated-commit": (MsgType.COMMIT, "none", b"\x01", UNKNOWN),
+    "truncated-prepare": (MsgType.PREPARE, "foreign", b"\x01\x00", None),
+    "truncated-abort-vote": (MsgType.ABORT_DECISION, "pending", b"\x00", None),
+    "truncated-gc-lc": (MsgType.GC_LC, "none", b"\x01", None),
+    "truncated-status-answer": (MsgType.RESPONSE, "none", b"\x01", None),
+    "unknown-status-answer": (MsgType.RESPONSE, "none", rpc.enc_status_resp("Pendin"), None),
+}
+
+
+def node_state(node):
+    return repr((
+        node.coord, node.part, node.pending_client, node._pending_status, node._resend,
+        node.dedup._tranx, node.dedup.size(), node.dedup.duplicates_blocked, node.stats,
+        node.locks.stats(), node.gc.table, node.issuer.last_issued,
+    ))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_message_changes_nothing(case):
+    msg_type, which, payload, reply = MALFORMED[case]
+    sim = make_sim(3, seed=5)
+    span = key_spanning(sim.members)
+    c = sim.new_client(seed=1)
+    assert commit_txn(sim, c, list(span.values()), {k: b"m" for k in span.values()})[0]
+    node = sim.nodes[0].node
+    txn = Transaction(((span[0], 1), (span[1], 1)), ((span[0], b"p"), (span[1], b"q")))
+    pending = node.coordinate(txn, None)  # waiting for owner 1's vote
+    tranx = {"none": None, "pending": pending, "foreign": TranxID(1, 99)}[which]
+    if msg_type in (MsgType.READ, MsgType.VALIDATE, MsgType.COMMIT):
+        env = Envelope(msg_type, rpc.CLIENT, c.client_id, 77, tranx, payload)
+    else:
+        env = Envelope(msg_type, rpc.SERVER, 1, 77, tranx, payload)
+    before = node_state(node)
+    sent = []
+    sim.net_send = lambda src, dst, e: sent.append(e)
+    trace_len = len(sim.trace)
+    node.on_message(env)
+    assert node_state(node) == before
+    if reply is None:
+        assert sent == []
+        assert any(e[2] == "msg.malformed" for e in sim.trace[trace_len:])
+    else:
+        assert [e.payload for e in sent] == [reply]
 
 
 # -- crash/recovery ---------------------------------------------------------------
