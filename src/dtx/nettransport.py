@@ -322,6 +322,8 @@ class ServerRuntime:
     def stop(self) -> None:
         self._stopping = True
         if self._listener is not None:
+            # wakes the blocked accept(); close() alone leaves the port listening
+            self._listener.shutdown(socket.SHUT_RDWR)
             self._listener.close()
         self.loop.stop()
         self.node.shutdown()

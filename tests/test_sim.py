@@ -189,7 +189,7 @@ def test_commit_decision_is_sent_in_the_step_that_persists_it():
     assert sorted(sent) == [s for s in sim.members if s != sid]
 
 
-def count_ack_ticks(monkeypatch, sim):
+def record_ack_ticks(monkeypatch, sim):
     """Record (time, sid) of every _ack_tick run."""
     ticks = []
     orig_tick = ServerNode._ack_tick
@@ -199,7 +199,7 @@ def count_ack_ticks(monkeypatch, sim):
     return ticks
 
 
-def count_timers(monkeypatch):
+def record_timers(monkeypatch):
     """Record (sid, callback name) of every timer a server node arms."""
     armed = []
     orig_set = simmod._Ctx.set_timer
@@ -212,8 +212,8 @@ def count_timers(monkeypatch):
     return armed
 
 
-def drop_first(sim, pred):
-    """Drop the messages pred selects; pred sees (dst, env) and its count so far."""
+def drop_where(sim, pred):
+    """Drop every message pred(dst, env, number dropped so far) selects."""
     orig_send = sim.net_send
     dropped = []
 
@@ -235,10 +235,10 @@ def sends(sim, msg_type):
     return [e for e in sim.trace if e[2] == "msg.send" and e[3]["type"] == msg_type]
 
 
-def test_idle_node_arms_nothing_and_the_resend_timer_runs_once_per_resend(monkeypatch):
-    armed = count_timers(monkeypatch)
+def test_idle_node_arms_nothing_and_the_resend_timer_runs_at_most_once_per_resend(monkeypatch):
+    armed = record_timers(monkeypatch)
     sim = make_sim(3, seed=5)
-    ticks = count_ack_ticks(monkeypatch, sim)
+    ticks = record_ack_ticks(monkeypatch, sim)
     sim.run(1.0)
     assert [name for _, name in armed if name != "_gc_tick"] == []
     assert ticks == [] and resend_idle(sim)
@@ -258,7 +258,7 @@ def test_lost_ack_resends_the_decision_once_after_resend():
     sim = make_sim(3, seed=5)
     span = key_spanning(sim.members)
     ks = [span[0], span[1]]
-    dropped = drop_first(sim, lambda dst, env, n: env.msg_type == MsgType.ACK and n == 0)
+    dropped = drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.ACK and n == 0)
     c = sim.new_client(seed=1)
     assert commit_txn(sim, c, ks, {k: b"a" for k in ks})[0]
     sim.run(2.0)
@@ -272,9 +272,9 @@ def test_lost_ack_resends_the_decision_once_after_resend():
 
 def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
     sim = make_sim(3, seed=5)
-    ticks = count_ack_ticks(monkeypatch, sim)
+    ticks = record_ack_ticks(monkeypatch, sim)
     span = key_spanning(sim.members)
-    dropped = drop_first(
+    dropped = drop_where(
         sim, lambda dst, env, n: env.msg_type == MsgType.PREPARE and dst == ("s", 1)
     )
     txn = Transaction(((span[0], 0), (span[1], 0)), ((span[0], b"x"), (span[1], b"y")))
@@ -296,7 +296,7 @@ def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
 
 
 def test_contended_run_arms_few_timers_per_2pc_decision(monkeypatch):
-    armed = count_timers(monkeypatch)
+    armed = record_timers(monkeypatch)
     decided = []
     orig_decide = ServerNode._decide
     monkeypatch.setattr(

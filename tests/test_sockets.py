@@ -110,6 +110,20 @@ def test_server_restart_preserves_committed_data(cluster):
     c2.driver.close()
 
 
+def test_stopped_server_frees_its_port(cluster):
+    cfg, holder = cluster
+    time.sleep(0.3)  # past a GC period, so the peers hold connections to server 0
+    runtime = holder["runtimes"].pop(0)
+    runtime.stop()
+    probe = socket.socket()
+    probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        probe.bind(runtime.addr)
+        probe.listen(1)
+    finally:
+        probe.close()
+
+
 def test_live_node_runs_on_one_protocol_thread(tmp_path, monkeypatch):
     """start, on_message and every timer callback share one thread per server."""
     seen = {}  # sid -> {(what, thread ident)}
