@@ -14,30 +14,40 @@ The protocol logic lives in generator functions that yield effects:
 so exactly the same code runs under the deterministic simulator (virtual
 clock, single thread) and the blocking socket client.
 
+A transaction reads in rounds.  txn_read_many serves what it can from the
+transaction's own writes and reads and from the cache, and sends the misses
+in one round: one READ per owner, carrying every missed key of that owner,
+all sent before any answer is awaited.  An owner serves all the keys of a
+READ within one step of its protocol loop and answers whether any of them
+was exclusively locked.  txn_read is the one-key case.
+
 A transaction that wrote nothing commits without a coordinator.  The client
 splits its reads by owner and sends each owner one VALIDATE in parallel;
 each owner answers, within one step of its protocol loop, whether no read
 key is exclusively locked and every read version is current, and keeps no
 state.  Keys some owner has vouched for are left out, while the client has
-sent no other RPC since that owner answered: the key of the transaction's
-latest READ RPC when that READ said the key was unlocked, and, after a
-failed round in which only one owner failed and it answered STALE_READ,
-every key of the slice that owner checked.  If nothing is left, the commit
-sends nothing.  The reason of a failure is that of the lowest-id owner that
-failed (TIMEOUT for one that stayed silent), and all piggybacked entries
-are merged.  Why leaving out the vouched keys is safe:
+sent no other RPC since that owner answered: the keys of the transaction's
+latest read round when a single owner served that round and said none of
+its keys was locked, and, after a failed validation round in which only
+one owner failed and it answered STALE_READ, every key of the slice that
+owner checked.  If nothing is left, the commit sends nothing.  The reason
+of a failure is that of the lowest-id owner that failed (TIMEOUT for one
+that stayed silent), and all piggybacked entries are merged.  Why leaving
+out the vouched keys is safe:
 
 * The common instant.  Every read finishes before any validation starts.
   Call t the instant the owner served the READ, or answered the failed
-  VALIDATE.  Its answer vouches for its keys at t: a READ answer is the
-  current entry, and a STALE_READ answer means none of the slice's keys was
-  exclusively locked, the keys it did not report were current, and the
-  entries it piggybacked, which replace the reported reads, are current.
-  Every other entry was obtained before t: by an earlier READ RPC, or from
-  the cache, which only answers to the client's RPCs fill.  The client sent
-  no RPC after that answer, so every such answer came before it.  (Handles
-  of one client share its cache: an answer to another handle's later READ
-  may be newer than t, which is why any later RPC cancels the rule.)
+  VALIDATE; it did either in one step, so t is one instant for all the
+  keys of its answer.  The answer vouches for those keys at t: a READ
+  answer holds each key's current entry, and a STALE_READ answer means
+  none of the slice's keys was exclusively locked, the keys it did not
+  report were current, and the entries it piggybacked, which replace the
+  reported reads, are current.  Every other entry was obtained before t:
+  by an earlier read round, or from the cache, which only answers to the
+  client's RPCs fill.  The client sent no RPC after that answer, so every
+  such answer came before it.  (Handles of one client share its cache: an
+  answer to another handle's later READ may be newer than t, which is why
+  any later RPC cancels the rule.)
 * Each read is current at t.  Each validated key is unchanged and unlocked
   at an instant >= t.  Versions only grow, so every read is current at t;
   for the same reason a stale key always has an entry to piggyback.
@@ -49,12 +59,14 @@ are merged.  Why leaving out the vouched keys is safe:
   can be half-applied across the keys read: a writer applied at one owner
   and still prepared at another has that second key locked, which the READ
   or the VALIDATE reports.
-* One failed owner only.  Two owners that answer STALE_READ in one round
-  vouch for two different instants, and the later one's piggyback may
-  hold a writer's new value where the earlier one's slice still holds the
-  old value of another key that writer changed.  Skipping both slices
-  would commit that fractured view, so after a round in which two owners
-  failed, for any reason, every slice is validated again.
+* One owner only.  Two owners that answer in one round, a read round or a
+  failed validation round, vouch for two different instants, and nothing
+  orders them: a writer of x and y may commit between the instant x's
+  owner served x and the instant y's owner served y, so the round holds
+  the old x and the new y, and neither key is locked at either instant.
+  Skipping either slice would commit that fractured view, so after a read
+  round that went to two or more owners, or a validation round in which
+  two owners failed, for any reason, every slice is validated.
 
 Retry policy on a failed commit: a stale read means a concurrent writer got
 there first, and the failure answer piggybacks the current entry of each
@@ -62,7 +74,7 @@ stale key.  Those entries replace the stale reads in the transaction and
 the cache, every other read and cache entry stands (the next validation
 rechecks them), and the transaction is resubmitted at once with no READ.
 A denied read lock or an already aborted transaction drops the
-transaction's keys from the cache and rebuilds the reads from fresh READs;
+transaction's keys from the cache and rebuilds the reads in one round;
 a denied write lock is retried with the same reads after exponential
 backoff with jitter.  Nothing is rebuilt or slept on after the last
 attempt.
@@ -96,10 +108,10 @@ class TxnHandle:
     status: str = "Open"
     attempts: int = 0
     last_mid: int | None = None  # message id of the latest commit attempt
-    # (message id, keys) of the latest answer that vouched for keys: a READ
-    # that said its key was unlocked, or the single STALE_READ of a failed
-    # validation round; a read-only commit sent right after it need not
-    # validate those keys (see the module docstring)
+    # (message id, keys) of the latest answer that vouched for keys: a read
+    # round served by one owner that said no key was locked, or the single
+    # STALE_READ of a failed validation round; a read-only commit sent
+    # right after it need not validate those keys (see the module docstring)
     fresh: tuple[int, frozenset[bytes]] | None = None
 
 
@@ -138,36 +150,59 @@ def coordinator_for(keys, members) -> int:
     return min(sid for sid, c in counts.items() if c == best)
 
 
-def _remote_read(cs: ClientState, h: TxnHandle, key: bytes):
-    """READ RPC into the handle's read set; returns the value."""
-    env = cs.env(MsgType.READ, rpc.enc_read_req(key))
-    cs.stats["rpcs"] += 1
-    resp = yield ("rpc", owner_of(key, cs.members), env)
-    if resp is None:
-        raise ReadUnavailableError(key)
-    entry, locked = rpc.dec_read_resp(resp)
-    if entry is not None:
-        cs.cache.put(key, entry[0], entry[1])
+def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
+    """One round of READs, one per owner of `keys`, into the handle's read
+    set and the cache.  Leaves in h.fresh the round's keys if one owner
+    served them all and said none was locked (see the module docstring)."""
+    by_owner: dict[int, list[bytes]] = {}
+    for k in keys:
+        by_owner.setdefault(owner_of(k, cs.members), []).append(k)
+    groups = sorted(by_owner.items())
+    requests = [(sid, cs.env(MsgType.READ, rpc.enc_read_req(ks))) for sid, ks in groups]
+    cs.stats["rpcs"] += len(requests)
+    if len(requests) == 1:
+        answers = [(yield ("rpc", *requests[0]))]
     else:
-        entry = (None, 0)  # missing key reads as version 0; validated like any other
-    h.reads[key] = entry
-    h.fresh = None if locked else (env.message_id, frozenset((key,)))
-    return entry[0]
+        answers = yield ("rpcs", requests)
+    for (sid, ks), answer in zip(groups, answers):
+        if answer is None:
+            raise ReadUnavailableError(sid, ks)
+    put, reads = cs.cache.put, h.reads
+    for (_, ks), answer in zip(groups, answers):
+        entries, locked = rpc.dec_read_resp(answer)
+        for k, entry in zip(ks, entries):
+            if entry is not None:
+                put(k, entry[0], entry[1])
+            else:
+                entry = (None, 0)  # missing key reads as version 0; validated like any other
+            reads[k] = entry
+    one_owner = len(groups) == 1 and not locked
+    h.fresh = (requests[0][1].message_id, frozenset(keys)) if one_owner else None
+
+
+def txn_read_many(cs: ClientState, h: TxnHandle, keys):
+    """Read `keys` with lookup order own writes, own reads, cache, remote;
+    the remote reads take one round.  Returns the values in key order."""
+    assert h.status == "Open"
+    writes, reads = h.writes, h.reads
+    misses: dict[bytes, None] = {}
+    for k in keys:
+        if k in writes or k in reads or k in misses:
+            continue
+        cached = cs.cache.get(k)
+        if cached is not None:
+            cs.stats["cache_hits"] += 1
+            reads[k] = cached
+        else:
+            misses[k] = None
+    if misses:
+        yield from _remote_reads(cs, h, list(misses))
+    return [writes[k] if k in writes else reads[k][0] for k in keys]
 
 
 def txn_read(cs: ClientState, h: TxnHandle, key: bytes):
-    """Read with lookup order: own writes, own reads, cache, remote."""
-    assert h.status == "Open"
-    if key in h.writes:
-        return h.writes[key]
-    if key in h.reads:
-        return h.reads[key][0]
-    cached = cs.cache.get(key)
-    if cached is not None:
-        cs.stats["cache_hits"] += 1
-        h.reads[key] = cached
-        return cached[0]
-    return (yield from _remote_read(cs, h, key))
+    """txn_read_many of one key; returns its value."""
+    return (yield from txn_read_many(cs, h, (key,)))[0]
 
 
 def txn_write(h: TxnHandle, key: bytes, value: bytes) -> None:
@@ -224,12 +259,15 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             # the stale keys came with the answer; the other reads stand
             h.reads.update(refreshed)
         elif reason in (AbortReason.LOCK_DENIED_READ, AbortReason.ALREADY_ABORTED):
-            # immediate restart from fresh reads
-            for k in list(h.reads):
+            # immediate restart from fresh reads, all in one round
+            again = []
+            for k in h.reads:
                 if k in refreshed:
                     h.reads[k] = refreshed[k]
                 else:
-                    yield from _remote_read(cs, h, k)
+                    again.append(k)
+            if again:
+                yield from _remote_reads(cs, h, again)
         elif reason == AbortReason.LOCK_DENIED_WRITE:
             delay = min(BACKOFF_BASE * (BACKOFF_FACTOR ** backoff_step), BACKOFF_CAP)
             delay *= 1.0 + cs.rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
@@ -314,6 +352,9 @@ class BlockingClient:
 
     def read(self, h: TxnHandle, key: bytes):
         return self._run(txn_read(self.state, h, key))
+
+    def read_many(self, h: TxnHandle, keys) -> list:
+        return self._run(txn_read_many(self.state, h, keys))
 
     def write(self, h: TxnHandle, key: bytes, value: bytes) -> None:
         txn_write(h, key, value)

@@ -22,10 +22,12 @@ coordinator u32 LE + seq u64 LE] | payload bytes (rest of frame).
 
 Payloads (blob = len: u32 LE | bytes):
 
-* READ request: key blob.  Answer (RESPONSE): found: u8 | [value blob |
-  version u64 LE] | locked: u8, where locked is 1 if the key was
+* READ request: key blob+, one or more keys of one owner.  Answer
+  (RESPONSE): (found: u8 | [value blob | version u64 LE])+, one per key in
+  request order, then locked: u8, which is 1 if any of the keys was
   exclusively locked, i.e. held by a writer between prepare and apply,
-  when the owner read it.
+  when the owner read them.  The owner reads every key in one step, so
+  the answer shows them at one instant.
 * VALIDATE request, client to owner: a Transaction holding that owner's
   read keys and versions and no writes (n_reads: u32 LE | (key blob |
   version u64 LE)* | n_writes: u32 LE = 0).  Answer: the COMMIT answer,
@@ -46,6 +48,7 @@ does not decode is answered UNKNOWN.
 from __future__ import annotations
 
 import enum
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -57,6 +60,9 @@ from .model import (
     Transaction,
     TranxID,
 )
+
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 FRAME_VERSION = 1
 MAX_FRAME = 16 * 1024 * 1024
@@ -164,33 +170,58 @@ def frame_decode(data: bytes) -> Envelope:
 # --- payload codecs -----------------------------------------------------------
 
 
-def enc_read_req(key: bytes) -> bytes:
+def enc_read_req(keys: list[bytes]) -> bytes:
     w = ByteWriter()
-    w.blob(key)
+    for k in keys:
+        w.blob(k)
     return w.getvalue()
 
 
-def dec_read_req(b: bytes) -> bytes:
-    return ByteReader(b).blob()
+def dec_read_req(b: bytes) -> list[bytes]:
+    """The READ's keys; raises MalformedRecordError on no key or a torn blob."""
+    r = ByteReader(b)
+    keys = [r.blob()]
+    while not r.done():
+        keys.append(r.blob())
+    return keys
 
 
-def enc_read_resp(entry: tuple[bytes, int] | None, locked: bool) -> bytes:
+def enc_read_resp(entries: list[tuple[bytes, int] | None], locked: bool) -> bytes:
     w = ByteWriter()
-    if entry is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.blob(entry[0])
-        w.u64(entry[1])
+    for entry in entries:
+        if entry is None:
+            w.u8(0)
+        else:
+            w.u8(1)
+            w.blob(entry[0])
+            w.u64(entry[1])
     w.u8(1 if locked else 0)
     return w.getvalue()
 
 
-def dec_read_resp(b: bytes) -> tuple[tuple[bytes, int] | None, bool]:
-    """(entry or None, locked)."""
-    r = ByteReader(b)
-    entry = (r.blob(), r.u64()) if r.u8() else None
-    return entry, bool(r.u8())
+def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool]:
+    """(entry or None per key, in request order; locked).  Every entry is at
+    least one byte and locked is the last one, so the answer needs no count.
+
+    Decoded with struct directly rather than ByteReader: a client decodes
+    one answer per owner of every read round."""
+    entries: list[tuple[bytes, int] | None] = []
+    pos, last = 0, len(b) - 1
+    try:
+        while pos < last:
+            if b[pos]:
+                start = pos + 5
+                end = start + _U32.unpack_from(b, pos + 1)[0]
+                entries.append((b[start:end], _U64.unpack_from(b, end)[0]))
+                pos = end + 8
+            else:
+                entries.append(None)
+                pos += 1
+    except struct.error as e:
+        raise MalformedRecordError(f"truncated READ answer: {e}") from None
+    if pos != last:
+        raise MalformedRecordError(f"READ answer of {len(b)} bytes has no locked byte")
+    return entries, b[last] != 0
 
 
 def enc_txn(txn: Transaction) -> bytes:

@@ -39,8 +39,8 @@ entries piggybacked).  The lock check is what stops a fractured read: a 2PC
 participant holds its exclusive locks from prepare until it applies the
 decision, so a reader that saw one owner's post-commit value and another
 owner's pre-commit value finds the second key locked or its version moved.
-For the same reason a READ answer says whether the key was exclusively
-locked when it was read.
+For the same reason a READ answer says whether any of its keys was
+exclusively locked when they were read, all in one step.
 """
 
 from __future__ import annotations
@@ -248,9 +248,9 @@ class ServerNode:
         if mt == MsgType.CLIENT_HELLO:
             self._reply(env, self.assign_client_id().to_bytes(8, "little"))
         elif mt == MsgType.READ:
-            key = self._decode(env, rpc.dec_read_req)
-            if key is not None:
-                self._handle_read(env, key)
+            keys = self._decode(env, rpc.dec_read_req)
+            if keys is not None:
+                self._handle_read(env, keys)
         elif mt == MsgType.COMMIT:
             self._handle_commit(env)
         elif mt == MsgType.VALIDATE:
@@ -270,8 +270,8 @@ class ServerNode:
             if vote is not None:
                 self._vote(env.tranx, env.sender_id, vote[0] or AbortReason.UNKNOWN, vote[1])
         elif mt in (MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION):
-            self._handle_decision(env.tranx, "Commit" if mt == MsgType.COMMIT_DECISION else "Abort")
-            self._send(env.sender_id, self._server_env(MsgType.ACK, env.tranx, b""))
+            if self._handle_decision(env.tranx, "Commit" if mt == MsgType.COMMIT_DECISION else "Abort"):
+                self._send(env.sender_id, self._server_env(MsgType.ACK, env.tranx, b""))
         elif mt == MsgType.ACK:
             self._handle_ack(env.tranx, env.sender_id)
         elif mt == MsgType.GC_LC:
@@ -296,11 +296,12 @@ class ServerNode:
 
     # -- reads -----------------------------------------------------------------
 
-    def _handle_read(self, env: Envelope, key: bytes) -> None:
-        # Idempotent, lock-free, never deduplicated.
-        self.stats["reads"] += 1
-        locked = self.locks.exclusively_held(key)
-        self._reply(env, rpc.enc_read_resp(self.storage.get(key), locked))
+    def _handle_read(self, env: Envelope, keys: list[bytes]) -> None:
+        # Idempotent, lock-free, never deduplicated.  Every key is read in
+        # this one step, so the answer shows them all at one instant.
+        self.stats["reads"] += len(keys)
+        locked = any(map(self.locks.exclusively_held, keys))
+        self._reply(env, rpc.enc_read_resp(list(map(self.storage.get, keys)), locked))
 
     # -- coordinator -------------------------------------------------------------
 
@@ -608,18 +609,21 @@ class ServerNode:
             return
         self._send(coordinator, self._server_env(env_type, tranx, payload))
 
-    def _handle_decision(self, tranx: TranxID, decision: str) -> None:
-        """Apply a commit/abort decision; the sender is owed an ack either way."""
+    def _handle_decision(self, tranx: TranxID, decision: str) -> bool:
+        """Apply a commit/abort decision; returns whether the sender is owed
+        an ack, which is always, except for a commit of a transaction this
+        node holds no Ready slice of: that is traced and changes nothing,
+        and an ack would claim a commit this node never applied."""
         mt = MsgType.COMMIT_DECISION if decision == "Commit" else MsgType.ABORT_DECISION
         if self.dedup.seen_tranx(tranx, mt):
-            return  # replay: ack again, no side effects
+            return True  # replay: ack again, no side effects
         if self.gc.is_final_by_watermark(tranx):
-            return
+            return True
         rec = self.part.get(tranx)
         if decision == "Commit":
-            assert rec is not None and rec.state == PartState.READY, (
-                f"commit decision for {tranx} without a ready record"
-            )
+            if rec is None or rec.state != PartState.READY:
+                self._trace("msg.unexpected", type=mt.name, tranx=tranx)
+                return False
             self._append(PartCommit(tranx), durable=True)
             self._set_part_state(rec, PartState.COMMIT)
             if rec.writes:
@@ -632,6 +636,7 @@ class ServerNode:
                 self._set_part_state(rec, PartState.ABORT)
             self.locks.record_abort(tranx)
         self.dedup.record_tranx(tranx, mt)
+        return True
 
     # -- resend timer --------------------------------------------------------------------
 
@@ -746,8 +751,8 @@ class ServerNode:
         if status == "Pending":
             self.ctx.set_timer(STATUS_RETRY, lambda t=tranx: self._query_status(t))
             return
-        self._handle_decision(tranx, status)
-        self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
+        if self._handle_decision(tranx, status):
+            self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
 
     # -- recovery ---------------------------------------------------------------------------
 

@@ -200,8 +200,7 @@ def txn_script(spec: WorkloadSpec, clock=None):
             keys, writes = pick_txn(cs.rng, spec)
             h = cl.TxnHandle()
             started = clock() if clock else None
-            for k in sorted(keys):
-                yield from cl.txn_read(cs, h, k)
+            yield from cl.txn_read_many(cs, h, sorted(keys))
             for k, v in writes.items():
                 cl.txn_write(h, k, v)
             ok, reason = yield from cl.txn_commit(cs, h)
@@ -223,10 +222,12 @@ def txn_script(spec: WorkloadSpec, clock=None):
 def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int, batch: int = 16):
     """Generator inserting the given keys, idempotently, in owner batches.
 
-    Reads each key first and writes only the missing ones, so a reload
-    leaves existing keys at version 1.  Values are seeded-random, derived
-    from the key so retries and reloads produce identical bytes.  The batch
-    size keeps each insert transaction's log records within one WAL block.
+    Reads each batch first, in one round (one READ for a batch of one
+    owner's keys, as owner_batches groups them), and writes only the
+    missing keys, so a reload leaves existing keys at version 1.  Values
+    are seeded-random, derived from the key so retries and reloads produce
+    identical bytes.  The batch size keeps each insert transaction's log
+    records within one WAL block.
     """
 
     def value_for(key: bytes) -> bytes:
@@ -240,8 +241,8 @@ def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int, batch: int = 1
         for i in range(0, len(keys), batch):
             chunk = keys[i : i + batch]
             h = cl.TxnHandle()
-            for k in chunk:
-                existing = yield from cl.txn_read(cs, h, k)
+            values = yield from cl.txn_read_many(cs, h, chunk)
+            for k, existing in zip(chunk, values):
                 if existing is None:
                     cl.txn_write(h, k, value_for(k))
                 else:

@@ -15,6 +15,7 @@ from dtx.client import (
     coordinator_for,
     txn_commit,
     txn_read,
+    txn_read_many,
     txn_write,
 )
 from dtx.rpc import AbortReason, MsgType
@@ -40,7 +41,7 @@ def drive(gen, responder):
 
 
 def read_resp(entry, locked=False):
-    return rpc.enc_read_resp(entry, locked)
+    return rpc.enc_read_resp([entry], locked)
 
 
 def commit_resp(ok, reason=None, piggyback=()):
@@ -90,6 +91,45 @@ def test_read_lookup_order_writes_reads_cache_remote():
     assert val == b"cold"
     assert fx[0][0] == "rpc" and fx[0][1] == owner_of(b"r", MEMBERS)
     assert h4.reads[b"r"] == (b"cold", 9) and cs.cache.get(b"r") == (b"cold", 9)
+
+
+def test_read_many_sends_the_misses_in_one_round_one_read_per_owner():
+    by_owner = keys_by_owner()
+    a0, a1, b0 = by_owner[0][0], by_owner[0][1], by_owner[1][0]
+    w, r, c = by_owner[2][:3]
+    cs = make_state()
+    cs.cache.put(c, b"vc", 4)
+    h = TxnHandle(reads={r: (b"vr", 2)})
+    txn_write(h, w, b"vw")
+    answers = {(0, (a0, a1)): rpc.enc_read_resp([(b"va0", 1), None], False),
+               (1, (b0,)): read_resp((b"vb0", 3))}
+
+    def respond(effect):
+        assert effect[0] == "rpcs"
+        return [answers[dest, tuple(rpc.dec_read_req(env.payload))] for dest, env in effect[1]]
+
+    vals, fx = drive(txn_read_many(cs, h, [b0, w, a0, r, c, a1, a0]), respond)
+    # own write, own read and cache hit are served locally; the four keys
+    # owned by 0 and 1 take one round of two READs, a0 sent once
+    assert vals == [b"vb0", b"vw", b"va0", b"vr", b"vc", None, b"va0"]
+    assert len(fx) == 1 and [dest for dest, _ in fx[0][1]] == [0, 1]
+    assert cs.stats["rpcs"] == 2 and cs.stats["cache_hits"] == 1
+    assert h.reads[a1] == (None, 0) and cs.cache.get(a0) == (b"va0", 1)
+    assert h.fresh is None  # two owners answered at unordered instants
+
+
+def test_read_many_of_one_owner_is_one_plain_rpc_and_vouches_unless_locked():
+    a0, a1 = keys_by_owner()[0][:2]
+    for locked in (False, True):
+        cs = make_state()
+        h = TxnHandle()
+        both = rpc.enc_read_resp([(b"x", 1), (b"y", 2)], locked)
+        vals, fx = drive(txn_read_many(cs, h, [a0, a1]), lambda e: both)
+        assert vals == [b"x", b"y"]
+        assert [(e[0], e[1], rpc.dec_read_req(e[2].payload)) for e in fx] == [("rpc", 0, [a0, a1])]
+        assert h.fresh == (None if locked else (cs.next_msg_id, frozenset((a0, a1))))
+        (ok, _), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True)])
+        assert ok and [e[0] for e in fx] == (["rpcs"] if locked else [])
 
 
 def test_missing_key_reads_as_version_zero():
@@ -245,19 +285,20 @@ def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyb
                 commit_resp(False, AbortReason.LOCK_DENIED_READ),
                 commit_resp(False, AbortReason.STALE_READ, [(c, b"vc", 5)]),
             ],
-            read_resp((b"va", 1)),  # a and b were not piggybacked: re-read
-            read_resp((b"vb", 2), locked=True),  # b is locked, so it stays in the VALIDATE
+            # a and b were not piggybacked: re-read, both in one round
+            [read_resp((b"va", 1)), read_resp((b"vb", 2), locked=True)],
             [commit_resp(False, AbortReason.STALE_READ, [(a, b"va", 6)]), None, commit_resp(True)],
         ]
     )
     cs.max_retries = 2
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: next(script))
     # nothing is re-read after the last attempt
-    assert [e[0] for e in fx] == ["rpcs", "rpc", "rpc", "rpcs"]
-    # the second commit validates all three owners: c came with the abort
-    # and b's READ said locked
-    assert [dest for dest, _ in fx[3][1]] == [0, 1, 2]
-    assert rpc.dec_txn(fx[3][1][2][1].payload).reads == ((c, 5),)
+    assert [e[0] for e in fx] == ["rpcs", "rpcs", "rpcs"]
+    assert [(dest, rpc.dec_read_req(env.payload)) for dest, env in fx[1][1]] == [(0, [a]), (1, [b])]
+    # the second commit validates all three owners: c came with the abort,
+    # and the re-read round went to two owners, so it vouches for nothing
+    assert [dest for dest, _ in fx[2][1]] == [0, 1, 2]
+    assert rpc.dec_txn(fx[2][1][2][1].payload).reads == ((c, 5),)
     # the first attempt failed for owner 1's reason; the second took owner
     # 0's stale read over owner 1's silence, and a's piggyback
     assert not ok and reason == AbortReason.STALE_READ and h.attempts == 2

@@ -23,13 +23,17 @@ def server_counts(sim):
 
 def client_sends(sim):
     """From now on, record (dest, type, key of a READ) of every message a
-    client puts on the wire, resends included."""
+    client puts on the wire, resends included; a READ of several keys
+    records the tuple of its keys."""
     sent = []
     orig = sim.net_send
 
     def net_send(src, dst, env):
         if src[0] == "c":
-            key = rpc.dec_read_req(env.payload) if env.msg_type == MsgType.READ else None
+            key = None
+            if env.msg_type == MsgType.READ:
+                keys = rpc.dec_read_req(env.payload)
+                key = keys[0] if len(keys) == 1 else tuple(keys)
             sent.append((dst[1], env.msg_type.name, key))
         orig(src, dst, env)
 
@@ -80,6 +84,16 @@ def read_in_order(cs, first, last, pause=0.0):
     if pause:
         yield ("sleep", pause)
     yield from cl.txn_read(cs, h, last)
+    seen = {k: ver for k, (_, ver) in h.reads.items()}
+    ok, reason = yield from cl.txn_commit(cs, h)
+    return ok, reason, seen, h
+
+
+def read_round(cs, keys):
+    """Read `keys` in one round, then commit; returns (ok, reason, the
+    versions read before the commit, the handle)."""
+    h = cl.TxnHandle()
+    yield from cl.txn_read_many(cs, h, keys)
     seen = {k: ver for k, (_, ver) in h.reads.items()}
     ok, reason = yield from cl.txn_commit(cs, h)
     return ok, reason, seen, h
@@ -199,6 +213,98 @@ def test_fractured_read_is_denied_in_both_read_orders(post_commit_read):
     reader.state.max_retries = 12
     ok, reason, _, h = run_gen(sim, reader, read_in_order(reader.state, x, y))
     assert ok and h.reads[x] == (b"new", 1) and h.reads[y] == (b"new", 1)
+    quiet(sim)
+
+
+# -- one read round, one READ per owner ----------------------------------------
+
+
+def test_one_owner_round_with_nothing_locked_commits_without_validate():
+    sim = make_sim(3, seed=17)
+    keys = keys_owned_by(1, sim.members, 3)
+    assert commit_txn(sim, sim.new_client(seed=1), keys, {k: b"w" for k in keys})[0]
+    sim.run(0.5)
+    msgs = server_counts(sim)
+    reader = sim.new_client(seed=2)
+    sent = client_sends(sim)
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, keys))
+    assert ok and reason is None and h.attempts == 1 and seen == {k: 1 for k in keys}
+    # the owner served every key in one step and none was locked, so the
+    # round vouches for all three: one READ and no VALIDATE
+    assert sent == [(1, "READ", tuple(keys))]
+    assert reader.state.stats["rpcs"] == 1
+    assert server_counts(sim) == msgs
+    quiet(sim)
+
+
+def test_two_owner_round_is_validated_at_every_owner():
+    sim = make_sim(3, seed=18)
+    home = keys_owned_by(0, sim.members, 2)
+    k1 = keys_owned_by(1, sim.members, 1)[0]
+    keys = [*home, k1]
+    assert commit_txn(sim, sim.new_client(seed=1), keys, {k: b"w" for k in keys})[0]
+    sim.run(0.5)
+    reader = sim.new_client(seed=2)
+    sent = client_sends(sim)
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, keys))
+    assert ok and reason is None and h.attempts == 1 and seen == {k: 1 for k in keys}
+    # both READs go out before either answer; their instants are unordered,
+    # so the round vouches for nothing and both owners validate
+    assert sent == [(0, "READ", tuple(home)), (1, "READ", k1),
+                    (0, "VALIDATE", None), (1, "VALIDATE", None)]
+    assert reader.state.stats["rpcs"] == 4
+    quiet(sim)
+
+
+def test_two_owner_round_over_a_half_applied_write_is_refused():
+    sim = make_sim(3, seed=19)
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y = keys_owned_by(1, sim.members, 1)[0]
+    cut = half_applied_write(sim, x, y)
+
+    reader = sim.new_client(seed=2)
+    reader.state.max_retries = 1
+    sent = client_sends(sim)
+    ok, reason, seen, _ = run_gen(sim, reader, read_round(reader.state, [x, y]))
+    assert seen == {x: 1, y: 0}  # the fractured view: y's owner said locked
+    assert not ok and reason == AbortReason.LOCK_DENIED_READ
+    assert sent == [(0, "READ", x), (1, "READ", y), (0, "VALIDATE", None), (1, "VALIDATE", None)]
+
+    sim.heal(cut)
+    sim.run(1.0)  # the decision resend reaches server 1, which applies y
+    reader.state.max_retries = 12
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, [x, y]))
+    assert ok and h.reads == {x: (b"new", 1), y: (b"new", 1)}
+    quiet(sim)
+
+
+def test_writer_between_the_two_owners_answers_makes_the_reader_fail_stale():
+    """x's owner serves x; a writer of x and y then commits and applies at
+    both owners; only then does y's owner serve y, unlocked.  Neither answer
+    saw a lock, but the round holds the old x and the new y."""
+    sim = make_sim(3, seed=20)
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y = keys_owned_by(1, sim.members, 1)[0]
+    writer, reader = sim.new_client(seed=1), sim.new_client(seed=2)
+    assert commit_txn(sim, writer, [x, y], {x: b"v1", y: b"v1"})[0]
+    sim.run(0.5)
+
+    reader.state.max_retries = 1
+    cut = sim.partition([("c", reader.client_id)], [1])  # hold y's READ back
+    mark = len(sim.trace)
+    box = []
+    reader.run(read_round(reader.state, [x, y]), box.append)
+    step_until(sim, lambda: any(
+        e[1] == 0 and e[2] == "msg.recv" and e[3]["type"] == "READ" for e in sim.trace[mark:]
+    ))
+    assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
+    step_until(sim, lambda: sim.nodes[1].node.storage.current_version(y) == 2)
+    assert not sim.nodes[1].node.locks.exclusively_held(y) and not box
+    sim.heal(cut)
+    step_until(sim, lambda: box)
+    ok, reason, seen, _ = box[0][1]
+    assert seen == {x: 1, y: 2}  # the fractured view
+    assert not ok and reason == AbortReason.STALE_READ
     quiet(sim)
 
 

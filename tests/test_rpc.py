@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtx import rpc
-from dtx.model import CoordPrepare, Transaction, TranxID, encode_record
+from dtx.model import CoordPrepare, MalformedRecordError, Transaction, TranxID, encode_record
 from dtx.rpc import (
     AbortReason,
     ClientWindow,
@@ -43,14 +43,53 @@ def test_frame_rejects_bad_version_and_length():
         rpc.frame_decode(rpc.frame_encode(env)[:-1])
 
 
+entries = st.one_of(st.none(), st.tuples(values, st.integers(0, 2**64 - 1)))
+
+
 @given(keys)
 def test_read_codec(k):
-    assert rpc.dec_read_req(rpc.enc_read_req(k)) == k
+    assert rpc.dec_read_req(rpc.enc_read_req([k])) == [k]
 
 
-@given(st.one_of(st.none(), st.tuples(values, st.integers(0, 2**64 - 1))), st.booleans())
+@given(entries, st.booleans())
 def test_read_resp_codec(entry, locked):
-    assert rpc.dec_read_resp(rpc.enc_read_resp(entry, locked)) == (entry, locked)
+    assert rpc.dec_read_resp(rpc.enc_read_resp([entry], locked)) == ([entry], locked)
+
+
+@given(st.lists(st.binary(max_size=32), min_size=1, max_size=8))
+def test_multi_key_read_codec(ks):
+    assert rpc.dec_read_req(rpc.enc_read_req(ks)) == ks
+
+
+@given(st.lists(entries, min_size=1, max_size=8), st.booleans())
+def test_multi_key_read_resp_codec(es, locked):
+    """Missing keys (None) anywhere in the answer, empty values included."""
+    assert rpc.dec_read_resp(rpc.enc_read_resp(es, locked)) == (es, locked)
+
+
+def test_multi_key_read_is_the_one_key_format_repeated():
+    """A READ of n keys is n key blobs; its answer is n entries, then the
+    one locked byte."""
+    assert rpc.enc_read_req([b"a", b"bc"]) == rpc.enc_read_req([b"a"]) + rpc.enc_read_req([b"bc"])
+    one = rpc.enc_read_resp([(b"v", 3)], False)
+    assert rpc.enc_read_resp([(b"v", 3), None, (b"", 0)], True) == (
+        one[:-1] + rpc.enc_read_resp([None], False)[:-1] + rpc.enc_read_resp([(b"", 0)], True)
+    )
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x05\x00", b"\x01\x00\x00\x00a\x02\x00\x00\x00b"])
+def test_read_request_without_a_whole_key_does_not_decode(payload):
+    with pytest.raises(MalformedRecordError):
+        rpc.dec_read_req(payload)
+
+
+FOUND_V = rpc.enc_read_resp([(b"v", 3)], False)
+
+
+@pytest.mark.parametrize("payload", [b"", FOUND_V[:-1], FOUND_V[:-2], FOUND_V[:4], b"\x01\xff\xff\xff\xff\x00"])
+def test_read_answer_without_its_locked_byte_or_a_whole_entry_does_not_decode(payload):
+    with pytest.raises(MalformedRecordError):
+        rpc.dec_read_resp(payload)
 
 
 @given(
@@ -109,8 +148,8 @@ def test_read_answer_and_validate_bytes_are_stable():
     """Golden bytes: the READ answer with its trailing locked byte, a
     client's VALIDATE frame and its answers, and the COMMIT_DECISION and ACK
     frames, which carry their TranxID in the envelope and no payload."""
-    assert rpc.enc_read_resp((b"v1", 7), True).hex() == "01" "020000007631" "0700000000000000" "01"
-    assert rpc.enc_read_resp(None, False).hex() == "0000"
+    assert rpc.enc_read_resp([(b"v1", 7)], True).hex() == "01" "020000007631" "0700000000000000" "01"
+    assert rpc.enc_read_resp([None], False).hex() == "0000"
     reads = Transaction(((b"k1", 3),), ())
     validate = Envelope(MsgType.VALIDATE, rpc.CLIENT, 5, 9, None, rpc.enc_txn(reads))
     assert rpc.frame_encode(validate).hex() == (

@@ -17,7 +17,7 @@ from dtx.model import Transaction, TranxID
 from dtx.rpc import AbortReason, Envelope, MsgType
 from dtx.sim import CrashPlan, NetConfig, Simulator
 from dtx.server import PREPARE_BUDGET, RESEND, ServerNode, owner_of
-from dtx.workload import WorkloadSpec, txn_script
+from dtx.workload import WorkloadSpec, load_script, owner_batches, txn_script
 from dtx.sim import ClosedLoopDriver
 
 
@@ -323,6 +323,10 @@ MALFORMED = {
     "ack-without-tranx": (MsgType.ACK, "none", b"", None),
     "status-without-tranx": (MsgType.TRANX_STATUS, "none", b"", None),
     "truncated-read": (MsgType.READ, "none", b"\x05\x00", None),
+    "read-without-key": (MsgType.READ, "none", b"", None),
+    "read-with-truncated-second-key": (
+        MsgType.READ, "none", rpc.enc_read_req([b"k"]) + b"\x05\x00\x00\x00ab", None
+    ),
     "truncated-validate": (MsgType.VALIDATE, "none", b"\x01\x00\x00\x00\x02", UNKNOWN),
     "truncated-commit": (MsgType.COMMIT, "none", b"\x01", UNKNOWN),
     "truncated-prepare": (MsgType.PREPARE, "foreign", b"\x01\x00", None),
@@ -367,6 +371,55 @@ def test_malformed_message_changes_nothing(case):
         assert any(e[2] == "msg.malformed" for e in sim.trace[trace_len:])
     else:
         assert [e.payload for e in sent] == [reply]
+
+
+def test_commit_decision_for_an_unprepared_transaction_changes_nothing(monkeypatch):
+    """A well-formed COMMIT_DECISION naming a transaction this node never
+    prepared is traced and dropped: no log record, part record, lock, dedup
+    entry, storage change or ack."""
+    sim = make_sim(3, seed=5)
+    node = sim.nodes[0].node
+    appends = []
+    monkeypatch.setattr(node.tranxlog, "append", lambda rec, durable: appends.append(rec))
+    before = node_state(node)
+    stored = sim.node_state(0)
+    sent = []
+    sim.net_send = lambda src, dst, e: sent.append(e)
+    trace_len = len(sim.trace)
+    node.on_message(Envelope(MsgType.COMMIT_DECISION, rpc.SERVER, 1, 1, TranxID(1, 999), b""))
+    assert node_state(node) == before
+    assert node.part == {} and appends == [] and sent == []
+    assert sim.node_state(0) == stored
+    assert oracle.locks_clean(sim) == []
+    assert [e[3]["type"] for e in sim.trace[trace_len:] if e[2] == "msg.unexpected"] == [
+        "COMMIT_DECISION"
+    ]
+
+
+def test_load_reads_each_owner_batch_with_one_read():
+    sim = make_sim(3, seed=21)
+    spec = WorkloadSpec(key_count=100, value_size=8, seed=3)
+    batches = sorted(owner_batches(spec.key_count, sim.members).items())
+    reads = []
+    orig = sim.net_send
+
+    def net_send(src, dst, env):
+        if src[0] == "c" and env.msg_type == MsgType.READ:
+            reads.append((dst[1], rpc.dec_read_req(env.payload)))
+        orig(src, dst, env)
+
+    sim.net_send = net_send
+    expected = [(sid, keys[i : i + 16]) for sid, keys in batches for i in range(0, len(keys), 16)]
+    for seed, field in ((1, "inserted"), (2, "skipped")):  # a load, then a reload
+        del reads[:]
+        client = sim.new_client(seed=seed)  # a cold cache, as a fresh `dtx load` has
+        for sid, keys in batches:
+            report = run_gen(sim, client, load_script(keys, spec, spec.seed)(client.state))
+            assert report[field] == len(keys) and report["failed_batches"] == 0
+        assert reads == expected
+        sim.run(0.5)
+    loaded = sim.global_state()
+    assert len(loaded) == spec.key_count and {ver for _, ver in loaded.values()} == {1}
 
 
 # -- crash/recovery ---------------------------------------------------------------

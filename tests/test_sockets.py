@@ -239,13 +239,62 @@ def test_read_only_commit_validates_at_each_owner_over_sockets(cluster, monkeypa
     assert reader.commit(h) == (False, AbortReason.TIMEOUT)
     assert time.monotonic() - started < driver.tries * (driver.timeout + 0.05)
 
-    requests = [(sid, reader.state.env(MsgType.READ, rpc.enc_read_req(k))) for sid, k in zip(members, keys)]
+    requests = [(sid, reader.state.env(MsgType.READ, rpc.enc_read_req([k]))) for sid, k in zip(members, keys)]
     answers = driver.request_many(requests)
     assert answers[2] is None
-    assert [rpc.dec_read_resp(a) for a in answers[:2]] == [((b"v", 1), False)] * 2
+    assert [rpc.dec_read_resp(a) for a in answers[:2]] == [([(b"v", 1)], False)] * 2
 
     # the live owners still answer each request with its own answer
     h = reader.open_txn()
     assert [reader.read(h, k) for k in keys[:2]] == [b"v", b"v"]
     assert reader.commit(h) == (True, None)
     driver.close()
+
+
+def test_read_many_sends_one_read_per_owner_over_sockets(cluster, monkeypatch):
+    cfg, _ = cluster
+    members = list(cfg.member_ids)
+    home = [k for k in (b"many-%d" % i for i in range(256)) if owner_of(k, members) == 0][:3]
+    other = next(k for k in (b"many-%d" % i for i in range(256)) if owner_of(k, members) == 1)
+    writer = connect_client(cfg, seed=1)
+    h = writer.open_txn()
+    assert writer.read_many(h, [*home, other]) == [None] * 4
+    for k in (*home, other):
+        writer.write(h, k, b"v:" + k)
+    assert writer.commit(h)[0]
+    writer.driver.close()
+    time.sleep(0.3)  # let the decision fan-out and acks finish
+
+    received = []
+    orig_on_message = ServerNode.on_message
+
+    def on_message(self, env):
+        if env.sender_kind == rpc.CLIENT:
+            received.append((self.sid, env.msg_type.name))
+        return orig_on_message(self, env)
+
+    monkeypatch.setattr(ServerNode, "on_message", on_message)
+    reader = connect_client(cfg, seed=2)
+    del received[:]  # the handshake
+    h = reader.open_txn()
+    assert reader.read_many(h, home) == [b"v:" + k for k in home]
+    assert reader.commit(h) == (True, None)
+    # one owner, nothing locked: one READ, and the commit sends nothing
+    assert received == [(0, "READ")]
+
+    del received[:]
+    h = reader.open_txn()
+    assert reader.read_many(h, [other, home[0]]) == [b"v:" + other, b"v:" + home[0]]
+    assert reader.commit(h) == (True, None)
+    # the round read `other` alone and vouches for it; home[0] came from
+    # the cache, so its owner validates it
+    assert received == [(1, "READ"), (0, "VALIDATE")]
+
+    reader.state.cache.invalidate([other, *home])
+    del received[:]
+    h = reader.open_txn()
+    assert reader.read_many(h, [other, *home]) == [b"v:" + other] + [b"v:" + k for k in home]
+    assert reader.commit(h) == (True, None)
+    # two owners read in one round, so both are validated
+    assert sorted(received) == [(0, "READ"), (0, "VALIDATE"), (1, "READ"), (1, "VALIDATE")]
+    reader.driver.close()
