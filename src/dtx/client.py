@@ -76,8 +76,12 @@ rechecks them), and the transaction is resubmitted at once with no READ.
 A denied read lock or an already aborted transaction drops the
 transaction's keys from the cache and rebuilds the reads in one round;
 a denied write lock is retried with the same reads after exponential
-backoff with jitter.  Nothing is rebuilt or slept on after the last
-attempt.
+backoff with jitter.  A transaction that writes and is denied a read lock
+for the second time also backs off after the rebuild: two writers that
+each hold a key the other reads deny each other, and, when their rebuilds
+take equally long, retry in step and deny each other again until both run
+out of attempts; a read-only transaction holds no lock and retries at
+once.  Nothing is rebuilt or slept on after the last attempt.
 """
 
 from __future__ import annotations
@@ -216,6 +220,7 @@ def txn_commit(cs: ClientState, h: TxnHandle):
     h.status = "Committing"
     reason: AbortReason | None = None
     backoff_step = 0
+    read_denials = 0
     for attempt in range(cs.max_retries):
         h.attempts = attempt + 1
         txn = Transaction(
@@ -259,7 +264,7 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             # the stale keys came with the answer; the other reads stand
             h.reads.update(refreshed)
         elif reason in (AbortReason.LOCK_DENIED_READ, AbortReason.ALREADY_ABORTED):
-            # immediate restart from fresh reads, all in one round
+            # restart from fresh reads, all in one round
             again = []
             for k in h.reads:
                 if k in refreshed:
@@ -268,13 +273,19 @@ def txn_commit(cs: ClientState, h: TxnHandle):
                     again.append(k)
             if again:
                 yield from _remote_reads(cs, h, again)
-        elif reason == AbortReason.LOCK_DENIED_WRITE:
+        elif reason != AbortReason.LOCK_DENIED_WRITE:
+            break  # timeout / log failure: surface to the caller
+        if reason == AbortReason.LOCK_DENIED_READ:
+            read_denials += 1
+        # two writers that each hold a key the other reads deny each other
+        # and retry in step, so a writer denied a read lock again backs off
+        if reason == AbortReason.LOCK_DENIED_WRITE or (
+            reason == AbortReason.LOCK_DENIED_READ and h.writes and read_denials > 1
+        ):
             delay = min(BACKOFF_BASE * (BACKOFF_FACTOR ** backoff_step), BACKOFF_CAP)
             delay *= 1.0 + cs.rng.uniform(-BACKOFF_JITTER, BACKOFF_JITTER)
             backoff_step += 1
             yield ("sleep", delay)
-        else:
-            break  # timeout / log failure: surface to the caller
     h.status = "Done"
     cs.stats["aborts"] += 1
     return False, reason

@@ -204,6 +204,40 @@ def test_write_denied_backs_off_exponentially_with_cap_and_jitter():
     assert max(sleeps) <= BACKOFF_CAP * (1 + BACKOFF_JITTER)
 
 
+def test_writer_denied_a_read_lock_again_backs_off_and_a_reader_never_does():
+    cs = make_state(max_retries=4)
+    h = setup_handle()  # reads k, writes k
+
+    def responder(e):
+        if e[0] == "rpc" and e[2].msg_type == MsgType.READ:
+            return read_resp((b"old", 3))
+        if e[0] == "rpc":
+            return commit_resp(False, AbortReason.LOCK_DENIED_READ)
+        return None
+
+    (ok, reason), fx = drive(txn_commit(cs, h), responder)
+    assert not ok and reason == AbortReason.LOCK_DENIED_READ
+    kinds = [e[0] if e[0] == "sleep" else e[2].msg_type.name for e in fx]
+    # the first denial retries at once; later ones back off after the re-read
+    assert kinds == ["COMMIT", "READ", "COMMIT", "READ", "sleep", "COMMIT", "READ", "sleep", "COMMIT"]
+    sleeps = [e[1] for e in fx if e[0] == "sleep"]
+    for step, d in enumerate(sleeps):
+        nominal = BACKOFF_BASE * 2.0**step
+        assert nominal * (1 - BACKOFF_JITTER) <= d <= nominal * (1 + BACKOFF_JITTER)
+
+    cs = make_state(max_retries=4)
+    h = TxnHandle(reads={b"k": (b"old", 3)})  # read-only: holds no lock
+
+    def read_only_responder(e):
+        if e[0] == "rpc":
+            return read_resp((b"old", 3), locked=True)
+        return [commit_resp(False, AbortReason.LOCK_DENIED_READ)]
+
+    (ok, reason), fx = drive(txn_commit(cs, h), read_only_responder)
+    assert not ok and reason == AbortReason.LOCK_DENIED_READ
+    assert [e[0] for e in fx] == ["rpcs", "rpc"] * 3 + ["rpcs"]
+
+
 def test_silence_is_terminal_unknown():
     cs = make_state()
     h = setup_handle()

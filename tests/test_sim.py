@@ -9,6 +9,7 @@ from conftest import commit_txn, make_sim, run_gen, txn_gen
 
 import pytest
 
+from dtx import client as cl
 from dtx import oracle, rpc
 from dtx import sim as simmod
 from dtx.bench import run_sim_bench
@@ -394,6 +395,41 @@ def test_commit_decision_for_an_unprepared_transaction_changes_nothing(monkeypat
     assert [e[3]["type"] for e in sim.trace[trace_len:] if e[2] == "msg.unexpected"] == [
         "COMMIT_DECISION"
     ]
+
+
+def test_two_writers_that_deny_each_others_read_lock_both_commit():
+    """A reads x, y and writes x (coordinator 0); B reads x, y, z and writes
+    y (coordinator 1).  Started together, each holds the exclusive lock the
+    other's shared lock needs, so both abort LOCK_DENIED_READ.  With no
+    jitter their one-round rebuilds take equally long, so retrying at once
+    they would deny each other on every attempt; a writer denied a read
+    lock again backs off, and both commit."""
+    sim = make_sim(3, seed=22, net=NetConfig(jitter=0.0))
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y, z = keys_owned_by(1, sim.members, 2)
+    assert commit_txn(sim, sim.new_client(seed=9), [x, y, z], {k: b"0" for k in (x, y, z)})[0]
+    sim.run(0.5)
+
+    def writer(cs, keys, writes):
+        h = cl.TxnHandle()
+        yield from cl.txn_read_many(cs, h, keys)
+        for k, v in writes.items():
+            cl.txn_write(h, k, v)
+        ok, reason = yield from cl.txn_commit(cs, h)
+        return ok, reason, h.attempts
+
+    boxes = [], []
+    for seed, box, keys, writes in ((1, boxes[0], [x, y], {x: b"a"}), (2, boxes[1], [x, y, z], {y: b"b"})):
+        c = sim.new_client(seed=seed)
+        c.state.max_retries = 6
+        c.run(writer(c.state, keys, writes), box.append)
+    deadline = sim.now + 5.0
+    while not (boxes[0] and boxes[1]) and sim.now < deadline:
+        sim.run_until(sim._heap[0][0])
+    (ok_a, reason_a, attempts_a), (ok_b, reason_b, attempts_b) = boxes[0][0][1], boxes[1][0][1]
+    assert ok_a and ok_b, (reason_a, reason_b)
+    assert min(attempts_a, attempts_b) >= 2  # they did deny each other
+    assert oracle.locks_clean(sim) == []
 
 
 def test_load_reads_each_owner_batch_with_one_read():
