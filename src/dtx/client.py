@@ -64,9 +64,11 @@ out the vouched keys is safe:
   orders them: a writer of x and y may commit between the instant x's
   owner served x and the instant y's owner served y, so the round holds
   the old x and the new y, and neither key is locked at either instant.
-  Skipping either slice would commit that fractured view, so after a read
-  round that went to two or more owners, or a validation round in which
-  two owners failed, for any reason, every slice is validated.
+  Skipping the slice of the owner that answered for the earlier instant
+  would commit that fractured view, and the client cannot tell which one
+  that was, so after a read round that went to two or more owners, or a
+  validation round in which two owners failed, for any reason, every
+  slice is validated.
 
 Retry policy on a failed commit: a stale read means a concurrent writer got
 there first, and the failure answer piggybacks the current entry of each
