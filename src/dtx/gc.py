@@ -4,8 +4,9 @@ Each server tracks completion of the transactions it coordinated.  The
 largest sequence k such that every one of its transactions 1..k is finally
 decided *and acknowledged by every participant* is the server's local
 watermark.  Watermarks are persisted in the fixed-size GCLog, broadcast to
-peers, and drive both WAL file reclamation and pruning of the lock
-service's aborted-id set.
+peers, and drive WAL file reclamation, pruning of the lock service's
+aborted-id set, and the server's pruning of its coordinator and
+participant records (ServerNode._reclaim_records).
 
 Ordering contract (matters for crash safety): volatile GC state changes
 strictly before the GCLog write, the GCLog write before any file
@@ -116,7 +117,10 @@ class GcManager:
     """Glue between the tracker, GCLog, WAL reclamation, and lock pruning.
 
     Single-threaded by contract: tick() and on_lc_broadcast() run on the
-    GC stage; mark_complete() calls are funneled there as well.
+    GC stage; mark_complete() calls are funneled there as well.  The
+    manager keeps no per-transaction state: the server's coordinator and
+    participant records answer every question about a transaction and are
+    pruned by the same watermark table.
     """
 
     server: ServerId
@@ -128,9 +132,6 @@ class GcManager:
     trace: object = None  # callable(event: str, **info), optional
     table: dict[ServerId, int] = field(default_factory=dict)
     tracker: CompletionTracker = field(default_factory=CompletionTracker)
-    # final decisions of transactions this server coordinated, kept volatile
-    # for status queries / duplicate decisions until delayed reclamation
-    final: dict[TranxID, str] = field(default_factory=dict)
     issued_max_fn: object = None  # callable() -> highest seq issued locally
 
     def __post_init__(self) -> None:
@@ -147,20 +148,13 @@ class GcManager:
         assert final in ("Commit", "Abort")
         issued = self.issued_max_fn() if self.issued_max_fn else None
         self.tracker.mark(tranx.seq, issued)
-        self.final[tranx] = final
         self._emit("gc.volatile", tranx=tranx, final=final, lc=self.tracker.lc)
 
     def tick(self) -> None:
         """Periodic coordinator-side pass, in the mandated order."""
-        self.table[self.server] = self.tracker.lc  # (1) snapshot volatile state
-        self.gclog.write(self.table)  # (2) persist
-        self._emit("gc.gclog", table=dict(self.table))
-        self.store.sync()
-        reclaimed = self.tranxlog.reclaim_oldest(self.table)  # (3) reclaim
-        if reclaimed:
-            self._emit("gc.reclaim", files=reclaimed)
-        self.lock_table.prune_aborted(dict(self.table))
-        self.broadcast_fn(self.tracker.lc)  # (4) broadcast, fire-and-forget
+        self.table[self.server] = self.tracker.lc  # snapshot volatile state
+        self._persist_and_reclaim()
+        self.broadcast_fn(self.tracker.lc)  # fire-and-forget
 
     def on_lc_broadcast(self, sender: ServerId, lc_seq: int) -> bool:
         """Participant-side watermark intake; stale or unknown senders ignored."""
@@ -169,6 +163,12 @@ class GcManager:
         if lc_seq <= self.table[sender]:
             return False
         self.table[sender] = lc_seq
+        self._persist_and_reclaim()
+        return True
+
+    def _persist_and_reclaim(self) -> None:
+        """Persist the table, then sync the store, reclaim WAL files and
+        prune the aborted-id set under it."""
         self.gclog.write(self.table)
         self._emit("gc.gclog", table=dict(self.table))
         self.store.sync()
@@ -176,17 +176,6 @@ class GcManager:
         if reclaimed:
             self._emit("gc.reclaim", files=reclaimed)
         self.lock_table.prune_aborted(dict(self.table))
-        return True
-
-    def delayed_volatile_reclaim(self, light_load: bool) -> int:
-        """Free final-state entries covered by the watermark, only when idle."""
-        if not light_load:
-            return 0
-        before = len(self.final)
-        self.final = {
-            t: d for t, d in self.final.items() if t.seq > self.table.get(t.coordinator, 0)
-        }
-        return before - len(self.final)
 
     def is_final_by_watermark(self, tranx: TranxID) -> bool:
         return tranx.seq <= self.table.get(tranx.coordinator, 0)

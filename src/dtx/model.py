@@ -216,7 +216,6 @@ _KIND_COORD_ABORT = 3
 _KIND_PART_READY = 4
 _KIND_PART_COMMIT = 5
 _KIND_PART_ABORT = 6
-_KIND_GC_CHECKPOINT = 7
 
 
 @dataclass(frozen=True)
@@ -270,24 +269,7 @@ class PartAbort:
     kind = _KIND_PART_ABORT
 
 
-@dataclass(frozen=True)
-class GcCheckpoint:
-    """Watermark table snapshot; lives in the GCLog, never in the TranxLog."""
-
-    table: tuple[tuple[ServerId, int], ...]  # sorted by server id
-
-    kind = _KIND_GC_CHECKPOINT
-
-
-LogRecord = (
-    CoordPrepare
-    | CoordCommit
-    | CoordAbort
-    | PartReady
-    | PartCommit
-    | PartAbort
-    | GcCheckpoint
-)
+LogRecord = CoordPrepare | CoordCommit | CoordAbort | PartReady | PartCommit | PartAbort
 
 
 def encode_record(rec: LogRecord) -> bytes:
@@ -320,11 +302,6 @@ def encode_record(rec: LogRecord) -> bytes:
             w.blob(k)
             w.blob(val)
             w.u64(pv)
-    elif isinstance(rec, GcCheckpoint):
-        w.u32(len(rec.table))
-        for sid, seq in rec.table:
-            w.u32(sid)
-            w.u64(seq)
     else:  # pragma: no cover - exhaustive over LogRecord
         raise TypeError(f"unknown record type {type(rec)!r}")
     return w.getvalue()
@@ -352,9 +329,6 @@ def decode_record(data: bytes) -> LogRecord:
         rec = PartCommit(TranxID.decode_from(r))
     elif kind == _KIND_PART_ABORT:
         rec = PartAbort(TranxID.decode_from(r))
-    elif kind == _KIND_GC_CHECKPOINT:
-        table = tuple((r.u32(), r.u64()) for _ in range(r.u32()))
-        rec = GcCheckpoint(table)
     else:
         raise MalformedRecordError(f"unknown record kind {kind}")
     r.expect_done()

@@ -10,10 +10,10 @@ identical ids); at-most-once processing comes from receiver-side dedup:
 * Commit requests dedup on (client id, message id); the client's message
   ids are contiguous, so a bounded sliding window of cached responses
   suffices.
-* Transaction messages (prepare/votes/decisions/acks) dedup on
-  (tranx id, msg type); entries are pruned once the GC watermark passes
-  the transaction, which is safe because such transactions are final and
-  late duplicates are answered as already-final.
+* Transaction messages (prepare/votes/decisions/acks) keep no entry
+  here: the receiving server's coordinator or participant record for the
+  transaction answers a duplicate (server.py), and a message for a
+  transaction the GC watermark has passed is answered as already final.
 
 Wire format, bit exact: frame = total_len: u32 LE | version: u8 (=1) |
 envelope.  envelope = msg_type: u8 | sender_kind: u8 (0 client, 1 server)
@@ -56,7 +56,6 @@ from .model import (
     ByteReader,
     ByteWriter,
     MalformedRecordError,
-    ServerId,
     Transaction,
     TranxID,
 )
@@ -313,15 +312,12 @@ class ClientWindow:
 
 
 class DedupTable:
-    """At-most-once processing state for one server."""
+    """At-most-once processing state for one server's Commit requests."""
 
     def __init__(self) -> None:
         self._clients: dict[int, ClientWindow] = {}
-        # (tranx, msg_type) -> cached reply payload (may be b"")
-        self._tranx: dict[tuple[TranxID, MsgType], bytes] = {}
         self.duplicates_blocked = 0
 
-    # Commit requests
     def check_client(self, client_id: int, message_id: int) -> bytes | None:
         win = self._clients.get(client_id)
         if win is None:
@@ -335,26 +331,5 @@ class DedupTable:
         win = self._clients.setdefault(client_id, ClientWindow())
         win.record(message_id, response_payload)
 
-    # Transaction messages
-    def check_tranx(self, tranx: TranxID, msg_type: MsgType) -> bytes | None:
-        hit = self._tranx.get((tranx, msg_type))
-        if hit is not None:
-            self.duplicates_blocked += 1
-        return hit
-
-    def record_tranx(self, tranx: TranxID, msg_type: MsgType, reply_payload: bytes = b"") -> None:
-        self._tranx[(tranx, msg_type)] = reply_payload
-
-    def seen_tranx(self, tranx: TranxID, msg_type: MsgType) -> bool:
-        return (tranx, msg_type) in self._tranx
-
-    def prune(self, lc: dict[ServerId, int]) -> None:
-        """Drop entries for transactions finally covered by the watermarks."""
-        self._tranx = {
-            (t, mt): v
-            for (t, mt), v in self._tranx.items()
-            if t.seq > lc.get(t.coordinator, 0)
-        }
-
     def size(self) -> int:
-        return len(self._tranx) + sum(len(w.responses) for w in self._clients.values())
+        return sum(len(w.responses) for w in self._clients.values())

@@ -41,6 +41,18 @@ decision, so a reader that saw one owner's post-commit value and another
 owner's pre-commit value finds the second key locked or its version moved.
 For the same reason a READ answer says whether any of its keys was
 exclusively locked when they were read, all in one step.
+
+A node keeps one record per transaction it takes part in: a CoordRec for
+each transaction it coordinates and a PartRec for each slice it prepares,
+and these records answer every repeated message.  A PartRec keeps its
+vote, so a duplicate PREPARE gets the same vote back; a decision the
+record already shows is acked again with no effect; an abort decision that
+overtakes its PREPARE leaves a record in Abort, which drops the late
+PREPARE.  TRANX_STATUS is answered from the CoordRec, and Abort for an id
+the node no longer holds (presumed abort, as in R*): a READY participant
+has not acked, so its coordinator still holds the record.  Records of
+decided transactions are dropped once the GC watermark passes them, and a
+message naming such a transaction is answered as already final.
 """
 
 from __future__ import annotations
@@ -82,6 +94,9 @@ def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
 RESEND = 0.200  # repeat PREPARE or a decision an owner has not answered
 PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
 STATUS_RETRY = 0.100  # re-ask an in-doubt transaction's coordinator
+# the vote a restarted participant resends for a slice it logged only as
+# aborted: the first vote's reason and piggyback were never logged
+_ABORTED_VOTE = rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
 
 # message types that name their transaction in the envelope
 _TRANX_TYPES = frozenset({
@@ -120,6 +135,7 @@ class PartRec:
     reads: tuple
     writes: tuple = ()  # (key, value, post_version) frozen at prepare
     state: PartState = PartState.START
+    vote: bytes | None = None  # b"" Ready, else the abort vote; None until voted
 
 
 class ServerNode:
@@ -278,7 +294,6 @@ class ServerNode:
             lc_seq = self._decode(env, rpc.dec_gc_lc)
             if lc_seq is not None:
                 self.gc.on_lc_broadcast(env.sender_id, lc_seq)
-                self.dedup.prune(self.gc.table)
         elif mt == MsgType.TRANX_STATUS:
             self._handle_status_query(env)
         elif mt == MsgType.RESPONSE:
@@ -540,22 +555,16 @@ class ServerNode:
         return piggyback
 
     def _handle_prepare(self, tranx: TranxID, sub: Transaction) -> None:
-        cached = self.dedup.check_tranx(tranx, MsgType.PREPARE)
-        if cached is not None:
-            self._send_vote_bytes(tranx, cached)
+        rec = self.part.get(tranx)
+        if rec is not None:
+            # a duplicate gets the vote again; with no vote yet the first
+            # prepare is still locking, or the abort decision overtook this
+            # prepare, and preparing now would take locks nothing releases
+            if rec.vote is not None:
+                self._send_vote_bytes(tranx, rec.vote)
             return
         if self.gc.is_final_by_watermark(tranx):
             return  # long decided and reclaimed; the coordinator needs nothing
-        if (
-            tranx in self.locks.aborted
-            or self.dedup.seen_tranx(tranx, MsgType.ABORT_DECISION)
-            or self.dedup.seen_tranx(tranx, MsgType.COMMIT_DECISION)
-        ):
-            # the decision overtook this prepare on the wire; preparing now
-            # would grant locks no decision will ever release
-            return
-        if tranx in self.part:
-            return  # duplicate while the first prepare is still in flight
         self._local_prepare(tranx, sub)
 
     def _local_prepare(self, tranx: TranxID, sub: Transaction) -> None:
@@ -580,18 +589,16 @@ class ServerNode:
         rec.writes = out
         self._append(PartReady(tranx, sub.reads, out), durable=True)
         self._set_part_state(rec, PartState.READY)
-        vote = b""
-        self.dedup.record_tranx(tranx, MsgType.PREPARE, vote)
-        self._send_vote_bytes(tranx, vote)
+        rec.vote = b""
+        self._send_vote_bytes(tranx, rec.vote)
 
     def _prepare_abort(self, rec: PartRec, reason: AbortReason, piggyback) -> None:
         tranx = rec.tranx
         self._append(PartAbort(tranx), durable=False)
         self._set_part_state(rec, PartState.ABORT)
         self.locks.record_abort(tranx)
-        vote = rpc.enc_vote_abort(reason, piggyback)
-        self.dedup.record_tranx(tranx, MsgType.PREPARE, vote)
-        self._send_vote_bytes(tranx, vote)
+        rec.vote = rpc.enc_vote_abort(reason, piggyback)
+        self._send_vote_bytes(tranx, rec.vote)
 
     def _send_vote_bytes(self, tranx: TranxID, vote: bytes) -> None:
         """Empty vote payload means Ready; otherwise an abort vote."""
@@ -613,16 +620,16 @@ class ServerNode:
         """Apply a commit/abort decision; returns whether the sender is owed
         an ack, which is always, except for a commit of a transaction this
         node holds no Ready slice of: that is traced and changes nothing,
-        and an ack would claim a commit this node never applied."""
-        mt = MsgType.COMMIT_DECISION if decision == "Commit" else MsgType.ABORT_DECISION
-        if self.dedup.seen_tranx(tranx, mt):
-            return True  # replay: ack again, no side effects
+        and an ack would claim a commit this node never applied.  A slice
+        already decided acks again with no side effect."""
         if self.gc.is_final_by_watermark(tranx):
             return True
         rec = self.part.get(tranx)
         if decision == "Commit":
+            if rec is not None and rec.state == PartState.COMMIT:
+                return True  # replay
             if rec is None or rec.state != PartState.READY:
-                self._trace("msg.unexpected", type=mt.name, tranx=tranx)
+                self._trace("msg.unexpected", type=MsgType.COMMIT_DECISION.name, tranx=tranx)
                 return False
             self._append(PartCommit(tranx), durable=True)
             self._set_part_state(rec, PartState.COMMIT)
@@ -630,12 +637,13 @@ class ServerNode:
                 self.storage.apply_writes(list(rec.writes))
                 self._trace("part.apply", tranx=tranx, writes=rec.writes)
             self.locks.release_all(tranx)
-        else:
+        elif rec is None or rec.state in (PartState.START, PartState.READY):
             self._append(PartAbort(tranx), durable=False)
-            if rec is not None and rec.state in (PartState.START, PartState.READY):
+            if rec is None:  # the abort overtook its PREPARE: the record drops it
+                self.part[tranx] = PartRec(tranx, (), state=PartState.ABORT)
+            else:
                 self._set_part_state(rec, PartState.ABORT)
             self.locks.record_abort(tranx)
-        self.dedup.record_tranx(tranx, mt)
         return True
 
     # -- resend timer --------------------------------------------------------------------
@@ -686,19 +694,11 @@ class ServerNode:
 
     def _gc_tick(self) -> None:
         self.gc.tick()
-        self.dedup.prune(self.gc.table)
-        self.gc.delayed_volatile_reclaim(self._light_load())
         self._reclaim_records()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
 
-    def _light_load(self) -> bool:
-        in_flight = sum(1 for r in self.coord.values() if not r.complete)
-        in_flight += sum(
-            1 for r in self.part.values() if r.state in (PartState.START, PartState.READY)
-        )
-        return in_flight == 0
-
     def _reclaim_records(self) -> None:
+        """Drop the records of decided transactions the watermark passed."""
         lc = self.gc.table
         self.coord = {
             t: r for t, r in self.coord.items() if not r.complete or t.seq > lc.get(t.coordinator, 0)
@@ -713,18 +713,10 @@ class ServerNode:
     # -- status queries (global recovery) ---------------------------------------------------
 
     def _handle_status_query(self, env: Envelope) -> None:
-        tranx = env.tranx
-        status = "Abort"
-        if tranx in self.gc.final:
-            status = self.gc.final[tranx]
-        elif tranx in self.coord:
-            rec = self.coord[tranx]
-            status = rec.decision or "Pending"
-        elif self.gc.is_final_by_watermark(tranx):
-            # Can only happen once every participant acked, i.e. the querier
-            # already applied the decision and lost the query race; by then
-            # it is never in Ready, so Abort is safe for a truly unknown id.
-            status = "Abort"
+        # Abort for an id this node no longer holds: a READY querier has not
+        # acked, so its record is still here; any other querier ignores it
+        rec = self.coord.get(env.tranx)
+        status = "Abort" if rec is None else rec.decision or "Pending"
         self._reply(env, rpc.enc_status_resp(status))
 
     def _query_status(self, tranx: TranxID) -> None:
@@ -746,8 +738,9 @@ class ServerNode:
 
     def _handle_status_response(self, message_id: int, status: str) -> None:
         tranx = self._pending_status.pop(message_id, None)
-        if tranx is None:
-            return
+        rec = self.part.get(tranx)
+        if rec is None or rec.state != PartState.READY:
+            return  # not asked, or a decision settled the slice since
         if status == "Pending":
             self.ctx.set_timer(STATUS_RETRY, lambda t=tranx: self._query_status(t))
             return
@@ -801,38 +794,36 @@ class ServerNode:
                 coord_state[t] = "Abort"
                 coord_parts.setdefault(t, ())
 
-        # participant side: replay decisions, re-lock in-doubt ready slices
+        # participant side: a record for every slice the log holds; replay
+        # commits, re-lock in-doubt ready slices
         in_doubt_participant: list[TranxID] = []
-        for t, ready in sorted(part_ready.items()):
-            state = part_state.get(t)
+        for t, state in sorted(part_state.items()):
+            ready = part_ready.get(t)
+            if ready is None:
+                if state == "Abort":  # voted Abort; the vote's reason was not logged
+                    self.part[t] = PartRec(t, (), state=PartState.ABORT, vote=_ABORTED_VOTE)
+                    self.locks.record_abort(t)
+                continue
             if state == "Ready" and t.coordinator == self.sid:
                 # own slice (1PC or self-participation): the coordinator's
                 # decision, when logged, settles it locally
                 if coord_state.get(t) in ("Commit", "Abort"):
                     state = coord_state[t]
+            rec = PartRec(t, ready.reads, ready.writes, vote=b"")
+            self.part[t] = rec
             if state == "Commit":
-                self.storage.apply_writes(
-                    [(k, v, pv) for k, v, pv in ready.writes], replay=True
-                )
-                self.dedup.record_tranx(t, MsgType.COMMIT_DECISION)
-                self.dedup.record_tranx(t, MsgType.PREPARE, b"")
+                self.storage.apply_writes(list(ready.writes), replay=True)
+                rec.state = PartState.COMMIT
             elif state == "Abort":
+                rec.state = PartState.ABORT
                 self.locks.record_abort(t)
-                self.dedup.record_tranx(t, MsgType.ABORT_DECISION)
             else:
-                rec = PartRec(t, ready.reads, ready.writes, PartState.START)
-                self.part[t] = rec
                 result: list = []
                 self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
                 assert result and result[0], f"recovery re-lock failed for {t}"
                 rec.state = PartState.READY
-                self.dedup.record_tranx(t, MsgType.PREPARE, b"")
                 if t.coordinator != self.sid:
                     in_doubt_participant.append(t)
-        for t, state in sorted(part_state.items()):
-            if t not in part_ready and state == "Abort":
-                self.locks.record_abort(t)
-                self.dedup.record_tranx(t, MsgType.ABORT_DECISION)
 
         # coordinator side: recover_global re-aborts the undecided and resends
         # the decided that some owner has not acked

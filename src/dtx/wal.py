@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from .env import NodeEnv, Region
 from .model import (
-    GcCheckpoint,
     LogRecord,
     MalformedRecordError,
     ServerId,
@@ -203,8 +202,6 @@ class TranxLog:
         self.summaries: dict[str, dict[ServerId, int]] = {}
 
     def append(self, record: LogRecord, durable: bool) -> None:
-        if isinstance(record, GcCheckpoint):
-            raise ValueError("GcCheckpoint records belong to the GCLog")
         fname, _ = self.manager.append(encode_record(record))
         summary = self.summaries.setdefault(fname, {})
         t = record.tranx

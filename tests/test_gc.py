@@ -189,17 +189,6 @@ def test_broadcast_intake_ignores_stale_and_unknown():
     assert GcLog(mgr.gclog.env, [0, 1]).read() == {0: 0, 1: 4}
 
 
-def test_delayed_volatile_reclaim_only_under_light_load():
-    mgr, _, _ = make_manager()
-    mgr.mark_complete(TranxID(0, 1), "Commit")
-    mgr.mark_complete(TranxID(0, 2), "Abort")
-    mgr.tick()
-    assert mgr.delayed_volatile_reclaim(light_load=False) == 0
-    assert len(mgr.final) == 2
-    assert mgr.delayed_volatile_reclaim(light_load=True) == 2
-    assert mgr.final == {}
-
-
 def test_is_final_by_watermark():
     mgr, _, _ = make_manager()
     mgr.on_lc_broadcast(1, 6)

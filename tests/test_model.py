@@ -11,7 +11,6 @@ from dtx.model import (
     CoordCommit,
     CoordPrepare,
     CoordState,
-    GcCheckpoint,
     MalformedRecordError,
     PartAbort,
     PartCommit,
@@ -47,7 +46,6 @@ records = st.one_of(
     st.builds(PartReady, tranx_ids, reads, ready_writes),
     st.builds(PartCommit, tranx_ids),
     st.builds(PartAbort, tranx_ids),
-    st.builds(GcCheckpoint, st.lists(st.tuples(st.integers(0, 100), st.integers(0, 2**64 - 1)), max_size=4).map(tuple)),
 )
 
 

@@ -191,21 +191,3 @@ def test_dedup_client_counts_duplicates():
     d.record_client(7, 1, b"resp")
     assert d.check_client(7, 1) == b"resp"
     assert d.duplicates_blocked == 1
-
-
-def test_dedup_tranx_prune_by_watermark():
-    d = DedupTable()
-    old, new = TranxID(0, 5), TranxID(0, 9)
-    d.record_tranx(old, MsgType.COMMIT_DECISION)
-    d.record_tranx(new, MsgType.COMMIT_DECISION)
-    d.prune({0: 5})
-    assert not d.seen_tranx(old, MsgType.COMMIT_DECISION)
-    assert d.seen_tranx(new, MsgType.COMMIT_DECISION)
-
-
-def test_dedup_keyed_by_message_type():
-    d = DedupTable()
-    t = TranxID(1, 1)
-    d.record_tranx(t, MsgType.PREPARE, b"vote")
-    assert d.check_tranx(t, MsgType.PREPARE) == b"vote"
-    assert d.check_tranx(t, MsgType.COMMIT_DECISION) is None

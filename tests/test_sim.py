@@ -5,16 +5,16 @@ import os
 import subprocess
 import sys
 
-from conftest import commit_txn, make_sim, run_gen, txn_gen
+from conftest import TEST_GC_PERIOD, commit_txn, make_sim, run_gen, txn_gen
 
 import pytest
 
 from dtx import client as cl
 from dtx import oracle, rpc
 from dtx import sim as simmod
-from dtx.bench import run_sim_bench
+from dtx.bench import preload_sim, run_sim_bench, start_clients
 from dtx.cli import format_trace
-from dtx.model import Transaction, TranxID
+from dtx.model import PartState, Transaction, TranxID
 from dtx.rpc import AbortReason, Envelope, MsgType
 from dtx.sim import CrashPlan, NetConfig, Simulator
 from dtx.server import PREPARE_BUDGET, RESEND, ServerNode, owner_of
@@ -341,7 +341,7 @@ MALFORMED = {
 def node_state(node):
     return repr((
         node.coord, node.part, node.pending_client, node._pending_status, node._resend,
-        node.dedup._tranx, node.dedup.size(), node.dedup.duplicates_blocked, node.stats,
+        node.dedup.size(), node.dedup.duplicates_blocked, node.stats,
         node.locks.stats(), node.gc.table, node.issuer.last_issued,
     ))
 
@@ -395,6 +395,141 @@ def test_commit_decision_for_an_unprepared_transaction_changes_nothing(monkeypat
     assert [e[3]["type"] for e in sim.trace[trace_len:] if e[2] == "msg.unexpected"] == [
         "COMMIT_DECISION"
     ]
+
+
+# -- one record per transaction ----------------------------------------------------
+#
+# The tests below play coordinator 0 by hand: they deliver its messages to
+# participant 1 and record what 1 sends instead of sending it.  Parametrized
+# on "restarted", the participant crashes and recovers from its log between
+# the first delivery and the repeat.
+
+RESTART = pytest.mark.parametrize("restart", [False, True], ids=["live", "restarted"])
+HAND_TRANX = TranxID(0, 1)
+
+
+def hand_driven_participant():
+    """(sim, what server 1 sends, a key server 1 owns); no GC tick runs."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    sent = []
+    sim.net_send = lambda src, dst, env: sent.append(env)
+    return sim, sent, keys_owned_by(1, sim.members, 1)[0]
+
+
+def deliver(sim, msg_type, payload=b""):
+    sim.nodes[1].node.on_message(Envelope(msg_type, rpc.SERVER, 0, 1, HAND_TRANX, payload))
+
+
+def repeat_on(sim, sent, restart, monkeypatch):
+    """Participant 1, restarted from its log if asked, with its sends and
+    its log appends from here on recorded."""
+    if restart:
+        sim.nodes[1].node.tranxlog.manager.flush()  # PartAbort is appended unflushed
+        sim.crash(1)
+        sim.restart(1)
+    node = sim.nodes[1].node
+    appends = []
+    monkeypatch.setattr(node.tranxlog, "append", lambda rec, durable: appends.append(rec))
+    del sent[:]
+    return node, appends
+
+
+@RESTART
+@pytest.mark.parametrize("read_version", [0, 5], ids=["ready", "abort"])
+def test_duplicate_prepare_resends_the_vote_and_takes_no_lock(read_version, restart, monkeypatch):
+    sim, sent, k = hand_driven_participant()
+    prepare = rpc.enc_txn(Transaction(((k, read_version),), ((k, b"v"),)))
+    deliver(sim, MsgType.PREPARE, prepare)
+    (vote,) = sent
+    assert vote.msg_type == (MsgType.READY if read_version == 0 else MsgType.ABORT_DECISION)
+    node, appends = repeat_on(sim, sent, restart, monkeypatch)
+    held = node.locks.held_by(HAND_TRANX)
+    assert held == ({k} if vote.msg_type == MsgType.READY else set())
+    part = repr(node.part)
+    deliver(sim, MsgType.PREPARE, prepare)
+    (again,) = sent
+    assert again.msg_type == vote.msg_type
+    if restart and vote.msg_type == MsgType.ABORT_DECISION:
+        # the first vote's reason was never logged
+        assert again.payload == rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
+    else:
+        assert again.payload == vote.payload
+    assert node.locks.held_by(HAND_TRANX) == held and repr(node.part) == part and appends == []
+
+
+@RESTART
+def test_replayed_commit_decision_is_acked_and_applied_once(restart, monkeypatch):
+    sim, sent, k = hand_driven_participant()
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
+    deliver(sim, MsgType.COMMIT_DECISION)
+    assert [e.msg_type for e in sent] == [MsgType.READY, MsgType.ACK]
+    node, appends = repeat_on(sim, sent, restart, monkeypatch)
+    deliver(sim, MsgType.COMMIT_DECISION)
+    assert [e.msg_type for e in sent] == [MsgType.ACK] and appends == []
+    assert node.part[HAND_TRANX].state == PartState.COMMIT and node.locks.is_idle()
+    assert sim.node_state(1)[k] == (b"v", 1)
+    assert oracle.duplicate_applies(sim.trace) == []
+
+
+@RESTART
+def test_abort_decision_before_prepare_makes_the_prepare_a_no_op(restart, monkeypatch):
+    sim, sent, k = hand_driven_participant()
+    deliver(sim, MsgType.ABORT_DECISION)
+    assert [e.msg_type for e in sent] == [MsgType.ACK]
+    node, appends = repeat_on(sim, sent, restart, monkeypatch)
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
+    assert node.part[HAND_TRANX].state == PartState.ABORT
+    assert node.locks.is_idle() and appends == []
+    # a log holds the same PartAbort after an abort decision as after an
+    # Abort vote, so a restarted node answers both with its logged vote
+    resent = [rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])] if restart else []
+    assert [(e.msg_type, e.payload) for e in sent] == [(MsgType.ABORT_DECISION, v) for v in resent]
+
+
+def test_a_stale_abort_status_answer_cannot_undo_a_commit():
+    """A TRANX_STATUS answer acts only on a slice still Ready: an Abort
+    that arrives after the slice committed appends nothing, and the commit
+    survives the participant's restart."""
+    sim = make_sim(3, seed=5, gc_period=10.0)  # no GC tick syncs the store
+    span = key_spanning(sim.members)
+    c = sim.new_client(seed=1)
+    assert commit_txn(sim, c, [span[0], span[1]], {span[0]: b"c", span[1]: b"c"})[0]
+    sim.run(0.5)
+    node = sim.nodes[1].node
+    (tranx,) = node.part
+    node._pending_status[77] = tranx  # as if a status query were still out
+    node._handle_status_response(77, "Abort")
+    assert node.part[tranx].state == PartState.COMMIT
+    node.tranxlog.manager.flush()
+    sim.crash(1)
+    sim.restart(1)
+    sim.run(0.5)
+    assert sim.global_state()[span[1]] == (b"c", 1)
+    assert oracle.atomicity_violations(sim.trace) == []
+
+
+def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():
+    spec = WorkloadSpec(key_count=64, read_fraction=0.5, clients=4, duration=0.5, seed=1000)
+    sim = make_sim(3, seed=spec.seed)
+    preload_sim(sim, spec, spec.seed)
+    drivers = start_clients(sim, spec)
+    nodes = [n.node for n in sim.nodes.values()]
+
+    def quiet():
+        return all(d.done for d in drivers) and all(
+            all(r.complete for r in n.coord.values())
+            and all(r.state in (PartState.COMMIT, PartState.ABORT) for r in n.part.values())
+            for n in nodes
+        )
+
+    aborted_ids = 0
+    while not quiet():
+        sim.run_until(sim._heap[0][0])
+        aborted_ids = max(aborted_ids, sum(len(n.locks.aborted) for n in nodes))
+    assert aborted_ids > 0 and all(n.part for n in nodes)
+    sim.run(2 * TEST_GC_PERIOD)
+    for n in nodes:
+        assert (n.coord, n.part, n.locks.aborted) == ({}, {}, set()), n.sid
 
 
 def test_two_writers_that_deny_each_others_read_lock_both_commit():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtx.env import MemEnv
-from dtx.model import CoordAbort, CoordCommit, GcCheckpoint, PartReady, TranxID
+from dtx.model import CoordAbort, CoordCommit, PartReady, TranxID
 from dtx.wal import (
     BLOCK_HEADER,
     BLOCK_PAYLOAD_CAP,
@@ -140,12 +140,6 @@ def test_tranxlog_scan_round_trip_and_summaries():
     assert list(log.scan()) == recs
     summary = log.summaries[log.manager.active_file]
     assert summary == {1: 4, 0: 9}
-
-
-def test_tranxlog_rejects_gc_checkpoint():
-    _, log = _tlog()
-    with pytest.raises(ValueError):
-        log.append(GcCheckpoint(((0, 1),)), durable=True)
 
 
 def test_reclaim_respects_watermarks_and_stops_at_first_uncovered():
