@@ -399,10 +399,10 @@ def test_commit_decision_for_an_unprepared_transaction_changes_nothing(monkeypat
 
 # -- one record per transaction ----------------------------------------------------
 #
-# The tests below play coordinator 0 by hand: they deliver its messages to
-# participant 1 and record what 1 sends instead of sending it.  Parametrized
-# on "restarted", the participant crashes and recovers from its log between
-# the first delivery and the repeat.
+# The first three tests below play coordinator 0 by hand: they deliver its
+# messages to participant 1 and record what 1 sends instead of sending it.
+# Parametrized on "restarted", the participant crashes and recovers from
+# its log between the first delivery and the repeat.
 
 RESTART = pytest.mark.parametrize("restart", [False, True], ids=["live", "restarted"])
 HAND_TRANX = TranxID(0, 1)
