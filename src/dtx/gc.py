@@ -4,9 +4,8 @@ Each server tracks completion of the transactions it coordinated.  The
 largest sequence k such that every one of its transactions 1..k is finally
 decided *and acknowledged by every participant* is the server's local
 watermark.  Watermarks are persisted in the fixed-size GCLog, broadcast to
-peers, and drive WAL file reclamation, pruning of the lock service's
-aborted-id set, and the server's pruning of its coordinator and
-participant records (ServerNode._reclaim_records).
+peers, and drive WAL file reclamation and the server's pruning of its
+coordinator and participant records (ServerNode._reclaim_records).
 
 Ordering contract (matters for crash safety): volatile GC state changes
 strictly before the GCLog write, the GCLog write before any file
@@ -114,7 +113,7 @@ class CompletionTracker:
 
 @dataclass
 class GcManager:
-    """Glue between the tracker, GCLog, WAL reclamation, and lock pruning.
+    """Glue between the tracker, GCLog and WAL reclamation.
 
     Single-threaded by contract: tick() and on_lc_broadcast() run on the
     GC stage; mark_complete() calls are funneled there as well.  The
@@ -126,7 +125,6 @@ class GcManager:
     server: ServerId
     gclog: GcLog
     tranxlog: object  # TranxLog
-    lock_table: object  # LockTable
     store: object  # StorageEngine (synced before reclaiming)
     broadcast_fn: object  # callable(lc_seq: int)
     trace: object = None  # callable(event: str, **info), optional
@@ -167,15 +165,14 @@ class GcManager:
         return True
 
     def _persist_and_reclaim(self) -> None:
-        """Persist the table, then sync the store, reclaim WAL files and
-        prune the aborted-id set under it."""
+        """Persist the table, then sync the store and reclaim WAL files
+        under it."""
         self.gclog.write(self.table)
         self._emit("gc.gclog", table=dict(self.table))
         self.store.sync()
         reclaimed = self.tranxlog.reclaim_oldest(self.table)
         if reclaimed:
             self._emit("gc.reclaim", files=reclaimed)
-        self.lock_table.prune_aborted(dict(self.table))
 
     def is_final_by_watermark(self, tranx: TranxID) -> bool:
         return tranx.seq <= self.table.get(tranx.coordinator, 0)

@@ -9,10 +9,10 @@ Every acquire therefore resolves within one deadline, so no wait-for
 graph is needed.  A request is all-or-nothing: rejection releases every
 lock it had taken.
 
-The table also keeps the set of transaction ids whose abort was already
-processed locally; a late prepare for such an id is rejected instead of
-leaving orphaned locks.  The set is pruned by the garbage collector's
-watermarks.
+The table keeps no memory of aborted transactions: the server's
+participant record in Abort drops a late prepare before it reaches the
+table, and record_abort only cancels a waiting acquire or releases the
+locks an aborted slice holds.
 
 The table is single-threaded by contract (it runs on the server's protocol
 thread); deadline expiry arrives as a timer callback on the same thread.
@@ -24,7 +24,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 
-from .model import ServerId, TranxID
+from .model import TranxID
 
 DEFAULT_EXCLUSIVE_WAIT = 0.050  # seconds
 
@@ -33,7 +33,7 @@ class RejectReason(enum.Enum):
     SHARED_DENIED = "shared-denied"  # read lock refused: key exclusively held
     EXCLUSIVE_DENIED = "exclusive-denied"  # write lock refused: key exclusively held
     WAIT_TIMEOUT = "wait-timeout"  # write lock refused: shared holders outlasted wait
-    ALREADY_ABORTED = "already-aborted"  # this transaction's abort was processed first
+    ALREADY_ABORTED = "already-aborted"  # the abort was processed while the acquire waited
 
 
 @dataclass
@@ -67,8 +67,6 @@ class LockTable:
         self._entries: dict[bytes, _Entry] = {}
         self._holdings: dict[TranxID, set[bytes]] = {}
         self._pending: dict[TranxID, _Request] = {}
-        self.aborted: set[TranxID] = set()
-        self._lc_seen: dict[ServerId, int] = {}
         self.trace = None  # optional callable(event, **info)
 
     # -- acquisition ------------------------------------------------------
@@ -113,7 +111,7 @@ class LockTable:
                     req.timer = self._set_timer(self.exclusive_wait, lambda r=req: self._on_deadline(r))
                 return
             req.pos += 1
-        self._complete(req)
+        self._finish(req, True, None)
 
     def _grant_key(self, req: _Request, key: bytes, exclusive: bool) -> None:
         entry = self._entries[key]
@@ -124,16 +122,7 @@ class LockTable:
         if self.trace is not None:
             self.trace("lock.grant", tranx=req.tranx, key=key, exclusive=exclusive)
 
-    def _complete(self, req: _Request) -> None:
-        # Locks are in hand; the aborted-id guard runs last so a concurrent
-        # abort processed during the wait still wins.
-        if req.tranx in self.aborted:
-            self._rollback(req)
-            self._finish(req, False, RejectReason.ALREADY_ABORTED, rolled_back=True)
-        else:
-            self._finish(req, True, None)
-
-    def _finish(self, req: _Request, granted: bool, reason, rolled_back: bool = False) -> None:
+    def _finish(self, req: _Request, granted: bool, reason) -> None:
         if req.done:
             return
         req.done = True
@@ -141,7 +130,7 @@ class LockTable:
         if req.timer is not None:
             self._cancel_timer(req.timer)
             req.timer = None
-        if not granted and not rolled_back:
+        if not granted:
             self._rollback(req)
         req.on_result(granted, reason)
 
@@ -207,18 +196,9 @@ class LockTable:
     # -- abort bookkeeping ---------------------------------------------------
 
     def record_abort(self, tranx: TranxID) -> None:
-        """Remember a locally processed abort and drop any locks it holds."""
-        self.aborted.add(tranx)
+        """A locally processed abort: cancel a waiting acquire, or drop the
+        locks the slice holds."""
         self.release_all(tranx)
-
-    def prune_aborted(self, lc: dict[ServerId, int]) -> None:
-        for sid, seq in lc.items():
-            if seq < self._lc_seen.get(sid, 0):
-                raise ValueError(f"watermark regression for server {sid}: {seq}")
-            self._lc_seen[sid] = seq
-        self.aborted = {
-            t for t in self.aborted if t.seq > self._lc_seen.get(t.coordinator, 0)
-        }
 
     # -- introspection ---------------------------------------------------------
 
@@ -241,7 +221,6 @@ class LockTable:
         return {
             "held_locks": sum(len(e.holders) for e in self._entries.values()),
             "waiters": sum(len(e.waiters) for e in self._entries.values()),
-            "aborted_ids": len(self.aborted),
         }
 
     def audit(self) -> None:

@@ -5,28 +5,34 @@ and produces sends, replies, log appends, and state changes.  It never
 blocks, so the same object runs unchanged on the deterministic simulator
 (virtual clock, in-process transport) and on the threaded socket runtime.
 
-Commit flow for a multi-owner transaction:
-  1. persist CoordPrepare (durable), send Prepare to every remote owner,
-     run the local slice in-process;
+Commit flow, one path for every write transaction:
+  1. with any remote owner, persist CoordPrepare (durable) and send Prepare
+     to every remote owner; run the coordinator's own slice in-process;
   2. each participant locks (shared for read-only keys, exclusive for
      written keys), validates read versions, freezes post-versions,
-     persists PartReady (durable), votes Ready -- or votes Abort;
+     appends PartReady and votes Ready -- or votes Abort.  A remote
+     participant forces its PartReady; the own slice does not, as the
+     coordinator's decision flush persists it;
   3. all Ready -> persist CoordCommit (durable); any Abort vote -> persist
      CoordAbort without waiting for the other votes.  Either way, in that
      same step, answer the client and send the decision to every remote
      participant, so their locks go one hop after the decision;
   4. participants persist the decision, apply frozen post-versions,
      release locks, and acknowledge; once every participant acked, the
-     transaction is reported complete to the garbage collector.
+     transaction is reported complete to the garbage collector.  The own
+     slice logs no decision: CoordCommit or CoordAbort is its decision
+     record, as for the coordinator's own site in R*.
+
+A transaction owned only by its coordinator sends no message and makes one
+durable flush, CoordCommit, which carries the unforced PartReady with it.
+Recovery settles an own slice from the coordinator's record, and aborts one
+logged with no coordinator record (presumed abort).
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
 rounds) and the decision to those that have not acked.  Every repeat waits
 the same RESEND, so one map ordered by insertion is also ordered by due
 time, and one timer armed for its head serves every pending resend.
-
-Single-owner transactions take the one-phase path: no wire messages, one
-durable flush carrying both the write set and the commit decision.
 
 A transaction that wrote nothing never reaches a coordinator: its client
 sends each owner a VALIDATE with that owner's reads (see client.py), and a
@@ -120,7 +126,6 @@ class CoordRec:
     state: CoordState = CoordState.START
     pending_ready: set[ServerId] = field(default_factory=set)
     pending_ack: set[ServerId] = field(default_factory=set)
-    decision: str | None = None
     abort_reason: AbortReason | None = None
     piggyback: list = field(default_factory=list)
     client_key: tuple[int, int] | None = None  # (client id, message id)
@@ -135,7 +140,9 @@ class PartRec:
     reads: tuple
     writes: tuple = ()  # (key, value, post_version) frozen at prepare
     state: PartState = PartState.START
-    vote: bytes | None = None  # b"" Ready, else the abort vote; None until voted
+    # the vote sent to a remote coordinator: b"" Ready, else the abort vote;
+    # None until voted, and for an own slice, which votes in-process
+    vote: bytes | None = None
 
 
 class ServerNode:
@@ -165,7 +172,6 @@ class ServerNode:
             server=sid,
             gclog=self.gclog,
             tranxlog=self.tranxlog,
-            lock_table=self.locks,
             store=self.storage,
             broadcast_fn=self._broadcast_lc,
             trace=self._trace,
@@ -361,26 +367,21 @@ class ServerNode:
     def coordinate(self, txn: Transaction, reply_to: Envelope | None) -> TranxID:
         subs = self._split(txn)
         tranx = self.issuer.next()
-        rec = CoordRec(tranx, subs)
+        rec = CoordRec(tranx, subs, pending_ready=set(subs), pending_ack=set(subs))
         rec.reply_to = reply_to
         if reply_to is not None and reply_to.sender_kind == rpc.CLIENT:
             rec.client_key = (reply_to.sender_id, reply_to.message_id)
             self.pending_client[rec.client_key] = tranx
         self.coord[tranx] = rec
         self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.START.value)
-
-        if set(subs) == {self.sid}:
-            self._one_phase_commit(rec)
-            return tranx
-
         self._set_coord_state(rec, CoordState.PREPARE)
-        rec.pending_ready = set(subs)
-        rec.pending_ack = set(subs)
-        self._append(
-            CoordPrepare(tranx, tuple(sorted(subs.items()))), durable=True
-        )
-        self._send_prepare(rec)
-        self._queue_resend(rec)
+        if set(subs) == {self.sid}:
+            # nothing to prepare remotely: CoordCommit alone makes it durable
+            self.stats["one_phase"] += 1
+        else:
+            self._append(CoordPrepare(tranx, tuple(sorted(subs.items()))), durable=True)
+            self._send_prepare(rec)
+            self._queue_resend(rec)
         if self.sid in subs:
             self._local_prepare(tranx, subs[self.sid])
         return tranx
@@ -393,40 +394,36 @@ class ServerNode:
 
     def _vote(self, tranx: TranxID, voter: ServerId, reason, piggyback) -> None:
         rec = self.coord.get(tranx)
-        if rec is None or rec.decision is not None or voter not in rec.pending_ready:
+        if rec is None or rec.state is not CoordState.PREPARE or voter not in rec.pending_ready:
             return
         rec.pending_ready.discard(voter)
         if reason is None:
             if not rec.pending_ready:
-                self._decide(rec, "Commit", None, [])
+                self._decide(rec, CoordState.COMMIT, None, [])
         else:
             # abort fan-out goes out immediately, without waiting for the
             # remaining votes
-            self._decide(rec, "Abort", reason, piggyback)
+            self._decide(rec, CoordState.ABORT, reason, piggyback)
 
-    def _decide(self, rec: CoordRec, decision: str, reason, piggyback) -> None:
-        assert rec.decision is None
-        rec.decision = decision
+    def _decide(self, rec: CoordRec, decision: CoordState, reason, piggyback) -> None:
         rec.abort_reason = reason
         rec.piggyback = list(piggyback)
-        kind = CoordCommit if decision == "Commit" else CoordAbort
+        kind = CoordCommit if decision is CoordState.COMMIT else CoordAbort
         self._append(kind(rec.tranx, rec.client_key), durable=True)
-        self._set_coord_state(
-            rec, CoordState.COMMIT if decision == "Commit" else CoordState.ABORT
-        )
+        self._set_coord_state(rec, decision)
         # the client and the participants hear the decision once it is
         # persisted; the resend timer repeats it to owners that do not ack
         self._answer_client(rec)
         self._send_decision(rec)
         if self.sid in rec.pending_ack:
-            self._handle_decision(rec.tranx, decision)
+            self._handle_decision(rec.tranx, decision.value)
             self._handle_ack(rec.tranx, self.sid)
         if not rec.complete:
             self._queue_resend(rec)
 
     def _send_decision(self, rec: CoordRec) -> None:
         """The decision to every remote owner that has not acked."""
-        mt = MsgType.COMMIT_DECISION if rec.decision == "Commit" else MsgType.ABORT_DECISION
+        mt = MsgType.COMMIT_DECISION if rec.state is CoordState.COMMIT else MsgType.ABORT_DECISION
         for sid in rec.pending_ack:
             if sid != self.sid:
                 self._send(sid, self._server_env(mt, rec.tranx, b""))
@@ -434,7 +431,7 @@ class ServerNode:
     def _answer_client(self, rec: CoordRec) -> None:
         if rec.reply_to is None:
             return
-        committed = rec.decision == "Commit"
+        committed = rec.state is CoordState.COMMIT
         payload = rpc.enc_commit_resp(committed, rec.abort_reason, rec.piggyback)
         self.stats["commits" if committed else "aborts"] += 1
         if rec.client_key is not None:
@@ -445,55 +442,13 @@ class ServerNode:
 
     def _handle_ack(self, tranx: TranxID, sender: ServerId) -> None:
         rec = self.coord.get(tranx)
-        if rec is None or rec.decision is None:
+        if rec is None or rec.state is CoordState.PREPARE:
             return
         rec.pending_ack.discard(sender)
         if not rec.pending_ack and not rec.complete:
             rec.complete = True
             self._resend.pop(tranx, None)
-            self.gc.mark_complete(tranx, rec.decision)
-
-    # -- one-phase path -----------------------------------------------------------
-
-    def _one_phase_commit(self, rec: CoordRec) -> None:
-        self.stats["one_phase"] += 1
-        self._set_coord_state(rec, CoordState.PREPARE)
-        sub = rec.subs[self.sid]
-        self._lock_slice(
-            rec.tranx,
-            sub.reads,
-            sub.writes,
-            lambda ok, why, r=rec: self._one_phase_locked(r, ok, why),
-        )
-
-    def _one_phase_locked(self, rec: CoordRec, granted: bool, why) -> None:
-        sub = rec.subs[self.sid]
-        reason, out = self._check_locked(rec.tranx, sub, granted, why)
-        if reason is not None:
-            self._finish_one_phase(rec, reason, out)
-            return
-        writes = out
-        # combined record: write set + decision in a single durable flush
-        self.tranxlog.append(PartReady(rec.tranx, sub.reads, writes), durable=False)
-        self._append(CoordCommit(rec.tranx, rec.client_key), durable=True)
-        self._set_coord_state(rec, CoordState.COMMIT)
-        rec.decision = "Commit"
-        self.storage.apply_writes(list(writes))
-        self._trace("part.apply", tranx=rec.tranx, writes=writes)
-        self.locks.release_all(rec.tranx)
-        rec.complete = True
-        self.gc.mark_complete(rec.tranx, "Commit")
-        self._answer_client(rec)
-
-    def _finish_one_phase(self, rec: CoordRec, reason: AbortReason, piggyback) -> None:
-        self._append(CoordAbort(rec.tranx, rec.client_key), durable=True)
-        self._set_coord_state(rec, CoordState.ABORT)
-        rec.decision = "Abort"
-        rec.abort_reason = reason
-        rec.piggyback = piggyback
-        rec.complete = True
-        self.gc.mark_complete(rec.tranx, "Abort")
-        self._answer_client(rec)
+            self.gc.mark_complete(tranx, rec.state.value)
 
     # -- read-only validation ------------------------------------------------------
 
@@ -584,61 +539,61 @@ class ServerNode:
             return  # a concurrent abort decision already settled this one
         reason, out = self._check_locked(tranx, sub, granted, why)
         if reason is not None:
-            self._prepare_abort(rec, reason, out)
+            # an own slice logs nothing: its coordinator's CoordAbort decides it
+            if tranx.coordinator != self.sid:
+                self._append(PartAbort(tranx), durable=False)
+            self._set_part_state(rec, PartState.ABORT)
+            self.locks.record_abort(tranx)
+            self._cast_vote(rec, reason, out)
             return
         rec.writes = out
-        self._append(PartReady(tranx, sub.reads, out), durable=True)
+        # an own slice's PartReady is persisted by the CoordCommit flush
+        self._append(PartReady(tranx, sub.reads, out), durable=tranx.coordinator != self.sid)
         self._set_part_state(rec, PartState.READY)
-        rec.vote = b""
-        self._send_vote_bytes(tranx, rec.vote)
+        self._cast_vote(rec, None, [])
 
-    def _prepare_abort(self, rec: PartRec, reason: AbortReason, piggyback) -> None:
-        tranx = rec.tranx
-        self._append(PartAbort(tranx), durable=False)
-        self._set_part_state(rec, PartState.ABORT)
-        self.locks.record_abort(tranx)
-        rec.vote = rpc.enc_vote_abort(reason, piggyback)
-        self._send_vote_bytes(tranx, rec.vote)
+    def _cast_vote(self, rec: PartRec, reason, piggyback) -> None:
+        """Vote Ready (reason None) or Abort: in-process for an own slice;
+        to a remote coordinator as bytes kept in rec.vote for duplicates."""
+        if rec.tranx.coordinator == self.sid:
+            self._vote(rec.tranx, self.sid, reason, piggyback)
+            return
+        rec.vote = b"" if reason is None else rpc.enc_vote_abort(reason, piggyback)
+        self._send_vote_bytes(rec.tranx, rec.vote)
 
     def _send_vote_bytes(self, tranx: TranxID, vote: bytes) -> None:
         """Empty vote payload means Ready; otherwise an abort vote."""
-        coordinator = tranx.coordinator
-        if vote == b"":
-            env_type, payload = MsgType.READY, b""
-        else:
-            env_type, payload = MsgType.ABORT_DECISION, vote
-        if coordinator == self.sid:
-            if env_type == MsgType.READY:
-                self._vote(tranx, self.sid, None, [])
-            else:
-                reason, piggyback = rpc.dec_vote_abort(vote)
-                self._vote(tranx, self.sid, reason or AbortReason.UNKNOWN, piggyback)
-            return
-        self._send(coordinator, self._server_env(env_type, tranx, payload))
+        mt = MsgType.READY if vote == b"" else MsgType.ABORT_DECISION
+        self._send(tranx.coordinator, self._server_env(mt, tranx, vote))
 
     def _handle_decision(self, tranx: TranxID, decision: str) -> bool:
         """Apply a commit/abort decision; returns whether the sender is owed
         an ack, which is always, except for a commit of a transaction this
         node holds no Ready slice of: that is traced and changes nothing,
         and an ack would claim a commit this node never applied.  A slice
-        already decided acks again with no side effect."""
+        already decided acks again with no side effect.  The coordinator's
+        own slice logs nothing here: its CoordCommit or CoordAbort is the
+        slice's decision record."""
         if self.gc.is_final_by_watermark(tranx):
             return True
         rec = self.part.get(tranx)
+        remote = tranx.coordinator != self.sid
         if decision == "Commit":
             if rec is not None and rec.state == PartState.COMMIT:
                 return True  # replay
             if rec is None or rec.state != PartState.READY:
                 self._trace("msg.unexpected", type=MsgType.COMMIT_DECISION.name, tranx=tranx)
                 return False
-            self._append(PartCommit(tranx), durable=True)
+            if remote:
+                self._append(PartCommit(tranx), durable=True)
             self._set_part_state(rec, PartState.COMMIT)
             if rec.writes:
                 self.storage.apply_writes(list(rec.writes))
                 self._trace("part.apply", tranx=tranx, writes=rec.writes)
             self.locks.release_all(tranx)
         elif rec is None or rec.state in (PartState.START, PartState.READY):
-            self._append(PartAbort(tranx), durable=False)
+            if remote:
+                self._append(PartAbort(tranx), durable=False)
             if rec is None:  # the abort overtook its PREPARE: the record drops it
                 self.part[tranx] = PartRec(tranx, (), state=PartState.ABORT)
             else:
@@ -669,13 +624,13 @@ class ServerNode:
             if due > now:
                 break
             rec = self.coord[tranx]
-            if rec.decision is not None:
+            if rec.state is not CoordState.PREPARE:
                 self._send_decision(rec)
                 self._queue_resend(rec)
                 continue
             rec.retries += 1
             if rec.retries >= PREPARE_BUDGET:
-                self._decide(rec, "Abort", AbortReason.TIMEOUT, [])
+                self._decide(rec, CoordState.ABORT, AbortReason.TIMEOUT, [])
             else:
                 self._send_prepare(rec)
                 self._queue_resend(rec)
@@ -716,7 +671,10 @@ class ServerNode:
         # Abort for an id this node no longer holds: a READY querier has not
         # acked, so its record is still here; any other querier ignores it
         rec = self.coord.get(env.tranx)
-        status = "Abort" if rec is None else rec.decision or "Pending"
+        if rec is None:
+            status = "Abort"
+        else:
+            status = "Pending" if rec.state is CoordState.PREPARE else rec.state.value
         self._reply(env, rpc.enc_status_resp(status))
 
     def _query_status(self, tranx: TranxID) -> None:
@@ -751,24 +709,25 @@ class ServerNode:
 
     def recover_local(self) -> None:
         """Fold the WAL into volatile state."""
-        coord_state: dict[TranxID, str] = {}
+        coord_state: dict[TranxID, CoordState] = {}
         coord_parts: dict[TranxID, tuple] = {}
         part_ready: dict[TranxID, PartReady] = {}
         part_state: dict[TranxID, str] = {}
         coord_client: dict[TranxID, tuple[int, int] | None] = {}
-        own_seqs: set[int] = set()
+        own_seqs: set[int] = set()  # seqs with a coordinator record
+        base_lc = self.gc.table.get(self.sid, 0)
+        max_seq = base_lc  # highest seq any logged record of ours names
         for recd in self.tranxlog.scan():
             t = recd.tranx
+            if t.coordinator == self.sid:
+                max_seq = max(max_seq, t.seq)
             if isinstance(recd, CoordPrepare):
-                coord_state[t] = "Prepare"
+                coord_state[t] = CoordState.PREPARE
                 coord_parts[t] = recd.participants
                 own_seqs.add(t.seq)
-            elif isinstance(recd, CoordCommit):
-                coord_state[t] = "Commit"
-                coord_client[t] = recd.client
-                own_seqs.add(t.seq)
-            elif isinstance(recd, CoordAbort):
-                coord_state[t] = "Abort"
+            elif isinstance(recd, (CoordCommit, CoordAbort)):
+                committed = isinstance(recd, CoordCommit)
+                coord_state[t] = CoordState.COMMIT if committed else CoordState.ABORT
                 coord_client[t] = recd.client
                 own_seqs.add(t.seq)
             elif isinstance(recd, PartReady):
@@ -779,20 +738,17 @@ class ServerNode:
             elif isinstance(recd, PartAbort):
                 part_state[t] = "Abort"
 
-        base_lc = self.gc.table.get(self.sid, 0)
-        max_seq = max(own_seqs, default=0)
-        max_seq = max(max_seq, base_lc)
         self.issuer = TranxIdIssuer(self.sid, max_seq)
         self.gc.issued_max_fn = lambda: self.issuer.last_issued
 
         # fill crash gaps in the TranxID space with aborts so the watermark
-        # prefix can advance past them
+        # prefix can advance past them; an own slice logged without a
+        # coordinator record is one of them (presumed abort)
         for seq in range(base_lc + 1, max_seq + 1):
             t = TranxID(self.sid, seq)
             if seq not in own_seqs:
                 self._append(CoordAbort(t), durable=True)
-                coord_state[t] = "Abort"
-                coord_parts.setdefault(t, ())
+                coord_state[t] = CoordState.ABORT
 
         # participant side: a record for every slice the log holds; replay
         # commits, re-lock in-doubt ready slices
@@ -802,13 +758,10 @@ class ServerNode:
             if ready is None:
                 if state == "Abort":  # voted Abort; the vote's reason was not logged
                     self.part[t] = PartRec(t, (), state=PartState.ABORT, vote=_ABORTED_VOTE)
-                    self.locks.record_abort(t)
                 continue
-            if state == "Ready" and t.coordinator == self.sid:
-                # own slice (1PC or self-participation): the coordinator's
-                # decision, when logged, settles it locally
-                if coord_state.get(t) in ("Commit", "Abort"):
-                    state = coord_state[t]
+            own = coord_state.get(t) if t.coordinator == self.sid else None
+            if own in (CoordState.COMMIT, CoordState.ABORT):
+                state = own.value  # own slice: the coordinator's record decides it
             rec = PartRec(t, ready.reads, ready.writes, vote=b"")
             self.part[t] = rec
             if state == "Commit":
@@ -816,7 +769,6 @@ class ServerNode:
                 rec.state = PartState.COMMIT
             elif state == "Abort":
                 rec.state = PartState.ABORT
-                self.locks.record_abort(t)
             else:
                 result: list = []
                 self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
@@ -831,23 +783,17 @@ class ServerNode:
             if t.seq <= base_lc:
                 continue
             participants = dict(coord_parts.get(t, ()))
-            rec = CoordRec(t, {sid: sub for sid, sub in participants.items()})
-            rec.state = {
-                "Prepare": CoordState.PREPARE,
-                "Commit": CoordState.COMMIT,
-                "Abort": CoordState.ABORT,
-            }[state]
+            rec = CoordRec(t, participants, state=state)
             self.coord[t] = rec
-            if state == "Prepare":
+            if state is CoordState.PREPARE:
                 rec.pending_ready = set(participants)
                 rec.pending_ack = set(participants)
                 continue
-            rec.decision = state
-            # the local slice was replayed above, so only remote owners ack
+            # the local slice was settled above, so only remote owners ack
             rec.pending_ack = {sid for sid in participants if sid != self.sid}
             if not rec.pending_ack:
                 rec.complete = True
-                self.gc.mark_complete(t, state)
+                self.gc.mark_complete(t, state.value)
 
         # rebuild the client-request dedup window for decided transactions so
         # a resent commit request gets the original answer instead of being
@@ -855,7 +801,7 @@ class ServerNode:
         for t, ck in sorted(coord_client.items()):
             if ck is None:
                 continue
-            if coord_state.get(t) == "Commit":
+            if coord_state[t] is CoordState.COMMIT:
                 payload = rpc.enc_commit_resp(True, None, [])
             else:
                 payload = rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
@@ -869,7 +815,7 @@ class ServerNode:
         self._trace(
             "recovered",
             coord=len(coord_state),
-            in_doubt_coord=sum(1 for r in self.coord.values() if r.decision is None),
+            in_doubt_coord=sum(1 for r in self.coord.values() if r.state is CoordState.PREPARE),
             in_doubt_part=len(in_doubt_participant),
         )
         self._in_doubt_participant = in_doubt_participant
@@ -884,10 +830,10 @@ class ServerNode:
         """Resolve in-doubt transactions and resend the decisions found by
         recovery; runs after service stages start."""
         for rec in self.coord.values():
-            if rec.decision is None:
+            if rec.state is CoordState.PREPARE:
                 # silence means failure to the client: abort even if every
                 # participant turned out to be ready
-                self._decide(rec, "Abort", AbortReason.UNKNOWN, [])
+                self._decide(rec, CoordState.ABORT, AbortReason.UNKNOWN, [])
             elif not rec.complete:
                 self._send_decision(rec)
                 self._queue_resend(rec)

@@ -109,14 +109,6 @@ class FakeTranxLog:
         return 1
 
 
-class FakeLocks:
-    def __init__(self):
-        self.pruned = []
-
-    def prune_aborted(self, table):
-        self.pruned.append(dict(table))
-
-
 class FakeStore:
     def __init__(self):
         self.syncs = 0
@@ -133,7 +125,6 @@ def make_manager(server=0, members=(0, 1)):
         server=server,
         gclog=GcLog(env, list(members)),
         tranxlog=FakeTranxLog(),
-        lock_table=FakeLocks(),
         store=FakeStore(),
         broadcast_fn=broadcasts.append,
         trace=lambda ev, **info: events.append(ev),
@@ -153,13 +144,11 @@ def test_tick_persists_before_reclaiming_and_broadcasts():
     # reclamation saw the freshly persisted table
     assert mgr.tranxlog.calls[-1] == {0: 2, 1: 0}
     assert mgr.store.syncs == 1
-    assert mgr.lock_table.pruned[-1] == {0: 2, 1: 0}
     # the new watermark is durable: a fresh manager resumes from it
     mgr2 = GcManager(
         server=0,
         gclog=GcLog(mgr.gclog.env, [0, 1]),
         tranxlog=FakeTranxLog(),
-        lock_table=FakeLocks(),
         store=FakeStore(),
         broadcast_fn=lambda lc: None,
     )
@@ -183,9 +172,8 @@ def test_broadcast_intake_ignores_stale_and_unknown():
     assert not mgr.on_lc_broadcast(1, 3)  # stale (lower)
     assert not mgr.on_lc_broadcast(9, 100)  # unknown sender
     assert mgr.table == {0: 0, 1: 4}
-    # intake also persisted, synced, reclaimed, and pruned
+    # intake also persisted, synced and reclaimed
     assert mgr.store.syncs == 1
-    assert mgr.lock_table.pruned[-1] == {0: 0, 1: 4}
     assert GcLog(mgr.gclog.env, [0, 1]).read() == {0: 0, 1: 4}
 
 

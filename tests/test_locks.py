@@ -107,13 +107,6 @@ def test_already_aborted_guard_wins_even_after_wait():
     assert table.is_idle()
 
 
-def test_late_acquire_after_abort_rejected():
-    table, _ = make_table()
-    table.record_abort(T1)
-    assert acquire(table, T1, [b"k"], []) == [(False, RejectReason.ALREADY_ABORTED)]
-    assert table.is_idle()
-
-
 def test_release_is_idempotent_and_wakes_fifo():
     table, _ = make_table()
     acquire(table, T1, [b"k"], [])
@@ -124,16 +117,6 @@ def test_release_is_idempotent_and_wakes_fifo():
     # exactly one waiter gets the exclusive lock; FIFO says it is T2
     assert out2 == [(True, None)]
     assert out3 == []
-
-
-def test_prune_aborted_by_watermark_and_regression_check():
-    table, _ = make_table()
-    table.record_abort(TranxID(0, 3))
-    table.record_abort(TranxID(0, 8))
-    table.prune_aborted({0: 5})
-    assert table.aborted == {TranxID(0, 8)}
-    with pytest.raises(ValueError):
-        table.prune_aborted({0: 4})  # watermarks never regress
 
 
 def test_audit_and_stats():

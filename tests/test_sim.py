@@ -14,10 +14,11 @@ from dtx import oracle, rpc
 from dtx import sim as simmod
 from dtx.bench import preload_sim, run_sim_bench, start_clients
 from dtx.cli import format_trace
-from dtx.model import PartState, Transaction, TranxID
+from dtx.model import CoordCommit, CoordState, PartAbort, PartState, Transaction, TranxID
 from dtx.rpc import AbortReason, Envelope, MsgType
-from dtx.sim import CrashPlan, NetConfig, Simulator
+from dtx.sim import CrashPlan, NetConfig, SimCrash, Simulator
 from dtx.server import PREPARE_BUDGET, RESEND, ServerNode, owner_of
+from dtx.wal import LogManager, TranxLog
 from dtx.workload import WorkloadSpec, load_script, owner_batches, txn_script
 from dtx.sim import ClosedLoopDriver
 
@@ -172,6 +173,59 @@ def test_three_owner_commit_scales_per_participant():
     assert counts["COMMIT_DECISION"] == 2 and counts["ACK"] == 2
 
 
+def record_wal(monkeypatch, sim):
+    """sid -> [(record kind, durable)] of every append, and sid -> seal
+    count: a seal is one durable flush of a WAL block."""
+    appends, seals = {}, {}
+
+    def sid_of(log):
+        return next(sid for sid, n in sim.nodes.items() if n.alive and n.node.tranxlog is log)
+
+    orig_append, orig_seal = TranxLog.append, LogManager._seal
+
+    def append(self, rec, durable):
+        appends.setdefault(sid_of(self), []).append((type(rec).__name__, durable))
+        orig_append(self, rec, durable)
+
+    def seal(self):
+        sid = next(sid for sid, n in sim.nodes.items() if n.alive and n.node.tranxlog.manager is self)
+        seals[sid] = seals.get(sid, 0) + 1
+        orig_seal(self)
+
+    monkeypatch.setattr(TranxLog, "append", append)
+    monkeypatch.setattr(LogManager, "_seal", seal)
+    return appends, seals
+
+
+def test_wal_shape_of_each_commit_kind(monkeypatch):
+    """The coordinator's own slice forces no record: CoordCommit persists
+    its PartReady and is its decision.  Only a remote owner forces
+    PartReady and PartCommit."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    sim.audit_messages = True
+    appends, seals = record_wal(monkeypatch, sim)
+    c = sim.new_client(seed=1)
+    ks = keys_owned_by(2, sim.members, 2)
+    assert commit_txn(sim, c, ks, {ks[0]: b"x"})[0]
+    sim.run(1.0)
+    assert appends == {2: [("PartReady", False), ("CoordCommit", True)]}
+    assert seals == {2: 1} and sum(sim.server_msgs.values()) == 0
+
+    appends.clear()
+    seals.clear()
+    span = list(key_spanning(sim.members).values())
+    assert commit_txn(sim, c, span, {k: b"z" for k in span})[0]
+    sim.run(1.0)
+    (coordinator,) = [sid for sid, kinds in appends.items() if ("CoordPrepare", True) in kinds]
+    assert appends.pop(coordinator) == [
+        ("CoordPrepare", True), ("PartReady", False), ("CoordCommit", True)
+    ]
+    assert seals.pop(coordinator) == 2
+    assert appends == {sid: [("PartReady", True), ("PartCommit", True)]
+                       for sid in sim.members if sid != coordinator}
+    assert seals == {sid: 2 for sid in sim.members if sid != coordinator}
+
+
 def test_commit_decision_is_sent_in_the_step_that_persists_it():
     sim = make_sim(3, seed=5)
     span = key_spanning(sim.members)
@@ -291,7 +345,7 @@ def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
     # one tick per round; then at most one more, armed for the abort's ack
     assert [at - start for at, _ in ticks][:PREPARE_BUDGET] == prepared[1:] + [aborted]
     assert len(ticks) <= PREPARE_BUDGET + 1
-    assert rec.decision == "Abort" and rec.abort_reason is AbortReason.TIMEOUT
+    assert rec.state is CoordState.ABORT and rec.abort_reason is AbortReason.TIMEOUT
     assert rec.complete and resend_idle(sim)
     assert oracle.locks_clean(sim) == []
 
@@ -522,14 +576,12 @@ def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():
             for n in nodes
         )
 
-    aborted_ids = 0
     while not quiet():
         sim.run_until(sim._heap[0][0])
-        aborted_ids = max(aborted_ids, sum(len(n.locks.aborted) for n in nodes))
-    assert aborted_ids > 0 and all(n.part for n in nodes)
+    assert all(n.part for n in nodes)
     sim.run(2 * TEST_GC_PERIOD)
     for n in nodes:
-        assert (n.coord, n.part, n.locks.aborted) == ({}, {}, set()), n.sid
+        assert (n.coord, n.part) == ({}, {}), n.sid
 
 
 def test_two_writers_that_deny_each_others_read_lock_both_commit():
@@ -642,6 +694,44 @@ def test_crash_point_enumeration_and_injection():
     if ok:  # if the client saw success the write must be everywhere it belongs
         state = sim2.global_state()
         assert all(state[k][0] == b"p" for k in ks)
+
+
+def test_own_slice_logged_without_a_decision_is_aborted_at_recovery(monkeypatch):
+    """A single-owner commit whose CoordCommit append seals the block that
+    holds its PartReady, on a node killed before CoordCommit is flushed,
+    leaves an own slice in the log with no coordinator record.  Recovery
+    aborts it (presumed abort) and does not issue its id again."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    sim.auto_restart = 0.100
+    k = b"k0"
+    assert owner_of(k, sim.members) == 0
+    log = sim.nodes[0].node.tranxlog
+    for seq in (1, 2, 3):  # as abort votes leave them: unflushed
+        log.append(PartAbort(TranxID(1, seq)), durable=False)
+    orig_append = TranxLog.append
+    sealed = []
+
+    def append(self, rec, durable):
+        if self is not log or not isinstance(rec, CoordCommit) or sealed:
+            return orig_append(self, rec, durable)
+        orig_append(self, rec, False)
+        sealed.append(len(self.manager._buf))
+        raise SimCrash(0, "after the seal, before CoordCommit is flushed")
+
+    monkeypatch.setattr(TranxLog, "append", append)
+    c = sim.new_client(seed=1)
+    value = b"v" * 3966  # PartReady fills the open block; CoordCommit does not fit
+    ok, reason, _ = commit_txn(sim, c, [], {k: value}, timeout=20.0)
+    assert sealed == [1]  # the open block holds CoordCommit alone: PartReady is durable
+    assert sim.crashes == 1
+    sim.run(2.0)  # settle; the first GC tick after the restart is 10 s away
+    node = sim.nodes[0].node
+    assert (ok, reason) == (True, None)
+    assert node.part[TranxID(0, 1)].state is PartState.ABORT
+    assert node.coord[TranxID(0, 1)].state is CoordState.ABORT
+    assert node.coord[TranxID(0, 2)].state is CoordState.COMMIT
+    assert sim.global_state()[k] == (value, 1)
+    assert oracle.locks_clean(sim) == []
 
 
 # -- adverse network -----------------------------------------------------------------
