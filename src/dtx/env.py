@@ -96,15 +96,21 @@ class Region:
 
 
 class MemoryRegion(Region):
+    """Grows as it is written, by at least doubling, up to its length; bytes
+    past the end of the buffer read as zero."""
+
     def __init__(self, length: int) -> None:
         super().__init__(length)
-        self._buf = bytearray(length)
+        self._buf = bytearray()
 
     def _write(self, offset: int, data: bytes) -> None:
-        self._buf[offset : offset + len(data)] = data
+        end = offset + len(data)
+        if end > len(self._buf):
+            self._buf += bytes(min(self.length, max(end, 2 * len(self._buf))) - len(self._buf))
+        self._buf[offset:end] = data
 
     def _read(self, offset: int, n: int) -> bytes:
-        return bytes(self._buf[offset : offset + n])
+        return bytes(self._buf[offset : offset + n]).ljust(n, b"\0")
 
     def _barrier(self, offset: int, n: int) -> None:
         pass

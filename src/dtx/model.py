@@ -2,8 +2,16 @@
 
 All wire/disk encodings in this package are built from the same three
 primitives: fixed-width little-endian integers, a single kind/tag byte,
-and 32-bit length-prefixed byte strings.  Text delimiters are never used
-because keys and values are arbitrary binary.
+and 32-bit length-prefixed byte strings (blobs).  Text delimiters are never
+used because keys and values are arbitrary binary.
+
+Each codec is written out field by field, with no cursor object or call
+per field; rpc.py builds the wire codecs from the same pieces.  Encoders
+pack fixed-width runs with module-level struct.Struct objects, collect them
+and the blobs in one list, and join it once.  Decoders unpack_from at a
+running position: a read past the end raises struct.error, and the final
+check that the position is the buffer's end catches a last blob cut short
+and trailing bytes.  Either makes the input a MalformedRecordError.
 """
 
 from __future__ import annotations
@@ -11,96 +19,35 @@ from __future__ import annotations
 import enum
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 ServerId = int  # index into the static cluster membership
 
 MAX_U64 = (1 << 64) - 1
+
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_TRANX = struct.Struct("<IQ")  # TranxID: coordinator, seq
+_KIND_TRANX = struct.Struct("<BIQ")  # a log record's kind and TranxID
+_CLIENT = struct.Struct("<QQ")  # (client id, message id)
+_new_tuple = tuple.__new__
 
 
 class MalformedRecordError(Exception):
     """Decoding failed: truncated, garbled, or unknown tag."""
 
 
-class ByteWriter:
-    """Accumulates the little-endian primitive encodings."""
-
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def u8(self, v: int) -> None:
-        self._parts.append(struct.pack("<B", v))
-
-    def u32(self, v: int) -> None:
-        self._parts.append(struct.pack("<I", v))
-
-    def u64(self, v: int) -> None:
-        self._parts.append(struct.pack("<Q", v))
-
-    def blob(self, b: bytes) -> None:
-        self._parts.append(struct.pack("<I", len(b)))
-        self._parts.append(b)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-
-class ByteReader:
-    """Cursor over an encoded buffer; raises MalformedRecordError on underrun."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise MalformedRecordError(
-                f"need {n} bytes at offset {self._pos}, have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def blob(self) -> bytes:
-        n = self.u32()
-        return self._take(n)
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)
-
-    def expect_done(self) -> None:
-        if not self.done():
-            raise MalformedRecordError(
-                f"{len(self._data) - self._pos} trailing bytes after record"
-            )
-
-
-@dataclass(frozen=True, order=True)
-class TranxID:
+class TranxID(NamedTuple):
     """Globally unique transaction id: (coordinator server, local sequence).
 
-    Total order is lexicographic, which dataclass ordering gives us.
+    Total order is lexicographic, which tuple ordering gives us; so is the
+    hash, that of the field tuple.
     """
 
     coordinator: ServerId
     seq: int
-
-    def encode_into(self, w: ByteWriter) -> None:
-        w.u32(self.coordinator)
-        w.u64(self.seq)
-
-    @staticmethod
-    def decode_from(r: ByteReader) -> "TranxID":
-        return TranxID(r.u32(), r.u64())
 
     def __str__(self) -> str:
         return f"({self.coordinator},{self.seq})"
@@ -141,35 +88,91 @@ class Transaction:
     writes: tuple[tuple[bytes, bytes], ...]
 
     def __post_init__(self) -> None:
-        rk = [k for k, _ in self.reads]
-        wk = [k for k, _ in self.writes]
-        if len(set(rk)) != len(rk):
+        if len({k for k, _ in self.reads}) != len(self.reads):
             raise ValueError("duplicate key in read set")
-        if len(set(wk)) != len(wk):
+        if len({k for k, _ in self.writes}) != len(self.writes):
             raise ValueError("duplicate key in write set")
 
     @property
     def keys(self) -> set[bytes]:
         return {k for k, _ in self.reads} | {k for k, _ in self.writes}
 
-    def encode_into(self, w: ByteWriter) -> None:
-        w.u32(len(self.reads))
-        for k, v in self.reads:
-            w.blob(k)
-            w.u64(v)
-        w.u32(len(self.writes))
-        for k, val in self.writes:
-            w.blob(k)
-            w.blob(val)
 
-    @staticmethod
-    def decode_from(r: ByteReader) -> "Transaction":
-        reads = tuple((r.blob(), r.u64()) for _ in range(r.u32()))
-        writes = tuple((r.blob(), r.blob()) for _ in range(r.u32()))
-        try:
-            return Transaction(reads, writes)
-        except ValueError as e:
-            raise MalformedRecordError(str(e)) from e
+def _pack_reads(out: list, reads) -> None:
+    """n: u32 | (key blob | version u64)*, appended to out."""
+    out.append(_U32.pack(len(reads)))
+    for k, v in reads:
+        out += (_U32.pack(len(k)), k, _U64.pack(v))
+
+
+def _pack_entries(out: list, entries) -> None:
+    """n: u32 | (key blob | value blob | version u64)*, appended to out."""
+    out.append(_U32.pack(len(entries)))
+    for k, v, ver in entries:
+        out += (_U32.pack(len(k)), k, _U32.pack(len(v)), v, _U64.pack(ver))
+
+
+def _pack_txn(out: list, txn: Transaction) -> None:
+    """A Transaction, appended to out: its reads, then n: u32 | (key blob | value blob)*."""
+    _pack_reads(out, txn.reads)
+    out.append(_U32.pack(len(txn.writes)))
+    for k, v in txn.writes:
+        out += (_U32.pack(len(k)), k, _U32.pack(len(v)), v)
+
+
+def _decode_whole(unpack, b: bytes, what: str):
+    """The value of unpack(b, 0) -> (value, end) if it spans all of b.  Every
+    _unpack_* helper returns (value, position after it) for the bytes at pos."""
+    try:
+        value, pos = unpack(b, 0)
+    except struct.error as e:
+        raise MalformedRecordError(f"truncated {what}: {e}") from None
+    if pos != len(b):
+        raise MalformedRecordError(f"{what} ends at byte {pos} of {len(b)}")
+    return value
+
+
+def _unpack_reads(b: bytes, pos: int) -> tuple[tuple, int]:
+    count = _U32.unpack_from(b, pos)[0]
+    pos += 4
+    reads = []
+    for _ in range(count):
+        start = pos + 4
+        end = start + _U32.unpack_from(b, pos)[0]
+        reads.append((b[start:end], _U64.unpack_from(b, end)[0]))
+        pos = end + 8
+    return tuple(reads), pos
+
+
+def _unpack_entries(b: bytes, pos: int) -> tuple[list, int]:
+    count = _U32.unpack_from(b, pos)[0]
+    pos += 4
+    entries = []
+    for _ in range(count):
+        start = pos + 4
+        end = start + _U32.unpack_from(b, pos)[0]
+        vstart = end + 4
+        pos = vstart + _U32.unpack_from(b, end)[0]
+        entries.append((b[start:end], b[vstart:pos], _U64.unpack_from(b, pos)[0]))
+        pos += 8
+    return entries, pos
+
+
+def _unpack_txn(b: bytes, pos: int) -> tuple[Transaction, int]:
+    reads, pos = _unpack_reads(b, pos)
+    count = _U32.unpack_from(b, pos)[0]
+    pos += 4
+    writes = []
+    for _ in range(count):
+        start = pos + 4
+        end = start + _U32.unpack_from(b, pos)[0]
+        vstart = end + 4
+        pos = vstart + _U32.unpack_from(b, end)[0]
+        writes.append((b[start:end], b[vstart:pos]))
+    try:
+        return Transaction(reads, tuple(writes)), pos
+    except ValueError as e:
+        raise MalformedRecordError(str(e)) from None
 
 
 class CoordState(enum.Enum):
@@ -273,63 +276,56 @@ LogRecord = CoordPrepare | CoordCommit | CoordAbort | PartReady | PartCommit | P
 
 
 def encode_record(rec: LogRecord) -> bytes:
-    w = ByteWriter()
-    w.u8(rec.kind)
-    if isinstance(rec, CoordPrepare):
-        rec.tranx.encode_into(w)
-        w.u32(len(rec.participants))
+    """kind: u8 | tranx (coordinator u32 | seq u64) | the kind's fields."""
+    kind = rec.kind
+    head = _KIND_TRANX.pack(kind, *rec.tranx)
+    if kind == _KIND_COORD_COMMIT or kind == _KIND_COORD_ABORT:
+        # has_client: u8 | [client id u64 | message id u64]
+        return head + (b"\x00" if rec.client is None else b"\x01" + _CLIENT.pack(*rec.client))
+    if kind == _KIND_PART_COMMIT or kind == _KIND_PART_ABORT:
+        return head
+    out = [head]
+    if kind == _KIND_PART_READY:  # reads, then writes with post-versions
+        _pack_reads(out, rec.reads)
+        _pack_entries(out, rec.writes)
+    elif kind == _KIND_COORD_PREPARE:  # n: u32 | (server u32 | Transaction)*
+        out.append(_U32.pack(len(rec.participants)))
         for sid, sub in rec.participants:
-            w.u32(sid)
-            sub.encode_into(w)
-    elif isinstance(rec, (CoordCommit, CoordAbort)):
-        rec.tranx.encode_into(w)
-        if rec.client is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.u64(rec.client[0])
-            w.u64(rec.client[1])
-    elif isinstance(rec, (PartCommit, PartAbort)):
-        rec.tranx.encode_into(w)
-    elif isinstance(rec, PartReady):
-        rec.tranx.encode_into(w)
-        w.u32(len(rec.reads))
-        for k, v in rec.reads:
-            w.blob(k)
-            w.u64(v)
-        w.u32(len(rec.writes))
-        for k, val, pv in rec.writes:
-            w.blob(k)
-            w.blob(val)
-            w.u64(pv)
+            out.append(_U32.pack(sid))
+            _pack_txn(out, sub)
     else:  # pragma: no cover - exhaustive over LogRecord
         raise TypeError(f"unknown record type {type(rec)!r}")
-    return w.getvalue()
+    return b"".join(out)
 
 
 def decode_record(data: bytes) -> LogRecord:
-    r = ByteReader(data)
-    kind = r.u8()
-    rec: LogRecord
-    if kind == _KIND_COORD_PREPARE:
-        tranx = TranxID.decode_from(r)
-        parts = tuple((r.u32(), Transaction.decode_from(r)) for _ in range(r.u32()))
-        rec = CoordPrepare(tranx, parts)
-    elif kind in (_KIND_COORD_COMMIT, _KIND_COORD_ABORT):
-        tranx = TranxID.decode_from(r)
-        client = (r.u64(), r.u64()) if r.u8() else None
+    return _decode_whole(_unpack_record, data, "record")
+
+
+def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
+    kind, coordinator, seq = _KIND_TRANX.unpack_from(b, pos)
+    tranx = _new_tuple(TranxID, (coordinator, seq))
+    pos += _KIND_TRANX.size
+    if kind == _KIND_COORD_COMMIT or kind == _KIND_COORD_ABORT:
         cls = CoordCommit if kind == _KIND_COORD_COMMIT else CoordAbort
-        rec = cls(tranx, client)
-    elif kind == _KIND_PART_READY:
-        tranx = TranxID.decode_from(r)
-        reads = tuple((r.blob(), r.u64()) for _ in range(r.u32()))
-        writes = tuple((r.blob(), r.blob(), r.u64()) for _ in range(r.u32()))
-        rec = PartReady(tranx, reads, writes)
-    elif kind == _KIND_PART_COMMIT:
-        rec = PartCommit(TranxID.decode_from(r))
-    elif kind == _KIND_PART_ABORT:
-        rec = PartAbort(TranxID.decode_from(r))
-    else:
+        if _U8.unpack_from(b, pos)[0]:
+            return cls(tranx, _CLIENT.unpack_from(b, pos + 1)), pos + 1 + _CLIENT.size
+        return cls(tranx, None), pos + 1
+    if kind == _KIND_PART_COMMIT:
+        return PartCommit(tranx), pos
+    if kind == _KIND_PART_ABORT:
+        return PartAbort(tranx), pos
+    if kind == _KIND_PART_READY:
+        reads, pos = _unpack_reads(b, pos)
+        writes, pos = _unpack_entries(b, pos)
+        return PartReady(tranx, reads, tuple(writes)), pos
+    if kind != _KIND_COORD_PREPARE:
         raise MalformedRecordError(f"unknown record kind {kind}")
-    r.expect_done()
-    return rec
+    count = _U32.unpack_from(b, pos)[0]
+    pos += 4
+    parts = []
+    for _ in range(count):
+        sid = _U32.unpack_from(b, pos)[0]
+        sub, pos = _unpack_txn(b, pos + 4)
+        parts.append((sid, sub))
+    return CoordPrepare(tranx, tuple(parts)), pos

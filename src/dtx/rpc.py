@@ -39,6 +39,10 @@ Payloads (blob = len: u32 LE | bytes):
   participant's ACK of either: the TranxID in the envelope, an empty
   payload.  One message names one transaction.
 
+Every payload decoder takes exactly one encoding: a payload that is
+truncated, garbled, or followed by trailing bytes raises
+MalformedRecordError, as a log record does (a READ request and its answer
+are self-delimiting lists, so trailing bytes there read as a torn element).
 A server drops a message whose type names a transaction (PREPARE, READY,
 the decisions, ACK, TRANX_STATUS) but whose envelope carries none, and a
 message whose payload does not decode; a COMMIT or VALIDATE whose payload
@@ -50,18 +54,28 @@ from __future__ import annotations
 import enum
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
-    ByteReader,
-    ByteWriter,
     MalformedRecordError,
     Transaction,
     TranxID,
+    _TRANX,
+    _decode_whole,
+    _pack_entries,
+    _pack_txn,
+    _unpack_entries,
+    _unpack_txn,
 )
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+# frame header (total_len, version) and envelope, without and with a tranx
+_HEAD = struct.Struct("<IBBBQQB")
+_HEAD_TRANX = struct.Struct("<IBBBQQBIQ")
+_ENV = struct.Struct("<BBQQB")  # the envelope up to has_tranx
+_ANSWER = struct.Struct("<BB")  # committed, reason code
+_new_tuple = tuple.__new__
 
 FRAME_VERSION = 1
 MAX_FRAME = 16 * 1024 * 1024
@@ -89,6 +103,9 @@ class MsgType(enum.IntEnum):
     VALIDATE = 12  # read-only commit: a client asks one owner to check its reads
 
 
+_MSG_TYPE = {int(t): t for t in MsgType}
+
+
 class AbortReason(enum.Enum):
     LOCK_DENIED_READ = "lock-denied-read"
     LOCK_DENIED_WRITE = "lock-denied-write"
@@ -101,10 +118,10 @@ class AbortReason(enum.Enum):
 
 _REASON_CODE = {r: i for i, r in enumerate(AbortReason, start=1)}
 _CODE_REASON = {i: r for r, i in _REASON_CODE.items()}
+_REASON_CODE[None] = 0
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     msg_type: MsgType
     sender_kind: int
     sender_id: int
@@ -112,98 +129,83 @@ class Envelope:
     tranx: TranxID | None
     payload: bytes
 
-    def encode(self) -> bytes:
-        w = ByteWriter()
-        w.u8(int(self.msg_type))
-        w.u8(self.sender_kind)
-        w.u64(self.sender_id)
-        w.u64(self.message_id)
-        if self.tranx is not None:
-            w.u8(1)
-            self.tranx.encode_into(w)
-        else:
-            w.u8(0)
-        body = w.getvalue() + self.payload
-        return body
-
-    @staticmethod
-    def decode(data: bytes) -> "Envelope":
-        r = ByteReader(data)
-        try:
-            msg_type = MsgType(r.u8())
-            sender_kind = r.u8()
-            sender_id = r.u64()
-            message_id = r.u64()
-            tranx = TranxID.decode_from(r) if r.u8() else None
-        except (ValueError, MalformedRecordError) as e:
-            raise FrameError(f"malformed envelope: {e}") from e
-        payload = data[r._pos :]
-        return Envelope(msg_type, sender_kind, sender_id, message_id, tranx, payload)
-
 
 def frame_encode(env: Envelope) -> bytes:
-    body = env.encode()
-    if 1 + len(body) > MAX_FRAME:
+    msg_type, kind, sender, mid, tranx, payload = env
+    head = _HEAD if tranx is None else _HEAD_TRANX
+    n = head.size - 4 + len(payload)
+    if n > MAX_FRAME:
         raise FrameError("frame too large")
-    w = ByteWriter()
-    w.u32(1 + len(body))
-    w.u8(FRAME_VERSION)
-    return w.getvalue() + body
+    if tranx is None:
+        return _HEAD.pack(n, FRAME_VERSION, msg_type, kind, sender, mid, 0) + payload
+    return _HEAD_TRANX.pack(n, FRAME_VERSION, msg_type, kind, sender, mid, 1, *tranx) + payload
 
 
 def frame_decode(data: bytes) -> Envelope:
-    r = ByteReader(data)
-    try:
-        n = r.u32()
-    except MalformedRecordError as e:
-        raise FrameError(str(e)) from e
+    if len(data) < 5:
+        raise FrameError(f"frame of {len(data)} bytes has no header")
+    n = _U32.unpack_from(data)[0]
     if n > MAX_FRAME:
         raise FrameError("frame length overflow")
     if 4 + n != len(data):
         raise FrameError(f"frame length {n} does not match buffer {len(data) - 4}")
     if data[4] != FRAME_VERSION:
         raise FrameError(f"unsupported frame version {data[4]}")
-    return Envelope.decode(data[5:])
+    try:
+        mt, kind, sender, mid, has_tranx = _ENV.unpack_from(data, 5)
+        pos = 5 + _ENV.size
+        tranx = None
+        if has_tranx:
+            tranx = _new_tuple(TranxID, _TRANX.unpack_from(data, pos))
+            pos += _TRANX.size
+    except struct.error as e:
+        raise FrameError(f"malformed envelope: {e}") from None
+    msg_type = _MSG_TYPE.get(mt)
+    if msg_type is None:
+        raise FrameError(f"malformed envelope: unknown message type {mt}")
+    return _new_tuple(Envelope, (msg_type, kind, sender, mid, tranx, data[pos:]))
 
 
 # --- payload codecs -----------------------------------------------------------
+# Helpers are private (leading _): a tracer wraps each public enc_*/dec_*.
 
 
 def enc_read_req(keys: list[bytes]) -> bytes:
-    w = ByteWriter()
+    out = []
     for k in keys:
-        w.blob(k)
-    return w.getvalue()
+        out += (_U32.pack(len(k)), k)
+    return b"".join(out)
 
 
 def dec_read_req(b: bytes) -> list[bytes]:
     """The READ's keys; raises MalformedRecordError on no key or a torn blob."""
-    r = ByteReader(b)
-    keys = [r.blob()]
-    while not r.done():
-        keys.append(r.blob())
-    return keys
+    return _decode_whole(_unpack_keys, b, "READ request")
+
+
+def _unpack_keys(b: bytes, pos: int) -> tuple[list[bytes], int]:
+    keys = []
+    while True:  # one key at least
+        start = pos + 4
+        pos = start + _U32.unpack_from(b, pos)[0]
+        keys.append(b[start:pos])
+        if pos >= len(b):
+            return keys, pos
 
 
 def enc_read_resp(entries: list[tuple[bytes, int] | None], locked: bool) -> bytes:
-    w = ByteWriter()
+    out = []
     for entry in entries:
         if entry is None:
-            w.u8(0)
+            out.append(b"\x00")
         else:
-            w.u8(1)
-            w.blob(entry[0])
-            w.u64(entry[1])
-    w.u8(1 if locked else 0)
-    return w.getvalue()
+            out += (b"\x01", _U32.pack(len(entry[0])), entry[0], _U64.pack(entry[1]))
+    out.append(b"\x01" if locked else b"\x00")
+    return b"".join(out)
 
 
 def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool]:
     """(entry or None per key, in request order; locked).  Every entry is at
-    least one byte and locked is the last one, so the answer needs no count.
-
-    Decoded with struct directly rather than ByteReader: a client decodes
-    one answer per owner of every read round."""
+    least one byte and locked is the last one, so the answer needs no count."""
     entries: list[tuple[bytes, int] | None] = []
     pos, last = 0, len(b) - 1
     try:
@@ -226,70 +228,67 @@ def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool]:
 def enc_txn(txn: Transaction) -> bytes:
     """COMMIT request payload (the whole transaction) and PREPARE payload
     (one participant's slice)."""
-    w = ByteWriter()
-    txn.encode_into(w)
-    return w.getvalue()
+    out: list = []
+    _pack_txn(out, txn)
+    return b"".join(out)
 
 
 def dec_txn(b: bytes) -> Transaction:
-    return Transaction.decode_from(ByteReader(b))
+    return _decode_whole(_unpack_txn, b, "transaction")
 
 
-def enc_commit_resp(
-    committed: bool,
-    reason: AbortReason | None,
-    piggyback: list[tuple[bytes, bytes, int]],
-) -> bytes:
-    w = ByteWriter()
-    w.u8(1 if committed else 0)
-    w.u8(0 if reason is None else _REASON_CODE[reason])
-    w.u32(len(piggyback))
-    for k, v, ver in piggyback:
-        w.blob(k)
-        w.blob(v)
-        w.u64(ver)
-    return w.getvalue()
+def _enc_answer(committed: bool, reason: AbortReason | None, piggyback) -> bytes:
+    out = [_ANSWER.pack(committed, _REASON_CODE[reason])]
+    _pack_entries(out, piggyback)
+    return b"".join(out)
+
+
+def _unpack_answer(b: bytes, pos: int):
+    committed, code = _ANSWER.unpack_from(b, pos)
+    piggyback, pos = _unpack_entries(b, pos + _ANSWER.size)
+    return (committed != 0, _CODE_REASON.get(code), piggyback), pos
+
+
+def enc_commit_resp(committed: bool, reason: AbortReason | None, piggyback) -> bytes:
+    return _enc_answer(committed, reason, piggyback)
 
 
 def dec_commit_resp(b: bytes):
-    r = ByteReader(b)
-    committed = bool(r.u8())
-    code = r.u8()
-    reason = _CODE_REASON.get(code)
-    piggyback = [(r.blob(), r.blob(), r.u64()) for _ in range(r.u32())]
-    return committed, reason, piggyback
+    return _decode_whole(_unpack_answer, b, "commit answer")
 
 
 def enc_vote_abort(reason: AbortReason, piggyback: list[tuple[bytes, bytes, int]]) -> bytes:
-    return enc_commit_resp(False, reason, piggyback)
+    return _enc_answer(False, reason, piggyback)
 
 
 def dec_vote_abort(b: bytes):
-    _, reason, piggyback = dec_commit_resp(b)
+    _, reason, piggyback = _decode_whole(_unpack_answer, b, "abort vote")
     return reason, piggyback
 
 
 def enc_gc_lc(lc_seq: int) -> bytes:
-    w = ByteWriter()
-    w.u64(lc_seq)
-    return w.getvalue()
+    return _U64.pack(lc_seq)
 
 
 def dec_gc_lc(b: bytes) -> int:
-    return ByteReader(b).u64()
+    if len(b) != _U64.size:
+        raise MalformedRecordError(f"GC_LC payload of {len(b)} bytes, not {_U64.size}")
+    return _U64.unpack(b)[0]
+
+
+_STATUS_BYTES = {_U32.pack(len(s)) + s.encode(): s for s in ("Commit", "Abort", "Pending")}
 
 
 def enc_status_resp(status: str) -> bytes:
-    w = ByteWriter()
-    w.blob(status.encode())
-    return w.getvalue()
+    raw = status.encode()
+    return _U32.pack(len(raw)) + raw
 
 
 def dec_status_resp(b: bytes) -> str:
-    status = ByteReader(b).blob()
-    if status not in (b"Commit", b"Abort", b"Pending"):
-        raise MalformedRecordError(f"unknown transaction status {status!r}")
-    return status.decode()
+    status = _STATUS_BYTES.get(b)
+    if status is None:
+        raise MalformedRecordError(f"not a transaction status: {b!r}")
+    return status
 
 
 # --- dedup ---------------------------------------------------------------------

@@ -75,6 +75,7 @@ from .model import (
     CoordCommit,
     CoordPrepare,
     CoordState,
+    LogRecord,
     MalformedRecordError,
     PartAbort,
     PartCommit,
@@ -109,6 +110,18 @@ _TRANX_TYPES = frozenset({
     MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION,
     MsgType.ACK, MsgType.TRANX_STATUS,
 })
+# the handler of each message type (ServerNode._on_read for READ, ...) and
+# the crash-point labels, computed once
+_HANDLER = {t: f"_on_{t.name.lower()}" for t in MsgType}
+_RECV_POINT = {t: f"recv.{t.name}" for t in MsgType}
+_SEND_POINT = {t: f"send.{t.name}" for t in MsgType}
+_WAL_POINT = {cls: f"wal.{cls.__name__}" for cls in LogRecord.__args__}
+_LOCK_REASON = {
+    RejectReason.SHARED_DENIED: AbortReason.LOCK_DENIED_READ,
+    RejectReason.EXCLUSIVE_DENIED: AbortReason.LOCK_DENIED_WRITE,
+    RejectReason.WAIT_TIMEOUT: AbortReason.LOCK_DENIED_WRITE,
+    RejectReason.ALREADY_ABORTED: AbortReason.ALREADY_ABORTED,
+}
 
 
 @dataclass
@@ -146,14 +159,7 @@ class PartRec:
 
 
 class ServerNode:
-    def __init__(
-        self,
-        sid: ServerId,
-        config: ServerConfig,
-        env: NodeEnv,
-        store: KvStore,
-        ctx,
-    ) -> None:
+    def __init__(self, sid: ServerId, config: ServerConfig, env: NodeEnv, store: KvStore, ctx) -> None:
         assert sid in config.members
         self.sid = sid
         self.config = config
@@ -162,10 +168,15 @@ class ServerNode:
         self.members = sorted(config.members)
         self.peers = [m for m in self.members if m != sid]
 
+        # read once: with tracing off, no step formats or passes trace info
+        self._tracer = getattr(ctx, "trace", None)
+        self._crash_hook = getattr(ctx, "crash_point", None)
+        trace = self._trace if self._tracer is not None else None
+
         self.tranxlog = TranxLog(env, config.wal_file_capacity)
         self.storage = StorageEngine(store)
         self.locks = LockTable(ctx.set_timer, ctx.cancel_timer, config.lock_wait)
-        self.locks.trace = self._trace
+        self.locks.trace = trace
         self.dedup = DedupTable()
         self.gclog = GcLog(env, self.members)
         self.gc = GcManager(
@@ -174,7 +185,7 @@ class ServerNode:
             tranxlog=self.tranxlog,
             store=self.storage,
             broadcast_fn=self._broadcast_lc,
-            trace=self._trace,
+            trace=trace,
         )
         self.issuer = TranxIdIssuer(sid, 0)
         self.gc.issued_max_fn = lambda: self.issuer.last_issued
@@ -191,36 +202,24 @@ class ServerNode:
         self._pending_status: dict[int, TranxID] = {}
         self._client_epoch = 0
         self._next_client = 0
-        self.stats = {
-            "commits": 0,
-            "aborts": 0,
-            "msgs_sent": 0,
-            "reads": 0,
-            "one_phase": 0,
-        }
+        self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
 
     # -- plumbing --------------------------------------------------------------
 
     def _trace(self, event: str, **info) -> None:
-        tracer = getattr(self.ctx, "trace", None)
-        if tracer is not None:
-            tracer(self.sid, event, **info)
-
-    def _crash_point(self, label: str) -> None:
-        hook = getattr(self.ctx, "crash_point", None)
-        if hook is not None:
-            hook(self.sid, label)
+        if self._tracer is not None:
+            self._tracer(self.sid, event, **info)
 
     def _send(self, dest: ServerId, env: Envelope) -> None:
         self.stats["msgs_sent"] += 1
-        self._trace("msg.send", dest=dest, type=env.msg_type.name, tranx=env.tranx)
+        if self._tracer is not None:
+            self._tracer(self.sid, "msg.send", dest=dest, type=env.msg_type.name, tranx=env.tranx)
         self.ctx.send(dest, env)
-        self._crash_point(f"send.{env.msg_type.name}")
+        if self._crash_hook is not None:
+            self._crash_hook(self.sid, _SEND_POINT[env.msg_type])
 
     def _reply(self, request: Envelope, payload: bytes) -> None:
-        resp = Envelope(
-            MsgType.RESPONSE, rpc.SERVER, self.sid, request.message_id, request.tranx, payload
-        )
+        resp = Envelope(MsgType.RESPONSE, rpc.SERVER, self.sid, request.message_id, request.tranx, payload)
         self.ctx.reply(request, resp)
 
     def _next_msg_id(self) -> int:
@@ -232,17 +231,19 @@ class ServerNode:
 
     def _append(self, record, durable: bool) -> None:
         self.tranxlog.append(record, durable)
-        if durable:
-            self._crash_point(f"wal.{type(record).__name__}")
+        if durable and self._crash_hook is not None:
+            self._crash_hook(self.sid, _WAL_POINT[type(record)])
 
     def _set_coord_state(self, rec: CoordRec, state: CoordState) -> None:
         assert coord_transition_legal(rec.state, state), (rec.state, state)
-        self._trace("coord.state", tranx=rec.tranx, frm=rec.state.value, to=state.value)
+        if self._tracer is not None:
+            self._trace("coord.state", tranx=rec.tranx, frm=rec.state.value, to=state.value)
         rec.state = state
 
     def _set_part_state(self, rec: PartRec, state: PartState) -> None:
         assert part_transition_legal(rec.state, state), (rec.state, state)
-        self._trace("part.state", tranx=rec.tranx, frm=rec.state.value, to=state.value)
+        if self._tracer is not None:
+            self._trace("part.state", tranx=rec.tranx, frm=rec.state.value, to=state.value)
         rec.state = state
 
     # -- lifecycle ---------------------------------------------------------------
@@ -261,51 +262,15 @@ class ServerNode:
     # -- dispatch ---------------------------------------------------------------
 
     def on_message(self, env: Envelope) -> None:
-        self._trace("msg.recv", type=env.msg_type.name, tranx=env.tranx, frm=env.sender_id)
-        self._crash_point(f"recv.{env.msg_type.name}")
         mt = env.msg_type
+        if self._tracer is not None:
+            self._tracer(self.sid, "msg.recv", type=mt.name, tranx=env.tranx, frm=env.sender_id)
+        if self._crash_hook is not None:
+            self._crash_hook(self.sid, _RECV_POINT[mt])
         if env.tranx is None and mt in _TRANX_TYPES:
             self._trace("msg.malformed", type=mt.name, frm=env.sender_id)
             return
-        if mt == MsgType.CLIENT_HELLO:
-            self._reply(env, self.assign_client_id().to_bytes(8, "little"))
-        elif mt == MsgType.READ:
-            keys = self._decode(env, rpc.dec_read_req)
-            if keys is not None:
-                self._handle_read(env, keys)
-        elif mt == MsgType.COMMIT:
-            self._handle_commit(env)
-        elif mt == MsgType.VALIDATE:
-            sub = self._decode(env, rpc.dec_txn)
-            reason, piggyback = (
-                (AbortReason.UNKNOWN, []) if sub is None else self._validate_slice(sub)
-            )
-            self._reply(env, rpc.enc_commit_resp(reason is None, reason, piggyback))
-        elif mt == MsgType.PREPARE:
-            sub = self._decode(env, rpc.dec_txn)
-            if sub is not None:
-                self._handle_prepare(env.tranx, sub)
-        elif mt == MsgType.READY:
-            self._vote(env.tranx, env.sender_id, None, [])
-        elif mt == MsgType.ABORT_DECISION and env.tranx.coordinator == self.sid:
-            vote = self._decode(env, rpc.dec_vote_abort)
-            if vote is not None:
-                self._vote(env.tranx, env.sender_id, vote[0] or AbortReason.UNKNOWN, vote[1])
-        elif mt in (MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION):
-            if self._handle_decision(env.tranx, "Commit" if mt == MsgType.COMMIT_DECISION else "Abort"):
-                self._send(env.sender_id, self._server_env(MsgType.ACK, env.tranx, b""))
-        elif mt == MsgType.ACK:
-            self._handle_ack(env.tranx, env.sender_id)
-        elif mt == MsgType.GC_LC:
-            lc_seq = self._decode(env, rpc.dec_gc_lc)
-            if lc_seq is not None:
-                self.gc.on_lc_broadcast(env.sender_id, lc_seq)
-        elif mt == MsgType.TRANX_STATUS:
-            self._handle_status_query(env)
-        elif mt == MsgType.RESPONSE:
-            status = self._decode(env, rpc.dec_status_resp)
-            if status is not None:
-                self._handle_status_response(env.message_id, status)
+        getattr(self, _HANDLER[mt])(env)
 
     def _decode(self, env: Envelope, decoder):
         """The decoded payload, or None, traced, when it does not decode."""
@@ -315,18 +280,59 @@ class ServerNode:
             self._trace("msg.malformed", type=env.msg_type.name, frm=env.sender_id)
             return None
 
+    def _on_client_hello(self, env: Envelope) -> None:
+        self._reply(env, self.assign_client_id().to_bytes(8, "little"))
+
+    def _on_validate(self, env: Envelope) -> None:
+        sub = self._decode(env, rpc.dec_txn)
+        reason, piggyback = (AbortReason.UNKNOWN, []) if sub is None else self._validate_slice(sub)
+        self._reply(env, rpc.enc_commit_resp(reason is None, reason, piggyback))
+
+    def _on_ready(self, env: Envelope) -> None:
+        self._vote(env.tranx, env.sender_id, None, [])
+
+    def _on_abort_decision(self, env: Envelope) -> None:
+        """An abort vote when this node coordinates the transaction."""
+        if env.tranx.coordinator != self.sid:  # else the coordinator's decision
+            return self._on_commit_decision(env)
+        vote = self._decode(env, rpc.dec_vote_abort)
+        if vote is not None:
+            self._vote(env.tranx, env.sender_id, vote[0] or AbortReason.UNKNOWN, vote[1])
+
+    def _on_commit_decision(self, env: Envelope) -> None:
+        """Either decision, from the coordinator; acked unless it changes nothing."""
+        decision = "Commit" if env.msg_type == MsgType.COMMIT_DECISION else "Abort"
+        if self._handle_decision(env.tranx, decision):
+            self._send(env.sender_id, self._server_env(MsgType.ACK, env.tranx, b""))
+
+    def _on_ack(self, env: Envelope) -> None:
+        self._handle_ack(env.tranx, env.sender_id)
+
+    def _on_gc_lc(self, env: Envelope) -> None:
+        lc_seq = self._decode(env, rpc.dec_gc_lc)
+        if lc_seq is not None:
+            self.gc.on_lc_broadcast(env.sender_id, lc_seq)
+
+    def _on_response(self, env: Envelope) -> None:
+        status = self._decode(env, rpc.dec_status_resp)
+        if status is not None:
+            self._handle_status_response(env.message_id, status)
+
     # -- reads -----------------------------------------------------------------
 
-    def _handle_read(self, env: Envelope, keys: list[bytes]) -> None:
+    def _on_read(self, env: Envelope) -> None:
         # Idempotent, lock-free, never deduplicated.  Every key is read in
         # this one step, so the answer shows them all at one instant.
+        keys = self._decode(env, rpc.dec_read_req)
+        if keys is None:
+            return
         self.stats["reads"] += len(keys)
         locked = any(map(self.locks.exclusively_held, keys))
         self._reply(env, rpc.enc_read_resp(list(map(self.storage.get, keys)), locked))
 
     # -- coordinator -------------------------------------------------------------
 
-    def _handle_commit(self, env: Envelope) -> None:
+    def _on_commit(self, env: Envelope) -> None:
         cached = self.dedup.check_client(env.sender_id, env.message_id)
         if cached is not None:
             self._reply(env, cached)
@@ -373,7 +379,8 @@ class ServerNode:
             rec.client_key = (reply_to.sender_id, reply_to.message_id)
             self.pending_client[rec.client_key] = tranx
         self.coord[tranx] = rec
-        self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.START.value)
+        if self._tracer is not None:
+            self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.START.value)
         self._set_coord_state(rec, CoordState.PREPARE)
         if set(subs) == {self.sid}:
             # nothing to prepare remotely: CoordCommit alone makes it durable
@@ -464,15 +471,6 @@ class ServerNode:
 
     # -- participant ----------------------------------------------------------------
 
-    @staticmethod
-    def _map_lock_reason(why: RejectReason) -> AbortReason:
-        return {
-            RejectReason.SHARED_DENIED: AbortReason.LOCK_DENIED_READ,
-            RejectReason.EXCLUSIVE_DENIED: AbortReason.LOCK_DENIED_WRITE,
-            RejectReason.WAIT_TIMEOUT: AbortReason.LOCK_DENIED_WRITE,
-            RejectReason.ALREADY_ABORTED: AbortReason.ALREADY_ABORTED,
-        }[why]
-
     def _lock_slice(self, tranx: TranxID, reads, writes, on_result) -> None:
         """Shared locks on the keys a slice only reads, exclusive on those it writes."""
         written = {w[0] for w in writes}
@@ -489,7 +487,7 @@ class ServerNode:
         each post-version frozen at current+1 under the exclusive locks.
         """
         if not granted:
-            return self._map_lock_reason(why), []
+            return _LOCK_REASON[why], []
         piggyback = self._stale_reads(sub.reads)
         if piggyback is not None:
             self.locks.release_all(tranx)
@@ -509,7 +507,11 @@ class ServerNode:
                 piggyback.append((k, entry[0], entry[1]))
         return piggyback
 
-    def _handle_prepare(self, tranx: TranxID, sub: Transaction) -> None:
+    def _on_prepare(self, env: Envelope) -> None:
+        sub = self._decode(env, rpc.dec_txn)
+        if sub is None:
+            return
+        tranx = env.tranx
         rec = self.part.get(tranx)
         if rec is not None:
             # a duplicate gets the vote again; with no vote yet the first
@@ -525,13 +527,10 @@ class ServerNode:
     def _local_prepare(self, tranx: TranxID, sub: Transaction) -> None:
         rec = PartRec(tranx, sub.reads)
         self.part[tranx] = rec
-        self._trace("part.state", tranx=tranx, frm=None, to=PartState.START.value)
-        self._lock_slice(
-            tranx,
-            sub.reads,
-            sub.writes,
-            lambda ok, why, t=tranx, s=sub: self._prepare_locked(t, s, ok, why),
-        )
+        if self._tracer is not None:
+            self._trace("part.state", tranx=tranx, frm=None, to=PartState.START.value)
+        self._lock_slice(tranx, sub.reads, sub.writes,
+                         lambda ok, why, t=tranx, s=sub: self._prepare_locked(t, s, ok, why))
 
     def _prepare_locked(self, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
         rec = self.part.get(tranx)
@@ -589,7 +588,8 @@ class ServerNode:
             self._set_part_state(rec, PartState.COMMIT)
             if rec.writes:
                 self.storage.apply_writes(list(rec.writes))
-                self._trace("part.apply", tranx=tranx, writes=rec.writes)
+                if self._tracer is not None:
+                    self._trace("part.apply", tranx=tranx, writes=rec.writes)
             self.locks.release_all(tranx)
         elif rec is None or rec.state in (PartState.START, PartState.READY):
             if remote:
@@ -667,7 +667,7 @@ class ServerNode:
 
     # -- status queries (global recovery) ---------------------------------------------------
 
-    def _handle_status_query(self, env: Envelope) -> None:
+    def _on_tranx_status(self, env: Envelope) -> None:
         # Abort for an id this node no longer holds: a READY querier has not
         # acked, so its record is still here; any other querier ignores it
         rec = self.coord.get(env.tranx)

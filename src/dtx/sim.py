@@ -36,11 +36,12 @@ from . import rpc
 from .client import ClientState
 from .env import MemEnv
 from .model import ServerId, TranxID
-from .rpc import Envelope
+from .rpc import Envelope, MsgType
 from .server import ServerConfig, ServerNode, owner_of
 from .storage import MemKvStore
 
 SERVICE_TIME = 50e-6  # virtual seconds a server spends on each message
+_MSG_NAME = {t: t.name for t in MsgType}  # server_msgs keys
 
 
 class SimCrash(Exception):
@@ -91,6 +92,7 @@ class _Ctx:
         self.sid = sid
         self.incarnation = incarnation
         self.trace = sim._trace if sim.keep_trace else None
+        self.crash_point = sim._crash_point  # (sid, label)
 
     def now(self) -> float:
         return self.sim.now
@@ -118,9 +120,6 @@ class _Ctx:
     def reply(self, request: Envelope, resp: Envelope) -> None:
         kind = "c" if request.sender_kind == rpc.CLIENT else "s"
         self.sim.net_send(("s", self.sid), (kind, request.sender_id), resp)
-
-    def crash_point(self, sid: ServerId, label: str) -> None:
-        self.sim._crash_point(sid, label)
 
 
 @dataclass
@@ -428,7 +427,7 @@ class Simulator:
         self.msgs_total += 1
         if src[0] != "s" or dst[0] != "s":
             return
-        name = env.msg_type.name
+        name = _MSG_NAME[env.msg_type]
         self.server_msgs[name] += 1
         if self.audit_messages and env.tranx is not None:
             self.msgs_by_tranx.setdefault(env.tranx, Counter())[name] += 1

@@ -18,6 +18,20 @@ def test_memory_region_crash_zeroes_unpersisted():
     assert r.read_at(8, 4) == b"\0\0\0\0"
 
 
+def test_memory_region_holds_only_what_was_written():
+    r = MemEnv().create_region("r.log", 1 << 20)
+    assert len(r._buf) == 0
+    assert r.read_at((1 << 20) - 8, 8) == bytes(8)
+    r.write_at(100, b"abc")
+    assert len(r._buf) == 103
+    assert r.read_at(0, 100) == bytes(100)  # the gap before the write
+    assert r.read_at(98, 10) == b"\0\0abc\0\0\0\0\0"  # runs past the buffer
+    r.write_at(101, b"xyzw")  # overlaps the end
+    assert r.read_at(100, 6) == b"axyzw\0"
+    r.crash()
+    assert r.read_at(98, 10) == bytes(10)
+
+
 def test_region_bounds_checked():
     r = MemEnv().create_region("r.log", 16)
     with pytest.raises(RegionFullError):

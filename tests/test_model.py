@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from dtx import model
 from dtx.model import (
-    ByteReader,
-    ByteWriter,
     CoordAbort,
     CoordCommit,
     CoordPrepare,
@@ -68,20 +66,14 @@ def test_unknown_kind_raises():
         decode_record(bytes([250]))
 
 
-@given(st.lists(st.one_of(
-    st.tuples(st.just("u8"), st.integers(0, 255)),
-    st.tuples(st.just("u32"), st.integers(0, 2**32 - 1)),
-    st.tuples(st.just("u64"), st.integers(0, 2**64 - 1)),
-    st.tuples(st.just("blob"), st.binary(max_size=64)),
-), max_size=10))
-def test_byte_writer_reader_round_trip(items):
-    w = ByteWriter()
-    for kind, v in items:
-        getattr(w, kind)(v)
-    r = ByteReader(w.getvalue())
-    for kind, v in items:
-        assert getattr(r, kind)() == v
-    r.expect_done()
+@given(st.binary(max_size=8), reads)
+def test_reads_codec_round_trip(prefix, rs):
+    """The count, blob and u64 primitives as the codecs write them, read
+    back at a running position that ends at the end of the buffer."""
+    out = [prefix]
+    model._pack_reads(out, rs)
+    data = b"".join(out)
+    assert model._unpack_reads(data, len(prefix)) == (rs, len(data))
 
 
 def test_tranx_id_order_is_lexicographic():
@@ -131,18 +123,16 @@ def test_transaction_rejects_duplicate_keys():
         Transaction((), ((b"a", b"x"), (b"a", b"y")))
     # decoded from a log record, a repeated key is a malformed record, which
     # a WAL scan reports as corruption
-    w = ByteWriter()
-    w.u8(CoordPrepare.kind)
-    TranxID(0, 1).encode_into(w)
-    w.u32(1)  # one participant slice
-    w.u32(0)  # owned by server 0
-    w.u32(2)  # two reads of the same key
-    for _ in range(2):
-        w.blob(b"a")
-        w.u64(1)
-    w.u32(0)  # no writes
+    data = b"".join([
+        model._KIND_TRANX.pack(CoordPrepare.kind, *TranxID(0, 1)),
+        model._U32.pack(1),  # one participant slice
+        model._U32.pack(0),  # owned by server 0
+        model._U32.pack(2),  # two reads of the same key
+        *[model._U32.pack(1) + b"a" + model._U64.pack(1)] * 2,
+        model._U32.pack(0),  # no writes
+    ])
     with pytest.raises(MalformedRecordError):
-        decode_record(w.getvalue())
+        decode_record(data)
 
 
 @given(reads, plain_writes)
@@ -151,6 +141,7 @@ def test_transaction_round_trip(r, w):
         txn = Transaction(r, w)
     except ValueError:
         return  # duplicate keys drawn
-    buf = ByteWriter()
-    txn.encode_into(buf)
-    assert Transaction.decode_from(ByteReader(buf.getvalue())) == txn
+    buf: list = []
+    model._pack_txn(buf, txn)
+    data = b"".join(buf)
+    assert model._unpack_txn(data, 0) == (txn, len(data))

@@ -4,7 +4,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtx import rpc
-from dtx.model import CoordPrepare, MalformedRecordError, Transaction, TranxID, encode_record
+from dtx.model import (
+    CoordAbort,
+    CoordCommit,
+    CoordPrepare,
+    MalformedRecordError,
+    PartAbort,
+    PartCommit,
+    PartReady,
+    Transaction,
+    TranxID,
+    decode_record,
+    encode_record,
+)
 from dtx.rpc import (
     AbortReason,
     ClientWindow,
@@ -170,6 +182,137 @@ def test_read_answer_and_validate_bytes_are_stable():
         "20000000" "01" "07" "01" "0200000000000000" "0400000000000000" "01"
         "01000000" "0201000000000000"
     )
+
+
+# Golden bytes of every record kind and wire shape the two tests above do
+# not pin: name -> (value, its encoding, golden hex, decoder giving value back).
+T = TranxID(1, 258)
+CLIENT_KEY = (1_000_001, 7)  # (client id, message id) of a COMMIT
+
+
+def _record(rec, golden):
+    return rec, encode_record(rec), golden, decode_record
+
+
+def _frame(env, golden):
+    return env, rpc.frame_encode(env), golden, rpc.frame_decode
+
+
+VOTE = (AbortReason.LOCK_DENIED_WRITE, [(b"k1", b"v", 4), (b"k2", b"", 9)])
+GOLDEN = {
+    "part-ready": _record(
+        PartReady(T, ((b"k1", 3),), ((b"k2", b"val", 1), (b"z", b"", 5))),
+        "04" "01000000" "0201000000000000" "01000000" "020000006b31" "0300000000000000"
+        "02000000" "020000006b32" "0300000076616c" "0100000000000000"
+        "010000007a" "00000000" "0500000000000000",
+    ),
+    "coord-commit": _record(CoordCommit(T), "02" "01000000" "0201000000000000" "00"),
+    "coord-commit-client": _record(
+        CoordCommit(T, CLIENT_KEY),
+        "02" "01000000" "0201000000000000" "01" "41420f0000000000" "0700000000000000",
+    ),
+    "coord-abort": _record(CoordAbort(T), "03" "01000000" "0201000000000000" "00"),
+    "coord-abort-client": _record(
+        CoordAbort(T, CLIENT_KEY),
+        "03" "01000000" "0201000000000000" "01" "41420f0000000000" "0700000000000000",
+    ),
+    "part-commit": _record(PartCommit(T), "05" "01000000" "0201000000000000"),
+    "part-abort": _record(PartAbort(T), "06" "01000000" "0201000000000000"),
+    "commit-frame": _frame(
+        Envelope(
+            MsgType.COMMIT, rpc.CLIENT, *CLIENT_KEY, None,
+            rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k1", b"v1"), (b"k2", b"")))),
+        ),
+        "40000000" "01" "02" "00" "41420f0000000000" "0700000000000000" "00"
+        "01000000" "020000006b31" "0300000000000000"
+        "02000000" "020000006b31" "020000007631" "020000006b32" "00000000",
+    ),
+    "abort-vote": (
+        VOTE, rpc.enc_vote_abort(*VOTE),
+        "00" "02" "02000000" "020000006b31" "0100000076" "0400000000000000"
+        "020000006b32" "00000000" "0900000000000000",
+        rpc.dec_vote_abort,
+    ),
+    "gc-lc": (258, rpc.enc_gc_lc(258), "0201000000000000", rpc.dec_gc_lc),
+    "status-commit": (
+        "Commit", rpc.enc_status_resp("Commit"), "06000000" "436f6d6d6974", rpc.dec_status_resp
+    ),
+    "status-abort": (
+        "Abort", rpc.enc_status_resp("Abort"), "05000000" "41626f7274", rpc.dec_status_resp
+    ),
+    "status-pending": (
+        "Pending", rpc.enc_status_resp("Pending"), "07000000" "50656e64696e67", rpc.dec_status_resp
+    ),
+    "prepare-frame": _frame(
+        Envelope(
+            MsgType.PREPARE, rpc.SERVER, 1, 3, T,
+            rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k1", b"v1"),))),
+        ),
+        "42000000" "01" "03" "01" "0100000000000000" "0300000000000000" "01"
+        "01000000" "0201000000000000"
+        "01000000" "020000006b31" "0300000000000000" "01000000" "020000006b31" "020000007631",
+    ),
+    "client-hello-frame": _frame(
+        Envelope(MsgType.CLIENT_HELLO, rpc.CLIENT, 0, 0, None, b""),
+        "14000000" "01" "0b" "00" "0000000000000000" "0000000000000000" "00",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_record_and_wire_bytes_are_stable(name):
+    value, data, golden, decode = GOLDEN[name]
+    assert data.hex() == golden
+    assert decode(data) == value
+
+
+# Every golden encoding that carries its own length: a READ request and a
+# READ answer are self-delimiting lists, so a prefix cut at an element
+# boundary is a shorter, valid one and is left out.
+STRICT = {
+    **{name: (data, decode) for name, (_, data, _, decode) in GOLDEN.items()},
+    "coord-prepare": (
+        bytes.fromhex(
+            "010100000002010000000000000200000000000000"
+            "02000000020000006b310300000000000000020000006b32000000000000000001000000"
+            "020000006b320300000076616c" "020000000000000001000000010000007a00000000"
+        ),
+        decode_record,
+    ),
+    "slice": (rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k2", b"val"),))), rpc.dec_txn),
+    "commit-answer": (rpc.enc_commit_resp(True, None, []), rpc.dec_commit_resp),
+    "stale-answer": (
+        rpc.enc_commit_resp(False, AbortReason.STALE_READ, [(b"k1", b"v", 4)]), rpc.dec_commit_resp
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT))
+def test_every_strict_prefix_fails_to_decode(name):
+    data, decode = STRICT[name]
+    for cut in range(len(data)):
+        with pytest.raises((MalformedRecordError, FrameError)):
+            decode(data[:cut])
+
+
+TRAILING = {
+    "slice": (rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k2", b"val"),))), rpc.dec_txn),
+    "commit-answer": (rpc.enc_commit_resp(True, None, []), rpc.dec_commit_resp),
+    "abort-vote": (rpc.enc_vote_abort(*VOTE), rpc.dec_vote_abort),
+    "gc-lc": (rpc.enc_gc_lc(258), rpc.dec_gc_lc),
+    "status": (rpc.enc_status_resp("Commit"), rpc.dec_status_resp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAILING))
+def test_payload_decoders_reject_trailing_bytes(name):
+    """A payload is exactly one encoding, as a log record is: bytes after
+    it make it malformed instead of being ignored."""
+    data, decode = TRAILING[name]
+    decode(data)
+    for junk in (b"\x00", b"junk"):
+        with pytest.raises(MalformedRecordError):
+            decode(data + junk)
 
 
 # -- dedup ---------------------------------------------------------------

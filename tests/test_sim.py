@@ -389,6 +389,18 @@ MALFORMED = {
     "truncated-gc-lc": (MsgType.GC_LC, "none", b"\x01", None),
     "truncated-status-answer": (MsgType.RESPONSE, "none", b"\x01", None),
     "unknown-status-answer": (MsgType.RESPONSE, "none", rpc.enc_status_resp("Pendin"), None),
+    "commit-with-trailing-bytes": (MsgType.COMMIT, "none", SLICE + b"x", UNKNOWN),
+    "validate-with-trailing-bytes": (
+        MsgType.VALIDATE, "none", rpc.enc_txn(Transaction(((b"k", 0),), ())) + b"x", UNKNOWN
+    ),
+    "prepare-with-trailing-bytes": (MsgType.PREPARE, "foreign", SLICE + b"x", None),
+    "abort-vote-with-trailing-bytes": (
+        MsgType.ABORT_DECISION, "pending", rpc.enc_vote_abort(AbortReason.STALE_READ, []) + b"x", None
+    ),
+    "gc-lc-with-trailing-bytes": (MsgType.GC_LC, "none", rpc.enc_gc_lc(1) + b"x", None),
+    "status-answer-with-trailing-bytes": (
+        MsgType.RESPONSE, "none", rpc.enc_status_resp("Commit") + b"x", None
+    ),
 }
 
 
