@@ -15,7 +15,7 @@ What the simulator models:
 * crashes: a crashed node's object is discarded (volatile state gone), its
   memory-backed regions lose every byte that was never persisted, and a
   restart reruns real recovery over what survived;
-* crash points: the node code calls ctx.crash_point(label) after durable
+* crash points: the node code calls ctx.crash_point(sid, label) after durable
   appends and around sends/receives; a CrashPlan can enumerate those
   points or fire a crash at the n-th one, which is how the recovery sweep
   covers every interleaving.
