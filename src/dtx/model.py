@@ -308,8 +308,11 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
     pos += _KIND_TRANX.size
     if kind == _KIND_COORD_COMMIT or kind == _KIND_COORD_ABORT:
         cls = CoordCommit if kind == _KIND_COORD_COMMIT else CoordAbort
-        if _U8.unpack_from(b, pos)[0]:
+        has_client = _U8.unpack_from(b, pos)[0]
+        if has_client == 1:
             return cls(tranx, _CLIENT.unpack_from(b, pos + 1)), pos + 1 + _CLIENT.size
+        if has_client:
+            raise MalformedRecordError(f"has_client byte {has_client}")
         return cls(tranx, None), pos + 1
     if kind == _KIND_PART_COMMIT:
         return PartCommit(tranx), pos

@@ -1,33 +1,33 @@
 """Real-socket runtime: framed TCP transport around the same ServerNode.
 
-Topology: every server accepts inbound connections (from clients and from
-peers) and opens write-only outbound connections to peers on demand.
-Replies to clients go back on the inbound connection the request arrived
-on; replies to servers travel through the normal outbound channel, exactly
-as in the simulator, so the protocol code cannot tell the difference.
+Every server accepts connections from clients and peers and opens outbound
+connections to peers on demand.  A reply to a client goes back on the
+connection the client's latest frame came in on; a reply to a server goes
+through the outbound channel, as in the simulator.
 
-Threading: the node's state machines assume one writer, so everything
-they do runs on one protocol thread (ProtocolLoop): recovery at start-up,
-every received message and every timer callback, each passed through
-ServerRuntime._handle_event.  The thread owns a bounded FIFO queue and a
-timer heap; it runs due timers, then waits on the queue until the next
-deadline.  Reader threads parse frames and submit them to the queue; a
-full queue blocks the reader, and nothing is dropped.  The thread can be
-pinned to one core (ClusterConfig.protocol_core).
+A server runs one thread, `dtx-protocol`: recovery, then a `selectors`
+loop that owns every socket and the timer heap.  A turn runs every due
+timer, then every frame read in the turn (in arrival order per
+connection), then one write attempt per connection with pending output.
+Each timer and frame goes through ServerRuntime._handle_event.  Output is
+buffered up to OUT_LIMIT bytes per connection; a message that does not fit
+is dropped and counted in `backpressured`, since the protocol resends.  A
+failed connect or write closes the connection; the next send reconnects.
+ClusterConfig.protocol_core pins the thread to one core.
 """
 
 from __future__ import annotations
 
+import errno
 import heapq
 import itertools
 import logging
 import os
+import selectors
 import socket
 import struct
 import threading
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import Future
 from types import SimpleNamespace
 
 from . import rpc
@@ -41,6 +41,12 @@ from .workload import ClusterConfig
 log = logging.getLogger(__name__)
 
 _BACKENDS = {"mapped-flush": "mapped", "file-sync": "file"}
+_LEN = struct.Struct("<I")
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+
+# Pending output per connection, in bytes: room for the largest frame
+# behind another.  A message that would pass it is dropped.
+OUT_LIMIT = 2 * rpc.MAX_FRAME
 
 
 def _parse_addr(addr: str) -> tuple[str, int]:
@@ -48,18 +54,12 @@ def _parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def send_frame(sock: socket.socket, lock: threading.Lock, env: Envelope) -> None:
-    data = rpc.frame_encode(env)
-    with lock:
-        sock.sendall(data)
-
-
 def recv_frame(sock: socket.socket) -> Envelope | None:
-    """One framed envelope, or None on clean EOF."""
+    """One framed envelope from a blocking socket, or None on clean EOF."""
     header = _read_exact(sock, 4)
     if header is None:
         return None
-    (n,) = struct.unpack("<I", header)
+    (n,) = _LEN.unpack(header)
     if n > rpc.MAX_FRAME:
         raise FrameError(f"frame length {n} exceeds limit")
     body = _read_exact(sock, n)
@@ -79,110 +79,32 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 class _Item:
-    """One unit of protocol work: a received message or a timer callback.
-
-    A timer's item is also its cancel handle.  `enqueued_at` is the
-    monotonic time the item was queued or, for a timer, fell due.
-    """
+    """A received message or a timer callback (a timer's item is its cancel
+    handle); `enqueued_at` is when the frame was read or the timer fell due."""
 
     __slots__ = ("fn", "enqueued_at", "cancelled")
 
-    def __init__(self, fn, enqueued_at: float = 0.0) -> None:
+    def __init__(self, fn, enqueued_at: float) -> None:
         self.fn = fn
         self.enqueued_at = enqueued_at
         self.cancelled = False
 
 
-_STOP = _Item(None)
+class _Conn:
+    """A socket the loop owns, with its unparsed input and unsent output."""
 
+    __slots__ = ("sock", "peer", "inbuf", "out", "writing")
 
-class ProtocolLoop:
-    """One thread that runs queued items and due timers through `handler`.
-
-    Queued items run in FIFO order; a timer that has fallen due runs before
-    the next queued item.  A full queue blocks the producer (counted in
-    `backpressured`).  stop() runs what is already queued, then ends the
-    thread; items submitted after stop() are dropped.
-    """
-
-    CAPACITY = 1024
-
-    def __init__(self, handler, core: int | None = None) -> None:
-        self._handler = handler
-        self._core = core
-        self._queue: deque[_Item] = deque()
-        self._timers: list = []  # heap of (due, seq, item)
-        self._seq = itertools.count()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        self._closed = False
-        self.backpressured = 0
-        self.thread = threading.Thread(target=self._run, daemon=True, name="dtx-protocol")
-
-    def start(self) -> None:
-        self.thread.start()
-        if self._core is not None:
-            os.sched_setaffinity(self.thread.native_id, {self._core})
-
-    def submit(self, fn) -> None:
-        item = _Item(fn)
-        with self._lock:
-            if len(self._queue) >= self.CAPACITY and not self._closed:
-                self.backpressured += 1
-                while len(self._queue) >= self.CAPACITY and not self._closed:
-                    self._not_full.wait()
-            if self._closed:
-                return
-            item.enqueued_at = time.monotonic()
-            self._queue.append(item)
-            self._not_empty.notify()
-
-    def set_timer(self, delay: float, fn) -> _Item:
-        item = _Item(fn, time.monotonic() + delay)
-        with self._lock:
-            heapq.heappush(self._timers, (item.enqueued_at, next(self._seq), item))
-            self._not_empty.notify()
-        return item
-
-    @staticmethod
-    def cancel_timer(item: _Item) -> None:
-        item.cancelled = True
-
-    def stop(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._queue.append(_STOP)
-            self._not_empty.notify()
-            self._not_full.notify_all()
-        if self.thread.is_alive():
-            self.thread.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                item = self._next()
-            if item is _STOP:
-                return
-            self._handler(item)
-
-    def _next(self) -> _Item:
-        """The next due timer, else the next queued item; waits for one."""
-        while True:
-            now = time.monotonic()
-            if self._timers and self._timers[0][0] <= now:
-                item = heapq.heappop(self._timers)[2]
-                if not item.cancelled:
-                    return item
-            elif self._queue:
-                self._not_full.notify()
-                return self._queue.popleft()
-            else:
-                self._not_empty.wait(self._timers[0][0] - now if self._timers else None)
+    def __init__(self, sock: socket.socket, peer: int | None) -> None:
+        self.sock = sock
+        self.peer = peer  # the member an outbound connection goes to
+        self.inbuf = bytearray()
+        self.out = bytearray()
+        self.writing = False  # registered for EVENT_WRITE
 
 
 class ServerRuntime:
-    """One server process: sockets and a protocol loop around a ServerNode."""
+    """One server process: one thread whose selectors loop runs a ServerNode."""
 
     def __init__(self, cluster: ClusterConfig, sid: int, data_dir: str | None = None) -> None:
         self.cluster = cluster
@@ -191,16 +113,21 @@ class ServerRuntime:
         root = data_dir or f"{cluster.data_dir}/server-{sid}"
         self.env = DiskEnv(root, backend=_BACKENDS[cluster.backend])
         self.store = FileKvStore(root)
-        self._outbound: dict[int, tuple[socket.socket, threading.Lock]] = {}
-        self._reply_conns: OrderedDict = OrderedDict()  # (sender_id, msg_id) -> conn
-        self._lock = threading.Lock()
+        self._sel = selectors.DefaultSelector()
+        self._timers: list = []  # heap of (due, seq, item)
+        self._seq = itertools.count()
+        self._peers: dict[int, _Conn] = {}  # member id -> outbound connection
+        self._clients: dict[int, _Conn] = {}  # client id -> connection of its latest frame
+        self._pending: set[_Conn] = set()  # connections with output to write
+        self._listener: socket.socket | None = None
+        # stop() wakes the loop through this pair; start() reads the boot byte.
+        self._loop_end, self._caller_end = socket.socketpair()
         self._stopping = False
-
-        # _handle_event is looked up per item, so a wrapper put on the class
-        # after construction (perfbench's tracer) still sees every item.
-        self.loop = ProtocolLoop(lambda item: self._handle_event(item), cluster.protocol_core)
+        self._boot_error: BaseException | None = None
+        self.backpressured = 0  # messages dropped at a full output buffer
         # Read by perfbench/server_main.py: the backpressure count, per stage.
-        self.stages = SimpleNamespace(stages={"protocol": self.loop})
+        self.stages = SimpleNamespace(stages={"protocol": self})
+        self.thread = threading.Thread(target=self._run, daemon=True, name="dtx-protocol")
 
         config = ServerConfig(
             members=list(cluster.member_ids),
@@ -209,7 +136,6 @@ class ServerRuntime:
             gc_period=cluster.gc_period,
         )
         self.node = ServerNode(sid, config, self.env, self.store, self)
-        self._listener: socket.socket | None = None
 
     # -- ctx interface used by ServerNode ------------------------------------
 
@@ -217,128 +143,192 @@ class ServerRuntime:
         return time.monotonic()
 
     def set_timer(self, delay: float, fn) -> _Item:
-        return self.loop.set_timer(delay, fn)
+        item = _Item(fn, time.monotonic() + delay)
+        heapq.heappush(self._timers, (item.enqueued_at, next(self._seq), item))
+        return item
 
     def cancel_timer(self, handle: _Item) -> None:
-        self.loop.cancel_timer(handle)
+        handle.cancelled = True
 
     def send(self, dest: int, env: Envelope) -> None:
-        try:
-            sock, lock = self._peer_conn(dest)
-            send_frame(sock, lock, env)
-        except OSError:
-            with self._lock:
-                self._outbound.pop(dest, None)  # reconnect on next send
+        conn = self._peers.get(dest)
+        if conn is None:
+            # Connect without blocking; until it completes, a write raises BlockingIOError.
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setblocking(False)
+            err = sock.connect_ex(_parse_addr(self.cluster.address_of(dest)))
+            if err not in (0, errno.EINPROGRESS):
+                sock.close()
+                return
+            conn = self._peers[dest] = self._register(sock, dest)
+        self._queue(conn, rpc.frame_encode(env))
 
     def reply(self, request: Envelope, resp: Envelope) -> None:
         if request.sender_kind == rpc.SERVER:
             self.send(request.sender_id, resp)
             return
-        with self._lock:
-            conn = self._reply_conns.pop((request.sender_id, request.message_id), None)
-        if conn is None:
-            return  # requester gone; its retry will re-register
-        sock, lock = conn
-        try:
-            send_frame(sock, lock, resp)
-        except OSError:
-            pass
-
-    # -- plumbing ---------------------------------------------------------------
+        conn = self._clients.get(request.sender_id)
+        if conn is not None:  # else the client's retry is answered from the dedup window
+            self._queue(conn, rpc.frame_encode(resp))
 
     def _handle_event(self, item: _Item) -> None:
-        """The protocol thread's one entry point, for messages and timers."""
+        """The loop's one entry point into the node, for messages and timers."""
         try:
             item.fn()
         except Exception:
             log.exception("protocol handler failed")
 
-    def _peer_conn(self, dest: int):
-        with self._lock:
-            entry = self._outbound.get(dest)
-        if entry is not None:
-            return entry
-        sock = socket.create_connection(_parse_addr(self.cluster.address_of(dest)), timeout=2.0)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        entry = (sock, threading.Lock())
-        with self._lock:
-            self._outbound[dest] = entry
-        return entry
-
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> None:
-        self.loop.start()
-        # Recovery arms the first timers, so it runs on the protocol thread too.
-        booted: Future = Future()
-
-        def boot() -> None:
-            try:
-                self.node.start()
-            except Exception as exc:
-                booted.set_exception(exc)
-            else:
-                booted.set_result(None)
-
-        self.loop.submit(boot)
-        booted.result()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self.addr)
-        listener.listen(64)
-        self._listener = listener
-        threading.Thread(target=self._accept_loop, daemon=True, name="dtx-accept").start()
+        """Run recovery on the loop thread; return once the port is bound."""
+        self.thread.start()
+        self._caller_end.recv(1)  # the boot byte, or EOF when boot failed
+        if self._boot_error is not None:
+            self.thread.join()
+            raise self._boot_error
         log.info("server %d serving on %s:%d", self.sid, *self.addr)
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(
-                target=self._read_loop, args=(sock,), daemon=True, name="dtx-read"
-            ).start()
-
-    def _read_loop(self, sock: socket.socket) -> None:
-        write_lock = threading.Lock()
-        try:
-            while True:
-                env = recv_frame(sock)
-                if env is None:
-                    return
-                if env.sender_kind == rpc.CLIENT:
-                    with self._lock:
-                        self._reply_conns[(env.sender_id, env.message_id)] = (sock, write_lock)
-                        while len(self._reply_conns) > 4096:
-                            self._reply_conns.popitem(last=False)
-                self.loop.submit(lambda e=env: self.node.on_message(e))
-        except (OSError, FrameError) as exc:
-            log.debug("connection dropped: %s", exc)
-        finally:
-            sock.close()
-
     def stop(self) -> None:
-        self._stopping = True
-        if self._listener is not None:
-            # wakes the blocked accept(); close() alone leaves the port listening
-            self._listener.shutdown(socket.SHUT_RDWR)
-            self._listener.close()
-        self.loop.stop()
+        """Handle the frames already read, close every socket, shut down."""
+        if self.thread.is_alive():
+            self._stopping = True
+            self._caller_end.send(b"\0")
+            self.thread.join()
+        self._caller_end.close()
         self.node.shutdown()
-        with self._lock:
-            for sock, _ in self._outbound.values():
-                sock.close()
-            self._outbound.clear()
 
     def serve_forever(self) -> None:
         self.start()
         try:
-            while True:
-                time.sleep(3600)
+            self.thread.join()
         except KeyboardInterrupt:
-            self.stop()
+            pass
+        self.stop()
+
+    # -- the loop --------------------------------------------------------------------
+
+    def _run(self) -> None:
+        try:
+            if self.cluster.protocol_core is not None:
+                os.sched_setaffinity(0, {self.cluster.protocol_core})
+            self._sel.register(self._loop_end, _READ)
+            self.node.start()  # recovery arms the first timers
+            self._listener = socket.create_server(self.addr, backlog=64)  # sets SO_REUSEADDR
+            self._sel.register(self._listener, _READ)
+            self._listener.setblocking(False)
+        except BaseException as exc:  # start() re-raises it on the caller's thread
+            self._boot_error = exc
+        else:
+            self._loop_end.send(b"\1")
+            while not self._stopping:
+                self._turn()
+        for key in list(self._sel.get_map().values()):
+            key.fileobj.close()  # the listener's close frees the port
+        self._sel.close()
+        self._loop_end.close()  # if boot failed, the EOF tells start()
+
+    def _turn(self) -> None:
+        timers = self._timers
+        events = self._sel.select(max(0.0, timers[0][0] - time.monotonic()) if timers else None)
+        now = time.monotonic()
+        while timers and timers[0][0] <= now:
+            item = heapq.heappop(timers)[2]
+            if not item.cancelled:
+                self._handle_event(item)
+        for key, mask in events:
+            if key.fileobj is self._listener:
+                self._accept()
+            elif key.fileobj is self._loop_end:
+                self._loop_end.recv(64)  # stop() woke the loop
+            elif mask & _READ:
+                self._read(key.data)
+        # A group commit's WAL seal goes here, before any answer is written.
+        self._flush()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # BlockingIOError once the backlog is empty
+                return
+            self._register(sock, None)
+
+    def _register(self, sock: socket.socket, peer: int | None) -> _Conn:
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Conn(sock, peer)
+        self._sel.register(sock, _READ, conn)
+        return conn
+
+    def _close(self, conn: _Conn) -> None:
+        self._sel.unregister(conn.sock)
+        conn.sock.close()
+        self._pending.discard(conn)
+        if self._peers.get(conn.peer) is conn:
+            del self._peers[conn.peer]
+        for cid in [cid for cid, c in self._clients.items() if c is conn]:
+            del self._clients[cid]
+
+    def _read(self, conn: _Conn) -> None:
+        """Handle every whole frame the socket has; keep the partial rest."""
+        try:
+            data = conn.sock.recv(1 << 16)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._close(conn)
+            return
+        now = time.monotonic()
+        buf = conn.inbuf
+        buf += data
+        pos = 0
+        try:
+            while len(buf) - pos >= 4:
+                n = _LEN.unpack_from(buf, pos)[0]
+                if n > rpc.MAX_FRAME:
+                    raise FrameError(f"frame length {n} exceeds limit")
+                if pos + 4 + n > len(buf):
+                    break
+                env = rpc.frame_decode(bytes(buf[pos : pos + 4 + n]))
+                pos += 4 + n
+                # Recorded and handled in one step, so an answer given at
+                # once goes back on this connection.
+                if env.sender_kind == rpc.CLIENT:
+                    self._clients[env.sender_id] = conn
+                self._handle_event(_Item(lambda e=env: self.node.on_message(e), now))
+        except FrameError as exc:
+            log.debug("connection dropped: %s", exc)
+            self._close(conn)
+            return
+        del buf[:pos]
+
+    def _queue(self, conn: _Conn, data: bytes) -> None:
+        if len(conn.out) + len(data) > OUT_LIMIT:
+            self.backpressured += 1
+            return
+        conn.out += data
+        self._pending.add(conn)
+
+    def _flush(self) -> None:
+        """One write attempt per connection with pending output.  A socket
+        still connecting raises BlockingIOError; one that failed, OSError."""
+        pending, self._pending = self._pending, set()
+        for conn in pending:
+            try:
+                del conn.out[: conn.sock.send(conn.out)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self._close(conn)
+                continue
+            if conn.out:
+                self._pending.add(conn)
+            if conn.writing != bool(conn.out):
+                conn.writing = not conn.writing
+                self._sel.modify(conn.sock, _READ | _WRITE if conn.writing else _READ, conn)
 
 
 class SocketDriver:

@@ -116,9 +116,8 @@ class AbortReason(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_REASON_CODE = {r: i for i, r in enumerate(AbortReason, start=1)}
+_REASON_CODE = {None: 0, **{r: i for i, r in enumerate(AbortReason, start=1)}}
 _CODE_REASON = {i: r for r, i in _REASON_CODE.items()}
-_REASON_CODE[None] = 0
 
 
 class Envelope(NamedTuple):
@@ -155,11 +154,13 @@ def frame_decode(data: bytes) -> Envelope:
         mt, kind, sender, mid, has_tranx = _ENV.unpack_from(data, 5)
         pos = 5 + _ENV.size
         tranx = None
-        if has_tranx:
+        if has_tranx == 1:
             tranx = _new_tuple(TranxID, _TRANX.unpack_from(data, pos))
             pos += _TRANX.size
     except struct.error as e:
         raise FrameError(f"malformed envelope: {e}") from None
+    if has_tranx > 1:
+        raise FrameError(f"malformed envelope: has_tranx byte {has_tranx}")
     msg_type = _MSG_TYPE.get(mt)
     if msg_type is None:
         raise FrameError(f"malformed envelope: unknown message type {mt}")
@@ -210,19 +211,21 @@ def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool]:
     pos, last = 0, len(b) - 1
     try:
         while pos < last:
-            if b[pos]:
+            if b[pos] == 1:
                 start = pos + 5
                 end = start + _U32.unpack_from(b, pos + 1)[0]
                 entries.append((b[start:end], _U64.unpack_from(b, end)[0]))
                 pos = end + 8
-            else:
+            elif b[pos] == 0:
                 entries.append(None)
                 pos += 1
+            else:
+                raise MalformedRecordError(f"READ answer found byte {b[pos]}")
     except struct.error as e:
         raise MalformedRecordError(f"truncated READ answer: {e}") from None
-    if pos != last:
-        raise MalformedRecordError(f"READ answer of {len(b)} bytes has no locked byte")
-    return entries, b[last] != 0
+    if pos != last or b[last] > 1:
+        raise MalformedRecordError(f"READ answer of {len(b)} bytes has no locked byte of 0 or 1")
+    return entries, b[last] == 1
 
 
 def enc_txn(txn: Transaction) -> bytes:
@@ -245,8 +248,10 @@ def _enc_answer(committed: bool, reason: AbortReason | None, piggyback) -> bytes
 
 def _unpack_answer(b: bytes, pos: int):
     committed, code = _ANSWER.unpack_from(b, pos)
+    if committed > 1 or code not in _CODE_REASON:
+        raise MalformedRecordError(f"answer flag {committed} or reason code {code} out of range")
     piggyback, pos = _unpack_entries(b, pos + _ANSWER.size)
-    return (committed != 0, _CODE_REASON.get(code), piggyback), pos
+    return (committed == 1, _CODE_REASON[code], piggyback), pos
 
 
 def enc_commit_resp(committed: bool, reason: AbortReason | None, piggyback) -> bytes:

@@ -315,6 +315,34 @@ def test_payload_decoders_reject_trailing_bytes(name):
             decode(data + junk)
 
 
+UNUSED_REASON = len(AbortReason) + 1
+# name -> (a valid encoding, the offset of one flag or reason byte, a value
+# out of its range, the decoder)
+OUT_OF_RANGE = {
+    "read-answer-found": (FOUND_V, 0, 2, rpc.dec_read_resp),
+    "read-answer-locked": (FOUND_V, len(FOUND_V) - 1, 2, rpc.dec_read_resp),
+    "committed": (rpc.enc_commit_resp(True, None, []), 0, 2, rpc.dec_commit_resp),
+    "commit-reason": (rpc.enc_commit_resp(False, AbortReason.STALE_READ, []), 1, UNUSED_REASON,
+                      rpc.dec_commit_resp),
+    "vote-reason": (rpc.enc_vote_abort(*VOTE), 1, UNUSED_REASON, rpc.dec_vote_abort),
+    "has-tranx": (GOLDEN["prepare-frame"][1], 23, 2, rpc.frame_decode),
+    "has-client-commit": (GOLDEN["coord-commit-client"][1], 13, 2, decode_record),
+    "has-client-abort": (GOLDEN["coord-abort-client"][1], 13, 2, decode_record),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_flag_bytes_take_only_0_or_1_and_reasons_only_known_codes(name):
+    """One value has one encoding: a flag byte of 2 or an unused reason
+    code is malformed, not read as 1 or as no reason."""
+    data, offset, bad, decode = OUT_OF_RANGE[name]
+    decode(data)
+    garbled = bytearray(data)
+    garbled[offset] = bad
+    with pytest.raises((MalformedRecordError, FrameError)):
+        decode(bytes(garbled))
+
+
 # -- dedup ---------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from dtx import rpc
-from dtx.nettransport import ServerRuntime, connect_client
+from dtx.nettransport import ServerRuntime, SocketDriver, connect_client
 from dtx.rpc import AbortReason, MsgType
 from dtx.server import ServerNode, owner_of
 from dtx.workload import ClusterConfig
@@ -164,12 +164,12 @@ def test_live_node_runs_on_one_protocol_thread(tmp_path, monkeypatch):
         client.driver.close()
         time.sleep(3 * cfg.gc_period)  # let the periodic timers fire
         names = [t.name for t in threading.enumerate()]
-        assert "dtx-timer" not in names
+        assert not {"dtx-timer", "dtx-read", "dtx-accept"} & set(names)
         assert names.count("dtx-protocol") == len(runtimes)
         for r in runtimes:
             kinds = {what for what, _ in seen[r.sid]}
             assert kinds == {"start", "on_message", "timer"}
-            assert {ident for _, ident in seen[r.sid]} == {r.loop.thread.ident}
+            assert {ident for _, ident in seen[r.sid]} == {r.thread.ident}
     finally:
         for r in runtimes:
             r.stop()
@@ -298,3 +298,80 @@ def test_read_many_sends_one_read_per_owner_over_sockets(cluster, monkeypatch):
     # two owners read in one round, so both are validated
     assert sorted(received) == [(0, "READ"), (0, "VALIDATE"), (1, "READ"), (1, "VALIDATE")]
     reader.driver.close()
+
+
+def hold_with_full_accept_queue(port):
+    """A listener on port that never accepts, its accept queue filled, so a
+    connect to it neither completes nor fails."""
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", port))
+    listener.listen(0)
+    held = [listener]
+    while True:
+        filler = socket.socket()
+        filler.settimeout(0.2)
+        held.append(filler)
+        try:
+            filler.connect(("127.0.0.1", port))
+        except socket.timeout:
+            return held
+        assert len(held) < 16, "the accept queue never filled"
+
+
+def test_a_peer_that_cannot_be_reached_does_not_stall_the_node(tmp_path):
+    """Member 2's port takes no connection, and every GC period servers 0
+    and 1 send it GC_LC: two-owner commits between 0 and 1 stay fast."""
+    cfg = make_cluster(tmp_path, free_ports(3))
+    held = hold_with_full_accept_queue(int(cfg.address_of(2).rpartition(":")[2]))
+    runtimes = [ServerRuntime(cfg, sid) for sid in (0, 1)]
+    try:
+        for r in runtimes:
+            r.start()
+        client = connect_client(cfg, seed=1)
+        members = list(cfg.member_ids)
+        k0, k1 = (next(k for k in (b"near-%d" % i for i in range(256)) if owner_of(k, members) == sid)
+                  for sid in (0, 1))
+        durations = []
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            h = client.open_txn()
+            client.write(h, k0, b"v%d" % len(durations))
+            client.write(h, k1, b"v%d" % len(durations))
+            started = time.monotonic()
+            assert client.commit(h) == (True, None)
+            durations.append(time.monotonic() - started)
+        client.driver.close()
+        assert max(durations) < 0.5, (len(durations), max(durations))
+    finally:
+        for r in runtimes:
+            r.stop()
+        for s in held:
+            s.close()
+
+
+def test_concurrent_handshakes_each_get_their_own_answer(cluster):
+    """Every CLIENT_HELLO has sender 0 and message id 0, so only the
+    connection it came in on tells whose answer is whose."""
+    cfg, _ = cluster
+    n = 16
+    barrier = threading.Barrier(n)
+    results = [None] * n
+
+    def shake(i):
+        driver = SocketDriver(cfg, timeout=1.0)
+        barrier.wait()
+        started = time.monotonic()
+        try:
+            results[i] = (driver.handshake(), time.monotonic() - started)
+        finally:
+            driver.close()
+
+    threads = [threading.Thread(target=shake, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    assert None not in results
+    assert len({cid for cid, _ in results}) == n
+    assert max(took for _, took in results) < 0.5, sorted(took for _, took in results)
