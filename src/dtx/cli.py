@@ -235,11 +235,11 @@ def cmd_sim(args) -> int:
 
 def cmd_log_dump(args) -> int:
     from .env import DiskEnv
-    from .wal import CorruptionError, LogManager
+    from .wal import FILE_CAPACITY, CorruptionError, LogManager
     from .model import decode_record
 
     env = DiskEnv(args.dir)
-    manager = LogManager(env, 1 << 20)
+    manager = LogManager(env, FILE_CAPACITY)
     names = manager.file_names()
     if not names:
         print("(empty log)")

@@ -92,6 +92,9 @@ class GcLog:
         self.region.write_at(offset, data)
         self.region.persist(offset, len(data))
 
+    def close(self) -> None:
+        self.region.close()
+
 
 class CompletionTracker:
     """Contiguous-prefix completion counter with out-of-order spillover."""

@@ -223,8 +223,12 @@ _KIND_PART_ABORT = 6
 
 @dataclass(frozen=True)
 class CoordPrepare:
+    """The coordinator's prepare record names its participants, as in R*:
+    each slice lives in its owner's PartReady, and recovery needs only the
+    ids, to know whom to send the decision."""
+
     tranx: TranxID
-    participants: tuple[tuple[ServerId, Transaction], ...]  # sorted by server id
+    participants: tuple[ServerId, ...]  # ascending
 
     kind = _KIND_COORD_PREPARE
 
@@ -288,11 +292,9 @@ def encode_record(rec: LogRecord) -> bytes:
     if kind == _KIND_PART_READY:  # reads, then writes with post-versions
         _pack_reads(out, rec.reads)
         _pack_entries(out, rec.writes)
-    elif kind == _KIND_COORD_PREPARE:  # n: u32 | (server u32 | Transaction)*
-        out.append(_U32.pack(len(rec.participants)))
-        for sid, sub in rec.participants:
-            out.append(_U32.pack(sid))
-            _pack_txn(out, sub)
+    elif kind == _KIND_COORD_PREPARE:  # n: u32 | server u32 * n
+        n = len(rec.participants)
+        out.append(struct.pack(f"<I{n}I", n, *rec.participants))
     else:  # pragma: no cover - exhaustive over LogRecord
         raise TypeError(f"unknown record type {type(rec)!r}")
     return b"".join(out)
@@ -326,9 +328,4 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
         raise MalformedRecordError(f"unknown record kind {kind}")
     count = _U32.unpack_from(b, pos)[0]
     pos += 4
-    parts = []
-    for _ in range(count):
-        sid = _U32.unpack_from(b, pos)[0]
-        sub, pos = _unpack_txn(b, pos + 4)
-        parts.append((sid, sub))
-    return CoordPrepare(tranx, tuple(parts)), pos
+    return CoordPrepare(tranx, struct.unpack_from(f"<{count}I", b, pos)), pos + 4 * count

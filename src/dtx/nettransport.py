@@ -131,7 +131,6 @@ class ServerRuntime:
 
         config = ServerConfig(
             members=list(cluster.member_ids),
-            wal_file_capacity=cluster.wal_file_capacity,
             lock_wait=cluster.lock_wait,
             gc_period=cluster.gc_period,
         )

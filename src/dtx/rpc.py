@@ -38,13 +38,18 @@ Payloads (blob = len: u32 LE | bytes):
 * COMMIT_DECISION and ABORT_DECISION, coordinator to participant, and the
   participant's ACK of either: the TranxID in the envelope, an empty
   payload.  One message names one transaction.
+* TRANX_STATUS, participant to coordinator: the TranxID in the envelope,
+  an empty payload.  The RESPONSE names the same transaction in its
+  envelope, and the participant matches the answer by that TranxID, not
+  by message id.  Answer: a blob holding "Commit", "Abort" or "Pending".
 
 Every payload decoder takes exactly one encoding: a payload that is
 truncated, garbled, or followed by trailing bytes raises
 MalformedRecordError, as a log record does (a READ request and its answer
 are self-delimiting lists, so trailing bytes there read as a torn element).
 A server drops a message whose type names a transaction (PREPARE, READY,
-the decisions, ACK, TRANX_STATUS) but whose envelope carries none, and a
+the decisions, ACK, TRANX_STATUS, and a RESPONSE, which a server receives
+only as a status answer) but whose envelope carries none, and a
 message whose payload does not decode; a COMMIT or VALIDATE whose payload
 does not decode is answered UNKNOWN.
 """

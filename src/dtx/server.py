@@ -6,8 +6,9 @@ blocks, so the same object runs unchanged on the deterministic simulator
 (virtual clock, in-process transport) and on the threaded socket runtime.
 
 Commit flow, one path for every write transaction:
-  1. with any remote owner, persist CoordPrepare (durable) and send Prepare
-     to every remote owner; run the coordinator's own slice in-process;
+  1. with any remote owner, persist CoordPrepare (durable), which names the
+     owners, and send Prepare to every remote owner; run the coordinator's
+     own slice in-process;
   2. each participant locks (shared for read-only keys, exclusive for
      written keys), validates read versions, freezes post-versions,
      appends PartReady and votes Ready -- or votes Abort.  A remote
@@ -30,9 +31,11 @@ logged with no coordinator record (presumed abort).
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
-rounds) and the decision to those that have not acked.  Every repeat waits
-the same RESEND, so one map ordered by insertion is also ordered by due
-time, and one timer armed for its head serves every pending resend.
+rounds) and the decision to those that have not acked.  A restarted
+participant repeats TRANX_STATUS on the same schedule for each slice it
+found Ready.  Every repeat waits the same RESEND, so one map ordered by
+insertion is also ordered by due time, and one timer armed for its head
+serves every pending resend.
 
 A transaction that wrote nothing never reaches a coordinator: its client
 sends each owner a VALIDATE with that owner's reads (see client.py), and a
@@ -56,7 +59,9 @@ record already shows is acked again with no effect; an abort decision that
 overtakes its PREPARE leaves a record in Abort, which drops the late
 PREPARE.  TRANX_STATUS is answered from the CoordRec, and Abort for an id
 the node no longer holds (presumed abort, as in R*): a READY participant
-has not acked, so its coordinator still holds the record.  Records of
+has not acked, so its coordinator still holds the record.  A Commit or
+Abort answer never changes, so the participant settles a slice still Ready
+from any such answer from the coordinator, however late.  Records of
 decided transactions are dropped once the GC watermark passes them, and a
 message naming such a transaction is answered as already final.
 """
@@ -90,7 +95,7 @@ from .model import (
 )
 from .rpc import AbortReason, DedupTable, Envelope, MsgType
 from .storage import KvStore, StorageEngine
-from .wal import MAX_ENTRY, TranxLog
+from .wal import FILE_CAPACITY, MAX_ENTRY, TranxLog
 
 
 def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
@@ -100,7 +105,6 @@ def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
 
 RESEND = 0.200  # repeat PREPARE or a decision an owner has not answered
 PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
-STATUS_RETRY = 0.100  # re-ask an in-doubt transaction's coordinator
 # the vote a restarted participant resends for a slice it logged only as
 # aborted: the first vote's reason and piggyback were never logged
 _ABORTED_VOTE = rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
@@ -108,7 +112,7 @@ _ABORTED_VOTE = rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
 # message types that name their transaction in the envelope
 _TRANX_TYPES = frozenset({
     MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION,
-    MsgType.ACK, MsgType.TRANX_STATUS,
+    MsgType.ACK, MsgType.TRANX_STATUS, MsgType.RESPONSE,
 })
 # the handler of each message type (ServerNode._on_read for READ, ...) and
 # the crash-point labels, computed once
@@ -127,7 +131,6 @@ _LOCK_REASON = {
 @dataclass
 class ServerConfig:
     members: list[ServerId]
-    wal_file_capacity: int = 1 << 20
     lock_wait: float = 0.050
     gc_period: float = 0.100
 
@@ -135,7 +138,10 @@ class ServerConfig:
 @dataclass
 class CoordRec:
     tranx: TranxID
-    subs: dict[ServerId, Transaction]
+    # each owner's slice; a record rebuilt by recovery holds only the owners
+    # (slices None), as CoordPrepare logs no more: recover_global decides
+    # every rebuilt PREPARE record before a timer can resend PREPARE
+    subs: dict[ServerId, Transaction | None]
     state: CoordState = CoordState.START
     pending_ready: set[ServerId] = field(default_factory=set)
     pending_ack: set[ServerId] = field(default_factory=set)
@@ -150,7 +156,6 @@ class CoordRec:
 @dataclass
 class PartRec:
     tranx: TranxID
-    reads: tuple
     writes: tuple = ()  # (key, value, post_version) frozen at prepare
     state: PartState = PartState.START
     # the vote sent to a remote coordinator: b"" Ready, else the abort vote;
@@ -173,7 +178,7 @@ class ServerNode:
         self._crash_hook = getattr(ctx, "crash_point", None)
         trace = self._trace if self._tracer is not None else None
 
-        self.tranxlog = TranxLog(env, config.wal_file_capacity)
+        self.tranxlog = TranxLog(env, FILE_CAPACITY)
         self.storage = StorageEngine(store)
         self.locks = LockTable(ctx.set_timer, ctx.cancel_timer, config.lock_wait)
         self.locks.trace = trace
@@ -193,13 +198,13 @@ class ServerNode:
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
         self.pending_client: dict[tuple[int, int], TranxID] = {}
-        # 2PC coordinator records still waiting for a vote or an ack -> when
-        # to resend; each entry is due RESEND after it was (re)inserted, so
-        # insertion order is due order
+        # 2PC coordinator records still waiting for a vote or an ack, and
+        # slices of other coordinators' transactions found Ready at restart
+        # -> when to resend; each entry is due RESEND after it was
+        # (re)inserted, so insertion order is due order
         self._resend: dict[TranxID, float] = {}
         self._resend_timer = None  # armed for the head of _resend, if any
         self._msg_seq = 0
-        self._pending_status: dict[int, TranxID] = {}
         self._client_epoch = 0
         self._next_client = 0
         self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
@@ -222,12 +227,9 @@ class ServerNode:
         resp = Envelope(MsgType.RESPONSE, rpc.SERVER, self.sid, request.message_id, request.tranx, payload)
         self.ctx.reply(request, resp)
 
-    def _next_msg_id(self) -> int:
-        self._msg_seq += 1
-        return self._msg_seq
-
     def _server_env(self, msg_type: MsgType, tranx: TranxID | None, payload: bytes) -> Envelope:
-        return Envelope(msg_type, rpc.SERVER, self.sid, self._next_msg_id(), tranx, payload)
+        self._msg_seq += 1
+        return Envelope(msg_type, rpc.SERVER, self.sid, self._msg_seq, tranx, payload)
 
     def _append(self, record, durable: bool) -> None:
         self.tranxlog.append(record, durable)
@@ -314,9 +316,17 @@ class ServerNode:
             self.gc.on_lc_broadcast(env.sender_id, lc_seq)
 
     def _on_response(self, env: Envelope) -> None:
+        """A TRANX_STATUS answer: Commit or Abort from the transaction's
+        coordinator settles a slice still Ready; anything else changes nothing."""
+        tranx = env.tranx
         status = self._decode(env, rpc.dec_status_resp)
-        if status is not None:
-            self._handle_status_response(env.message_id, status)
+        rec = self.part.get(tranx)
+        if status in (None, "Pending") or rec is None or rec.state is not PartState.READY:
+            return
+        if env.sender_kind != rpc.SERVER or env.sender_id != tranx.coordinator:
+            return
+        if self._handle_decision(tranx, status):
+            self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
 
     # -- reads -----------------------------------------------------------------
 
@@ -349,10 +359,11 @@ class ServerNode:
             self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
             return
         # admission bound: every log record derived from this transaction
-        # (prepare with all slices, a participant's ready record with frozen
-        # post-versions) must fit one WAL block, or commit would die midway
-        overhead = 8 * len(txn.writes) + 8 * len(self.members) + 64
-        if len(env.payload) + overhead > MAX_ENTRY:
+        # must fit one WAL block, or commit would die midway.  The largest is
+        # a participant's PartReady: kind and TranxID (13 bytes), its slice's
+        # encoding, and a post-version (8 bytes) per write; no slice encodes
+        # longer than the whole, which it equals for a single owner
+        if len(env.payload) + 8 * len(txn.writes) + 13 > MAX_ENTRY:
             payload = rpc.enc_commit_resp(False, AbortReason.LOG_FAILURE, [])
             self.dedup.record_client(env.sender_id, env.message_id, payload)
             self._reply(env, payload)
@@ -386,7 +397,7 @@ class ServerNode:
             # nothing to prepare remotely: CoordCommit alone makes it durable
             self.stats["one_phase"] += 1
         else:
-            self._append(CoordPrepare(tranx, tuple(sorted(subs.items()))), durable=True)
+            self._append(CoordPrepare(tranx, tuple(subs)), durable=True)
             self._send_prepare(rec)
             self._queue_resend(rec)
         if self.sid in subs:
@@ -525,7 +536,7 @@ class ServerNode:
         self._local_prepare(tranx, sub)
 
     def _local_prepare(self, tranx: TranxID, sub: Transaction) -> None:
-        rec = PartRec(tranx, sub.reads)
+        rec = PartRec(tranx)
         self.part[tranx] = rec
         if self._tracer is not None:
             self._trace("part.state", tranx=tranx, frm=None, to=PartState.START.value)
@@ -595,7 +606,7 @@ class ServerNode:
             if remote:
                 self._append(PartAbort(tranx), durable=False)
             if rec is None:  # the abort overtook its PREPARE: the record drops it
-                self.part[tranx] = PartRec(tranx, (), state=PartState.ABORT)
+                self.part[tranx] = PartRec(tranx, state=PartState.ABORT)
             else:
                 self._set_part_state(rec, PartState.ABORT)
             self.locks.record_abort(tranx)
@@ -603,7 +614,7 @@ class ServerNode:
 
     # -- resend timer --------------------------------------------------------------------
 
-    def _queue_resend(self, rec: CoordRec) -> None:
+    def _queue_resend(self, rec: CoordRec | PartRec) -> None:
         """(Re)insert rec at the end of _resend, due RESEND from now."""
         self._resend.pop(rec.tranx, None)
         self._resend[rec.tranx] = self.ctx.now() + RESEND
@@ -615,7 +626,9 @@ class ServerNode:
 
         An undecided record repeats PREPARE to the owners that have not
         voted, or aborts with TIMEOUT after PREPARE_BUDGET rounds; a decided
-        one repeats its decision to the owners that have not acked.  The
+        one repeats its decision to the owners that have not acked.  A slice
+        of another coordinator's transaction asks its coordinator again
+        while it is Ready, and leaves the map once it is settled.  The
         benchmark's tracer wraps this timer by its name, _ack_tick.
         """
         now = self.ctx.now()
@@ -623,6 +636,13 @@ class ServerNode:
             tranx, due = next(iter(self._resend.items()))
             if due > now:
                 break
+            if tranx.coordinator != self.sid:
+                part = self.part.get(tranx)
+                if part is not None and part.state is PartState.READY:
+                    self._ask_status(part)
+                else:
+                    del self._resend[tranx]
+                continue
             rec = self.coord[tranx]
             if rec.state is not CoordState.PREPARE:
                 self._send_decision(rec)
@@ -677,40 +697,18 @@ class ServerNode:
             status = "Pending" if rec.state is CoordState.PREPARE else rec.state.value
         self._reply(env, rpc.enc_status_resp(status))
 
-    def _query_status(self, tranx: TranxID) -> None:
-        if tranx not in self.part or self.part[tranx].state != PartState.READY:
-            return
-        msg_id = self._next_msg_id()
-        self._pending_status[msg_id] = tranx
-        env = Envelope(MsgType.TRANX_STATUS, rpc.SERVER, self.sid, msg_id, tranx, b"")
-        self._send(tranx.coordinator, env)
-        self.ctx.set_timer(
-            STATUS_RETRY,
-            lambda t=tranx, m=msg_id: self._status_retry(t, m),
-        )
-
-    def _status_retry(self, tranx: TranxID, msg_id: int) -> None:
-        if msg_id in self._pending_status:
-            self._pending_status.pop(msg_id, None)
-            self._query_status(tranx)
-
-    def _handle_status_response(self, message_id: int, status: str) -> None:
-        tranx = self._pending_status.pop(message_id, None)
-        rec = self.part.get(tranx)
-        if rec is None or rec.state != PartState.READY:
-            return  # not asked, or a decision settled the slice since
-        if status == "Pending":
-            self.ctx.set_timer(STATUS_RETRY, lambda t=tranx: self._query_status(t))
-            return
-        if self._handle_decision(tranx, status):
-            self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
+    def _ask_status(self, rec: PartRec) -> None:
+        """TRANX_STATUS to the coordinator of a Ready slice, asked again
+        every RESEND until the slice is settled."""
+        self._send(rec.tranx.coordinator, self._server_env(MsgType.TRANX_STATUS, rec.tranx, b""))
+        self._queue_resend(rec)
 
     # -- recovery ---------------------------------------------------------------------------
 
     def recover_local(self) -> None:
         """Fold the WAL into volatile state."""
         coord_state: dict[TranxID, CoordState] = {}
-        coord_parts: dict[TranxID, tuple] = {}
+        coord_owners: dict[TranxID, tuple[ServerId, ...]] = {}
         part_ready: dict[TranxID, PartReady] = {}
         part_state: dict[TranxID, str] = {}
         coord_client: dict[TranxID, tuple[int, int] | None] = {}
@@ -723,7 +721,7 @@ class ServerNode:
                 max_seq = max(max_seq, t.seq)
             if isinstance(recd, CoordPrepare):
                 coord_state[t] = CoordState.PREPARE
-                coord_parts[t] = recd.participants
+                coord_owners[t] = recd.participants
                 own_seqs.add(t.seq)
             elif isinstance(recd, (CoordCommit, CoordAbort)):
                 committed = isinstance(recd, CoordCommit)
@@ -752,17 +750,17 @@ class ServerNode:
 
         # participant side: a record for every slice the log holds; replay
         # commits, re-lock in-doubt ready slices
-        in_doubt_participant: list[TranxID] = []
+        in_doubt_part = 0
         for t, state in sorted(part_state.items()):
             ready = part_ready.get(t)
             if ready is None:
                 if state == "Abort":  # voted Abort; the vote's reason was not logged
-                    self.part[t] = PartRec(t, (), state=PartState.ABORT, vote=_ABORTED_VOTE)
+                    self.part[t] = PartRec(t, state=PartState.ABORT, vote=_ABORTED_VOTE)
                 continue
             own = coord_state.get(t) if t.coordinator == self.sid else None
             if own in (CoordState.COMMIT, CoordState.ABORT):
                 state = own.value  # own slice: the coordinator's record decides it
-            rec = PartRec(t, ready.reads, ready.writes, vote=b"")
+            rec = PartRec(t, ready.writes, vote=b"")
             self.part[t] = rec
             if state == "Commit":
                 self.storage.apply_writes(list(ready.writes), replay=True)
@@ -774,15 +772,14 @@ class ServerNode:
                 self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
                 assert result and result[0], f"recovery re-lock failed for {t}"
                 rec.state = PartState.READY
-                if t.coordinator != self.sid:
-                    in_doubt_participant.append(t)
+                in_doubt_part += t.coordinator != self.sid
 
         # coordinator side: recover_global re-aborts the undecided and resends
         # the decided that some owner has not acked
         for t, state in sorted(coord_state.items()):
             if t.seq <= base_lc:
                 continue
-            participants = dict(coord_parts.get(t, ()))
+            participants = dict.fromkeys(coord_owners.get(t, ()))
             rec = CoordRec(t, participants, state=state)
             self.coord[t] = rec
             if state is CoordState.PREPARE:
@@ -809,16 +806,12 @@ class ServerNode:
 
         self.gc.table[self.sid] = self.gc.tracker.lc
         self._client_epoch = self._bump_epoch()
-        # server message ids are unique across restarts, so a late RESPONSE
-        # to a previous incarnation's TRANX_STATUS matches nothing
-        self._msg_seq = self._client_epoch << 32
         self._trace(
             "recovered",
             coord=len(coord_state),
             in_doubt_coord=sum(1 for r in self.coord.values() if r.state is CoordState.PREPARE),
-            in_doubt_part=len(in_doubt_participant),
+            in_doubt_part=in_doubt_part,
         )
-        self._in_doubt_participant = in_doubt_participant
 
     def _bump_epoch(self) -> int:
         raw = self.env.get_blob("epoch")
@@ -837,9 +830,10 @@ class ServerNode:
             elif not rec.complete:
                 self._send_decision(rec)
                 self._queue_resend(rec)
-        for t in self._in_doubt_participant:
-            self._query_status(t)
-        self._in_doubt_participant = []
+        # a restarted participant asks the coordinator of each Ready slice
+        for t, rec in self.part.items():
+            if rec.state is PartState.READY and t.coordinator != self.sid:
+                self._ask_status(rec)
 
     # -- operator surface -----------------------------------------------------------------------
 
@@ -855,4 +849,5 @@ class ServerNode:
 
     def shutdown(self) -> None:
         self.tranxlog.close()
+        self.gclog.close()
         self.storage.store.close()

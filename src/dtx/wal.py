@@ -39,6 +39,7 @@ BLOCK_SIZE = 4096
 BLOCK_HEADER = 8
 BLOCK_PAYLOAD_CAP = BLOCK_SIZE - BLOCK_HEADER
 MAX_ENTRY = BLOCK_PAYLOAD_CAP - 4
+FILE_CAPACITY = 1 << 20  # the size of each log file a server writes
 
 
 class CorruptionError(Exception):

@@ -74,14 +74,12 @@ def read_number(kv: dict, key: str, kind, default):
 class ClusterConfig:
     members: list[tuple[int, str]]  # (server id, host:port), order defines ids
     data_dir: str = "data"
-    wal_file_capacity: int = 1 << 20
     gc_period: float = 0.100
     lock_wait: float = 0.050
     backend: str = "mapped-flush"  # or "file-sync"
     protocol_core: int | None = None  # pin the protocol thread to this core
 
-    KEYS = ("member", "data_dir", "wal_file_capacity", "gc_period", "lock_wait", "backend",
-            "protocol_core")
+    KEYS = ("member", "data_dir", "gc_period", "lock_wait", "backend", "protocol_core")
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -118,7 +116,6 @@ class ClusterConfig:
         return cls(
             members=members,
             data_dir=_single(kv, "data_dir", "data"),
-            wal_file_capacity=read_number(kv, "wal_file_capacity", int, 1 << 20),
             gc_period=read_number(kv, "gc_period", float, 0.1),
             lock_wait=read_number(kv, "lock_wait", float, 0.05),
             backend=_single(kv, "backend", "mapped-flush"),

@@ -10,14 +10,12 @@ from dtx.sim import NetConfig, Simulator
 
 # Short GC period so reclamation shows up in second-scale test runs.
 TEST_GC_PERIOD = 0.100
-TEST_WAL_CAPACITY = 1 << 20
 
 
 def make_sim(n_servers: int = 3, seed: int = 0, net: NetConfig | None = None, **cfg) -> Simulator:
     members = list(range(n_servers))
     config = ServerConfig(
         members=members,
-        wal_file_capacity=cfg.pop("wal_file_capacity", TEST_WAL_CAPACITY),
         gc_period=cfg.pop("gc_period", TEST_GC_PERIOD),
         **cfg,
     )

@@ -7,7 +7,7 @@ import pytest
 
 from dtx.cli import _parse_scenario, main, run_scenario
 from dtx.env import DiskEnv
-from dtx.model import CoordCommit, TranxID
+from dtx.model import CoordCommit, CoordPrepare, TranxID
 from dtx.wal import TranxLog
 from dtx.workload import ConfigError, WorkloadSpec
 
@@ -79,9 +79,11 @@ def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):
     env = DiskEnv(root)
     log = TranxLog(env, 1 << 20)
     log.append(CoordCommit(TranxID(0, 1), (7, 1)), durable=True)
+    log.append(CoordPrepare(TranxID(0, 2), (0, 1, 2)), durable=True)
     assert main(["log-dump", "--dir", root]) == 0
     out = capsys.readouterr().out
     assert "CoordCommit" in out and "seq=1" in out
+    assert "CoordPrepare(tranx=TranxID(coordinator=0, seq=2), participants=(0, 1, 2))" in out
 
     # corrupt a non-newest block: exit 2 with a CORRUPT line
     import os

@@ -531,12 +531,3 @@ def test_read_mostly_run_makes_under_one_durable_flush_per_commit(monkeypatch):
     assert len(seals) < commits
     initial = {key_bytes(i): 1 for i in range(1, spec.key_count + 1)}
     assert oracle.check_history([r for r in history if r["ok"]], initial).ok is True
-
-
-def test_server_message_ids_do_not_repeat_across_restarts():
-    # a late answer to a TRANX_STATUS sent before a crash must not match one sent after
-    sim = make_sim(3, seed=8)
-    before = sim.nodes[0].node._next_msg_id()
-    sim.crash(0)
-    sim.restart(0)
-    assert sim.nodes[0].node._next_msg_id() > before

@@ -140,19 +140,17 @@ def test_status_codec():
 
 
 def test_prepare_record_and_payload_bytes_are_stable():
-    """Golden bytes: the CoordPrepare log record and the PREPARE payload
-    keep their format, so logs written before stay readable."""
+    """Golden bytes: the CoordPrepare log record, which names the owners
+    and none of their slices (17 + 4n bytes), and the PREPARE payload keep
+    their format, so the logs and messages they make stay readable."""
     a = Transaction(((b"k1", 3), (b"k2", 0)), ((b"k2", b"val"),))
-    b = Transaction((), ((b"z", b""),))
     slice_a = (
         "02000000020000006b310300000000000000020000006b32000000000000000001000000"
         "020000006b320300000076616c"
     )
-    record = (
-        "010100000002010000000000000200000000000000" + slice_a
-        + "020000000000000001000000010000007a00000000"
-    )
-    assert encode_record(CoordPrepare(TranxID(1, 258), ((0, a), (2, b)))).hex() == record
+    record = "01" "01000000" "0201000000000000" "02000000" "00000000" "02000000"
+    assert encode_record(CoordPrepare(TranxID(1, 258), (0, 2))).hex() == record
+    assert len(bytes.fromhex(record)) == 17 + 4 * 2
     assert rpc.enc_txn(a).hex() == slice_a
 
 
@@ -272,11 +270,7 @@ def test_record_and_wire_bytes_are_stable(name):
 STRICT = {
     **{name: (data, decode) for name, (_, data, _, decode) in GOLDEN.items()},
     "coord-prepare": (
-        bytes.fromhex(
-            "010100000002010000000000000200000000000000"
-            "02000000020000006b310300000000000000020000006b32000000000000000001000000"
-            "020000006b320300000076616c" "020000000000000001000000010000007a00000000"
-        ),
+        bytes.fromhex("01" "01000000" "0201000000000000" "02000000" "00000000" "02000000"),
         decode_record,
     ),
     "slice": (rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k2", b"val"),))), rpc.dec_txn),

@@ -14,11 +14,13 @@ from dtx import oracle, rpc
 from dtx import sim as simmod
 from dtx.bench import preload_sim, run_sim_bench, start_clients
 from dtx.cli import format_trace
-from dtx.model import CoordCommit, CoordState, PartAbort, PartState, Transaction, TranxID
+from dtx.model import (
+    CoordCommit, CoordState, PartAbort, PartReady, PartState, Transaction, TranxID, encode_record,
+)
 from dtx.rpc import AbortReason, Envelope, MsgType
 from dtx.sim import CrashPlan, NetConfig, SimCrash, Simulator
 from dtx.server import PREPARE_BUDGET, RESEND, ServerNode, owner_of
-from dtx.wal import LogManager, TranxLog
+from dtx.wal import MAX_ENTRY, LogManager, TranxLog
 from dtx.workload import WorkloadSpec, load_script, owner_batches, txn_script
 from dtx.sim import ClosedLoopDriver
 
@@ -226,6 +228,31 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     assert seals == {sid: 2 for sid in sim.members if sid != coordinator}
 
 
+def test_admission_bound_is_exact_for_a_single_owner_commit(monkeypatch):
+    """A COMMIT whose PartReady fills a WAL entry exactly commits; one byte
+    more is refused with LOG_FAILURE before anything is logged."""
+    sim = make_sim(3, seed=5)
+    node = sim.nodes[0].node
+    k = keys_owned_by(0, sim.members, 1)[0]
+    appends = []
+    orig_append = node.tranxlog.append
+    monkeypatch.setattr(
+        node.tranxlog, "append", lambda rec, durable: appends.append(rec) or orig_append(rec, durable)
+    )
+    sent = []
+    sim.net_send = lambda src, dst, env: sent.append(env)
+    fill = MAX_ENTRY - len(encode_record(PartReady(TranxID(0, 1), (), ((k, b"", 1),))))
+    for msg_id, value in ((1, b"v" * fill), (2, b"v" * (fill + 1))):
+        payload = rpc.enc_txn(Transaction((), ((k, value),)))
+        node.on_message(Envelope(MsgType.COMMIT, rpc.CLIENT, 7, msg_id, None, payload))
+    ready, commit = appends
+    assert len(encode_record(ready)) == MAX_ENTRY and isinstance(commit, CoordCommit)
+    assert [rpc.dec_commit_resp(e.payload)[:2] for e in sent] == [
+        (True, None), (False, AbortReason.LOG_FAILURE)
+    ]
+    assert sim.node_state(0)[k] == (b"v" * fill, 1)
+
+
 def test_commit_decision_is_sent_in_the_step_that_persists_it():
     sim = make_sim(3, seed=5)
     span = key_spanning(sim.members)
@@ -389,6 +416,7 @@ MALFORMED = {
     "truncated-gc-lc": (MsgType.GC_LC, "none", b"\x01", None),
     "truncated-status-answer": (MsgType.RESPONSE, "none", b"\x01", None),
     "unknown-status-answer": (MsgType.RESPONSE, "none", rpc.enc_status_resp("Pendin"), None),
+    "truncated-status-answer-naming-a-transaction": (MsgType.RESPONSE, "foreign", b"\x01", None),
     "commit-with-trailing-bytes": (MsgType.COMMIT, "none", SLICE + b"x", UNKNOWN),
     "validate-with-trailing-bytes": (
         MsgType.VALIDATE, "none", rpc.enc_txn(Transaction(((b"k", 0),), ())) + b"x", UNKNOWN
@@ -406,7 +434,7 @@ MALFORMED = {
 
 def node_state(node):
     return repr((
-        node.coord, node.part, node.pending_client, node._pending_status, node._resend,
+        node.coord, node.part, node.pending_client, node._resend,
         node.dedup.size(), node.dedup.duplicates_blocked, node.stats,
         node.locks.stats(), node.gc.table, node.issuer.last_issued,
     ))
@@ -563,8 +591,9 @@ def test_a_stale_abort_status_answer_cannot_undo_a_commit():
     sim.run(0.5)
     node = sim.nodes[1].node
     (tranx,) = node.part
-    node._pending_status[77] = tranx  # as if a status query were still out
-    node._handle_status_response(77, "Abort")
+    # the coordinator's answer to a status query sent before the commit
+    answer = rpc.enc_status_resp("Abort")
+    node.on_message(Envelope(MsgType.RESPONSE, rpc.SERVER, tranx.coordinator, 77, tranx, answer))
     assert node.part[tranx].state == PartState.COMMIT
     node.tranxlog.manager.flush()
     sim.crash(1)
@@ -572,6 +601,71 @@ def test_a_stale_abort_status_answer_cannot_undo_a_commit():
     sim.run(0.5)
     assert sim.global_state()[span[1]] == (b"c", 1)
     assert oracle.atomicity_violations(sim.trace) == []
+
+
+def test_a_restarted_participant_asks_again_every_resend_until_its_slice_settles(monkeypatch):
+    """A slice found Ready at restart and cut off from its coordinator
+    repeats TRANX_STATUS on the resend timer and arms no other; after the
+    heal the coordinator's answer settles it, frees its locks and empties
+    the resend map.  The decision itself never reaches the participant."""
+    armed = record_timers(monkeypatch)
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    span = key_spanning(sim.members)
+    drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.COMMIT_DECISION and dst == ("s", 1))
+    c = sim.new_client(seed=1)
+    assert commit_txn(sim, c, [span[0], span[1]], {span[0]: b"s", span[1]: b"s"})[0]
+    (tranx,) = sim.nodes[1].node.part
+    assert tranx.coordinator != 1
+    sim.crash(1)
+    rule = sim.partition([tranx.coordinator], [1])
+    del armed[:]
+    start = sim.now
+    sim.restart(1)
+    sim.run(1.1)
+    node = sim.nodes[1].node
+    assert node.part[tranx].state is PartState.READY and node.locks.held_by(tranx) == {span[1]}
+    asked = [e[0] - start for e in sends(sim, "TRANX_STATUS") if e[1] == 1]
+    assert asked == pytest.approx([RESEND * i for i in range(6)], abs=1e-9)
+    ticks = [name for sid, name in armed if sid == 1 and name != "_gc_tick"]
+    assert ticks == ["_ack_tick"] * len(asked)
+    sim.heal(rule)
+    sim.run(1.0)
+    assert node.part[tranx].state is PartState.COMMIT and node.locks.is_idle()
+    assert resend_idle(sim)
+    assert sim.global_state()[span[1]] == (b"s", 1)
+    assert oracle.atomicity_violations(sim.trace) == []
+
+
+# a RESPONSE that names a restarted participant's Ready slice: (sender
+# kind, sender, status)
+IGNORED_STATUS_ANSWERS = {
+    "commit-from-another-server": (rpc.SERVER, 2, "Commit"),
+    "abort-from-another-server": (rpc.SERVER, 2, "Abort"),
+    "commit-from-a-client": (rpc.CLIENT, 0, "Commit"),
+    "abort-from-a-client": (rpc.CLIENT, 0, "Abort"),
+    "pending-from-the-coordinator": (rpc.SERVER, 0, "Pending"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_STATUS_ANSWERS))
+def test_only_the_coordinators_decided_status_answer_settles_a_slice(case, monkeypatch):
+    sim, sent, k = hand_driven_participant()
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
+    node, appends = repeat_on(sim, sent, True, monkeypatch)
+    kind, sender, status = IGNORED_STATUS_ANSWERS[case]
+    before = node_state(node)
+    node.on_message(
+        Envelope(MsgType.RESPONSE, kind, sender, 9, HAND_TRANX, rpc.enc_status_resp(status))
+    )
+    assert node_state(node) == before and sent == [] and appends == []
+    assert node.part[HAND_TRANX].state is PartState.READY and node.locks.held_by(HAND_TRANX) == {k}
+    # the same slice settles from the coordinator's Commit
+    node.on_message(
+        Envelope(MsgType.RESPONSE, rpc.SERVER, 0, 9, HAND_TRANX, rpc.enc_status_resp("Commit"))
+    )
+    assert node.part[HAND_TRANX].state is PartState.COMMIT and node.locks.is_idle()
+    assert [e.msg_type for e in sent] == [MsgType.ACK]
+    assert [type(r).__name__ for r in appends] == ["PartCommit"]
 
 
 def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():

@@ -124,6 +124,20 @@ def test_stopped_server_frees_its_port(cluster):
         probe.close()
 
 
+@pytest.mark.parametrize("backend", ["mapped-flush", "file-sync"])
+def test_a_stopped_server_closes_its_gc_log(tmp_path, backend):
+    (port,) = free_ports(1)
+    cfg = ClusterConfig.parse(
+        f"member = 0 127.0.0.1:{port}\ndata_dir = {tmp_path}\nbackend = {backend}"
+    )
+    runtime = ServerRuntime(cfg, 0)
+    runtime.start()
+    region = runtime.node.gclog.region
+    assert not region._f.closed
+    runtime.stop()
+    assert region._f.closed
+
+
 def test_live_node_runs_on_one_protocol_thread(tmp_path, monkeypatch):
     """start, on_message and every timer callback share one thread per server."""
     seen = {}  # sid -> {(what, thread ident)}
