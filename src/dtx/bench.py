@@ -147,6 +147,21 @@ def start_clients(
     return drivers
 
 
+def _bucket(samples: list[SecondSample], history: list[dict]) -> None:
+    """Count each transaction, and each commit's latency, in the second it
+    finished; the last sample also takes every later one."""
+    last = len(samples) - 1
+    for r in history:
+        s = samples[min(int(r["finished"]), last)]
+        s.attempted += 1
+        if not r["ok"]:
+            s.aborted += 1
+            continue
+        s.committed += 1
+        if r["started"] is not None:
+            s.latencies.append((r["finished"] - r["started"]) * 1000.0)
+
+
 def run_sim_bench(
     members: list[int],
     spec: WorkloadSpec,
@@ -182,17 +197,7 @@ def run_sim_bench(
     sim.run(1.0)
 
     history = [r for d in drivers for r in d.history]
-    for r in history:
-        bucket = min(int(r["finished"]), total_seconds)
-        s = samples[bucket]
-        s.attempted += 1
-        if r["ok"]:
-            s.committed += 1
-            if r["started"] is not None:
-                s.latencies.append((r["finished"] - r["started"]) * 1000.0)
-        else:
-            s.aborted += 1
-
+    _bucket(samples, history)
     died = any(not n.alive for n in sim.nodes.values())
     return BenchReport(spec, samples, history, server_died=died), sim
 
@@ -230,15 +235,7 @@ def run_socket_bench(cluster, spec: WorkloadSpec) -> BenchReport:
     for t in threads:
         t.join()
 
-    total_seconds = int(spec.duration)
-    samples = [SecondSample(i) for i in range(total_seconds + 1)]
+    samples = [SecondSample(i) for i in range(int(spec.duration) + 1)]
     history = [r for per in histories for r in per]
-    for r in history:
-        s = samples[min(int(r["finished"]), total_seconds)]
-        s.attempted += 1
-        if r["ok"]:
-            s.committed += 1
-            s.latencies.append((r["finished"] - r["started"]) * 1000.0)
-        else:
-            s.aborted += 1
+    _bucket(samples, history)
     return BenchReport(spec, samples, history, server_died=died)

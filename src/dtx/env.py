@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import threading
 import time
 
 
@@ -263,7 +262,6 @@ class DiskEnv(NodeEnv):
         os.makedirs(os.path.join(root, "wal"), exist_ok=True)
         os.makedirs(os.path.join(root, "db"), exist_ok=True)
         self._last_ts = 0
-        self._ts_lock = threading.Lock()
 
     def _path(self, name: str) -> str:
         if name.endswith(".log"):
@@ -301,10 +299,9 @@ class DiskEnv(NodeEnv):
         os.unlink(self._path(name))
 
     def next_ts(self) -> int:
-        with self._ts_lock:
-            ts = max(time.time_ns(), self._last_ts + 1)
-            self._last_ts = ts
-            return ts
+        ts = max(time.time_ns(), self._last_ts + 1)
+        self._last_ts = ts
+        return ts
 
     def put_blob(self, name: str, data: bytes) -> None:
         path = self._path(name)

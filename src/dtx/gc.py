@@ -118,11 +118,11 @@ class CompletionTracker:
 class GcManager:
     """Glue between the tracker, GCLog and WAL reclamation.
 
-    Single-threaded by contract: tick() and on_lc_broadcast() run on the
-    GC stage; mark_complete() calls are funneled there as well.  The
-    manager keeps no per-transaction state: the server's coordinator and
-    participant records answer every question about a transaction and are
-    pruned by the same watermark table.
+    Single-threaded by contract: every call comes from the server's
+    protocol thread, as every ServerNode step does.  The manager keeps no
+    per-transaction state: the server's coordinator and participant
+    records answer every question about a transaction and are pruned by
+    the same watermark table.
     """
 
     server: ServerId
@@ -143,13 +143,12 @@ class GcManager:
         if self.trace is not None:
             self.trace(event, **info)
 
-    def mark_complete(self, tranx: TranxID, final: str) -> None:
+    def mark_complete(self, tranx: TranxID) -> None:
         """Record a finally-agreed transaction this server coordinated."""
         assert tranx.coordinator == self.server
-        assert final in ("Commit", "Abort")
         issued = self.issued_max_fn() if self.issued_max_fn else None
         self.tracker.mark(tranx.seq, issued)
-        self._emit("gc.volatile", tranx=tranx, final=final, lc=self.tracker.lc)
+        self._emit("gc.volatile", tranx=tranx, lc=self.tracker.lc)
 
     def tick(self) -> None:
         """Periodic coordinator-side pass, in the mandated order."""

@@ -3,8 +3,8 @@
 Rules, applied per request:
   * shared request against an exclusively locked key  -> reject immediately
   * exclusive request against an exclusively locked key -> reject immediately
-  * exclusive request against a shared-locked key -> wait up to the
-    configured deadline (default 50 ms) for the holders to release
+  * exclusive request against a shared-locked key -> wait up to
+    LOCK_WAIT (50 ms) for the holders to release
 Every acquire therefore resolves within one deadline, so no wait-for
 graph is needed.  A request is all-or-nothing: rejection releases every
 lock it had taken.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .model import TranxID
 
-DEFAULT_EXCLUSIVE_WAIT = 0.050  # seconds
+LOCK_WAIT = 0.050  # seconds an exclusive request waits for shared holders
 
 
 class RejectReason(enum.Enum):
@@ -60,10 +60,9 @@ class _Request:
 
 
 class LockTable:
-    def __init__(self, set_timer, cancel_timer, exclusive_wait: float = DEFAULT_EXCLUSIVE_WAIT):
+    def __init__(self, set_timer, cancel_timer):
         self._set_timer = set_timer
         self._cancel_timer = cancel_timer
-        self.exclusive_wait = exclusive_wait
         self._entries: dict[bytes, _Entry] = {}
         self._holdings: dict[TranxID, set[bytes]] = {}
         self._pending: dict[TranxID, _Request] = {}
@@ -108,7 +107,7 @@ class LockTable:
                 entry.waiters.append(req)
                 req.waiting_on = key
                 if req.timer is None:
-                    req.timer = self._set_timer(self.exclusive_wait, lambda r=req: self._on_deadline(r))
+                    req.timer = self._set_timer(LOCK_WAIT, lambda r=req: self._on_deadline(r))
                 return
             req.pos += 1
         self._finish(req, True, None)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import struct
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +53,7 @@ class TranxID(NamedTuple):
 
 
 class TranxIdIssuer:
-    """Monotone per-server TranxID source, atomic under concurrent callers.
+    """Monotone per-server TranxID source, called on the protocol thread only.
 
     last_persisted_seq must be the highest seq ever issued by this server
     (recovered from a WAL scan after a crash).
@@ -63,14 +62,12 @@ class TranxIdIssuer:
     def __init__(self, server: ServerId, last_persisted_seq: int = 0) -> None:
         self.server = server
         self._last = last_persisted_seq
-        self._lock = threading.Lock()
 
     def next(self) -> TranxID:
-        with self._lock:
-            if self._last >= MAX_U64:
-                raise OverflowError("TranxID sequence space exhausted")
-            self._last += 1
-            return TranxID(self.server, self._last)
+        if self._last >= MAX_U64:
+            raise OverflowError("TranxID sequence space exhausted")
+        self._last += 1
+        return TranxID(self.server, self._last)
 
     @property
     def last_issued(self) -> int:

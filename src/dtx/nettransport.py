@@ -129,11 +129,7 @@ class ServerRuntime:
         self.stages = SimpleNamespace(stages={"protocol": self})
         self.thread = threading.Thread(target=self._run, daemon=True, name="dtx-protocol")
 
-        config = ServerConfig(
-            members=list(cluster.member_ids),
-            lock_wait=cluster.lock_wait,
-            gc_period=cluster.gc_period,
-        )
+        config = ServerConfig(members=list(cluster.member_ids), gc_period=cluster.gc_period)
         self.node = ServerNode(sid, config, self.env, self.store, self)
 
     # -- ctx interface used by ServerNode ------------------------------------

@@ -37,21 +37,20 @@ Payloads (blob = len: u32 LE | bytes):
   entries of the stale keys.
 * COMMIT_DECISION and ABORT_DECISION, coordinator to participant, and the
   participant's ACK of either: the TranxID in the envelope, an empty
-  payload.  One message names one transaction.
-* TRANX_STATUS, participant to coordinator: the TranxID in the envelope,
-  an empty payload.  The RESPONSE names the same transaction in its
-  envelope, and the participant matches the answer by that TranxID, not
-  by message id.  Answer: a blob holding "Commit", "Abort" or "Pending".
+  payload.  One message names one transaction.  A participant restarted
+  with a slice in doubt repeats its READY, and the coordinator answers it
+  with its decision: the vote and the decision are the only messages that
+  carry an outcome.
 
 Every payload decoder takes exactly one encoding: a payload that is
 truncated, garbled, or followed by trailing bytes raises
 MalformedRecordError, as a log record does (a READ request and its answer
 are self-delimiting lists, so trailing bytes there read as a torn element).
 A server drops a message whose type names a transaction (PREPARE, READY,
-the decisions, ACK, TRANX_STATUS, and a RESPONSE, which a server receives
-only as a status answer) but whose envelope carries none, and a
-message whose payload does not decode; a COMMIT or VALIDATE whose payload
-does not decode is answered UNKNOWN.
+the decisions, ACK) but whose envelope carries none, any of those or GC_LC
+from a sender whose kind is not server, every RESPONSE, and a message whose
+payload does not decode; a COMMIT or VALIDATE whose payload does not
+decode is answered UNKNOWN.  Type byte 9 is unassigned and does not decode.
 """
 
 from __future__ import annotations
@@ -102,7 +101,6 @@ class MsgType(enum.IntEnum):
     ABORT_DECISION = 6
     ACK = 7
     GC_LC = 8
-    TRANX_STATUS = 9
     RESPONSE = 10
     CLIENT_HELLO = 11  # connection handshake: server assigns a client id
     VALIDATE = 12  # read-only commit: a client asks one owner to check its reads
@@ -284,21 +282,6 @@ def dec_gc_lc(b: bytes) -> int:
     if len(b) != _U64.size:
         raise MalformedRecordError(f"GC_LC payload of {len(b)} bytes, not {_U64.size}")
     return _U64.unpack(b)[0]
-
-
-_STATUS_BYTES = {_U32.pack(len(s)) + s.encode(): s for s in ("Commit", "Abort", "Pending")}
-
-
-def enc_status_resp(status: str) -> bytes:
-    raw = status.encode()
-    return _U32.pack(len(raw)) + raw
-
-
-def dec_status_resp(b: bytes) -> str:
-    status = _STATUS_BYTES.get(b)
-    if status is None:
-        raise MalformedRecordError(f"not a transaction status: {b!r}")
-    return status
 
 
 # --- dedup ---------------------------------------------------------------------

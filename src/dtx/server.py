@@ -3,7 +3,8 @@
 A ServerNode is purely reactive: it consumes envelopes and timer callbacks
 and produces sends, replies, log appends, and state changes.  It never
 blocks, so the same object runs unchanged on the deterministic simulator
-(virtual clock, in-process transport) and on the threaded socket runtime.
+(virtual clock, in-process transport) and on the socket runtime's event
+loop.
 
 Commit flow, one path for every write transaction:
   1. with any remote owner, persist CoordPrepare (durable), which names the
@@ -32,7 +33,7 @@ logged with no coordinator record (presumed abort).
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
 rounds) and the decision to those that have not acked.  A restarted
-participant repeats TRANX_STATUS on the same schedule for each slice it
+participant repeats its READY vote on the same schedule for each slice it
 found Ready.  Every repeat waits the same RESEND, so one map ordered by
 insertion is also ordered by due time, and one timer armed for its head
 serves every pending resend.
@@ -57,24 +58,27 @@ and these records answer every repeated message.  A PartRec keeps its
 vote, so a duplicate PREPARE gets the same vote back; a decision the
 record already shows is acked again with no effect; an abort decision that
 overtakes its PREPARE leaves a record in Abort, which drops the late
-PREPARE.  TRANX_STATUS is answered from the CoordRec, and Abort for an id
-the node no longer holds (presumed abort, as in R*): a READY participant
-has not acked, so its coordinator still holds the record.  A Commit or
-Abort answer never changes, so the participant settles a slice still Ready
-from any such answer from the coordinator, however late.  Records of
-decided transactions are dropped once the GC watermark passes them, and a
-message naming such a transaction is answered as already final.
+PREPARE.  A CoordRec answers a READY it already counted with the decision,
+once there is one, and the coordinator answers Abort to a READY naming an
+id of its own it no longer holds (presumed abort, as in R*): a participant
+acks a commit only once it is durable, so only an abort can be lost after
+the record went.  A decision never changes, so a participant settles a
+slice still Ready from the coordinator's decision, however late, and from
+no other sender.  Records of decided transactions are dropped once the GC
+watermark passes them, and a message naming one the node no longer holds
+is answered as already final.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from . import rpc
 from .env import NodeEnv
 from .gc import GcLog, GcManager
-from .locks import LockTable, RejectReason
+from .locks import LOCK_WAIT, LockTable, RejectReason
 from .model import (
     CoordAbort,
     CoordCommit,
@@ -109,14 +113,19 @@ PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
 # aborted: the first vote's reason and piggyback were never logged
 _ABORTED_VOTE = rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
 
-# message types that name their transaction in the envelope
+# message types that name their transaction in the envelope, and with
+# GC_LC the types only a server sends
 _TRANX_TYPES = frozenset({
-    MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION,
-    MsgType.ACK, MsgType.TRANX_STATUS, MsgType.RESPONSE,
+    MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION, MsgType.ACK,
 })
-# the handler of each message type (ServerNode._on_read for READ, ...) and
-# the crash-point labels, computed once
-_HANDLER = {t: f"_on_{t.name.lower()}" for t in MsgType}
+_SERVER_TYPES = _TRANX_TYPES | {MsgType.GC_LC}
+_DECISION = {CoordState.COMMIT: MsgType.COMMIT_DECISION, CoordState.ABORT: MsgType.ABORT_DECISION}
+# the state a coordinator's decision gives its own slice at recovery
+_SLICE_STATE = {CoordState.COMMIT: PartState.COMMIT, CoordState.ABORT: PartState.ABORT}
+# the handler of each message type a server takes (ServerNode._on_read for
+# READ, ...; a server receives no RESPONSE) and the crash-point labels,
+# computed once
+_HANDLER = {t: f"_on_{t.name.lower()}" for t in MsgType if t is not MsgType.RESPONSE}
 _RECV_POINT = {t: f"recv.{t.name}" for t in MsgType}
 _SEND_POINT = {t: f"send.{t.name}" for t in MsgType}
 _WAL_POINT = {cls: f"wal.{cls.__name__}" for cls in LogRecord.__args__}
@@ -131,8 +140,8 @@ _LOCK_REASON = {
 @dataclass
 class ServerConfig:
     members: list[ServerId]
-    lock_wait: float = 0.050
     gc_period: float = 0.100
+    lock_wait: ClassVar[float] = LOCK_WAIT
 
 
 @dataclass
@@ -180,7 +189,7 @@ class ServerNode:
 
         self.tranxlog = TranxLog(env, FILE_CAPACITY)
         self.storage = StorageEngine(store)
-        self.locks = LockTable(ctx.set_timer, ctx.cancel_timer, config.lock_wait)
+        self.locks = LockTable(ctx.set_timer, ctx.cancel_timer)
         self.locks.trace = trace
         self.dedup = DedupTable()
         self.gclog = GcLog(env, self.members)
@@ -251,7 +260,8 @@ class ServerNode:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Local recovery, then periodic stages; call before serving traffic."""
+        """Local recovery, then the GC timer and global recovery; call
+        before serving traffic."""
         self.recover_local()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
         self.recover_global()
@@ -269,7 +279,11 @@ class ServerNode:
             self._tracer(self.sid, "msg.recv", type=mt.name, tranx=env.tranx, frm=env.sender_id)
         if self._crash_hook is not None:
             self._crash_hook(self.sid, _RECV_POINT[mt])
-        if env.tranx is None and mt in _TRANX_TYPES:
+        if (
+            mt is MsgType.RESPONSE
+            or mt in _SERVER_TYPES and env.sender_kind != rpc.SERVER
+            or env.tranx is None and mt in _TRANX_TYPES
+        ):
             self._trace("msg.malformed", type=mt.name, frm=env.sender_id)
             return
         getattr(self, _HANDLER[mt])(env)
@@ -302,10 +316,13 @@ class ServerNode:
             self._vote(env.tranx, env.sender_id, vote[0] or AbortReason.UNKNOWN, vote[1])
 
     def _on_commit_decision(self, env: Envelope) -> None:
-        """Either decision, from the coordinator; acked unless it changes nothing."""
-        decision = "Commit" if env.msg_type == MsgType.COMMIT_DECISION else "Abort"
-        if self._handle_decision(env.tranx, decision):
-            self._send(env.sender_id, self._server_env(MsgType.ACK, env.tranx, b""))
+        """Either decision; only the transaction's coordinator settles a
+        slice, and it is acked unless the decision changes nothing."""
+        tranx = env.tranx
+        if env.sender_id != tranx.coordinator:
+            return
+        if self._handle_decision(tranx, env.msg_type is MsgType.COMMIT_DECISION):
+            self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
 
     def _on_ack(self, env: Envelope) -> None:
         self._handle_ack(env.tranx, env.sender_id)
@@ -314,19 +331,6 @@ class ServerNode:
         lc_seq = self._decode(env, rpc.dec_gc_lc)
         if lc_seq is not None:
             self.gc.on_lc_broadcast(env.sender_id, lc_seq)
-
-    def _on_response(self, env: Envelope) -> None:
-        """A TRANX_STATUS answer: Commit or Abort from the transaction's
-        coordinator settles a slice still Ready; anything else changes nothing."""
-        tranx = env.tranx
-        status = self._decode(env, rpc.dec_status_resp)
-        rec = self.part.get(tranx)
-        if status in (None, "Pending") or rec is None or rec.state is not PartState.READY:
-            return
-        if env.sender_kind != rpc.SERVER or env.sender_id != tranx.coordinator:
-            return
-        if self._handle_decision(tranx, status):
-            self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
 
     # -- reads -----------------------------------------------------------------
 
@@ -411,8 +415,19 @@ class ServerNode:
                 self._send(sid, self._server_env(MsgType.PREPARE, rec.tranx, rpc.enc_txn(sub)))
 
     def _vote(self, tranx: TranxID, voter: ServerId, reason, piggyback) -> None:
+        """Count a first vote while undecided.  A repeated READY gets the
+        decision once there is one, or Abort for an id of this node's it no
+        longer holds (presumed abort); nothing else is answered."""
         rec = self.coord.get(tranx)
-        if rec is None or rec.state is not CoordState.PREPARE or voter not in rec.pending_ready:
+        if rec is None:
+            if reason is None and tranx.coordinator == self.sid:
+                self._send(voter, self._server_env(MsgType.ABORT_DECISION, tranx, b""))
+            return
+        if voter not in rec.pending_ready:
+            if reason is None and voter in rec.subs and rec.state in _DECISION:
+                self._send(voter, self._server_env(_DECISION[rec.state], tranx, b""))
+            return
+        if rec.state is not CoordState.PREPARE:
             return
         rec.pending_ready.discard(voter)
         if reason is None:
@@ -434,14 +449,14 @@ class ServerNode:
         self._answer_client(rec)
         self._send_decision(rec)
         if self.sid in rec.pending_ack:
-            self._handle_decision(rec.tranx, decision.value)
+            self._handle_decision(rec.tranx, decision is CoordState.COMMIT)
             self._handle_ack(rec.tranx, self.sid)
         if not rec.complete:
             self._queue_resend(rec)
 
     def _send_decision(self, rec: CoordRec) -> None:
         """The decision to every remote owner that has not acked."""
-        mt = MsgType.COMMIT_DECISION if rec.state is CoordState.COMMIT else MsgType.ABORT_DECISION
+        mt = _DECISION[rec.state]
         for sid in rec.pending_ack:
             if sid != self.sid:
                 self._send(sid, self._server_env(mt, rec.tranx, b""))
@@ -466,7 +481,7 @@ class ServerNode:
         if not rec.pending_ack and not rec.complete:
             rec.complete = True
             self._resend.pop(tranx, None)
-            self.gc.mark_complete(tranx, rec.state.value)
+            self.gc.mark_complete(tranx)
 
     # -- read-only validation ------------------------------------------------------
 
@@ -576,19 +591,20 @@ class ServerNode:
         mt = MsgType.READY if vote == b"" else MsgType.ABORT_DECISION
         self._send(tranx.coordinator, self._server_env(mt, tranx, vote))
 
-    def _handle_decision(self, tranx: TranxID, decision: str) -> bool:
-        """Apply a commit/abort decision; returns whether the sender is owed
-        an ack, which is always, except for a commit of a transaction this
-        node holds no Ready slice of: that is traced and changes nothing,
-        and an ack would claim a commit this node never applied.  A slice
-        already decided acks again with no side effect.  The coordinator's
-        own slice logs nothing here: its CoordCommit or CoordAbort is the
-        slice's decision record."""
-        if self.gc.is_final_by_watermark(tranx):
-            return True
+    def _handle_decision(self, tranx: TranxID, commit: bool) -> bool:
+        """Apply a commit or abort decision; returns whether the sender is
+        owed an ack, which is always, except for a commit of a transaction
+        this node holds no Ready slice of: that is traced and changes
+        nothing, and an ack would claim a commit this node never applied.  A
+        slice already decided, or passed by the watermark with no record
+        left, acks again with no side effect.  The coordinator's own slice
+        logs nothing here: its CoordCommit or CoordAbort is the slice's
+        decision record."""
         rec = self.part.get(tranx)
+        if rec is None and self.gc.is_final_by_watermark(tranx):
+            return True
         remote = tranx.coordinator != self.sid
-        if decision == "Commit":
+        if commit:
             if rec is not None and rec.state == PartState.COMMIT:
                 return True  # replay
             if rec is None or rec.state != PartState.READY:
@@ -627,8 +643,8 @@ class ServerNode:
         An undecided record repeats PREPARE to the owners that have not
         voted, or aborts with TIMEOUT after PREPARE_BUDGET rounds; a decided
         one repeats its decision to the owners that have not acked.  A slice
-        of another coordinator's transaction asks its coordinator again
-        while it is Ready, and leaves the map once it is settled.  The
+        of another coordinator's transaction repeats its READY vote while it
+        is Ready, and leaves the map once it is settled.  The
         benchmark's tracer wraps this timer by its name, _ack_tick.
         """
         now = self.ctx.now()
@@ -639,7 +655,7 @@ class ServerNode:
             if tranx.coordinator != self.sid:
                 part = self.part.get(tranx)
                 if part is not None and part.state is PartState.READY:
-                    self._ask_status(part)
+                    self._repeat_ready(part)
                 else:
                     del self._resend[tranx]
                 continue
@@ -661,7 +677,12 @@ class ServerNode:
             due = next(iter(self._resend.values()))
             self._resend_timer = self.ctx.set_timer(due - now, self._ack_tick)
 
-    # -- gc stage ------------------------------------------------------------------------
+    def _repeat_ready(self, rec: PartRec) -> None:
+        """READY for a slice found Ready at restart, again every RESEND."""
+        self._send_vote_bytes(rec.tranx, b"")
+        self._queue_resend(rec)
+
+    # -- garbage collection ---------------------------------------------------------------
 
     def _broadcast_lc(self, lc_seq: int) -> None:
         for sid in self.peers:
@@ -685,24 +706,6 @@ class ServerNode:
             or t.seq > lc.get(t.coordinator, 0)
         }
 
-    # -- status queries (global recovery) ---------------------------------------------------
-
-    def _on_tranx_status(self, env: Envelope) -> None:
-        # Abort for an id this node no longer holds: a READY querier has not
-        # acked, so its record is still here; any other querier ignores it
-        rec = self.coord.get(env.tranx)
-        if rec is None:
-            status = "Abort"
-        else:
-            status = "Pending" if rec.state is CoordState.PREPARE else rec.state.value
-        self._reply(env, rpc.enc_status_resp(status))
-
-    def _ask_status(self, rec: PartRec) -> None:
-        """TRANX_STATUS to the coordinator of a Ready slice, asked again
-        every RESEND until the slice is settled."""
-        self._send(rec.tranx.coordinator, self._server_env(MsgType.TRANX_STATUS, rec.tranx, b""))
-        self._queue_resend(rec)
-
     # -- recovery ---------------------------------------------------------------------------
 
     def recover_local(self) -> None:
@@ -710,7 +713,7 @@ class ServerNode:
         coord_state: dict[TranxID, CoordState] = {}
         coord_owners: dict[TranxID, tuple[ServerId, ...]] = {}
         part_ready: dict[TranxID, PartReady] = {}
-        part_state: dict[TranxID, str] = {}
+        part_state: dict[TranxID, PartState] = {}
         coord_client: dict[TranxID, tuple[int, int] | None] = {}
         own_seqs: set[int] = set()  # seqs with a coordinator record
         base_lc = self.gc.table.get(self.sid, 0)
@@ -730,11 +733,11 @@ class ServerNode:
                 own_seqs.add(t.seq)
             elif isinstance(recd, PartReady):
                 part_ready[t] = recd
-                part_state[t] = "Ready"
+                part_state[t] = PartState.READY
             elif isinstance(recd, PartCommit):
-                part_state[t] = "Commit"
+                part_state[t] = PartState.COMMIT
             elif isinstance(recd, PartAbort):
-                part_state[t] = "Abort"
+                part_state[t] = PartState.ABORT
 
         self.issuer = TranxIdIssuer(self.sid, max_seq)
         self.gc.issued_max_fn = lambda: self.issuer.last_issued
@@ -754,24 +757,18 @@ class ServerNode:
         for t, state in sorted(part_state.items()):
             ready = part_ready.get(t)
             if ready is None:
-                if state == "Abort":  # voted Abort; the vote's reason was not logged
+                if state is PartState.ABORT:  # voted Abort; the vote's reason was not logged
                     self.part[t] = PartRec(t, state=PartState.ABORT, vote=_ABORTED_VOTE)
                 continue
-            own = coord_state.get(t) if t.coordinator == self.sid else None
-            if own in (CoordState.COMMIT, CoordState.ABORT):
-                state = own.value  # own slice: the coordinator's record decides it
-            rec = PartRec(t, ready.writes, vote=b"")
-            self.part[t] = rec
-            if state == "Commit":
+            if t.coordinator == self.sid:  # own slice: the coordinator's record decides it
+                state = _SLICE_STATE.get(coord_state.get(t), state)
+            self.part[t] = PartRec(t, ready.writes, state, vote=b"")
+            if state is PartState.COMMIT:
                 self.storage.apply_writes(list(ready.writes), replay=True)
-                rec.state = PartState.COMMIT
-            elif state == "Abort":
-                rec.state = PartState.ABORT
-            else:
+            elif state is PartState.READY:
                 result: list = []
                 self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
                 assert result and result[0], f"recovery re-lock failed for {t}"
-                rec.state = PartState.READY
                 in_doubt_part += t.coordinator != self.sid
 
         # coordinator side: recover_global re-aborts the undecided and resends
@@ -790,7 +787,7 @@ class ServerNode:
             rec.pending_ack = {sid for sid in participants if sid != self.sid}
             if not rec.pending_ack:
                 rec.complete = True
-                self.gc.mark_complete(t, state.value)
+                self.gc.mark_complete(t)
 
         # rebuild the client-request dedup window for decided transactions so
         # a resent commit request gets the original answer instead of being
@@ -821,7 +818,7 @@ class ServerNode:
 
     def recover_global(self) -> None:
         """Resolve in-doubt transactions and resend the decisions found by
-        recovery; runs after service stages start."""
+        recovery; runs once the GC timer is armed."""
         for rec in self.coord.values():
             if rec.state is CoordState.PREPARE:
                 # silence means failure to the client: abort even if every
@@ -830,10 +827,10 @@ class ServerNode:
             elif not rec.complete:
                 self._send_decision(rec)
                 self._queue_resend(rec)
-        # a restarted participant asks the coordinator of each Ready slice
+        # a restarted participant votes again for each Ready slice
         for t, rec in self.part.items():
             if rec.state is PartState.READY and t.coordinator != self.sid:
-                self._ask_status(rec)
+                self._repeat_ready(rec)
 
     # -- operator surface -----------------------------------------------------------------------
 

@@ -75,11 +75,10 @@ class ClusterConfig:
     members: list[tuple[int, str]]  # (server id, host:port), order defines ids
     data_dir: str = "data"
     gc_period: float = 0.100
-    lock_wait: float = 0.050
     backend: str = "mapped-flush"  # or "file-sync"
     protocol_core: int | None = None  # pin the protocol thread to this core
 
-    KEYS = ("member", "data_dir", "gc_period", "lock_wait", "backend", "protocol_core")
+    KEYS = ("member", "data_dir", "gc_period", "backend", "protocol_core")
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -117,7 +116,6 @@ class ClusterConfig:
             members=members,
             data_dir=_single(kv, "data_dir", "data"),
             gc_period=read_number(kv, "gc_period", float, 0.1),
-            lock_wait=read_number(kv, "lock_wait", float, 0.05),
             backend=_single(kv, "backend", "mapped-flush"),
             protocol_core=read_number(kv, "protocol_core", int, None),
         )

@@ -134,8 +134,8 @@ def make_manager(server=0, members=(0, 1)):
 
 def test_tick_persists_before_reclaiming_and_broadcasts():
     mgr, broadcasts, events = make_manager()
-    mgr.mark_complete(TranxID(0, 1), "Commit")
-    mgr.mark_complete(TranxID(0, 2), "Abort")
+    mgr.mark_complete(TranxID(0, 1))
+    mgr.mark_complete(TranxID(0, 2))
     mgr.tick()
     assert mgr.tracker.lc == 2 and "gc.reclaim" in events
     assert broadcasts == [2]
@@ -158,10 +158,10 @@ def test_tick_persists_before_reclaiming_and_broadcasts():
 def test_mark_complete_enforces_coordinator_and_issuance():
     mgr, _, _ = make_manager(server=0)
     with pytest.raises(AssertionError):
-        mgr.mark_complete(TranxID(1, 1), "Commit")  # not ours
+        mgr.mark_complete(TranxID(1, 1))  # not ours
     mgr.issued_max_fn = lambda: 0
     with pytest.raises(AssertionError):
-        mgr.mark_complete(TranxID(0, 1), "Commit")  # never issued
+        mgr.mark_complete(TranxID(0, 1))  # never issued
 
 
 def test_broadcast_intake_ignores_stale_and_unknown():

@@ -27,9 +27,9 @@ class FakeTimers:
                 fn()
 
 
-def make_table(wait=0.05):
+def make_table():
     t = FakeTimers()
-    return LockTable(t.set_timer, t.cancel_timer, wait), t
+    return LockTable(t.set_timer, t.cancel_timer), t
 
 
 def acquire(table, tranx, shared, exclusive):

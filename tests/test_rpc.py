@@ -55,6 +55,14 @@ def test_frame_rejects_bad_version_and_length():
         rpc.frame_decode(rpc.frame_encode(env)[:-1])
 
 
+@pytest.mark.parametrize("type_byte", [0, 9, 13])
+def test_frame_rejects_an_unassigned_message_type(type_byte):
+    data = bytearray(rpc.frame_encode(Envelope(MsgType.READY, rpc.SERVER, 1, 2, TranxID(0, 1), b"")))
+    data[5] = type_byte
+    with pytest.raises(FrameError, match="unknown message type"):
+        rpc.frame_decode(bytes(data))
+
+
 entries = st.one_of(st.none(), st.tuples(values, st.integers(0, 2**64 - 1)))
 
 
@@ -132,11 +140,6 @@ def test_prepare_and_vote_codecs():
 @given(st.integers(0, 2**64 - 1))
 def test_gc_lc_codec(lc):
     assert rpc.dec_gc_lc(rpc.enc_gc_lc(lc)) == lc
-
-
-def test_status_codec():
-    for s in ("Commit", "Abort", "Pending"):
-        assert rpc.dec_status_resp(rpc.enc_status_resp(s)) == s
 
 
 def test_prepare_record_and_payload_bytes_are_stable():
@@ -232,15 +235,6 @@ GOLDEN = {
         rpc.dec_vote_abort,
     ),
     "gc-lc": (258, rpc.enc_gc_lc(258), "0201000000000000", rpc.dec_gc_lc),
-    "status-commit": (
-        "Commit", rpc.enc_status_resp("Commit"), "06000000" "436f6d6d6974", rpc.dec_status_resp
-    ),
-    "status-abort": (
-        "Abort", rpc.enc_status_resp("Abort"), "05000000" "41626f7274", rpc.dec_status_resp
-    ),
-    "status-pending": (
-        "Pending", rpc.enc_status_resp("Pending"), "07000000" "50656e64696e67", rpc.dec_status_resp
-    ),
     "prepare-frame": _frame(
         Envelope(
             MsgType.PREPARE, rpc.SERVER, 1, 3, T,
@@ -294,7 +288,6 @@ TRAILING = {
     "commit-answer": (rpc.enc_commit_resp(True, None, []), rpc.dec_commit_resp),
     "abort-vote": (rpc.enc_vote_abort(*VOTE), rpc.dec_vote_abort),
     "gc-lc": (rpc.enc_gc_lc(258), rpc.dec_gc_lc),
-    "status": (rpc.enc_status_resp("Commit"), rpc.dec_status_resp),
 }
 
 

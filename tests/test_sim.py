@@ -396,14 +396,15 @@ def test_contended_run_arms_few_timers_per_2pc_decision(monkeypatch):
 SLICE = rpc.enc_txn(Transaction(((b"k", 0),), ((b"k", b"v"),)))
 UNKNOWN = rpc.enc_commit_resp(False, AbortReason.UNKNOWN, [])
 
-# (message type, transaction: none/pending/foreign, payload, expected reply)
+# (message type, transaction: none/pending/foreign, payload, expected reply
+# [, sender kind]); a client sends READ, VALIDATE and COMMIT, and sender id
+# 1 the rest, as a server unless the entry names another kind
 MALFORMED = {
     "prepare-without-tranx": (MsgType.PREPARE, "none", SLICE, None),
     "ready-without-tranx": (MsgType.READY, "none", b"", None),
     "commit-decision-without-tranx": (MsgType.COMMIT_DECISION, "none", b"", None),
     "abort-decision-without-tranx": (MsgType.ABORT_DECISION, "none", b"", None),
     "ack-without-tranx": (MsgType.ACK, "none", b"", None),
-    "status-without-tranx": (MsgType.TRANX_STATUS, "none", b"", None),
     "truncated-read": (MsgType.READ, "none", b"\x05\x00", None),
     "read-without-key": (MsgType.READ, "none", b"", None),
     "read-with-truncated-second-key": (
@@ -414,9 +415,9 @@ MALFORMED = {
     "truncated-prepare": (MsgType.PREPARE, "foreign", b"\x01\x00", None),
     "truncated-abort-vote": (MsgType.ABORT_DECISION, "pending", b"\x00", None),
     "truncated-gc-lc": (MsgType.GC_LC, "none", b"\x01", None),
-    "truncated-status-answer": (MsgType.RESPONSE, "none", b"\x01", None),
-    "unknown-status-answer": (MsgType.RESPONSE, "none", rpc.enc_status_resp("Pendin"), None),
-    "truncated-status-answer-naming-a-transaction": (MsgType.RESPONSE, "foreign", b"\x01", None),
+    "response-to-a-server": (
+        MsgType.RESPONSE, "foreign", rpc.enc_commit_resp(True, None, []), None
+    ),
     "commit-with-trailing-bytes": (MsgType.COMMIT, "none", SLICE + b"x", UNKNOWN),
     "validate-with-trailing-bytes": (
         MsgType.VALIDATE, "none", rpc.enc_txn(Transaction(((b"k", 0),), ())) + b"x", UNKNOWN
@@ -426,9 +427,16 @@ MALFORMED = {
         MsgType.ABORT_DECISION, "pending", rpc.enc_vote_abort(AbortReason.STALE_READ, []) + b"x", None
     ),
     "gc-lc-with-trailing-bytes": (MsgType.GC_LC, "none", rpc.enc_gc_lc(1) + b"x", None),
-    "status-answer-with-trailing-bytes": (
-        MsgType.RESPONSE, "none", rpc.enc_status_resp("Commit") + b"x", None
+    # well formed, but a server takes these only from a server
+    "prepare-from-a-client": (MsgType.PREPARE, "foreign", SLICE, None, rpc.CLIENT),
+    "ready-from-a-client": (MsgType.READY, "pending", b"", None, rpc.CLIENT),
+    "abort-vote-from-a-client": (
+        MsgType.ABORT_DECISION, "pending", rpc.enc_vote_abort(AbortReason.STALE_READ, []), None,
+        rpc.CLIENT,
     ),
+    "commit-decision-from-a-client": (MsgType.COMMIT_DECISION, "foreign", b"", None, rpc.CLIENT),
+    "ack-from-a-client": (MsgType.ACK, "pending", b"", None, rpc.CLIENT),
+    "gc-lc-from-a-client": (MsgType.GC_LC, "none", rpc.enc_gc_lc(5), None, rpc.CLIENT),
 }
 
 
@@ -442,7 +450,7 @@ def node_state(node):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_message_changes_nothing(case):
-    msg_type, which, payload, reply = MALFORMED[case]
+    msg_type, which, payload, reply, *kind = MALFORMED[case]
     sim = make_sim(3, seed=5)
     span = key_spanning(sim.members)
     c = sim.new_client(seed=1)
@@ -454,7 +462,7 @@ def test_malformed_message_changes_nothing(case):
     if msg_type in (MsgType.READ, MsgType.VALIDATE, MsgType.COMMIT):
         env = Envelope(msg_type, rpc.CLIENT, c.client_id, 77, tranx, payload)
     else:
-        env = Envelope(msg_type, rpc.SERVER, 1, 77, tranx, payload)
+        env = Envelope(msg_type, *kind or [rpc.SERVER], 1, 77, tranx, payload)
     before = node_state(node)
     sent = []
     sim.net_send = lambda src, dst, e: sent.append(e)
@@ -581,9 +589,9 @@ def test_abort_decision_before_prepare_makes_the_prepare_a_no_op(restart, monkey
 
 
 def test_a_stale_abort_status_answer_cannot_undo_a_commit():
-    """A TRANX_STATUS answer acts only on a slice still Ready: an Abort
-    that arrives after the slice committed appends nothing, and the commit
-    survives the participant's restart."""
+    """A decision acts only on a slice still Ready: an Abort from the
+    coordinator that arrives after the slice committed appends nothing, and
+    the commit survives the participant's restart."""
     sim = make_sim(3, seed=5, gc_period=10.0)  # no GC tick syncs the store
     span = key_spanning(sim.members)
     c = sim.new_client(seed=1)
@@ -591,9 +599,8 @@ def test_a_stale_abort_status_answer_cannot_undo_a_commit():
     sim.run(0.5)
     node = sim.nodes[1].node
     (tranx,) = node.part
-    # the coordinator's answer to a status query sent before the commit
-    answer = rpc.enc_status_resp("Abort")
-    node.on_message(Envelope(MsgType.RESPONSE, rpc.SERVER, tranx.coordinator, 77, tranx, answer))
+    # a stale abort from the coordinator, delivered late
+    node.on_message(Envelope(MsgType.ABORT_DECISION, rpc.SERVER, tranx.coordinator, 77, tranx, b""))
     assert node.part[tranx].state == PartState.COMMIT
     node.tranxlog.manager.flush()
     sim.crash(1)
@@ -603,15 +610,18 @@ def test_a_stale_abort_status_answer_cannot_undo_a_commit():
     assert oracle.atomicity_violations(sim.trace) == []
 
 
-def test_a_restarted_participant_asks_again_every_resend_until_its_slice_settles(monkeypatch):
+def test_a_restarted_participant_repeats_ready_every_resend_until_its_slice_settles(monkeypatch):
     """A slice found Ready at restart and cut off from its coordinator
-    repeats TRANX_STATUS on the resend timer and arms no other; after the
-    heal the coordinator's answer settles it, frees its locks and empties
-    the resend map.  The decision itself never reaches the participant."""
+    repeats its READY vote on the resend timer and arms no other timer;
+    after the heal the coordinator's decision settles it, frees its locks
+    and empties the resend map.  The first decision never reaches the
+    participant."""
     armed = record_timers(monkeypatch)
     sim = make_sim(3, seed=5, gc_period=10.0)
     span = key_spanning(sim.members)
-    drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.COMMIT_DECISION and dst == ("s", 1))
+    drop_where(
+        sim, lambda dst, env, n: n == 0 and env.msg_type == MsgType.COMMIT_DECISION and dst == ("s", 1)
+    )
     c = sim.new_client(seed=1)
     assert commit_txn(sim, c, [span[0], span[1]], {span[0]: b"s", span[1]: b"s"})[0]
     (tranx,) = sim.nodes[1].node.part
@@ -624,10 +634,10 @@ def test_a_restarted_participant_asks_again_every_resend_until_its_slice_settles
     sim.run(1.1)
     node = sim.nodes[1].node
     assert node.part[tranx].state is PartState.READY and node.locks.held_by(tranx) == {span[1]}
-    asked = [e[0] - start for e in sends(sim, "TRANX_STATUS") if e[1] == 1]
-    assert asked == pytest.approx([RESEND * i for i in range(6)], abs=1e-9)
+    voted = [e[0] - start for e in sends(sim, "READY") if e[1] == 1 and e[0] >= start]
+    assert voted == pytest.approx([RESEND * i for i in range(6)], abs=1e-9)
     ticks = [name for sid, name in armed if sid == 1 and name != "_gc_tick"]
-    assert ticks == ["_ack_tick"] * len(asked)
+    assert ticks == ["_ack_tick"] * len(voted)
     sim.heal(rule)
     sim.run(1.0)
     assert node.part[tranx].state is PartState.COMMIT and node.locks.is_idle()
@@ -636,36 +646,94 @@ def test_a_restarted_participant_asks_again_every_resend_until_its_slice_settles
     assert oracle.atomicity_violations(sim.trace) == []
 
 
-# a RESPONSE that names a restarted participant's Ready slice: (sender
-# kind, sender, status)
-IGNORED_STATUS_ANSWERS = {
-    "commit-from-another-server": (rpc.SERVER, 2, "Commit"),
-    "abort-from-another-server": (rpc.SERVER, 2, "Abort"),
-    "commit-from-a-client": (rpc.CLIENT, 0, "Commit"),
-    "abort-from-a-client": (rpc.CLIENT, 0, "Abort"),
-    "pending-from-the-coordinator": (rpc.SERVER, 0, "Pending"),
+# a decision that names a restarted participant's Ready slice: (sender
+# kind, sender, decision)
+IGNORED_DECISIONS = {
+    "commit-from-another-server": (rpc.SERVER, 2, MsgType.COMMIT_DECISION),
+    "abort-from-another-server": (rpc.SERVER, 2, MsgType.ABORT_DECISION),
+    "commit-from-a-client": (rpc.CLIENT, 0, MsgType.COMMIT_DECISION),
+    "abort-from-a-client": (rpc.CLIENT, 0, MsgType.ABORT_DECISION),
 }
 
 
-@pytest.mark.parametrize("case", sorted(IGNORED_STATUS_ANSWERS))
-def test_only_the_coordinators_decided_status_answer_settles_a_slice(case, monkeypatch):
+@pytest.mark.parametrize("case", sorted(IGNORED_DECISIONS))
+def test_only_the_coordinators_decision_settles_a_slice(case, monkeypatch):
     sim, sent, k = hand_driven_participant()
     deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
     node, appends = repeat_on(sim, sent, True, monkeypatch)
-    kind, sender, status = IGNORED_STATUS_ANSWERS[case]
+    kind, sender, decision = IGNORED_DECISIONS[case]
     before = node_state(node)
-    node.on_message(
-        Envelope(MsgType.RESPONSE, kind, sender, 9, HAND_TRANX, rpc.enc_status_resp(status))
-    )
+    node.on_message(Envelope(decision, kind, sender, 9, HAND_TRANX, b""))
     assert node_state(node) == before and sent == [] and appends == []
     assert node.part[HAND_TRANX].state is PartState.READY and node.locks.held_by(HAND_TRANX) == {k}
     # the same slice settles from the coordinator's Commit
-    node.on_message(
-        Envelope(MsgType.RESPONSE, rpc.SERVER, 0, 9, HAND_TRANX, rpc.enc_status_resp("Commit"))
-    )
+    deliver(sim, MsgType.COMMIT_DECISION)
     assert node.part[HAND_TRANX].state is PartState.COMMIT and node.locks.is_idle()
     assert [e.msg_type for e in sent] == [MsgType.ACK]
     assert [type(r).__name__ for r in appends] == ["PartCommit"]
+
+
+def test_a_restarted_slice_the_watermark_passed_settles_from_the_coordinators_abort():
+    """Participant 1 votes Ready, appends the abort decision unflushed,
+    acks, and learns from GC_LC that the watermark passed the transaction.
+    Killed before that block is flushed, it restarts with the slice Ready
+    and its key locked.  Its repeated READY names an id coordinator 0 holds
+    no record of, so 0 answers Abort (presumed abort), which settles the
+    slice although the watermark passed it."""
+    sim, sent, k = hand_driven_participant()
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
+    deliver(sim, MsgType.ABORT_DECISION)
+    assert [e.msg_type for e in sent] == [MsgType.READY, MsgType.ACK]
+    node = sim.nodes[1].node
+    node.on_message(Envelope(MsgType.GC_LC, rpc.SERVER, 0, 2, None, rpc.enc_gc_lc(HAND_TRANX.seq)))
+    sim.crash(1)  # the PartAbort is lost
+    del sim.net_send  # from here on the real network carries server 1's messages
+    sim.restart(1)
+    node = sim.nodes[1].node
+    assert node.gc.is_final_by_watermark(HAND_TRANX)
+    assert node.part[HAND_TRANX].state is PartState.READY and node.locks.held_by(HAND_TRANX) == {k}
+    sim.run(0.5)
+    assert node.part[HAND_TRANX].state is PartState.ABORT and node.locks.is_idle()
+    assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+def test_a_coordinator_answers_a_counted_ready_with_its_decision():
+    """Coordinator 0, played against by hand: a READY it already counted
+    gets its decision once it has one, and a READY naming an id of its own
+    it holds no record of gets Abort (presumed abort).  An undecided
+    transaction, a repeated abort vote, a first vote after an early abort
+    and another coordinator's id get nothing."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    span = key_spanning(sim.members)
+    node = sim.nodes[0].node
+    sent = []
+    sim.net_send = lambda src, dst, env: sent.append((dst[1], env.msg_type))
+    txn = Transaction((), tuple((k, b"v") for k in span.values()))
+    abort = rpc.enc_vote_abort(AbortReason.STALE_READ, [])
+
+    def answer(tranx, voter, vote=b""):
+        """What coordinator 0 sends when `voter` votes; b"" is Ready."""
+        del sent[:]
+        mt = MsgType.READY if vote == b"" else MsgType.ABORT_DECISION
+        node.on_message(Envelope(mt, rpc.SERVER, voter, 1, tranx, vote))
+        return sorted(sent)
+
+    commit, abort_d = MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION
+    committed = node.coordinate(txn, None)
+    assert answer(committed, 1) == []
+    assert answer(committed, 1) == []  # undecided
+    assert answer(committed, 2) == [(1, commit), (2, commit)]
+    assert answer(committed, 1) == [(1, commit)]
+    aborted = node.coordinate(txn, None)
+    assert answer(aborted, 1) == []
+    assert answer(aborted, 2, abort) == [(1, abort_d), (2, abort_d)]
+    assert answer(aborted, 1) == [(1, abort_d)]
+    assert answer(aborted, 2, abort) == []  # a repeated abort vote
+    early = node.coordinate(txn, None)
+    assert answer(early, 1, abort) == [(1, abort_d), (2, abort_d)]
+    assert answer(early, 2) == []  # the first vote, after the abort
+    assert answer(TranxID(0, 99), 1) == [(1, abort_d)]
+    assert answer(TranxID(1, 99), 2) == []
 
 
 def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():
