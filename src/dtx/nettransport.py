@@ -159,9 +159,6 @@ class ServerRuntime:
         self._queue(conn, rpc.frame_encode(env))
 
     def reply(self, request: Envelope, resp: Envelope) -> None:
-        if request.sender_kind == rpc.SERVER:
-            self.send(request.sender_id, resp)
-            return
         conn = self._clients.get(request.sender_id)
         if conn is not None:  # else the client's retry is answered from the dedup window
             self._queue(conn, rpc.frame_encode(resp))

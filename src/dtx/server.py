@@ -113,12 +113,12 @@ PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
 # aborted: the first vote's reason and piggyback were never logged
 _ABORTED_VOTE = rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
 
-# message types that name their transaction in the envelope, and with
-# GC_LC the types only a server sends
+# message types that name their transaction in the envelope; with GC_LC
+# these are the types only a server sends, and a client sends the others
 _TRANX_TYPES = frozenset({
     MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION, MsgType.ACK,
 })
-_SERVER_TYPES = _TRANX_TYPES | {MsgType.GC_LC}
+_SENDER_KIND = {t: rpc.SERVER if t in _TRANX_TYPES | {MsgType.GC_LC} else rpc.CLIENT for t in MsgType}
 _DECISION = {CoordState.COMMIT: MsgType.COMMIT_DECISION, CoordState.ABORT: MsgType.ABORT_DECISION}
 # the state a coordinator's decision gives its own slice at recovery
 _SLICE_STATE = {CoordState.COMMIT: PartState.COMMIT, CoordState.ABORT: PartState.ABORT}
@@ -213,7 +213,6 @@ class ServerNode:
         # (re)inserted, so insertion order is due order
         self._resend: dict[TranxID, float] = {}
         self._resend_timer = None  # armed for the head of _resend, if any
-        self._msg_seq = 0
         self._client_epoch = 0
         self._next_client = 0
         self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
@@ -237,8 +236,8 @@ class ServerNode:
         self.ctx.reply(request, resp)
 
     def _server_env(self, msg_type: MsgType, tranx: TranxID | None, payload: bytes) -> Envelope:
-        self._msg_seq += 1
-        return Envelope(msg_type, rpc.SERVER, self.sid, self._msg_seq, tranx, payload)
+        # message id 0: no server answers a server, so nothing matches on it
+        return Envelope(msg_type, rpc.SERVER, self.sid, 0, tranx, payload)
 
     def _append(self, record, durable: bool) -> None:
         self.tranxlog.append(record, durable)
@@ -281,7 +280,7 @@ class ServerNode:
             self._crash_hook(self.sid, _RECV_POINT[mt])
         if (
             mt is MsgType.RESPONSE
-            or mt in _SERVER_TYPES and env.sender_kind != rpc.SERVER
+            or env.sender_kind != _SENDER_KIND[mt]
             or env.tranx is None and mt in _TRANX_TYPES
         ):
             self._trace("msg.malformed", type=mt.name, frm=env.sender_id)
@@ -380,6 +379,8 @@ class ServerNode:
             per.setdefault(owner_of(k, self.members), ([], []))[0].append((k, ver))
         for k, v in txn.writes:
             per.setdefault(owner_of(k, self.members), ([], []))[1].append((k, v))
+        if len(per) == 1:  # one owner's slice is the whole transaction
+            return dict.fromkeys(per, txn)
         return {
             sid: Transaction(tuple(reads), tuple(writes))
             for sid, (reads, writes) in sorted(per.items())
@@ -390,7 +391,7 @@ class ServerNode:
         tranx = self.issuer.next()
         rec = CoordRec(tranx, subs, pending_ready=set(subs), pending_ack=set(subs))
         rec.reply_to = reply_to
-        if reply_to is not None and reply_to.sender_kind == rpc.CLIENT:
+        if reply_to is not None:
             rec.client_key = (reply_to.sender_id, reply_to.message_id)
             self.pending_client[rec.client_key] = tranx
         self.coord[tranx] = rec

@@ -1,9 +1,18 @@
 """Deterministic discrete-event simulator for whole-cluster runs.
 
 Everything runs single-threaded on a virtual clock: a heap of (time, seq,
-callback) events.  Server nodes are the real ServerNode objects; only their
-context (clock, timers, transport, durability) is simulated, so protocol
-behaviour under test is exactly the production code path.
+method, arguments) events, seq breaking ties in push order.  Server nodes
+are the real ServerNode objects; only their context (clock, timers,
+transport, durability) is simulated, so protocol behaviour under test is
+exactly the production code path.
+
+The heap holds one entry per message in flight, one per server timer and
+one timeout per client.  A message's one event is its arrival: an idle
+node handles it there when nothing else is due at that instant, as the
+handling pushed for later would be the next event popped anyway.  A client
+keeps its unanswered requests in a map ordered by insertion, which is due
+order, as each timeout is rpc_timeout after its send; one timer armed for
+the head serves them all.
 
 What the simulator models:
 
@@ -32,7 +41,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import rpc
 from .client import ClientState
 from .env import MemEnv
 from .model import ServerId, TranxID
@@ -80,7 +88,6 @@ class CrashPlan:
 
 @dataclass
 class _Timer:
-    fire_at: float
     cancelled: bool = False
 
 
@@ -98,18 +105,15 @@ class _Ctx:
         return self.sim.now
 
     def set_timer(self, delay: float, fn) -> _Timer:
-        t = _Timer(self.sim.now + delay)
-
-        def run() -> None:
-            if t.cancelled:
-                return
-            node = self.sim.nodes[self.sid]
-            if not node.alive or node.incarnation != self.incarnation:
-                return  # stale timer from a previous incarnation
-            fn()
-
-        self.sim._push(t.fire_at, run)
+        t = _Timer()
+        self.sim._push(self.sim.now + delay, self._fire, t, fn)
         return t
+
+    def _fire(self, t: _Timer, fn) -> None:
+        node = self.sim.nodes[self.sid]
+        # not cancelled, nor left by a previous incarnation
+        if not t.cancelled and node.alive and node.incarnation == self.incarnation:
+            fn()
 
     def cancel_timer(self, t: _Timer) -> None:
         t.cancelled = True
@@ -118,8 +122,7 @@ class _Ctx:
         self.sim.net_send(("s", self.sid), ("s", dest), env)
 
     def reply(self, request: Envelope, resp: Envelope) -> None:
-        kind = "c" if request.sender_kind == rpc.CLIENT else "s"
-        self.sim.net_send(("s", self.sid), (kind, request.sender_id), resp)
+        self.sim.net_send(("s", self.sid), ("c", request.sender_id), resp)
 
 
 @dataclass
@@ -149,31 +152,39 @@ class SimClient:
         self.rpc_timeout = rpc_timeout
         self.rpc_tries = rpc_tries
         self.state = ClientState(client_id, list(sim.members), rng)
-        self._waiters: dict[int, tuple] = {}  # message_id -> (continuation, timer)
+        self._waiters: dict[int, tuple] = {}  # message_id -> (due, dest, env, cont, tries_left)
+        self._armed = False  # a timer is in the heap for the head of _waiters
 
     def on_reply(self, env: Envelope) -> None:
         waiter = self._waiters.pop(env.message_id, None)
-        if waiter is None:
-            return  # late duplicate of an already-answered request
-        cont, timer = waiter
-        timer.cancelled = True
-        cont(env.payload)
+        if waiter is not None:  # else a late duplicate of an answered request
+            waiter[3](env.payload)
 
     def _request(self, dest: ServerId, env: Envelope, cont, tries_left: int) -> None:
-        timer = _Timer(self.sim.now + self.rpc_timeout)
+        due = self.sim.now + self.rpc_timeout
+        self._waiters[env.message_id] = (due, dest, env, cont, tries_left)
+        if not self._armed:
+            self._armed = True
+            self.sim._push(due, self._expire)
+        self.sim.net_send(("c", self.client_id), ("s", dest), env)
 
-        def on_timeout() -> None:
-            if timer.cancelled:
+    def _expire(self) -> None:
+        """Resend, or give up, every request now due; then re-arm for the
+        head.  _armed stays set meanwhile, so the resends arm no timer."""
+        now = self.sim.now
+        waiters = self._waiters
+        while waiters:
+            mid = next(iter(waiters))
+            due, dest, env, cont, tries_left = waiters[mid]
+            if due > now:
+                self.sim._push(due, self._expire)
                 return
-            self._waiters.pop(env.message_id, None)
+            del waiters[mid]
             if tries_left <= 1:
                 cont(None)
             else:
                 self._request(dest, env, cont, tries_left - 1)
-
-        self.sim._push(timer.fire_at, on_timeout)
-        self._waiters[env.message_id] = (cont, timer)
-        self.sim.net_send(("c", self.client_id), ("s", dest), env)
+        self._armed = False
 
     def _request_all(self, requests, cont) -> None:
         """Issue every request at once; cont gets the payloads, in request
@@ -214,7 +225,7 @@ class SimClient:
         elif effect[0] == "rpcs":
             self._request_all(effect[1], lambda payloads: self._step(gen, payloads, False, on_done))
         elif effect[0] == "sleep":
-            self.sim._push(self.sim.now + effect[1], lambda: self._step(gen, None, False, on_done))
+            self.sim._push(self.sim.now + effect[1], self._step, gen, None, False, on_done)
         else:
             on_done(("error", RuntimeError(f"unknown effect {effect[0]!r}")))
 
@@ -247,21 +258,19 @@ class ClosedLoopDriver:
         self._launch()
 
     def _launch(self) -> None:
-        if self.max_txns is not None and len(self.history) + len(self.errors) >= self.max_txns:
-            self.done = True
-            return
-        if self.sim.now >= self.until:
+        if self.sim.now >= self.until or (
+            self.max_txns is not None and len(self.history) + len(self.errors) >= self.max_txns
+        ):
             self.done = True
             return
         self.client.run(self.txn_script(self.client.state), self._finished)
 
     def _finished(self, outcome) -> None:
         kind, value = outcome
-        if kind == "ok":
-            if value is not None:
-                self.history.append(value)
-        else:
+        if kind != "ok":
             self.errors.append(value)
+        elif value is not None:
+            self.history.append(value)
         self._launch()
 
 
@@ -299,9 +308,7 @@ class Simulator:
         self.msgs_by_tranx: dict[TranxID, Counter] = {}
         self._partitions: list[tuple[frozenset, frozenset]] = []
 
-        self.nodes: dict[ServerId, SimNode] = {
-            sid: SimNode(sid, MemEnv()) for sid in self.members
-        }
+        self.nodes: dict[ServerId, SimNode] = {sid: SimNode(sid, MemEnv()) for sid in self.members}
         self.clients: dict[int, SimClient] = {}
         self._next_client = self.FIRST_CLIENT_ID
         for sid in self.members:
@@ -309,19 +316,20 @@ class Simulator:
 
     # -- event loop ---------------------------------------------------------
 
-    def _push(self, at: float, fn) -> None:
+    def _push(self, at: float, fn, *args) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, fn))
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
 
     def schedule(self, delay: float, fn) -> None:
         self._push(self.now + delay, fn)
 
     def run_until(self, t_end: float) -> None:
-        while self._heap and self._heap[0][0] <= t_end:
-            at, _, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= t_end:
+            at, _, fn, args = heapq.heappop(heap)
             self.now = at
             try:
-                fn()
+                fn(*args)
             except SimCrash as crash:
                 self._trace(crash.sid, "crash.injected", label=crash.label)
                 self.crash(crash.sid)
@@ -331,6 +339,13 @@ class Simulator:
 
     def run(self, duration: float) -> None:
         self.run_until(self.now + duration)
+
+    def step(self) -> bool:
+        """Run the events of the next due instant; False when none is left."""
+        if not self._heap:
+            return False
+        self.run_until(self._heap[0][0])
+        return True
 
     # -- node lifecycle -------------------------------------------------------
 
@@ -396,10 +411,10 @@ class Simulator:
         delay = self.net.latency + self.rng.random() * self.net.jitter
         if self.net.delay_p and self.rng.random() < self.net.delay_p:
             delay += self.rng.random() * self.net.extra_delay
-        self._push(self.now + delay, lambda: self._deliver(dst, env))
+        self._push(self.now + delay, self._deliver, dst, env)
         if self.net.dup_p and self.rng.random() < self.net.dup_p:
             dup_delay = delay + self.net.latency + self.rng.random() * self.net.extra_delay
-            self._push(self.now + dup_delay, lambda: self._deliver(dst, env))
+            self._push(self.now + dup_delay, self._deliver, dst, env)
 
     def _deliver(self, dst, env: Envelope) -> None:
         kind, ident = dst
@@ -414,14 +429,16 @@ class Simulator:
             return
         start = max(self.now, n.busy_until)
         n.busy_until = start + SERVICE_TIME
-        incarnation = n.incarnation
-
-        def handle() -> None:
-            if not n.alive or n.incarnation != incarnation:
-                return
+        if start == self.now and (not self._heap or self._heap[0][0] > start):
+            # the handling pushed now would be the next event popped
             n.node.on_message(env)
+        else:
+            self._push(start, self._handle, n, n.incarnation, env)
 
-        self._push(start, handle)
+    @staticmethod
+    def _handle(n: SimNode, incarnation: int, env: Envelope) -> None:
+        if n.alive and n.incarnation == incarnation:
+            n.node.on_message(env)
 
     def _account(self, src, dst, env: Envelope) -> None:
         self.msgs_total += 1

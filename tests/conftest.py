@@ -38,9 +38,8 @@ def run_gen(sim: Simulator, client, gen, timeout: float = 30.0):
     box: list = []
     client.run(gen, box.append)
     deadline = sim.now + timeout
-    while not box and sim._heap and sim._heap[0][0] <= deadline:
-        at = sim._heap[0][0]
-        sim.run_until(at)
+    while not box and sim.now <= deadline and sim.step():
+        pass
     if not box:
         raise TimeoutError("generator did not finish within the timeout")
     kind, value = box[0]

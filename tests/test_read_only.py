@@ -55,8 +55,7 @@ def quiet(sim):
 def step_until(sim, pred, timeout=5.0):
     deadline = sim.now + timeout
     while not pred():
-        assert sim._heap and sim._heap[0][0] <= deadline, "condition never held"
-        sim.run_until(sim._heap[0][0])
+        assert sim.now <= deadline and sim.step(), "condition never held"
 
 
 def half_applied_write(sim, x, y):

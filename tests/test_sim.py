@@ -130,7 +130,72 @@ def test_contended_run_does_not_depend_on_the_hash_seed():
     assert runs[0] == runs[1]
 
 
+# -- event loop ---------------------------------------------------------------------
+
+
+def test_contended_run_keeps_a_few_events_per_client_and_node_queued():
+    """Each message is one event, and each client keeps one timeout queued
+    however many answered requests it has made."""
+    spec = WorkloadSpec(key_count=64, read_fraction=0.5, clients=8, duration=0.5, seed=1)
+    sim = make_sim(3, seed=spec.seed)
+    preload_sim(sim, spec, spec.seed)
+    drivers = start_clients(sim, spec)
+    peak = 0
+    while sim.now < spec.duration and sim.step():
+        peak = max(peak, len(sim._heap))  # the event queue itself is under test
+    assert sum(r["ok"] for d in drivers for r in d.history) > 1000
+    assert peak <= 6 * (spec.clients + len(sim.members))
+    assert sim._seq < 1.5 * sim.msgs_total  # events pushed, per message sent
+
+
+def idle_read(sim):
+    """Midway between two GC ticks, send idle server 0 a READ; returns the
+    count of events pushed before it and the instant it arrives."""
+    sim.run(0.55)
+    c = sim.new_client(seed=1)
+    k = keys_owned_by(0, sim.members, 1)[0]
+    pushed = sim._seq
+    sim.net_send(("c", c.client_id), ("s", 0), c.state.env(MsgType.READ, rpc.enc_read_req([k])))
+    return pushed, sim.now + sim.net.latency
+
+
+def test_a_message_reaching_an_idle_node_is_handled_by_its_arrival_event():
+    sim = make_sim(3, seed=1, net=NetConfig(jitter=0.0))
+    pushed, arrival = idle_read(sim)
+    sim.run(0.01)
+    assert sim.nodes[0].node.stats["reads"] == 1
+    assert sim._seq - pushed == 2  # the READ's arrival and its answer's
+    assert sim.now > arrival
+
+
+def test_a_message_reaching_an_idle_node_waits_for_an_event_due_at_the_same_instant():
+    """Handling on arrival keeps the heap's order: another event due at the
+    arrival instant, pushed after the message was sent, still runs first."""
+    sim = make_sim(3, seed=1, net=NetConfig(jitter=0.0))
+    node = sim.nodes[0].node
+    _, arrival = idle_read(sim)
+    order = []
+    sim.schedule(sim.net.latency, lambda: order.append(("other", sim.now, node.stats["reads"])))
+    sim.run(0.01)
+    assert order == [("other", arrival, 0)]
+    assert node.stats["reads"] == 1
+
+
 # -- message accounting ----------------------------------------------------------
+
+
+def test_a_one_owner_commit_keeps_its_decoded_transaction_as_the_slice(monkeypatch):
+    sim = make_sim(3, seed=5)
+    node = sim.nodes[0].node
+    ks = keys_owned_by(1, sim.members, 2)
+    decoded = []
+    orig = rpc.dec_txn
+    monkeypatch.setattr(rpc, "dec_txn", lambda b: decoded.append(orig(b)) or decoded[-1])
+    txn = Transaction(((ks[0], 0),), ((ks[0], b"x"), (ks[1], b"y")))
+    node.on_message(Envelope(MsgType.COMMIT, rpc.CLIENT, 5, 1, None, rpc.enc_txn(txn)))
+    (rec,) = node.coord.values()
+    assert rec.subs == {1: txn}
+    assert rec.subs[1] is decoded[0]
 
 
 def test_single_owner_commit_sends_no_server_messages():
@@ -397,8 +462,9 @@ SLICE = rpc.enc_txn(Transaction(((b"k", 0),), ((b"k", b"v"),)))
 UNKNOWN = rpc.enc_commit_resp(False, AbortReason.UNKNOWN, [])
 
 # (message type, transaction: none/pending/foreign, payload, expected reply
-# [, sender kind]); a client sends READ, VALIDATE and COMMIT, and sender id
-# 1 the rest, as a server unless the entry names another kind
+# [, sender kind]); a client sends READ, VALIDATE, COMMIT and CLIENT_HELLO,
+# and sender id 1 the rest as a server, unless the entry names another kind,
+# which sender id 1 then sends
 MALFORMED = {
     "prepare-without-tranx": (MsgType.PREPARE, "none", SLICE, None),
     "ready-without-tranx": (MsgType.READY, "none", b"", None),
@@ -437,6 +503,13 @@ MALFORMED = {
     "commit-decision-from-a-client": (MsgType.COMMIT_DECISION, "foreign", b"", None, rpc.CLIENT),
     "ack-from-a-client": (MsgType.ACK, "pending", b"", None, rpc.CLIENT),
     "gc-lc-from-a-client": (MsgType.GC_LC, "none", rpc.enc_gc_lc(5), None, rpc.CLIENT),
+    # well formed, but a server answers only a client
+    "read-from-a-server": (MsgType.READ, "none", rpc.enc_read_req([b"k"]), None, rpc.SERVER),
+    "validate-from-a-server": (
+        MsgType.VALIDATE, "none", rpc.enc_txn(Transaction(((b"k", 0),), ())), None, rpc.SERVER
+    ),
+    "commit-from-a-server": (MsgType.COMMIT, "none", SLICE, None, rpc.SERVER),
+    "client-hello-from-a-server": (MsgType.CLIENT_HELLO, "none", b"", None, rpc.SERVER),
 }
 
 
@@ -459,10 +532,12 @@ def test_malformed_message_changes_nothing(case):
     txn = Transaction(((span[0], 1), (span[1], 1)), ((span[0], b"p"), (span[1], b"q")))
     pending = node.coordinate(txn, None)  # waiting for owner 1's vote
     tranx = {"none": None, "pending": pending, "foreign": TranxID(1, 99)}[which]
-    if msg_type in (MsgType.READ, MsgType.VALIDATE, MsgType.COMMIT):
+    if kind:
+        env = Envelope(msg_type, kind[0], 1, 77, tranx, payload)
+    elif msg_type in (MsgType.READ, MsgType.VALIDATE, MsgType.COMMIT, MsgType.CLIENT_HELLO):
         env = Envelope(msg_type, rpc.CLIENT, c.client_id, 77, tranx, payload)
     else:
-        env = Envelope(msg_type, *kind or [rpc.SERVER], 1, 77, tranx, payload)
+        env = Envelope(msg_type, rpc.SERVER, 1, 77, tranx, payload)
     before = node_state(node)
     sent = []
     sim.net_send = lambda src, dst, e: sent.append(e)
@@ -751,7 +826,7 @@ def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():
         )
 
     while not quiet():
-        sim.run_until(sim._heap[0][0])
+        assert sim.step()
     assert all(n.part for n in nodes)
     sim.run(2 * TEST_GC_PERIOD)
     for n in nodes:
@@ -786,7 +861,7 @@ def test_two_writers_that_deny_each_others_read_lock_both_commit():
         c.run(writer(c.state, keys, writes), box.append)
     deadline = sim.now + 5.0
     while not (boxes[0] and boxes[1]) and sim.now < deadline:
-        sim.run_until(sim._heap[0][0])
+        assert sim.step()
     (ok_a, reason_a, attempts_a), (ok_b, reason_b, attempts_b) = boxes[0][0][1], boxes[1][0][1]
     assert ok_a and ok_b, (reason_a, reason_b)
     assert min(attempts_a, attempts_b) >= 2  # they did deny each other
