@@ -18,13 +18,12 @@ per row and in total.
 from __future__ import annotations
 
 import csv
-import random
 import statistics
 from dataclasses import dataclass, field
 
 from .server import ServerConfig, owner_of
 from .sim import ClosedLoopDriver, Simulator
-from .workload import WorkloadSpec, key_bytes, random_value, txn_script
+from .workload import WorkloadSpec, key_bytes, load_values, txn_script
 
 
 @dataclass
@@ -116,15 +115,13 @@ def preload_sim(sim: Simulator, spec: WorkloadSpec, seed: int) -> None:
     """Install the loaded key space directly into each server's durable store.
 
     Equivalent to a completed, synced load phase: every key at version 1
-    with its seeded value, placed on its owning server.
+    with its `load_values` value, placed on its owning server.
     """
-    import zlib
-
+    value_for = load_values(seed, spec.value_size)
+    durable = {sid: n.durable for sid, n in sim.nodes.items()}
     for i in range(1, spec.key_count + 1):
         k = key_bytes(i)
-        sid = owner_of(k, sim.members)
-        value = random_value(random.Random(zlib.crc32(k) ^ seed), spec.value_size)
-        sim.nodes[sid].durable[k] = (value, 1)
+        durable[owner_of(k, sim.members)][k] = (value_for(k), 1)
 
 
 def start_clients(

@@ -484,20 +484,19 @@ class Simulator:
         """Applied key space of a live node (durable + volatile overlay)."""
         n = self.nodes[sid]
         assert n.alive
-        return dict(n.node.storage.store.items())
+        store = n.node.storage.store
+        return {**store.durable, **store.overlay}
 
-    def durable_state(self, sid: ServerId) -> dict[bytes, tuple[bytes, int]]:
-        """Only what would survive a crash of the node right now."""
-        return dict(self.nodes[sid].durable)
-
-    def global_state(self, durable_only: bool = False) -> dict[bytes, tuple[bytes, int]]:
-        """Union of each server's applied state restricted to its owned keys."""
+    def global_state(self) -> dict[bytes, tuple[bytes, int]]:
+        """Union of each server's applied state restricted to its owned keys, read
+        in place (durable, then the overlay over it); every server must be up."""
         out: dict[bytes, tuple[bytes, int]] = {}
         for sid in self.members:
-            state = self.durable_state(sid) if durable_only else self.node_state(sid)
-            for key, entry in state.items():
-                if owner_of(key, self.members) == sid:
-                    out[key] = entry
+            store = self.nodes[sid].node.storage.store
+            for part in (store.durable, store.overlay):
+                for key, entry in part.items():
+                    if owner_of(key, self.members) == sid:
+                        out[key] = entry
         return out
 
     def stats(self) -> dict:

@@ -40,7 +40,7 @@ def read_store_log(data: bytes):
     return rows, None
 
 class KvStore:
-    """Durable ordered key -> (value, version) map."""
+    """Durable key -> (value, version) map."""
 
     def get(self, key: bytes) -> tuple[bytes, int] | None:
         raise NotImplementedError
@@ -49,9 +49,6 @@ class KvStore:
         raise NotImplementedError
 
     def sync(self) -> None:
-        raise NotImplementedError
-
-    def items(self):
         raise NotImplementedError
 
     def close(self) -> None:
@@ -67,25 +64,20 @@ class MemKvStore(KvStore):
 
     def __init__(self, durable: dict[bytes, tuple[bytes, int]]) -> None:
         self.durable = durable
-        self._overlay: dict[bytes, tuple[bytes, int]] = {}
+        self.overlay: dict[bytes, tuple[bytes, int]] = {}
 
     def get(self, key: bytes) -> tuple[bytes, int] | None:
-        if key in self._overlay:
-            return self._overlay[key]
+        if key in self.overlay:
+            return self.overlay[key]
         return self.durable.get(key)
 
     def apply(self, writes: list[tuple[bytes, bytes, int]]) -> None:
         for key, value, version in writes:
-            self._overlay[key] = (value, version)
+            self.overlay[key] = (value, version)
 
     def sync(self) -> None:
-        self.durable.update(self._overlay)
-        self._overlay.clear()
-
-    def items(self):
-        merged = dict(self.durable)
-        merged.update(self._overlay)
-        return sorted(merged.items())
+        self.durable.update(self.overlay)
+        self.overlay.clear()
 
 
 class FileKvStore(KvStore):
@@ -124,9 +116,6 @@ class FileKvStore(KvStore):
     def sync(self) -> None:
         self._f.flush()
         os.fsync(self._f.fileno())
-
-    def items(self):
-        return sorted(self._map.items())
 
     def close(self) -> None:
         self._f.flush()

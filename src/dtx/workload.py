@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import random
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import client as cl
@@ -172,6 +173,23 @@ def random_value(rng: random.Random, size: int) -> bytes:
     return rng.randbytes(size)
 
 
+def load_values(seed: int, size: int) -> Callable[[bytes], bytes]:
+    """The loaded value of each key: a function key -> `size` bytes.
+
+    A key's value is (crc32(key) + 1) * m mod 2**(8 * size), little-endian,
+    for one odd m drawn from `seed`.  So every process, retry and reload
+    derives the same bytes, and from 5 bytes up keys with distinct crc32s
+    get distinct values, because an odd m is invertible.
+    """
+    mask = (1 << (8 * size)) - 1
+    mult = random.Random(seed).getrandbits(8 * size) | 1
+
+    def value_for(key: bytes) -> bytes:
+        return (((zlib.crc32(key) + 1) * mult) & mask).to_bytes(size, "little")
+
+    return value_for
+
+
 def pick_txn(rng: random.Random, spec: WorkloadSpec) -> tuple[list[bytes], dict[bytes, bytes]]:
     """One transaction from the mix: (keys to read, writes to apply)."""
     n = rng.randint(1, 3)
@@ -220,14 +238,11 @@ def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int, batch: int = 1
     Reads each batch first, in one round (one READ for a batch of one
     owner's keys, as owner_batches groups them), and writes only the
     missing keys, so a reload leaves existing keys at version 1.  Values
-    are seeded-random, derived from the key so retries and reloads produce
-    identical bytes.  The batch size keeps each insert transaction's log
-    records within one WAL block.
+    come from `load_values`, so retries and reloads produce identical
+    bytes.  The batch size keeps each insert transaction's log records
+    within one WAL block.
     """
-
-    def value_for(key: bytes) -> bytes:
-        # crc-derived seed: stable across processes, unlike tuple hashing
-        return random_value(random.Random(zlib.crc32(key) ^ seed), spec.value_size)
+    value_for = load_values(seed, spec.value_size)
 
     def gen(cs: cl.ClientState):
         inserted = 0

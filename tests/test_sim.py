@@ -894,6 +894,34 @@ def test_load_reads_each_owner_batch_with_one_read():
     assert len(loaded) == spec.key_count and {ver for _, ver in loaded.values()} == {1}
 
 
+def test_preload_equals_a_completed_synced_load():
+    spec = WorkloadSpec(key_count=60, seed=3)
+    loaded = make_sim(3, seed=21)
+    client = loaded.new_client(seed=1)
+    for sid, keys in sorted(owner_batches(spec.key_count, loaded.members).items()):
+        report = run_gen(loaded, client, load_script(keys, spec, spec.seed)(client.state))
+        assert report["inserted"] == len(keys)
+    loaded.run(0.5)  # a few GC periods: every node has synced its store
+    preloaded = make_sim(3, seed=21)
+    preload_sim(preloaded, spec, spec.seed)
+    assert len(loaded.global_state()) == spec.key_count
+    assert loaded.global_state() == preloaded.global_state()
+    for sid in loaded.members:
+        assert loaded.nodes[sid].durable == preloaded.nodes[sid].durable
+
+
+def test_global_state_reads_the_unsynced_overlay_and_only_owned_keys():
+    sim = make_sim(3, seed=2, gc_period=10.0)  # no GC sync within the test
+    k, stray = keys_owned_by(0, sim.members, 2)
+    sim.nodes[0].durable[k] = (b"old", 1)
+    ok, _, _ = commit_txn(sim, sim.new_client(seed=1), [k], {k: b"new"})
+    assert ok and sim.nodes[0].durable[k] == (b"old", 1)  # the commit is in the overlay
+    sim.nodes[1].durable[stray] = (b"stray", 9)  # keys on a server that does not own them
+    sim.nodes[2].durable[k] = (b"stale copy", 5)
+    state = sim.global_state()
+    assert state == {k: (b"new", 2)}
+
+
 # -- crash/recovery ---------------------------------------------------------------
 
 
