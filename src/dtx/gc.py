@@ -129,7 +129,6 @@ class GcManager:
     gclog: GcLog
     tranxlog: object  # TranxLog
     store: object  # StorageEngine (synced before reclaiming)
-    broadcast_fn: object  # callable(lc_seq: int)
     trace: object = None  # callable(event: str, **info), optional
     table: dict[ServerId, int] = field(default_factory=dict)
     tracker: CompletionTracker = field(default_factory=CompletionTracker)
@@ -150,11 +149,12 @@ class GcManager:
         self.tracker.mark(tranx.seq, issued)
         self._emit("gc.volatile", tranx=tranx, lc=self.tracker.lc)
 
-    def tick(self) -> None:
-        """Periodic coordinator-side pass, in the mandated order."""
+    def tick(self) -> int:
+        """Periodic coordinator-side pass, in the mandated order; returns the
+        local watermark, which the server then broadcasts to its peers."""
         self.table[self.server] = self.tracker.lc  # snapshot volatile state
         self._persist_and_reclaim()
-        self.broadcast_fn(self.tracker.lc)  # fire-and-forget
+        return self.tracker.lc
 
     def on_lc_broadcast(self, sender: ServerId, lc_seq: int) -> bool:
         """Participant-side watermark intake; stale or unknown senders ignored."""

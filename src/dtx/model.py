@@ -69,9 +69,14 @@ class TranxIdIssuer:
         self._last += 1
         return TranxID(self.server, self._last)
 
-    @property
-    def last_issued(self) -> int:
+    def restore(self, last_persisted_seq: int) -> None:
+        """Resume after the highest seq a WAL scan found."""
+        self._last = last_persisted_seq
+
+    def issued_max(self) -> int:
         return self._last
+
+    last_issued = property(issued_max)
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,10 @@ is answered as already final.
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar
 
 from . import rpc
@@ -172,6 +174,13 @@ class PartRec:
     vote: bytes | None = None
 
 
+def _on_slice_locked(node_ref, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
+    """A slice's lock result; a waiting acquire does not keep its node alive."""
+    node = node_ref()
+    if node is not None:
+        node._prepare_locked(tranx, sub, granted, why)
+
+
 class ServerNode:
     def __init__(self, sid: ServerId, config: ServerConfig, env: NodeEnv, store: KvStore, ctx) -> None:
         assert sid in config.members
@@ -185,7 +194,10 @@ class ServerNode:
         # read once: with tracing off, no step formats or passes trace info
         self._tracer = getattr(ctx, "trace", None)
         self._crash_hook = getattr(ctx, "crash_point", None)
-        trace = self._trace if self._tracer is not None else None
+        # what the node's parts hold must not hold the node: no bound method
+        # of it, and the lock callbacks reach it through a weak reference
+        trace = partial(self._tracer, sid) if self._tracer is not None else None
+        self._ref = weakref.ref(self)
 
         self.tranxlog = TranxLog(env, FILE_CAPACITY)
         self.storage = StorageEngine(store)
@@ -198,11 +210,10 @@ class ServerNode:
             gclog=self.gclog,
             tranxlog=self.tranxlog,
             store=self.storage,
-            broadcast_fn=self._broadcast_lc,
             trace=trace,
         )
-        self.issuer = TranxIdIssuer(sid, 0)
-        self.gc.issued_max_fn = lambda: self.issuer.last_issued
+        self.issuer = TranxIdIssuer(sid, 0)  # recover_local restores its counter
+        self.gc.issued_max_fn = self.issuer.issued_max
 
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
@@ -556,8 +567,7 @@ class ServerNode:
         self.part[tranx] = rec
         if self._tracer is not None:
             self._trace("part.state", tranx=tranx, frm=None, to=PartState.START.value)
-        self._lock_slice(tranx, sub.reads, sub.writes,
-                         lambda ok, why, t=tranx, s=sub: self._prepare_locked(t, s, ok, why))
+        self._lock_slice(tranx, sub.reads, sub.writes, partial(_on_slice_locked, self._ref, tranx, sub))
 
     def _prepare_locked(self, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
         rec = self.part.get(tranx)
@@ -685,12 +695,10 @@ class ServerNode:
 
     # -- garbage collection ---------------------------------------------------------------
 
-    def _broadcast_lc(self, lc_seq: int) -> None:
-        for sid in self.peers:
-            self._send(sid, self._server_env(MsgType.GC_LC, None, rpc.enc_gc_lc(lc_seq)))
-
     def _gc_tick(self) -> None:
-        self.gc.tick()
+        lc_seq = self.gc.tick()
+        for sid in self.peers:  # fire-and-forget
+            self._send(sid, self._server_env(MsgType.GC_LC, None, rpc.enc_gc_lc(lc_seq)))
         self._reclaim_records()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
 
@@ -740,8 +748,7 @@ class ServerNode:
             elif isinstance(recd, PartAbort):
                 part_state[t] = PartState.ABORT
 
-        self.issuer = TranxIdIssuer(self.sid, max_seq)
-        self.gc.issued_max_fn = lambda: self.issuer.last_issued
+        self.issuer.restore(max_seq)
 
         # fill crash gaps in the TranxID space with aborts so the watermark
         # prefix can advance past them; an own slice logged without a

@@ -32,14 +32,28 @@ What the simulator models:
 Clients are generator scripts (see client.py) driven by continuations, with
 timeout-and-resend request semantics so exactly-once machinery is exercised
 for real.
+
+Ownership runs one way.  The Simulator holds its parts: the node slots
+(SimNode), each live ServerNode through its slot, the clients and the
+event heap.  A part that needs the simulator (a node's _Ctx, a SimClient, a
+ClosedLoopDriver) holds a weakref.ref to it and dereferences it once per
+entry point.  No heap event holds the simulator: a message's arrival is
+pushed with the marker None, which run_until hands to _deliver, and a
+queued restart carries a weak reference.  A server timer's callback waits
+in its node slot's timer map, which a crash empties.  So dropping the last
+reference to a Simulator frees it, its nodes and their stores at once by
+reference counting, with messages still in flight, and a crashed node's
+incarnation is freed at its crash, not by a later cyclic collection.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .client import ClientState
 from .env import MemEnv
@@ -86,43 +100,78 @@ class CrashPlan:
     collect: list | None = None
 
 
-@dataclass
-class _Timer:
-    cancelled: bool = False
+class _CrashPoints:
+    """The CrashPlan the nodes' crash points count against.  A node's
+    crash hook is bound to this holder, not to the Simulator, so it pins
+    nothing and costs no weak dereference at each point."""
+
+    __slots__ = ("plan",)
+
+    def __init__(self) -> None:
+        self.plan: CrashPlan | None = None
+
+    def hit(self, sid: ServerId, label: str) -> None:
+        plan = self.plan
+        if plan is None:
+            return
+        if plan.sid is not None and sid != plan.sid:
+            return
+        plan.count += 1
+        if plan.collect is not None:
+            plan.collect.append((sid, label))
+        if plan.index is not None and not plan.fired and plan.count - 1 == plan.index:
+            plan.fired = True
+            raise SimCrash(sid, label)
+
+
+def _fire(n: "SimNode", incarnation: int, t) -> None:
+    """Run a server timer unless it was cancelled, dropped by a crash or set
+    by an earlier incarnation."""
+    fn = n.timers.pop(t, None)
+    if fn is not None and n.incarnation == incarnation:
+        fn()
+
+
+def _trace_via(sim_ref, sid: ServerId, event: str, **info) -> None:
+    sim_ref()._trace(sid, event, **info)
+
+
+def _restart(sim_ref, sid: ServerId) -> None:
+    sim_ref().restart(sid)
 
 
 class _Ctx:
-    """The side-effect context one ServerNode incarnation runs against."""
+    """The side-effect context one ServerNode incarnation runs against.  The
+    node owns it, so it reaches the simulator through a weak reference."""
 
     def __init__(self, sim: "Simulator", sid: ServerId, incarnation: int) -> None:
-        self.sim = sim
+        self._sim = weakref.ref(sim)
         self.sid = sid
         self.incarnation = incarnation
-        self.trace = sim._trace if sim.keep_trace else None
-        self.crash_point = sim._crash_point  # (sid, label)
+        self._ep = ("s", sid)
+        self.trace = partial(_trace_via, self._sim) if sim.keep_trace else None
+        self.crash_point = sim._crash_points.hit  # (sid, label)
 
     def now(self) -> float:
-        return self.sim.now
+        return self._sim().now
 
-    def set_timer(self, delay: float, fn) -> _Timer:
-        t = _Timer()
-        self.sim._push(self.sim.now + delay, self._fire, t, fn)
+    def set_timer(self, delay: float, fn):
+        """A handle for cancel_timer; fn waits in the node slot's timer map."""
+        sim = self._sim()
+        n = sim.nodes[self.sid]
+        t = object()
+        n.timers[t] = fn
+        sim._push(sim.now + delay, _fire, n, self.incarnation, t)
         return t
 
-    def _fire(self, t: _Timer, fn) -> None:
-        node = self.sim.nodes[self.sid]
-        # not cancelled, nor left by a previous incarnation
-        if not t.cancelled and node.alive and node.incarnation == self.incarnation:
-            fn()
-
-    def cancel_timer(self, t: _Timer) -> None:
-        t.cancelled = True
+    def cancel_timer(self, t) -> None:
+        self._sim().nodes[self.sid].timers.pop(t, None)
 
     def send(self, dest: ServerId, env: Envelope) -> None:
-        self.sim.net_send(("s", self.sid), ("s", dest), env)
+        self._sim().net_send(self._ep, ("s", dest), env)
 
     def reply(self, request: Envelope, resp: Envelope) -> None:
-        self.sim.net_send(("s", self.sid), ("c", request.sender_id), resp)
+        self._sim().net_send(self._ep, ("c", request.sender_id), resp)
 
 
 @dataclass
@@ -134,6 +183,7 @@ class SimNode:
     incarnation: int = 0
     alive: bool = False
     busy_until: float = 0.0
+    timers: dict = field(default_factory=dict)  # timer handle -> callback of the live node
 
 
 class SimClient:
@@ -147,8 +197,9 @@ class SimClient:
         rpc_timeout: float = 0.050,
         rpc_tries: int = 40,
     ) -> None:
-        self.sim = sim
+        self._sim = weakref.ref(sim)
         self.client_id = client_id
+        self._ep = ("c", client_id)
         self.rpc_timeout = rpc_timeout
         self.rpc_tries = rpc_tries
         self.state = ClientState(client_id, list(sim.members), rng)
@@ -161,23 +212,25 @@ class SimClient:
             waiter[3](env.payload)
 
     def _request(self, dest: ServerId, env: Envelope, cont, tries_left: int) -> None:
-        due = self.sim.now + self.rpc_timeout
+        sim = self._sim()
+        due = sim.now + self.rpc_timeout
         self._waiters[env.message_id] = (due, dest, env, cont, tries_left)
         if not self._armed:
             self._armed = True
-            self.sim._push(due, self._expire)
-        self.sim.net_send(("c", self.client_id), ("s", dest), env)
+            sim._push(due, self._expire)
+        sim.net_send(self._ep, ("s", dest), env)
 
     def _expire(self) -> None:
         """Resend, or give up, every request now due; then re-arm for the
         head.  _armed stays set meanwhile, so the resends arm no timer."""
-        now = self.sim.now
+        sim = self._sim()
+        now = sim.now
         waiters = self._waiters
         while waiters:
             mid = next(iter(waiters))
             due, dest, env, cont, tries_left = waiters[mid]
             if due > now:
-                self.sim._push(due, self._expire)
+                sim._push(due, self._expire)
                 return
             del waiters[mid]
             if tries_left <= 1:
@@ -225,7 +278,8 @@ class SimClient:
         elif effect[0] == "rpcs":
             self._request_all(effect[1], lambda payloads: self._step(gen, payloads, False, on_done))
         elif effect[0] == "sleep":
-            self.sim._push(self.sim.now + effect[1], self._step, gen, None, False, on_done)
+            sim = self._sim()
+            sim._push(sim.now + effect[1], self._step, gen, None, False, on_done)
         else:
             on_done(("error", RuntimeError(f"unknown effect {effect[0]!r}")))
 
@@ -245,7 +299,7 @@ class ClosedLoopDriver:
         until: float,
         max_txns: int | None = None,
     ) -> None:
-        self.sim = sim
+        self._sim = weakref.ref(sim)
         self.client = client
         self.txn_script = txn_script
         self.until = until
@@ -258,7 +312,7 @@ class ClosedLoopDriver:
         self._launch()
 
     def _launch(self) -> None:
-        if self.sim.now >= self.until or (
+        if self._sim().now >= self.until or (
             self.max_txns is not None and len(self.history) + len(self.errors) >= self.max_txns
         ):
             self.done = True
@@ -298,7 +352,7 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self.trace: list = []
-        self.crash_plan: CrashPlan | None = None
+        self._crash_points = _CrashPoints()
         self.auto_restart: float | None = None
         self.crashes = 0
         self.dropped = 0
@@ -314,6 +368,14 @@ class Simulator:
         for sid in self.members:
             self.restart(sid)
 
+    @property
+    def crash_plan(self) -> CrashPlan | None:
+        return self._crash_points.plan
+
+    @crash_plan.setter
+    def crash_plan(self, plan: CrashPlan | None) -> None:
+        self._crash_points.plan = plan
+
     # -- event loop ---------------------------------------------------------
 
     def _push(self, at: float, fn, *args) -> None:
@@ -325,16 +387,20 @@ class Simulator:
 
     def run_until(self, t_end: float) -> None:
         heap = self._heap
+        deliver = self._deliver
         while heap and heap[0][0] <= t_end:
             at, _, fn, args = heapq.heappop(heap)
             self.now = at
             try:
-                fn(*args)
+                if fn is None:  # a message's arrival
+                    deliver(*args)
+                else:
+                    fn(*args)
             except SimCrash as crash:
                 self._trace(crash.sid, "crash.injected", label=crash.label)
                 self.crash(crash.sid)
                 if self.auto_restart is not None:
-                    self.schedule(self.auto_restart, lambda s=crash.sid: self.restart(s))
+                    self._push(self.now + self.auto_restart, _restart, weakref.ref(self), crash.sid)
         self.now = max(self.now, t_end)
 
     def run(self, duration: float) -> None:
@@ -356,6 +422,7 @@ class Simulator:
         n.alive = False
         n.incarnation += 1
         n.node = None  # all volatile state goes with it
+        n.timers.clear()  # and its timers, so nothing queued holds it
         n.env.crash_all()  # unpersisted region bytes are lost
         n.busy_until = 0.0
         self.crashes += 1
@@ -374,7 +441,7 @@ class Simulator:
         except SimCrash as crash:
             self._trace(sid, "crash.injected", label=crash.label)
             self.crash(sid)
-            self.schedule(0.050, lambda: self.restart(sid))
+            self._push(self.now + 0.050, _restart, weakref.ref(self), sid)
             return
         self._trace(sid, "restart", incarnation=n.incarnation)
 
@@ -411,10 +478,10 @@ class Simulator:
         delay = self.net.latency + self.rng.random() * self.net.jitter
         if self.net.delay_p and self.rng.random() < self.net.delay_p:
             delay += self.rng.random() * self.net.extra_delay
-        self._push(self.now + delay, self._deliver, dst, env)
+        self._push(self.now + delay, None, dst, env)  # None: run_until delivers it
         if self.net.dup_p and self.rng.random() < self.net.dup_p:
             dup_delay = delay + self.net.latency + self.rng.random() * self.net.extra_delay
-            self._push(self.now + dup_delay, self._deliver, dst, env)
+            self._push(self.now + dup_delay, None, dst, env)
 
     def _deliver(self, dst, env: Envelope) -> None:
         kind, ident = dst
@@ -464,19 +531,6 @@ class Simulator:
     def _trace(self, sid: ServerId, event: str, **info) -> None:
         if self.keep_trace:
             self.trace.append((self.now, sid, event, info))
-
-    def _crash_point(self, sid: ServerId, label: str) -> None:
-        plan = self.crash_plan
-        if plan is None:
-            return
-        if plan.sid is not None and sid != plan.sid:
-            return
-        plan.count += 1
-        if plan.collect is not None:
-            plan.collect.append((sid, label))
-        if plan.index is not None and not plan.fired and plan.count - 1 == plan.index:
-            plan.fired = True
-            raise SimCrash(sid, label)
 
     # -- state extraction (for oracles) -------------------------------------------
 

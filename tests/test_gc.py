@@ -126,7 +126,6 @@ def make_manager(server=0, members=(0, 1)):
         gclog=GcLog(env, list(members)),
         tranxlog=FakeTranxLog(),
         store=FakeStore(),
-        broadcast_fn=broadcasts.append,
         trace=lambda ev, **info: events.append(ev),
     )
     return mgr, broadcasts, events
@@ -136,7 +135,7 @@ def test_tick_persists_before_reclaiming_and_broadcasts():
     mgr, broadcasts, events = make_manager()
     mgr.mark_complete(TranxID(0, 1))
     mgr.mark_complete(TranxID(0, 2))
-    mgr.tick()
+    broadcasts.append(mgr.tick())
     assert mgr.tracker.lc == 2 and "gc.reclaim" in events
     assert broadcasts == [2]
     # the GCLog write is traced before the reclaim
@@ -150,7 +149,6 @@ def test_tick_persists_before_reclaiming_and_broadcasts():
         gclog=GcLog(mgr.gclog.env, [0, 1]),
         tranxlog=FakeTranxLog(),
         store=FakeStore(),
-        broadcast_fn=lambda lc: None,
     )
     assert mgr2.tracker.lc == 2
 

@@ -1,9 +1,11 @@
 """End-to-end protocol behaviour under the deterministic simulator."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 from conftest import TEST_GC_PERIOD, commit_txn, make_sim, run_gen, txn_gen
 
@@ -19,7 +21,7 @@ from dtx.model import (
 )
 from dtx.rpc import AbortReason, Envelope, MsgType
 from dtx.sim import CrashPlan, NetConfig, SimCrash, Simulator
-from dtx.server import PREPARE_BUDGET, RESEND, ServerNode, owner_of
+from dtx.server import PREPARE_BUDGET, RESEND, ServerConfig, ServerNode, owner_of
 from dtx.wal import MAX_ENTRY, LogManager, TranxLog
 from dtx.workload import WorkloadSpec, load_script, owner_batches, txn_script
 from dtx.sim import ClosedLoopDriver
@@ -146,6 +148,79 @@ def test_contended_run_keeps_a_few_events_per_client_and_node_queued():
     assert sum(r["ok"] for d in drivers for r in d.history) > 1000
     assert peak <= 6 * (spec.clients + len(sim.members))
     assert sim._seq < 1.5 * sim.msgs_total  # events pushed, per message sent
+
+
+@pytest.mark.parametrize("keep_trace, case", [
+    (False, "finished"), (True, "finished"), (False, "in flight"), (True, "in flight"),
+    (False, "crashed"), (True, "crashed"),
+])
+def test_dropping_a_simulator_frees_it_and_every_node_incarnation(keep_trace, case):
+    """Ownership runs one way: a Simulator's parts point back at it weakly
+    and no queued event holds it, so with the cyclic collector off, dropping
+    the last reference to a finished round frees the Simulator and every
+    ServerNode incarnation, messages still in flight or not; a crashed
+    incarnation is freed at its crash, while its restart is queued."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        members = [0, 1, 2]
+        sim = Simulator(members, ServerConfig(members, gc_period=TEST_GC_PERIOD), seed=3,
+                        keep_trace=keep_trace)
+        spec = WorkloadSpec(key_count=64, read_fraction=0.5, clients=3, duration=0.4, seed=3)
+        preload_sim(sim, spec, spec.seed)
+        if case == "crashed":
+            sim.crash_plan = CrashPlan(sid=1, index=60)
+            sim.auto_restart = 0.05
+        drivers = start_clients(sim, spec)
+        incarnations = weakref.WeakSet(n.node for n in sim.nodes.values())
+        crashed_at = None
+        while not all(d.done for d in drivers):
+            before = weakref.ref(sim.nodes[1].node) if sim.nodes[1].alive else None
+            crashes = sim.crashes
+            assert sim.step()
+            incarnations.update(n.node for n in sim.nodes.values() if n.alive)
+            if sim.crashes > crashes:
+                crashed_at = sim.now
+                assert not sim.nodes[1].alive and before() is None
+        assert sum(r["ok"] for d in drivers for r in d.history) > 50
+        if case == "crashed":
+            assert crashed_at is not None and sim.crashes == 1 and sim.nodes[1].alive
+            assert len(incarnations) == 3  # the crashed one is gone already
+        if case == "in flight":
+            gc_lc = sim.server_msgs["GC_LC"]
+            while sim.server_msgs["GC_LC"] == gc_lc:
+                sim.step()
+            assert any(fn is None for _, _, fn, _ in sim._heap)  # a GC_LC on the wire
+        else:
+            sim.run(1.0)
+        ref = weakref.ref(sim)
+        del sim, drivers
+        assert ref() is None
+        assert len(incarnations) == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_crash_frees_a_node_whose_prepare_waits_for_a_lock():
+    """Neither a waiting lock acquire nor its deadline timer keeps a crashed
+    incarnation alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = make_sim(3, seed=1)
+        node = sim.nodes[1].node
+        k = keys_owned_by(1, sim.members, 1)[0]
+        node.locks.acquire_for_prepare(TranxID(0, 1), [k], [], lambda granted, why: None)
+        node._local_prepare(TranxID(2, 1), Transaction((), ((k, b"v"),)))
+        assert node.locks.stats()["waiters"] == 1
+        ref = weakref.ref(node)
+        del node
+        sim.crash(1)
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def idle_read(sim):
