@@ -135,7 +135,7 @@ def start_clients(
         d = ClosedLoopDriver(
             sim,
             client,
-            txn_script(spec, clock=lambda: sim.now),
+            txn_script(spec, clock=client.now),  # reaches the simulator weakly
             until=spec.duration,
             max_txns=max_txns,
         )

@@ -11,8 +11,11 @@ The protocol logic lives in generator functions that yield effects:
                                        silent), in request order
     ("sleep", seconds)              -> driver resumes after the delay
 
-so exactly the same code runs under the deterministic simulator (virtual
-clock, single thread) and the blocking socket client.
+and one interpreter, RequestCore, runs them over either transport: the
+deterministic simulator (virtual clock, event heap) and the socket client
+(a private event loop turned by the caller's thread).  Each request waits
+RPC_TIMEOUT for its answer and is sent at most RPC_TRIES times; an answer
+to a request already answered or given up is dropped.
 
 A transaction reads in rounds.  txn_read_many serves what it can from the
 transaction's own writes and reads and from the cache, and sends the misses
@@ -90,6 +93,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import rpc
 from .model import Transaction
@@ -101,6 +105,9 @@ BACKOFF_BASE = 0.005
 BACKOFF_FACTOR = 2.0
 BACKOFF_CAP = 0.320
 BACKOFF_JITTER = 0.2
+
+RPC_TIMEOUT = 0.050  # seconds a request waits for its answer before a resend
+RPC_TRIES = 40  # sends of one request before the caller gets None
 
 
 class ReadUnavailableError(Exception):
@@ -332,33 +339,111 @@ def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
     return reason is None, reason, piggyback
 
 
-class BlockingClient:
-    """Synchronous wrapper used by the benchmark driver and socket transport.
+class RequestCore:
+    """One client's interpreter of the effects: requests, resends, stepping.
 
-    The driver object must expose request(dest, env) -> payload | None,
-    request_many([(dest, env)...]) -> [payload | None...] and sleep(seconds).
+    It is bound to three callables: now() reads the clock, send(dest, env)
+    hands an envelope to the transport and arm(at, fn) runs fn at time at;
+    the transport hands each answer to on_reply.  Unanswered requests wait in
+    a map ordered by insertion, which is due order, as each is due `timeout`
+    after its send, so one timer armed for the head serves them all.
     """
+
+    def __init__(self, now, send, arm, timeout: float = RPC_TIMEOUT, tries: int = RPC_TRIES) -> None:
+        self.now, self.send, self.arm = now, send, arm
+        self.timeout, self.tries = timeout, tries
+        self._waiters: dict[int, tuple] = {}  # message_id -> (due, dest, env, cont, tries_left)
+        self._armed = False  # a timer is armed for the head of _waiters
+
+    def on_reply(self, env: Envelope) -> None:
+        waiter = self._waiters.pop(env.message_id, None)
+        if waiter is not None:  # else a late duplicate of an answered request
+            waiter[3](env.payload)
+
+    def _request(self, dest: int, env: Envelope, cont, tries_left: int) -> None:
+        due = self.now() + self.timeout
+        self._waiters[env.message_id] = (due, dest, env, cont, tries_left)
+        if not self._armed:
+            self._armed = True
+            self.arm(due, self._expire)
+        self.send(dest, env)
+
+    def _expire(self) -> None:
+        """Resend, or give up, every request now due; then re-arm for the
+        head.  _armed stays set meanwhile, so the resends arm no timer."""
+        now = self.now()
+        waiters = self._waiters
+        while waiters:
+            mid = next(iter(waiters))
+            due, dest, env, cont, tries_left = waiters[mid]
+            if due > now:
+                self.arm(due, self._expire)
+                return
+            del waiters[mid]
+            if tries_left <= 1:
+                cont(None)
+            else:
+                self._request(dest, env, cont, tries_left - 1)
+        self._armed = False
+
+    def _request_all(self, requests, cont) -> None:
+        """Issue every request at once; cont gets the payloads, in request
+        order, once each has been answered or given up."""
+        payloads: list = [None] * len(requests)
+        waiting = len(requests)
+
+        def answered(i: int, payload) -> None:
+            nonlocal waiting
+            payloads[i] = payload
+            waiting -= 1
+            if not waiting:
+                cont(payloads)
+
+        for i, (dest, env) in enumerate(requests):
+            self._request(dest, env, lambda p, i=i: answered(i, p), self.tries)
+
+    def run(self, gen, on_done) -> None:
+        """Drive a client generator; on_done gets ("ok", value) or ("error", e)."""
+        self._step(gen, None, True, on_done)
+
+    def _step(self, gen, value, first: bool, on_done) -> None:
+        try:
+            effect = next(gen) if first else gen.send(value)
+        except StopIteration as stop:
+            on_done(("ok", stop.value))
+            return
+        except Exception as exc:  # e.g. ReadUnavailableError during an outage
+            on_done(("error", exc))
+            return
+        if effect[0] == "rpc":
+            self._request(effect[1], effect[2], lambda p: self._step(gen, p, False, on_done), self.tries)
+        elif effect[0] == "rpcs":
+            self._request_all(effect[1], lambda payloads: self._step(gen, payloads, False, on_done))
+        elif effect[0] == "sleep":
+            self.arm(self.now() + effect[1], partial(self._step, gen, None, False, on_done))
+        else:
+            on_done(("error", RuntimeError(f"unknown effect {effect[0]!r}")))
+
+
+class BlockingClient:
+    """Synchronous client API for the socket runtime.  The driver is a
+    RequestCore whose turn() runs its transport once: it waits for a socket
+    or a due timer and runs what is ready.  Each call runs one generator on
+    the driver and turns it until the generator returns."""
 
     def __init__(self, driver, state: ClientState) -> None:
         self.driver = driver
         self.state = state
 
     def _run(self, gen):
-        try:
-            effect = next(gen)
-            while True:
-                if effect[0] == "rpc":
-                    result = self.driver.request(effect[1], effect[2])
-                elif effect[0] == "rpcs":
-                    result = self.driver.request_many(effect[1])
-                elif effect[0] == "sleep":
-                    self.driver.sleep(effect[1])
-                    result = None
-                else:
-                    raise RuntimeError(f"unknown effect {effect[0]}")
-                effect = gen.send(result)
-        except StopIteration as stop:
-            return stop.value
+        done: list = []
+        self.driver.run(gen, done.append)
+        while not done:
+            self.driver.turn()
+        kind, value = done[0]
+        if kind == "error":
+            raise value
+        return value
 
     def open_txn(self) -> TxnHandle:
         return TxnHandle()

@@ -11,7 +11,7 @@ one timeout per client.  A message's one event is its arrival: an idle
 node handles it there when nothing else is due at that instant, as the
 handling pushed for later would be the next event popped anyway.  A client
 keeps its unanswered requests in a map ordered by insertion, which is due
-order, as each timeout is rpc_timeout after its send; one timer armed for
+order, as each timeout is RPC_TIMEOUT after its send; one timer armed for
 the head serves them all.
 
 What the simulator models:
@@ -29,21 +29,24 @@ What the simulator models:
   points or fire a crash at the n-th one, which is how the recovery sweep
   covers every interleaving.
 
-Clients are generator scripts (see client.py) driven by continuations, with
-timeout-and-resend request semantics so exactly-once machinery is exercised
-for real.
+Clients are generator scripts (see client.py).  A SimClient is the socket
+client's request core, client.RequestCore, bound to the virtual clock,
+net_send and the heap; it resends each request every RPC_TIMEOUT, up to
+RPC_TRIES sends, so exactly-once machinery is exercised for real.
 
 Ownership runs one way.  The Simulator holds its parts: the node slots
 (SimNode), each live ServerNode through its slot, the clients and the
-event heap.  A part that needs the simulator (a node's _Ctx, a SimClient, a
-ClosedLoopDriver) holds a weakref.ref to it and dereferences it once per
-entry point.  No heap event holds the simulator: a message's arrival is
-pushed with the marker None, which run_until hands to _deliver, and a
-queued restart carries a weak reference.  A server timer's callback waits
-in its node slot's timer map, which a crash empties.  So dropping the last
-reference to a Simulator frees it, its nodes and their stores at once by
-reference counting, with messages still in flight, and a crashed node's
-incarnation is freed at its crash, not by a later cyclic collection.
+event heap.  A part that needs the simulator (a node's _Ctx, a
+ClosedLoopDriver, and a SimClient's clock, send and arm) holds a
+weakref.ref to it and dereferences it once per entry point.  No heap event
+holds the simulator: a message's arrival is pushed with the marker None,
+which run_until hands to _deliver, and a queued restart carries a weak
+reference.  A server timer's callback waits in its node slot's timer map,
+which a crash empties.  So dropping the last reference to a Simulator
+frees it, its nodes and their stores at once by reference counting, with
+messages still in flight, and a crashed node's incarnation is freed at its
+crash, not by a later cyclic collection.  A script's clock is its
+client's `now`, so a transaction in flight pins nothing either.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .client import ClientState
+from .client import RPC_TIMEOUT, RPC_TRIES, ClientState, RequestCore
 from .env import MemEnv
 from .model import ServerId, TranxID
 from .rpc import Envelope, MsgType
@@ -186,102 +189,34 @@ class SimNode:
     timers: dict = field(default_factory=dict)  # timer handle -> callback of the live node
 
 
-class SimClient:
-    """Transport driver for one client: request/timeout/resend + generators."""
+def _now_via(sim_ref) -> float:
+    return sim_ref().now
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        client_id: int,
-        rng: random.Random,
-        rpc_timeout: float = 0.050,
-        rpc_tries: int = 40,
-    ) -> None:
-        self._sim = weakref.ref(sim)
+
+def _send_via(sim_ref, src, dest: ServerId, env: Envelope) -> None:
+    sim_ref().net_send(src, ("s", dest), env)
+
+
+def _push_via(sim_ref, at: float, fn) -> None:
+    sim_ref()._push(at, fn)
+
+
+class SimClient(RequestCore):
+    """One client on the simulator: the request core bound to the virtual
+    clock, the simulated network and the event heap, each through a weak
+    reference, so `now` is a clock that does not pin the simulator."""
+
+    def __init__(self, sim: "Simulator", client_id: int, rng: random.Random,
+                 timeout: float = RPC_TIMEOUT, tries: int = RPC_TRIES) -> None:
+        ref = weakref.ref(sim)
+        send = partial(_send_via, ref, ("c", client_id))
+        super().__init__(partial(_now_via, ref), send, partial(_push_via, ref), timeout, tries)
         self.client_id = client_id
-        self._ep = ("c", client_id)
-        self.rpc_timeout = rpc_timeout
-        self.rpc_tries = rpc_tries
         self.state = ClientState(client_id, list(sim.members), rng)
-        self._waiters: dict[int, tuple] = {}  # message_id -> (due, dest, env, cont, tries_left)
-        self._armed = False  # a timer is in the heap for the head of _waiters
 
-    def on_reply(self, env: Envelope) -> None:
-        waiter = self._waiters.pop(env.message_id, None)
-        if waiter is not None:  # else a late duplicate of an answered request
-            waiter[3](env.payload)
-
-    def _request(self, dest: ServerId, env: Envelope, cont, tries_left: int) -> None:
-        sim = self._sim()
-        due = sim.now + self.rpc_timeout
-        self._waiters[env.message_id] = (due, dest, env, cont, tries_left)
-        if not self._armed:
-            self._armed = True
-            sim._push(due, self._expire)
-        sim.net_send(self._ep, ("s", dest), env)
-
-    def _expire(self) -> None:
-        """Resend, or give up, every request now due; then re-arm for the
-        head.  _armed stays set meanwhile, so the resends arm no timer."""
-        sim = self._sim()
-        now = sim.now
-        waiters = self._waiters
-        while waiters:
-            mid = next(iter(waiters))
-            due, dest, env, cont, tries_left = waiters[mid]
-            if due > now:
-                sim._push(due, self._expire)
-                return
-            del waiters[mid]
-            if tries_left <= 1:
-                cont(None)
-            else:
-                self._request(dest, env, cont, tries_left - 1)
-        self._armed = False
-
-    def _request_all(self, requests, cont) -> None:
-        """Issue every request at once; cont gets the payloads, in request
-        order, once each has been answered or given up."""
-        payloads: list = [None] * len(requests)
-        waiting = len(requests)
-
-        def answered(i: int, payload) -> None:
-            nonlocal waiting
-            payloads[i] = payload
-            waiting -= 1
-            if not waiting:
-                cont(payloads)
-
-        for i, (dest, env) in enumerate(requests):
-            self._request(dest, env, lambda p, i=i: answered(i, p), self.rpc_tries)
-
-    def run(self, gen, on_done) -> None:
-        """Drive a client generator; on_done gets ("ok", value) or ("error", e)."""
-        self._step(gen, None, True, on_done)
-
-    def _step(self, gen, value, first: bool, on_done) -> None:
-        try:
-            effect = next(gen) if first else gen.send(value)
-        except StopIteration as stop:
-            on_done(("ok", stop.value))
-            return
-        except Exception as exc:  # e.g. ReadUnavailableError during an outage
-            on_done(("error", exc))
-            return
-        if effect[0] == "rpc":
-            self._request(
-                effect[1],
-                effect[2],
-                lambda payload: self._step(gen, payload, False, on_done),
-                self.rpc_tries,
-            )
-        elif effect[0] == "rpcs":
-            self._request_all(effect[1], lambda payloads: self._step(gen, payloads, False, on_done))
-        elif effect[0] == "sleep":
-            sim = self._sim()
-            sim._push(sim.now + effect[1], self._step, gen, None, False, on_done)
-        else:
-            on_done(("error", RuntimeError(f"unknown effect {effect[0]!r}")))
+    # own entries, so perfbench/layers.py can wrap them by name
+    run = RequestCore.run
+    on_reply = RequestCore.on_reply
 
 
 class ClosedLoopDriver:

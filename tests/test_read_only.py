@@ -495,7 +495,7 @@ def test_partitioned_owner_is_resent_validate_then_commits_or_times_out():
     start = sim.now
     ok, reason, _ = commit_txn(sim, client, keys, {})
     assert not ok and reason == AbortReason.TIMEOUT
-    assert sim.now - start >= client.rpc_timeout * (client.rpc_tries - 1)
+    assert sim.now - start >= client.timeout * (client.tries - 1)
     quiet(sim)
 
 

@@ -202,6 +202,29 @@ def test_dropping_a_simulator_frees_it_and_every_node_incarnation(keep_trace, ca
             gc.enable()
 
 
+def test_dropping_a_simulator_with_transactions_in_flight_frees_it():
+    """A script's clock is its client's `now`, which reaches the simulator
+    weakly, so with the cyclic collector off a Simulator dropped while its
+    clients wait for answers is freed at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        members = [0, 1, 2]
+        sim = Simulator(members, ServerConfig(members, gc_period=TEST_GC_PERIOD), seed=3)
+        spec = WorkloadSpec(key_count=64, read_fraction=0.5, clients=3, duration=1.0, seed=3)
+        preload_sim(sim, spec, spec.seed)
+        drivers = start_clients(sim, spec)
+        sim.run(0.1)
+        assert not any(d.done for d in drivers)
+        assert any(c._waiters for c in sim.clients.values())  # requests in flight
+        ref = weakref.ref(sim)
+        del sim, drivers
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_a_crash_frees_a_node_whose_prepare_waits_for_a_lock():
     """Neither a waiting lock acquire nor its deadline timer keeps a crashed
     incarnation alive."""
@@ -1111,7 +1134,7 @@ def test_partition_commit_aborts_safely_then_heals():
     ks = [span[0], span[1]]
     # cut coordinator 0 off from participant 1: prepare can't reach it
     rule = sim.partition([0], [1])
-    c = sim.new_client(seed=1, rpc_tries=3, rpc_timeout=0.05)
+    c = sim.new_client(seed=1, tries=3, timeout=0.05)
     ok, reason, _ = commit_txn(sim, c, ks, {k: b"w" for k in ks}, timeout=120.0)
     assert not ok  # the client cannot see a commit across the cut
     sim.heal(rule)

@@ -7,9 +7,11 @@ import time
 import pytest
 
 from dtx import rpc
+from dtx.client import RPC_TIMEOUT, RPC_TRIES
 from dtx.nettransport import ServerRuntime, SocketDriver, connect_client
-from dtx.rpc import AbortReason, MsgType
+from dtx.rpc import AbortReason, Envelope, MsgType
 from dtx.server import ServerNode, owner_of
+from dtx.sim import Simulator
 from dtx.workload import ClusterConfig
 
 
@@ -389,3 +391,82 @@ def test_concurrent_handshakes_each_get_their_own_answer(cluster):
     assert None not in results
     assert len({cid for cid, _ in results}) == n
     assert max(took for _, took in results) < 0.5, sorted(took for _, took in results)
+
+
+class RawServer:
+    """A listener standing in for member 0.  It accepts one connection, reads
+    its frames, and answers the first copy of message id m with the
+    (message id, payload) answers of `script[m]`, if any."""
+
+    def __init__(self, script=None):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.script = script or {}
+        self.frames = []
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def config(self, tmp_path):
+        port = self.listener.getsockname()[1]
+        return ClusterConfig.parse(f"member = 0 127.0.0.1:{port}\ndata_dir = {tmp_path}")
+
+    def _serve(self):
+        conn, _ = self.listener.accept()
+        buf = b""
+        with conn:
+            while data := conn.recv(1 << 16):
+                buf += data
+                while len(buf) >= 4 and len(buf) >= 4 + int.from_bytes(buf[:4], "little"):
+                    n = 4 + int.from_bytes(buf[:4], "little")
+                    env, buf = rpc.frame_decode(buf[:n]), buf[n:]
+                    first = all(e.message_id != env.message_id for e in self.frames)
+                    self.frames.append(env)
+                    for mid, payload in self.script.get(env.message_id, ()) if first else ():
+                        resp = Envelope(MsgType.RESPONSE, rpc.SERVER, 0, mid, None, payload)
+                        conn.sendall(rpc.frame_encode(resp))
+
+    def close(self):
+        self.thread.join(timeout=10.0)
+        self.listener.close()
+
+
+def request_env(message_id):
+    return Envelope(MsgType.READ, rpc.CLIENT, 7, message_id, None, rpc.enc_read_req([b"k"]))
+
+
+def test_a_server_that_never_answers_gets_every_try_a_timeout_apart(tmp_path):
+    raw = RawServer()
+    driver = SocketDriver(raw.config(tmp_path))
+    # each send is due from the clock reading just before it
+    clock, sent = [], []
+    now, send = driver.now, driver.send
+    driver.now = lambda: clock.append(now()) or clock[-1]
+    driver.send = lambda dest, env: (sent.append(clock[-1]), send(dest, env))
+    assert driver.request(0, request_env(1)) is None
+    driver.close()
+    raw.close()
+    assert len(sent) == len(raw.frames) == RPC_TRIES
+    assert {env.message_id for env in raw.frames} == {1}
+    assert min(b - a for a, b in zip(sent, sent[1:])) >= RPC_TIMEOUT
+
+
+def test_a_late_answer_is_dropped_and_each_request_gets_its_own(tmp_path):
+    """Message 1 is given up, and its answer comes just before message 2's;
+    message 3 is answered, and a second answer to it comes just before
+    message 4's."""
+    raw = RawServer({
+        2: [(1, b"late"), (2, b"two")],
+        3: [(3, b"three")],
+        4: [(3, b"again"), (4, b"four")],
+    })
+    driver = SocketDriver(raw.config(tmp_path), timeout=0.2, tries=2)
+    answers = [driver.request(0, request_env(mid)) for mid in (1, 2, 3, 4)]
+    driver.close()
+    raw.close()
+    assert answers == [None, b"two", b"three", b"four"]
+
+
+def test_both_runtimes_default_to_one_resend_policy(tmp_path):
+    driver = SocketDriver(make_cluster(tmp_path, free_ports(3)))
+    client = Simulator([0], seed=1).new_client()
+    assert (driver.timeout, driver.tries) == (client.timeout, client.tries) == (RPC_TIMEOUT, RPC_TRIES)
+    driver.close()
