@@ -357,7 +357,7 @@ class RequestCore:
 
     def on_reply(self, env: Envelope) -> None:
         waiter = self._waiters.pop(env.message_id, None)
-        if waiter is not None:  # else a late duplicate of an answered request
+        if waiter is not None:  # else a late answer to a request answered or given up
             waiter[3](env.payload)
 
     def _request(self, dest: int, env: Envelope, cont, tries_left: int) -> None:

@@ -122,6 +122,7 @@ class EventLoop:
         item.fn()
 
     def turn(self) -> None:
+        """Write pending output, wait, then run due timers and read frames."""
         # A group commit's WAL seal goes here, before any answer is written.
         self._flush()
         timers = self._timers

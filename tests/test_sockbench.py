@@ -1,8 +1,8 @@
 """perfbench's loopback harness (perfbench/sockbench.py) drives the socket
 client through `connect_client`, `BlockingClient._run` and
-`driver.close()` by name.  This runs one traced one-second `file-sync`
-window of it end to end: three server processes, two client threads, the
-gate's read-back."""
+`driver.close()` by name.  This runs it end to end as a traced one-second
+`file-sync` run: three server processes, two client threads, an untraced
+window and a traced one, and the gate's read-back after each."""
 
 import pathlib
 
