@@ -120,7 +120,6 @@ class TxnHandle:
     writes: dict[bytes, bytes] = field(default_factory=dict)
     status: str = "Open"
     attempts: int = 0
-    last_mid: int | None = None  # message id of the latest commit attempt
     # (message id, keys) of the latest answer that vouched for keys: a read
     # round served by one owner that said no key was locked, or the single
     # STALE_READ of a failed validation round; a read-only commit sent
@@ -241,7 +240,6 @@ def txn_commit(cs: ClientState, h: TxnHandle):
         else:
             coordinator = coordinator_for(txn.keys, cs.members)
             env = cs.env(MsgType.COMMIT, rpc.enc_txn(txn))
-            h.last_mid = env.message_id
             cs.stats["rpcs"] += 1
             resp = yield ("rpc", coordinator, env)
             if resp is None:

@@ -1,7 +1,9 @@
 """Durable-storage backends.
 
 A NodeEnv owns everything on a server that survives a crash: fixed-length
-log regions, the key-value snapshot blob, and the client-id epoch counter.
+log regions, the key-value snapshot blob, and the restart epoch counter,
+which the server's client ids and TranxIDs carry, so no restart reuses an
+id an earlier incarnation handed out.
 Three region flavors exist:
 
 * mapped  - a memory-mapped file; the persist barrier is a store fence with
@@ -196,7 +198,7 @@ class NodeEnv:
         """Monotone, collision-free creation timestamp for log file names."""
         raise NotImplementedError
 
-    # small durable blobs (kv snapshot, epoch counter)
+    # small durable blobs (kv snapshot, restart epoch counter)
     def put_blob(self, name: str, data: bytes) -> None:
         raise NotImplementedError
 

@@ -1,9 +1,10 @@
 """State-transition garbage collection.
 
-Each server tracks completion of the transactions it coordinated.  The
-largest sequence k such that every one of its transactions 1..k is finally
-decided *and acknowledged by every participant* is the server's local
-watermark.  Watermarks are persisted in the fixed-size GCLog, broadcast to
+Each server tracks completion of the transactions it coordinated.  Its
+local watermark is the largest sequence k such that every id at or below k
+that this server issued is finally decided *and acknowledged by every
+participant*, or was issued by an earlier incarnation that never decided
+it, and so is aborted (presumed abort).  Watermarks are persisted in the fixed-size GCLog, broadcast to
 peers, and drive WAL file reclamation and the server's pruning of its
 coordinator and participant records (ServerNode._reclaim_records).
 
@@ -96,22 +97,49 @@ class GcLog:
         self.region.close()
 
 
+EPOCH_SHIFT = 40  # a TranxID's seq is (epoch - 1) << EPOCH_SHIFT | n, n >= 1
+
+
 class CompletionTracker:
-    """Contiguous-prefix completion counter with out-of-order spillover."""
+    """The TranxID seqs of one server incarnation, and its watermark.
 
-    def __init__(self, base: int = 0) -> None:
-        self.lc = base  # every seq <= lc is complete
-        self._sparse: set[int] = set()
+    Incarnation `epoch` (the restart count ServerNode._bump_epoch persists)
+    issues seqs base + 1, base + 2, ... with base = (epoch - 1) << 40, so
+    the first keeps 1, 2, 3, ... and no incarnation reuses an id an earlier
+    one sent in a PREPARE.  pending holds the seqs issued, or recovered
+    decided but not acked, and not yet complete, ascending in insertion
+    order.  The watermark lc sits just below the first of them, or at the
+    last seq issued when none is pending: so at a restart it passes every id
+    the old incarnation issued and never decided.
+    """
 
-    def mark(self, seq: int, issued_max: int | None = None) -> None:
-        if issued_max is not None:
-            assert seq <= issued_max, f"completion for unissued seq {seq}"
-        if seq <= self.lc or seq in self._sparse:
-            return  # idempotent
-        self._sparse.add(seq)
-        while self.lc + 1 in self._sparse:
-            self._sparse.discard(self.lc + 1)
-            self.lc += 1
+    def __init__(self, epoch: int = 1) -> None:
+        self.base = (epoch - 1) << EPOCH_SHIFT
+        self.last_issued = self.base
+        self._pending: dict[int, None] = {}
+
+    def next(self) -> int:
+        if self.last_issued - self.base >= (1 << EPOCH_SHIFT) - 1:
+            raise OverflowError("TranxID sequence space of this epoch exhausted")
+        self.last_issued += 1
+        self._pending[self.last_issued] = None
+        return self.last_issued
+
+    def hold(self, seq: int) -> None:
+        """Keep a recovered seq, below base, pending; call in ascending
+        order before the first next()."""
+        self._pending[seq] = None
+
+    def mark(self, seq: int) -> None:
+        """seq is complete; marking it again changes nothing."""
+        assert seq <= self.last_issued, f"completion for unissued seq {seq}"
+        self._pending.pop(seq, None)
+
+    @property
+    def lc(self) -> int:
+        for seq in self._pending:
+            return seq - 1
+        return self.last_issued
 
 
 @dataclass
@@ -131,12 +159,12 @@ class GcManager:
     store: object  # StorageEngine (synced before reclaiming)
     trace: object = None  # callable(event: str, **info), optional
     table: dict[ServerId, int] = field(default_factory=dict)
+    # issues this server's seqs; ServerNode's recovery replaces it with its
+    # restart epoch's
     tracker: CompletionTracker = field(default_factory=CompletionTracker)
-    issued_max_fn: object = None  # callable() -> highest seq issued locally
 
     def __post_init__(self) -> None:
         self.table = self.gclog.read()
-        self.tracker = CompletionTracker(self.table.get(self.server, 0))
 
     def _emit(self, event: str, **info) -> None:
         if self.trace is not None:
@@ -145,9 +173,9 @@ class GcManager:
     def mark_complete(self, tranx: TranxID) -> None:
         """Record a finally-agreed transaction this server coordinated."""
         assert tranx.coordinator == self.server
-        issued = self.issued_max_fn() if self.issued_max_fn else None
-        self.tracker.mark(tranx.seq, issued)
-        self._emit("gc.volatile", tranx=tranx, lc=self.tracker.lc)
+        self.tracker.mark(tranx.seq)
+        if self.trace is not None:
+            self.trace("gc.volatile", tranx=tranx, lc=self.tracker.lc)
 
     def tick(self) -> int:
         """Periodic coordinator-side pass, in the mandated order; returns the

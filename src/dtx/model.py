@@ -23,8 +23,6 @@ from typing import NamedTuple
 
 ServerId = int  # index into the static cluster membership
 
-MAX_U64 = (1 << 64) - 1
-
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -50,33 +48,6 @@ class TranxID(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.coordinator},{self.seq})"
-
-
-class TranxIdIssuer:
-    """Monotone per-server TranxID source, called on the protocol thread only.
-
-    last_persisted_seq must be the highest seq ever issued by this server
-    (recovered from a WAL scan after a crash).
-    """
-
-    def __init__(self, server: ServerId, last_persisted_seq: int = 0) -> None:
-        self.server = server
-        self._last = last_persisted_seq
-
-    def next(self) -> TranxID:
-        if self._last >= MAX_U64:
-            raise OverflowError("TranxID sequence space exhausted")
-        self._last += 1
-        return TranxID(self.server, self._last)
-
-    def restore(self, last_persisted_seq: int) -> None:
-        """Resume after the highest seq a WAL scan found."""
-        self._last = last_persisted_seq
-
-    def issued_max(self) -> int:
-        return self._last
-
-    last_issued = property(issued_max)
 
 
 @dataclass(frozen=True)
@@ -215,8 +186,7 @@ def part_transition_legal(a: PartState, b: PartState) -> bool:
 
 # --- WAL record kinds -------------------------------------------------------
 
-_KIND_COORD_PREPARE = 1
-_KIND_COORD_COMMIT = 2
+_KIND_COORD_COMMIT = 2  # kind 1, the retired prepare record, is not read
 _KIND_COORD_ABORT = 3
 _KIND_PART_READY = 4
 _KIND_PART_COMMIT = 5
@@ -224,24 +194,19 @@ _KIND_PART_ABORT = 6
 
 
 @dataclass(frozen=True)
-class CoordPrepare:
-    """The coordinator's prepare record names its participants, as in R*:
-    each slice lives in its owner's PartReady, and recovery needs only the
-    ids, to know whom to send the decision."""
-
-    tranx: TranxID
-    participants: tuple[ServerId, ...]  # ascending
-
-    kind = _KIND_COORD_PREPARE
-
-
-@dataclass(frozen=True)
 class CoordCommit:
+    """The coordinator's decision to commit, its only forced record before
+    the decision goes out.  It names the owners, as the commit record does
+    in R*: each slice lives in its owner's PartReady, and a restarted
+    coordinator needs only the ids, to resend the decision to the owners
+    that have not acked."""
+
     tranx: TranxID
     # (client_id, message_id) of the request being acked, so a restarted
     # coordinator can still deduplicate resent commit requests instead of
     # re-executing them as new transactions.  None for internal records.
     client: tuple[int, int] | None = None
+    participants: tuple[ServerId, ...] = ()  # ascending
 
     kind = _KIND_COORD_COMMIT
 
@@ -278,7 +243,7 @@ class PartAbort:
     kind = _KIND_PART_ABORT
 
 
-LogRecord = CoordPrepare | CoordCommit | CoordAbort | PartReady | PartCommit | PartAbort
+LogRecord = CoordCommit | CoordAbort | PartReady | PartCommit | PartAbort
 
 
 def encode_record(rec: LogRecord) -> bytes:
@@ -287,18 +252,19 @@ def encode_record(rec: LogRecord) -> bytes:
     head = _KIND_TRANX.pack(kind, *rec.tranx)
     if kind == _KIND_COORD_COMMIT or kind == _KIND_COORD_ABORT:
         # has_client: u8 | [client id u64 | message id u64]
-        return head + (b"\x00" if rec.client is None else b"\x01" + _CLIENT.pack(*rec.client))
+        head += b"\x00" if rec.client is None else b"\x01" + _CLIENT.pack(*rec.client)
+        if kind == _KIND_COORD_ABORT:
+            return head
+        # a commit then names its owners: n: u32 | server u32 * n
+        n = len(rec.participants)
+        return head + struct.pack(f"<I{n}I", n, *rec.participants)
     if kind == _KIND_PART_COMMIT or kind == _KIND_PART_ABORT:
         return head
-    out = [head]
-    if kind == _KIND_PART_READY:  # reads, then writes with post-versions
-        _pack_reads(out, rec.reads)
-        _pack_entries(out, rec.writes)
-    elif kind == _KIND_COORD_PREPARE:  # n: u32 | server u32 * n
-        n = len(rec.participants)
-        out.append(struct.pack(f"<I{n}I", n, *rec.participants))
-    else:  # pragma: no cover - exhaustive over LogRecord
+    if kind != _KIND_PART_READY:  # pragma: no cover - exhaustive over LogRecord
         raise TypeError(f"unknown record type {type(rec)!r}")
+    out = [head]  # reads, then writes with post-versions
+    _pack_reads(out, rec.reads)
+    _pack_entries(out, rec.writes)
     return b"".join(out)
 
 
@@ -311,23 +277,24 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
     tranx = _new_tuple(TranxID, (coordinator, seq))
     pos += _KIND_TRANX.size
     if kind == _KIND_COORD_COMMIT or kind == _KIND_COORD_ABORT:
-        cls = CoordCommit if kind == _KIND_COORD_COMMIT else CoordAbort
         has_client = _U8.unpack_from(b, pos)[0]
         if has_client == 1:
-            return cls(tranx, _CLIENT.unpack_from(b, pos + 1)), pos + 1 + _CLIENT.size
-        if has_client:
+            client, pos = _CLIENT.unpack_from(b, pos + 1), pos + 1 + _CLIENT.size
+        elif has_client:
             raise MalformedRecordError(f"has_client byte {has_client}")
-        return cls(tranx, None), pos + 1
+        else:
+            client, pos = None, pos + 1
+        if kind == _KIND_COORD_ABORT:
+            return CoordAbort(tranx, client), pos
+        count = _U32.unpack_from(b, pos)[0]
+        pos += 4
+        return CoordCommit(tranx, client, struct.unpack_from(f"<{count}I", b, pos)), pos + 4 * count
     if kind == _KIND_PART_COMMIT:
         return PartCommit(tranx), pos
     if kind == _KIND_PART_ABORT:
         return PartAbort(tranx), pos
-    if kind == _KIND_PART_READY:
-        reads, pos = _unpack_reads(b, pos)
-        writes, pos = _unpack_entries(b, pos)
-        return PartReady(tranx, reads, tuple(writes)), pos
-    if kind != _KIND_COORD_PREPARE:
+    if kind != _KIND_PART_READY:
         raise MalformedRecordError(f"unknown record kind {kind}")
-    count = _U32.unpack_from(b, pos)[0]
-    pos += 4
-    return CoordPrepare(tranx, struct.unpack_from(f"<{count}I", b, pos)), pos + 4 * count
+    reads, pos = _unpack_reads(b, pos)
+    writes, pos = _unpack_entries(b, pos)
+    return PartReady(tranx, reads, tuple(writes)), pos

@@ -7,16 +7,16 @@ blocks, so the same object runs unchanged on the deterministic simulator
 loop.
 
 Commit flow, one path for every write transaction:
-  1. with any remote owner, persist CoordPrepare (durable), which names the
-     owners, and send Prepare to every remote owner; run the coordinator's
-     own slice in-process;
+  1. take a TranxID and send Prepare to every remote owner, logging nothing
+     (presumed abort, as in R*); run the coordinator's own slice in-process;
   2. each participant locks (shared for read-only keys, exclusive for
      written keys), validates read versions, freezes post-versions,
      appends PartReady and votes Ready -- or votes Abort.  A remote
      participant forces its PartReady; the own slice does not, as the
      coordinator's decision flush persists it;
-  3. all Ready -> persist CoordCommit (durable); any Abort vote -> persist
-     CoordAbort without waiting for the other votes.  Either way, in that
+  3. all Ready -> persist CoordCommit (durable), which names the owners;
+     any Abort vote -> persist CoordAbort without waiting for the other
+     votes.  Either way, in that
      same step, answer the client and send the decision to every remote
      participant, so their locks go one hop after the decision;
   4. participants persist the decision, apply frozen post-versions,
@@ -27,14 +27,22 @@ Commit flow, one path for every write transaction:
 
 A transaction owned only by its coordinator sends no message and makes one
 durable flush, CoordCommit, which carries the unforced PartReady with it.
-Recovery settles an own slice from the coordinator's record, and aborts one
-logged with no coordinator record (presumed abort).
+
+Recovery takes a new restart epoch before anything else, and the TranxIDs
+it issues carry it (gc.CompletionTracker), so no id a crashed incarnation
+sent in a PREPARE is issued again.  A coordinator record is rebuilt only
+for a logged CoordCommit some remote owner may not have acked: it resends
+the decision to the owners CoordCommit names.  An own slice is Commit if
+its CoordCommit was logged, else Abort; so is every transaction the log
+holds no CoordCommit of, whose undecided remote slices learn it from the
+coordinator's answer to their READY repeat.
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
-rounds) and the decision to those that have not acked.  A restarted
+rounds) and the decision to those that have not acked.  A remote
 participant repeats its READY vote on the same schedule for each slice it
-found Ready.  Every repeat waits the same RESEND, so one map ordered by
+holds Ready, from the vote, or the restart that found it Ready, until the
+decision lands.  Every repeat waits the same RESEND, so one map ordered by
 insertion is also ordered by due time, and one timer armed for its head
 serves every pending resend.
 
@@ -60,11 +68,12 @@ record already shows is acked again with no effect; an abort decision that
 overtakes its PREPARE leaves a record in Abort, which drops the late
 PREPARE.  A CoordRec answers a READY it already counted with the decision,
 once there is one, and the coordinator answers Abort to a READY naming an
-id of its own it no longer holds (presumed abort, as in R*): a participant
-acks a commit only once it is durable, so only an abort can be lost after
-the record went.  A decision never changes, so a participant settles a
-slice still Ready from the coordinator's decision, however late, and from
-no other sender.  Records of decided transactions are dropped once the GC
+id of its own it holds no record of (presumed abort, as in R*): the id was
+never decided, or its record went once the watermark passed it, and a
+participant acks a commit only once it is durable, so only an abort can be
+lost after the record went.  A decision never changes, so a participant
+settles a slice still Ready from the coordinator's decision, however late,
+and from no other sender.  Records of decided transactions are dropped once the GC
 watermark passes them, and a message naming one the node no longer holds
 is answered as already final.
 """
@@ -79,12 +88,11 @@ from typing import ClassVar
 
 from . import rpc
 from .env import NodeEnv
-from .gc import GcLog, GcManager
+from .gc import CompletionTracker, GcLog, GcManager
 from .locks import LOCK_WAIT, LockTable, RejectReason
 from .model import (
     CoordAbort,
     CoordCommit,
-    CoordPrepare,
     CoordState,
     LogRecord,
     MalformedRecordError,
@@ -95,7 +103,6 @@ from .model import (
     ServerId,
     Transaction,
     TranxID,
-    TranxIdIssuer,
     coord_transition_legal,
     part_transition_legal,
 )
@@ -122,8 +129,6 @@ _TRANX_TYPES = frozenset({
 })
 _SENDER_KIND = {t: rpc.SERVER if t in _TRANX_TYPES | {MsgType.GC_LC} else rpc.CLIENT for t in MsgType}
 _DECISION = {CoordState.COMMIT: MsgType.COMMIT_DECISION, CoordState.ABORT: MsgType.ABORT_DECISION}
-# the state a coordinator's decision gives its own slice at recovery
-_SLICE_STATE = {CoordState.COMMIT: PartState.COMMIT, CoordState.ABORT: PartState.ABORT}
 # the handler of each message type a server takes (ServerNode._on_read for
 # READ, ...; a server receives no RESPONSE) and the crash-point labels,
 # computed once
@@ -149,9 +154,8 @@ class ServerConfig:
 @dataclass
 class CoordRec:
     tranx: TranxID
-    # each owner's slice; a record rebuilt by recovery holds only the owners
-    # (slices None), as CoordPrepare logs no more: recover_global decides
-    # every rebuilt PREPARE record before a timer can resend PREPARE
+    # each owner's slice; a record rebuilt by recovery, always decided,
+    # holds only the owners CoordCommit names (slices None)
     subs: dict[ServerId, Transaction | None]
     state: CoordState = CoordState.START
     pending_ready: set[ServerId] = field(default_factory=set)
@@ -212,19 +216,20 @@ class ServerNode:
             store=self.storage,
             trace=trace,
         )
-        self.issuer = TranxIdIssuer(sid, 0)  # recover_local restores its counter
-        self.gc.issued_max_fn = self.issuer.issued_max
+        # issues this incarnation's seqs; recover_local replaces it with one
+        # at its restart epoch's base
+        self.issuer = self.gc.tracker
 
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
         self.pending_client: dict[tuple[int, int], TranxID] = {}
         # 2PC coordinator records still waiting for a vote or an ack, and
-        # slices of other coordinators' transactions found Ready at restart
-        # -> when to resend; each entry is due RESEND after it was
-        # (re)inserted, so insertion order is due order
+        # Ready slices of other coordinators' transactions -> when to
+        # resend; each entry is due RESEND after it was (re)inserted, so
+        # insertion order is due order
         self._resend: dict[TranxID, float] = {}
         self._resend_timer = None  # armed for the head of _resend, if any
-        self._client_epoch = 0
+        self._epoch = 0  # restart count: client ids and TranxIDs carry it
         self._next_client = 0
         self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
 
@@ -279,7 +284,7 @@ class ServerNode:
     def assign_client_id(self) -> int:
         """Unique cluster-wide: assigning server + restart epoch + counter."""
         self._next_client += 1
-        return (self.sid << 48) | (self._client_epoch << 32) | self._next_client
+        return (self.sid << 48) | (self._epoch << 32) | self._next_client
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -399,7 +404,7 @@ class ServerNode:
 
     def coordinate(self, txn: Transaction, reply_to: Envelope | None) -> TranxID:
         subs = self._split(txn)
-        tranx = self.issuer.next()
+        tranx = TranxID(self.sid, self.issuer.next())
         rec = CoordRec(tranx, subs, pending_ready=set(subs), pending_ack=set(subs))
         rec.reply_to = reply_to
         if reply_to is not None:
@@ -413,7 +418,6 @@ class ServerNode:
             # nothing to prepare remotely: CoordCommit alone makes it durable
             self.stats["one_phase"] += 1
         else:
-            self._append(CoordPrepare(tranx, tuple(subs)), durable=True)
             self._send_prepare(rec)
             self._queue_resend(rec)
         if self.sid in subs:
@@ -428,11 +432,14 @@ class ServerNode:
 
     def _vote(self, tranx: TranxID, voter: ServerId, reason, piggyback) -> None:
         """Count a first vote while undecided.  A repeated READY gets the
-        decision once there is one, or Abort for an id of this node's it no
-        longer holds (presumed abort); nothing else is answered."""
+        decision once there is one, or Abort, traced as a decision, for an
+        id of this node's it holds no record of (presumed abort); nothing
+        else is answered."""
         rec = self.coord.get(tranx)
         if rec is None:
             if reason is None and tranx.coordinator == self.sid:
+                if self._tracer is not None:
+                    self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.ABORT.value)
                 self._send(voter, self._server_env(MsgType.ABORT_DECISION, tranx, b""))
             return
         if voter not in rec.pending_ready:
@@ -453,8 +460,10 @@ class ServerNode:
     def _decide(self, rec: CoordRec, decision: CoordState, reason, piggyback) -> None:
         rec.abort_reason = reason
         rec.piggyback = list(piggyback)
-        kind = CoordCommit if decision is CoordState.COMMIT else CoordAbort
-        self._append(kind(rec.tranx, rec.client_key), durable=True)
+        if decision is CoordState.COMMIT:
+            self._append(CoordCommit(rec.tranx, rec.client_key, tuple(rec.subs)), durable=True)
+        else:
+            self._append(CoordAbort(rec.tranx, rec.client_key), durable=True)
         self._set_coord_state(rec, decision)
         # the client and the participants hear the decision once it is
         # persisted; the resend timer repeats it to owners that do not ack
@@ -583,10 +592,13 @@ class ServerNode:
             self._cast_vote(rec, reason, out)
             return
         rec.writes = out
+        remote = tranx.coordinator != self.sid
         # an own slice's PartReady is persisted by the CoordCommit flush
-        self._append(PartReady(tranx, sub.reads, out), durable=tranx.coordinator != self.sid)
+        self._append(PartReady(tranx, sub.reads, out), durable=remote)
         self._set_part_state(rec, PartState.READY)
         self._cast_vote(rec, None, [])
+        if remote:  # READY again every RESEND until the decision lands
+            self._queue_resend(rec)
 
     def _cast_vote(self, rec: PartRec, reason, piggyback) -> None:
         """Vote Ready (reason None) or Abort: in-process for an own slice;
@@ -623,6 +635,7 @@ class ServerNode:
                 return False
             if remote:
                 self._append(PartCommit(tranx), durable=True)
+                self._resend.pop(tranx, None)
             self._set_part_state(rec, PartState.COMMIT)
             if rec.writes:
                 self.storage.apply_writes(list(rec.writes))
@@ -632,6 +645,7 @@ class ServerNode:
         elif rec is None or rec.state in (PartState.START, PartState.READY):
             if remote:
                 self._append(PartAbort(tranx), durable=False)
+                self._resend.pop(tranx, None)
             if rec is None:  # the abort overtook its PREPARE: the record drops it
                 self.part[tranx] = PartRec(tranx, state=PartState.ABORT)
             else:
@@ -653,10 +667,10 @@ class ServerNode:
 
         An undecided record repeats PREPARE to the owners that have not
         voted, or aborts with TIMEOUT after PREPARE_BUDGET rounds; a decided
-        one repeats its decision to the owners that have not acked.  A slice
-        of another coordinator's transaction repeats its READY vote while it
-        is Ready, and leaves the map once it is settled.  The
-        benchmark's tracer wraps this timer by its name, _ack_tick.
+        one repeats its decision to the owners that have not acked.  A Ready
+        slice of another coordinator's transaction repeats its READY vote;
+        its decision takes it out of the map.  The benchmark's tracer wraps
+        this timer by its name, _ack_tick.
         """
         now = self.ctx.now()
         while self._resend:
@@ -664,11 +678,7 @@ class ServerNode:
             if due > now:
                 break
             if tranx.coordinator != self.sid:
-                part = self.part.get(tranx)
-                if part is not None and part.state is PartState.READY:
-                    self._repeat_ready(part)
-                else:
-                    del self._resend[tranx]
+                self._repeat_ready(self.part[tranx])
                 continue
             rec = self.coord[tranx]
             if rec.state is not CoordState.PREPARE:
@@ -689,7 +699,7 @@ class ServerNode:
             self._resend_timer = self.ctx.set_timer(due - now, self._ack_tick)
 
     def _repeat_ready(self, rec: PartRec) -> None:
-        """READY for a slice found Ready at restart, again every RESEND."""
+        """READY for a Ready slice, and again every RESEND."""
         self._send_vote_bytes(rec.tranx, b"")
         self._queue_resend(rec)
 
@@ -718,28 +728,16 @@ class ServerNode:
     # -- recovery ---------------------------------------------------------------------------
 
     def recover_local(self) -> None:
-        """Fold the WAL into volatile state."""
-        coord_state: dict[TranxID, CoordState] = {}
-        coord_owners: dict[TranxID, tuple[ServerId, ...]] = {}
+        """Take a new restart epoch, then fold the WAL into volatile state."""
+        self._epoch = self._bump_epoch()
+        self.issuer = self.gc.tracker = CompletionTracker(self._epoch)
+        decided: dict[TranxID, CoordCommit | CoordAbort] = {}
         part_ready: dict[TranxID, PartReady] = {}
         part_state: dict[TranxID, PartState] = {}
-        coord_client: dict[TranxID, tuple[int, int] | None] = {}
-        own_seqs: set[int] = set()  # seqs with a coordinator record
-        base_lc = self.gc.table.get(self.sid, 0)
-        max_seq = base_lc  # highest seq any logged record of ours names
         for recd in self.tranxlog.scan():
             t = recd.tranx
-            if t.coordinator == self.sid:
-                max_seq = max(max_seq, t.seq)
-            if isinstance(recd, CoordPrepare):
-                coord_state[t] = CoordState.PREPARE
-                coord_owners[t] = recd.participants
-                own_seqs.add(t.seq)
-            elif isinstance(recd, (CoordCommit, CoordAbort)):
-                committed = isinstance(recd, CoordCommit)
-                coord_state[t] = CoordState.COMMIT if committed else CoordState.ABORT
-                coord_client[t] = recd.client
-                own_seqs.add(t.seq)
+            if isinstance(recd, (CoordCommit, CoordAbort)):
+                decided[t] = recd
             elif isinstance(recd, PartReady):
                 part_ready[t] = recd
                 part_state[t] = PartState.READY
@@ -747,17 +745,6 @@ class ServerNode:
                 part_state[t] = PartState.COMMIT
             elif isinstance(recd, PartAbort):
                 part_state[t] = PartState.ABORT
-
-        self.issuer.restore(max_seq)
-
-        # fill crash gaps in the TranxID space with aborts so the watermark
-        # prefix can advance past them; an own slice logged without a
-        # coordinator record is one of them (presumed abort)
-        for seq in range(base_lc + 1, max_seq + 1):
-            t = TranxID(self.sid, seq)
-            if seq not in own_seqs:
-                self._append(CoordAbort(t), durable=True)
-                coord_state[t] = CoordState.ABORT
 
         # participant side: a record for every slice the log holds; replay
         # commits, re-lock in-doubt ready slices
@@ -768,8 +755,8 @@ class ServerNode:
                 if state is PartState.ABORT:  # voted Abort; the vote's reason was not logged
                     self.part[t] = PartRec(t, state=PartState.ABORT, vote=_ABORTED_VOTE)
                 continue
-            if t.coordinator == self.sid:  # own slice: the coordinator's record decides it
-                state = _SLICE_STATE.get(coord_state.get(t), state)
+            if t.coordinator == self.sid:  # own slice: committed only by a CoordCommit
+                state = PartState.COMMIT if isinstance(decided.get(t), CoordCommit) else PartState.ABORT
             self.part[t] = PartRec(t, ready.writes, state, vote=b"")
             if state is PartState.COMMIT:
                 self.storage.apply_writes(list(ready.writes), replay=True)
@@ -777,46 +764,32 @@ class ServerNode:
                 result: list = []
                 self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
                 assert result and result[0], f"recovery re-lock failed for {t}"
-                in_doubt_part += t.coordinator != self.sid
+                in_doubt_part += 1
 
-        # coordinator side: recover_global re-aborts the undecided and resends
-        # the decided that some owner has not acked
-        for t, state in sorted(coord_state.items()):
-            if t.seq <= base_lc:
-                continue
-            participants = dict.fromkeys(coord_owners.get(t, ()))
-            rec = CoordRec(t, participants, state=state)
-            self.coord[t] = rec
-            if state is CoordState.PREPARE:
-                rec.pending_ready = set(participants)
-                rec.pending_ack = set(participants)
-                continue
-            # the local slice was settled above, so only remote owners ack
-            rec.pending_ack = {sid for sid in participants if sid != self.sid}
-            if not rec.pending_ack:
-                rec.complete = True
-                self.gc.mark_complete(t)
-
-        # rebuild the client-request dedup window for decided transactions so
+        # coordinator side: a commit some remote owner may not have acked is
+        # pending, and recover_global resends it; anything else is complete.
+        # The client-request dedup window is rebuilt for every decision, so
         # a resent commit request gets the original answer instead of being
         # re-executed as a fresh transaction
-        for t, ck in sorted(coord_client.items()):
-            if ck is None:
+        base_lc = self.gc.table.get(self.sid, 0)
+        for t, recd in sorted(decided.items()):
+            committed = isinstance(recd, CoordCommit)
+            if recd.client is not None:
+                if committed:
+                    payload = rpc.enc_commit_resp(True, None, [])
+                else:
+                    payload = rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
+                self.dedup.record_client(recd.client[0], recd.client[1], payload)
+            if not committed or t.seq <= base_lc:
                 continue
-            if coord_state[t] is CoordState.COMMIT:
-                payload = rpc.enc_commit_resp(True, None, [])
-            else:
-                payload = rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
-            self.dedup.record_client(ck[0], ck[1], payload)
+            remote = {sid for sid in recd.participants if sid != self.sid}
+            if remote:
+                participants = dict.fromkeys(recd.participants)
+                self.coord[t] = CoordRec(t, participants, CoordState.COMMIT, pending_ack=remote)
+                self.issuer.hold(t.seq)
 
-        self.gc.table[self.sid] = self.gc.tracker.lc
-        self._client_epoch = self._bump_epoch()
-        self._trace(
-            "recovered",
-            coord=len(coord_state),
-            in_doubt_coord=sum(1 for r in self.coord.values() if r.state is CoordState.PREPARE),
-            in_doubt_part=in_doubt_part,
-        )
+        self.gc.table[self.sid] = self.issuer.lc
+        self._trace("recovered", coord=len(decided), in_doubt_part=in_doubt_part)
 
     def _bump_epoch(self) -> int:
         raw = self.env.get_blob("epoch")
@@ -825,19 +798,13 @@ class ServerNode:
         return epoch
 
     def recover_global(self) -> None:
-        """Resolve in-doubt transactions and resend the decisions found by
-        recovery; runs once the GC timer is armed."""
+        """Resend the commits recovery found unacked, and READY for each
+        slice it found Ready, all remote; runs once the GC timer is armed."""
         for rec in self.coord.values():
-            if rec.state is CoordState.PREPARE:
-                # silence means failure to the client: abort even if every
-                # participant turned out to be ready
-                self._decide(rec, CoordState.ABORT, AbortReason.UNKNOWN, [])
-            elif not rec.complete:
-                self._send_decision(rec)
-                self._queue_resend(rec)
-        # a restarted participant votes again for each Ready slice
-        for t, rec in self.part.items():
-            if rec.state is PartState.READY and t.coordinator != self.sid:
+            self._send_decision(rec)
+            self._queue_resend(rec)
+        for rec in self.part.values():
+            if rec.state is PartState.READY:
                 self._repeat_ready(rec)
 
     # -- operator surface -----------------------------------------------------------------------

@@ -291,7 +291,6 @@ class Simulator:
         self.auto_restart: float | None = None
         self.crashes = 0
         self.dropped = 0
-        self.dropped_dead = 0
         self.msgs_total = 0
         self.server_msgs: Counter = Counter()
         self.msgs_by_tranx: dict[TranxID, Counter] = {}
@@ -427,7 +426,6 @@ class Simulator:
             return
         n = self.nodes.get(ident)
         if n is None or not n.alive:
-            self.dropped_dead += 1
             return
         start = max(self.now, n.busy_until)
         n.busy_until = start + SERVICE_TIME
@@ -487,17 +485,3 @@ class Simulator:
                     if owner_of(key, self.members) == sid:
                         out[key] = entry
         return out
-
-    def stats(self) -> dict:
-        return {
-            "now": self.now,
-            "msgs_total": self.msgs_total,
-            "server_msgs": dict(self.server_msgs),
-            "dropped": self.dropped,
-            "dropped_dead": self.dropped_dead,
-            "crashes": self.crashes,
-            "nodes": {
-                sid: (n.node.stats_dump() if n.alive else "down")
-                for sid, n in self.nodes.items()
-            },
-        }

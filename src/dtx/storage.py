@@ -26,7 +26,9 @@ def read_store_log(data: bytes):
     """
     rows = []
     pos = 0
-    while pos + 8 <= len(data):
+    while pos < len(data):
+        if pos + 8 > len(data):  # not even a whole frame header
+            return rows, ("torn", pos)
         n, crc = struct.unpack_from("<II", data, pos)
         if pos + 8 + n > len(data):
             return rows, ("torn", pos)
@@ -83,7 +85,9 @@ class MemKvStore(KvStore):
 class FileKvStore(KvStore):
     """Append-log backed store: <dir>/db/data.log holds framed writes.
 
-    Open replays the log up to a torn or corrupt tail; sync is flush+fsync.
+    Open replays the log up to a torn or corrupt tail and truncates the
+    file there, so the rows appended next are replayed too; sync is
+    flush+fsync.
     """
 
     def __init__(self, root: str) -> None:
@@ -96,8 +100,10 @@ class FileKvStore(KvStore):
     def _replay(self) -> None:
         if not os.path.exists(self.path):
             return
-        with open(self.path, "rb") as f:
-            rows, _ = read_store_log(f.read())
+        with open(self.path, "r+b") as f:
+            rows, stop = read_store_log(f.read())
+            if stop is not None:
+                f.truncate(stop[1])
         for key, value, version in rows:
             self._map[key] = (value, version)
 

@@ -18,6 +18,9 @@ Disk format, bit exact:
 A record never spans blocks; a block is entirely within one file.  Blocks
 are sealed exactly once (at flush time or when the next entry does not
 fit), so a torn write can only affect a block that held no durable data.
+After a restart the first append continues the newest file at the first
+block a recovery scan found torn or unwritten, so only the newest file
+ever ends torn.
 """
 
 from __future__ import annotations
@@ -140,8 +143,9 @@ class LogManager:
         """All intact payload entries of one file, in append order.
 
         In the newest file the scan stops cleanly at the first torn or
-        unwritten block (provided nothing valid follows it); anywhere else a
-        bad block is hard corruption.
+        unwritten block (provided nothing valid follows it), and with no
+        file open for appending yet, that block is where the next append
+        goes; anywhere else a bad block is hard corruption.
         """
         if self._active is not None and name == self._active.name:
             region, close_after = self._active.region, False
@@ -160,6 +164,9 @@ class LogManager:
                             raise CorruptionError(
                                 f"valid block {j} after torn block {i} in {name}"
                             )
+                    if self._active is None:
+                        self._active = _ActiveFile(name, region, i)
+                        close_after = False
                     return out
                 pos = 0
                 while pos < len(payload):

@@ -7,7 +7,7 @@ import pytest
 
 from dtx.cli import _parse_scenario, main, run_scenario
 from dtx.env import DiskEnv
-from dtx.model import CoordCommit, CoordPrepare, TranxID
+from dtx.model import CoordCommit, TranxID
 from dtx.wal import TranxLog
 from dtx.workload import ConfigError, WorkloadSpec
 
@@ -74,16 +74,28 @@ def test_cmd_sim_exit_codes(tmp_path):
     assert trace.read_text().strip()
 
 
+def test_a_server_that_crashes_twice_before_its_first_log_file_goes_restarts():
+    """Server 1 restarts at 0.7 s and crashes again at 0.8 s, before GC
+    reclaims the log file its first incarnation left partly written."""
+    sc = _parse_scenario(
+        "servers = 3\nclients = 4\nkey_count = 8\nread_fraction = 0.50\nduration = 2.0\n"
+        "crash = 1 0.5 0.2\ncrash = 1 0.8 0.1\n"
+    )
+    verdicts, sim, history = run_scenario(sc, seed=2)
+    assert history and sim.crashes >= 2
+    assert len(verdicts) == 5 and all(ok for _, ok, _ in verdicts), verdicts
+
+
 def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):
     root = str(tmp_path)
     env = DiskEnv(root)
     log = TranxLog(env, 1 << 20)
     log.append(CoordCommit(TranxID(0, 1), (7, 1)), durable=True)
-    log.append(CoordPrepare(TranxID(0, 2), (0, 1, 2)), durable=True)
+    log.append(CoordCommit(TranxID(0, 2), None, (0, 1, 2)), durable=True)
     assert main(["log-dump", "--dir", root]) == 0
     out = capsys.readouterr().out
     assert "CoordCommit" in out and "seq=1" in out
-    assert "CoordPrepare(tranx=TranxID(coordinator=0, seq=2), participants=(0, 1, 2))" in out
+    assert "CoordCommit(tranx=TranxID(coordinator=0, seq=2), client=None, participants=(0, 1, 2))" in out
 
     # corrupt a non-newest block: exit 2 with a CORRUPT line
     import os

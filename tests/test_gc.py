@@ -3,7 +3,7 @@
 import pytest
 
 from dtx.env import MemEnv
-from dtx.gc import GCLOG_NAME, CompletionTracker, GcLog, GcManager, _half_size
+from dtx.gc import EPOCH_SHIFT, GCLOG_NAME, CompletionTracker, GcLog, GcManager, _half_size
 from dtx.model import TranxID
 
 
@@ -73,28 +73,44 @@ def test_gclog_member_count_mismatch_is_invalid():
 
 def test_tracker_contiguous_prefix_and_out_of_order():
     t = CompletionTracker()
+    assert [t.next() for _ in range(5)] == [1, 2, 3, 4, 5]
+    assert t.lc == 0
     t.mark(2)
     assert t.lc == 0  # gap at 1
     t.mark(1)
     assert t.lc == 2  # spillover absorbed
     t.mark(5)
     t.mark(4)
+    assert t.lc == 2
     t.mark(3)
     assert t.lc == 5
 
 
 def test_tracker_is_idempotent_and_resumes_from_base():
-    t = CompletionTracker(base=10)
-    t.mark(3)  # already covered
-    t.mark(11)
-    t.mark(11)
-    assert t.lc == 11 and t._sparse == set()
+    """A restarted tracker issues from its epoch's base.  Its watermark
+    stops below the seqs recovery holds, decided but not acked, and passes
+    every other id of the earlier epochs, issued and never decided."""
+    t = CompletionTracker(epoch=3)
+    base = 2 << EPOCH_SHIFT
+    t.hold(base - 9)
+    t.hold(base - 4)
+    assert t.lc == base - 10
+    assert t.next() == base + 1
+    t.mark(base - 9)
+    t.mark(base - 9)
+    assert t.lc == base - 5
+    t.mark(base - 4)
+    assert t.lc == base
+    t.mark(base + 1)
+    t.mark(base + 1)
+    assert t.lc == base + 1 and t._pending == {}
 
 
 def test_tracker_rejects_unissued_seq():
     t = CompletionTracker()
+    t.next()
     with pytest.raises(AssertionError):
-        t.mark(5, issued_max=4)
+        t.mark(2)
 
 
 # -- GcManager ------------------------------------------------------------------
@@ -133,6 +149,8 @@ def make_manager(server=0, members=(0, 1)):
 
 def test_tick_persists_before_reclaiming_and_broadcasts():
     mgr, broadcasts, events = make_manager()
+    mgr.tracker.next()
+    mgr.tracker.next()
     mgr.mark_complete(TranxID(0, 1))
     mgr.mark_complete(TranxID(0, 2))
     broadcasts.append(mgr.tick())
@@ -143,21 +161,20 @@ def test_tick_persists_before_reclaiming_and_broadcasts():
     # reclamation saw the freshly persisted table
     assert mgr.tranxlog.calls[-1] == {0: 2, 1: 0}
     assert mgr.store.syncs == 1
-    # the new watermark is durable: a fresh manager resumes from it
+    # the new watermark is durable: a fresh manager reads it back
     mgr2 = GcManager(
         server=0,
         gclog=GcLog(mgr.gclog.env, [0, 1]),
         tranxlog=FakeTranxLog(),
         store=FakeStore(),
     )
-    assert mgr2.tracker.lc == 2
+    assert mgr2.table == {0: 2, 1: 0}
 
 
 def test_mark_complete_enforces_coordinator_and_issuance():
     mgr, _, _ = make_manager(server=0)
     with pytest.raises(AssertionError):
         mgr.mark_complete(TranxID(1, 1))  # not ours
-    mgr.issued_max_fn = lambda: 0
     with pytest.raises(AssertionError):
         mgr.mark_complete(TranxID(0, 1))  # never issued
 

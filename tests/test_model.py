@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtx import model, rpc
+from dtx.gc import EPOCH_SHIFT, CompletionTracker
 from dtx.model import (
     CoordAbort,
     CoordCommit,
-    CoordPrepare,
     CoordState,
     MalformedRecordError,
     PartAbort,
@@ -16,7 +16,6 @@ from dtx.model import (
     PartState,
     Transaction,
     TranxID,
-    TranxIdIssuer,
     coord_transition_legal,
     decode_record,
     encode_record,
@@ -31,12 +30,10 @@ plain_writes = st.lists(st.tuples(keys, values), max_size=5).map(tuple)
 ready_writes = st.lists(st.tuples(keys, values, st.integers(1, 2**64 - 1)), max_size=5).map(tuple)
 client_keys = st.one_of(st.none(), st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
 
+owners = st.lists(st.integers(0, 2**32 - 1), max_size=3, unique=True).map(lambda ids: tuple(sorted(ids)))
+
 records = st.one_of(
-    st.builds(
-        CoordPrepare, tranx_ids,
-        st.lists(st.integers(0, 2**32 - 1), max_size=3, unique=True).map(lambda ids: tuple(sorted(ids))),
-    ),
-    st.builds(CoordCommit, tranx_ids, client_keys),
+    st.builds(CoordCommit, tranx_ids, client_keys, owners),
     st.builds(CoordAbort, tranx_ids, client_keys),
     st.builds(PartReady, tranx_ids, reads, ready_writes),
     st.builds(PartCommit, tranx_ids),
@@ -79,14 +76,20 @@ def test_tranx_id_order_is_lexicographic():
 
 
 def test_issuer_is_monotone_and_resumes():
-    iss = TranxIdIssuer(2, last_persisted_seq=10)
-    assert iss.next() == TranxID(2, 11)
-    assert iss.next() == TranxID(2, 12)
-    assert iss.last_issued == 12
+    """A TranxID's seq is (epoch - 1) << 40 | n: the first incarnation
+    issues 1, 2, ..., and a restart resumes above every earlier epoch."""
+    assert [CompletionTracker().next() for _ in range(2)] == [1, 1]
+    iss = CompletionTracker(epoch=3)
+    assert iss.next() == (2 << 40) + 1
+    assert iss.next() == (2 << 40) + 2
+    assert iss.last_issued == (2 << 40) + 2
 
 
 def test_issuer_overflow():
-    iss = TranxIdIssuer(0, last_persisted_seq=model.MAX_U64)
+    """n stops below 2**40, where the next epoch's ids begin."""
+    iss = CompletionTracker(epoch=2)
+    iss.last_issued = (2 << EPOCH_SHIFT) - 2
+    assert iss.next() == (2 << EPOCH_SHIFT) - 1
     with pytest.raises(OverflowError):
         iss.next()
 

@@ -7,7 +7,6 @@ from dtx import rpc
 from dtx.model import (
     CoordAbort,
     CoordCommit,
-    CoordPrepare,
     MalformedRecordError,
     PartAbort,
     PartCommit,
@@ -142,19 +141,23 @@ def test_gc_lc_codec(lc):
     assert rpc.dec_gc_lc(rpc.enc_gc_lc(lc)) == lc
 
 
-def test_prepare_record_and_payload_bytes_are_stable():
-    """Golden bytes: the CoordPrepare log record, which names the owners
-    and none of their slices (17 + 4n bytes), and the PREPARE payload keep
-    their format, so the logs and messages they make stay readable."""
+def test_commit_record_and_prepare_payload_bytes_are_stable():
+    """Golden bytes: the CoordCommit log record, which names the owners and
+    none of their slices (18 + 4n bytes with no client), and the PREPARE
+    payload keep their format, so the logs and messages they make stay
+    readable.  Record kind 1, the prepare record it replaced, no longer
+    decodes."""
     a = Transaction(((b"k1", 3), (b"k2", 0)), ((b"k2", b"val"),))
     slice_a = (
         "02000000020000006b310300000000000000020000006b32000000000000000001000000"
         "020000006b320300000076616c"
     )
-    record = "01" "01000000" "0201000000000000" "02000000" "00000000" "02000000"
-    assert encode_record(CoordPrepare(TranxID(1, 258), (0, 2))).hex() == record
-    assert len(bytes.fromhex(record)) == 17 + 4 * 2
+    record = "02" "01000000" "0201000000000000" "00" "02000000" "00000000" "02000000"
+    assert encode_record(CoordCommit(TranxID(1, 258), None, (0, 2))).hex() == record
+    assert len(bytes.fromhex(record)) == 18 + 4 * 2
     assert rpc.enc_txn(a).hex() == slice_a
+    with pytest.raises(MalformedRecordError):
+        decode_record(bytes.fromhex("01" + record[2:]))
 
 
 def test_read_answer_and_validate_bytes_are_stable():
@@ -207,10 +210,11 @@ GOLDEN = {
         "02000000" "020000006b32" "0300000076616c" "0100000000000000"
         "010000007a" "00000000" "0500000000000000",
     ),
-    "coord-commit": _record(CoordCommit(T), "02" "01000000" "0201000000000000" "00"),
+    "coord-commit": _record(CoordCommit(T), "02" "01000000" "0201000000000000" "00" "00000000"),
     "coord-commit-client": _record(
-        CoordCommit(T, CLIENT_KEY),
-        "02" "01000000" "0201000000000000" "01" "41420f0000000000" "0700000000000000",
+        CoordCommit(T, CLIENT_KEY, (0, 2)),
+        "02" "01000000" "0201000000000000" "01" "41420f0000000000" "0700000000000000"
+        "02000000" "00000000" "02000000",
     ),
     "coord-abort": _record(CoordAbort(T), "03" "01000000" "0201000000000000" "00"),
     "coord-abort-client": _record(
@@ -263,10 +267,6 @@ def test_record_and_wire_bytes_are_stable(name):
 # boundary is a shorter, valid one and is left out.
 STRICT = {
     **{name: (data, decode) for name, (_, data, _, decode) in GOLDEN.items()},
-    "coord-prepare": (
-        bytes.fromhex("01" "01000000" "0201000000000000" "02000000" "00000000" "02000000"),
-        decode_record,
-    ),
     "slice": (rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k2", b"val"),))), rpc.dec_txn),
     "commit-answer": (rpc.enc_commit_resp(True, None, []), rpc.dec_commit_resp),
     "stale-answer": (

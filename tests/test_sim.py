@@ -364,7 +364,8 @@ def record_wal(monkeypatch, sim):
 
 def test_wal_shape_of_each_commit_kind(monkeypatch):
     """The coordinator's own slice forces no record: CoordCommit persists
-    its PartReady and is its decision.  Only a remote owner forces
+    its PartReady and is its decision, and it logs nothing before PREPARE,
+    so CoordCommit is its one flush either way.  Only a remote owner forces
     PartReady and PartCommit."""
     sim = make_sim(3, seed=5, gc_period=10.0)
     sim.audit_messages = True
@@ -381,11 +382,9 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     span = list(key_spanning(sim.members).values())
     assert commit_txn(sim, c, span, {k: b"z" for k in span})[0]
     sim.run(1.0)
-    (coordinator,) = [sid for sid, kinds in appends.items() if ("CoordPrepare", True) in kinds]
-    assert appends.pop(coordinator) == [
-        ("CoordPrepare", True), ("PartReady", False), ("CoordCommit", True)
-    ]
-    assert seals.pop(coordinator) == 2
+    (coordinator,) = [sid for sid, kinds in appends.items() if ("CoordCommit", True) in kinds]
+    assert appends.pop(coordinator) == [("PartReady", False), ("CoordCommit", True)]
+    assert seals.pop(coordinator) == 1
     assert appends == {sid: [("PartReady", True), ("PartCommit", True)]
                        for sid in sim.members if sid != coordinator}
     assert seals == {sid: 2 for sid in sim.members if sid != coordinator}
@@ -1075,7 +1074,8 @@ def test_own_slice_logged_without_a_decision_is_aborted_at_recovery(monkeypatch)
     """A single-owner commit whose CoordCommit append seals the block that
     holds its PartReady, on a node killed before CoordCommit is flushed,
     leaves an own slice in the log with no coordinator record.  Recovery
-    aborts it (presumed abort) and does not issue its id again."""
+    aborts it (presumed abort), keeps no coordinator record of it, and
+    issues the client's retry an id of its own restart epoch."""
     sim = make_sim(3, seed=5, gc_period=10.0)
     sim.auto_restart = 0.100
     k = b"k0"
@@ -1103,10 +1103,67 @@ def test_own_slice_logged_without_a_decision_is_aborted_at_recovery(monkeypatch)
     node = sim.nodes[0].node
     assert (ok, reason) == (True, None)
     assert node.part[TranxID(0, 1)].state is PartState.ABORT
-    assert node.coord[TranxID(0, 1)].state is CoordState.ABORT
-    assert node.coord[TranxID(0, 2)].state is CoordState.COMMIT
+    assert TranxID(0, 1) not in node.coord
+    retry = TranxID(0, (1 << 40) + 1)  # the first id of epoch 2
+    assert node.issuer.last_issued == retry.seq
+    assert node.coord[retry].state is CoordState.COMMIT
     assert sim.global_state()[k] == (value, 1)
     assert oracle.locks_clean(sim) == []
+
+
+def lost_three_owner_commit(label, nth):
+    """The three-owner commit of test_02b, begun on coordinator 0, which
+    crashes at its nth `label` crash point and restarts 50 ms later.
+    Returns (sim, the lost TranxID, keys, restart time) at the crash."""
+
+    def begin(plan):
+        sim = make_sim(3, seed=21, gc_period=10.0)
+        sim.auto_restart = 0.05
+        ks = list(key_spanning(sim.members).values())
+        txn = Transaction(tuple((k, 0) for k in ks), tuple((k, b"lost") for k in ks))
+        sim.crash_plan = plan
+        sim.schedule(0.0, lambda: sim.nodes[0].node.coordinate(txn, None))
+        return sim, ks
+
+    points = []
+    sim, _ = begin(CrashPlan(sid=0, collect=points))
+    sim.run(1.0)
+    index = [i for i, (_, label_) in enumerate(points) if label_ == label][nth]
+    sim, ks = begin(CrashPlan(sid=0, index=index))
+    while not sim.crash_plan.fired:
+        assert sim.step()
+    return sim, TranxID(0, 1), ks, sim.now + sim.auto_restart
+
+
+def test_a_transaction_its_crashed_coordinator_never_decided_aborts_at_every_participant():
+    """Coordinator 0 crashes with both remote owners Ready and logs nothing
+    of the transaction.  Each repeats READY, and the restarted coordinator
+    answers Abort, which frees the locks within 2 RESEND of its restart."""
+    sim, lost, ks, restart = lost_three_owner_commit("recv.READY", 1)
+    sim.run_until(restart + 2 * RESEND)
+    assert sim.nodes[0].incarnation == 1 and sim.nodes[0].alive
+    for sid in (1, 2):
+        node = sim.nodes[sid].node
+        assert node.part[lost].state is PartState.ABORT and node.locks.is_idle(), sid
+    assert oracle.decided(sim.trace)[lost] == {"Abort"}
+    assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+def test_a_restarted_coordinator_never_reuses_an_id_it_sent_in_a_prepare():
+    """Coordinator 0 crashes right after its first PREPARE of a transaction
+    it logged nothing of, so the restarted node could not know that id was
+    sent.  A new transaction through it on the same owners commits its own
+    slices: no participant answers it with the lost transaction's vote."""
+    sim, lost, ks, restart = lost_three_owner_commit("send.PREPARE", 0)
+    sim.run_until(restart)
+    c = sim.new_client(seed=1)
+    ok, _, _ = commit_txn(sim, c, ks, {k: b"new" for k in ks})
+    sim.run(1.0)
+    assert ok
+    assert all(sim.global_state()[k] == (b"new", 1) for k in ks)
+    assert {v for _, v, _ in oracle.applied_values(sim.trace)} == {b"new"}
+    assert oracle.decided(sim.trace)[lost] == {"Abort"}
+    assert oracle.atomicity_violations(sim.trace) == [] and oracle.locks_clean(sim) == []
 
 
 # -- adverse network -----------------------------------------------------------------

@@ -41,6 +41,25 @@ def test_file_store_replay_and_torn_tail(tmp_path):
     s3.close()
 
 
+def test_rows_written_after_a_torn_tail_survive_the_next_open(tmp_path):
+    """Open truncates the torn frame replay stopped at, so a row appended
+    after it is not hidden behind it at the next open."""
+    root = str(tmp_path)
+    s = FileKvStore(root)
+    s.apply([(b"a", b"1", 1)])
+    s.sync()
+    s.close()
+    with open(f"{root}/db/data.log", "ab") as f:
+        f.write(b"\x50\x00\x00\x00\x99")  # 5 bytes of a torn frame
+    s2 = FileKvStore(root)
+    s2.apply([(b"b", b"2", 1)])
+    s2.sync()
+    s2.close()
+    s3 = FileKvStore(root)
+    assert s3.get(b"a") == (b"1", 1) and s3.get(b"b") == (b"2", 1)
+    s3.close()
+
+
 def test_file_store_checksum_guards_frames(tmp_path):
     root = str(tmp_path)
     s = FileKvStore(root)

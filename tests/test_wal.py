@@ -79,6 +79,29 @@ def test_unflushed_entries_lost_on_crash_flushed_survive():
     assert got == [b"durable"]
 
 
+def read_all(m):
+    names = m.file_names()
+    return [e for i, n in enumerate(names) for e in m.read_file(n, newest=i == len(names) - 1)]
+
+
+def test_a_log_reopened_twice_reads_back_every_flushed_entry():
+    """A reopened log continues its newest file at the first unwritten
+    block, so a second crash leaves no unwritten block in an older file."""
+    env = MemEnv()
+    m = LogManager(env, BLOCK_SIZE * 8)
+    m.append(b"first")
+    m.flush()
+    env.crash_all()
+    m2 = LogManager(env, BLOCK_SIZE * 8)
+    assert read_all(m2) == [b"first"]
+    m2.append(b"second")
+    m2.flush()
+    env.crash_all()
+    m3 = LogManager(env, BLOCK_SIZE * 8)
+    assert read_all(m3) == [b"first", b"second"]
+    assert len(m3.file_names()) == 1
+
+
 def test_torn_tail_tolerated_only_in_newest_file():
     env = MemEnv()
     m = LogManager(env, BLOCK_SIZE * 2)
