@@ -78,7 +78,8 @@ def test_tranx_id_order_is_lexicographic():
 def test_issuer_is_monotone_and_resumes():
     """A TranxID's seq is (epoch - 1) << 40 | n: the first incarnation
     issues 1, 2, ..., and a restart resumes above every earlier epoch."""
-    assert [CompletionTracker().next() for _ in range(2)] == [1, 1]
+    first = CompletionTracker()
+    assert [first.next(), first.next()] == [1, 2]
     iss = CompletionTracker(epoch=3)
     assert iss.next() == (2 << 40) + 1
     assert iss.next() == (2 << 40) + 2
