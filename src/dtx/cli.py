@@ -236,7 +236,7 @@ def cmd_sim(args) -> int:
 def cmd_log_dump(args) -> int:
     from .env import DiskEnv
     from .wal import FILE_CAPACITY, CorruptionError, LogManager
-    from .model import decode_record
+    from .model import MalformedRecordError, decode_record
 
     env = DiskEnv(args.dir)
     manager = LogManager(env, FILE_CAPACITY)
@@ -249,7 +249,11 @@ def cmd_log_dump(args) -> int:
         print(f"== {name}")
         try:
             for entry in manager.read_file(name, newest=idx == len(names) - 1):
-                print(f"  {decode_record(entry)}")
+                try:
+                    print(f"  {decode_record(entry)}")
+                except MalformedRecordError as e:  # e.g. a retired record kind
+                    print(f"  CORRUPT: undecodable record {entry[:13].hex()}...: {e}")
+                    status = 2
         except CorruptionError as e:
             print(f"  CORRUPT: {e}")
             status = 2
@@ -272,7 +276,7 @@ def cmd_db_dump(args) -> int:
     if stop is not None and stop[0] == "torn":
         print(f"WARNING: torn tail at offset {stop[1]} ({len(data) - stop[1]} bytes)")
     elif stop is not None:
-        print(f"CORRUPT: checksum mismatch at offset {stop[1]}")
+        print(f"CORRUPT: bad checksum or frame length at offset {stop[1]}")
         status = 2
     rows = {key: (value, version) for key, value, version in writes}
     for key in sorted(rows):

@@ -2,9 +2,10 @@
 
 Each server tracks completion of the transactions it coordinated.  Its
 local watermark is the largest sequence k such that every id at or below k
-that this server issued is finally decided *and acknowledged by every
-participant*, or was issued by an earlier incarnation that never decided
-it, and so is aborted (presumed abort).  Watermarks are persisted in the fixed-size GCLog, broadcast to
+that this server issued is aborted, or committed *and acknowledged by
+every remote participant*; an id an earlier incarnation issued and never
+committed is aborted too (presumed abort: an abort is neither logged nor
+acked).  Watermarks are persisted in the fixed-size GCLog, broadcast to
 peers, and drive WAL file reclamation and the server's pruning of its
 coordinator and participant records (ServerNode._reclaim_records).
 
@@ -107,10 +108,10 @@ class CompletionTracker:
     issues seqs base + 1, base + 2, ... with base = (epoch - 1) << 40, so
     the first keeps 1, 2, 3, ... and no incarnation reuses an id an earlier
     one sent in a PREPARE.  pending holds the seqs issued, or recovered
-    decided but not acked, and not yet complete, ascending in insertion
+    committed but not acked, and not yet complete, ascending in insertion
     order.  The watermark lc sits just below the first of them, or at the
     last seq issued when none is pending: so at a restart it passes every id
-    the old incarnation issued and never decided.
+    the old incarnation issued, except a commit not yet acked.
     """
 
     def __init__(self, epoch: int = 1) -> None:

@@ -186,8 +186,8 @@ def part_transition_legal(a: PartState, b: PartState) -> bool:
 
 # --- WAL record kinds -------------------------------------------------------
 
-_KIND_COORD_COMMIT = 2  # kind 1, the retired prepare record, is not read
-_KIND_COORD_ABORT = 3
+# kinds 1 and 3, the retired prepare and abort records, are not read
+_KIND_COORD_COMMIT = 2
 _KIND_PART_READY = 4
 _KIND_PART_COMMIT = 5
 _KIND_PART_ABORT = 6
@@ -195,11 +195,11 @@ _KIND_PART_ABORT = 6
 
 @dataclass(frozen=True)
 class CoordCommit:
-    """The coordinator's decision to commit, its only forced record before
-    the decision goes out.  It names the owners, as the commit record does
-    in R*: each slice lives in its owner's PartReady, and a restarted
-    coordinator needs only the ids, to resend the decision to the owners
-    that have not acked."""
+    """The coordinator's decision to commit, and the only record it logs:
+    an abort logs nothing (presumed abort).  It names the owners, as the
+    commit record does in R*: each slice lives in its owner's PartReady, and
+    a restarted coordinator needs only the ids, to resend the decision to
+    the owners that have not acked."""
 
     tranx: TranxID
     # (client_id, message_id) of the request being acked, so a restarted
@@ -209,14 +209,6 @@ class CoordCommit:
     participants: tuple[ServerId, ...] = ()  # ascending
 
     kind = _KIND_COORD_COMMIT
-
-
-@dataclass(frozen=True)
-class CoordAbort:
-    tranx: TranxID
-    client: tuple[int, int] | None = None
-
-    kind = _KIND_COORD_ABORT
 
 
 @dataclass(frozen=True)
@@ -243,19 +235,17 @@ class PartAbort:
     kind = _KIND_PART_ABORT
 
 
-LogRecord = CoordCommit | CoordAbort | PartReady | PartCommit | PartAbort
+LogRecord = CoordCommit | PartReady | PartCommit | PartAbort
 
 
 def encode_record(rec: LogRecord) -> bytes:
     """kind: u8 | tranx (coordinator u32 | seq u64) | the kind's fields."""
     kind = rec.kind
     head = _KIND_TRANX.pack(kind, *rec.tranx)
-    if kind == _KIND_COORD_COMMIT or kind == _KIND_COORD_ABORT:
-        # has_client: u8 | [client id u64 | message id u64]
+    if kind == _KIND_COORD_COMMIT:
+        # has_client: u8 | [client id u64 | message id u64], then the
+        # owners: n: u32 | server u32 * n
         head += b"\x00" if rec.client is None else b"\x01" + _CLIENT.pack(*rec.client)
-        if kind == _KIND_COORD_ABORT:
-            return head
-        # a commit then names its owners: n: u32 | server u32 * n
         n = len(rec.participants)
         return head + struct.pack(f"<I{n}I", n, *rec.participants)
     if kind == _KIND_PART_COMMIT or kind == _KIND_PART_ABORT:
@@ -276,7 +266,7 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
     kind, coordinator, seq = _KIND_TRANX.unpack_from(b, pos)
     tranx = _new_tuple(TranxID, (coordinator, seq))
     pos += _KIND_TRANX.size
-    if kind == _KIND_COORD_COMMIT or kind == _KIND_COORD_ABORT:
+    if kind == _KIND_COORD_COMMIT:
         has_client = _U8.unpack_from(b, pos)[0]
         if has_client == 1:
             client, pos = _CLIENT.unpack_from(b, pos + 1), pos + 1 + _CLIENT.size
@@ -284,8 +274,6 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
             raise MalformedRecordError(f"has_client byte {has_client}")
         else:
             client, pos = None, pos + 1
-        if kind == _KIND_COORD_ABORT:
-            return CoordAbort(tranx, client), pos
         count = _U32.unpack_from(b, pos)[0]
         pos += 4
         return CoordCommit(tranx, client, struct.unpack_from(f"<{count}I", b, pos)), pos + 4 * count

@@ -36,11 +36,12 @@ Payloads (blob = len: u32 LE | bytes):
   and every read version is current, else the reason and the current
   entries of the stale keys.
 * COMMIT_DECISION and ABORT_DECISION, coordinator to participant, and the
-  participant's ACK of either: the TranxID in the envelope, an empty
-  payload.  One message names one transaction.  A participant restarted
-  with a slice in doubt repeats its READY, and the coordinator answers it
-  with its decision: the vote and the decision are the only messages that
-  carry an outcome.
+  participant's ACK of a commit: the TranxID in the envelope, an empty
+  payload.  One message names one transaction.  An abort is sent once and
+  never acked (presumed abort): a participant with a slice in doubt,
+  whether restarted or live, repeats its READY, and the coordinator
+  answers it with its decision, Abort when it holds no record of the id.
+  The vote and the decision are the only messages that carry an outcome.
 
 Every payload decoder takes exactly one encoding: a payload that is
 truncated, garbled, or followed by trailing bytes raises

@@ -15,15 +15,17 @@ Commit flow, one path for every write transaction:
      participant forces its PartReady; the own slice does not, as the
      coordinator's decision flush persists it;
   3. all Ready -> persist CoordCommit (durable), which names the owners;
-     any Abort vote -> persist CoordAbort without waiting for the other
-     votes.  Either way, in that
-     same step, answer the client and send the decision to every remote
-     participant, so their locks go one hop after the decision;
-  4. participants persist the decision, apply frozen post-versions,
-     release locks, and acknowledge; once every participant acked, the
-     transaction is reported complete to the garbage collector.  The own
-     slice logs no decision: CoordCommit or CoordAbort is its decision
-     record, as for the coordinator's own site in R*.
+     any Abort vote -> decide Abort without waiting for the other votes,
+     and log nothing (presumed abort).  Either way, in that same step,
+     answer the client and send the decision to every remote participant,
+     so their locks go one hop after the decision;
+  4. participants log the decision, apply frozen post-versions, release
+     locks, and acknowledge a commit; once every remote participant acked
+     it, the transaction is reported complete to the garbage collector.
+     An abort is complete once decided: it is sent once and never acked,
+     and a participant that missed it learns it from its READY repeat.
+     The own slice logs no decision: CoordCommit, or its absence, is its
+     decision record, as for the coordinator's own site in R*.
 
 A transaction owned only by its coordinator sends no message and makes one
 durable flush, CoordCommit, which carries the unforced PartReady with it.
@@ -35,11 +37,13 @@ for a logged CoordCommit some remote owner may not have acked: it resends
 the decision to the owners CoordCommit names.  An own slice is Commit if
 its CoordCommit was logged, else Abort; so is every transaction the log
 holds no CoordCommit of, whose undecided remote slices learn it from the
-coordinator's answer to their READY repeat.
+coordinator's answer to their READY repeat.  The client dedup window is
+rebuilt from CoordCommit only: a resent COMMIT whose first attempt aborted
+runs again, as a new transaction, after its coordinator restarted.
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
-rounds) and the decision to those that have not acked.  A remote
+rounds) and a commit to those that have not acked.  A remote
 participant repeats its READY vote on the same schedule for each slice it
 holds Ready, from the vote, or the restart that found it Ready, until the
 decision lands.  Every repeat waits the same RESEND, so one map ordered by
@@ -63,7 +67,7 @@ exclusively locked when they were read, all in one step.
 A node keeps one record per transaction it takes part in: a CoordRec for
 each transaction it coordinates and a PartRec for each slice it prepares,
 and these records answer every repeated message.  A PartRec keeps its
-vote, so a duplicate PREPARE gets the same vote back; a decision the
+vote, so a duplicate PREPARE gets the same vote back; a commit the
 record already shows is acked again with no effect; an abort decision that
 overtakes its PREPARE leaves a record in Abort, which drops the late
 PREPARE.  A CoordRec answers a READY it already counted with the decision,
@@ -91,7 +95,6 @@ from .env import NodeEnv
 from .gc import CompletionTracker, GcLog, GcManager
 from .locks import LOCK_WAIT, LockTable, RejectReason
 from .model import (
-    CoordAbort,
     CoordCommit,
     CoordState,
     LogRecord,
@@ -332,7 +335,7 @@ class ServerNode:
 
     def _on_commit_decision(self, env: Envelope) -> None:
         """Either decision; only the transaction's coordinator settles a
-        slice, and it is acked unless the decision changes nothing."""
+        slice, and only a commit is acked (presumed abort)."""
         tranx = env.tranx
         if env.sender_id != tranx.coordinator:
             return
@@ -431,10 +434,10 @@ class ServerNode:
                 self._send(sid, self._server_env(MsgType.PREPARE, rec.tranx, rpc.enc_txn(sub)))
 
     def _vote(self, tranx: TranxID, voter: ServerId, reason, piggyback) -> None:
-        """Count a first vote while undecided.  A repeated READY gets the
-        decision once there is one, or Abort, traced as a decision, for an
-        id of this node's it holds no record of (presumed abort); nothing
-        else is answered."""
+        """Count a first vote while undecided; a first vote after an early
+        abort is absorbed.  A repeated READY gets the decision once there is
+        one, or Abort, traced as a decision, for an id of this node's it
+        holds no record of (presumed abort); nothing else is answered."""
         rec = self.coord.get(tranx)
         if rec is None:
             if reason is None and tranx.coordinator == self.sid:
@@ -446,9 +449,9 @@ class ServerNode:
             if reason is None and voter in rec.subs and rec.state in _DECISION:
                 self._send(voter, self._server_env(_DECISION[rec.state], tranx, b""))
             return
+        rec.pending_ready.discard(voter)
         if rec.state is not CoordState.PREPARE:
             return
-        rec.pending_ready.discard(voter)
         if reason is None:
             if not rec.pending_ready:
                 self._decide(rec, CoordState.COMMIT, None, [])
@@ -460,18 +463,20 @@ class ServerNode:
     def _decide(self, rec: CoordRec, decision: CoordState, reason, piggyback) -> None:
         rec.abort_reason = reason
         rec.piggyback = list(piggyback)
-        if decision is CoordState.COMMIT:
+        commit = decision is CoordState.COMMIT
+        if commit:
             self._append(CoordCommit(rec.tranx, rec.client_key, tuple(rec.subs)), durable=True)
-        else:
-            self._append(CoordAbort(rec.tranx, rec.client_key), durable=True)
         self._set_coord_state(rec, decision)
         # the client and the participants hear the decision once it is
-        # persisted; the resend timer repeats it to owners that do not ack
+        # persisted; the resend timer repeats a commit to owners that do not
+        # ack, and no owner acks an abort (presumed abort)
         self._answer_client(rec)
         self._send_decision(rec)
-        if self.sid in rec.pending_ack:
-            self._handle_decision(rec.tranx, decision is CoordState.COMMIT)
-            self._handle_ack(rec.tranx, self.sid)
+        if self.sid in rec.subs:
+            self._handle_decision(rec.tranx, commit)
+        if not commit:
+            rec.pending_ack.clear()
+        self._handle_ack(rec.tranx, self.sid)
         if not rec.complete:
             self._queue_resend(rec)
 
@@ -584,7 +589,7 @@ class ServerNode:
             return  # a concurrent abort decision already settled this one
         reason, out = self._check_locked(tranx, sub, granted, why)
         if reason is not None:
-            # an own slice logs nothing: its coordinator's CoordAbort decides it
+            # an own slice logs nothing: no CoordCommit means Abort
             if tranx.coordinator != self.sid:
                 self._append(PartAbort(tranx), durable=False)
             self._set_part_state(rec, PartState.ABORT)
@@ -616,16 +621,15 @@ class ServerNode:
 
     def _handle_decision(self, tranx: TranxID, commit: bool) -> bool:
         """Apply a commit or abort decision; returns whether the sender is
-        owed an ack, which is always, except for a commit of a transaction
-        this node holds no Ready slice of: that is traced and changes
-        nothing, and an ack would claim a commit this node never applied.  A
-        slice already decided, or passed by the watermark with no record
-        left, acks again with no side effect.  The coordinator's own slice
-        logs nothing here: its CoordCommit or CoordAbort is the slice's
-        decision record."""
+        owed an ack, which only a commit is, and not for a transaction this
+        node holds no Ready slice of: that is traced and changes nothing,
+        and an ack would claim a commit this node never applied.  A commit
+        already applied, or passed by the watermark with no record left,
+        acks again with no side effect.  The coordinator's own slice logs
+        nothing here: CoordCommit, or its absence, is its decision record."""
         rec = self.part.get(tranx)
         if rec is None and self.gc.is_final_by_watermark(tranx):
-            return True
+            return commit
         remote = tranx.coordinator != self.sid
         if commit:
             if rec is not None and rec.state == PartState.COMMIT:
@@ -651,7 +655,7 @@ class ServerNode:
             else:
                 self._set_part_state(rec, PartState.ABORT)
             self.locks.record_abort(tranx)
-        return True
+        return commit
 
     # -- resend timer --------------------------------------------------------------------
 
@@ -666,10 +670,10 @@ class ServerNode:
         """Resend for every due entry of _resend, then re-arm for its head.
 
         An undecided record repeats PREPARE to the owners that have not
-        voted, or aborts with TIMEOUT after PREPARE_BUDGET rounds; a decided
-        one repeats its decision to the owners that have not acked.  A Ready
-        slice of another coordinator's transaction repeats its READY vote;
-        its decision takes it out of the map.  The benchmark's tracer wraps
+        voted, or aborts with TIMEOUT after PREPARE_BUDGET rounds; a
+        committed one repeats its decision to the owners that have not
+        acked.  A Ready slice of another coordinator's transaction repeats
+        its READY vote; its decision takes it out of the map.  The benchmark's tracer wraps
         this timer by its name, _ack_tick.
         """
         now = self.ctx.now()
@@ -731,13 +735,13 @@ class ServerNode:
         """Take a new restart epoch, then fold the WAL into volatile state."""
         self._epoch = self._bump_epoch()
         self.issuer = self.gc.tracker = CompletionTracker(self._epoch)
-        decided: dict[TranxID, CoordCommit | CoordAbort] = {}
+        committed: dict[TranxID, CoordCommit] = {}
         part_ready: dict[TranxID, PartReady] = {}
         part_state: dict[TranxID, PartState] = {}
         for recd in self.tranxlog.scan():
             t = recd.tranx
-            if isinstance(recd, (CoordCommit, CoordAbort)):
-                decided[t] = recd
+            if isinstance(recd, CoordCommit):
+                committed[t] = recd
             elif isinstance(recd, PartReady):
                 part_ready[t] = recd
                 part_state[t] = PartState.READY
@@ -756,7 +760,7 @@ class ServerNode:
                     self.part[t] = PartRec(t, state=PartState.ABORT, vote=_ABORTED_VOTE)
                 continue
             if t.coordinator == self.sid:  # own slice: committed only by a CoordCommit
-                state = PartState.COMMIT if isinstance(decided.get(t), CoordCommit) else PartState.ABORT
+                state = PartState.COMMIT if t in committed else PartState.ABORT
             self.part[t] = PartRec(t, ready.writes, state, vote=b"")
             if state is PartState.COMMIT:
                 self.storage.apply_writes(list(ready.writes), replay=True)
@@ -768,19 +772,14 @@ class ServerNode:
 
         # coordinator side: a commit some remote owner may not have acked is
         # pending, and recover_global resends it; anything else is complete.
-        # The client-request dedup window is rebuilt for every decision, so
-        # a resent commit request gets the original answer instead of being
-        # re-executed as a fresh transaction
+        # The client-request dedup window is rebuilt for every commit, so a
+        # resent commit request gets the original answer instead of being
+        # re-executed as a fresh transaction; an aborted one runs again
         base_lc = self.gc.table.get(self.sid, 0)
-        for t, recd in sorted(decided.items()):
-            committed = isinstance(recd, CoordCommit)
+        for t, recd in sorted(committed.items()):
             if recd.client is not None:
-                if committed:
-                    payload = rpc.enc_commit_resp(True, None, [])
-                else:
-                    payload = rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
-                self.dedup.record_client(recd.client[0], recd.client[1], payload)
-            if not committed or t.seq <= base_lc:
+                self.dedup.record_client(*recd.client, rpc.enc_commit_resp(True, None, []))
+            if t.seq <= base_lc:
                 continue
             remote = {sid for sid in recd.participants if sid != self.sid}
             if remote:
@@ -789,7 +788,7 @@ class ServerNode:
                 self.issuer.hold(t.seq)
 
         self.gc.table[self.sid] = self.issuer.lc
-        self._trace("recovered", coord=len(decided), in_doubt_part=in_doubt_part)
+        self._trace("recovered", coord=len(committed), in_doubt_part=in_doubt_part)
 
     def _bump_epoch(self) -> int:
         raw = self.env.get_blob("epoch")

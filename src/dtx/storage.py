@@ -20,9 +20,10 @@ def read_store_log(data: bytes):
     """Parse a db/data.log image into (rows, stop).
 
     rows are the (key, value, version) writes in log order.  Parsing stops
-    at the first frame that is cut short or fails its checksum; stop is then
-    ("torn", offset) or ("corrupt", offset), and None when the image ends
-    cleanly.
+    at the first frame that is cut short, fails its checksum, or whose
+    length does not match its fields, as a zero-filled tail's does; stop is
+    then ("torn", offset) or ("corrupt", offset), and None when the image
+    ends cleanly.
     """
     rows = []
     pos = 0
@@ -33,9 +34,12 @@ def read_store_log(data: bytes):
         if pos + 8 + n > len(data):
             return rows, ("torn", pos)
         frame = data[pos + 8 : pos + 8 + n]
-        if zlib.crc32(frame) & 0xFFFFFFFF != crc:
+        # a frame holds its key and value lengths and its version, 16 bytes
+        if n < 16 or zlib.crc32(frame) & 0xFFFFFFFF != crc:
             return rows, ("corrupt", pos)
         klen, vlen = struct.unpack_from("<II", frame, 0)
+        if 16 + klen + vlen != n:
+            return rows, ("corrupt", pos)
         (version,) = struct.unpack_from("<Q", frame, 8 + klen + vlen)
         rows.append((frame[8 : 8 + klen], frame[8 + klen : 8 + klen + vlen], version))
         pos += 8 + n

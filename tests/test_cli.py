@@ -114,6 +114,24 @@ def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):
         assert "CORRUPT" in capsys.readouterr().out
 
 
+def test_log_dump_flags_a_record_it_cannot_decode(tmp_path, capsys):
+    """Kinds 1 and 3, the retired prepare and abort records, no longer
+    decode: each is reported as corrupt and the dump exits 2, and the
+    records around them still print."""
+    root = str(tmp_path)
+    log = TranxLog(DiskEnv(root), 1 << 20)
+    log.append(CoordCommit(TranxID(0, 1)), durable=True)
+    tranx = "01000000" "0200000000000000"  # TranxID(1, 2)
+    log.manager.append(bytes.fromhex("01" + tranx + "00" "00000000"))
+    log.manager.append(bytes.fromhex("03" + tranx + "00"))
+    log.append(CoordCommit(TranxID(0, 3)), durable=True)
+    assert main(["log-dump", "--dir", root]) == 2
+    out = capsys.readouterr().out
+    assert out.count("CORRUPT: undecodable record") == 2
+    assert "unknown record kind 1" in out and "unknown record kind 3" in out
+    assert out.count("CoordCommit") == 2
+
+
 def test_db_dump_lists_rows_and_detects_bad_checksum(tmp_path, capsys):
     root = str(tmp_path)
     from dtx.storage import FileKvStore

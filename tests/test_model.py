@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from dtx import model, rpc
 from dtx.gc import EPOCH_SHIFT, CompletionTracker
 from dtx.model import (
-    CoordAbort,
     CoordCommit,
     CoordState,
     MalformedRecordError,
@@ -34,7 +33,6 @@ owners = st.lists(st.integers(0, 2**32 - 1), max_size=3, unique=True).map(lambda
 
 records = st.one_of(
     st.builds(CoordCommit, tranx_ids, client_keys, owners),
-    st.builds(CoordAbort, tranx_ids, client_keys),
     st.builds(PartReady, tranx_ids, reads, ready_writes),
     st.builds(PartCommit, tranx_ids),
     st.builds(PartAbort, tranx_ids),

@@ -531,9 +531,9 @@ def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
     assert prepared == pytest.approx([RESEND * i for i in range(PREPARE_BUDGET)], abs=1e-9)
     (aborted,) = [e[0] - start for e in sim.trace if e[2] == "coord.state" and e[3]["to"] == "Abort"]
     assert aborted == pytest.approx(RESEND * PREPARE_BUDGET, abs=1e-9)
-    # one tick per round; then at most one more, armed for the abort's ack
-    assert [at - start for at, _ in ticks][:PREPARE_BUDGET] == prepared[1:] + [aborted]
-    assert len(ticks) <= PREPARE_BUDGET + 1
+    # one tick per round, the last of which aborts; no owner acks an abort,
+    # so no tick follows it
+    assert [at - start for at, _ in ticks] == prepared[1:] + [aborted]
     assert rec.state is CoordState.ABORT and rec.abort_reason is AbortReason.TIMEOUT
     assert rec.complete and resend_idle(sim)
     assert oracle.locks_clean(sim) == []
@@ -551,6 +551,22 @@ def test_contended_run_arms_few_timers_per_2pc_decision(monkeypatch):
     assert report.committed > 1000 and len(decided) > 500
     assert len(armed) / len(decided) < 0.1
     assert resend_idle(sim)
+
+
+def test_contended_run_makes_under_1_3_durable_flushes_per_commit(monkeypatch):
+    """An abort forces no record, so a 64-key, half-read run seals fewer
+    than 1.3 WAL blocks per commit."""
+    seals = []
+    orig_seal = LogManager._seal
+    monkeypatch.setattr(LogManager, "_seal", lambda self: seals.append(1) or orig_seal(self))
+    spec = WorkloadSpec(key_count=64, read_fraction=0.5, clients=4, duration=1.2, seed=1000)
+    sim = make_sim(3, seed=spec.seed)
+    preload_sim(sim, spec, spec.seed)
+    drivers = start_clients(sim, spec)
+    sim.run_until(spec.duration)
+    commits = sum(1 for d in drivers for r in d.history if r["ok"])
+    assert commits > 1000
+    assert len(seals) / commits < 1.3
 
 
 # -- malformed input -------------------------------------------------------------
@@ -749,7 +765,7 @@ def test_replayed_commit_decision_is_acked_and_applied_once(restart, monkeypatch
 def test_abort_decision_before_prepare_makes_the_prepare_a_no_op(restart, monkeypatch):
     sim, sent, k = hand_driven_participant()
     deliver(sim, MsgType.ABORT_DECISION)
-    assert [e.msg_type for e in sent] == [MsgType.ACK]
+    assert sent == []  # an abort is never acked
     node, appends = repeat_on(sim, sent, restart, monkeypatch)
     deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
     assert node.part[HAND_TRANX].state == PartState.ABORT
@@ -847,7 +863,7 @@ def test_only_the_coordinators_decision_settles_a_slice(case, monkeypatch):
 
 def test_a_restarted_slice_the_watermark_passed_settles_from_the_coordinators_abort():
     """Participant 1 votes Ready, appends the abort decision unflushed,
-    acks, and learns from GC_LC that the watermark passed the transaction.
+    and learns from GC_LC that the watermark passed the transaction.
     Killed before that block is flushed, it restarts with the slice Ready
     and its key locked.  Its repeated READY names an id coordinator 0 holds
     no record of, so 0 answers Abort (presumed abort), which settles the
@@ -855,7 +871,7 @@ def test_a_restarted_slice_the_watermark_passed_settles_from_the_coordinators_ab
     sim, sent, k = hand_driven_participant()
     deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
     deliver(sim, MsgType.ABORT_DECISION)
-    assert [e.msg_type for e in sent] == [MsgType.READY, MsgType.ACK]
+    assert [e.msg_type for e in sent] == [MsgType.READY]
     node = sim.nodes[1].node
     node.on_message(Envelope(MsgType.GC_LC, rpc.SERVER, 0, 2, None, rpc.enc_gc_lc(HAND_TRANX.seq)))
     sim.crash(1)  # the PartAbort is lost
@@ -906,6 +922,97 @@ def test_a_coordinator_answers_a_counted_ready_with_its_decision():
     assert answer(early, 2) == []  # the first vote, after the abort
     assert answer(TranxID(0, 99), 1) == [(1, abort_d)]
     assert answer(TranxID(1, 99), 2) == []
+
+
+# -- presumed abort ----------------------------------------------------------------
+
+
+def stale_own_slice(sim, owners):
+    """A write transaction for coordinator 0 on `owners` owners whose own
+    slice reads a stale version, so 0 votes Abort in the step that starts
+    it; a remote slice reads the current version and votes Ready."""
+    span = key_spanning(sim.members)
+    keys = [span[sid] for sid in range(owners)]
+    reads = ((keys[0], 5),) + tuple((k, 0) for k in keys[1:])
+    return Transaction(reads, tuple((k, b"x") for k in keys)), keys
+
+
+@pytest.mark.parametrize("owners", [1, 2], ids=["one-owner", "two-owner"])
+def test_an_abort_logs_nothing_at_its_coordinator_and_is_never_acked(owners, monkeypatch):
+    """The coordinator appends no record for an abort, the watermark passes
+    it in the step that decides it, and nothing is resent or acked: a
+    Ready owner's first READY, arriving after the abort, is absorbed."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    appends, seals = record_wal(monkeypatch, sim)
+    decided = []  # (sid, tranx, state, the issuer's lc, the resend map) after each _decide
+    orig_decide = ServerNode._decide
+
+    def decide(self, rec, *args):
+        orig_decide(self, rec, *args)
+        decided.append((self.sid, rec.tranx, rec.state, self.issuer.lc, dict(self._resend)))
+
+    monkeypatch.setattr(ServerNode, "_decide", decide)
+    txn, _ = stale_own_slice(sim, owners)
+    tranx = sim.nodes[0].node.coordinate(txn, None)
+    sim.run(1.0)
+    assert decided == [(0, tranx, CoordState.ABORT, tranx.seq, {})]
+    assert 0 not in appends and 0 not in seals
+    assert sends(sim, "ACK") == []
+    assert [e[3]["dest"] for e in sends(sim, "ABORT_DECISION")] == [1] * (owners - 1)
+    assert len(sends(sim, "READY")) == owners - 1
+    assert resend_idle(sim) and oracle.locks_clean(sim) == []
+    assert all(sim.nodes[sid].node.part[tranx].state is PartState.ABORT for sid in range(owners))
+
+
+def test_a_ready_owner_that_missed_the_abort_learns_it_from_one_ready_repeat():
+    """The abort decision to Ready owner 1 is lost.  Its first READY reaches
+    the coordinator after the abort and is absorbed; its one repeat, RESEND
+    later, is answered with Abort, which frees its locks."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    dropped = drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.ABORT_DECISION and n == 0)
+    txn, keys = stale_own_slice(sim, 2)
+    start = sim.now
+    tranx = sim.nodes[0].node.coordinate(txn, None)
+    node = sim.nodes[1].node
+    sim.run_until(start + RESEND / 2)
+    assert len(dropped) == 1 and node.locks.held_by(tranx) == {keys[1]}
+    sim.run_until(start + RESEND + 0.001)
+    assert node.part[tranx].state is PartState.ABORT and node.locks.is_idle()
+    readies = [e[0] for e in sends(sim, "READY")]
+    lost, answer = [e[0] for e in sends(sim, "ABORT_DECISION")]
+    assert len(readies) == 2 and readies[1] - readies[0] == pytest.approx(RESEND, abs=1e-9)
+    assert lost == start and readies[1] < answer
+    sim.run(1.0)
+    assert len(sends(sim, "READY")) == 2 and sends(sim, "ACK") == []
+    assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+def test_a_resent_commit_whose_attempt_aborted_runs_again_after_a_coordinator_restart():
+    """Coordinator 0 aborts a two-owner COMMIT with TIMEOUT while owner 1 is
+    cut off, and the answer never reaches the client.  0 restarts, the cut
+    heals, and the client resends the same request: an abort leaves no
+    record, so it runs as a new transaction and commits once."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    span = key_spanning(sim.members)
+    keys = [span[0], span[1]]
+    txn = Transaction(tuple((k, 0) for k in keys), tuple((k, b"again") for k in keys))
+    commit = Envelope(MsgType.COMMIT, rpc.CLIENT, 7, 1, None, rpc.enc_txn(txn))
+    answers = drop_where(sim, lambda dst, env, n: dst == ("c", 7))
+    rule = sim.partition([0], [1])
+    sim.nodes[0].node.on_message(commit)
+    sim.run(PREPARE_BUDGET * RESEND + 0.1)
+    assert [rpc.dec_commit_resp(e.payload)[:2] for e in answers] == [(False, AbortReason.TIMEOUT)]
+    sim.heal(rule)
+    sim.crash(0)
+    sim.restart(0)
+    sim.nodes[0].node.on_message(commit)
+    sim.run(1.0)
+    assert [rpc.dec_commit_resp(e.payload)[:2] for e in answers[1:]] == [(True, None)]
+    first, again = sorted(oracle.decided(sim.trace).items())
+    assert first[1] == {"Abort"} and again[1] == {"Commit"} and again[0] != first[0]
+    assert all(sim.global_state()[k] == (b"again", 1) for k in keys)
+    assert oracle.duplicate_applies(sim.trace) == []
+    assert oracle.atomicity_violations(sim.trace) == [] and oracle.locks_clean(sim) == []
 
 
 def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dtx.cli import main
 from dtx.storage import (
     FileKvStore,
     MemKvStore,
@@ -58,6 +59,31 @@ def test_rows_written_after_a_torn_tail_survive_the_next_open(tmp_path):
     s3 = FileKvStore(root)
     assert s3.get(b"a") == (b"1", 1) and s3.get(b"b") == (b"2", 1)
     s3.close()
+
+
+def test_a_zero_filled_tail_stops_replay_and_is_cut_off(tmp_path, capsys):
+    """Eight zero bytes read as an empty frame whose checksum matches; a
+    frame shorter than its fields stops replay as corrupt instead, open
+    truncates there, and the dump reports the stop."""
+    root = str(tmp_path)
+    s = FileKvStore(root)
+    s.apply([(b"a", b"1", 1)])
+    s.sync()
+    s.close()
+    with open(f"{root}/db/data.log", "ab") as f:
+        f.write(bytes(8))
+    assert main(["db-dump", "--dir", root]) == 2
+    out = capsys.readouterr().out
+    assert "CORRUPT" in out and "(1 keys)" in out
+    s2 = FileKvStore(root)
+    assert s2.get(b"a") == (b"1", 1)
+    s2.apply([(b"b", b"2", 1)])
+    s2.sync()
+    s2.close()
+    s3 = FileKvStore(root)
+    assert s3.get(b"a") == (b"1", 1) and s3.get(b"b") == (b"2", 1)
+    s3.close()
+    assert main(["db-dump", "--dir", root]) == 0
 
 
 def test_file_store_checksum_guards_frames(tmp_path):
