@@ -21,7 +21,8 @@ import csv
 import statistics
 from dataclasses import dataclass, field
 
-from .server import ServerConfig, owner_of
+from .model import owner_of
+from .server import ServerConfig
 from .sim import ClosedLoopDriver, Simulator
 from .workload import WorkloadSpec, key_bytes, load_values, txn_script
 

@@ -96,9 +96,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import rpc
-from .model import Transaction
+from .model import Transaction, owner_of
 from .rpc import AbortReason, Envelope, MsgType
-from .server import owner_of
 from .storage import ServerCache
 
 BACKOFF_BASE = 0.005

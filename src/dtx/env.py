@@ -26,6 +26,8 @@ import mmap
 import os
 import time
 
+from .storage import fsync_dir
+
 
 class RegionFullError(Exception):
     """Append would exceed the region's fixed length."""
@@ -254,7 +256,10 @@ class MemEnv(NodeEnv):
 
 
 class DiskEnv(NodeEnv):
-    """Directory-backed environment: <dir>/wal/*.log, <dir>/gclog, <dir>/db/."""
+    """Directory-backed environment: <dir>/wal/*.log, <dir>/gclog, <dir>/db/.
+
+    Each file it creates or replaces has its directory synced, so the
+    file's name is as durable as its contents."""
 
     def __init__(self, root: str, backend: str = "mapped") -> None:
         if backend not in ("mapped", "file"):
@@ -279,7 +284,9 @@ class DiskEnv(NodeEnv):
         path = self._path(name)
         if os.path.exists(path):
             raise FileExistsError(path)
-        return self._make(path, length)
+        region = self._make(path, length)
+        fsync_dir(os.path.dirname(path))
+        return region
 
     def open_region(self, name: str) -> Region:
         path = self._path(name)
@@ -313,6 +320,7 @@ class DiskEnv(NodeEnv):
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+        fsync_dir(os.path.dirname(path))
 
     def get_blob(self, name: str) -> bytes | None:
         path = self._path(name)

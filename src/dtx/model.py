@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +35,11 @@ _new_tuple = tuple.__new__
 
 class MalformedRecordError(Exception):
     """Decoding failed: truncated, garbled, or unknown tag."""
+
+
+def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
+    """Static key partitioning: crc32 hash modulo cluster size."""
+    return members[zlib.crc32(key) % len(members)]
 
 
 class TranxID(NamedTuple):
@@ -219,6 +225,18 @@ class PartReady:
     writes: tuple[tuple[bytes, bytes, int], ...]
 
     kind = _KIND_PART_READY
+
+
+def part_ready_size(sub: Transaction) -> int:
+    """Bytes of the PartReady a slice logs: the record head (kind and
+    TranxID, 13 B), the slice as enc_txn encodes it (a u32 count each for
+    reads and writes, a blob and a u64 version per read, two blobs per
+    write), and a post-version (8 B) per write."""
+    return (
+        _KIND_TRANX.size + 8
+        + sum(12 + len(k) for k, _ in sub.reads)
+        + sum(16 + len(k) + len(v) for k, v in sub.writes)
+    )
 
 
 @dataclass(frozen=True)

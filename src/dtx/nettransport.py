@@ -245,8 +245,8 @@ class ServerRuntime(EventLoop):
 
     send = EventLoop.send  # an own entry, so perfbench/layers.py can wrap it by name
 
-    def reply(self, request: Envelope, resp: Envelope) -> None:
-        conn = self._clients.get(request.sender_id)
+    def reply(self, client_id: int, resp: Envelope) -> None:
+        conn = self._clients.get(client_id)
         if conn is not None:  # else the client's retry is answered from the dedup window
             self._queue(conn, rpc.frame_encode(resp))
 

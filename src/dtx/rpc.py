@@ -8,8 +8,11 @@ identical ids); at-most-once processing comes from receiver-side dedup:
   owner one VALIDATE, so no server keeps state for it and a resend simply
   checks again.
 * Commit requests dedup on (client id, message id); the client's message
-  ids are contiguous, so a bounded sliding window of cached responses
-  suffices.
+  ids are contiguous, so a bounded sliding window per client suffices.
+  The window holds a COMMIT's TranxID while the transaction is in flight,
+  and its answer bytes once it is decided: a resend finds the TranxID and
+  is dropped, as the decision answers it, or finds the answer and gets it
+  again.  Either counts as a duplicate blocked.
 * Transaction messages (prepare/votes/decisions/acks) keep no entry
   here: the receiving server's coordinator or participant record for the
   transaction answers a duplicate (server.py), and a message for a
@@ -41,6 +44,10 @@ Payloads (blob = len: u32 LE | bytes):
   never acked (presumed abort): a participant with a slice in doubt,
   whether restarted or live, repeats its READY, and the coordinator
   answers it with its decision, Abort when it holds no record of the id.
+  A participant's vote: READY with an empty payload, or an ABORT_DECISION
+  to the coordinator whose payload is the COMMIT answer with committed 0,
+  its reason and the stale entries; one marked committed does not decode
+  as a vote and is dropped.
   The vote and the decision are the only messages that carry an outcome.
 
 Every payload decoder takes exactly one encoding: a payload that is
@@ -244,7 +251,8 @@ def dec_txn(b: bytes) -> Transaction:
     return _decode_whole(_unpack_txn, b, "transaction")
 
 
-def _enc_answer(committed: bool, reason: AbortReason | None, piggyback) -> bytes:
+def enc_commit_resp(committed: bool, reason: AbortReason | None, piggyback) -> bytes:
+    """The COMMIT and VALIDATE answer, and a participant's abort vote."""
     out = [_ANSWER.pack(committed, _REASON_CODE[reason])]
     _pack_entries(out, piggyback)
     return b"".join(out)
@@ -258,21 +266,8 @@ def _unpack_answer(b: bytes, pos: int):
     return (committed == 1, _CODE_REASON[code], piggyback), pos
 
 
-def enc_commit_resp(committed: bool, reason: AbortReason | None, piggyback) -> bytes:
-    return _enc_answer(committed, reason, piggyback)
-
-
 def dec_commit_resp(b: bytes):
     return _decode_whole(_unpack_answer, b, "commit answer")
-
-
-def enc_vote_abort(reason: AbortReason, piggyback: list[tuple[bytes, bytes, int]]) -> bytes:
-    return _enc_answer(False, reason, piggyback)
-
-
-def dec_vote_abort(b: bytes):
-    _, reason, piggyback = _decode_whole(_unpack_answer, b, "abort vote")
-    return reason, piggyback
 
 
 def enc_gc_lc(lc_seq: int) -> bytes:
@@ -289,17 +284,18 @@ def dec_gc_lc(b: bytes) -> int:
 
 
 class ClientWindow:
-    """Sliding window of cached Commit responses for one client."""
+    """Sliding window of one client's Commit requests: the TranxID of each
+    one in flight, the answer bytes of each one decided."""
 
     def __init__(self, capacity: int = 1024) -> None:
         self.capacity = capacity
-        self.responses: OrderedDict[int, bytes] = OrderedDict()
+        self.responses: OrderedDict[int, bytes | TranxID] = OrderedDict()
 
-    def check(self, message_id: int) -> bytes | None:
+    def check(self, message_id: int) -> bytes | TranxID | None:
         return self.responses.get(message_id)
 
-    def record(self, message_id: int, response_payload: bytes) -> None:
-        self.responses[message_id] = response_payload
+    def record(self, message_id: int, entry: bytes | TranxID) -> None:
+        self.responses[message_id] = entry
         while len(self.responses) > self.capacity:
             self.responses.popitem(last=False)
 
@@ -311,7 +307,7 @@ class DedupTable:
         self._clients: dict[int, ClientWindow] = {}
         self.duplicates_blocked = 0
 
-    def check_client(self, client_id: int, message_id: int) -> bytes | None:
+    def check_client(self, client_id: int, message_id: int) -> bytes | TranxID | None:
         win = self._clients.get(client_id)
         if win is None:
             return None
@@ -320,9 +316,9 @@ class DedupTable:
             self.duplicates_blocked += 1
         return hit
 
-    def record_client(self, client_id: int, message_id: int, response_payload: bytes) -> None:
+    def record_client(self, client_id: int, message_id: int, entry: bytes | TranxID) -> None:
         win = self._clients.setdefault(client_id, ClientWindow())
-        win.record(message_id, response_payload)
+        win.record(message_id, entry)
 
     def size(self) -> int:
         return sum(len(w.responses) for w in self._clients.values())

@@ -17,8 +17,9 @@ Commit flow, one path for every write transaction:
   3. all Ready -> persist CoordCommit (durable), which names the owners;
      any Abort vote -> decide Abort without waiting for the other votes,
      and log nothing (presumed abort).  Either way, in that same step,
-     answer the client and send the decision to every remote participant,
-     so their locks go one hop after the decision;
+     answer the client and send the decision to every remote participant
+     but an Abort's voter, whose slice is already Abort, so their locks go
+     one hop after the decision;
   4. participants log the decision, apply frozen post-versions, release
      locks, and acknowledge a commit; once every remote participant acked
      it, the transaction is reported complete to the garbage collector.
@@ -64,6 +65,13 @@ owner's pre-commit value finds the second key locked or its version moved.
 For the same reason a READ answer says whether any of its keys was
 exclusively locked when they were read, all in one step.
 
+A client's COMMIT is answered from one table, its dedup window
+(rpc.DedupTable): coordinating records the new TranxID under the request's
+(client id, message id), and the decision replaces it with the answer
+bytes.  A resend that finds the TranxID is in flight and is dropped, as the
+decision answers it; one that finds the bytes gets them again.  The
+CoordRec keeps no reply state.
+
 A node keeps one record per transaction it takes part in: a CoordRec for
 each transaction it coordinates and a PartRec for each slice it prepares,
 and these records answer every repeated message.  A PartRec keeps its
@@ -85,7 +93,6 @@ is answered as already final.
 from __future__ import annotations
 
 import weakref
-import zlib
 from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar
@@ -107,6 +114,8 @@ from .model import (
     Transaction,
     TranxID,
     coord_transition_legal,
+    owner_of,
+    part_ready_size,
     part_transition_legal,
 )
 from .rpc import AbortReason, DedupTable, Envelope, MsgType
@@ -114,16 +123,11 @@ from .storage import KvStore, StorageEngine
 from .wal import FILE_CAPACITY, MAX_ENTRY, TranxLog
 
 
-def owner_of(key: bytes, members: list[ServerId]) -> ServerId:
-    """Static key partitioning: crc32 hash modulo cluster size."""
-    return members[zlib.crc32(key) % len(members)]
-
-
 RESEND = 0.200  # repeat PREPARE or a decision an owner has not answered
 PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
 # the vote a restarted participant resends for a slice it logged only as
 # aborted: the first vote's reason and piggyback were never logged
-_ABORTED_VOTE = rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
+_ABORTED_VOTE = rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
 
 # message types that name their transaction in the envelope; with GC_LC
 # these are the types only a server sends, and a client sends the others
@@ -163,10 +167,7 @@ class CoordRec:
     state: CoordState = CoordState.START
     pending_ready: set[ServerId] = field(default_factory=set)
     pending_ack: set[ServerId] = field(default_factory=set)
-    abort_reason: AbortReason | None = None
-    piggyback: list = field(default_factory=list)
     client_key: tuple[int, int] | None = None  # (client id, message id)
-    reply_to: Envelope | None = None
     retries: int = 0
     complete: bool = False
 
@@ -225,7 +226,6 @@ class ServerNode:
 
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
-        self.pending_client: dict[tuple[int, int], TranxID] = {}
         # 2PC coordinator records still waiting for a vote or an ack, and
         # Ready slices of other coordinators' transactions -> when to
         # resend; each entry is due RESEND after it was (re)inserted, so
@@ -250,9 +250,9 @@ class ServerNode:
         if self._crash_hook is not None:
             self._crash_hook(self.sid, _SEND_POINT[env.msg_type])
 
-    def _reply(self, request: Envelope, payload: bytes) -> None:
-        resp = Envelope(MsgType.RESPONSE, rpc.SERVER, self.sid, request.message_id, request.tranx, payload)
-        self.ctx.reply(request, resp)
+    def _reply(self, client_id: int, message_id: int, payload: bytes) -> None:
+        resp = Envelope(MsgType.RESPONSE, rpc.SERVER, self.sid, message_id, None, payload)
+        self.ctx.reply(client_id, resp)
 
     def _server_env(self, msg_type: MsgType, tranx: TranxID | None, payload: bytes) -> Envelope:
         # message id 0: no server answers a server, so nothing matches on it
@@ -315,12 +315,12 @@ class ServerNode:
             return None
 
     def _on_client_hello(self, env: Envelope) -> None:
-        self._reply(env, self.assign_client_id().to_bytes(8, "little"))
+        self._reply(env.sender_id, env.message_id, self.assign_client_id().to_bytes(8, "little"))
 
     def _on_validate(self, env: Envelope) -> None:
         sub = self._decode(env, rpc.dec_txn)
         reason, piggyback = (AbortReason.UNKNOWN, []) if sub is None else self._validate_slice(sub)
-        self._reply(env, rpc.enc_commit_resp(reason is None, reason, piggyback))
+        self._reply(env.sender_id, env.message_id, rpc.enc_commit_resp(reason is None, reason, piggyback))
 
     def _on_ready(self, env: Envelope) -> None:
         self._vote(env.tranx, env.sender_id, None, [])
@@ -329,9 +329,14 @@ class ServerNode:
         """An abort vote when this node coordinates the transaction."""
         if env.tranx.coordinator != self.sid:  # else the coordinator's decision
             return self._on_commit_decision(env)
-        vote = self._decode(env, rpc.dec_vote_abort)
-        if vote is not None:
-            self._vote(env.tranx, env.sender_id, vote[0] or AbortReason.UNKNOWN, vote[1])
+        vote = self._decode(env, rpc.dec_commit_resp)
+        if vote is None:
+            return
+        committed, reason, piggyback = vote
+        if committed:  # an abort vote cannot say committed
+            self._trace("msg.malformed", type=env.msg_type.name, frm=env.sender_id)
+            return
+        self._vote(env.tranx, env.sender_id, reason or AbortReason.UNKNOWN, piggyback)
 
     def _on_commit_decision(self, env: Envelope) -> None:
         """Either decision; only the transaction's coordinator settles a
@@ -360,37 +365,33 @@ class ServerNode:
             return
         self.stats["reads"] += len(keys)
         locked = any(map(self.locks.exclusively_held, keys))
-        self._reply(env, rpc.enc_read_resp(list(map(self.storage.get, keys)), locked))
+        payload = rpc.enc_read_resp(list(map(self.storage.get, keys)), locked)
+        self._reply(env.sender_id, env.message_id, payload)
 
     # -- coordinator -------------------------------------------------------------
 
     def _on_commit(self, env: Envelope) -> None:
-        cached = self.dedup.check_client(env.sender_id, env.message_id)
-        if cached is not None:
-            self._reply(env, cached)
+        client, mid = env.sender_id, env.message_id
+        known = self.dedup.check_client(client, mid)
+        if type(known) is bytes:  # decided: the same answer again
+            self._reply(client, mid, known)
             return
-        key = (env.sender_id, env.message_id)
-        if key in self.pending_client:
-            # duplicate while in flight: refresh the reply target, answer later
-            rec = self.coord.get(self.pending_client[key])
-            if rec is not None:
-                rec.reply_to = env
+        if known is not None:  # a TranxID in flight: its decision answers
             return
         txn = self._decode(env, rpc.dec_txn)
         if txn is None or not txn.writes:  # a read-only transaction validates from its client
-            self._reply(env, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
+            self._reply(client, mid, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
             return
         # admission bound: every log record derived from this transaction
-        # must fit one WAL block, or commit would die midway.  The largest is
-        # a participant's PartReady: kind and TranxID (13 bytes), its slice's
-        # encoding, and a post-version (8 bytes) per write; no slice encodes
-        # longer than the whole, which it equals for a single owner
-        if len(env.payload) + 8 * len(txn.writes) + 13 > MAX_ENTRY:
+        # must fit one WAL entry, or commit would die midway.  The largest is
+        # a participant's PartReady, and no slice logs more than the whole
+        # transaction would, which is what a single owner logs
+        if part_ready_size(txn) > MAX_ENTRY:
             payload = rpc.enc_commit_resp(False, AbortReason.LOG_FAILURE, [])
-            self.dedup.record_client(env.sender_id, env.message_id, payload)
-            self._reply(env, payload)
+            self.dedup.record_client(client, mid, payload)
+            self._reply(client, mid, payload)
             return
-        self.coordinate(txn, env)
+        self.coordinate(txn, (client, mid))
 
     def _split(self, txn: Transaction) -> dict[ServerId, Transaction]:
         per: dict[ServerId, tuple[list, list]] = {}
@@ -405,14 +406,14 @@ class ServerNode:
             for sid, (reads, writes) in sorted(per.items())
         }
 
-    def coordinate(self, txn: Transaction, reply_to: Envelope | None) -> TranxID:
+    def coordinate(self, txn: Transaction, client_key: tuple[int, int] | None) -> TranxID:
+        """Start a write transaction; a client's request waits in its dedup
+        window as the new TranxID until the decision replaces it."""
         subs = self._split(txn)
         tranx = TranxID(self.sid, self.issuer.next())
-        rec = CoordRec(tranx, subs, pending_ready=set(subs), pending_ack=set(subs))
-        rec.reply_to = reply_to
-        if reply_to is not None:
-            rec.client_key = (reply_to.sender_id, reply_to.message_id)
-            self.pending_client[rec.client_key] = tranx
+        rec = CoordRec(tranx, subs, pending_ready=set(subs), pending_ack=set(subs), client_key=client_key)
+        if client_key is not None:
+            self.dedup.record_client(*client_key, tranx)
         self.coord[tranx] = rec
         if self._tracer is not None:
             self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.START.value)
@@ -457,12 +458,11 @@ class ServerNode:
                 self._decide(rec, CoordState.COMMIT, None, [])
         else:
             # abort fan-out goes out immediately, without waiting for the
-            # remaining votes
+            # remaining votes, and skips the voter, whose slice is Abort
+            rec.pending_ack.discard(voter)
             self._decide(rec, CoordState.ABORT, reason, piggyback)
 
     def _decide(self, rec: CoordRec, decision: CoordState, reason, piggyback) -> None:
-        rec.abort_reason = reason
-        rec.piggyback = list(piggyback)
         commit = decision is CoordState.COMMIT
         if commit:
             self._append(CoordCommit(rec.tranx, rec.client_key, tuple(rec.subs)), durable=True)
@@ -470,7 +470,7 @@ class ServerNode:
         # the client and the participants hear the decision once it is
         # persisted; the resend timer repeats a commit to owners that do not
         # ack, and no owner acks an abort (presumed abort)
-        self._answer_client(rec)
+        self._answer_client(rec, reason, piggyback)
         self._send_decision(rec)
         if self.sid in rec.subs:
             self._handle_decision(rec.tranx, commit)
@@ -487,17 +487,15 @@ class ServerNode:
             if sid != self.sid:
                 self._send(sid, self._server_env(mt, rec.tranx, b""))
 
-    def _answer_client(self, rec: CoordRec) -> None:
-        if rec.reply_to is None:
+    def _answer_client(self, rec: CoordRec, reason, piggyback) -> None:
+        """The decision's answer replaces the TranxID in the client's window."""
+        if rec.client_key is None:
             return
         committed = rec.state is CoordState.COMMIT
-        payload = rpc.enc_commit_resp(committed, rec.abort_reason, rec.piggyback)
+        payload = rpc.enc_commit_resp(committed, reason, piggyback)
         self.stats["commits" if committed else "aborts"] += 1
-        if rec.client_key is not None:
-            self.dedup.record_client(rec.client_key[0], rec.client_key[1], payload)
-            self.pending_client.pop(rec.client_key, None)
-        self._reply(rec.reply_to, payload)
-        rec.reply_to = None
+        self.dedup.record_client(*rec.client_key, payload)
+        self._reply(*rec.client_key, payload)
 
     def _handle_ack(self, tranx: TranxID, sender: ServerId) -> None:
         rec = self.coord.get(tranx)
@@ -611,7 +609,7 @@ class ServerNode:
         if rec.tranx.coordinator == self.sid:
             self._vote(rec.tranx, self.sid, reason, piggyback)
             return
-        rec.vote = b"" if reason is None else rpc.enc_vote_abort(reason, piggyback)
+        rec.vote = b"" if reason is None else rpc.enc_commit_resp(False, reason, piggyback)
         self._send_vote_bytes(rec.tranx, rec.vote)
 
     def _send_vote_bytes(self, tranx: TranxID, vote: bytes) -> None:

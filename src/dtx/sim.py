@@ -60,9 +60,9 @@ from functools import partial
 
 from .client import RPC_TIMEOUT, RPC_TRIES, ClientState, RequestCore
 from .env import MemEnv
-from .model import ServerId, TranxID
+from .model import ServerId, TranxID, owner_of
 from .rpc import Envelope, MsgType
-from .server import ServerConfig, ServerNode, owner_of
+from .server import ServerConfig, ServerNode
 from .storage import MemKvStore
 
 SERVICE_TIME = 50e-6  # virtual seconds a server spends on each message
@@ -173,8 +173,8 @@ class _Ctx:
     def send(self, dest: ServerId, env: Envelope) -> None:
         self._sim().net_send(self._ep, ("s", dest), env)
 
-    def reply(self, request: Envelope, resp: Envelope) -> None:
-        self._sim().net_send(self._ep, ("c", request.sender_id), resp)
+    def reply(self, client_id: int, resp: Envelope) -> None:
+        self._sim().net_send(self._ep, ("c", client_id), resp)
 
 
 @dataclass

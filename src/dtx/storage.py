@@ -16,6 +16,16 @@ import zlib
 from collections import OrderedDict
 
 
+def fsync_dir(path: str) -> None:
+    """Make the names in directory `path` durable: a file created or
+    renamed there survives power loss only once its directory is synced."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def read_store_log(data: bytes):
     """Parse a db/data.log image into (rows, stop).
 
@@ -91,7 +101,7 @@ class FileKvStore(KvStore):
 
     Open replays the log up to a torn or corrupt tail and truncates the
     file there, so the rows appended next are replayed too; sync is
-    flush+fsync.
+    flush+fsync.  Creating the file syncs its directory.
     """
 
     def __init__(self, root: str) -> None:
@@ -99,7 +109,10 @@ class FileKvStore(KvStore):
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
         self._map: dict[bytes, tuple[bytes, int]] = {}
         self._replay()
+        created = not os.path.exists(self.path)
         self._f = open(self.path, "ab")
+        if created:
+            fsync_dir(os.path.dirname(self.path))
 
     def _replay(self) -> None:
         if not os.path.exists(self.path):

@@ -22,6 +22,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import client as cl
+from .model import Transaction, owner_of, part_ready_size
+from .wal import MAX_ENTRY
 
 READ_FRACTION_PRESETS = (0.50, 0.75, 0.95, 1.00)
 
@@ -145,6 +147,11 @@ class WorkloadSpec:
             )
         if self.key_count < 1 or self.value_size < 1 or self.clients < 1:
             raise ConfigError("key_count, value_size, and clients must be positive")
+        if _insert_size(key_bytes(self.key_count), self.value_size) > MAX_ENTRY:
+            raise ConfigError(
+                f"value_size {self.value_size}: a one-key write does not fit one log entry"
+                f" of {MAX_ENTRY} bytes"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "WorkloadSpec":
@@ -232,15 +239,37 @@ def txn_script(spec: WorkloadSpec, clock=None):
     return factory
 
 
-def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int, batch: int = 16):
+def _insert_size(key: bytes, value_size: int) -> int:
+    """Log bytes of a one-key insert: the key read at version 0, then
+    written; a value's bytes add to the size one for one."""
+    return part_ready_size(Transaction(((key, 0),), ((key, b""),))) + value_size
+
+
+def _insert_batches(keys: list[bytes], value_size: int):
+    """Runs of consecutive keys, each as long as inserting every key of it
+    logs a PartReady that fits one WAL entry."""
+    empty = part_ready_size(Transaction((), ()))
+    batch, size = [], empty
+    for k in keys:
+        cost = _insert_size(k, value_size) - empty
+        if batch and size + cost > MAX_ENTRY:
+            yield batch
+            batch, size = [], empty
+        batch.append(k)
+        size += cost
+    if batch:
+        yield batch
+
+
+def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int):
     """Generator inserting the given keys, idempotently, in owner batches.
 
     Reads each batch first, in one round (one READ for a batch of one
     owner's keys, as owner_batches groups them), and writes only the
     missing keys, so a reload leaves existing keys at version 1.  Values
     come from `load_values`, so retries and reloads produce identical
-    bytes.  The batch size keeps each insert transaction's log records
-    within one WAL block.
+    bytes.  Each batch is as long as its insert transaction's PartReady
+    fits one WAL entry.
     """
     value_for = load_values(seed, spec.value_size)
 
@@ -248,8 +277,7 @@ def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int, batch: int = 1
         inserted = 0
         skipped = 0
         failures = 0
-        for i in range(0, len(keys), batch):
-            chunk = keys[i : i + batch]
+        for chunk in _insert_batches(keys, spec.value_size):
             h = cl.TxnHandle()
             values = yield from cl.txn_read_many(cs, h, chunk)
             for k, existing in zip(chunk, values):
@@ -271,8 +299,6 @@ def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int, batch: int = 1
 
 def owner_batches(key_count: int, members: list[int]) -> dict[int, list[bytes]]:
     """Keys 1..key_count grouped by owning server (for parallel loading)."""
-    from .server import owner_of
-
     out: dict[int, list[bytes]] = {sid: [] for sid in members}
     for i in range(1, key_count + 1):
         k = key_bytes(i)

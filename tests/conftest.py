@@ -1,6 +1,10 @@
-"""Shared helpers: simulator construction and generator-driving shortcuts."""
+"""Shared helpers: simulator construction, generator-driving shortcuts, and
+a directory-fsync spy."""
 
 from __future__ import annotations
+
+import os
+import stat
 
 import pytest
 
@@ -55,3 +59,23 @@ def commit_txn(sim: Simulator, client, keys, writes, timeout: float = 30.0):
 @pytest.fixture
 def sim3():
     return make_sim(3, seed=1)
+
+
+def fsynced_dirs(monkeypatch):
+    """(device, inode) of every directory os.fsync is called on."""
+    seen = []
+    real = os.fsync
+
+    def spy(fd):
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            seen.append((st.st_dev, st.st_ino))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    return seen
+
+
+def dir_id(path):
+    st = os.stat(path)
+    return st.st_dev, st.st_ino

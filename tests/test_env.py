@@ -2,6 +2,8 @@
 
 import os
 
+from conftest import dir_id, fsynced_dirs
+
 import pytest
 
 from dtx.env import DiskEnv, MemEnv, RegionFullError
@@ -112,3 +114,23 @@ def test_diskenv_ts_monotone(tmp_path):
     env = DiskEnv(str(tmp_path))
     ts = [env.next_ts() for _ in range(100)]
     assert ts == sorted(ts) and len(set(ts)) == 100
+
+
+@pytest.mark.parametrize("backend", ["mapped", "file"])
+def test_diskenv_syncs_the_directory_of_each_region_it_creates(tmp_path, backend, monkeypatch):
+    env = DiskEnv(str(tmp_path), backend=backend)
+    seen = fsynced_dirs(monkeypatch)
+    env.create_region("00000000000000000001.log", 4096).close()
+    assert seen == [dir_id(os.path.join(str(tmp_path), "wal"))]
+    env.create_region("gclog", 4096).close()
+    assert seen[1:] == [dir_id(str(tmp_path))]
+    env.open_region("gclog").close()  # opening creates no name
+    assert len(seen) == 2
+
+
+def test_diskenv_syncs_the_directory_a_blob_is_renamed_in(tmp_path, monkeypatch):
+    env = DiskEnv(str(tmp_path))
+    seen = fsynced_dirs(monkeypatch)
+    env.put_blob("epoch", b"1")
+    env.put_blob("epoch", b"2")
+    assert seen == [dir_id(str(tmp_path))] * 2

@@ -141,3 +141,14 @@ def test_transaction_round_trip(r, w):
     model._pack_txn(buf, txn)
     data = b"".join(buf)
     assert model._unpack_txn(data, 0) == (txn, len(data))
+
+
+@given(tranx_ids, reads, plain_writes)
+def test_part_ready_size_is_the_logged_size_of_a_slice(tranx, r, w):
+    try:
+        sub = Transaction(r, w)
+    except ValueError:
+        return  # duplicate keys drawn
+    ready = PartReady(tranx, sub.reads, tuple((k, v, 1) for k, v in sub.writes))
+    assert model.part_ready_size(sub) == len(encode_record(ready))
+    assert model.part_ready_size(sub) == 13 + len(rpc.enc_txn(sub)) + 8 * len(sub.writes)

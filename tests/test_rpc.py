@@ -128,10 +128,11 @@ def test_commit_req_codec():
 def test_prepare_and_vote_codecs():
     sub = Transaction(((b"k", 7),), ((b"k", b"v"),))
     assert rpc.dec_txn(rpc.enc_txn(sub)) == sub
-    reason, piggy = rpc.dec_vote_abort(
-        rpc.enc_vote_abort(AbortReason.STALE_READ, [(b"k", b"v", 8)])
+    # an abort vote is the COMMIT answer with committed 0
+    committed, reason, piggy = rpc.dec_commit_resp(
+        rpc.enc_commit_resp(False, AbortReason.STALE_READ, [(b"k", b"v", 8)])
     )
-    assert reason is AbortReason.STALE_READ
+    assert not committed and reason is AbortReason.STALE_READ
     assert piggy == [(b"k", b"v", 8)]
 
 
@@ -201,7 +202,7 @@ def _frame(env, golden):
     return env, rpc.frame_encode(env), golden, rpc.frame_decode
 
 
-VOTE = (AbortReason.LOCK_DENIED_WRITE, [(b"k1", b"v", 4), (b"k2", b"", 9)])
+VOTE = (False, AbortReason.LOCK_DENIED_WRITE, [(b"k1", b"v", 4), (b"k2", b"", 9)])
 GOLDEN = {
     "part-ready": _record(
         PartReady(T, ((b"k1", 3),), ((b"k2", b"val", 1), (b"z", b"", 5))),
@@ -227,10 +228,10 @@ GOLDEN = {
         "02000000" "020000006b31" "020000007631" "020000006b32" "00000000",
     ),
     "abort-vote": (
-        VOTE, rpc.enc_vote_abort(*VOTE),
+        VOTE, rpc.enc_commit_resp(*VOTE),
         "00" "02" "02000000" "020000006b31" "0100000076" "0400000000000000"
         "020000006b32" "00000000" "0900000000000000",
-        rpc.dec_vote_abort,
+        rpc.dec_commit_resp,
     ),
     "gc-lc": (258, rpc.enc_gc_lc(258), "0201000000000000", rpc.dec_gc_lc),
     "prepare-frame": _frame(
@@ -295,7 +296,7 @@ def test_every_strict_prefix_fails_to_decode(name):
 TRAILING = {
     "slice": (rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k2", b"val"),))), rpc.dec_txn),
     "commit-answer": (rpc.enc_commit_resp(True, None, []), rpc.dec_commit_resp),
-    "abort-vote": (rpc.enc_vote_abort(*VOTE), rpc.dec_vote_abort),
+    "abort-vote": (rpc.enc_commit_resp(*VOTE), rpc.dec_commit_resp),
     "gc-lc": (rpc.enc_gc_lc(258), rpc.dec_gc_lc),
 }
 
@@ -320,7 +321,7 @@ OUT_OF_RANGE = {
     "committed": (rpc.enc_commit_resp(True, None, []), 0, 2, rpc.dec_commit_resp),
     "commit-reason": (rpc.enc_commit_resp(False, AbortReason.STALE_READ, []), 1, UNUSED_REASON,
                       rpc.dec_commit_resp),
-    "vote-reason": (rpc.enc_vote_abort(*VOTE), 1, UNUSED_REASON, rpc.dec_vote_abort),
+    "vote-reason": (rpc.enc_commit_resp(*VOTE), 1, UNUSED_REASON, rpc.dec_commit_resp),
     "has-tranx": (GOLDEN["prepare-frame"][1], 23, 2, rpc.frame_decode),
     "has-client-commit": (GOLDEN["coord-commit-client"][1], 13, 2, decode_record),
 }

@@ -524,7 +524,7 @@ def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
     txn = Transaction(((span[0], 0), (span[1], 0)), ((span[0], b"x"), (span[1], b"y")))
     node = sim.nodes[0].node
     start = sim.now
-    rec = node.coord[node.coordinate(txn, None)]
+    rec = node.coord[node.coordinate(txn, (7, 1))]  # client 7, which no reply reaches
     sim.run(3.0)
     assert len(dropped) == PREPARE_BUDGET  # the first round and PREPARE_BUDGET - 1 resends
     prepared = [e[0] - start for e in sends(sim, "PREPARE")]
@@ -534,7 +534,8 @@ def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
     # one tick per round, the last of which aborts; no owner acks an abort,
     # so no tick follows it
     assert [at - start for at, _ in ticks] == prepared[1:] + [aborted]
-    assert rec.state is CoordState.ABORT and rec.abort_reason is AbortReason.TIMEOUT
+    assert rec.state is CoordState.ABORT
+    assert rpc.dec_commit_resp(node.dedup.check_client(7, 1)) == (False, AbortReason.TIMEOUT, [])
     assert rec.complete and resend_idle(sim)
     assert oracle.locks_clean(sim) == []
 
@@ -603,14 +604,18 @@ MALFORMED = {
     ),
     "prepare-with-trailing-bytes": (MsgType.PREPARE, "foreign", SLICE + b"x", None),
     "abort-vote-with-trailing-bytes": (
-        MsgType.ABORT_DECISION, "pending", rpc.enc_vote_abort(AbortReason.STALE_READ, []) + b"x", None
+        MsgType.ABORT_DECISION, "pending", rpc.enc_commit_resp(False, AbortReason.STALE_READ, []) + b"x", None
     ),
     "gc-lc-with-trailing-bytes": (MsgType.GC_LC, "none", rpc.enc_gc_lc(1) + b"x", None),
+    # the commit answer's bytes, but an abort vote cannot say committed
+    "abort-vote-marked-committed": (
+        MsgType.ABORT_DECISION, "pending", rpc.enc_commit_resp(True, None, []), None
+    ),
     # well formed, but a server takes these only from a server
     "prepare-from-a-client": (MsgType.PREPARE, "foreign", SLICE, None, rpc.CLIENT),
     "ready-from-a-client": (MsgType.READY, "pending", b"", None, rpc.CLIENT),
     "abort-vote-from-a-client": (
-        MsgType.ABORT_DECISION, "pending", rpc.enc_vote_abort(AbortReason.STALE_READ, []), None,
+        MsgType.ABORT_DECISION, "pending", rpc.enc_commit_resp(False, AbortReason.STALE_READ, []), None,
         rpc.CLIENT,
     ),
     "commit-decision-from-a-client": (MsgType.COMMIT_DECISION, "foreign", b"", None, rpc.CLIENT),
@@ -628,7 +633,7 @@ MALFORMED = {
 
 def node_state(node):
     return repr((
-        node.coord, node.part, node.pending_client, node._resend,
+        node.coord, node.part, node._resend,
         node.dedup.size(), node.dedup.duplicates_blocked, node.stats,
         node.locks.stats(), node.gc.table, node.issuer.last_issued,
     ))
@@ -741,7 +746,7 @@ def test_duplicate_prepare_resends_the_vote_and_takes_no_lock(read_version, rest
     assert again.msg_type == vote.msg_type
     if restart and vote.msg_type == MsgType.ABORT_DECISION:
         # the first vote's reason was never logged
-        assert again.payload == rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])
+        assert again.payload == rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
     else:
         assert again.payload == vote.payload
     assert node.locks.held_by(HAND_TRANX) == held and repr(node.part) == part and appends == []
@@ -772,7 +777,7 @@ def test_abort_decision_before_prepare_makes_the_prepare_a_no_op(restart, monkey
     assert node.locks.is_idle() and appends == []
     # a log holds the same PartAbort after an abort decision as after an
     # Abort vote, so a restarted node answers both with its logged vote
-    resent = [rpc.enc_vote_abort(AbortReason.ALREADY_ABORTED, [])] if restart else []
+    resent = [rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])] if restart else []
     assert [(e.msg_type, e.payload) for e in sent] == [(MsgType.ABORT_DECISION, v) for v in resent]
 
 
@@ -888,7 +893,8 @@ def test_a_restarted_slice_the_watermark_passed_settles_from_the_coordinators_ab
 def test_a_coordinator_answers_a_counted_ready_with_its_decision():
     """Coordinator 0, played against by hand: a READY it already counted
     gets its decision once it has one, and a READY naming an id of its own
-    it holds no record of gets Abort (presumed abort).  An undecided
+    it holds no record of gets Abort (presumed abort).  An Abort vote that
+    decides goes to every other owner, not back to the voter.  An undecided
     transaction, a repeated abort vote, a first vote after an early abort
     and another coordinator's id get nothing."""
     sim = make_sim(3, seed=5, gc_period=10.0)
@@ -897,7 +903,7 @@ def test_a_coordinator_answers_a_counted_ready_with_its_decision():
     sent = []
     sim.net_send = lambda src, dst, env: sent.append((dst[1], env.msg_type))
     txn = Transaction((), tuple((k, b"v") for k in span.values()))
-    abort = rpc.enc_vote_abort(AbortReason.STALE_READ, [])
+    abort = rpc.enc_commit_resp(False, AbortReason.STALE_READ, [])
 
     def answer(tranx, voter, vote=b""):
         """What coordinator 0 sends when `voter` votes; b"" is Ready."""
@@ -914,14 +920,80 @@ def test_a_coordinator_answers_a_counted_ready_with_its_decision():
     assert answer(committed, 1) == [(1, commit)]
     aborted = node.coordinate(txn, None)
     assert answer(aborted, 1) == []
-    assert answer(aborted, 2, abort) == [(1, abort_d), (2, abort_d)]
+    assert answer(aborted, 2, abort) == [(1, abort_d)]  # not to the voter
     assert answer(aborted, 1) == [(1, abort_d)]
     assert answer(aborted, 2, abort) == []  # a repeated abort vote
     early = node.coordinate(txn, None)
-    assert answer(early, 1, abort) == [(1, abort_d), (2, abort_d)]
+    assert answer(early, 1, abort) == [(2, abort_d)]
     assert answer(early, 2) == []  # the first vote, after the abort
     assert answer(TranxID(0, 99), 1) == [(1, abort_d)]
     assert answer(TranxID(1, 99), 2) == []
+
+
+def test_an_abort_vote_that_decides_is_not_answered_with_the_decision():
+    """Owner 1 votes down a three-owner transaction: coordinator 0 sends
+    ABORT_DECISION to owner 2 only, as owner 1's slice is already Abort,
+    and every slice ends Abort with its locks free."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    span = key_spanning(sim.members)
+    keys = [span[sid] for sid in range(3)]
+    reads = ((keys[0], 0), (keys[1], 5), (keys[2], 0))  # owner 1's read is stale
+    tranx = sim.nodes[0].node.coordinate(Transaction(reads, tuple((k, b"x") for k in keys)), None)
+    sim.run(1.0)
+    assert [e[3]["dest"] for e in sends(sim, "ABORT_DECISION") if e[1] == 0] == [2]
+    assert all(sim.nodes[sid].node.part[tranx].state is PartState.ABORT for sid in range(3))
+    assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+# -- one answer table: a client's dedup window ------------------------------------------
+
+
+def commit_from_client_7(sim):
+    """A two-owner COMMIT from client 7, which no reply reaches, and the
+    list that collects what is sent to 7."""
+    span = key_spanning(sim.members)
+    keys = [span[0], span[1]]
+    txn = Transaction(tuple((k, 0) for k in keys), tuple((k, b"w") for k in keys))
+    commit = Envelope(MsgType.COMMIT, rpc.CLIENT, 7, 1, None, rpc.enc_txn(txn))
+    return commit, drop_where(sim, lambda dst, env, n: dst == ("c", 7))
+
+
+def test_a_commit_resent_in_flight_starts_nothing_and_is_answered_once_at_the_decision():
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    commit, answers = commit_from_client_7(sim)
+    node = sim.nodes[0].node
+    node.on_message(commit)
+    (tranx,) = node.coord
+    assert node.coord[tranx].pending_ready == {1}  # waits on owner 1's vote
+    assert node.dedup.check_client(7, 1) == tranx
+    before = repr((node.coord, node.part, node._resend, node.dedup.size(), node.issuer.last_issued))
+    sent = len(sim.trace)
+    node.on_message(commit)
+    after = repr((node.coord, node.part, node._resend, node.dedup.size(), node.issuer.last_issued))
+    assert after == before and answers == []
+    assert not [e for e in sim.trace[sent:] if e[2] == "msg.send"]
+    while not answers:
+        assert sim.step()
+    (decided,) = [e[0] for e in sim.trace if e[2] == "coord.state" and e[3]["to"] == "Commit"]
+    assert sim.now == decided
+    sim.run(1.0)
+    assert [rpc.dec_commit_resp(e.payload) for e in answers] == [(True, None, [])]
+    assert node.dedup.check_client(7, 1) == answers[0].payload
+
+
+def test_a_commit_resent_after_its_decision_gets_the_same_bytes_and_no_new_tranx():
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    commit, answers = commit_from_client_7(sim)
+    node = sim.nodes[0].node
+    node.on_message(commit)
+    sim.run(1.0)
+    issued, records = node.issuer.last_issued, list(node.coord)
+    node.on_message(commit)
+    sim.run(1.0)
+    first, again = answers
+    assert again.payload == first.payload == node.dedup.check_client(7, 1)
+    assert node.issuer.last_issued == issued and list(node.coord) == records
+    assert rpc.dec_commit_resp(again.payload) == (True, None, [])
 
 
 # -- presumed abort ----------------------------------------------------------------
@@ -1085,7 +1157,8 @@ def test_load_reads_each_owner_batch_with_one_read():
         orig(src, dst, env)
 
     sim.net_send = net_send
-    expected = [(sid, keys[i : i + 16]) for sid, keys in batches for i in range(0, len(keys), 16)]
+    # each owner's 33 or 34 keys of 8 B values fit one batch's log entry
+    expected = batches
     for seed, field in ((1, "inserted"), (2, "skipped")):  # a load, then a reload
         del reads[:]
         client = sim.new_client(seed=seed)  # a cold cache, as a fresh `dtx load` has
@@ -1096,6 +1169,18 @@ def test_load_reads_each_owner_batch_with_one_read():
         sim.run(0.5)
     loaded = sim.global_state()
     assert len(loaded) == spec.key_count and {ver for _, ver in loaded.values()} == {1}
+
+
+@pytest.mark.parametrize("value_size", [250, 1000])
+def test_a_load_of_large_values_inserts_every_key(value_size):
+    """Each load batch is as long as its PartReady fits one WAL entry."""
+    sim = make_sim(3, seed=1)
+    spec = WorkloadSpec(key_count=64, value_size=value_size, seed=1)
+    client = sim.new_client(seed=1)
+    for sid, keys in sorted(owner_batches(spec.key_count, sim.members).items()):
+        report = run_gen(sim, client, load_script(keys, spec, spec.seed)(client.state))
+        assert report == {"inserted": len(keys), "skipped": 0, "failed_batches": 0}
+    assert len(sim.global_state()) == spec.key_count
 
 
 def test_preload_equals_a_completed_synced_load():

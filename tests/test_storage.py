@@ -1,5 +1,9 @@
 """Versioned stores, the LRU cache, and version discipline."""
 
+import os
+
+from conftest import dir_id, fsynced_dirs
+
 import pytest
 
 from dtx.cli import main
@@ -140,3 +144,12 @@ def test_engine_replay_is_idempotent():
     eng.apply_writes([(b"k", b"v2", 2)], replay=True)
     assert eng.get(b"k") == (b"v2", 2)
 
+
+
+def test_file_store_syncs_its_directory_once_when_it_creates_the_log(tmp_path, monkeypatch):
+    root = str(tmp_path)
+    seen = fsynced_dirs(monkeypatch)
+    FileKvStore(root).close()
+    assert seen == [dir_id(os.path.join(root, "db"))]
+    FileKvStore(root).close()  # the log exists: nothing to name
+    assert len(seen) == 1

@@ -1,4 +1,5 @@
-"""The loaded value of each key (`workload.load_values`)."""
+"""The loaded value of each key (`workload.load_values`), workload specs, and
+what the client library imports."""
 
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from dtx.workload import key_bytes, load_values
+from dtx.workload import ConfigError, WorkloadSpec, key_bytes, load_values
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -56,3 +57,18 @@ def test_preload_does_not_import_hashlib():
         "print('_hashlib' in sys.modules)\n"
     )
     assert run_python(code, "0") == "False"
+
+
+def test_a_value_size_whose_one_key_write_cannot_be_logged_is_a_config_error():
+    WorkloadSpec(key_count=64, value_size=4000)  # one 4,000 B key fits a log entry
+    with pytest.raises(ConfigError, match="value_size 5000"):
+        WorkloadSpec(key_count=64, value_size=5000)
+
+
+def test_the_client_library_does_not_import_the_server():
+    code = (
+        "import sys\n"
+        "import dtx.client\n"
+        "print(sorted(m for m in ('server', 'wal', 'gc', 'locks', 'env') if 'dtx.' + m in sys.modules))\n"
+    )
+    assert run_python(code, "0") == "[]"
