@@ -574,6 +574,7 @@ def test_contended_run_makes_under_1_3_durable_flushes_per_commit(monkeypatch):
 
 SLICE = rpc.enc_txn(Transaction(((b"k", 0),), ((b"k", b"v"),)))
 UNKNOWN = rpc.enc_commit_resp(False, AbortReason.UNKNOWN, [])
+STALE_VOTE = rpc.enc_commit_resp(False, AbortReason.STALE_READ, [])
 
 # (message type, transaction: none/pending/foreign, payload, expected reply
 # [, sender kind]); a client sends READ, VALIDATE, COMMIT and CLIENT_HELLO,
@@ -604,7 +605,7 @@ MALFORMED = {
     ),
     "prepare-with-trailing-bytes": (MsgType.PREPARE, "foreign", SLICE + b"x", None),
     "abort-vote-with-trailing-bytes": (
-        MsgType.ABORT_DECISION, "pending", rpc.enc_commit_resp(False, AbortReason.STALE_READ, []) + b"x", None
+        MsgType.ABORT_DECISION, "pending", STALE_VOTE + b"x", None
     ),
     "gc-lc-with-trailing-bytes": (MsgType.GC_LC, "none", rpc.enc_gc_lc(1) + b"x", None),
     # the commit answer's bytes, but an abort vote cannot say committed
@@ -615,8 +616,7 @@ MALFORMED = {
     "prepare-from-a-client": (MsgType.PREPARE, "foreign", SLICE, None, rpc.CLIENT),
     "ready-from-a-client": (MsgType.READY, "pending", b"", None, rpc.CLIENT),
     "abort-vote-from-a-client": (
-        MsgType.ABORT_DECISION, "pending", rpc.enc_commit_resp(False, AbortReason.STALE_READ, []), None,
-        rpc.CLIENT,
+        MsgType.ABORT_DECISION, "pending", STALE_VOTE, None, rpc.CLIENT
     ),
     "commit-decision-from-a-client": (MsgType.COMMIT_DECISION, "foreign", b"", None, rpc.CLIENT),
     "ack-from-a-client": (MsgType.ACK, "pending", b"", None, rpc.CLIENT),
