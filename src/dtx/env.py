@@ -1,9 +1,8 @@
 """Durable-storage backends.
 
 A NodeEnv owns everything on a server that survives a crash: fixed-length
-log regions, the key-value snapshot blob, and the restart epoch counter,
-which the server's client ids and TranxIDs carry, so no restart reuses an
-id an earlier incarnation handed out.
+regions, which hold the write-ahead log and the GCLog (the restart epoch
+and the watermark table, gc.py).
 Three region flavors exist:
 
 * mapped  - a memory-mapped file; the persist barrier is a store fence with
@@ -15,9 +14,9 @@ Three region flavors exist:
   bookkeeping; used by the deterministic simulator, where a crash is
   injected by discarding every byte not covered by a persist barrier.
 
-All flavors track unpersisted write ranges so a test harness can call
-crash() to model power loss: dirty ranges are zeroed, exactly as if the
-write never reached the medium.
+Only the memory flavor models a crash: it tracks its unpersisted write
+ranges, and crash() zeroes them, exactly as if the writes never reached the
+medium.  The other two bound every access and issue their barrier.
 """
 
 from __future__ import annotations
@@ -33,25 +32,11 @@ class RegionFullError(Exception):
     """Append would exceed the region's fixed length."""
 
 
-def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    if not ranges:
-        return []
-    ranges.sort()
-    out = [ranges[0]]
-    for lo, hi in ranges[1:]:
-        if lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 class Region:
     """Fixed-length random-access byte region with an explicit persist barrier."""
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self._dirty: list[tuple[int, int]] = []
 
     def write_at(self, offset: int, data: bytes) -> None:
         if offset < 0 or offset + len(data) > self.length:
@@ -59,7 +44,6 @@ class Region:
                 f"write of {len(data)} at {offset} exceeds region length {self.length}"
             )
         self._write(offset, data)
-        self._dirty = _merge_ranges(self._dirty + [(offset, offset + len(data))])
 
     def read_at(self, offset: int, n: int) -> bytes:
         if offset < 0 or offset + n > self.length:
@@ -68,21 +52,7 @@ class Region:
 
     def persist(self, offset: int = 0, n: int | None = None) -> None:
         """Durability barrier for [offset, offset+n); default: everything."""
-        hi = self.length if n is None else offset + n
-        kept = []
-        for lo, rhi in self._dirty:
-            if lo >= offset and rhi <= hi:
-                continue
-            kept.append((lo, rhi))
-        self._dirty = kept
-        self._barrier(offset, hi - offset)
-
-    def crash(self) -> None:
-        """Simulate power loss: unpersisted writes are lost (zeroed)."""
-        for lo, hi in self._dirty:
-            self._write(lo, bytes(hi - lo))
-        self._dirty = []
-        self._barrier(0, self.length)
+        self._barrier(offset, self.length - offset if n is None else n)
 
     def close(self) -> None:
         pass
@@ -100,23 +70,44 @@ class Region:
 
 class MemoryRegion(Region):
     """Grows as it is written, by at least doubling, up to its length; bytes
-    past the end of the buffer read as zero."""
+    past the end of the buffer read as zero.  Keeps the sorted, disjoint
+    byte ranges written since their last persist, which crash() loses."""
 
     def __init__(self, length: int) -> None:
         super().__init__(length)
         self._buf = bytearray()
+        self._dirty: list[tuple[int, int]] = []
+
+    @staticmethod
+    def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        ranges.sort()
+        out = [ranges[0]]
+        for lo, hi in ranges[1:]:
+            if lo <= out[-1][1]:
+                out[-1] = (out[-1][0], max(out[-1][1], hi))
+            else:
+                out.append((lo, hi))
+        return out
 
     def _write(self, offset: int, data: bytes) -> None:
         end = offset + len(data)
         if end > len(self._buf):
             self._buf += bytes(min(self.length, max(end, 2 * len(self._buf))) - len(self._buf))
         self._buf[offset:end] = data
+        self._dirty = self._merge_ranges(self._dirty + [(offset, end)])
 
     def _read(self, offset: int, n: int) -> bytes:
         return bytes(self._buf[offset : offset + n]).ljust(n, b"\0")
 
     def _barrier(self, offset: int, n: int) -> None:
-        pass
+        hi = offset + n
+        self._dirty = [(lo, rhi) for lo, rhi in self._dirty if lo < offset or rhi > hi]
+
+    def crash(self) -> None:
+        """Simulate power loss: unpersisted writes are lost (zeroed)."""
+        for lo, hi in self._dirty:
+            self._buf[lo:hi] = bytes(hi - lo)
+        self._dirty = []
 
 
 class MappedRegion(Region):
@@ -200,13 +191,6 @@ class NodeEnv:
         """Monotone, collision-free creation timestamp for log file names."""
         raise NotImplementedError
 
-    # small durable blobs (kv snapshot, restart epoch counter)
-    def put_blob(self, name: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def get_blob(self, name: str) -> bytes | None:
-        raise NotImplementedError
-
 
 class MemEnv(NodeEnv):
     """In-process environment for the deterministic simulator.
@@ -218,7 +202,6 @@ class MemEnv(NodeEnv):
 
     def __init__(self) -> None:
         self._regions: dict[str, MemoryRegion] = {}
-        self._blobs: dict[str, bytes] = {}
         self._ts = 0
 
     def create_region(self, name: str, length: int) -> MemoryRegion:
@@ -244,12 +227,6 @@ class MemEnv(NodeEnv):
         self._ts += 1
         return self._ts
 
-    def put_blob(self, name: str, data: bytes) -> None:
-        self._blobs[name] = bytes(data)
-
-    def get_blob(self, name: str) -> bytes | None:
-        return self._blobs.get(name)
-
     def crash_all(self) -> None:
         for r in self._regions.values():
             r.crash()
@@ -258,8 +235,8 @@ class MemEnv(NodeEnv):
 class DiskEnv(NodeEnv):
     """Directory-backed environment: <dir>/wal/*.log, <dir>/gclog, <dir>/db/.
 
-    Each file it creates or replaces has its directory synced, so the
-    file's name is as durable as its contents."""
+    Each file it creates has its directory synced, so the file's name is
+    as durable as its contents."""
 
     def __init__(self, root: str, backend: str = "mapped") -> None:
         if backend not in ("mapped", "file"):
@@ -311,20 +288,3 @@ class DiskEnv(NodeEnv):
         ts = max(time.time_ns(), self._last_ts + 1)
         self._last_ts = ts
         return ts
-
-    def put_blob(self, name: str, data: bytes) -> None:
-        path = self._path(name)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        fsync_dir(os.path.dirname(path))
-
-    def get_blob(self, name: str) -> bytes | None:
-        path = self._path(name)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as f:
-            return f.read()

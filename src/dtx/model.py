@@ -61,16 +61,11 @@ class Transaction:
     """Read set (key, observed version) and write set.
 
     The client's whole transaction, and also one participant's slice of it.
+    No key repeats within a set; _unpack_txn checks bytes from outside.
     """
 
     reads: tuple[tuple[bytes, int], ...]
     writes: tuple[tuple[bytes, bytes], ...]
-
-    def __post_init__(self) -> None:
-        if len({k for k, _ in self.reads}) != len(self.reads):
-            raise ValueError("duplicate key in read set")
-        if len({k for k, _ in self.writes}) != len(self.writes):
-            raise ValueError("duplicate key in write set")
 
     @property
     def keys(self) -> set[bytes]:
@@ -148,10 +143,10 @@ def _unpack_txn(b: bytes, pos: int) -> tuple[Transaction, int]:
         vstart = end + 4
         pos = vstart + _U32.unpack_from(b, end)[0]
         writes.append((b[start:end], b[vstart:pos]))
-    try:
-        return Transaction(reads, tuple(writes)), pos
-    except ValueError as e:
-        raise MalformedRecordError(str(e)) from None
+    # the one place a Transaction is built from outside bytes
+    if len(dict(reads)) != len(reads) or len(dict(writes)) != len(writes):
+        raise MalformedRecordError("duplicate key in a read or write set")
+    return Transaction(reads, tuple(writes)), pos
 
 
 class CoordState(enum.Enum):

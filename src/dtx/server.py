@@ -31,16 +31,17 @@ Commit flow, one path for every write transaction:
 A transaction owned only by its coordinator sends no message and makes one
 durable flush, CoordCommit, which carries the unforced PartReady with it.
 
-Recovery takes a new restart epoch before anything else, and the TranxIDs
-it issues carry it (gc.CompletionTracker), so no id a crashed incarnation
-sent in a PREPARE is issued again.  A coordinator record is rebuilt only
-for a logged CoordCommit some remote owner may not have acked: it resends
-the decision to the owners CoordCommit names.  An own slice is Commit if
-its CoordCommit was logged, else Abort; so is every transaction the log
-holds no CoordCommit of, whose undecided remote slices learn it from the
-coordinator's answer to their READY repeat.  The client dedup window is
-rebuilt from CoordCommit only: a resent COMMIT whose first attempt aborted
-runs again, as a new transaction, after its coordinator restarted.
+Recovery first takes a new restart epoch from the GC (GcManager.restart),
+which keeps it in the GCLog and issues every TranxID, carrying it, so no id
+a crashed incarnation sent in a PREPARE is issued again.  A coordinator
+record is rebuilt only for a logged CoordCommit some remote owner may not
+have acked: it resends the decision to the owners CoordCommit names.  An
+own slice is Commit if its CoordCommit was logged, else Abort; so is every
+transaction the log holds no CoordCommit of, whose undecided remote slices
+learn it from the coordinator's answer to their READY repeat.  The client
+dedup window is rebuilt from CoordCommit only: a resent COMMIT whose first
+attempt aborted runs again, as a new transaction, after its coordinator
+restarted.
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
@@ -99,7 +100,7 @@ from typing import ClassVar
 
 from . import rpc
 from .env import NodeEnv
-from .gc import CompletionTracker, GcLog, GcManager
+from .gc import GcLog, GcManager
 from .locks import LOCK_WAIT, LockTable, RejectReason
 from .model import (
     CoordCommit,
@@ -169,7 +170,6 @@ class CoordRec:
     pending_ack: set[ServerId] = field(default_factory=set)
     client_key: tuple[int, int] | None = None  # (client id, message id)
     retries: int = 0
-    complete: bool = False
 
 
 @dataclass
@@ -220,9 +220,6 @@ class ServerNode:
             store=self.storage,
             trace=trace,
         )
-        # issues this incarnation's seqs; recover_local replaces it with one
-        # at its restart epoch's base
-        self.issuer = self.gc.tracker
 
         self.coord: dict[TranxID, CoordRec] = {}
         self.part: dict[TranxID, PartRec] = {}
@@ -232,7 +229,6 @@ class ServerNode:
         # insertion order is due order
         self._resend: dict[TranxID, float] = {}
         self._resend_timer = None  # armed for the head of _resend, if any
-        self._epoch = 0  # restart count: client ids and TranxIDs carry it
         self._next_client = 0
         self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
 
@@ -287,7 +283,7 @@ class ServerNode:
     def assign_client_id(self) -> int:
         """Unique cluster-wide: assigning server + restart epoch + counter."""
         self._next_client += 1
-        return (self.sid << 48) | (self._epoch << 32) | self._next_client
+        return (self.sid << 48) | (self.gclog.epoch << 32) | self._next_client
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -384,14 +380,14 @@ class ServerNode:
             return
         # admission bound: every log record derived from this transaction
         # must fit one WAL entry, or commit would die midway.  The largest is
-        # a participant's PartReady, and no slice logs more than the whole
-        # transaction would, which is what a single owner logs
-        if part_ready_size(txn) > MAX_ENTRY:
+        # a participant's PartReady, and each owner logs only its own slice
+        subs = self._split(txn)
+        if max(map(part_ready_size, subs.values())) > MAX_ENTRY:
             payload = rpc.enc_commit_resp(False, AbortReason.LOG_FAILURE, [])
             self.dedup.record_client(client, mid, payload)
             self._reply(client, mid, payload)
             return
-        self.coordinate(txn, (client, mid))
+        self.coordinate(txn, (client, mid), subs)
 
     def _split(self, txn: Transaction) -> dict[ServerId, Transaction]:
         per: dict[ServerId, tuple[list, list]] = {}
@@ -406,11 +402,12 @@ class ServerNode:
             for sid, (reads, writes) in sorted(per.items())
         }
 
-    def coordinate(self, txn: Transaction, client_key: tuple[int, int] | None) -> TranxID:
-        """Start a write transaction; a client's request waits in its dedup
-        window as the new TranxID until the decision replaces it."""
-        subs = self._split(txn)
-        tranx = TranxID(self.sid, self.issuer.next())
+    def coordinate(self, txn: Transaction, client_key: tuple[int, int] | None, subs=None) -> TranxID:
+        """Start a write transaction, whose slices are subs if given, else
+        split here; a client's request waits in its dedup window as the new
+        TranxID until the decision replaces it."""
+        subs = subs or self._split(txn)
+        tranx = TranxID(self.sid, self.gc.next_seq())
         rec = CoordRec(tranx, subs, pending_ready=set(subs), pending_ack=set(subs), client_key=client_key)
         if client_key is not None:
             self.dedup.record_client(*client_key, tranx)
@@ -474,10 +471,12 @@ class ServerNode:
         self._send_decision(rec)
         if self.sid in rec.subs:
             self._handle_decision(rec.tranx, commit)
-        if not commit:
+        if commit:  # the own slice acks in-process
+            self._handle_ack(rec.tranx, self.sid)
+        else:
             rec.pending_ack.clear()
-        self._handle_ack(rec.tranx, self.sid)
-        if not rec.complete:
+            self._complete(rec)
+        if rec.pending_ack:
             self._queue_resend(rec)
 
     def _send_decision(self, rec: CoordRec) -> None:
@@ -498,14 +497,19 @@ class ServerNode:
         self._reply(*rec.client_key, payload)
 
     def _handle_ack(self, tranx: TranxID, sender: ServerId) -> None:
+        """A commit's ack; the last one outstanding completes the record."""
         rec = self.coord.get(tranx)
-        if rec is None or rec.state is CoordState.PREPARE:
+        if rec is None or rec.state is CoordState.PREPARE or sender not in rec.pending_ack:
             return
         rec.pending_ack.discard(sender)
-        if not rec.pending_ack and not rec.complete:
-            rec.complete = True
-            self._resend.pop(tranx, None)
-            self.gc.mark_complete(tranx)
+        if not rec.pending_ack:
+            self._complete(rec)
+
+    def _complete(self, rec: CoordRec) -> None:
+        """A decided record waits for no ack: it leaves the resend map, and
+        the GC counts it complete."""
+        self._resend.pop(rec.tranx, None)
+        self.gc.mark_complete(rec.tranx)
 
     # -- read-only validation ------------------------------------------------------
 
@@ -715,11 +719,11 @@ class ServerNode:
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
 
     def _reclaim_records(self) -> None:
-        """Drop the records of decided transactions the watermark passed."""
+        """Drop the records of decided transactions the watermark passed.  A
+        coordinator record still waiting for an ack is never passed: the
+        watermark sits below the first seq not yet complete."""
         lc = self.gc.table
-        self.coord = {
-            t: r for t, r in self.coord.items() if not r.complete or t.seq > lc.get(t.coordinator, 0)
-        }
+        self.coord = {t: r for t, r in self.coord.items() if t.seq > lc.get(t.coordinator, 0)}
         self.part = {
             t: r
             for t, r in self.part.items()
@@ -730,9 +734,9 @@ class ServerNode:
     # -- recovery ---------------------------------------------------------------------------
 
     def recover_local(self) -> None:
-        """Take a new restart epoch, then fold the WAL into volatile state."""
-        self._epoch = self._bump_epoch()
-        self.issuer = self.gc.tracker = CompletionTracker(self._epoch)
+        """Take a new restart epoch from the GC, then fold the WAL into
+        volatile state."""
+        self.gc.restart()
         committed: dict[TranxID, CoordCommit] = {}
         part_ready: dict[TranxID, PartReady] = {}
         part_state: dict[TranxID, PartState] = {}
@@ -783,16 +787,10 @@ class ServerNode:
             if remote:
                 participants = dict.fromkeys(recd.participants)
                 self.coord[t] = CoordRec(t, participants, CoordState.COMMIT, pending_ack=remote)
-                self.issuer.hold(t.seq)
+                self.gc.hold(t.seq)
 
-        self.gc.table[self.sid] = self.issuer.lc
+        self.gc.table[self.sid] = self.gc.lc
         self._trace("recovered", coord=len(committed), in_doubt_part=in_doubt_part)
-
-    def _bump_epoch(self) -> int:
-        raw = self.env.get_blob("epoch")
-        epoch = int(raw.decode()) + 1 if raw else 1
-        self.env.put_blob("epoch", str(epoch).encode())
-        return epoch
 
     def recover_global(self) -> None:
         """Resend the commits recovery found unacked, and READY for each
@@ -813,7 +811,7 @@ class ServerNode:
             "dedup_entries": self.dedup.size(),
             "wal_files": self.tranxlog.file_count(),
             "lc": dict(self.gc.table),
-            "in_flight_coord": sum(1 for r in self.coord.values() if not r.complete),
+            "in_flight_coord": sum(1 for r in self.coord.values() if r.pending_ack),
         }
 
     def shutdown(self) -> None:

@@ -1,4 +1,4 @@
-"""Durable environments: persist barriers, crash semantics, blobs."""
+"""Durable environments: persist barriers, crash semantics, region registries."""
 
 import os
 
@@ -65,11 +65,8 @@ def test_memenv_region_registry():
     assert not env.region_exists("a.log")
 
 
-def test_memenv_blobs_and_ts():
+def test_memenv_ts():
     env = MemEnv()
-    assert env.get_blob("epoch") is None
-    env.put_blob("epoch", b"1")
-    assert env.get_blob("epoch") == b"1"
     assert env.next_ts() < env.next_ts()
 
 
@@ -95,14 +92,6 @@ def test_diskenv_rejects_unknown_backend(tmp_path):
         DiskEnv(str(tmp_path), backend="nvme")
 
 
-def test_diskenv_blob_is_atomic_replace(tmp_path):
-    env = DiskEnv(str(tmp_path))
-    env.put_blob("epoch", b"1")
-    env.put_blob("epoch", b"2")
-    assert env.get_blob("epoch") == b"2"
-    assert not os.path.exists(os.path.join(str(tmp_path), "epoch.tmp"))
-
-
 def test_diskenv_wal_files_live_under_wal_dir(tmp_path):
     env = DiskEnv(str(tmp_path))
     r = env.create_region("00000000000000000009.log", 4096)
@@ -126,11 +115,3 @@ def test_diskenv_syncs_the_directory_of_each_region_it_creates(tmp_path, backend
     assert seen[1:] == [dir_id(str(tmp_path))]
     env.open_region("gclog").close()  # opening creates no name
     assert len(seen) == 2
-
-
-def test_diskenv_syncs_the_directory_a_blob_is_renamed_in(tmp_path, monkeypatch):
-    env = DiskEnv(str(tmp_path))
-    seen = fsynced_dirs(monkeypatch)
-    env.put_blob("epoch", b"1")
-    env.put_blob("epoch", b"2")
-    assert seen == [dir_id(str(tmp_path))] * 2

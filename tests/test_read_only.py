@@ -117,7 +117,7 @@ def test_read_only_commit_logs_locks_and_numbers_nothing(owners, monkeypatch):
         lambda self, rec, durable: appends.append(rec) or orig_append(self, rec, durable),
     )
     nodes = [n.node for n in sim.nodes.values()]
-    issued = [node.issuer.last_issued for node in nodes]
+    issued = [node.gc.last_issued for node in nodes]
     dedup = [node.dedup.size() for node in nodes]
     msgs = server_counts(sim)
     mark = len(sim.trace)
@@ -130,7 +130,7 @@ def test_read_only_commit_logs_locks_and_numbers_nothing(owners, monkeypatch):
 
     assert appends == []
     assert [e for e in sim.trace[mark:] if e[2] == "lock.grant"] == []
-    assert [node.issuer.last_issued for node in nodes] == issued
+    assert [node.gc.last_issued for node in nodes] == issued
     assert [node.dedup.size() for node in nodes] == dedup
     assert server_counts(sim) == msgs  # no server-to-server message
     # one READ per key, then one VALIDATE per owner of a key other than the

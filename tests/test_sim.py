@@ -18,6 +18,7 @@ from dtx.bench import preload_sim, run_sim_bench, start_clients
 from dtx.cli import format_trace
 from dtx.model import (
     CoordCommit, CoordState, PartAbort, PartReady, PartState, Transaction, TranxID, encode_record,
+    part_ready_size,
 )
 from dtx.rpc import AbortReason, Envelope, MsgType
 from dtx.sim import CrashPlan, NetConfig, SimCrash, Simulator
@@ -415,6 +416,19 @@ def test_admission_bound_is_exact_for_a_single_owner_commit(monkeypatch):
     assert sim.node_state(0)[k] == (b"v" * fill, 1)
 
 
+def test_admission_bounds_each_slice_not_the_whole_transaction():
+    """Each owner logs only its own slice, so a two-owner write whose slices
+    each fit one WAL entry commits, though together they do not."""
+    sim = make_sim(3, seed=5)
+    ks = [keys_owned_by(sid, sim.members, 1)[0] for sid in (0, 1)]
+    value = b"v" * 2100
+    assert part_ready_size(Transaction((), tuple((k, value) for k in ks))) > MAX_ENTRY
+    c = sim.new_client(seed=1)
+    assert commit_txn(sim, c, [], dict.fromkeys(ks, value))[:2] == (True, None)
+    state = sim.global_state()
+    assert [state[k] for k in ks] == [(value, 1)] * 2
+
+
 def test_commit_decision_is_sent_in_the_step_that_persists_it():
     sim = make_sim(3, seed=5)
     span = key_spanning(sim.members)
@@ -536,7 +550,7 @@ def test_silent_owner_times_out_after_prepare_budget_rounds(monkeypatch):
     assert [at - start for at, _ in ticks] == prepared[1:] + [aborted]
     assert rec.state is CoordState.ABORT
     assert rpc.dec_commit_resp(node.dedup.check_client(7, 1)) == (False, AbortReason.TIMEOUT, [])
-    assert rec.complete and resend_idle(sim)
+    assert not rec.pending_ack and resend_idle(sim)
     assert oracle.locks_clean(sim) == []
 
 
@@ -635,7 +649,7 @@ def node_state(node):
     return repr((
         node.coord, node.part, node._resend,
         node.dedup.size(), node.dedup.duplicates_blocked, node.stats,
-        node.locks.stats(), node.gc.table, node.issuer.last_issued,
+        node.locks.stats(), node.gc.table, node.gc.last_issued,
     ))
 
 
@@ -966,10 +980,10 @@ def test_a_commit_resent_in_flight_starts_nothing_and_is_answered_once_at_the_de
     (tranx,) = node.coord
     assert node.coord[tranx].pending_ready == {1}  # waits on owner 1's vote
     assert node.dedup.check_client(7, 1) == tranx
-    before = repr((node.coord, node.part, node._resend, node.dedup.size(), node.issuer.last_issued))
+    before = repr((node.coord, node.part, node._resend, node.dedup.size(), node.gc.last_issued))
     sent = len(sim.trace)
     node.on_message(commit)
-    after = repr((node.coord, node.part, node._resend, node.dedup.size(), node.issuer.last_issued))
+    after = repr((node.coord, node.part, node._resend, node.dedup.size(), node.gc.last_issued))
     assert after == before and answers == []
     assert not [e for e in sim.trace[sent:] if e[2] == "msg.send"]
     while not answers:
@@ -987,12 +1001,12 @@ def test_a_commit_resent_after_its_decision_gets_the_same_bytes_and_no_new_tranx
     node = sim.nodes[0].node
     node.on_message(commit)
     sim.run(1.0)
-    issued, records = node.issuer.last_issued, list(node.coord)
+    issued, records = node.gc.last_issued, list(node.coord)
     node.on_message(commit)
     sim.run(1.0)
     first, again = answers
     assert again.payload == first.payload == node.dedup.check_client(7, 1)
-    assert node.issuer.last_issued == issued and list(node.coord) == records
+    assert node.gc.last_issued == issued and list(node.coord) == records
     assert rpc.dec_commit_resp(again.payload) == (True, None, [])
 
 
@@ -1016,12 +1030,12 @@ def test_an_abort_logs_nothing_at_its_coordinator_and_is_never_acked(owners, mon
     Ready owner's first READY, arriving after the abort, is absorbed."""
     sim = make_sim(3, seed=5, gc_period=10.0)
     appends, seals = record_wal(monkeypatch, sim)
-    decided = []  # (sid, tranx, state, the issuer's lc, the resend map) after each _decide
+    decided = []  # (sid, tranx, state, the GC's lc, the resend map) after each _decide
     orig_decide = ServerNode._decide
 
     def decide(self, rec, *args):
         orig_decide(self, rec, *args)
-        decided.append((self.sid, rec.tranx, rec.state, self.issuer.lc, dict(self._resend)))
+        decided.append((self.sid, rec.tranx, rec.state, self.gc.lc, dict(self._resend)))
 
     monkeypatch.setattr(ServerNode, "_decide", decide)
     txn, _ = stale_own_slice(sim, owners)
@@ -1096,7 +1110,7 @@ def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():
 
     def quiet():
         return all(d.done for d in drivers) and all(
-            all(r.complete for r in n.coord.values())
+            all(not r.pending_ack for r in n.coord.values())
             and all(r.state in (PartState.COMMIT, PartState.ABORT) for r in n.part.values())
             for n in nodes
         )
@@ -1297,7 +1311,7 @@ def test_own_slice_logged_without_a_decision_is_aborted_at_recovery(monkeypatch)
     assert node.part[TranxID(0, 1)].state is PartState.ABORT
     assert TranxID(0, 1) not in node.coord
     retry = TranxID(0, (1 << 40) + 1)  # the first id of epoch 2
-    assert node.issuer.last_issued == retry.seq
+    assert node.gc.last_issued == retry.seq
     assert node.coord[retry].state is CoordState.COMMIT
     assert sim.global_state()[k] == (value, 1)
     assert oracle.locks_clean(sim) == []

@@ -128,6 +128,8 @@ def test_stopped_server_frees_its_port(cluster):
 
 @pytest.mark.parametrize("backend", ["mapped-flush", "file-sync"])
 def test_a_stopped_server_closes_its_gc_log(tmp_path, backend):
+    """The gclog, which also keeps the restart epoch, is closed on stop and
+    is the one file of the data directory outside wal/ and db/."""
     (port,) = free_ports(1)
     cfg = ClusterConfig.parse(
         f"member = 0 127.0.0.1:{port}\ndata_dir = {tmp_path}\nbackend = {backend}"
@@ -138,6 +140,7 @@ def test_a_stopped_server_closes_its_gc_log(tmp_path, backend):
     assert not region._f.closed
     runtime.stop()
     assert region._f.closed
+    assert sorted(p.name for p in (tmp_path / "server-0").iterdir()) == ["db", "gclog", "wal"]
 
 
 def test_live_node_runs_on_one_protocol_thread(tmp_path, monkeypatch):
