@@ -60,6 +60,7 @@ class GcLog:
         if env.region_exists(GCLOG_NAME):
             self.region = env.open_region(GCLOG_NAME)
             if self.region.length != 2 * self.half:
+                self.region.close()
                 raise CorruptionError(
                     f"gclog is {self.region.length} B, not two {self.half} B halves"
                 )
