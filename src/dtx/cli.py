@@ -117,8 +117,13 @@ def _parse_scenario(text: str) -> dict:
             )
     except ValueError as e:
         raise ConfigError(f"bad crash or partition entry: {e}") from None
+    servers = read_number(kv, "servers", int, 3)
+    named = {c[0] for c in crashes} | {sid for a, b, _, _ in partitions for sid in a + b}
+    if servers < 1 or not named <= set(range(servers)):
+        raise ConfigError(f"servers = {servers} needs to be 1 or more and to hold every crash and"
+                          f" partition id, got {sorted(named)}")
     return {
-        "servers": read_number(kv, "servers", int, 3),
+        "servers": servers,
         "clients": read_number(kv, "clients", int, 4),
         "key_count": read_number(kv, "key_count", int, 8),
         "read_fraction": read_number(kv, "read_fraction", float, 0.50),

@@ -8,7 +8,10 @@ issued and never committed is aborted too (presumed abort: an abort is
 neither logged nor acked).  Watermarks are persisted in the fixed-size
 GCLog, broadcast to peers, and drive WAL file reclamation and the server's
 pruning of its coordinator and participant records
-(ServerNode._reclaim_records).
+(ServerNode._reclaim_records).  They also settle a restarted participant's
+in-doubt slice, a PartReady with no PartCommit: one the watermark passed
+aborted, as a commit completes only once every remote participant forced
+PartCommit, and WAL files are reclaimed oldest first.
 
 The GCLog also keeps the server's restart epoch.  GcManager.restart takes
 the next one and persists it with one GCLog write before any TranxID or
@@ -26,7 +29,9 @@ larger generation is the one read at open.
   half = generation: u64 LE | epoch: u32 LE | slot_count: u32 LE
          | slot_count x (server: u32 LE, seq: u64 LE)
          | crc32: u32 LE over everything before it
-A file whose length is not two such halves is refused with CorruptionError.
+A file whose length is not two such halves is refused with CorruptionError,
+and so is one with neither a valid nor an all-zero (never written) half: a
+write tears only the half it overwrites.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ def _half_size(members: int) -> int:
 class GcLog:
     """Fixed-size, double-buffered, atomically overwritten file of the
     restart epoch and the watermark table, decoded once at open: a fresh or
-    wrecked file reads as generation 0, epoch 0 and all-zero watermarks."""
+    torn-at-first-write file reads as generation 0, epoch 0 and all-zero
+    watermarks."""
 
     def __init__(self, env: NodeEnv, member_ids: list[ServerId]) -> None:
         self.members = sorted(member_ids)
@@ -67,10 +73,13 @@ class GcLog:
         else:
             self.region = env.create_region(GCLOG_NAME, 2 * self.half)
         self.generation, self.epoch, self.table = 0, 0, dict.fromkeys(self.members, 0)
-        for offset in (0, self.half):
-            decoded = self._decode_half(self.region.read_at(offset, self.half))
-            if decoded is not None and decoded[0] > self.generation:
-                self.generation, self.epoch, self.table = decoded
+        halves = [self.region.read_at(offset, self.half) for offset in (0, self.half)]
+        valid = [d for d in map(self._decode_half, halves) if d is not None]
+        if not valid and all(any(h) for h in halves):
+            self.region.close()
+            raise CorruptionError(f"{GCLOG_NAME}: no half is valid and none is unwritten")
+        if valid:
+            self.generation, self.epoch, self.table = max(valid, key=lambda d: d[0])
 
     def _encode_half(self, generation: int, table: dict[ServerId, int]) -> bytes:
         body = _HEAD.pack(generation, self.epoch, len(self.members)) + b"".join(

@@ -187,11 +187,11 @@ def part_transition_legal(a: PartState, b: PartState) -> bool:
 
 # --- WAL record kinds -------------------------------------------------------
 
-# kinds 1 and 3, the retired prepare and abort records, are not read
+# kinds 1, 3 and 6, the retired coordinator prepare, coordinator abort and
+# participant abort records, are not read: no site logs an abort
 _KIND_COORD_COMMIT = 2
 _KIND_PART_READY = 4
 _KIND_PART_COMMIT = 5
-_KIND_PART_ABORT = 6
 
 
 @dataclass(frozen=True)
@@ -241,14 +241,7 @@ class PartCommit:
     kind = _KIND_PART_COMMIT
 
 
-@dataclass(frozen=True)
-class PartAbort:
-    tranx: TranxID
-
-    kind = _KIND_PART_ABORT
-
-
-LogRecord = CoordCommit | PartReady | PartCommit | PartAbort
+LogRecord = CoordCommit | PartReady | PartCommit
 
 
 def encode_record(rec: LogRecord) -> bytes:
@@ -261,7 +254,7 @@ def encode_record(rec: LogRecord) -> bytes:
         head += b"\x00" if rec.client is None else b"\x01" + _CLIENT.pack(*rec.client)
         n = len(rec.participants)
         return head + struct.pack(f"<I{n}I", n, *rec.participants)
-    if kind == _KIND_PART_COMMIT or kind == _KIND_PART_ABORT:
+    if kind == _KIND_PART_COMMIT:
         return head
     if kind != _KIND_PART_READY:  # pragma: no cover - exhaustive over LogRecord
         raise TypeError(f"unknown record type {type(rec)!r}")
@@ -292,8 +285,6 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
         return CoordCommit(tranx, client, struct.unpack_from(f"<{count}I", b, pos)), pos + 4 * count
     if kind == _KIND_PART_COMMIT:
         return PartCommit(tranx), pos
-    if kind == _KIND_PART_ABORT:
-        return PartAbort(tranx), pos
     if kind != _KIND_PART_READY:
         raise MalformedRecordError(f"unknown record kind {kind}")
     reads, pos = _unpack_reads(b, pos)

@@ -40,10 +40,11 @@ from types import SimpleNamespace
 from . import rpc
 from .client import RPC_TIMEOUT, RPC_TRIES, BlockingClient, ClientState, RequestCore
 from .env import DiskEnv
+from .model import MalformedRecordError
 from .rpc import Envelope, FrameError, MsgType
 from .server import ServerConfig, ServerNode
 from .storage import FileKvStore
-from .workload import ClusterConfig
+from .workload import ClusterConfig, parse_addr
 
 log = logging.getLogger(__name__)
 
@@ -54,11 +55,6 @@ _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 # Pending output per connection, in bytes: room for the largest frame
 # behind another.  A message that would pass it is dropped.
 OUT_LIMIT = 2 * rpc.MAX_FRAME
-
-
-def _parse_addr(addr: str) -> tuple[str, int]:
-    host, _, port = addr.rpartition(":")
-    return host, int(port)
 
 
 class _Item:
@@ -111,7 +107,7 @@ class EventLoop:
             # Connect without blocking; until it completes, a write raises BlockingIOError.
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setblocking(False)
-            err = sock.connect_ex(_parse_addr(self.cluster.address_of(dest)))
+            err = sock.connect_ex(parse_addr(self.cluster.address_of(dest)))
             if err not in (0, errno.EINPROGRESS):
                 sock.close()
                 return
@@ -215,7 +211,7 @@ class ServerRuntime(EventLoop):
     def __init__(self, cluster: ClusterConfig, sid: int, data_dir: str | None = None) -> None:
         super().__init__(cluster)
         self.sid = sid
-        self.addr = _parse_addr(cluster.address_of(sid))
+        self.addr = parse_addr(cluster.address_of(sid))
         root = data_dir or f"{cluster.data_dir}/server-{sid}"
         self.env = DiskEnv(root, backend=_BACKENDS[cluster.backend])
         self.store = FileKvStore(root)
@@ -357,12 +353,14 @@ class SocketDriver(RequestCore, EventLoop):
         return done[0]
 
     def handshake(self) -> int:
-        """Ask each member in turn for a client id; any one may assign it."""
+        """Ask each member in turn for a client id; any one may assign it,
+        and an answer that does not decode counts as none."""
         env = Envelope(MsgType.CLIENT_HELLO, rpc.CLIENT, 0, 0, None, b"")
         for sid in self.cluster.member_ids:
             payload = self.request(sid, env)
             if payload is not None:
-                return int.from_bytes(payload[:8], "little")
+                with contextlib.suppress(MalformedRecordError):
+                    return rpc.dec_u64(payload)
         raise ConnectionError("no server answered the client handshake")
 
     def _drop(self, sid: int) -> None:

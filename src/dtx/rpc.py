@@ -270,13 +270,14 @@ def dec_commit_resp(b: bytes):
     return _decode_whole(_unpack_answer, b, "commit answer")
 
 
-def enc_gc_lc(lc_seq: int) -> bytes:
-    return _U64.pack(lc_seq)
+def enc_u64(n: int) -> bytes:
+    """A GC_LC watermark, or the client id a CLIENT_HELLO answer assigns."""
+    return _U64.pack(n)
 
 
-def dec_gc_lc(b: bytes) -> int:
+def dec_u64(b: bytes) -> int:
     if len(b) != _U64.size:
-        raise MalformedRecordError(f"GC_LC payload of {len(b)} bytes, not {_U64.size}")
+        raise MalformedRecordError(f"u64 payload of {len(b)} bytes, not {_U64.size}")
     return _U64.unpack(b)[0]
 
 

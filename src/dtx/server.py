@@ -10,23 +10,22 @@ Commit flow, one path for every write transaction:
   1. take a TranxID and send Prepare to every remote owner, logging nothing
      (presumed abort, as in R*); run the coordinator's own slice in-process;
   2. each participant locks (shared for read-only keys, exclusive for
-     written keys), validates read versions, freezes post-versions,
-     appends PartReady and votes Ready -- or votes Abort.  A remote
-     participant forces its PartReady; the own slice does not, as the
-     coordinator's decision flush persists it;
-  3. all Ready -> persist CoordCommit (durable), which names the owners;
-     any Abort vote -> decide Abort without waiting for the other votes,
-     and log nothing (presumed abort).  Either way, in that same step,
+     written keys), validates read versions, freezes post-versions and
+     votes Ready -- a remote one after forcing PartReady -- or votes Abort;
+  3. all Ready -> persist the own slice's PartReady and CoordCommit, which
+     names the owners, in one flush; any Abort vote -> decide Abort
+     without waiting for the other votes.  Either way, in that same step,
      answer the client and send the decision to every remote participant
      but an Abort's voter, whose slice is already Abort, so their locks go
      one hop after the decision;
-  4. participants log the decision, apply frozen post-versions, release
-     locks, and acknowledge a commit; once every remote participant acked
-     it, the transaction is reported complete to the garbage collector.
-     An abort is complete once decided: it is sent once and never acked,
-     and a participant that missed it learns it from its READY repeat.
-     The own slice logs no decision: CoordCommit, or its absence, is its
-     decision record, as for the coordinator's own site in R*.
+  4. participants force PartCommit, apply frozen post-versions, release
+     locks and ack a commit; once every remote participant acked it, the
+     transaction is reported complete to the garbage collector.  An abort
+     releases locks, is complete once decided and is never acked; a
+     participant that missed it learns it from its READY repeat.
+No site logs an abort (presumed abort, at every site): a slice committed
+iff its commit record is logged, CoordCommit for the own slice, as for the
+coordinator's own site in R*, and PartCommit for a remote one.
 
 A transaction owned only by its coordinator sends no message and makes one
 durable flush, CoordCommit, which carries the unforced PartReady with it.
@@ -35,13 +34,14 @@ Recovery first takes a new restart epoch from the GC (GcManager.restart),
 which keeps it in the GCLog and issues every TranxID, carrying it, so no id
 a crashed incarnation sent in a PREPARE is issued again.  A coordinator
 record is rebuilt only for a logged CoordCommit some remote owner may not
-have acked: it resends the decision to the owners CoordCommit names.  An
-own slice is Commit if its CoordCommit was logged, else Abort; so is every
-transaction the log holds no CoordCommit of, whose undecided remote slices
-learn it from the coordinator's answer to their READY repeat.  The client
-dedup window is rebuilt from CoordCommit only: a resent COMMIT whose first
-attempt aborted runs again, as a new transaction, after its coordinator
-restarted.
+have acked: it resends the decision to the owners CoordCommit names.  A
+committed slice is replayed.  A remote slice with a PartReady and no
+PartCommit is in doubt: it is re-locked and repeats READY, unless the
+watermark passed it, which says it aborted.  An aborted slice keeps no
+record; a later message for it is settled by the watermark or by the
+coordinator's presumed-abort answer.  The client dedup window is rebuilt
+from CoordCommit only: a resent COMMIT whose first attempt aborted runs
+again, as a new transaction, after its coordinator restarted.
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
@@ -79,8 +79,8 @@ and these records answer every repeated message.  A PartRec keeps its
 vote, so a duplicate PREPARE gets the same vote back; a commit the
 record already shows is acked again with no effect; an abort decision that
 overtakes its PREPARE leaves a record in Abort, which drops the late
-PREPARE.  A CoordRec answers a READY it already counted with the decision,
-once there is one, and the coordinator answers Abort to a READY naming an
+PREPARE until a restart.  A CoordRec answers a READY it already counted
+with the decision, once there is one, and the coordinator answers Abort to a READY naming an
 id of its own it holds no record of (presumed abort, as in R*): the id was
 never decided, or its record went once the watermark passed it, and a
 participant acks a commit only once it is durable, so only an abort can be
@@ -107,7 +107,6 @@ from .model import (
     CoordState,
     LogRecord,
     MalformedRecordError,
-    PartAbort,
     PartCommit,
     PartReady,
     PartState,
@@ -126,9 +125,6 @@ from .wal import FILE_CAPACITY, MAX_ENTRY, TranxLog
 
 RESEND = 0.200  # repeat PREPARE or a decision an owner has not answered
 PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
-# the vote a restarted participant resends for a slice it logged only as
-# aborted: the first vote's reason and piggyback were never logged
-_ABORTED_VOTE = rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
 
 # message types that name their transaction in the envelope; with GC_LC
 # these are the types only a server sends, and a client sends the others
@@ -311,7 +307,7 @@ class ServerNode:
             return None
 
     def _on_client_hello(self, env: Envelope) -> None:
-        self._reply(env.sender_id, env.message_id, self.assign_client_id().to_bytes(8, "little"))
+        self._reply(env.sender_id, env.message_id, rpc.enc_u64(self.assign_client_id()))
 
     def _on_validate(self, env: Envelope) -> None:
         sub = self._decode(env, rpc.dec_txn)
@@ -347,7 +343,7 @@ class ServerNode:
         self._handle_ack(env.tranx, env.sender_id)
 
     def _on_gc_lc(self, env: Envelope) -> None:
-        lc_seq = self._decode(env, rpc.dec_gc_lc)
+        lc_seq = self._decode(env, rpc.dec_u64)
         if lc_seq is not None:
             self.gc.on_lc_broadcast(env.sender_id, lc_seq)
 
@@ -462,6 +458,10 @@ class ServerNode:
     def _decide(self, rec: CoordRec, decision: CoordState, reason, piggyback) -> None:
         commit = decision is CoordState.COMMIT
         if commit:
+            # the own slice's PartReady goes out in the CoordCommit flush
+            own = rec.subs.get(self.sid)
+            if own is not None:
+                self._append(PartReady(rec.tranx, own.reads, self.part[rec.tranx].writes), durable=False)
             self._append(CoordCommit(rec.tranx, rec.client_key, tuple(rec.subs)), durable=True)
         self._set_coord_state(rec, decision)
         # the client and the participants hear the decision once it is
@@ -590,18 +590,15 @@ class ServerNode:
         if rec is None or rec.state != PartState.START:
             return  # a concurrent abort decision already settled this one
         reason, out = self._check_locked(tranx, sub, granted, why)
-        if reason is not None:
-            # an own slice logs nothing: no CoordCommit means Abort
-            if tranx.coordinator != self.sid:
-                self._append(PartAbort(tranx), durable=False)
+        if reason is not None:  # an abort vote logs nothing (presumed abort)
             self._set_part_state(rec, PartState.ABORT)
             self.locks.record_abort(tranx)
             self._cast_vote(rec, reason, out)
             return
         rec.writes = out
         remote = tranx.coordinator != self.sid
-        # an own slice's PartReady is persisted by the CoordCommit flush
-        self._append(PartReady(tranx, sub.reads, out), durable=remote)
+        if remote:  # an own slice's PartReady waits for the commit (_decide)
+            self._append(PartReady(tranx, sub.reads, out), durable=True)
         self._set_part_state(rec, PartState.READY)
         self._cast_vote(rec, None, [])
         if remote:  # READY again every RESEND until the decision lands
@@ -650,7 +647,6 @@ class ServerNode:
             self.locks.release_all(tranx)
         elif rec is None or rec.state in (PartState.START, PartState.READY):
             if remote:
-                self._append(PartAbort(tranx), durable=False)
                 self._resend.pop(tranx, None)
             if rec is None:  # the abort overtook its PREPARE: the record drops it
                 self.part[tranx] = PartRec(tranx, state=PartState.ABORT)
@@ -714,7 +710,7 @@ class ServerNode:
     def _gc_tick(self) -> None:
         lc_seq = self.gc.tick()
         for sid in self.peers:  # fire-and-forget
-            self._send(sid, self._server_env(MsgType.GC_LC, None, rpc.enc_gc_lc(lc_seq)))
+            self._send(sid, self._server_env(MsgType.GC_LC, None, rpc.enc_u64(lc_seq)))
         self._reclaim_records()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
 
@@ -737,40 +733,27 @@ class ServerNode:
         """Take a new restart epoch from the GC, then fold the WAL into
         volatile state."""
         self.gc.restart()
-        committed: dict[TranxID, CoordCommit] = {}
+        # each slice's PartReady, and its commit record if logged: CoordCommit
+        # for an own slice, PartCommit for a remote one
         part_ready: dict[TranxID, PartReady] = {}
-        part_state: dict[TranxID, PartState] = {}
+        committed: dict[TranxID, CoordCommit | PartCommit] = {}
         for recd in self.tranxlog.scan():
-            t = recd.tranx
-            if isinstance(recd, CoordCommit):
-                committed[t] = recd
-            elif isinstance(recd, PartReady):
-                part_ready[t] = recd
-                part_state[t] = PartState.READY
-            elif isinstance(recd, PartCommit):
-                part_state[t] = PartState.COMMIT
-            elif isinstance(recd, PartAbort):
-                part_state[t] = PartState.ABORT
+            if isinstance(recd, PartReady):
+                part_ready[recd.tranx] = recd
+            else:
+                committed[recd.tranx] = recd
 
-        # participant side: a record for every slice the log holds; replay
-        # commits, re-lock in-doubt ready slices
-        in_doubt_part = 0
-        for t, state in sorted(part_state.items()):
-            ready = part_ready.get(t)
-            if ready is None:
-                if state is PartState.ABORT:  # voted Abort; the vote's reason was not logged
-                    self.part[t] = PartRec(t, state=PartState.ABORT, vote=_ABORTED_VOTE)
-                continue
-            if t.coordinator == self.sid:  # own slice: committed only by a CoordCommit
-                state = PartState.COMMIT if t in committed else PartState.ABORT
-            self.part[t] = PartRec(t, ready.writes, state, vote=b"")
-            if state is PartState.COMMIT:
+        # participant side: replay committed slices, re-lock in-doubt ones
+        # the watermark has not passed (see gc.py); keep no aborted one
+        for t, ready in sorted(part_ready.items()):
+            if t in committed:
+                self.part[t] = PartRec(t, ready.writes, PartState.COMMIT, vote=b"")
                 self.storage.apply_writes(list(ready.writes), replay=True)
-            elif state is PartState.READY:
+            elif t.coordinator != self.sid and not self.gc.is_final_by_watermark(t):
+                self.part[t] = PartRec(t, ready.writes, PartState.READY, vote=b"")
                 result: list = []
                 self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
                 assert result and result[0], f"recovery re-lock failed for {t}"
-                in_doubt_part += 1
 
         # coordinator side: a commit some remote owner may not have acked is
         # pending, and recover_global resends it; anything else is complete.
@@ -779,6 +762,8 @@ class ServerNode:
         # re-executed as a fresh transaction; an aborted one runs again
         base_lc = self.gc.table.get(self.sid, 0)
         for t, recd in sorted(committed.items()):
+            if t.coordinator != self.sid:  # a PartCommit
+                continue
             if recd.client is not None:
                 self.dedup.record_client(*recd.client, rpc.enc_commit_resp(True, None, []))
             if t.seq <= base_lc:
@@ -790,7 +775,8 @@ class ServerNode:
                 self.gc.hold(t.seq)
 
         self.gc.table[self.sid] = self.gc.lc
-        self._trace("recovered", coord=len(committed), in_doubt_part=in_doubt_part)
+        in_doubt = sum(r.state is PartState.READY for r in self.part.values())
+        self._trace("recovered", coord=len(self.coord), in_doubt_part=in_doubt)
 
     def recover_global(self) -> None:
         """Resend the commits recovery found unacked, and READY for each

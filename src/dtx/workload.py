@@ -73,6 +73,14 @@ def read_number(kv: dict, key: str, kind, default):
         raise ConfigError(f"key {key!r}: {raw!r} is not a {kind.__name__}") from None
 
 
+def parse_addr(addr: str) -> tuple[str, int]:
+    """(host, port) of a member's host:port address."""
+    host, _, port = addr.rpartition(":")
+    if not host or not port.isdecimal() or not 0 < int(port) < 65536:
+        raise ConfigError(f"member address {addr!r} is not host:port with a port 1..65535")
+    return host, int(port)
+
+
 @dataclass
 class ClusterConfig:
     members: list[tuple[int, str]]  # (server id, host:port), order defines ids
@@ -89,6 +97,8 @@ class ClusterConfig:
         ids = [sid for sid, _ in self.members]
         if ids != list(range(len(ids))):
             raise ConfigError(f"member ids must be 0..n-1 in order, got {ids}")
+        for _, addr in self.members:
+            parse_addr(addr)
         if self.backend not in ("mapped-flush", "file-sync"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         cores = os.cpu_count() or 1
@@ -107,14 +117,11 @@ class ClusterConfig:
         kv = parse_kv_file(text)
         check_keys(kv, cls.KEYS, "cluster config")
         members = []
-        for i, m in enumerate(kv.get("member", [])):
+        for m in kv.get("member", []):
             parts = m.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[0].isdecimal():
                 raise ConfigError(f"member entry {m!r}: expected '<id> <host:port>'")
-            sid = int(parts[0])
-            if sid != i:
-                raise ConfigError(f"member ids must appear in order; got {sid} at position {i}")
-            members.append((sid, parts[1]))
+            members.append((int(parts[0]), parts[1]))
         return cls(
             members=members,
             data_dir=_single(kv, "data_dir", "data"),

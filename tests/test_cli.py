@@ -44,12 +44,36 @@ def test_spec_and_scenario_files_are_strict(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["servers = 0\n", "crash = 7 0.1 0.1\n", "crash = -1 0.1 0.1\n", "partition = 0|5 0.5 0.3\n",
+     "servers = 2\npartition = 2|0,1 0.5 0.3\n"],
+    ids=["no-servers", "crash-past-the-last-server", "crash-negative-id", "partition-past-the-last-server",
+         "partition-past-a-smaller-cluster"],
+)
+def test_a_scenario_names_only_servers_it_has(text, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        _parse_scenario(text)
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    assert main(["sim", "--scenario", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_bench_and_sim_report_config_errors(tmp_path, capsys):
     path = tmp_path / "bad.spec"
     path.write_text("duration = ten\n")
     assert main(["bench", "--spec", str(path), "--csv", str(tmp_path / "o.csv")]) == 2
     assert main(["sim", "--scenario", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("member", ["x 127.0.0.1:7000", "0 127.0.0.1:port"], ids=["id", "port"])
+def test_server_reports_a_bad_member_as_a_config_error(member, tmp_path, capsys):
+    path = tmp_path / "bad.cluster"
+    path.write_text(f"member = {member}\ndata_dir = {tmp_path}\n")
+    assert main(["server", "--config", str(path), "--id", "0"]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_run_scenario_all_verdicts_pass():
@@ -115,7 +139,7 @@ def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):
 
 
 def test_log_dump_flags_a_record_it_cannot_decode(tmp_path, capsys):
-    """Kinds 1 and 3, the retired prepare and abort records, no longer
+    """Kinds 1, 3 and 6, the retired prepare and abort records, no longer
     decode: each is reported as corrupt and the dump exits 2, and the
     records around them still print."""
     root = str(tmp_path)
@@ -124,11 +148,13 @@ def test_log_dump_flags_a_record_it_cannot_decode(tmp_path, capsys):
     tranx = "01000000" "0200000000000000"  # TranxID(1, 2)
     log.manager.append(bytes.fromhex("01" + tranx + "00" "00000000"))
     log.manager.append(bytes.fromhex("03" + tranx + "00"))
+    log.manager.append(bytes.fromhex("06" + tranx))
     log.append(CoordCommit(TranxID(0, 3)), durable=True)
     assert main(["log-dump", "--dir", root]) == 2
     out = capsys.readouterr().out
-    assert out.count("CORRUPT: undecodable record") == 2
-    assert "unknown record kind 1" in out and "unknown record kind 3" in out
+    assert out.count("CORRUPT: undecodable record") == 3
+    for kind in (1, 3, 6):
+        assert f"unknown record kind {kind}" in out
     assert out.count("CoordCommit") == 2
 
 

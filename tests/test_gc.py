@@ -56,10 +56,24 @@ def test_gclog_survives_corruption_of_either_half():
     region.write_at(4, b"\xee")
     region.persist()
     assert GcLog(env, [0, 1]).table == {0: 1, 1: 1}
-    # wreck the other half too: all zeros, never an exception
+    # wreck the other half too: no half holds the epoch, so the file is
+    # refused rather than read as epoch 0, which would reissue ids
     region.write_at(half + 4, b"\xee")
     region.persist()
-    assert GcLog(env, [0, 1]).table == {0: 0, 1: 0}
+    with pytest.raises(CorruptionError, match=GCLOG_NAME):
+        GcLog(env, [0, 1])
+
+
+def test_gclog_whose_first_write_tore_opens_as_fresh():
+    """The first write goes to half 1; torn, it leaves half 0 all zero,
+    which no write has touched, so the file opens as generation 0."""
+    env = MemEnv()
+    log = GcLog(env, [0, 1])
+    data = log._encode_half(1, {0: 3, 1: 3})
+    log.region.write_at(log.half, data[: len(data) // 2])
+    log.region.persist()
+    reopened = GcLog(env, [0, 1])
+    assert (reopened.generation, reopened.epoch, reopened.table) == (0, 0, {0: 0, 1: 0})
 
 
 def test_gclog_torn_write_keeps_previous_generation():

@@ -10,7 +10,6 @@ from dtx.model import (
     CoordCommit,
     CoordState,
     MalformedRecordError,
-    PartAbort,
     PartCommit,
     PartReady,
     PartState,
@@ -36,7 +35,6 @@ records = st.one_of(
     st.builds(CoordCommit, tranx_ids, client_keys, owners),
     st.builds(PartReady, tranx_ids, reads, ready_writes),
     st.builds(PartCommit, tranx_ids),
-    st.builds(PartAbort, tranx_ids),
 )
 
 

@@ -246,9 +246,16 @@ def test_protocol_core_pins_the_loop_thread(tmp_path, monkeypatch):
         "protocol_core = -1",
         "protocol_core = one",
         "gc_period = fast",
+        "member = x 127.0.0.1:7001",
+        "member = 1 127.0.0.1:port",
+        "member = 1 127.0.0.1:0",
+        "member = 1 127.0.0.1:65536",
+        "member = 1 :7001",
+        "member = 1 127.0.0.1",
     ],
     ids=["misspelt-key", "stage-line", "core-out-of-range", "negative-core", "core-not-int",
-         "period-not-float"],
+         "period-not-float", "id-not-int", "port-not-int", "port-zero", "port-too-large",
+         "empty-host", "no-port"],
 )
 def test_cluster_config_rejects_unknown_keys_and_bad_cores(line):
     with pytest.raises(ConfigError):

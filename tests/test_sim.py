@@ -17,7 +17,7 @@ from dtx import sim as simmod
 from dtx.bench import preload_sim, run_sim_bench, start_clients
 from dtx.cli import format_trace
 from dtx.model import (
-    CoordCommit, CoordState, PartAbort, PartReady, PartState, Transaction, TranxID, encode_record,
+    CoordCommit, CoordState, PartCommit, PartReady, PartState, Transaction, TranxID, encode_record,
     part_ready_size,
 )
 from dtx.rpc import AbortReason, Envelope, MsgType
@@ -367,7 +367,9 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     """The coordinator's own slice forces no record: CoordCommit persists
     its PartReady and is its decision, and it logs nothing before PREPARE,
     so CoordCommit is its one flush either way.  Only a remote owner forces
-    PartReady and PartCommit."""
+    PartReady and PartCommit.  An abort, decided by an Abort vote or sent
+    as a decision, appends nothing at any server but a remote owner's
+    forced PartReady."""
     sim = make_sim(3, seed=5, gc_period=10.0)
     sim.audit_messages = True
     appends, seals = record_wal(monkeypatch, sim)
@@ -389,6 +391,20 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     assert appends == {sid: [("PartReady", True), ("PartCommit", True)]
                        for sid in sim.members if sid != coordinator}
     assert seals == {sid: 2 for sid in sim.members if sid != coordinator}
+
+    # coordinator 0 aborts on its own slice's Abort vote, on a remote
+    # owner's, and by TIMEOUT, as owner 2 never gets a PREPARE; the slice
+    # of the owner `stale` reads a stale version
+    drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.PREPARE and dst == ("s", 2))
+    for owners, stale, logged in ((1, 0, {}), (2, 1, {}), (3, None, {1: [("PartReady", True)]})):
+        appends.clear()
+        seals.clear()
+        keys = [span[sid] for sid in range(owners)]
+        reads = tuple((k, 5 if sid == stale else 1) for sid, k in enumerate(keys))
+        tranx = sim.nodes[0].node.coordinate(Transaction(reads, tuple((k, b"a") for k in keys)), None)
+        sim.run(2.0)
+        assert oracle.decided(sim.trace)[tranx] == {"Abort"}
+        assert appends == logged and seals == dict.fromkeys(logged, 1)
 
 
 def test_admission_bound_is_exact_for_a_single_owner_commit(monkeypatch):
@@ -621,7 +637,7 @@ MALFORMED = {
     "abort-vote-with-trailing-bytes": (
         MsgType.ABORT_DECISION, "pending", STALE_VOTE + b"x", None
     ),
-    "gc-lc-with-trailing-bytes": (MsgType.GC_LC, "none", rpc.enc_gc_lc(1) + b"x", None),
+    "gc-lc-with-trailing-bytes": (MsgType.GC_LC, "none", rpc.enc_u64(1) + b"x", None),
     # the commit answer's bytes, but an abort vote cannot say committed
     "abort-vote-marked-committed": (
         MsgType.ABORT_DECISION, "pending", rpc.enc_commit_resp(True, None, []), None
@@ -634,7 +650,7 @@ MALFORMED = {
     ),
     "commit-decision-from-a-client": (MsgType.COMMIT_DECISION, "foreign", b"", None, rpc.CLIENT),
     "ack-from-a-client": (MsgType.ACK, "pending", b"", None, rpc.CLIENT),
-    "gc-lc-from-a-client": (MsgType.GC_LC, "none", rpc.enc_gc_lc(5), None, rpc.CLIENT),
+    "gc-lc-from-a-client": (MsgType.GC_LC, "none", rpc.enc_u64(5), None, rpc.CLIENT),
     # well formed, but a server answers only a client
     "read-from-a-server": (MsgType.READ, "none", rpc.enc_read_req([b"k"]), None, rpc.SERVER),
     "validate-from-a-server": (
@@ -733,7 +749,6 @@ def repeat_on(sim, sent, restart, monkeypatch):
     """Participant 1, restarted from its log if asked, with its sends and
     its log appends from here on recorded."""
     if restart:
-        sim.nodes[1].node.tranxlog.manager.flush()  # PartAbort is appended unflushed
         sim.crash(1)
         sim.restart(1)
     node = sim.nodes[1].node
@@ -759,11 +774,14 @@ def test_duplicate_prepare_resends_the_vote_and_takes_no_lock(read_version, rest
     (again,) = sent
     assert again.msg_type == vote.msg_type
     if restart and vote.msg_type == MsgType.ABORT_DECISION:
-        # the first vote's reason was never logged
-        assert again.payload == rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])
+        # an Abort vote leaves no record to restart from: the duplicate is
+        # prepared afresh and votes Abort again on the same stale read
+        assert part == "{}" and node.part[HAND_TRANX].state is PartState.ABORT
+        assert rpc.dec_commit_resp(again.payload)[1] is AbortReason.STALE_READ
     else:
-        assert again.payload == vote.payload
-    assert node.locks.held_by(HAND_TRANX) == held and repr(node.part) == part and appends == []
+        assert repr(node.part) == part
+    assert again.payload == vote.payload
+    assert node.locks.held_by(HAND_TRANX) == held and appends == []
 
 
 @RESTART
@@ -782,17 +800,24 @@ def test_replayed_commit_decision_is_acked_and_applied_once(restart, monkeypatch
 
 @RESTART
 def test_abort_decision_before_prepare_makes_the_prepare_a_no_op(restart, monkeypatch):
+    """Live, the Abort record the decision leaves drops the late PREPARE.
+    An abort logs nothing, so a restarted node prepares it and votes
+    Ready, and the coordinator's Abort answer to its READY settles it."""
     sim, sent, k = hand_driven_participant()
     deliver(sim, MsgType.ABORT_DECISION)
     assert sent == []  # an abort is never acked
     node, appends = repeat_on(sim, sent, restart, monkeypatch)
     deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
+    if restart:
+        assert [e.msg_type for e in sent] == [MsgType.READY]
+        assert [type(r).__name__ for r in appends] == ["PartReady"]
+        assert node.part[HAND_TRANX].state is PartState.READY and node.locks.held_by(HAND_TRANX) == {k}
+        del appends[:], sim.net_send  # the real coordinator 0 answers the READY repeat
+        sim.run(0.5)
+    else:
+        assert sent == []
     assert node.part[HAND_TRANX].state == PartState.ABORT
-    assert node.locks.is_idle() and appends == []
-    # a log holds the same PartAbort after an abort decision as after an
-    # Abort vote, so a restarted node answers both with its logged vote
-    resent = [rpc.enc_commit_resp(False, AbortReason.ALREADY_ABORTED, [])] if restart else []
-    assert [(e.msg_type, e.payload) for e in sent] == [(MsgType.ABORT_DECISION, v) for v in resent]
+    assert node.locks.is_idle() and appends == [] and resend_idle(sim)
 
 
 def test_a_stale_abort_status_answer_cannot_undo_a_commit():
@@ -881,27 +906,46 @@ def test_only_the_coordinators_decision_settles_a_slice(case, monkeypatch):
 
 
 def test_a_restarted_slice_the_watermark_passed_settles_from_the_coordinators_abort():
-    """Participant 1 votes Ready, appends the abort decision unflushed,
-    and learns from GC_LC that the watermark passed the transaction.
-    Killed before that block is flushed, it restarts with the slice Ready
-    and its key locked.  Its repeated READY names an id coordinator 0 holds
-    no record of, so 0 answers Abort (presumed abort), which settles the
-    slice although the watermark passed it."""
+    """Participant 1 votes Ready, takes the abort decision, which logs
+    nothing, and learns from GC_LC that the watermark passed the
+    transaction.  Restarted, it finds a PartReady with no PartCommit that
+    the watermark passed, so the slice aborted: recovery settles it and
+    keeps no record or lock of it."""
     sim, sent, k = hand_driven_participant()
     deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
     deliver(sim, MsgType.ABORT_DECISION)
     assert [e.msg_type for e in sent] == [MsgType.READY]
     node = sim.nodes[1].node
-    node.on_message(Envelope(MsgType.GC_LC, rpc.SERVER, 0, 2, None, rpc.enc_gc_lc(HAND_TRANX.seq)))
-    sim.crash(1)  # the PartAbort is lost
+    node.on_message(Envelope(MsgType.GC_LC, rpc.SERVER, 0, 2, None, rpc.enc_u64(HAND_TRANX.seq)))
+    sim.crash(1)
     del sim.net_send  # from here on the real network carries server 1's messages
     sim.restart(1)
     node = sim.nodes[1].node
     assert node.gc.is_final_by_watermark(HAND_TRANX)
-    assert node.part[HAND_TRANX].state is PartState.READY and node.locks.held_by(HAND_TRANX) == {k}
+    assert HAND_TRANX not in node.part and node.locks.is_idle()
     sim.run(0.5)
-    assert node.part[HAND_TRANX].state is PartState.ABORT and node.locks.is_idle()
+    assert HAND_TRANX not in node.part and node.locks.is_idle()
     assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+def test_a_restarted_ready_slice_the_watermark_passed_keeps_no_lock_and_sends_no_ready():
+    """Participant 1 votes Ready and never hears the decision; GC_LC says
+    the watermark passed the transaction, so its coordinator aborted it.
+    Restarted, participant 1 holds no record, lock or resend entry of the
+    slice and never repeats its READY."""
+    sim, sent, k = hand_driven_participant()
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
+    node = sim.nodes[1].node
+    node.on_message(Envelope(MsgType.GC_LC, rpc.SERVER, 0, 2, None, rpc.enc_u64(HAND_TRANX.seq)))
+    assert node.part[HAND_TRANX].state is PartState.READY
+    sim.crash(1)
+    del sent[:]
+    sim.restart(1)
+    node = sim.nodes[1].node
+    assert HAND_TRANX not in node.part and node.locks.is_idle() and HAND_TRANX not in node._resend
+    sim.run(1.0)
+    assert [e for e in sent if e.msg_type is MsgType.READY] == []
+    assert node.locks.is_idle() and resend_idle(sim)
 
 
 def test_a_coordinator_answers_a_counted_ready_with_its_decision():
@@ -1280,15 +1324,15 @@ def test_own_slice_logged_without_a_decision_is_aborted_at_recovery(monkeypatch)
     """A single-owner commit whose CoordCommit append seals the block that
     holds its PartReady, on a node killed before CoordCommit is flushed,
     leaves an own slice in the log with no coordinator record.  Recovery
-    aborts it (presumed abort), keeps no coordinator record of it, and
-    issues the client's retry an id of its own restart epoch."""
+    aborts it (presumed abort), keeps no record or lock of it, and issues
+    the client's retry an id of its own restart epoch."""
     sim = make_sim(3, seed=5, gc_period=10.0)
     sim.auto_restart = 0.100
     k = b"k0"
     assert owner_of(k, sim.members) == 0
     log = sim.nodes[0].node.tranxlog
-    for seq in (1, 2, 3):  # as abort votes leave them: unflushed
-        log.append(PartAbort(TranxID(1, seq)), durable=False)
+    for seq in (1, 2, 3):  # filler, unflushed
+        log.append(PartCommit(TranxID(1, seq)), durable=False)
     orig_append = TranxLog.append
     sealed = []
 
@@ -1308,8 +1352,7 @@ def test_own_slice_logged_without_a_decision_is_aborted_at_recovery(monkeypatch)
     sim.run(2.0)  # settle; the first GC tick after the restart is 10 s away
     node = sim.nodes[0].node
     assert (ok, reason) == (True, None)
-    assert node.part[TranxID(0, 1)].state is PartState.ABORT
-    assert TranxID(0, 1) not in node.coord
+    assert TranxID(0, 1) not in node.part and TranxID(0, 1) not in node.coord
     retry = TranxID(0, (1 << 40) + 1)  # the first id of epoch 2
     assert node.gc.last_issued == retry.seq
     assert node.coord[retry].state is CoordState.COMMIT

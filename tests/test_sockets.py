@@ -214,6 +214,19 @@ def test_handshake_skips_a_member_that_is_down(tmp_path):
             r.stop()
 
 
+def test_handshake_skips_an_answer_that_is_not_a_client_id(tmp_path):
+    """Member 0 answers the handshake with 4 bytes, which decode to no
+    client id, so the handshake asks member 1 and takes its answer."""
+    raws = [RawServer({0: [(0, b"\x01\x00\x00\x00")]}), RawServer({0: [(0, rpc.enc_u64(1 << 48 | 5))]})]
+    driver = SocketDriver(make_cluster(tmp_path, [r.listener.getsockname()[1] for r in raws]))
+    try:
+        assert driver.handshake() == 1 << 48 | 5
+    finally:
+        driver.close()
+        for r in raws:
+            r.close()
+
+
 def test_read_only_commit_validates_at_each_owner_over_sockets(cluster, monkeypatch):
     cfg, holder = cluster
     members = list(cfg.member_ids)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtx.env import MemEnv
-from dtx.model import CoordCommit, PartAbort, PartReady, TranxID
+from dtx.model import CoordCommit, PartCommit, PartReady, TranxID
 from dtx.wal import (
     BLOCK_HEADER,
     BLOCK_PAYLOAD_CAP,
@@ -156,7 +156,7 @@ def test_tranxlog_scan_round_trip_and_summaries():
     recs = [
         PartReady(TranxID(1, 4), ((b"k", 0),), ((b"k", b"v", 1),)),
         CoordCommit(TranxID(0, 9), (77, 3)),
-        PartAbort(TranxID(0, 2)),
+        PartCommit(TranxID(0, 2)),
     ]
     for r in recs:
         log.append(r, durable=True)
