@@ -393,15 +393,18 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     assert seals == {sid: 2 for sid in sim.members if sid != coordinator}
 
     # coordinator 0 aborts on its own slice's Abort vote, on a remote
-    # owner's, and by TIMEOUT, as owner 2 never gets a PREPARE; the slice
-    # of the owner `stale` reads a stale version
+    # owner's, and by TIMEOUT, as owner 2 never gets a PREPARE, with owner
+    # 1 Ready or not an owner; the slice of the owner `stale` reads a
+    # stale version
     drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.PREPARE and dst == ("s", 2))
-    for owners, stale, logged in ((1, 0, {}), (2, 1, {}), (3, None, {1: [("PartReady", True)]})):
+    for owners, stale, logged in (
+        ([0], 0, {}), ([0, 1], 1, {}), ([0, 2], None, {}), ([0, 1, 2], None, {1: [("PartReady", True)]}),
+    ):
         appends.clear()
         seals.clear()
-        keys = [span[sid] for sid in range(owners)]
-        reads = tuple((k, 5 if sid == stale else 1) for sid, k in enumerate(keys))
-        tranx = sim.nodes[0].node.coordinate(Transaction(reads, tuple((k, b"a") for k in keys)), None)
+        reads = tuple((span[sid], 5 if sid == stale else 1) for sid in owners)
+        writes = tuple((span[sid], b"a") for sid in owners)
+        tranx = sim.nodes[0].node.coordinate(Transaction(reads, writes), None)
         sim.run(2.0)
         assert oracle.decided(sim.trace)[tranx] == {"Abort"}
         assert appends == logged and seals == dict.fromkeys(logged, 1)
