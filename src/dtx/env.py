@@ -235,16 +235,18 @@ class MemEnv(NodeEnv):
 class DiskEnv(NodeEnv):
     """Directory-backed environment: <dir>/wal/*.log, <dir>/gclog, <dir>/db/.
 
-    Each file it creates has its directory synced, so the file's name is
-    as durable as its contents."""
+    Each file or directory it creates has its directory synced, so the
+    name is as durable as its contents."""
 
     def __init__(self, root: str, backend: str = "mapped") -> None:
         if backend not in ("mapped", "file"):
             raise ValueError(f"unknown region backend {backend!r}")
         self.root = root
         self.backend = backend
-        os.makedirs(os.path.join(root, "wal"), exist_ok=True)
-        os.makedirs(os.path.join(root, "db"), exist_ok=True)
+        for d in (root, os.path.join(root, "wal"), os.path.join(root, "db")):
+            if not os.path.isdir(d):
+                os.makedirs(d)
+                fsync_dir(os.path.dirname(os.path.abspath(d)))
         self._last_ts = 0
 
     def _path(self, name: str) -> str:

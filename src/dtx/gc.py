@@ -8,10 +8,10 @@ issued and never committed is aborted too (presumed abort: an abort is
 neither logged nor acked).  Watermarks are persisted in the fixed-size
 GCLog, broadcast to peers, and drive WAL file reclamation and the server's
 pruning of its coordinator and participant records
-(ServerNode._reclaim_records).  They also settle a restarted participant's
-in-doubt slice, a PartReady with no PartCommit: one the watermark passed
-aborted, as a commit completes only once every remote participant forced
-PartCommit, and WAL files are reclaimed oldest first.
+(ServerNode._reclaim_records).  They also settle a participant's
+undecided slice, live or at restart (a PartReady with no PartCommit):
+one they passed aborted, as a commit completes only once every remote
+participant forced PartCommit, and WAL files are reclaimed oldest first.
 
 The GCLog also keeps the server's restart epoch.  GcManager.restart takes
 the next one and persists it with one GCLog write before any TranxID or

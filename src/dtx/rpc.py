@@ -41,9 +41,9 @@ Payloads (blob = len: u32 LE | bytes):
 * COMMIT_DECISION and ABORT_DECISION, coordinator to participant, and the
   participant's ACK of a commit: the TranxID in the envelope, an empty
   payload.  One message names one transaction.  An abort is sent once and
-  never acked (presumed abort): a participant with a slice in doubt,
-  whether restarted or live, repeats its READY, and the coordinator
-  answers it with its decision, Abort when it holds no record of the id.
+  never acked (presumed abort): a participant repeats READY for a slice
+  in doubt, which settles from the coordinator's decision, or as aborted
+  once the GC watermark passed it (see server.py).
   A participant's vote: READY with an empty payload, or an ABORT_DECISION
   to the coordinator whose payload is the COMMIT answer with committed 0,
   its reason and the stale entries; one marked committed does not decode

@@ -22,7 +22,7 @@ Commit flow, one path for every write transaction:
      locks and ack a commit; once every remote participant acked it, the
      transaction is reported complete to the garbage collector.  An abort
      releases locks, is complete once decided and is never acked; a
-     participant that missed it learns it from its READY repeat.
+     participant that missed it learns it from a READY repeat or the GC.
 No site logs an abort (presumed abort, at every site): a slice committed
 iff its commit record is logged, CoordCommit for the own slice, as for the
 coordinator's own site in R*, and PartCommit for a remote one.
@@ -37,11 +37,13 @@ record is rebuilt only for a logged CoordCommit some remote owner may not
 have acked: it resends the decision to the owners CoordCommit names.  A
 committed slice is replayed.  A remote slice with a PartReady and no
 PartCommit is in doubt: it is re-locked and repeats READY, unless the
-watermark passed it, which says it aborted.  An aborted slice keeps no
-record; a later message for it is settled by the watermark or by the
-coordinator's presumed-abort answer.  The client dedup window is rebuilt
-from CoordCommit only: a resent COMMIT whose first attempt aborted runs
-again, as a new transaction, after its coordinator restarted.
+watermark passed it (below) or a slice that logged its PartReady later
+locked one of its keys in a conflicting mode, which says it aborted: each
+PartReady is logged while its slice holds its locks, and a commit forces
+PartCommit before it releases them.  An aborted slice keeps no record.
+The client dedup window is rebuilt from CoordCommit only: a resent COMMIT
+whose first attempt aborted runs again, as a new transaction, after its
+coordinator restarted.
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
@@ -80,15 +82,15 @@ vote, so a duplicate PREPARE gets the same vote back; a commit the
 record already shows is acked again with no effect; an abort decision that
 overtakes its PREPARE leaves a record in Abort, which drops the late
 PREPARE until a restart.  A CoordRec answers a READY it already counted
-with the decision, once there is one, and the coordinator answers Abort to a READY naming an
-id of its own it holds no record of (presumed abort, as in R*): the id was
-never decided, or its record went once the watermark passed it, and a
-participant acks a commit only once it is durable, so only an abort can be
-lost after the record went.  A decision never changes, so a participant
-settles a slice still Ready from the coordinator's decision, however late,
-and from no other sender.  Records of decided transactions are dropped once the GC
-watermark passes them, and a message naming one the node no longer holds
-is answered as already final.
+with the decision, once there is one.  One rule settles a slice the
+decision never reached: the GC watermark passed it, so it aborted, as a
+commit completes only once every remote owner forced PartCommit.  Its
+node applies it at each GC tick as at restart, drops every record the
+watermark passed and answers a message naming one as already final.  A
+coordinator presumes Abort (as in R*) for a READY naming an own id with
+no record only above its watermark: an earlier incarnation's id that never
+committed, held up by a recovered commit awaiting an ack.  Below it, the
+READY may come from an owner that committed.  No other sender settles a slice.
 """
 
 from __future__ import annotations
@@ -430,11 +432,11 @@ class ServerNode:
     def _vote(self, tranx: TranxID, voter: ServerId, reason, piggyback) -> None:
         """Count a first vote while undecided; a first vote after an early
         abort is absorbed.  A repeated READY gets the decision once there is
-        one, or Abort, traced as a decision, for an id of this node's it
-        holds no record of (presumed abort); nothing else is answered."""
+        one, or Abort, traced as a decision, for an own id with no record
+        above the watermark (presumed abort); nothing else is answered."""
         rec = self.coord.get(tranx)
         if rec is None:
-            if reason is None and tranx.coordinator == self.sid:
+            if reason is None and tranx.coordinator == self.sid and not self.gc.is_final_by_watermark(tranx):
                 if self._tracer is not None:
                     self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.ABORT.value)
                 self._send(voter, self._server_env(MsgType.ABORT_DECISION, tranx, b""))
@@ -715,17 +717,15 @@ class ServerNode:
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
 
     def _reclaim_records(self) -> None:
-        """Drop the records of decided transactions the watermark passed.  A
-        coordinator record still waiting for an ack is never passed: the
-        watermark sits below the first seq not yet complete."""
-        lc = self.gc.table
-        self.coord = {t: r for t, r in self.coord.items() if t.seq > lc.get(t.coordinator, 0)}
-        self.part = {
-            t: r
-            for t, r in self.part.items()
-            if r.state in (PartState.START, PartState.READY)
-            or t.seq > lc.get(t.coordinator, 0)
-        }
+        """Drop every record the watermark passed, settling a slice still
+        Start or Ready as aborted first (see gc.py).  A coordinator record
+        waiting for an ack is never passed: the watermark sits below it."""
+        passed = self.gc.is_final_by_watermark
+        self.coord = {t: r for t, r in self.coord.items() if not passed(t)}
+        for t, r in self.part.items():
+            if r.state in (PartState.START, PartState.READY) and passed(t):
+                self._handle_decision(t, False)
+        self.part = {t: r for t, r in self.part.items() if not passed(t)}
 
     # -- recovery ---------------------------------------------------------------------------
 
@@ -733,27 +733,32 @@ class ServerNode:
         """Take a new restart epoch from the GC, then fold the WAL into
         volatile state."""
         self.gc.restart()
-        # each slice's PartReady, and its commit record if logged: CoordCommit
-        # for an own slice, PartCommit for a remote one
+        # each slice's latest PartReady, in log order, and its commit record
+        # if logged: CoordCommit for an own slice, PartCommit for a remote one
         part_ready: dict[TranxID, PartReady] = {}
         committed: dict[TranxID, CoordCommit | PartCommit] = {}
         for recd in self.tranxlog.scan():
             if isinstance(recd, PartReady):
+                part_ready.pop(recd.tranx, None)
                 part_ready[recd.tranx] = recd
             else:
                 committed[recd.tranx] = recd
 
-        # participant side: replay committed slices, re-lock in-doubt ones
-        # the watermark has not passed (see gc.py); keep no aborted one
-        for t, ready in sorted(part_ready.items()):
+        # participant side, newest PartReady first: replay committed slices,
+        # re-lock in-doubt ones the watermark has not passed (see gc.py);
+        # keep no aborted one, such as a slice the lock table refuses or
+        # makes wait for a later one (see the module docstring)
+        for t, ready in reversed(part_ready.items()):
             if t in committed:
                 self.part[t] = PartRec(t, ready.writes, PartState.COMMIT, vote=b"")
                 self.storage.apply_writes(list(ready.writes), replay=True)
             elif t.coordinator != self.sid and not self.gc.is_final_by_watermark(t):
-                self.part[t] = PartRec(t, ready.writes, PartState.READY, vote=b"")
                 result: list = []
                 self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
-                assert result and result[0], f"recovery re-lock failed for {t}"
+                if result == [True]:
+                    self.part[t] = PartRec(t, ready.writes, PartState.READY, vote=b"")
+                else:  # a later slice locked it out, so it aborted
+                    self.locks.release_all(t)
 
         # coordinator side: a commit some remote owner may not have acked is
         # pending, and recover_global resends it; anything else is complete.

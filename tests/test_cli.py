@@ -110,6 +110,34 @@ def test_a_server_that_crashes_twice_before_its_first_log_file_goes_restarts():
     assert len(verdicts) == 5 and all(ok for _, ok, _ in verdicts), verdicts
 
 
+FAULT_SCENARIOS = {
+    # duplicated and delayed messages: a coordinator must not announce Abort
+    # for a transaction it committed when a committed owner repeats READY
+    "dup": "dup = 0.05\ndelay = 0.05\n",
+    # a participant restarted with two in-doubt slices on one key must boot
+    "crash": "crash = 1 0.7 0.2\n",
+}
+
+
+def test_fault_scenarios_pass_every_verdict_at_seeds_0_to_4():
+    """A fixed-seed sweep of two fault scenarios on 3 servers, 4 clients,
+    8 keys, half reads, 2 s: every run finishes and passes all five
+    verdicts."""
+    shape = "servers = 3\nclients = 4\nkey_count = 8\nread_fraction = 0.50\nduration = 2.0\n"
+    failed = []
+    for name, faults in sorted(FAULT_SCENARIOS.items()):
+        sc = _parse_scenario(shape + faults)
+        for seed in range(5):
+            try:
+                verdicts, _, history = run_scenario(sc, seed)
+            except Exception as e:  # a crashed run is a failure to report, like a verdict
+                failed.append((name, seed, repr(e)))
+                continue
+            assert history, (name, seed)
+            failed += [(name, seed, v, detail) for v, ok, detail in verdicts if not ok]
+    assert failed == []
+
+
 def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):
     root = str(tmp_path)
     env = DiskEnv(root)

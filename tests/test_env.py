@@ -115,3 +115,15 @@ def test_diskenv_syncs_the_directory_of_each_region_it_creates(tmp_path, backend
     assert seen[1:] == [dir_id(str(tmp_path))]
     env.open_region("gclog").close()  # opening creates no name
     assert len(seen) == 2
+
+
+def test_a_fresh_diskenv_syncs_the_names_of_the_directories_it_creates(tmp_path, monkeypatch):
+    """A new data root is synced into its parent, and wal/ and db/ into the
+    root; reopening the root creates nothing and syncs nothing."""
+    root = os.path.join(str(tmp_path), "server-0")
+    seen = fsynced_dirs(monkeypatch)
+    DiskEnv(root)
+    assert set(seen) == {dir_id(str(tmp_path)), dir_id(root)}
+    synced = len(seen)
+    DiskEnv(root)
+    assert len(seen) == synced

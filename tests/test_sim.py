@@ -744,8 +744,8 @@ def hand_driven_participant():
     return sim, sent, keys_owned_by(1, sim.members, 1)[0]
 
 
-def deliver(sim, msg_type, payload=b""):
-    sim.nodes[1].node.on_message(Envelope(msg_type, rpc.SERVER, 0, 1, HAND_TRANX, payload))
+def deliver(sim, msg_type, payload=b"", tranx=HAND_TRANX):
+    sim.nodes[1].node.on_message(Envelope(msg_type, rpc.SERVER, 0, 1, tranx, payload))
 
 
 def repeat_on(sim, sent, restart, monkeypatch):
@@ -951,6 +951,29 @@ def test_a_restarted_ready_slice_the_watermark_passed_keeps_no_lock_and_sends_no
     assert node.locks.is_idle() and resend_idle(sim)
 
 
+@pytest.mark.parametrize("later", ["writes", "reads"], ids=["refused", "made-to-wait"])
+def test_a_restarted_participant_drops_an_in_doubt_slice_a_later_one_locked_out(later):
+    """T1 prepares k, its abort decision lands, which logs nothing, and T2
+    then prepares k too.  Neither logged a commit record, but T2 locked k
+    after T1 logged its PartReady, so T1 aborted: every restart re-locks T2
+    alone.  T2 writing k, the lock table refuses T1; T2 only reading it, T1
+    would wait for T2's shared lock."""
+    sim, sent, k = hand_driven_participant()
+    t1, t2 = HAND_TRANX, TranxID(0, 2)
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
+    deliver(sim, MsgType.ABORT_DECISION)
+    t2_writes = ((k, b"w"),) if later == "writes" else ()
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), t2_writes)), t2)
+    assert [e.msg_type for e in sent] == [MsgType.READY, MsgType.READY]
+    for _ in range(2):
+        sim.crash(1)
+        sim.restart(1)
+        node = sim.nodes[1].node
+        assert list(node.part) == [t2] and node.part[t2].state is PartState.READY
+        assert node.locks.held_by(t2) == {k} and node.locks.held_by(t1) == set()
+        assert node.locks.stats() == {"held_locks": 1, "waiters": 0}
+
+
 def test_a_coordinator_answers_a_counted_ready_with_its_decision():
     """Coordinator 0, played against by hand: a READY it already counted
     gets its decision once it has one, and a READY naming an id of its own
@@ -1118,6 +1141,89 @@ def test_a_ready_owner_that_missed_the_abort_learns_it_from_one_ready_repeat():
     sim.run(1.0)
     assert len(sends(sim, "READY")) == 2 and sends(sim, "ACK") == []
     assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+def test_a_ready_below_the_coordinators_watermark_gets_no_invented_abort():
+    """Coordinator 0 commits a two-owner transaction and drops its record at
+    its GC tick at 0.1 s; owner 1 keeps its own until its tick at 0.2 s.  A
+    duplicate PREPARE then makes owner 1 send its READY again.  The
+    coordinator's watermark passed the id, so it answers nothing: it
+    announces no Abort for a transaction it committed."""
+    sim = make_sim(3, seed=5)
+    span = key_spanning(sim.members)
+    keys = [span[0], span[1]]
+    txn = Transaction(tuple((k, 0) for k in keys), tuple((k, b"c") for k in keys))
+    tranx = sim.nodes[0].node.coordinate(txn, None)
+    sim.run_until(1.5 * TEST_GC_PERIOD)
+    owner = sim.nodes[1].node
+    assert tranx not in sim.nodes[0].node.coord and sim.nodes[0].node.gc.is_final_by_watermark(tranx)
+    assert owner.part[tranx].state is PartState.COMMIT
+    sub = Transaction(((span[1], 0),), ((span[1], b"c"),))
+    owner.on_message(Envelope(MsgType.PREPARE, rpc.SERVER, 0, 1, tranx, rpc.enc_txn(sub)))
+    sim.run_until(1.9 * TEST_GC_PERIOD)
+    assert [e[3]["tranx"] for e in sends(sim, "READY")] == [tranx, tranx]
+    assert sends(sim, "ABORT_DECISION") == []
+    assert oracle.decided(sim.trace)[tranx] == {"Commit"} and oracle.double_decisions(sim.trace) == []
+    sim.run(1.0)
+    assert all(sim.global_state()[k] == (b"c", 1) for k in keys)
+    assert oracle.atomicity_violations(sim.trace) == [] and oracle.locks_clean(sim) == []
+
+
+def test_a_ready_slice_whose_abort_is_lost_is_settled_by_the_watermark():
+    """Every abort decision to Ready owner 1 is lost.  Coordinator 0 drops
+    its aborted record at its GC tick and broadcasts its watermark, and
+    owner 1's next tick settles the slice as aborted: within 3 GC periods
+    of the abort it keeps no record, lock or resend entry, and it stops
+    repeating READY."""
+    sim = make_sim(3, seed=5)
+    dropped = drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.ABORT_DECISION)
+    txn, keys = stale_own_slice(sim, 2)
+    start = sim.now
+    tranx = sim.nodes[0].node.coordinate(txn, None)
+    node = sim.nodes[1].node
+    sim.run_until(start + RESEND / 2)
+    assert len(dropped) == 1 and node.locks.held_by(tranx) == {keys[1]}
+    settled = start + 3 * TEST_GC_PERIOD
+    sim.run_until(settled)
+    assert tranx not in node.part and tranx not in node._resend and node.locks.is_idle()
+    assert [e[3]["to"] for e in sim.trace if e[2] == "part.state" and e[1] == 1] == [
+        "Start", "Ready", "Abort",
+    ]
+    sim.run(1.0)
+    assert [e for e in sends(sim, "READY") if e[0] > settled] == []
+    assert oracle.decided(sim.trace)[tranx] == {"Abort"}
+    assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+def test_a_restarted_coordinator_answers_abort_for_its_undecided_id_above_its_watermark():
+    """Coordinator 0 commits A on owners 0 and 2, whose commit decision is
+    lost before owner 2 goes down, then prepares B on owners 1 and 2 and
+    crashes undecided.  Restarted, it recovers A's unacked commit, which
+    holds its watermark below B's id, and keeps no record of B: it answers
+    owner 1's READY repeat with Abort, which frees owner 1's lock within
+    2 RESEND of the restart."""
+    sim = make_sim(3, seed=5)
+    span = key_spanning(sim.members)
+    drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.COMMIT_DECISION and dst == ("s", 2))
+    coord = sim.nodes[0].node
+    a = coord.coordinate(Transaction((), ((span[0], b"a"), (span[2], b"a"))), None)
+    sim.run(0.01)
+    assert coord.coord[a].state is CoordState.COMMIT and coord.coord[a].pending_ack == {2}
+    sim.crash(2)
+    b = coord.coordinate(Transaction((), ((span[1], b"b"), (span[2], b"b"))), None)
+    sim.run(0.01)
+    assert coord.coord[b].state is CoordState.PREPARE
+    assert sim.nodes[1].node.locks.held_by(b) == {span[1]}
+    sim.crash(0)
+    sim.restart(0)
+    restart = sim.now
+    coord = sim.nodes[0].node
+    assert list(coord.coord) == [a] and not coord.gc.is_final_by_watermark(b)
+    sim.run_until(restart + 2 * RESEND)
+    owner = sim.nodes[1].node
+    assert owner.part[b].state is PartState.ABORT and owner.locks.is_idle()
+    assert oracle.decided(sim.trace)[b] == {"Abort"}
+    assert not coord.gc.is_final_by_watermark(b)
 
 
 def test_a_resent_commit_whose_attempt_aborted_runs_again_after_a_coordinator_restart():
@@ -1369,7 +1475,7 @@ def lost_three_owner_commit(label, nth):
     Returns (sim, the lost TranxID, keys, restart time) at the crash."""
 
     def begin(plan):
-        sim = make_sim(3, seed=21, gc_period=10.0)
+        sim = make_sim(3, seed=21)
         sim.auto_restart = 0.05
         ks = list(key_spanning(sim.members).values())
         txn = Transaction(tuple((k, 0) for k in ks), tuple((k, b"lost") for k in ks))
@@ -1389,15 +1495,17 @@ def lost_three_owner_commit(label, nth):
 
 def test_a_transaction_its_crashed_coordinator_never_decided_aborts_at_every_participant():
     """Coordinator 0 crashes with both remote owners Ready and logs nothing
-    of the transaction.  Each repeats READY, and the restarted coordinator
-    answers Abort, which frees the locks within 2 RESEND of its restart."""
+    of the transaction.  The restarted coordinator's watermark passes the
+    lost id, so the first GC tick that carries it to an owner settles the
+    slice as aborted: within 3 GC periods of the restart no owner keeps a
+    record or lock of it, and no coordinator announced a decision."""
     sim, lost, ks, restart = lost_three_owner_commit("recv.READY", 1)
-    sim.run_until(restart + 2 * RESEND)
+    sim.run_until(restart + 3 * TEST_GC_PERIOD)
     assert sim.nodes[0].incarnation == 1 and sim.nodes[0].alive
     for sid in (1, 2):
         node = sim.nodes[sid].node
-        assert node.part[lost].state is PartState.ABORT and node.locks.is_idle(), sid
-    assert oracle.decided(sim.trace)[lost] == {"Abort"}
+        assert lost not in node.part and node.locks.is_idle(), sid
+    assert lost not in oracle.decided(sim.trace)
     assert resend_idle(sim) and oracle.locks_clean(sim) == []
 
 
@@ -1410,11 +1518,15 @@ def test_a_restarted_coordinator_never_reuses_an_id_it_sent_in_a_prepare():
     sim.run_until(restart)
     c = sim.new_client(seed=1)
     ok, _, _ = commit_txn(sim, c, ks, {k: b"new" for k in ks})
+    sim.run_until(restart + 3 * TEST_GC_PERIOD)
+    for sid in (1, 2):
+        node = sim.nodes[sid].node
+        assert lost not in node.part and not node.locks.held_by(lost), sid
     sim.run(1.0)
     assert ok
     assert all(sim.global_state()[k] == (b"new", 1) for k in ks)
     assert {v for _, v, _ in oracle.applied_values(sim.trace)} == {b"new"}
-    assert oracle.decided(sim.trace)[lost] == {"Abort"}
+    assert lost not in oracle.decided(sim.trace)
     assert oracle.atomicity_violations(sim.trace) == [] and oracle.locks_clean(sim) == []
 
 
