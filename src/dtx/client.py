@@ -47,8 +47,10 @@ out the vouched keys is safe:
   report were current, and the entries it piggybacked, which replace the
   reported reads, are current.  Every other entry was obtained before t:
   by an earlier read round, or from the cache, which only answers to the
-  client's RPCs fill.  The client sent no RPC after that answer, so every
-  such answer came before it.  (Handles of one client share its cache: an
+  client's RPCs fill, their updates blocks included (below): a block is
+  applied with the answer it came on, only if that answer is accepted,
+  and its entries were current when that answer was built.  The client
+  sent no RPC after that answer, so every such answer came before it.  (Handles of one client share its cache: an
   answer to another handle's later READ may be newer than t, which is why
   any later RPC cancels the rule.)
 * Each read is current at t.  Each validated key is unchanged and unlocked
@@ -73,6 +75,16 @@ out the vouched keys is safe:
   validation round in which two owners failed, for any reason, every
   slice is validated.
 
+Every answer starts with an updates block (see server.py): the current
+entry of each key its server applied since its last answer to this client.
+RequestCore strips it from an answer it accepts and refreshes the cache
+before the body resumes the generator; a late or duplicate answer, or one
+whose block does not decode, changes nothing.  A refresh replaces only an
+entry the cache holds, and only by a newer version, so the cache stays a
+hint that every commit validates.  A block never enters a transaction's
+reads: they stay the values the application saw, and a write computed from
+them is validated against them.
+
 Retry policy on a failed commit: a stale read means a concurrent writer got
 there first, and the failure answer piggybacks the current entry of each
 stale key.  Those entries replace the stale reads in the transaction and
@@ -96,7 +108,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import rpc
-from .model import Transaction, owner_of
+from .model import MalformedRecordError, Transaction, owner_of
 from .rpc import AbortReason, Envelope, MsgType
 from .storage import ServerCache
 
@@ -343,19 +355,33 @@ class RequestCore:
     hands an envelope to the transport and arm(at, fn) runs fn at time at;
     the transport hands each answer to on_reply.  Unanswered requests wait in
     a map ordered by insertion, which is due order, as each is due `timeout`
-    after its send, so one timer armed for the head serves them all.
+    after its send, so one timer armed for the head serves them all.  The
+    updates block of an accepted answer refreshes `cache`, the client's
+    ServerCache once its owner sets it, before the answer's body resumes
+    the waiting generator.
     """
 
     def __init__(self, now, send, arm, timeout: float = RPC_TIMEOUT, tries: int = RPC_TRIES) -> None:
         self.now, self.send, self.arm = now, send, arm
         self.timeout, self.tries = timeout, tries
+        self.cache: ServerCache | None = None
         self._waiters: dict[int, tuple] = {}  # message_id -> (due, dest, env, cont, tries_left)
         self._armed = False  # a timer is armed for the head of _waiters
 
     def on_reply(self, env: Envelope) -> None:
-        waiter = self._waiters.pop(env.message_id, None)
-        if waiter is not None:  # else a late answer to a request answered or given up
-            waiter[3](env.payload)
+        mid = env.message_id
+        if mid not in self._waiters:  # a late answer to a request answered or given up
+            return
+        try:
+            updates, body = rpc.dec_response(env.payload)
+        except MalformedRecordError:  # dropped: the request is resent when due
+            return
+        waiter = self._waiters.pop(mid)
+        if updates and self.cache is not None:
+            refresh = self.cache.refresh
+            for k, v, ver in updates:
+                refresh(k, v, ver)
+        waiter[3](body)
 
     def _request(self, dest: int, env: Envelope, cont, tries_left: int) -> None:
         due = self.now() + self.timeout

@@ -79,9 +79,10 @@ def _pack_reads(out: list, reads) -> None:
         out += (_U32.pack(len(k)), k, _U64.pack(v))
 
 
-def _pack_entries(out: list, entries) -> None:
-    """n: u32 | (key blob | value blob | version u64)*, appended to out."""
-    out.append(_U32.pack(len(entries)))
+def _pack_entries(out: list, entries, count: struct.Struct = _U32) -> None:
+    """n | (key blob | value blob | version u64)*, appended to out; n is a
+    u32 unless `count` packs it narrower (a RESPONSE's updates block)."""
+    out.append(count.pack(len(entries)))
     for k, v, ver in entries:
         out += (_U32.pack(len(k)), k, _U32.pack(len(v)), v, _U64.pack(ver))
 
@@ -118,11 +119,11 @@ def _unpack_reads(b: bytes, pos: int) -> tuple[tuple, int]:
     return tuple(reads), pos
 
 
-def _unpack_entries(b: bytes, pos: int) -> tuple[list, int]:
-    count = _U32.unpack_from(b, pos)[0]
-    pos += 4
+def _unpack_entries(b: bytes, pos: int, count: struct.Struct = _U32) -> tuple[list, int]:
+    n = count.unpack_from(b, pos)[0]
+    pos += count.size
     entries = []
-    for _ in range(count):
+    for _ in range(n):
         start = pos + 4
         end = start + _U32.unpack_from(b, pos)[0]
         vstart = end + 4

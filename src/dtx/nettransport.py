@@ -383,4 +383,5 @@ def connect_client(
     driver = SocketDriver(cluster, timeout=timeout)
     cid = driver.handshake()
     state = ClientState(cid, list(cluster.member_ids), random.Random(seed), cache_capacity=cache_capacity)
+    driver.cache = state.cache
     return BlockingClient(driver, state)

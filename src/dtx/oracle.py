@@ -14,6 +14,7 @@ read versions do not match the current state, memoizing failed sets.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 class SerCheck:
     ok: bool | None  # None means the search hit its state budget
     order: list[int] | None
-    states: int
+    states: int  # states searched; for the graph checker, edges, each copy counted
 
 
 def check_serializable(
@@ -116,7 +117,10 @@ def check_serializable_graph(
                 return SerCheck(False, None, 0)  # two writers claim one version
             writer_of[(k, produced)] = i
 
-    edges: set[tuple[int, int]] = set()
+    # precedence edges as each transaction's successor list, and in-degrees;
+    # an edge found twice is kept twice, which leaves Kahn's order unchanged
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
     for i, t in enumerate(txns):
         for k, v in t["reads"].items():
             base = initial.get(k, 0)
@@ -127,14 +131,17 @@ def check_serializable_graph(
                 if w is None:
                     return SerCheck(False, None, 0)  # read a version nobody wrote
                 if w != i:
-                    edges.add((w, i))
+                    succ[w].append(i)
+                    indeg[i] += 1
             nxt = writer_of.get((k, v + 1))
             if nxt is not None and nxt != i:
-                edges.add((i, nxt))
+                succ[i].append(nxt)
+                indeg[nxt] += 1
         for k in t["writes"]:
             prev = writer_of.get((k, t["reads"][k]))
             if prev is not None and prev != i:
-                edges.add((prev, i))
+                succ[prev].append(i)
+                indeg[i] += 1
 
     # contiguity: writers of key k must produce base+1..base+count exactly
     per_key_counts: dict[bytes, int] = {}
@@ -146,27 +153,20 @@ def check_serializable_graph(
             if (k, v) not in writer_of:
                 return SerCheck(False, None, 0)
 
-    # Kahn topological sort
-    indeg = [0] * n
-    out: dict[int, list[int]] = {}
-    for a, b in edges:
-        indeg[b] += 1
-        out.setdefault(a, []).append(b)
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    # Kahn topological sort, lowest index first among the ready
+    edges = sum(indeg)
+    ready = [i for i in range(n) if indeg[i] == 0]
     order: list[int] = []
-    import heapq
-
-    heapq.heapify(ready)
     while ready:
         i = heapq.heappop(ready)
         order.append(i)
-        for j in out.get(i, ()):
+        for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
     if len(order) != n:
-        return SerCheck(False, None, len(edges))  # cycle
-    return SerCheck(True, order, len(edges))
+        return SerCheck(False, None, edges)  # cycle
+    return SerCheck(True, order, edges)
 
 
 def check_history(

@@ -25,6 +25,13 @@ coordinator u32 LE + seq u64 LE] | payload bytes (rest of frame).
 
 Payloads (blob = len: u32 LE | bytes):
 
+* RESPONSE, every answer a server sends a client: updates block | body.
+  The block is n: u8 | (key blob | value blob | version u64 LE)*, the
+  entry codec of the STALE_READ piggyback below with a one-byte count: the
+  current entry of each key the server applied since its last answer to
+  that client (see server.py).  An empty block is the one byte 0.  The
+  body is the answer to the request, one of those below.  A client drops
+  an answer whose block does not decode, as malformed.
 * READ request: key blob+, one or more keys of one owner.  Answer
   (RESPONSE): (found: u8 | [value blob | version u64 LE])+, one per key in
   request order, then locked: u8, which is 1 if any of the keys was
@@ -53,7 +60,9 @@ Payloads (blob = len: u32 LE | bytes):
 Every payload decoder takes exactly one encoding: a payload that is
 truncated, garbled, or followed by trailing bytes raises
 MalformedRecordError, as a log record does (a READ request and its answer
-are self-delimiting lists, so trailing bytes there read as a torn element).
+are self-delimiting lists, so trailing bytes there read as a torn element;
+an updates block ends where its body starts, which the body's decoder then
+takes whole).
 A server drops a message whose type names a transaction (PREPARE, READY,
 the decisions, ACK) but whose envelope carries none, any of those or GC_LC
 from a sender whose kind is not server, every RESPONSE, and a message whose
@@ -73,6 +82,7 @@ from .model import (
     Transaction,
     TranxID,
     _TRANX,
+    _U8,
     _decode_whole,
     _pack_entries,
     _pack_txn,
@@ -268,6 +278,28 @@ def _unpack_answer(b: bytes, pos: int):
 
 def dec_commit_resp(b: bytes):
     return _decode_whole(_unpack_answer, b, "commit answer")
+
+
+def enc_response(updates, body: bytes) -> bytes:
+    """A RESPONSE payload: the updates block, at most 255 entries, then the body."""
+    if not updates:
+        return b"\x00" + body
+    out: list = []
+    _pack_entries(out, updates, _U8)
+    out.append(body)
+    return b"".join(out)
+
+
+def dec_response(b: bytes) -> tuple[list, bytes]:
+    """(updates, body) of a RESPONSE payload; raises MalformedRecordError
+    when the block is cut short."""
+    if b[:1] == b"\x00":
+        return [], b[1:]
+    try:
+        updates, pos = _unpack_entries(b, 0, _U8)
+    except struct.error as e:
+        raise MalformedRecordError(f"truncated updates block: {e}") from None
+    return updates, b[pos:]
 
 
 def enc_u64(n: int) -> bytes:

@@ -68,12 +68,24 @@ owner's pre-commit value finds the second key locked or its version moved.
 For the same reason a READ answer says whether any of its keys was
 exclusively locked when they were read, all in one step.
 
+Every answer to a client, a RESPONSE, is an updates block, then the body
+(rpc.enc_response).  The block holds the current entry of each key this
+node applied since its last answer to that client, once per key, so a
+client's cache catches up with commits it did not make (client.py).  The
+storage engine keeps the last storage.RECENT keys applied live in a ring,
+and the node keeps each client's position in it, its cursor.  A client
+with no cursor, or whose cursor the ring has passed, gets the whole ring,
+so the GC tick drops passed cursors and the map stays bounded.  A restart
+starts with an empty ring and no cursor, and recovery's replay feeds
+nothing in.  The handshake answer carries an empty block and makes no
+cursor.  An answer lost on the wire loses its block: the cache is a hint.
+
 A client's COMMIT is answered from one table, its dedup window
 (rpc.DedupTable): coordinating records the new TranxID under the request's
 (client id, message id), and the decision replaces it with the answer
-bytes.  A resend that finds the TranxID is in flight and is dropped, as the
-decision answers it; one that finds the bytes gets them again.  The
-CoordRec keeps no reply state.
+body.  A resend that finds the TranxID is in flight and is dropped, as the
+decision answers it; one that finds the body gets it again, after a fresh
+updates block.  The CoordRec keeps no reply state.
 
 A node keeps one record per transaction it takes part in: a CoordRec for
 each transaction it coordinates and a PartRec for each slice it prepares,
@@ -228,6 +240,9 @@ class ServerNode:
         self._resend: dict[TranxID, float] = {}
         self._resend_timer = None  # armed for the head of _resend, if any
         self._next_client = 0
+        # client id -> ring position (storage.StorageEngine.recent) of its
+        # last answer; a cursor the ring passed is dropped at the GC tick
+        self._cursors: dict[int, int] = {}
         self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
 
     # -- plumbing --------------------------------------------------------------
@@ -244,9 +259,17 @@ class ServerNode:
         if self._crash_hook is not None:
             self._crash_hook(self.sid, _SEND_POINT[env.msg_type])
 
-    def _reply(self, client_id: int, message_id: int, payload: bytes) -> None:
-        resp = Envelope(MsgType.RESPONSE, rpc.SERVER, self.sid, message_id, None, payload)
-        self.ctx.reply(client_id, resp)
+    def _reply(self, client_id: int, message_id: int, body: bytes) -> None:
+        """Answer a client: the entries this node applied since its last
+        answer to that client, then the body (see the module docstring)."""
+        cursor = self._cursors.get(client_id)
+        applied = self.storage.applied
+        self._cursors[client_id] = applied
+        updates = self.storage.updates_since(cursor) if cursor != applied else ()
+        self._respond(client_id, message_id, rpc.enc_response(updates, body))
+
+    def _respond(self, client_id: int, message_id: int, payload: bytes) -> None:
+        self.ctx.reply(client_id, Envelope(MsgType.RESPONSE, rpc.SERVER, self.sid, message_id, None, payload))
 
     def _server_env(self, msg_type: MsgType, tranx: TranxID | None, payload: bytes) -> Envelope:
         # message id 0: no server answers a server, so nothing matches on it
@@ -309,7 +332,8 @@ class ServerNode:
             return None
 
     def _on_client_hello(self, env: Envelope) -> None:
-        self._reply(env.sender_id, env.message_id, rpc.enc_u64(self.assign_client_id()))
+        # the id is not the client's yet: an empty block, and no cursor
+        self._respond(env.sender_id, env.message_id, rpc.enc_response((), rpc.enc_u64(self.assign_client_id())))
 
     def _on_validate(self, env: Envelope) -> None:
         sub = self._decode(env, rpc.dec_txn)
@@ -714,6 +738,9 @@ class ServerNode:
         for sid in self.peers:  # fire-and-forget
             self._send(sid, self._server_env(MsgType.GC_LC, None, rpc.enc_u64(lc_seq)))
         self._reclaim_records()
+        # a passed cursor gets the whole ring, as no cursor does
+        start = self.storage.applied - len(self.storage.recent)
+        self._cursors = {c: pos for c, pos in self._cursors.items() if pos > start}
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
 
     def _reclaim_records(self) -> None:
@@ -803,6 +830,8 @@ class ServerNode:
             "wal_files": self.tranxlog.file_count(),
             "lc": dict(self.gc.table),
             "in_flight_coord": sum(1 for r in self.coord.values() if r.pending_ack),
+            "recent_keys": len(self.storage.recent),
+            "client_cursors": len(self._cursors),
         }
 
     def shutdown(self) -> None:

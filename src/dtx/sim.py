@@ -213,6 +213,7 @@ class SimClient(RequestCore):
         super().__init__(partial(_now_via, ref), send, partial(_push_via, ref), timeout, tries)
         self.client_id = client_id
         self.state = ClientState(client_id, list(sim.members), rng)
+        self.cache = self.state.cache
 
     # own entries, so perfbench/layers.py can wrap them by name
     run = RequestCore.run

@@ -6,6 +6,10 @@ map sits behind a narrow interface (get/apply/sync/items) with two
 backends: an in-process one for the deterministic simulator, where crash
 durability is modelled by a volatile overlay that a restart discards, and
 an append-log file store for real data directories.
+
+The engine also keeps a bounded ring of the keys it applied live, which
+every answer a server sends a client piggybacks (see server.py), and the
+client cache takes those entries as refreshes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,17 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import islice
+
+# Keys StorageEngine.recent holds.  Over five rounds of each benchmark
+# shape (3 servers, 4 clients), an answer carried 1.33 keys on average and
+# 16 at most under contention (64 keys, half reads), and 0.08 and 4 when
+# reading mostly (100k keys, 95% reads).  A client the ring passed gets
+# all of it, so the largest updates block holds RECENT entries, each
+# smaller than one WAL entry: 32 x 4 KiB = 128 KiB, far below a frame's
+# 16 MiB.  The block's count is one byte, so RECENT stays below 256.
+RECENT = 32
 
 
 def fsync_dir(path: str) -> None:
@@ -175,6 +189,13 @@ class ServerCache:
             self._map.popitem(last=False)
         return True
 
+    def refresh(self, key: bytes, value: bytes, version: int) -> None:
+        """Replace a held entry by a newer one in place: inserts nothing,
+        keeps the LRU order and counts no hit or miss."""
+        old = self._map.get(key)
+        if old is not None and old[1] < version:
+            self._map[key] = (value, version)
+
     def invalidate(self, keys) -> None:
         for key in keys:
             self._map.pop(key, None)
@@ -184,10 +205,22 @@ class ServerCache:
 
 
 class StorageEngine:
-    """get/apply facade that enforces the version discipline."""
+    """get/apply facade that enforces the version discipline, and the ring
+    of the last RECENT keys applied live (replay does not feed it)."""
 
     def __init__(self, store: KvStore) -> None:
         self.store = store
+        self.recent: deque[bytes] = deque(maxlen=RECENT)
+        self.applied = 0  # keys ever pushed into recent: a position in the ring
+
+    def updates_since(self, cursor: int | None) -> list[tuple[bytes, bytes, int]]:
+        """The current (key, value, version) of each key applied since ring
+        position `cursor`, once per key; all of the ring when cursor is
+        None or the ring has passed it."""
+        ring = self.recent
+        new = len(ring) if cursor is None else min(self.applied - cursor, len(ring))
+        get = self.store.get
+        return [(k, *get(k)) for k in dict.fromkeys(islice(ring, len(ring) - new, None))]
 
     def get(self, key: bytes) -> tuple[bytes, int] | None:
         return self.store.get(key)
@@ -218,6 +251,9 @@ class StorageEngine:
             effective.append((key, value, version))
         if effective:
             self.store.apply(effective)
+            if not replay:
+                self.recent.extend([w[0] for w in effective])
+                self.applied += len(effective)
 
     def sync(self) -> None:
         self.store.sync()

@@ -1,9 +1,14 @@
 """The checkers themselves: serializability search, graph method, trace audits."""
 
+import heapq
+
+from conftest import make_sim
 from hypothesis import given, settings, strategies as st
 
 from dtx import oracle
+from dtx.bench import preload_sim, start_clients
 from dtx.model import TranxID
+from dtx.workload import WorkloadSpec
 
 
 def txn(reads, writes):
@@ -130,6 +135,70 @@ def test_graph_agrees_with_search(data):
 def test_check_history_falls_back_on_blind_writes():
     txns = [txn({}, {b"a": b"x"}), txn({b"a": 1}, {})]
     assert oracle.check_history(txns).ok is True
+
+
+def edge_set_order(txns, initial):
+    """The serial order as the graph checker computed it before it kept
+    successor lists: a set of distinct edges, then Kahn's sort taking the
+    lowest ready index first.  None on a cycle."""
+    writer_of = {}
+    for i, t in enumerate(txns):
+        for k in t["writes"]:
+            writer_of[(k, t["reads"][k] + 1)] = i
+    edges = set()
+    for i, t in enumerate(txns):
+        for k, v in t["reads"].items():
+            w = writer_of.get((k, v))
+            if v > initial.get(k, 0) and w != i:
+                edges.add((w, i))
+            nxt = writer_of.get((k, v + 1))
+            if nxt is not None and nxt != i:
+                edges.add((i, nxt))
+        for k in t["writes"]:
+            prev = writer_of.get((k, t["reads"][k]))
+            if prev is not None and prev != i:
+                edges.add((prev, i))
+    indeg = [0] * len(txns)
+    out = {}
+    for a, b in edges:
+        indeg[b] += 1
+        out.setdefault(a, []).append(b)
+    ready = [i for i in range(len(txns)) if indeg[i] == 0]
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in out.get(i, ()):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    return order if len(order) == len(txns) else None
+
+
+def recorded_history():
+    """The committed transactions of a contended simulated run: 4 clients on
+    16 preloaded keys, half of them reads, for 1 virtual second."""
+    sim = make_sim(3, seed=3)
+    spec = WorkloadSpec(key_count=16, read_fraction=0.5, clients=4, seed=3, duration=1.0)
+    preload_sim(sim, spec, spec.seed)
+    drivers = start_clients(sim, spec)
+    sim.run_until(3.0)
+    assert all(d.done for d in drivers)
+    return [txn(r["reads"], r["writes"]) for d in drivers for r in d.history if r["ok"]]
+
+
+def test_graph_order_on_a_recorded_history_is_the_edge_set_order():
+    txns = recorded_history()
+    initial = {k: 1 for t in txns for k in (*t["reads"], *t["writes"])}
+    assert len(txns) > 1000 and sum(bool(t["writes"]) for t in txns) > 500
+    res = oracle.check_serializable_graph(txns, initial)
+    assert res.ok is True and res.order == edge_set_order(txns, initial)
+    # two transactions that each read the other's write form a cycle
+    x, y = b"cycle-x", b"cycle-y"
+    cyclic = txns + [txn({x: 0, y: 1}, {x: b"p"}), txn({y: 0, x: 1}, {y: b"q"})]
+    assert edge_set_order(cyclic, initial) is None
+    res = oracle.check_serializable_graph(cyclic, initial)
+    assert res.ok is False and res.order is None
 
 
 # -- trace audits ------------------------------------------------------------------

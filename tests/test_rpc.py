@@ -241,6 +241,14 @@ GOLDEN = {
         "01000000" "0201000000000000"
         "01000000" "020000006b31" "0300000000000000" "01000000" "020000006b31" "020000007631",
     ),
+    # a RESPONSE's updates block, here with an empty body: every strict
+    # prefix of a block is refused
+    "response-empty": (([], b""), rpc.enc_response((), b""), "00", rpc.dec_response),
+    "response-two-entries": (
+        (VOTE[2], b""), rpc.enc_response(VOTE[2], b""),
+        "02" "020000006b31" "0100000076" "0400000000000000" "020000006b32" "00000000" "0900000000000000",
+        rpc.dec_response,
+    ),
     "client-hello-frame": _frame(
         Envelope(MsgType.CLIENT_HELLO, rpc.CLIENT, 0, 0, None, b""),
         "14000000" "01" "0b" "00" "0000000000000000" "0000000000000000" "00",
@@ -253,6 +261,16 @@ def test_record_and_wire_bytes_are_stable(name):
     value, data, golden, decode = GOLDEN[name]
     assert data.hex() == golden
     assert decode(data) == value
+
+
+def test_a_response_body_follows_its_updates_block_whole():
+    for updates in ([], VOTE[2]):
+        payload = rpc.enc_response(updates, b"\x00body")
+        assert payload.endswith(b"\x00body")
+        assert rpc.dec_response(payload) == (list(updates), b"\x00body")
+    assert rpc.dec_response(rpc.enc_response((), b"")) == ([], b"")
+    with pytest.raises(MalformedRecordError):
+        rpc.dec_response(b"")
 
 
 # The bytes of retired record kinds: kind 3 was the coordinator's abort

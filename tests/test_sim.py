@@ -44,6 +44,11 @@ def key_spanning(members):
     return {sid: keys_owned_by(sid, members, 1)[0] for sid in members}
 
 
+def body(env):
+    """A client answer's body: its payload after the updates block."""
+    return rpc.dec_response(env.payload)[1]
+
+
 # -- basic commit paths -----------------------------------------------------------
 
 
@@ -429,7 +434,7 @@ def test_admission_bound_is_exact_for_a_single_owner_commit(monkeypatch):
         node.on_message(Envelope(MsgType.COMMIT, rpc.CLIENT, 7, msg_id, None, payload))
     ready, commit = appends
     assert len(encode_record(ready)) == MAX_ENTRY and isinstance(commit, CoordCommit)
-    assert [rpc.dec_commit_resp(e.payload)[:2] for e in sent] == [
+    assert [rpc.dec_commit_resp(body(e))[:2] for e in sent] == [
         (True, None), (False, AbortReason.LOG_FAILURE)
     ]
     assert sim.node_state(0)[k] == (b"v" * fill, 1)
@@ -699,7 +704,7 @@ def test_malformed_message_changes_nothing(case):
         assert sent == []
         assert any(e[2] == "msg.malformed" for e in sim.trace[trace_len:])
     else:
-        assert [e.payload for e in sent] == [reply]
+        assert [body(e) for e in sent] == [reply]
 
 
 def test_commit_decision_for_an_unprepared_transaction_changes_nothing(monkeypatch):
@@ -1061,8 +1066,8 @@ def test_a_commit_resent_in_flight_starts_nothing_and_is_answered_once_at_the_de
     (decided,) = [e[0] for e in sim.trace if e[2] == "coord.state" and e[3]["to"] == "Commit"]
     assert sim.now == decided
     sim.run(1.0)
-    assert [rpc.dec_commit_resp(e.payload) for e in answers] == [(True, None, [])]
-    assert node.dedup.check_client(7, 1) == answers[0].payload
+    assert [rpc.dec_commit_resp(body(e)) for e in answers] == [(True, None, [])]
+    assert node.dedup.check_client(7, 1) == body(answers[0])
 
 
 def test_a_commit_resent_after_its_decision_gets_the_same_bytes_and_no_new_tranx():
@@ -1075,9 +1080,9 @@ def test_a_commit_resent_after_its_decision_gets_the_same_bytes_and_no_new_tranx
     node.on_message(commit)
     sim.run(1.0)
     first, again = answers
-    assert again.payload == first.payload == node.dedup.check_client(7, 1)
+    assert body(again) == body(first) == node.dedup.check_client(7, 1)
     assert node.gc.last_issued == issued and list(node.coord) == records
-    assert rpc.dec_commit_resp(again.payload) == (True, None, [])
+    assert rpc.dec_commit_resp(body(again)) == (True, None, [])
 
 
 # -- presumed abort ----------------------------------------------------------------
@@ -1240,13 +1245,13 @@ def test_a_resent_commit_whose_attempt_aborted_runs_again_after_a_coordinator_re
     rule = sim.partition([0], [1])
     sim.nodes[0].node.on_message(commit)
     sim.run(PREPARE_BUDGET * RESEND + 0.1)
-    assert [rpc.dec_commit_resp(e.payload)[:2] for e in answers] == [(False, AbortReason.TIMEOUT)]
+    assert [rpc.dec_commit_resp(body(e))[:2] for e in answers] == [(False, AbortReason.TIMEOUT)]
     sim.heal(rule)
     sim.crash(0)
     sim.restart(0)
     sim.nodes[0].node.on_message(commit)
     sim.run(1.0)
-    assert [rpc.dec_commit_resp(e.payload)[:2] for e in answers[1:]] == [(True, None)]
+    assert [rpc.dec_commit_resp(body(e))[:2] for e in answers[1:]] == [(True, None)]
     first, again = sorted(oracle.decided(sim.trace).items())
     assert first[1] == {"Abort"} and again[1] == {"Commit"} and again[0] != first[0]
     assert all(sim.global_state()[k] == (b"again", 1) for k in keys)

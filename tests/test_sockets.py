@@ -283,6 +283,29 @@ def test_read_only_commit_validates_at_each_owner_over_sockets(cluster, monkeypa
     driver.close()
 
 
+def test_an_answer_refreshes_the_cache_over_sockets(cluster):
+    """A caches a key, B commits it, and A's next answer from the key's
+    owner carries the new entry into A's cache, as in the simulator."""
+    cfg, _ = cluster
+    members = list(cfg.member_ids)
+    k, other = [key for key in (b"fresh-%d" % i for i in range(256)) if owner_of(key, members) == 0][:2]
+    a, b = connect_client(cfg, seed=1), connect_client(cfg, seed=2)
+    try:
+        for c, value in ((a, b"a"), (b, b"b")):
+            h = c.open_txn()
+            c.read(h, k)
+            c.write(h, k, value)
+            assert c.commit(h) == (True, None)
+        assert a.state.cache._map[k] == (b"a", 1)
+        assert a.read(a.open_txn(), other) is None
+        assert a.state.cache._map[k] == (b"b", 2)
+        h = a.open_txn()
+        assert a.read(h, k) == b"b" and a.commit(h) == (True, None) and h.attempts == 1
+    finally:
+        a.driver.close()
+        b.driver.close()
+
+
 def test_read_many_sends_one_read_per_owner_over_sockets(cluster, monkeypatch):
     cfg, _ = cluster
     members = list(cfg.member_ids)
@@ -412,7 +435,8 @@ def test_concurrent_handshakes_each_get_their_own_answer(cluster):
 class RawServer:
     """A listener standing in for member 0.  It accepts one connection, reads
     its frames, and answers the first copy of message id m with the
-    (message id, payload) answers of `script[m]`, if any."""
+    (message id, body) answers of `script[m]`, if any, each body after an
+    empty updates block."""
 
     def __init__(self, script=None):
         self.listener = socket.create_server(("127.0.0.1", 0))
@@ -437,6 +461,7 @@ class RawServer:
                     first = all(e.message_id != env.message_id for e in self.frames)
                     self.frames.append(env)
                     for mid, payload in self.script.get(env.message_id, ()) if first else ():
+                        payload = rpc.enc_response((), payload)  # an empty updates block first
                         resp = Envelope(MsgType.RESPONSE, rpc.SERVER, 0, mid, None, payload)
                         conn.sendall(rpc.frame_encode(resp))
 
