@@ -50,9 +50,10 @@ out the vouched keys is safe:
   client's RPCs fill, their updates blocks included (below): a block is
   applied with the answer it came on, only if that answer is accepted,
   and its entries were current when that answer was built.  The client
-  sent no RPC after that answer, so every such answer came before it.  (Handles of one client share its cache: an
-  answer to another handle's later READ may be newer than t, which is why
-  any later RPC cancels the rule.)
+  sent no RPC after that answer, so every such answer came before it.
+  (Handles of one client share its cache: an answer to another handle's
+  later READ may be newer than t, which is why any later RPC cancels the
+  rule.)
 * Each read is current at t.  Each validated key is unchanged and unlocked
   at an instant >= t.  Versions only grow, so every read is current at t;
   for the same reason a stale key always has an entry to piggyback.

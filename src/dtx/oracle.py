@@ -155,7 +155,7 @@ def check_serializable_graph(
 
     # Kahn topological sort, lowest index first among the ready
     edges = sum(indeg)
-    ready = [i for i in range(n) if indeg[i] == 0]
+    ready = [i for i in range(n) if indeg[i] == 0]  # ascending, so a heap
     order: list[int] = []
     while ready:
         i = heapq.heappop(ready)
