@@ -24,28 +24,32 @@ all sent before any answer is awaited.  An owner serves all the keys of a
 READ within one step of its protocol loop and answers whether any of them
 was exclusively locked.  txn_read is the one-key case.
 
-A transaction that wrote nothing commits without a coordinator.  The client
-splits its reads by owner and sends each owner one VALIDATE in parallel;
-each owner answers, within one step of its protocol loop, whether no read
-key is exclusively locked and every read version is current, and keeps no
-state.  Keys some owner has vouched for are left out, while the client has
-sent no other RPC since that owner answered: the keys of the transaction's
-latest read round when a single owner served that round and said none of
-its keys was locked, and, after a failed validation round in which only
-one owner failed and it answered STALE_READ, every key of the slice that
-owner checked.  If nothing is left, the commit sends nothing.  The reason
-of a failure is that of the lowest-id owner that failed (TIMEOUT for one
-that stayed silent), and all piggybacked entries are merged.  Why leaving
+A transaction that wrote nothing commits without a coordinator: it is
+validated by a read round over its read keys, the one READ shape above,
+and no owner keeps any state for it.  The client compares each answer's
+entries with the versions it read, a missing key being version 0.  An
+owner fails the round with LOCK_DENIED_READ if any of its keys was
+exclusively locked, else with STALE_READ and the current entry of each
+key whose version moved, in the order of its keys; an owner that stayed
+silent fails it with TIMEOUT.  A validation answer enters neither the
+cache nor the transaction's reads.  Keys some owner has vouched for are
+left out, while the client has sent no other RPC since that owner
+answered: the keys of the transaction's latest read round when a single
+owner served that round and said none of its keys was locked, and, after
+a failed validation round in which only one owner failed and it failed
+STALE_READ, every key that owner was asked for.  If nothing is left, the
+commit sends nothing.  The reason of a failure is that of the lowest-id
+owner that failed, and all piggybacked entries are merged.  Why leaving
 out the vouched keys is safe:
 
 * The common instant.  Every read finishes before any validation starts.
-  Call t the instant the owner served the READ, or answered the failed
-  VALIDATE; it did either in one step, so t is one instant for all the
-  keys of its answer.  The answer vouches for those keys at t: a READ
-  answer holds each key's current entry, and a STALE_READ answer means
-  none of the slice's keys was exclusively locked, the keys it did not
-  report were current, and the entries it piggybacked, which replace the
-  reported reads, are current.  Every other entry was obtained before t:
+  Call t the instant the owner served the READ, of a read round or of
+  the failed validation round; it served it in one step, so t is one
+  instant for all the keys of its answer.  The answer vouches for those
+  keys at t: it holds each key's current entry, so when it failed
+  STALE_READ, none of its keys was exclusively locked, the keys it did
+  not report were current, and the entries it reported, which replace
+  the stale reads, are current.  Every other entry was obtained before t:
   by an earlier read round, or from the cache, which only answers to the
   client's RPCs fill, their updates blocks included (below): a block is
   applied with the answer it came on, only if that answer is accepted,
@@ -64,7 +68,7 @@ out the vouched keys is safe:
   holds its exclusive locks from prepare until it applies, so no 2PC write
   can be half-applied across the keys read: a writer applied at one owner
   and still prepared at another has that second key locked, which the READ
-  or the VALIDATE reports.
+  reports.
 * One owner only.  Two owners that answer in one round, a read round or a
   failed validation round, vouch for two different instants, and nothing
   orders them: a writer of x and y may commit between the instant x's
@@ -91,8 +95,8 @@ there first, and the failure answer piggybacks the current entry of each
 stale key.  Those entries replace the stale reads in the transaction and
 the cache, every other read and cache entry stands (the next validation
 rechecks them), and the transaction is resubmitted at once with no READ.
-A denied read lock or an already aborted transaction drops the
-transaction's keys from the cache and rebuilds the reads in one round;
+A denied read lock drops the transaction's keys from the cache and
+rebuilds the reads in one round;
 a denied write lock is retried with the same reads after exponential
 backoff with jitter.  A transaction that writes and is denied a read lock
 for the second time also backs off after the rebuild: two writers that
@@ -174,10 +178,11 @@ def coordinator_for(keys, members) -> int:
     return min(sid for sid, c in counts.items() if c == best)
 
 
-def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
-    """One round of READs, one per owner of `keys`, into the handle's read
-    set and the cache.  Leaves in h.fresh the round's keys if one owner
-    served them all and said none was locked (see the module docstring)."""
+def _read_round(cs: ClientState, keys):
+    """One READ per owner of `keys`, carrying every key of that owner, all
+    sent before any answer is awaited.  Returns the message id of the last
+    READ and [(owner, its keys, its answer or None if it stayed silent)],
+    in owner-id order."""
     by_owner: dict[int, list[bytes]] = {}
     for k in keys:
         by_owner.setdefault(owner_of(k, cs.members), []).append(k)
@@ -188,11 +193,19 @@ def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
         answers = [(yield ("rpc", *requests[0]))]
     else:
         answers = yield ("rpcs", requests)
-    for (sid, ks), answer in zip(groups, answers):
+    return requests[-1][1].message_id, [(sid, ks, a) for (sid, ks), a in zip(groups, answers)]
+
+
+def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
+    """One read round into the handle's read set and the cache.  Leaves in
+    h.fresh the round's keys if one owner served them all and said none
+    was locked (see the module docstring)."""
+    mid, answers = yield from _read_round(cs, keys)
+    for sid, ks, answer in answers:
         if answer is None:
             raise ReadUnavailableError(sid, ks)
     put, reads = cs.cache.put, h.reads
-    for (_, ks), answer in zip(groups, answers):
+    for _, ks, answer in answers:
         entries, locked = rpc.dec_read_resp(answer)
         for k, entry in zip(ks, entries):
             if entry is not None:
@@ -200,8 +213,8 @@ def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
             else:
                 entry = (None, 0)  # missing key reads as version 0; validated like any other
             reads[k] = entry
-    one_owner = len(groups) == 1 and not locked
-    h.fresh = (requests[0][1].message_id, frozenset(keys)) if one_owner else None
+    one_owner = len(answers) == 1 and not locked
+    h.fresh = (mid, frozenset(keys)) if one_owner else None
 
 
 def txn_read_many(cs: ClientState, h: TxnHandle, keys):
@@ -282,8 +295,9 @@ def txn_commit(cs: ClientState, h: TxnHandle):
         if reason == AbortReason.STALE_READ:
             # the stale keys came with the answer; the other reads stand
             h.reads.update(refreshed)
-        elif reason in (AbortReason.LOCK_DENIED_READ, AbortReason.ALREADY_ABORTED):
+        elif reason == AbortReason.LOCK_DENIED_READ:
             # restart from fresh reads, all in one round
+            read_denials += 1
             again = []
             for k in h.reads:
                 if k in refreshed:
@@ -294,8 +308,6 @@ def txn_commit(cs: ClientState, h: TxnHandle):
                 yield from _remote_reads(cs, h, again)
         elif reason != AbortReason.LOCK_DENIED_WRITE:
             break  # timeout / log failure: surface to the caller
-        if reason == AbortReason.LOCK_DENIED_READ:
-            read_denials += 1
         # two writers that each hold a key the other reads deny each other
         # and retry in step, so a writer denied a read lock again backs off
         if reason == AbortReason.LOCK_DENIED_WRITE or (
@@ -311,41 +323,36 @@ def txn_commit(cs: ClientState, h: TxnHandle):
 
 
 def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
-    """Check a read-only transaction's reads at every owner in parallel;
-    returns (committed, reason, piggyback) like a COMMIT answer, and leaves
-    in h.fresh the slice of the one owner that answered STALE_READ, if only
-    one owner failed."""
+    """Check a read-only transaction's reads with one read round; returns
+    (committed, reason, piggyback) like a COMMIT answer, and leaves in
+    h.fresh the keys of the one owner that failed STALE_READ, if only one
+    owner failed.  The answers touch neither the cache nor h.reads."""
     # a later RPC of this client, for any handle, may have cached an entry
     # newer than the answer that vouched for the fresh keys
     skip = h.fresh[1] if h.fresh and h.fresh[0] == cs.next_msg_id else frozenset()
-    slices: dict[int, list[tuple[bytes, int]]] = {}
-    for k, ver in txn.reads:
-        if k not in skip:
-            slices.setdefault(owner_of(k, cs.members), []).append((k, ver))
-    if not slices:
+    seen = {k: ver for k, ver in txn.reads if k not in skip}
+    if not seen:
         return True, None, []
-    requests = [
-        (sid, cs.env(MsgType.VALIDATE, rpc.enc_txn(Transaction(tuple(reads), ()))))
-        for sid, reads in sorted(slices.items())
-    ]
-    cs.stats["rpcs"] += len(requests)
-    answers = yield ("rpcs", requests)
+    _, answers = yield from _read_round(cs, seen)
     reason: AbortReason | None = None
     piggyback: list = []
-    failed: list[int] = []
-    for (sid, _), answer in zip(requests, answers):  # in owner-id order
+    failed: list[list[bytes]] = []
+    for _, ks, answer in answers:  # in owner-id order
         if answer is None:
-            ok, why, entries = False, AbortReason.TIMEOUT, []
+            why = AbortReason.TIMEOUT
         else:
-            ok, why, entries = rpc.dec_commit_resp(answer)
-        if not ok:
-            failed.append(sid)
-            reason = reason or why or AbortReason.UNKNOWN
-            piggyback += entries
+            entries, locked = rpc.dec_read_resp(answer)
+            stale = [(k, e) for k, e in zip(ks, entries) if (e[1] if e else 0) != seen[k]]
+            why = AbortReason.LOCK_DENIED_READ if locked else AbortReason.STALE_READ if stale else None
+            if why is AbortReason.STALE_READ:
+                piggyback += [(k, *e) for k, e in stale if e is not None]
+        if why is not None:
+            failed.append(ks)
+            reason = reason or why
     h.fresh = None
     if len(failed) == 1 and reason == AbortReason.STALE_READ:
-        # the one failed owner vouches for its whole slice (module docstring)
-        h.fresh = (cs.next_msg_id, frozenset(k for k, _ in slices[failed[0]]))
+        # the one failed owner vouches for all of its keys (module docstring)
+        h.fresh = (cs.next_msg_id, frozenset(failed[0]))
     return reason is None, reason, piggyback
 
 

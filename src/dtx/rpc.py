@@ -3,10 +3,10 @@
 At-least-once delivery comes from sender retries (identical envelope,
 identical ids); at-most-once processing comes from receiver-side dedup:
 
-* READ and VALIDATE requests are idempotent and never deduplicated.  A
-  transaction that wrote nothing never sends COMMIT: its client sends each
-  owner one VALIDATE, so no server keeps state for it and a resend simply
-  checks again.
+* READ requests are idempotent and never deduplicated.  A transaction
+  that wrote nothing never sends COMMIT: its client validates its reads
+  with one READ per owner, so no server keeps state for it and a resend
+  simply reads again.
 * Commit requests dedup on (client id, message id); the client's message
   ids are contiguous, so a bounded sliding window per client suffices.
   The window holds a COMMIT's TranxID while the transaction is in flight,
@@ -38,13 +38,12 @@ Payloads (blob = len: u32 LE | bytes):
   exclusively locked, i.e. held by a writer between prepare and apply,
   when the owner read them.  The owner reads every key in one step, so
   the answer shows them at one instant.
-* VALIDATE request, client to owner: a Transaction holding that owner's
-  read keys and versions and no writes (n_reads: u32 LE | (key blob |
-  version u64 LE)* | n_writes: u32 LE = 0).  Answer: the COMMIT answer,
-  committed: u8 | reason: u8 | n: u32 LE | (key blob | value blob |
-  version u64 LE)*, with committed 1 when no read key is exclusively locked
-  and every read version is current, else the reason and the current
-  entries of the stale keys.
+* COMMIT request, client to coordinator, and PREPARE, coordinator to
+  participant: a Transaction, the whole one or one owner's slice
+  (n_reads: u32 LE | (key blob | version u64 LE)* | n_writes: u32 LE |
+  (key blob | value blob)*).  The COMMIT answer: committed: u8 | reason:
+  u8 | n: u32 LE | (key blob | value blob | version u64 LE)*, the reason
+  and, for STALE_READ, the current entries of the stale keys.
 * COMMIT_DECISION and ABORT_DECISION, coordinator to participant, and the
   participant's ACK of a commit: the TranxID in the envelope, an empty
   payload.  One message names one transaction.  An abort is sent once and
@@ -66,8 +65,8 @@ takes whole).
 A server drops a message whose type names a transaction (PREPARE, READY,
 the decisions, ACK) but whose envelope carries none, any of those or GC_LC
 from a sender whose kind is not server, every RESPONSE, and a message whose
-payload does not decode; a COMMIT or VALIDATE whose payload does not
-decode is answered UNKNOWN.  Type byte 9 is unassigned and does not decode.
+payload does not decode; a COMMIT whose payload does not decode is
+answered UNKNOWN.  Type bytes 9 and 12 are unassigned and do not decode.
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ class MsgType(enum.IntEnum):
     GC_LC = 8
     RESPONSE = 10
     CLIENT_HELLO = 11  # connection handshake: server assigns a client id
-    VALIDATE = 12  # read-only commit: a client asks one owner to check its reads
 
 
 _MSG_TYPE = {int(t): t for t in MsgType}
@@ -133,11 +131,11 @@ class AbortReason(enum.Enum):
     STALE_READ = "stale-read"
     TIMEOUT = "timeout"
     LOG_FAILURE = "log-failure"
-    ALREADY_ABORTED = "already-aborted"
     UNKNOWN = "unknown"
 
 
-_REASON_CODE = {None: 0, **{r: i for i, r in enumerate(AbortReason, start=1)}}
+# the reasons' wire codes; code 6 is retired and does not decode
+_REASON_CODE = {None: 0, **dict(zip(AbortReason, (1, 2, 3, 4, 5, 7)))}
 _CODE_REASON = {i: r for r, i in _REASON_CODE.items()}
 
 
@@ -262,7 +260,7 @@ def dec_txn(b: bytes) -> Transaction:
 
 
 def enc_commit_resp(committed: bool, reason: AbortReason | None, piggyback) -> bytes:
-    """The COMMIT and VALIDATE answer, and a participant's abort vote."""
+    """The COMMIT answer, and a participant's abort vote."""
     out = [_ANSWER.pack(committed, _REASON_CODE[reason])]
     _pack_entries(out, piggyback)
     return b"".join(out)

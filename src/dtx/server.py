@@ -55,18 +55,14 @@ insertion is also ordered by due time, and one timer armed for its head
 serves every pending resend.
 
 A transaction that wrote nothing never reaches a coordinator: its client
-sends each owner a VALIDATE with that owner's reads (see client.py), and a
-COMMIT with no writes is answered UNKNOWN.  A VALIDATE takes no TranxID,
-lock, log record, dedup entry or watermark, and leaves no state behind.
-Within one step of the protocol loop the owner checks that no read key is
-exclusively locked (else LOCK_DENIED_READ) and that every read key still
-has the version the client observed (else STALE_READ with the current
-entries piggybacked).  The lock check is what stops a fractured read: a 2PC
+validates its reads with a second read round (see client.py), and a
+COMMIT with no writes is answered UNKNOWN.  A READ takes no TranxID, lock,
+log record, dedup entry or watermark.  Within one step of the protocol
+loop the owner reads every key of a READ and says whether any of them was
+exclusively locked.  That flag is what stops a fractured read: a 2PC
 participant holds its exclusive locks from prepare until it applies the
 decision, so a reader that saw one owner's post-commit value and another
 owner's pre-commit value finds the second key locked or its version moved.
-For the same reason a READ answer says whether any of its keys was
-exclusively locked when they were read, all in one step.
 
 Every answer to a client, a RESPONSE, is an updates block, then the body
 (rpc.enc_response).  The block holds the current entry of each key this
@@ -75,10 +71,12 @@ client's cache catches up with commits it did not make (client.py).  The
 storage engine keeps the last storage.RECENT keys applied live in a ring,
 and the node keeps each client's position in it, its cursor.  A client
 with no cursor, or whose cursor the ring has passed, gets the whole ring,
-so the GC tick drops passed cursors and the map stays bounded.  A restart
-starts with an empty ring and no cursor, and recovery's replay feeds
-nothing in.  The handshake answer carries an empty block and makes no
-cursor.  An answer lost on the wire loses its block: the cache is a hint.
+so each GC tick drops passed cursors and those of clients not answered
+since the previous tick: the map holds only clients active within about
+one GC period.  A restart starts with an empty ring and no cursor, and
+recovery's replay feeds nothing in.  The handshake answer carries an
+empty block and makes no cursor.  An answer lost on the wire loses its
+block: the cache is a hint.
 
 A client's COMMIT is answered from one table, its dedup window
 (rpc.DedupTable): coordinating records the new TranxID under the request's
@@ -158,7 +156,6 @@ _LOCK_REASON = {
     RejectReason.SHARED_DENIED: AbortReason.LOCK_DENIED_READ,
     RejectReason.EXCLUSIVE_DENIED: AbortReason.LOCK_DENIED_WRITE,
     RejectReason.WAIT_TIMEOUT: AbortReason.LOCK_DENIED_WRITE,
-    RejectReason.ALREADY_ABORTED: AbortReason.ALREADY_ABORTED,
 }
 
 
@@ -241,8 +238,10 @@ class ServerNode:
         self._resend_timer = None  # armed for the head of _resend, if any
         self._next_client = 0
         # client id -> ring position (storage.StorageEngine.recent) of its
-        # last answer; a cursor the ring passed is dropped at the GC tick
+        # last answer; the GC tick drops a cursor the ring passed, and that
+        # of a client not in _answered, those answered since the last tick
         self._cursors: dict[int, int] = {}
+        self._answered: set[int] = set()
         self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
 
     # -- plumbing --------------------------------------------------------------
@@ -265,6 +264,7 @@ class ServerNode:
         cursor = self._cursors.get(client_id)
         applied = self.storage.applied
         self._cursors[client_id] = applied
+        self._answered.add(client_id)
         updates = self.storage.updates_since(cursor) if cursor != applied else ()
         self._respond(client_id, message_id, rpc.enc_response(updates, body))
 
@@ -334,11 +334,6 @@ class ServerNode:
     def _on_client_hello(self, env: Envelope) -> None:
         # the id is not the client's yet: an empty block, and no cursor
         self._respond(env.sender_id, env.message_id, rpc.enc_response((), rpc.enc_u64(self.assign_client_id())))
-
-    def _on_validate(self, env: Envelope) -> None:
-        sub = self._decode(env, rpc.dec_txn)
-        reason, piggyback = (AbortReason.UNKNOWN, []) if sub is None else self._validate_slice(sub)
-        self._reply(env.sender_id, env.message_id, rpc.enc_commit_resp(reason is None, reason, piggyback))
 
     def _on_ready(self, env: Envelope) -> None:
         self._vote(env.tranx, env.sender_id, None, [])
@@ -537,18 +532,6 @@ class ServerNode:
         self._resend.pop(rec.tranx, None)
         self.gc.mark_complete(rec.tranx)
 
-    # -- read-only validation ------------------------------------------------------
-
-    def _validate_slice(self, sub: Transaction):
-        """(reason, piggyback) if a read key is exclusively locked or its
-        version moved, else (None, []).  Reads only, so it is idempotent."""
-        if any(self.locks.exclusively_held(k) for k, _ in sub.reads):
-            return AbortReason.LOCK_DENIED_READ, []
-        piggyback = self._stale_reads(sub.reads)
-        if piggyback is not None:
-            return AbortReason.STALE_READ, piggyback
-        return None, []
-
     # -- participant ----------------------------------------------------------------
 
     def _lock_slice(self, tranx: TranxID, reads, writes, on_result) -> None:
@@ -614,7 +597,11 @@ class ServerNode:
     def _prepare_locked(self, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
         rec = self.part.get(tranx)
         if rec is None or rec.state != PartState.START:
-            return  # a concurrent abort decision already settled this one
+            # only an abort decision settles a slice first, and it cancels
+            # the acquire once the slice is Abort
+            assert why is RejectReason.ALREADY_ABORTED, (tranx, rec, why)
+            assert rec is not None and rec.state is PartState.ABORT, (tranx, rec)
+            return
         reason, out = self._check_locked(tranx, sub, granted, why)
         if reason is not None:  # an abort vote logs nothing (presumed abort)
             self._set_part_state(rec, PartState.ABORT)
@@ -738,9 +725,11 @@ class ServerNode:
         for sid in self.peers:  # fire-and-forget
             self._send(sid, self._server_env(MsgType.GC_LC, None, rpc.enc_u64(lc_seq)))
         self._reclaim_records()
-        # a passed cursor gets the whole ring, as no cursor does
+        # a passed or dropped cursor gets the whole ring, as no cursor does
         start = self.storage.applied - len(self.storage.recent)
-        self._cursors = {c: pos for c, pos in self._cursors.items() if pos > start}
+        answered = self._answered
+        self._cursors = {c: pos for c, pos in self._cursors.items() if pos > start and c in answered}
+        answered.clear()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
 
     def _reclaim_records(self) -> None:

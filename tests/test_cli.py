@@ -116,11 +116,13 @@ FAULT_SCENARIOS = {
     "dup": "dup = 0.05\ndelay = 0.05\n",
     # a participant restarted with two in-doubt slices on one key must boot
     "crash": "crash = 1 0.7 0.2\n",
+    # loss and a partition: validation READs go unanswered and are resent
+    "loss": "drop = 0.05\npartition = 0|1,2 0.5 0.3\n",
 }
 
 
 def test_fault_scenarios_pass_every_verdict_at_seeds_0_to_4():
-    """A fixed-seed sweep of two fault scenarios on 3 servers, 4 clients,
+    """A fixed-seed sweep of three fault scenarios on 3 servers, 4 clients,
     8 keys, half reads, 2 s: every run finishes and passes all five
     verdicts."""
     shape = "servers = 3\nclients = 4\nkey_count = 8\nread_fraction = 0.50\nduration = 2.0\n"

@@ -1,5 +1,6 @@
 """Client library: read lookup order, retry policy, backoff, cache updates."""
 
+import copy
 import random
 
 import pytest
@@ -128,8 +129,9 @@ def test_read_many_of_one_owner_is_one_plain_rpc_and_vouches_unless_locked():
         assert vals == [b"x", b"y"]
         assert [(e[0], e[1], rpc.dec_read_req(e[2].payload)) for e in fx] == [("rpc", 0, [a0, a1])]
         assert h.fresh == (None if locked else (cs.next_msg_id, frozenset((a0, a1))))
-        (ok, _), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True)])
-        assert ok and [e[0] for e in fx] == (["rpcs"] if locked else [])
+        current = rpc.enc_read_resp([(b"x", 1), (b"y", 2)], False)
+        (ok, _), fx = drive(txn_commit(cs, h), lambda e: current)
+        assert ok and [e[0] for e in fx] == (["rpc"] if locked else [])
 
 
 def test_missing_key_reads_as_version_zero():
@@ -228,14 +230,10 @@ def test_writer_denied_a_read_lock_again_backs_off_and_a_reader_never_does():
     cs = make_state(max_retries=4)
     h = TxnHandle(reads={b"k": (b"old", 3)})  # read-only: holds no lock
 
-    def read_only_responder(e):
-        if e[0] == "rpc":
-            return read_resp((b"old", 3), locked=True)
-        return [commit_resp(False, AbortReason.LOCK_DENIED_READ)]
-
-    (ok, reason), fx = drive(txn_commit(cs, h), read_only_responder)
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: read_resp((b"old", 3), locked=True))
     assert not ok and reason == AbortReason.LOCK_DENIED_READ
-    assert [e[0] for e in fx] == ["rpcs", "rpc"] * 3 + ["rpcs"]
+    # a validation READ, then a re-read, alternately, and no sleep
+    assert [(e[0], e[2].msg_type) for e in fx] == [("rpc", MsgType.READ)] * 7
 
 
 def test_silence_is_terminal_unknown():
@@ -298,13 +296,11 @@ def test_read_only_commit_validates_every_owner_in_one_effect():
     cs = make_state()
     h = TxnHandle(reads={a: (b"va", 1), b: (b"vb", 2)})
     val, fx = drive(txn_read(cs, h, c), lambda e: read_resp((b"vc", 3)))
-    # the latest READ said unlocked and no RPC followed it: c needs no VALIDATE
+    # the latest READ said unlocked and no RPC followed it: c is not validated
     assert h.fresh == (cs.next_msg_id, frozenset((c,)))
-    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True)] * 2)
-    assert ok and reason is None and len(fx) == 1
-    assert fx[0][0] == "rpcs" and [dest for dest, _ in fx[0][1]] == [0, 1]
-    slices = [rpc.dec_txn(env.payload) for _, env in fx[0][1]]
-    assert [s.reads for s in slices] == [((a, 1),), ((b, 2),)] and not any(s.writes for s in slices)
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [read_resp((b"va", 1)), read_resp((b"vb", 2))])
+    assert ok and reason is None and len(fx) == 1 and fx[0][0] == "rpcs"
+    assert [(dest, rpc.dec_read_req(env.payload)) for dest, env in fx[0][1]] == [(0, [a]), (1, [b])]
 
 
 def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyback():
@@ -314,14 +310,11 @@ def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyb
     h = TxnHandle(reads={a: (b"va", 1), b: (b"vb", 2), c: (b"vc", 3)})  # all from the cache
     script = iter(
         [
-            [
-                commit_resp(True),
-                commit_resp(False, AbortReason.LOCK_DENIED_READ),
-                commit_resp(False, AbortReason.STALE_READ, [(c, b"vc", 5)]),
-            ],
+            # owner 1 says locked, owner 2 holds a newer c
+            [read_resp((b"va", 1)), read_resp((b"vb", 2), locked=True), read_resp((b"vc", 5))],
             # a and b were not piggybacked: re-read, both in one round
             [read_resp((b"va", 1)), read_resp((b"vb", 2), locked=True)],
-            [commit_resp(False, AbortReason.STALE_READ, [(a, b"va", 6)]), None, commit_resp(True)],
+            [read_resp((b"va", 6)), None, read_resp((b"vc", 5))],
         ]
     )
     cs.max_retries = 2
@@ -331,8 +324,8 @@ def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyb
     assert [(dest, rpc.dec_read_req(env.payload)) for dest, env in fx[1][1]] == [(0, [a]), (1, [b])]
     # the second commit validates all three owners: c came with the abort,
     # and the re-read round went to two owners, so it vouches for nothing
-    assert [dest for dest, _ in fx[2][1]] == [0, 1, 2]
-    assert rpc.dec_txn(fx[2][1][2][1].payload).reads == ((c, 5),)
+    assert [(dest, rpc.dec_read_req(env.payload)) for dest, env in fx[2][1]] == [(0, [a]), (1, [b]), (2, [c])]
+    assert h.reads[c] == (b"vc", 5)
     # the first attempt failed for owner 1's reason; the second took owner
     # 0's stale read over owner 1's silence, and a's piggyback
     assert not ok and reason == AbortReason.STALE_READ and h.attempts == 2
@@ -343,8 +336,45 @@ def test_read_only_commit_reports_timeout_for_a_silent_owner():
     by_owner = keys_by_owner()
     cs = make_state()
     h = TxnHandle(reads={by_owner[0][0]: (b"v", 1), by_owner[2][0]: (b"v", 1)})
-    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True), None])
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [read_resp((b"v", 1)), None])
     assert not ok and reason == AbortReason.TIMEOUT and len(fx) == 1
+
+
+def cache_state(cache):
+    """The entries in LRU order, the hits and the misses."""
+    return list(cache._map.items()), cache.hits, cache.misses
+
+
+def test_validation_rounds_leave_the_cache_alone():
+    """A failed, then a passing validation round add, replace and move no
+    cache entry and count no hit or miss: the one change to the cache is
+    the stale key's piggybacked entry, which the retry policy puts.  The
+    answers' other entries enter neither the cache nor the reads, so the
+    retry's reads differ from the first attempt's only in the stale key."""
+    by_owner = keys_by_owner()
+    a, b, c = by_owner[0][0], by_owner[0][1], by_owner[1][0]
+    cs = make_state()
+    for k in (c, a, by_owner[2][0], b):
+        cs.cache.put(k, b"old", 1)
+    cs.cache.get(a)  # a hit, which moves a to the LRU tail
+    cs.cache.get(by_owner[2][1])  # a miss
+    expected = copy.deepcopy(cs.cache)
+    expected.put(b, b"new", 2)
+    h = TxnHandle(reads={a: (b"old", 1), b: (b"old", 1), c: (b"old", 1)})
+    first = dict(h.reads)
+    script = iter(
+        [
+            # a and c are current, whatever their values; b moved
+            [rpc.enc_read_resp([(b"other", 1), (b"new", 2)], False), read_resp((b"other", 1))],
+            read_resp((b"other", 1)),
+        ]
+    )
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: next(script))
+    assert ok and reason is None and h.attempts == 2
+    # owner 0 alone failed: its answer vouches for a and b, so only c is checked again
+    assert [e[0] for e in fx] == ["rpcs", "rpc"] and rpc.dec_read_req(fx[1][2].payload) == [c]
+    assert h.reads == {**first, b: (b"new", 2)}
+    assert cache_state(cs.cache) == cache_state(expected)
 
 
 def test_one_unlocked_read_commits_without_an_rpc():

@@ -124,7 +124,7 @@ def test_participant_transitions():
 
 
 def test_transaction_rejects_duplicate_keys():
-    # decoded from a COMMIT, PREPARE or VALIDATE payload, a repeated key
+    # decoded from a COMMIT or PREPARE payload, a repeated key
     # makes the payload malformed, which the server drops or answers UNKNOWN
     data = b"".join([
         model._U32.pack(2),  # two reads of the same key

@@ -1,5 +1,6 @@
 """The commit of a transaction that wrote nothing: the client validates its
-reads at each owner, and leaves out the latest read when it was unlocked."""
+reads with a READ to each owner, and leaves out the latest read when it
+was unlocked."""
 
 import pytest
 
@@ -133,11 +134,11 @@ def test_read_only_commit_logs_locks_and_numbers_nothing(owners, monkeypatch):
     assert [node.gc.last_issued for node in nodes] == issued
     assert [node.dedup.size() for node in nodes] == dedup
     assert server_counts(sim) == msgs  # no server-to-server message
-    # one READ per key, then one VALIDATE per owner of a key other than the
-    # last one read, all sent before any answer
+    # one READ per key, then one validation READ per owner of a key other
+    # than the last one read, all sent before any answer
     validated = {owner_of(k, sim.members) for k in sorted(keys)[:-1]}
-    assert types(sent) == ["READ"] * len(keys) + ["VALIDATE"] * len(validated)
-    assert {dest for dest, t, _ in sent if t == "VALIDATE"} == validated
+    assert types(sent) == ["READ"] * (len(keys) + len(validated))
+    assert {dest for dest, _, _ in sent[len(keys):]} == validated
     assert reader.state.stats["rpcs"] == len(keys) + len(validated)
     quiet(sim)
 
@@ -168,14 +169,14 @@ def test_locked_one_key_read_is_validated_until_the_decision_lands():
     assert h.reads[y][1] == 0  # the writer's decision has not reached y's owner
     assert not ok and reason == AbortReason.LOCK_DENIED_READ
     # nothing is re-read after the last attempt
-    assert sent == [(1, "READ", y), (1, "VALIDATE", None)]
+    assert sent == [(1, "READ", y), (1, "READ", y)]
 
     sim.heal(cut)
     sim.run(1.0)  # the decision resend reaches server 1, which applies y
     del sent[:]
     ok, reason, h = commit_txn(sim, reader, [y], {})
     assert ok and h.reads[y] == (b"new", 1)
-    assert sent == [(1, "READ", y)]  # unlocked now: no VALIDATE
+    assert sent == [(1, "READ", y)]  # unlocked now: no validation READ
     quiet(sim)
 
 
@@ -229,7 +230,7 @@ def test_one_owner_round_with_nothing_locked_commits_without_validate():
     ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, keys))
     assert ok and reason is None and h.attempts == 1 and seen == {k: 1 for k in keys}
     # the owner served every key in one step and none was locked, so the
-    # round vouches for all three: one READ and no VALIDATE
+    # round vouches for all three: one READ and no validation READ
     assert sent == [(1, "READ", tuple(keys))]
     assert reader.state.stats["rpcs"] == 1
     assert server_counts(sim) == msgs
@@ -249,8 +250,7 @@ def test_two_owner_round_is_validated_at_every_owner():
     assert ok and reason is None and h.attempts == 1 and seen == {k: 1 for k in keys}
     # both READs go out before either answer; their instants are unordered,
     # so the round vouches for nothing and both owners validate
-    assert sent == [(0, "READ", tuple(home)), (1, "READ", k1),
-                    (0, "VALIDATE", None), (1, "VALIDATE", None)]
+    assert sent == [(0, "READ", tuple(home)), (1, "READ", k1)] * 2
     assert reader.state.stats["rpcs"] == 4
     quiet(sim)
 
@@ -267,7 +267,7 @@ def test_two_owner_round_over_a_half_applied_write_is_refused():
     ok, reason, seen, _ = run_gen(sim, reader, read_round(reader.state, [x, y]))
     assert seen == {x: 1, y: 0}  # the fractured view: y's owner said locked
     assert not ok and reason == AbortReason.LOCK_DENIED_READ
-    assert sent == [(0, "READ", x), (1, "READ", y), (0, "VALIDATE", None), (1, "VALIDATE", None)]
+    assert sent == [(0, "READ", x), (1, "READ", y)] * 2
 
     sim.heal(cut)
     sim.run(1.0)  # the decision resend reaches server 1, which applies y
@@ -382,8 +382,8 @@ def test_stale_read_piggybacks_the_current_entry_and_the_retry_commits():
     # every read came from the cache, so both owners are validated; only
     # server 1 found a stale read, so its answer vouches for k1 and the
     # retry validates the home keys alone, with no READ
-    assert sent[:2] == [(0, "VALIDATE", None), (1, "VALIDATE", None)]
-    assert sent[2:] == [(0, "VALIDATE", None)]
+    assert sent[:2] == [(0, "READ", tuple(home)), (1, "READ", k1)]
+    assert sent[2:] == [(0, "READ", tuple(home))]
     assert reader.state.stats["rpcs"] - rpcs == 3
     quiet(sim)
 
@@ -400,9 +400,9 @@ def test_single_stale_owner_vouches_for_its_slice():
 
     sent = client_sends(sim)
     ok, reason, h = commit_txn(sim, reader, home, {})
-    # the one VALIDATE found home[0] stale and piggybacked it: the retry
-    # commits with no RPC
-    assert ok and h.attempts == 2 and sent == [(0, "VALIDATE", None)]
+    # the one validation READ found home[0] stale, with its current entry:
+    # the retry commits with no RPC
+    assert ok and h.attempts == 2 and sent == [(0, "READ", tuple(home))]
     assert h.reads == {home[0]: (b"moved", 2), home[1]: (b"first", 1)}
     quiet(sim)
 
@@ -423,12 +423,12 @@ def test_two_stale_owners_vouch_for_nothing():
     assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
     sim.run(0.5)
 
-    cut = sim.partition([("c", reader.client_id)], [1])  # hold y's VALIDATE back
+    cut = sim.partition([("c", reader.client_id)], [1])  # hold y's validation READ back
     mark = len(sim.trace)
     box = []
     reader.run(txn_gen(reader.state, [x, y], {}), box.append)
     step_until(sim, lambda: any(
-        e[1] == 0 and e[2] == "msg.recv" and e[3]["type"] == "VALIDATE" for e in sim.trace[mark:]
+        e[1] == 0 and e[2] == "msg.recv" and e[3]["type"] == "READ" for e in sim.trace[mark:]
     ))
     assert commit_txn(sim, writer, [x, y], {x: b"v3", y: b"v3"})[0]
     assert not box
@@ -440,8 +440,7 @@ def test_two_stale_owners_vouch_for_nothing():
     assert h.reads == {x: (b"v3", 3), y: (b"v3", 3)}
     # the second round validated both slices: x was stale again, alone, so
     # the third round validated y alone
-    assert sent == [(1, "VALIDATE", None), (0, "VALIDATE", None), (1, "VALIDATE", None),
-                    (1, "VALIDATE", None)]
+    assert sent == [(1, "READ", y), (0, "READ", x), (1, "READ", y), (1, "READ", y)]
     quiet(sim)
 
 
@@ -462,8 +461,9 @@ def test_stale_read_abort_keeps_the_unreported_keys_cached():
     assert not ok and reason == AbortReason.STALE_READ
     sent = client_sends(sim)
     ok, reason, h = commit_txn(sim, reader, keys, {})
-    # the home keys stayed cached and k1 came with the abort: no READ
-    assert ok and "READ" not in types(sent)
+    # the home keys stayed cached and k1 came with the abort: no read
+    # round, only the validation READs of both owners
+    assert ok and sent == [(0, "READ", tuple(home)), (1, "READ", k1)]
     assert h.reads == {home[0]: (b"first", 1), home[1]: (b"first", 1), k1: (b"moved", 2)}
     quiet(sim)
 
@@ -482,12 +482,12 @@ def test_partitioned_owner_is_resent_validate_then_commits_or_times_out():
     client.run(txn_gen(client.state, keys, {}), box.append)
     sim.run(0.5)
     assert not box
-    assert types(sent).count("VALIDATE") >= 4  # server 0's, and server 1's resends
+    assert types(sent).count("READ") >= 4  # server 0's, and server 1's resends
     sim.heal(cut)
     step_until(sim, lambda: box)
     ok, reason, _ = box[0][1]
     assert ok and reason is None
-    assert sent.count((0, "VALIDATE", None)) == 1  # the owner that answered is not asked again
+    assert [dest for dest, _, _ in sent].count(0) == 1  # the owner that answered is not asked again
     quiet(sim)
 
     # never healed: the client gives up once its resend budget is spent

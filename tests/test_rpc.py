@@ -52,7 +52,7 @@ def test_frame_rejects_bad_version_and_length():
         rpc.frame_decode(rpc.frame_encode(env)[:-1])
 
 
-@pytest.mark.parametrize("type_byte", [0, 9, 13])
+@pytest.mark.parametrize("type_byte", [0, 9, 12, 13])
 def test_frame_rejects_an_unassigned_message_type(type_byte):
     data = bytearray(rpc.frame_encode(Envelope(MsgType.READY, rpc.SERVER, 1, 2, TranxID(0, 1), b"")))
     data[5] = type_byte
@@ -159,21 +159,21 @@ def test_commit_record_and_prepare_payload_bytes_are_stable():
         decode_record(bytes.fromhex("01" + record[2:]))
 
 
-def test_read_answer_and_validate_bytes_are_stable():
-    """Golden bytes: the READ answer with its trailing locked byte, a
-    client's VALIDATE frame and its answers, and the COMMIT_DECISION and ACK
-    frames, which carry their TranxID in the envelope and no payload."""
+def test_read_answer_commit_answer_and_decision_bytes_are_stable():
+    """Golden bytes: the READ answer with its trailing locked byte, the
+    COMMIT answers, and the COMMIT_DECISION and ACK frames, which carry
+    their TranxID in the envelope and no payload."""
     assert rpc.enc_read_resp([(b"v1", 7)], True).hex() == "01" "020000007631" "0700000000000000" "01"
     assert rpc.enc_read_resp([None], False).hex() == "0000"
-    reads = Transaction(((b"k1", 3),), ())
-    validate = Envelope(MsgType.VALIDATE, rpc.CLIENT, 5, 9, None, rpc.enc_txn(reads))
-    assert rpc.frame_encode(validate).hex() == (
-        "2a000000" "01" "0c" "00" "0500000000000000" "0900000000000000" "00"
-        "01000000" "020000006b31" "0300000000000000" "00000000"
-    )
     assert rpc.enc_commit_resp(True, None, []).hex() == "010000000000"
     stale = rpc.enc_commit_resp(False, AbortReason.STALE_READ, [(b"k1", b"v", 4)])
     assert stale.hex() == "000301000000" "020000006b31" "0100000076" "0400000000000000"
+    # every reason keeps its code; 6 is retired, so UNKNOWN stays 7
+    codes = [rpc.enc_commit_resp(False, r, [])[1] for r in AbortReason]
+    assert dict(zip((r.name for r in AbortReason), codes)) == {
+        "LOCK_DENIED_READ": 1, "LOCK_DENIED_WRITE": 2, "STALE_READ": 3, "TIMEOUT": 4, "LOG_FAILURE": 5,
+        "UNKNOWN": 7,
+    }
     tranx = TranxID(1, 258)
     decision = Envelope(MsgType.COMMIT_DECISION, rpc.SERVER, 1, 3, tranx, b"")
     assert rpc.frame_encode(decision).hex() == (
@@ -330,7 +330,7 @@ def test_payload_decoders_reject_trailing_bytes(name):
             decode(data + junk)
 
 
-UNUSED_REASON = len(AbortReason) + 1
+UNUSED_REASON = 8
 # name -> (a valid encoding, the offset of one flag or reason byte, a value
 # out of its range, the decoder)
 OUT_OF_RANGE = {
@@ -340,6 +340,8 @@ OUT_OF_RANGE = {
     "commit-reason": (rpc.enc_commit_resp(False, AbortReason.STALE_READ, []), 1, UNUSED_REASON,
                       rpc.dec_commit_resp),
     "vote-reason": (rpc.enc_commit_resp(*VOTE), 1, UNUSED_REASON, rpc.dec_commit_resp),
+    # code 6 named a reason no server sends any more, and is not reused
+    "retired-reason": (rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []), 1, 6, rpc.dec_commit_resp),
     "has-tranx": (GOLDEN["prepare-frame"][1], 23, 2, rpc.frame_decode),
     "has-client-commit": (GOLDEN["coord-commit-client"][1], 13, 2, decode_record),
 }

@@ -615,8 +615,8 @@ UNKNOWN = rpc.enc_commit_resp(False, AbortReason.UNKNOWN, [])
 STALE_VOTE = rpc.enc_commit_resp(False, AbortReason.STALE_READ, [])
 
 # (message type, transaction: none/pending/foreign, payload, expected reply
-# [, sender kind]); a client sends READ, VALIDATE, COMMIT and CLIENT_HELLO,
-# and sender id 1 the rest as a server, unless the entry names another kind,
+# [, sender kind]); a client sends READ, COMMIT and CLIENT_HELLO, and
+# sender id 1 the rest as a server, unless the entry names another kind,
 # which sender id 1 then sends
 MALFORMED = {
     "prepare-without-tranx": (MsgType.PREPARE, "none", SLICE, None),
@@ -629,7 +629,6 @@ MALFORMED = {
     "read-with-truncated-second-key": (
         MsgType.READ, "none", rpc.enc_read_req([b"k"]) + b"\x05\x00\x00\x00ab", None
     ),
-    "truncated-validate": (MsgType.VALIDATE, "none", b"\x01\x00\x00\x00\x02", UNKNOWN),
     "truncated-commit": (MsgType.COMMIT, "none", b"\x01", UNKNOWN),
     "truncated-prepare": (MsgType.PREPARE, "foreign", b"\x01\x00", None),
     "truncated-abort-vote": (MsgType.ABORT_DECISION, "pending", b"\x00", None),
@@ -638,9 +637,6 @@ MALFORMED = {
         MsgType.RESPONSE, "foreign", rpc.enc_commit_resp(True, None, []), None
     ),
     "commit-with-trailing-bytes": (MsgType.COMMIT, "none", SLICE + b"x", UNKNOWN),
-    "validate-with-trailing-bytes": (
-        MsgType.VALIDATE, "none", rpc.enc_txn(Transaction(((b"k", 0),), ())) + b"x", UNKNOWN
-    ),
     "prepare-with-trailing-bytes": (MsgType.PREPARE, "foreign", SLICE + b"x", None),
     "abort-vote-with-trailing-bytes": (
         MsgType.ABORT_DECISION, "pending", STALE_VOTE + b"x", None
@@ -661,9 +657,6 @@ MALFORMED = {
     "gc-lc-from-a-client": (MsgType.GC_LC, "none", rpc.enc_u64(5), None, rpc.CLIENT),
     # well formed, but a server answers only a client
     "read-from-a-server": (MsgType.READ, "none", rpc.enc_read_req([b"k"]), None, rpc.SERVER),
-    "validate-from-a-server": (
-        MsgType.VALIDATE, "none", rpc.enc_txn(Transaction(((b"k", 0),), ())), None, rpc.SERVER
-    ),
     "commit-from-a-server": (MsgType.COMMIT, "none", SLICE, None, rpc.SERVER),
     "client-hello-from-a-server": (MsgType.CLIENT_HELLO, "none", b"", None, rpc.SERVER),
 }
@@ -690,7 +683,7 @@ def test_malformed_message_changes_nothing(case):
     tranx = {"none": None, "pending": pending, "foreign": TranxID(1, 99)}[which]
     if kind:
         env = Envelope(msg_type, kind[0], 1, 77, tranx, payload)
-    elif msg_type in (MsgType.READ, MsgType.VALIDATE, MsgType.COMMIT, MsgType.CLIENT_HELLO):
+    elif msg_type in (MsgType.READ, MsgType.COMMIT, MsgType.CLIENT_HELLO):
         env = Envelope(msg_type, rpc.CLIENT, c.client_id, 77, tranx, payload)
     else:
         env = Envelope(msg_type, rpc.SERVER, 1, 77, tranx, payload)

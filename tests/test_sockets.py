@@ -256,8 +256,10 @@ def test_read_only_commit_validates_at_each_owner_over_sockets(cluster, monkeypa
     for k in keys:
         assert reader.read(h, k) == b"v"
     assert reader.commit(h) == (True, None)
+    # one READ per key, then a validation READ to each owner but the last
+    # read's, so at least five: a slow answer is resent
     assert {kind for kind, _ in received} == {rpc.CLIENT}
-    assert {name for _, name in received} == {"READ", "VALIDATE"}
+    assert {name for _, name in received} == {"READ"} and len(received) >= 5
 
     # with every key cached, the commit validates at all three owners
     victim = holder["runtimes"][2]
@@ -343,7 +345,7 @@ def test_read_many_sends_one_read_per_owner_over_sockets(cluster, monkeypatch):
     assert reader.commit(h) == (True, None)
     # the round read `other` alone and vouches for it; home[0] came from
     # the cache, so its owner validates it
-    assert received == [(1, "READ"), (0, "VALIDATE")]
+    assert received == [(1, "READ"), (0, "READ")]
 
     reader.state.cache.invalidate([other, *home])
     del received[:]
@@ -351,7 +353,7 @@ def test_read_many_sends_one_read_per_owner_over_sockets(cluster, monkeypatch):
     assert reader.read_many(h, [other, *home]) == [b"v:" + other] + [b"v:" + k for k in home]
     assert reader.commit(h) == (True, None)
     # two owners read in one round, so both are validated
-    assert sorted(received) == [(0, "READ"), (0, "VALIDATE"), (1, "READ"), (1, "VALIDATE")]
+    assert sorted(received) == [(0, "READ"), (0, "READ"), (1, "READ"), (1, "READ")]
     reader.driver.close()
 
 

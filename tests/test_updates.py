@@ -191,9 +191,11 @@ def test_the_handshake_answer_carries_an_empty_block_and_makes_no_cursor():
 
 
 def test_cursors_are_kept_only_for_clients_answered_since_the_ring_passed():
-    """1,000 short-lived clients each get one answer; once the ring has
-    moved RECENT keys past them, a GC tick drops their cursors, and the
-    node holds one only for the client it answered since."""
+    """A GC tick keeps a client's cursor only if the node answered that
+    client since the previous tick and the ring has not passed the cursor:
+    1,000 short-lived clients each get one answer and hold none once the
+    node has been quiet for a tick, and a client answered within the
+    period loses its cursor when the ring passes it before the next tick."""
     sim = make_sim(3, seed=1)
     node = sim.nodes[0].node
     keys = keys_owned_by(0, sim.members, RECENT + 1)
@@ -203,13 +205,23 @@ def test_cursors_are_kept_only_for_clients_answered_since_the_ring_passed():
         c = sim.new_client(seed=100 + i)
         run_gen(sim, c, read_one(c.state, keys[0]))
         del sim.clients[c.client_id]
-    # the ring has not passed them, but the writer's cursor sits at its
-    # start, as no cursor would: the GC ticks dropped that one
+    # no client, the writer included, was answered since the previous tick
     sim.run(3 * TEST_GC_PERIOD)
-    assert node.stats_dump()["client_cursors"] == 1000
+    assert node.stats_dump()["client_cursors"] == 0
+
+    ticks = []
+    tick = node.gc.tick
+    node.gc.tick = lambda: ticks.append(sim.now) or tick()
+    while not ticks:
+        assert sim.step()
+    reader = sim.new_client(seed=2)
+    run_gen(sim, reader, read_one(reader.state, keys[0]))
     for k in keys[1:]:
         assert commit_txn(sim, writer, [k], {k: b"w"})[0]
-    sim.run(3 * TEST_GC_PERIOD)
+    assert len(ticks) == 1 and set(node._cursors) == {reader.client_id, writer.client_id}
+    while len(ticks) < 2:
+        assert sim.step()
+    # both were answered within the period, but the ring passed the reader
     stats = node.stats_dump()
     assert (stats["recent_keys"], stats["client_cursors"]) == (RECENT, 1)
     assert list(node._cursors) == [writer.client_id]
