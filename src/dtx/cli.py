@@ -239,17 +239,33 @@ def cmd_sim(args) -> int:
 
 
 def cmd_log_dump(args) -> int:
+    import os
+
     from .env import DiskEnv
+    from .gc import GCLOG_NAME, GcLog, gclog_member_count
     from .wal import FILE_CAPACITY, CorruptionError, LogManager
     from .model import MalformedRecordError, decode_record
 
-    env = DiskEnv(args.dir)
+    env = DiskEnv(args.dir, backend="file")  # reads only: no file is mapped or grown
+    status = 0
+    if env.region_exists(GCLOG_NAME):
+        print(f"== {GCLOG_NAME}")
+        members = gclog_member_count(os.path.getsize(os.path.join(args.dir, GCLOG_NAME)))
+        try:
+            gclog = GcLog(env, list(range(members)))
+        except CorruptionError as e:
+            print(f"  CORRUPT: {e}")
+            status = 2
+        else:
+            print(f"  generation={gclog.generation} epoch={gclog.epoch}")
+            for sid, seq in sorted(gclog.table.items()):
+                print(f"  watermark server={sid} seq={seq}")
+            gclog.close()
     manager = LogManager(env, FILE_CAPACITY)
     names = manager.file_names()
     if not names:
         print("(empty log)")
-        return 0
-    status = 0
+        return status
     for idx, name in enumerate(names):
         print(f"== {name}")
         try:

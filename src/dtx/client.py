@@ -24,6 +24,22 @@ all sent before any answer is awaited.  An owner serves all the keys of a
 READ within one step of its protocol loop and answers whether any of them
 was exclusively locked.  txn_read is the one-key case.
 
+A handle declared read-only (TxnHandle(read_only=True)) reads in group
+rounds: when a round goes to two or more owners, each of its READs also
+names the round's owners and its id, the first READ's message id.  Each
+owner serves its keys in one step, as above, noting each key's version and
+whether any was locked, then sends every other owner of the round a
+READ_NOTICE that names the round and that serving.  It answers once it
+has served and heard every other owner's notice.  The answer vouches for
+the round if no key was locked when served or is now and each key still
+has the version served; it then lists the servings it stands on, its own
+and the one each notice named.  One that does not vouch is a READ answer
+of the keys as they are when it is sent.  A READ of a group its owner
+already served or answered, a resend or a duplicate, is answered at once
+without a vouch, and so is a group still open at the second GC tick after
+it opened (server.py): a lost notice or a silent owner costs one resend
+and leaves the commit to the validation round below.
+
 A transaction that wrote nothing commits without a coordinator: it is
 validated by a read round over its read keys, the one READ shape above,
 and no owner keeps any state for it.  The client compares each answer's
@@ -33,14 +49,15 @@ exclusively locked, else with STALE_READ and the current entry of each
 key whose version moved, in the order of its keys; an owner that stayed
 silent fails it with TIMEOUT.  A validation answer enters neither the
 cache nor the transaction's reads.  Keys some owner has vouched for are
-left out, while the client has sent no other RPC since that owner
-answered: the keys of the transaction's latest read round when a single
-owner served that round and said none of its keys was locked, and, after
-a failed validation round in which only one owner failed and it failed
-STALE_READ, every key that owner was asked for.  If nothing is left, the
-commit sends nothing.  The reason of a failure is that of the lowest-id
-owner that failed, and all piggybacked entries are merged.  Why leaving
-out the vouched keys is safe:
+left out, while the client has sent no other RPC, and taken no read from
+the cache, since that owner answered: the keys of the transaction's
+latest read round when a single owner served that round and said none of
+its keys was locked, or when every owner of a group round vouched for the
+same servings, and, after a failed validation round in which only one
+owner failed and it failed STALE_READ, every key that owner was asked
+for.  If nothing is left, the commit sends nothing.  The reason of a
+failure is that of the lowest-id owner that failed, and all piggybacked
+entries are merged.  Why leaving out the vouched keys is safe:
 
 * The common instant.  Every read finishes before any validation starts.
   Call t the instant the owner served the READ, of a read round or of
@@ -69,16 +86,38 @@ out the vouched keys is safe:
   can be half-applied across the keys read: a writer applied at one owner
   and still prepared at another has that second key locked, which the READ
   reports.
-* One owner only.  Two owners that answer in one round, a read round or a
-  failed validation round, vouch for two different instants, and nothing
-  orders them: a writer of x and y may commit between the instant x's
-  owner served x and the instant y's owner served y, so the round holds
-  the old x and the new y, and neither key is locked at either instant.
-  Skipping the slice of the owner that answered for the earlier instant
-  would commit that fractured view, and the client cannot tell which one
-  that was, so after a read round that went to two or more owners, or a
-  validation round in which two owners failed, for any reason, every
-  slice is validated.
+* One owner only, unless the owners confirm to each other.  Two owners
+  that answer in one round, a read round or a failed validation round,
+  vouch for two different instants, and nothing orders them: a writer of
+  x and y may commit between the instant x's owner served x and the
+  instant y's owner served y, so the round holds the old x and the new y,
+  and neither key is locked at either instant.  Skipping the slice of the
+  owner that answered for the earlier instant would commit that fractured
+  view, and the client cannot tell which one that was, so after a plain
+  read round that went to two or more owners, or a validation round in
+  which two owners failed, for any reason, every slice is validated.
+* Owner-validated rounds.  In a group round every owner checks its keys
+  again after the others served, which is Kung & Robinson's validation
+  (TODS 1981) moved to the owners, with the hop of the validation round
+  saved by the owners telling each other, as decentralized commit does
+  (Skeen, SIGMOD 1981).  Let t be the latest of the round's servings.
+  Each notice leaves after its sender served and each owner validates
+  after it heard every other owner's notice, so every serving precedes t
+  and t precedes every validation.  A vouching owner saw each key at its
+  served version at serving and at validation, so, versions only growing,
+  each key read in the round is current at t.  No writer is half-applied
+  at t: one applied at an owner before t was decided before t, so each
+  other owner of its keys was prepared, holding their exclusive locks,
+  and still holds them at its validation or has applied, changing their
+  versions, and either stops that owner's vouch.  Every other read was
+  obtained before the round and is validated after it, so it too is
+  current at t, as for one owner.  The servings the answers list tie each
+  vouch to the serving whose entries the client holds: an owner that
+  restarted, or forgot the group and served a duplicate READ anew, lists
+  a serving other than the one its peer heard of, so the lists differ
+  and the client validates.  An answer's updates block is built when its
+  owner validates, after t, which is why a read taken from the cache after
+  a vouched round cancels the rule.
 
 Every answer starts with an updates block (see server.py): the current
 entry of each key its server applied since its last answer to this client.
@@ -141,6 +180,9 @@ class TxnHandle:
     # STALE_READ of a failed validation round; a read-only commit sent
     # right after it need not validate those keys (see the module docstring)
     fresh: tuple[int, frozenset[bytes]] | None = None
+    # declared to write nothing: its read rounds over two or more owners
+    # are group rounds, which its owners validate (module docstring)
+    read_only: bool = False
 
 
 @dataclass
@@ -178,35 +220,42 @@ def coordinator_for(keys, members) -> int:
     return min(sid for sid, c in counts.items() if c == best)
 
 
-def _read_round(cs: ClientState, keys):
+def _read_round(cs: ClientState, keys, group: bool = False):
     """One READ per owner of `keys`, carrying every key of that owner, all
-    sent before any answer is awaited.  Returns the message id of the last
-    READ and [(owner, its keys, its answer or None if it stayed silent)],
-    in owner-id order."""
+    sent before any answer is awaited; with `group`, a round of two or more
+    owners is a group round, whose READs name its owners and, as its id,
+    the first READ's message id.  Returns the message id of the last READ
+    and [(owner, its keys, its answer or None if it stayed silent)], in
+    owner-id order."""
     by_owner: dict[int, list[bytes]] = {}
     for k in keys:
         by_owner.setdefault(owner_of(k, cs.members), []).append(k)
-    groups = sorted(by_owner.items())
-    requests = [(sid, cs.env(MsgType.READ, rpc.enc_read_req(ks))) for sid, ks in groups]
+    slices = sorted(by_owner.items())
+    owners = tuple(sid for sid, _ in slices) if group and len(slices) > 1 else ()
+    gid = cs.next_msg_id + 1  # the message id the first READ takes
+    requests = [(sid, cs.env(MsgType.READ, rpc.enc_read_req(ks, owners, gid))) for sid, ks in slices]
     cs.stats["rpcs"] += len(requests)
     if len(requests) == 1:
         answers = [(yield ("rpc", *requests[0]))]
     else:
         answers = yield ("rpcs", requests)
-    return requests[-1][1].message_id, [(sid, ks, a) for (sid, ks), a in zip(groups, answers)]
+    return requests[-1][1].message_id, [(sid, ks, a) for (sid, ks), a in zip(slices, answers)]
 
 
 def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
-    """One read round into the handle's read set and the cache.  Leaves in
-    h.fresh the round's keys if one owner served them all and said none
-    was locked (see the module docstring)."""
-    mid, answers = yield from _read_round(cs, keys)
+    """One read round into the handle's read set and the cache, a group
+    round if the handle is read-only.  Leaves in h.fresh the round's keys
+    if one owner served them all and said none was locked, or if every
+    owner vouched for the same servings (see the module docstring)."""
+    mid, answers = yield from _read_round(cs, keys, h.read_only)
     for sid, ks, answer in answers:
         if answer is None:
             raise ReadUnavailableError(sid, ks)
     put, reads = cs.cache.put, h.reads
+    vouched = set()
     for _, ks, answer in answers:
-        entries, locked = rpc.dec_read_resp(answer)
+        entries, locked, tokens = rpc.dec_read_answer(answer)
+        vouched.add(tokens)
         for k, entry in zip(ks, entries):
             if entry is not None:
                 put(k, entry[0], entry[1])
@@ -214,7 +263,8 @@ def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
                 entry = (None, 0)  # missing key reads as version 0; validated like any other
             reads[k] = entry
     one_owner = len(answers) == 1 and not locked
-    h.fresh = (mid, frozenset(keys)) if one_owner else None
+    group_vouched = len(vouched) == 1 and () not in vouched
+    h.fresh = (mid, frozenset(keys)) if one_owner or group_vouched else None
 
 
 def txn_read_many(cs: ClientState, h: TxnHandle, keys):
@@ -230,6 +280,7 @@ def txn_read_many(cs: ClientState, h: TxnHandle, keys):
         if cached is not None:
             cs.stats["cache_hits"] += 1
             reads[k] = cached
+            h.fresh = None  # it may be newer than the vouching answers
         else:
             misses[k] = None
     if misses:
@@ -244,6 +295,8 @@ def txn_read(cs: ClientState, h: TxnHandle, key: bytes):
 
 def txn_write(h: TxnHandle, key: bytes, value: bytes) -> None:
     assert h.status == "Open"
+    if h.read_only:
+        raise ValueError("a read-only transaction cannot write")
     h.writes[key] = value
 
 
@@ -476,8 +529,8 @@ class BlockingClient:
             raise value
         return value
 
-    def open_txn(self) -> TxnHandle:
-        return TxnHandle()
+    def open_txn(self, read_only: bool = False) -> TxnHandle:
+        return TxnHandle(read_only=read_only)
 
     def read(self, h: TxnHandle, key: bytes):
         return self._run(txn_read(self.state, h, key))

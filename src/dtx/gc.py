@@ -54,6 +54,12 @@ def _half_size(members: int) -> int:
     return _HEAD.size + members * _SLOT.size + 4
 
 
+def gclog_member_count(length: int) -> int:
+    """The member count of a GCLog of `length` bytes, for a reader that does
+    not know the cluster; GcLog refuses a length no count gives."""
+    return max(0, (length // 2 - _half_size(0)) // _SLOT.size)
+
+
 class GcLog:
     """Fixed-size, double-buffered, atomically overwritten file of the
     restart epoch and the watermark table, decoded once at open: a fresh or

@@ -213,6 +213,10 @@ class LockTable:
     def held_by(self, tranx: TranxID) -> set[bytes]:
         return set(self._holdings.get(tranx, ()))
 
+    def entries(self) -> int:
+        """Keys with a lock entry: held, waited on, or kept by their waiters."""
+        return len(self._entries)
+
     def is_idle(self) -> bool:
         return not any(e.holders or e.waiters for e in self._entries.values()) and not self._pending
 

@@ -6,7 +6,9 @@ identical ids); at-most-once processing comes from receiver-side dedup:
 * READ requests are idempotent and never deduplicated.  A transaction
   that wrote nothing never sends COMMIT: its client validates its reads
   with one READ per owner, so no server keeps state for it and a resend
-  simply reads again.
+  simply reads again.  The owners of a group READ round keep it until
+  they answer, and its id until the next GC tick, so a resent or
+  duplicated group READ is answered at once, unvalidated (server.py).
 * Commit requests dedup on (client id, message id); the client's message
   ids are contiguous, so a bounded sliding window per client suffices.
   The window holds a COMMIT's TranxID while the transaction is in flight,
@@ -38,6 +40,18 @@ Payloads (blob = len: u32 LE | bytes):
   exclusively locked, i.e. held by a writer between prepare and apply,
   when the owner read them.  The owner reads every key in one step, so
   the answer shows them at one instant.
+* Group READ request, one READ of an owner-validated round (client.py):
+  0xffffffff, where a READ has its first key's length (no key is 4 GiB) |
+  group: u64 LE, the id of the round, unique per client | n: u8 >= 2 |
+  owner: u32 LE * n, strictly ascending, the owners of the round | key
+  blob+.  Its answer is a READ answer, or, when it vouches for the round:
+  2 | n: u8 | token: u64 LE * n, one per owner in owner order | a READ
+  answer whose locked byte is 0.  The token at the answering owner's
+  place names the step in which it served the READ, and every other one
+  the step named by the READ_NOTICE it heard from that owner.
+* READ_NOTICE, owner to owner of one group round: client: u64 LE |
+  group: u64 LE | token: u64 LE; the sender served its READ of that round
+  in the step the token names.
 * COMMIT request, client to coordinator, and PREPARE, coordinator to
   participant: a Transaction, the whole one or one owner's slice
   (n_reads: u32 LE | (key blob | version u64 LE)* | n_writes: u32 LE |
@@ -63,10 +77,12 @@ are self-delimiting lists, so trailing bytes there read as a torn element;
 an updates block ends where its body starts, which the body's decoder then
 takes whole).
 A server drops a message whose type names a transaction (PREPARE, READY,
-the decisions, ACK) but whose envelope carries none, any of those or GC_LC
-from a sender whose kind is not server, every RESPONSE, and a message whose
+the decisions, ACK) but whose envelope carries none, any of those, GC_LC
+or READ_NOTICE from a sender whose kind is not server, a group READ whose
+owners leave it out or name a non-member, every RESPONSE, and a message whose
 payload does not decode; a COMMIT whose payload does not decode is
-answered UNKNOWN.  Type bytes 9 and 12 are unassigned and do not decode.
+answered UNKNOWN.  Type bytes 9, 12 and 13 are unassigned and do not
+decode.
 """
 
 from __future__ import annotations
@@ -96,6 +112,10 @@ _HEAD = struct.Struct("<IBBBQQB")
 _HEAD_TRANX = struct.Struct("<IBBBQQBIQ")
 _ENV = struct.Struct("<BBQQB")  # the envelope up to has_tranx
 _ANSWER = struct.Struct("<BB")  # committed, reason code
+_GROUP = struct.Struct("<4sQB")  # a group READ's mark, group id and owner count
+_GROUP_MARK = b"\xff\xff\xff\xff"
+_NOTICE = struct.Struct("<QQQ")  # client id, group id, token
+_VOUCH = b"\x02"  # the first byte of a vouching answer; an entry starts with 0 or 1
 _new_tuple = tuple.__new__
 
 FRAME_VERSION = 1
@@ -120,6 +140,7 @@ class MsgType(enum.IntEnum):
     GC_LC = 8
     RESPONSE = 10
     CLIENT_HELLO = 11  # connection handshake: server assigns a client id
+    READ_NOTICE = 14  # an owner of a group READ round served its READ
 
 
 _MSG_TYPE = {int(t): t for t in MsgType}
@@ -190,8 +211,12 @@ def frame_decode(data: bytes) -> Envelope:
 # Helpers are private (leading _): a tracer wraps each public enc_*/dec_*.
 
 
-def enc_read_req(keys: list[bytes]) -> bytes:
+def enc_read_req(keys: list[bytes], owners=(), group: int = 0) -> bytes:
+    """A READ of `keys`, or with `owners` a group READ of round `group`."""
     out = []
+    if owners:
+        out.append(_GROUP.pack(_GROUP_MARK, group, len(owners)))
+        out += map(_U32.pack, owners)
     for k in keys:
         out += (_U32.pack(len(k)), k)
     return b"".join(out)
@@ -200,6 +225,24 @@ def enc_read_req(keys: list[bytes]) -> bytes:
 def dec_read_req(b: bytes) -> list[bytes]:
     """The READ's keys; raises MalformedRecordError on no key or a torn blob."""
     return _decode_whole(_unpack_keys, b, "READ request")
+
+
+def dec_read(b: bytes) -> tuple[list[bytes], tuple[int, ...], int]:
+    """(keys, owners, group) of a READ or a group READ; a READ has no owners
+    and group 0.  Owners number two or more, strictly ascending."""
+    if b[:4] != _GROUP_MARK:
+        return _decode_whole(_unpack_keys, b, "READ request"), (), 0
+    return _decode_whole(_unpack_group_read, b, "group READ")
+
+
+def _unpack_group_read(b: bytes, pos: int):
+    _, group, n = _GROUP.unpack_from(b, pos)
+    pos += _GROUP.size
+    owners = struct.unpack_from(f"<{n}I", b, pos)
+    if n < 2 or any(lo >= hi for lo, hi in zip(owners, owners[1:])):
+        raise MalformedRecordError(f"group READ owners {owners} are not two or more, ascending")
+    keys, pos = _unpack_keys(b, pos + 4 * n)
+    return (keys, owners, group), pos
 
 
 def _unpack_keys(b: bytes, pos: int) -> tuple[list[bytes], int]:
@@ -212,8 +255,13 @@ def _unpack_keys(b: bytes, pos: int) -> tuple[list[bytes], int]:
             return keys, pos
 
 
-def enc_read_resp(entries: list[tuple[bytes, int] | None], locked: bool) -> bytes:
+def enc_read_resp(entries: list[tuple[bytes, int] | None], locked: bool, tokens=()) -> bytes:
+    """A READ answer; with `tokens`, one per owner, one that vouches for its
+    group round, and no key may be locked."""
     out = []
+    if tokens:
+        assert not locked
+        out += (_VOUCH, _U8.pack(len(tokens)), struct.pack(f"<{len(tokens)}Q", *tokens))
     for entry in entries:
         if entry is None:
             out.append(b"\x00")
@@ -245,6 +293,22 @@ def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool]:
     if pos != last or b[last] > 1:
         raise MalformedRecordError(f"READ answer of {len(b)} bytes has no locked byte of 0 or 1")
     return entries, b[last] == 1
+
+
+def dec_read_answer(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool, tuple[int, ...]]:
+    """(entries, locked, tokens) of a READ answer, or of one that vouches for
+    its group round; tokens is empty unless it vouches."""
+    if b[:1] != _VOUCH:
+        return *dec_read_resp(b), ()
+    try:
+        n = b[1]
+        tokens = struct.unpack_from(f"<{n}Q", b, 2)
+    except (IndexError, struct.error) as e:
+        raise MalformedRecordError(f"truncated vouching READ answer: {e}") from None
+    entries, locked = dec_read_resp(b[2 + 8 * n:])
+    if locked or n < 2:
+        raise MalformedRecordError("a vouching READ answer is locked or has under two tokens")
+    return entries, locked, tokens
 
 
 def enc_txn(txn: Transaction) -> bytes:
@@ -300,6 +364,17 @@ def dec_response(b: bytes) -> tuple[list, bytes]:
     return updates, b[pos:]
 
 
+def enc_read_notice(client: int, group: int, token: int) -> bytes:
+    return _NOTICE.pack(client, group, token)
+
+
+def dec_read_notice(b: bytes) -> tuple[int, int, int]:
+    """(client id, group id, token) of a READ_NOTICE."""
+    if len(b) != _NOTICE.size:
+        raise MalformedRecordError(f"READ_NOTICE of {len(b)} bytes, not {_NOTICE.size}")
+    return _NOTICE.unpack(b)
+
+
 def enc_u64(n: int) -> bytes:
     """A GC_LC watermark, or the client id a CLIENT_HELLO answer assigns."""
     return _U64.pack(n)
@@ -353,3 +428,6 @@ class DedupTable:
 
     def size(self) -> int:
         return sum(len(w.responses) for w in self._clients.values())
+
+    def clients(self) -> int:
+        return len(self._clients)

@@ -64,6 +64,22 @@ participant holds its exclusive locks from prepare until it applies the
 decision, so a reader that saw one owner's post-commit value and another
 owner's pre-commit value finds the second key locked or its version moved.
 
+A group READ, one READ of a read-only transaction's round over two or more
+owners, names the round's owners and its id (client.py).  The owner serves
+it in one step, noting each key's version and whether any was locked and
+naming that serving with a token, unique across incarnations, and sends
+each other owner a READ_NOTICE of (client id, group id, token).  It keeps
+the group, keyed by (client id, group id), until it has served and heard
+every other owner's notice, which may come first, then answers: a vouching
+answer, listing its token and those heard, if no key was locked when
+served or is now and every key still has the version served, else a plain
+READ answer of the keys as they are now.  An answered group is remembered
+until the next GC tick, so a resent or duplicated READ of a group served
+or answered here is answered at once, plainly, and a late notice is
+dropped.  Each GC tick answers, plainly, and drops every group that was
+open at the previous tick, and drops one known only from notices, so a
+node holds groups only for rounds of about the last GC period.
+
 Every answer to a client, a RESPONSE, is an updates block, then the body
 (rpc.enc_response).  The block holds the current entry of each key this
 node applied since its last answer to that client, once per key, so a
@@ -139,11 +155,13 @@ RESEND = 0.200  # repeat PREPARE or a decision an owner has not answered
 PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
 
 # message types that name their transaction in the envelope; with GC_LC
-# these are the types only a server sends, and a client sends the others
+# and READ_NOTICE these are the types only a server sends, and a client
+# sends the others
 _TRANX_TYPES = frozenset({
     MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION, MsgType.ACK,
 })
-_SENDER_KIND = {t: rpc.SERVER if t in _TRANX_TYPES | {MsgType.GC_LC} else rpc.CLIENT for t in MsgType}
+_SERVER_TYPES = _TRANX_TYPES | {MsgType.GC_LC, MsgType.READ_NOTICE}
+_SENDER_KIND = {t: rpc.SERVER if t in _SERVER_TYPES else rpc.CLIENT for t in MsgType}
 _DECISION = {CoordState.COMMIT: MsgType.COMMIT_DECISION, CoordState.ABORT: MsgType.ABORT_DECISION}
 # the handler of each message type a server takes (ServerNode._on_read for
 # READ, ...; a server receives no RESPONSE) and the crash-point labels,
@@ -189,6 +207,25 @@ class PartRec:
     vote: bytes | None = None
 
 
+_UNSEEN = object()  # no entry for the group in ServerNode._groups
+
+
+@dataclass(slots=True)
+class ReadGroup:
+    """One owner-validated read round at one of its owners: the notices
+    heard so far, owner -> the token of its serving, and what this owner
+    served once its READ came."""
+    opened: int  # GC ticks done when the group opened
+    heard: dict[ServerId, int]
+    keys: list[bytes] | None = None  # None until the READ is served
+    owners: tuple[ServerId, ...] = ()
+    others: tuple[ServerId, ...] = ()  # the owners but this node
+    versions: list[int] | None = None
+    locked: bool = False
+    token: int = 0
+    message_id: int = 0
+
+
 def _on_slice_locked(node_ref, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
     """A slice's lock result; a waiting acquire does not keep its node alive."""
     node = node_ref()
@@ -204,6 +241,7 @@ class ServerNode:
         self.env = env
         self.ctx = ctx
         self.members = sorted(config.members)
+        self._members = frozenset(self.members)
         self.peers = [m for m in self.members if m != sid]
 
         # read once: with tracing off, no step formats or passes trace info
@@ -242,6 +280,12 @@ class ServerNode:
         # of a client not in _answered, those answered since the last tick
         self._cursors: dict[int, int] = {}
         self._answered: set[int] = set()
+        # (client id, group id) -> the group round open here, or None once
+        # answered; the GC tick answers and drops a group open at the tick
+        # before, and forgets answered ones (see the module docstring)
+        self._groups: dict[tuple[int, int], ReadGroup | None] = {}
+        self._gc_ticks = 0
+        self._serves = 0  # group READs served by this incarnation
         self.stats = dict.fromkeys(("commits", "aborts", "msgs_sent", "reads", "one_phase"), 0)
 
     # -- plumbing --------------------------------------------------------------
@@ -373,13 +417,85 @@ class ServerNode:
     def _on_read(self, env: Envelope) -> None:
         # Idempotent, lock-free, never deduplicated.  Every key is read in
         # this one step, so the answer shows them all at one instant.
-        keys = self._decode(env, rpc.dec_read_req)
-        if keys is None:
+        req = self._decode(env, rpc.dec_read)
+        if req is None:
+            return
+        keys, owners, group = req
+        if owners and (self.sid not in owners or not self._members.issuperset(owners)):
+            self._trace("msg.malformed", type=env.msg_type.name, frm=env.sender_id)
             return
         self.stats["reads"] += len(keys)
+        if not owners or not self._serve_group(env, keys, owners, group):
+            self._reply(env.sender_id, env.message_id, self._read_answer(keys))
+
+    def _read_answer(self, keys) -> bytes:
         locked = any(map(self.locks.exclusively_held, keys))
-        payload = rpc.enc_read_resp(list(map(self.storage.get, keys)), locked)
-        self._reply(env.sender_id, env.message_id, payload)
+        return rpc.enc_read_resp(list(map(self.storage.get, keys)), locked)
+
+    def _serve_group(self, env: Envelope, keys, owners, group: int) -> bool:
+        """Serve the first READ of a group round: note each key's version
+        and whether any was locked, then tell every other owner.  Returns
+        False, to answer at once and unvalidated, for a READ of a group
+        already served or answered here: a resend or a duplicate."""
+        gid = (env.sender_id, group)
+        groups = self._groups
+        g = groups.get(gid, _UNSEEN)
+        if g is _UNSEEN:
+            opened, heard = self._gc_ticks, {}
+        elif g is None or g.keys is not None:
+            groups[gid] = None
+            return False
+        else:  # known from notices
+            opened, heard = g.opened, g.heard
+        self._serves += 1
+        others = tuple(sid for sid in owners if sid != self.sid)
+        g = groups[gid] = ReadGroup(
+            opened, heard, keys, owners, others,
+            list(map(self.storage.current_version, keys)),
+            any(map(self.locks.exclusively_held, keys)),
+            (self.gclog.epoch << 40) | self._serves,
+            env.message_id,
+        )
+        notice = self._server_env(MsgType.READ_NOTICE, None, rpc.enc_read_notice(*gid, g.token))
+        for sid in others:
+            self._send(sid, notice)
+        if heard:
+            self._close_group_if_heard(gid, g)
+        return True
+
+    def _on_read_notice(self, env: Envelope) -> None:
+        notice = self._decode(env, rpc.dec_read_notice)
+        if notice is None:
+            return
+        client, group, token = notice
+        gid = (client, group)
+        g = self._groups.get(gid, _UNSEEN)
+        if g is None:  # answered: a late notice changes nothing
+            return
+        if g is _UNSEEN:
+            self._groups[gid] = ReadGroup(self._gc_ticks, {env.sender_id: token})
+            return
+        g.heard[env.sender_id] = token
+        if g.keys is not None:
+            self._close_group_if_heard(gid, g)
+
+    def _close_group_if_heard(self, gid: tuple[int, int], g: ReadGroup) -> None:
+        """Answer a served group once every other owner's notice came.  The
+        answer vouches for the round if no key was locked when served or
+        is now and every key still has the version served: then each key
+        was current at every owner's serving (see client.py)."""
+        heard = g.heard
+        for sid in g.others:
+            if sid not in heard:
+                return
+        keys = g.keys
+        entries = list(map(self.storage.get, keys))
+        locked = any(map(self.locks.exclusively_held, keys))
+        tokens = ()
+        if not (g.locked or locked) and [e[1] if e else 0 for e in entries] == g.versions:
+            tokens = [g.token if sid == self.sid else heard[sid] for sid in g.owners]
+        self._groups[gid] = None
+        self._reply(gid[0], g.message_id, rpc.enc_read_resp(entries, locked, tokens))
 
     # -- coordinator -------------------------------------------------------------
 
@@ -730,7 +846,26 @@ class ServerNode:
         answered = self._answered
         self._cursors = {c: pos for c, pos in self._cursors.items() if pos > start and c in answered}
         answered.clear()
+        self._expire_groups()
         self.ctx.set_timer(self.config.gc_period, self._gc_tick)
+
+    def _expire_groups(self) -> None:
+        """Forget every answered group, and expire every group that was
+        already open at the previous tick: a served one is answered,
+        unvalidated, and remembered as answered until the next tick; one
+        known only from notices is dropped."""
+        ticks = self._gc_ticks
+        self._gc_ticks += 1
+        kept: dict[tuple[int, int], ReadGroup | None] = {}
+        for gid, g in self._groups.items():
+            if g is None:
+                continue
+            if g.opened == ticks:
+                kept[gid] = g
+            elif g.keys is not None:
+                self._reply(gid[0], g.message_id, self._read_answer(g.keys))
+                kept[gid] = None
+        self._groups = kept
 
     def _reclaim_records(self) -> None:
         """Drop every record the watermark passed, settling a slice still
@@ -821,6 +956,11 @@ class ServerNode:
             "in_flight_coord": sum(1 for r in self.coord.values() if r.pending_ack),
             "recent_keys": len(self.storage.recent),
             "client_cursors": len(self._cursors),
+            "read_groups": len(self._groups),
+            "coord_records": len(self.coord),
+            "part_records": len(self.part),
+            "dedup_clients": self.dedup.clients(),
+            "lock_entries": self.locks.entries(),
         }
 
     def shutdown(self) -> None:

@@ -225,7 +225,7 @@ def txn_script(spec: WorkloadSpec, clock=None):
     def factory(cs: cl.ClientState):
         def gen():
             keys, writes = pick_txn(cs.rng, spec)
-            h = cl.TxnHandle()
+            h = cl.TxnHandle(read_only=not writes)
             started = clock() if clock else None
             yield from cl.txn_read_many(cs, h, sorted(keys))
             for k, v in writes.items():

@@ -1,5 +1,6 @@
 """CLI: scenario parsing, sim verdicts, dump tools, bench CSV shape."""
 
+import os
 import struct
 import zlib
 
@@ -7,6 +8,7 @@ import pytest
 
 from dtx.cli import _parse_scenario, main, run_scenario
 from dtx.env import DiskEnv
+from dtx.gc import GCLOG_NAME, GcLog
 from dtx.model import CoordCommit, TranxID
 from dtx.wal import TranxLog
 from dtx.workload import ConfigError, WorkloadSpec
@@ -110,24 +112,28 @@ def test_a_server_that_crashes_twice_before_its_first_log_file_goes_restarts():
     assert len(verdicts) == 5 and all(ok for _, ok, _ in verdicts), verdicts
 
 
+SHAPE = "servers = 3\nclients = 4\nkey_count = 8\nread_fraction = 0.50\nduration = 2.0\n"
+# reads miss the cache, so most read-only transactions read in group rounds
+COLD_SHAPE = "servers = 3\nclients = 4\nkey_count = 10000\nread_fraction = 0.95\nduration = 2.0\n"
 FAULT_SCENARIOS = {
     # duplicated and delayed messages: a coordinator must not announce Abort
     # for a transaction it committed when a committed owner repeats READY
-    "dup": "dup = 0.05\ndelay = 0.05\n",
+    "dup": (SHAPE, "dup = 0.05\ndelay = 0.05\n"),
     # a participant restarted with two in-doubt slices on one key must boot
-    "crash": "crash = 1 0.7 0.2\n",
+    "crash": (SHAPE, "crash = 1 0.7 0.2\n"),
     # loss and a partition: validation READs go unanswered and are resent
-    "loss": "drop = 0.05\npartition = 0|1,2 0.5 0.3\n",
+    "loss": (SHAPE, "drop = 0.05\npartition = 0|1,2 0.5 0.3\n"),
+    # group READs and notices lost and duplicated: owners answer unvalidated
+    "cold-drop-dup": (COLD_SHAPE, "drop = 0.05\ndup = 0.05\ndelay = 0.05\n"),
 }
 
 
 def test_fault_scenarios_pass_every_verdict_at_seeds_0_to_4():
-    """A fixed-seed sweep of three fault scenarios on 3 servers, 4 clients,
-    8 keys, half reads, 2 s: every run finishes and passes all five
-    verdicts."""
-    shape = "servers = 3\nclients = 4\nkey_count = 8\nread_fraction = 0.50\nduration = 2.0\n"
+    """A fixed-seed sweep of the fault scenarios on 3 servers and 4 clients
+    for 2 s, on 8 keys at half reads or, cold, 10,000 keys at 95% reads:
+    every run finishes and passes all five verdicts."""
     failed = []
-    for name, faults in sorted(FAULT_SCENARIOS.items()):
+    for name, (shape, faults) in sorted(FAULT_SCENARIOS.items()):
         sc = _parse_scenario(shape + faults)
         for seed in range(5):
             try:
@@ -138,6 +144,30 @@ def test_fault_scenarios_pass_every_verdict_at_seeds_0_to_4():
             assert history, (name, seed)
             failed += [(name, seed, v, detail) for v, ok, detail in verdicts if not ok]
     assert failed == []
+
+
+def test_log_dump_prints_the_gclog_and_flags_a_wrecked_one(tmp_path, capsys):
+    root = str(tmp_path)
+    env = DiskEnv(root)
+    gclog = GcLog(env, [0, 1, 2])
+    gclog.write({0: 5, 1: 7, 2: 0})
+    gclog.close()
+    assert main(["log-dump", "--dir", root]) == 0
+    out = capsys.readouterr().out
+    assert "== gclog" in out and "generation=1 epoch=0" in out
+    assert "watermark server=1 seq=7" in out and "(empty log)" in out
+
+    path = os.path.join(root, GCLOG_NAME)
+    with open(path, "r+b") as f:  # both halves fail their checksum
+        f.write(b"\xff" * os.path.getsize(path))
+    assert main(["log-dump", "--dir", root]) == 2
+    out = capsys.readouterr().out
+    assert "CORRUPT: gclog" in out and "generation=" not in out
+    with open(path, "r+b") as f:  # a length no member count gives
+        f.truncate(7)
+    assert main(["log-dump", "--dir", root]) == 2
+    assert "CORRUPT: gclog is 7 B" in capsys.readouterr().out
+    assert os.path.getsize(path) == 7  # the dump changed nothing
 
 
 def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The commit of a transaction that wrote nothing: the client validates its
 reads with a READ to each owner, and leaves out the latest read when it
-was unlocked."""
+was unlocked, or when the owners of a group round vouched for it."""
 
 import pytest
 
@@ -33,7 +33,7 @@ def client_sends(sim):
         if src[0] == "c":
             key = None
             if env.msg_type == MsgType.READ:
-                keys = rpc.dec_read_req(env.payload)
+                keys = rpc.dec_read(env.payload)[0]
                 key = keys[0] if len(keys) == 1 else tuple(keys)
             sent.append((dst[1], env.msg_type.name, key))
         orig(src, dst, env)
@@ -89,10 +89,10 @@ def read_in_order(cs, first, last, pause=0.0):
     return ok, reason, seen, h
 
 
-def read_round(cs, keys):
+def read_round(cs, keys, read_only=False):
     """Read `keys` in one round, then commit; returns (ok, reason, the
     versions read before the commit, the handle)."""
-    h = cl.TxnHandle()
+    h = cl.TxnHandle(read_only=read_only)
     yield from cl.txn_read_many(cs, h, keys)
     seen = {k: ver for k, (_, ver) in h.reads.items()}
     ok, reason = yield from cl.txn_commit(cs, h)
@@ -530,3 +530,343 @@ def test_read_mostly_run_makes_under_one_durable_flush_per_commit(monkeypatch):
     assert len(seals) < commits
     initial = {key_bytes(i): 1 for i in range(1, spec.key_count + 1)}
     assert oracle.check_history([r for r in history if r["ok"]], initial).ok is True
+
+
+# -- owner-validated group rounds ---------------------------------------------
+
+
+def read_answers(sim, client):
+    """From now on, record (server, tokens) of every READ answer put on the
+    wire to `client`; tokens is empty unless the answer vouches."""
+    seen = []
+    orig = sim.net_send
+
+    def net_send(src, dst, env):
+        if dst == ("c", client.client_id) and env.msg_type == MsgType.RESPONSE:
+            seen.append((src[1], rpc.dec_read_answer(rpc.dec_response(env.payload)[1])[2]))
+        orig(src, dst, env)
+
+    sim.net_send = net_send
+    return seen
+
+
+def dropping(sim, msg_type, dest):
+    """Drop every `msg_type` sent to server `dest` until the returned
+    callable is called."""
+    on = True
+    orig = sim.net_send
+
+    def net_send(src, dst, env):
+        if not (on and env.msg_type == msg_type and dst == ("s", dest)):
+            orig(src, dst, env)
+
+    def stop():
+        nonlocal on
+        on = False
+
+    sim.net_send = net_send
+    return stop
+
+
+def two_owner_keys(sim, value=b"v1"):
+    """x on server 0 and y on server 1, both written once and settled."""
+    x = keys_owned_by(0, sim.members, 1)[0]
+    y = keys_owned_by(1, sim.members, 1)[0]
+    assert commit_txn(sim, sim.new_client(seed=1), [x, y], {x: value, y: value})[0]
+    sim.run(0.5)
+    return x, y
+
+
+def read_groups_gone(sim):
+    """Two GC ticks with no traffic leave no group at any owner."""
+    sim.run(2 * sim.config.gc_period + 0.01)
+    return [n.node.stats_dump()["read_groups"] for n in sim.nodes.values()] == [0] * len(sim.nodes)
+
+
+def test_declared_two_owner_round_is_validated_by_its_owners():
+    sim = make_sim(3, seed=18)
+    home = keys_owned_by(0, sim.members, 2)
+    k1 = keys_owned_by(1, sim.members, 1)[0]
+    keys = [*home, k1]
+    assert commit_txn(sim, sim.new_client(seed=1), keys, {k: b"w" for k in keys})[0]
+    sim.run(0.5)
+
+    reader = sim.new_client(seed=2)
+    msgs = server_counts(sim)
+    sent = client_sends(sim)
+    answers = read_answers(sim, reader)
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, keys, read_only=True))
+    assert ok and reason is None and h.attempts == 1 and seen == {k: 1 for k in keys}
+    # two READs, one notice from each owner to the other, and no validation READ
+    assert sent == [(0, "READ", tuple(home)), (1, "READ", k1)]
+    assert reader.state.stats["rpcs"] == 2
+    assert {m: n - msgs.get(m, 0) for m, n in server_counts(sim).items() if n != msgs.get(m, 0)} == {
+        "READ_NOTICE": 2
+    }
+    assert len(answers) == 2 and answers[0][1] == answers[1][1] != ()
+    assert h.fresh == (reader.state.next_msg_id, frozenset(keys))
+
+    # an undeclared handle keeps the plain round and its validation round
+    reader = sim.new_client(seed=3)
+    del sent[:]
+    msgs = server_counts(sim)
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, keys))
+    assert ok and h.attempts == 1
+    assert types(sent) == ["READ"] * 4 and server_counts(sim) == msgs
+    quiet(sim)
+    assert read_groups_gone(sim)
+
+
+def test_a_read_only_handle_refuses_a_write():
+    h = cl.TxnHandle(read_only=True)
+    with pytest.raises(ValueError):
+        cl.txn_write(h, b"k", b"v")
+    assert h.writes == {}
+
+
+def holding(sim, msg_type, dest, sender=None):
+    """Hold back every `msg_type` sent to server `dest`, by `sender` if
+    given; the returned callable sends what it held and stops holding."""
+    held = []
+    orig = sim.net_send
+
+    def net_send(src, dst, env):
+        if held is not None and env.msg_type == msg_type and dst == ("s", dest) and sender in (None, src):
+            held.append((src, dst, env))
+        else:
+            orig(src, dst, env)
+
+    def release():
+        nonlocal held
+        msgs, held = held, None
+        for msg in msgs:
+            orig(*msg)
+
+    sim.net_send = net_send
+    return release
+
+
+def served(sim, sid, mark):
+    """Server `sid` served a group READ since trace position `mark`: it sent
+    the round's notice."""
+    return any(e[1] == sid and e[2] == "msg.send" and e[3]["type"] == "READ_NOTICE" for e in sim.trace[mark:])
+
+
+# The three races below each finish well inside one client resend period
+# (client.RPC_TIMEOUT), so every READ is sent once and every answer comes
+# from the owners' validation, not from a resend answered at once.
+
+
+def test_writer_applied_between_the_two_servings_is_not_vouched_for():
+    """x's owner serves x; a writer of x and y then commits and applies at
+    both owners; only then does y's owner serve y.  Neither key is locked
+    at either serving, but x moved before x's owner heard y's notice, so x's
+    owner does not vouch; its answer holds x as it is now, and the
+    validation round commits."""
+    sim = make_sim(3, seed=20)
+    x, y = two_owner_keys(sim)
+    writer, reader = sim.new_client(seed=1), sim.new_client(seed=2)
+    release = holding(sim, MsgType.READ, 1, ("c", reader.client_id))  # y's READ waits
+    mark = len(sim.trace)
+    box = []
+    reader.run(read_round(reader.state, [x, y], read_only=True), box.append)
+    step_until(sim, lambda: served(sim, 0, mark))
+    assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
+    step_until(sim, lambda: sim.nodes[1].node.storage.current_version(y) == 2)
+    answers = read_answers(sim, reader)
+    sent = client_sends(sim)
+    release()
+    step_until(sim, lambda: box)
+    ok, reason, seen, h = box[0][1]
+    # y's owner heard x's notice before it served y and vouches for y; x's
+    # owner heard y's notice after x moved and does not
+    assert sorted((sid, tokens != ()) for sid, tokens in answers[:2]) == [(0, False), (1, True)]
+    assert ok and h.attempts == 1 and seen == {x: 2, y: 2}
+    assert sent == [(0, "READ", x), (1, "READ", y)]  # the validation round, and no resend
+    quiet(sim)
+    assert read_groups_gone(sim)
+
+
+def test_key_locked_between_serving_and_validation_is_not_vouched_for():
+    """y's owner serves y; a writer of x and y prepares at both owners and
+    applies at x's owner, while its decision to y's owner is lost; only then
+    does x's owner serve x, new and unlocked.  y still has the version
+    served, but it is locked when its owner validates, so it does not
+    vouch, and the validation round is refused."""
+    sim = make_sim(3, seed=21)
+    x, y = two_owner_keys(sim)
+    writer, reader = sim.new_client(seed=1), sim.new_client(seed=2)
+    reader.state.max_retries = 1
+    release = holding(sim, MsgType.READ, 0, ("c", reader.client_id))  # x's READ waits
+    mark = len(sim.trace)
+    answers = read_answers(sim, reader)
+    box = []
+    reader.run(read_round(reader.state, [x, y], read_only=True), box.append)
+    step_until(sim, lambda: served(sim, 1, mark))
+    deliver = dropping(sim, MsgType.COMMIT_DECISION, 1)
+    assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
+    n1 = sim.nodes[1].node
+    assert n1.locks.exclusively_held(y) and n1.storage.current_version(y) == 1
+    release()
+    step_until(sim, lambda: box)
+    ok, reason, seen, _ = box[0][1]
+    assert sorted((sid, tokens != ()) for sid, tokens in answers[:2]) == [(0, True), (1, False)]
+    assert seen == {x: 2, y: 1}  # the fractured view
+    assert not ok and reason == AbortReason.LOCK_DENIED_READ
+    assert reader.state.stats["rpcs"] == 4  # two READs, then the validation round
+
+    deliver()
+    sim.run(1.0)  # the decision resend reaches server 1, which applies y
+    reader.state.max_retries = 12
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, [x, y], read_only=True))
+    assert ok and h.attempts == 1 and seen == {x: 2, y: 2}
+    quiet(sim)
+    assert read_groups_gone(sim)
+
+
+def test_key_changed_between_serving_and_validation_is_not_vouched_for():
+    """Both owners serve; x's owner hears y's notice and vouches for old x;
+    a writer of x and y then commits and applies at both owners; only then
+    does y's owner hear x's notice.  y moved since it was served, so y's
+    owner answers new y without a vouch: the round holds old x and new y,
+    and the validation round refuses it, then the retry commits."""
+    sim = make_sim(3, seed=27)
+    x, y = two_owner_keys(sim)
+    writer, reader = sim.new_client(seed=1), sim.new_client(seed=2)
+    release = holding(sim, MsgType.READ_NOTICE, 1)  # x's notice waits
+    answers = read_answers(sim, reader)
+    box = []
+    reader.run(read_round(reader.state, [x, y], read_only=True), box.append)
+    step_until(sim, lambda: answers)
+    assert answers[0][0] == 0 and answers[0][1] != ()  # x's owner vouched for old x
+    assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
+    step_until(sim, lambda: sim.nodes[1].node.storage.current_version(y) == 2)
+    release()
+    step_until(sim, lambda: box)
+    ok, reason, seen, h = box[0][1]
+    assert answers[1][0] == 1 and answers[1][1] == ()
+    assert seen == {x: 1, y: 2}  # the fractured view
+    assert ok and h.attempts == 2 and h.reads == {x: (b"v2", 2), y: (b"v2", 2)}
+    # two READs; the validation round, refused STALE_READ by x's owner
+    # alone, which vouches for x's new entry; then y's validation alone
+    assert reader.state.stats["rpcs"] == 5
+    quiet(sim)
+    assert read_groups_gone(sim)
+
+
+def test_a_lost_notice_leaves_the_commit_to_the_validation_round():
+    sim = make_sim(3, seed=22)
+    x, y = two_owner_keys(sim)
+    reader = sim.new_client(seed=2)
+    deliver = dropping(sim, MsgType.READ_NOTICE, 0)
+    sent = client_sends(sim)
+    answers = read_answers(sim, reader)
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, [x, y], read_only=True))
+    deliver()
+    assert ok and h.attempts == 1 and seen == {x: 1, y: 1}
+    # x's owner waits for the notice, y's answers; x's READ is resent and
+    # answered at once, unvalidated, and both owners are asked again
+    assert types(sent) == ["READ"] * 5 and [d for d, _, _ in sent] == [0, 1, 0, 0, 1]
+    # y's owner heard x's notice and vouches; x's owner answers unvalidated
+    assert [(sid, tokens != ()) for sid, tokens in answers] == [(1, True), (0, False), (0, False), (1, False)]
+    quiet(sim)
+    assert read_groups_gone(sim)
+
+
+def test_a_peer_restarted_after_its_notice_is_not_paired_with_the_older_serving():
+    """y's owner serves y, tells x's owner and crashes before it answers.
+    x's owner serves x and vouches against that notice.  A writer of x and
+    y then commits, and only then does the restarted y's owner serve y
+    anew, and vouch against x's notice.  Each answer names the servings it
+    heard of, so the client sees two servings of y and validates."""
+    sim = make_sim(3, seed=23)
+    x, y = two_owner_keys(sim)
+    writer, reader = sim.new_client(seed=1), sim.new_client(seed=2)
+    reader.state.max_retries = 1
+    cut0 = sim.partition([("c", reader.client_id)], [0])  # hold x's READ back
+    mark = len(sim.trace)
+    answers = read_answers(sim, reader)
+    box = []
+    reader.run(read_round(reader.state, [x, y], read_only=True), box.append)
+    step_until(sim, lambda: any(
+        e[1] == 1 and e[2] == "msg.send" and e[3]["type"] == "READ_NOTICE" for e in sim.trace[mark:]
+    ))
+    sim.crash(1)
+    cut1 = sim.partition([("c", reader.client_id)], [1])  # hold y's resends back
+    sim.run(0.01)  # the notice lands at server 0
+    sim.restart(1)
+    sim.heal(cut0)
+    step_until(sim, lambda: answers)
+    assert answers[0][0] == 0 and answers[0][1] != ()  # x's owner vouched
+    assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
+    sim.heal(cut1)
+    step_until(sim, lambda: box)
+    ok, reason, seen, _ = box[0][1]
+    assert [(sid, tokens != ()) for sid, tokens in answers[:2]] == [(0, True), (1, True)]
+    assert answers[0][1] != answers[1][1]  # two servings of y
+    assert seen == {x: 1, y: 2}  # the fractured view
+    assert not ok and reason == AbortReason.STALE_READ
+    quiet(sim)
+    assert read_groups_gone(sim)
+
+
+def test_a_crashed_peer_owner_times_the_round_out():
+    sim = make_sim(3, seed=24)
+    x, y = two_owner_keys(sim)
+    reader = sim.new_client(seed=2)
+    sim.crash(1)
+    with pytest.raises(cl.ReadUnavailableError):
+        run_gen(sim, reader, read_round(reader.state, [x, y], read_only=True))
+    sim.restart(1)
+    assert read_groups_gone(sim)
+    ok, reason, seen, h = run_gen(sim, reader, read_round(reader.state, [x, y], read_only=True))
+    assert ok and h.attempts == 1 and seen == {x: 1, y: 1}
+    quiet(sim)
+    assert read_groups_gone(sim)
+
+
+def test_a_cache_hit_after_a_vouched_round_is_validated_with_the_round():
+    """A vouching answer's updates block is built when its owner validates,
+    after the round's common instant, so a read taken from the cache after
+    the round cancels the vouch and the commit validates every key."""
+    sim = make_sim(3, seed=25)
+    x, y = two_owner_keys(sim)
+    z = keys_owned_by(0, sim.members, 2)[1]
+    reader = sim.new_client(seed=2)
+    assert commit_txn(sim, reader, [z], {z: b"z1"})[0]  # z is cached
+
+    def gen(cs):
+        h = cl.TxnHandle(read_only=True)
+        yield from cl.txn_read_many(cs, h, [x, y])
+        assert h.fresh is not None
+        yield from cl.txn_read(cs, h, z)
+        assert h.fresh is None
+        return (yield from cl.txn_commit(cs, h))
+
+    sent = client_sends(sim)
+    assert run_gen(sim, reader, gen(reader.state)) == (True, None)
+    assert types(sent) == ["READ"] * 4
+    quiet(sim)
+
+
+def test_stats_dump_counts_groups_records_clients_and_lock_entries():
+    sim = make_sim(3, seed=26)
+    x, y = two_owner_keys(sim)
+    n0 = sim.nodes[0].node
+    gauges = ("read_groups", "coord_records", "part_records", "dedup_clients", "lock_entries")
+    stats = n0.stats_dump()
+    assert stats["read_groups"] == 0 and stats["lock_entries"] == 0 and stats["dedup_clients"] == 1
+    assert all(isinstance(stats[g], int) for g in gauges)
+
+    # x's owner holds the group while y's notice is lost, then answers the
+    # resend and remembers the group as answered until the next GC tick
+    deliver = dropping(sim, MsgType.READ_NOTICE, 0)
+    reader = sim.new_client(seed=2)
+    box = []
+    reader.run(read_round(reader.state, [x, y], read_only=True), box.append)
+    step_until(sim, lambda: n0.stats_dump()["read_groups"] == 1)
+    assert n0._groups[next(iter(n0._groups))] is not None
+    step_until(sim, lambda: box)
+    deliver()
+    assert box[0][1][0] is True
+    assert read_groups_gone(sim)

@@ -100,6 +100,39 @@ def test_read_request_without_a_whole_key_does_not_decode(payload):
         rpc.dec_read_req(payload)
 
 
+@given(st.lists(st.binary(max_size=32), min_size=1, max_size=8),
+       st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=8, unique=True),
+       st.integers(0, 2**64 - 1))
+def test_group_read_codec(ks, owners, group):
+    owners = tuple(sorted(owners))
+    assert rpc.dec_read(rpc.enc_read_req(ks, owners, group)) == (ks, owners, group)
+    assert rpc.dec_read(rpc.enc_read_req(ks)) == (ks, (), 0)
+
+
+@pytest.mark.parametrize("owners", [(3,), (2, 2), (2, 1)])
+def test_group_read_of_under_two_or_unordered_owners_does_not_decode(owners):
+    with pytest.raises(MalformedRecordError):
+        rpc.dec_read(rpc.enc_read_req([b"k"], owners, 5))
+
+
+@given(st.lists(entries, min_size=1, max_size=8), st.booleans(),
+       st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=8))
+def test_read_answer_codec_with_and_without_a_vouch(es, locked, tokens):
+    assert rpc.dec_read_answer(rpc.enc_read_resp(es, locked)) == (es, locked, ())
+    assert rpc.dec_read_answer(rpc.enc_read_resp(es, False, tokens)) == (es, False, tuple(tokens))
+
+
+def test_a_vouching_answer_is_no_plain_answer_and_is_never_locked():
+    vouching = rpc.enc_read_resp([(b"v", 3)], False, (1, 2))
+    with pytest.raises(MalformedRecordError):
+        rpc.dec_read_resp(vouching)
+    locked = vouching[:-1] + b"\x01"
+    with pytest.raises(MalformedRecordError):
+        rpc.dec_read_answer(locked)
+    with pytest.raises(MalformedRecordError):
+        rpc.dec_read_answer(b"\x02\x01" + bytes(8) + rpc.enc_read_resp([None], False))
+
+
 FOUND_V = rpc.enc_read_resp([(b"v", 3)], False)
 
 
@@ -253,6 +286,28 @@ GOLDEN = {
         Envelope(MsgType.CLIENT_HELLO, rpc.CLIENT, 0, 0, None, b""),
         "14000000" "01" "0b" "00" "0000000000000000" "0000000000000000" "00",
     ),
+    # a READ is its key blobs; a group READ puts the round's id and owners
+    # first, behind a key length no key has
+    "read-request": ([b"k1"], rpc.enc_read_req([b"k1"]), "02000000" "6b31", rpc.dec_read_req),
+    "group-read-request": (
+        ([b"k1"], (0, 2), 258), rpc.enc_read_req([b"k1"], (0, 2), 258),
+        "ffffffff" "0201000000000000" "02" "00000000" "02000000" "020000006b31",
+        rpc.dec_read,
+    ),
+    "read-answer-vouching": (
+        ([(b"v1", 7)], False, (5, 6)), rpc.enc_read_resp([(b"v1", 7)], False, (5, 6)),
+        "02" "02" "0500000000000000" "0600000000000000" "01" "020000007631" "0700000000000000" "00",
+        rpc.dec_read_answer,
+    ),
+    "read-notice": (
+        (CLIENT_KEY[0], 258, 7), rpc.enc_read_notice(CLIENT_KEY[0], 258, 7),
+        "41420f0000000000" "0201000000000000" "0700000000000000", rpc.dec_read_notice,
+    ),
+    "read-notice-frame": _frame(
+        Envelope(MsgType.READ_NOTICE, rpc.SERVER, 2, 0, None, rpc.enc_read_notice(CLIENT_KEY[0], 258, 7)),
+        "2c000000" "01" "0e" "01" "0200000000000000" "0000000000000000" "00"
+        "41420f0000000000" "0201000000000000" "0700000000000000",
+    ),
 }
 
 
@@ -292,7 +347,7 @@ def test_retired_record_kinds_do_not_decode(name):
 
 # Every golden encoding that carries its own length: a READ request and a
 # READ answer are self-delimiting lists, so a prefix cut at an element
-# boundary is a shorter, valid one and is left out.
+# boundary is a shorter, valid one; the READ goldens hold one element each.
 STRICT = {
     **{name: (data, decode) for name, (_, data, _, decode) in GOLDEN.items()},
     "slice": (rpc.enc_txn(Transaction(((b"k1", 3),), ((b"k2", b"val"),))), rpc.dec_txn),
@@ -316,6 +371,7 @@ TRAILING = {
     "commit-answer": (rpc.enc_commit_resp(True, None, []), rpc.dec_commit_resp),
     "abort-vote": (rpc.enc_commit_resp(*VOTE), rpc.dec_commit_resp),
     "gc-lc": (rpc.enc_u64(258), rpc.dec_u64),
+    "read-notice": (rpc.enc_read_notice(1, 2, 3), rpc.dec_read_notice),
 }
 
 

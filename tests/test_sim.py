@@ -659,12 +659,20 @@ MALFORMED = {
     "read-from-a-server": (MsgType.READ, "none", rpc.enc_read_req([b"k"]), None, rpc.SERVER),
     "commit-from-a-server": (MsgType.COMMIT, "none", SLICE, None, rpc.SERVER),
     "client-hello-from-a-server": (MsgType.CLIENT_HELLO, "none", b"", None, rpc.SERVER),
+    # a notice comes only from an owner of the round, a server
+    "read-notice-from-a-client": (MsgType.READ_NOTICE, "none", rpc.enc_read_notice(1, 2, 3), None, rpc.CLIENT),
+    "truncated-read-notice": (MsgType.READ_NOTICE, "none", rpc.enc_read_notice(1, 2, 3)[:-1], None),
+    # a group READ names this server and members only, two or more ascending
+    "group-read-naming-a-non-member": (MsgType.READ, "none", rpc.enc_read_req([b"k"], (0, 3), 9), None),
+    "group-read-leaving-out-this-server": (MsgType.READ, "none", rpc.enc_read_req([b"k"], (1, 2), 9), None),
+    "group-read-of-one-owner": (MsgType.READ, "none", rpc.enc_read_req([b"k"], (0,), 9), None),
+    "group-read-without-key": (MsgType.READ, "none", rpc.enc_read_req([], (0, 1), 9), None),
 }
 
 
 def node_state(node):
     return repr((
-        node.coord, node.part, node._resend,
+        node.coord, node.part, node._resend, node._groups,
         node.dedup.size(), node.dedup.duplicates_blocked, node.stats,
         node.locks.stats(), node.gc.table, node.gc.last_issued,
     ))

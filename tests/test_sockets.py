@@ -357,6 +357,41 @@ def test_read_many_sends_one_read_per_owner_over_sockets(cluster, monkeypatch):
     reader.driver.close()
 
 
+def test_declared_read_only_round_is_validated_by_its_owners_over_sockets(cluster, monkeypatch):
+    cfg, _ = cluster
+    members = list(cfg.member_ids)
+    keys = [b"group-%d" % i for i in range(256)]
+    x = next(k for k in keys if owner_of(k, members) == 0)
+    y = next(k for k in keys if owner_of(k, members) == 1)
+    writer = connect_client(cfg, seed=1)
+    h = writer.open_txn()
+    assert writer.read_many(h, [x, y]) == [None, None]
+    writer.write(h, x, b"vx")
+    writer.write(h, y, b"vy")
+    assert writer.commit(h)[0]
+    writer.driver.close()
+    time.sleep(0.3)  # let the decision fan-out and acks finish
+
+    received = []
+    orig_on_message = ServerNode.on_message
+
+    def on_message(self, env):
+        received.append((self.sid, env.msg_type.name))
+        return orig_on_message(self, env)
+
+    monkeypatch.setattr(ServerNode, "on_message", on_message)
+    reader = connect_client(cfg, seed=2)
+    h = reader.open_txn(read_only=True)
+    del received[:]  # the handshake
+    assert reader.read_many(h, [x, y]) == [b"vx", b"vy"]
+    assert h.fresh is not None  # both owners vouched
+    assert reader.commit(h) == (True, None) and h.attempts == 1
+    # one READ per owner and one notice each way; no validation READ
+    got = sorted(m for m in received if m[1] != "GC_LC")
+    assert got == [(0, "READ"), (0, "READ_NOTICE"), (1, "READ"), (1, "READ_NOTICE")]
+    reader.driver.close()
+
+
 def hold_with_full_accept_queue(port):
     """A listener on port that never accepts, its accept queue filled, so a
     connect to it neither completes nor fails."""
