@@ -2,13 +2,12 @@
 
 The protocol logic lives in generator functions that yield effects:
 
-    ("rpc", dest_server, envelope)  -> driver sends with retries, resumes the
-                                       generator with the response payload
-                                       bytes (or None after budget exhaustion)
-    ("rpcs", [(dest, envelope)...]) -> driver sends every request before
-                                       waiting on any, resumes with the list
-                                       of payloads (None where one stayed
-                                       silent), in request order
+    ("rpcs", [(dest, envelope)...]) -> driver sends every request, with
+                                       retries, before waiting on any;
+                                       resumes the generator with the list
+                                       of answer payloads, in request order,
+                                       None where one stayed silent through
+                                       its retry budget
     ("sleep", seconds)              -> driver resumes after the delay
 
 and one interpreter, RequestCore, runs them over either transport: the
@@ -194,7 +193,7 @@ class ClientState:
     max_retries: int = 12
     cache: ServerCache = None
     next_msg_id: int = 0
-    stats: dict = field(default_factory=lambda: {"rpcs": 0, "commits": 0, "aborts": 0, "cache_hits": 0})
+    stats: dict = field(default_factory=lambda: {"rpcs": 0})
 
     def __post_init__(self) -> None:
         if self.cache is None:
@@ -235,10 +234,7 @@ def _read_round(cs: ClientState, keys, group: bool = False):
     gid = cs.next_msg_id + 1  # the message id the first READ takes
     requests = [(sid, cs.env(MsgType.READ, rpc.enc_read_req(ks, owners, gid))) for sid, ks in slices]
     cs.stats["rpcs"] += len(requests)
-    if len(requests) == 1:
-        answers = [(yield ("rpc", *requests[0]))]
-    else:
-        answers = yield ("rpcs", requests)
+    answers = yield ("rpcs", requests)
     return requests[-1][1].message_id, [(sid, ks, a) for (sid, ks), a in zip(slices, answers)]
 
 
@@ -254,7 +250,7 @@ def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
     put, reads = cs.cache.put, h.reads
     vouched = set()
     for _, ks, answer in answers:
-        entries, locked, tokens = rpc.dec_read_answer(answer)
+        entries, locked, tokens = rpc.dec_read_resp(answer)
         vouched.add(tokens)
         for k, entry in zip(ks, entries):
             if entry is not None:
@@ -278,7 +274,6 @@ def txn_read_many(cs: ClientState, h: TxnHandle, keys):
             continue
         cached = cs.cache.get(k)
         if cached is not None:
-            cs.stats["cache_hits"] += 1
             reads[k] = cached
             h.fresh = None  # it may be newer than the vouching answers
         else:
@@ -319,11 +314,10 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             coordinator = coordinator_for(txn.keys, cs.members)
             env = cs.env(MsgType.COMMIT, rpc.enc_txn(txn))
             cs.stats["rpcs"] += 1
-            resp = yield ("rpc", coordinator, env)
+            (resp,) = yield ("rpcs", [(coordinator, env)])
             if resp is None:
                 # silence is safe: an in-doubt transaction is aborted by recovery
                 h.status = "Done"
-                cs.stats["aborts"] += 1
                 return False, AbortReason.UNKNOWN
             committed, reason, piggyback = rpc.dec_commit_resp(resp)
         if committed:
@@ -336,7 +330,6 @@ def txn_commit(cs: ClientState, h: TxnHandle):
                 else:
                     cs.cache.invalidate([k])
             h.status = "Done"
-            cs.stats["commits"] += 1
             return True, None
         refreshed = {k: (v, ver) for k, v, ver in piggyback}
         if reason != AbortReason.STALE_READ:
@@ -371,7 +364,6 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             backoff_step += 1
             yield ("sleep", delay)
     h.status = "Done"
-    cs.stats["aborts"] += 1
     return False, reason
 
 
@@ -394,7 +386,7 @@ def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
         if answer is None:
             why = AbortReason.TIMEOUT
         else:
-            entries, locked = rpc.dec_read_resp(answer)
+            entries, locked, _ = rpc.dec_read_resp(answer)
             stale = [(k, e) for k, e in zip(ks, entries) if (e[1] if e else 0) != seen[k]]
             why = AbortReason.LOCK_DENIED_READ if locked else AbortReason.STALE_READ if stale else None
             if why is AbortReason.STALE_READ:
@@ -499,9 +491,7 @@ class RequestCore:
         except Exception as exc:  # e.g. ReadUnavailableError during an outage
             on_done(("error", exc))
             return
-        if effect[0] == "rpc":
-            self._request(effect[1], effect[2], lambda p: self._step(gen, p, False, on_done), self.tries)
-        elif effect[0] == "rpcs":
+        if effect[0] == "rpcs":
             self._request_all(effect[1], lambda payloads: self._step(gen, payloads, False, on_done))
         elif effect[0] == "sleep":
             self.arm(self.now() + effect[1], partial(self._step, gen, None, False, on_done))
@@ -543,6 +533,3 @@ class BlockingClient:
 
     def commit(self, h: TxnHandle):
         return self._run(txn_commit(self.state, h))
-
-    def stats(self) -> dict:
-        return dict(self.state.stats)

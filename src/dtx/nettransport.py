@@ -341,13 +341,10 @@ class SocketDriver(RequestCore, EventLoop):
         self.on_reply(env)
 
     def request(self, dest: int, env: Envelope) -> bytes | None:
-        return self.request_many([(dest, env)])[0]
-
-    def request_many(self, requests: list[tuple[int, Envelope]]) -> list[bytes | None]:
-        """Send every request, then turn the loop until each is answered or
-        given up; the answers in request order, None for a silent one."""
+        """Send the request, then turn the loop until it is answered or
+        given up; the answer, or None if the server stayed silent."""
         done: list = []
-        self._request_all(requests, done.append)
+        self._request(dest, env, done.append, self.tries)
         while not done:
             self.turn()
         return done[0]

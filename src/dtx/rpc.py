@@ -58,16 +58,17 @@ Payloads (blob = len: u32 LE | bytes):
   (key blob | value blob)*).  The COMMIT answer: committed: u8 | reason:
   u8 | n: u32 LE | (key blob | value blob | version u64 LE)*, the reason
   and, for STALE_READ, the current entries of the stale keys.
-* COMMIT_DECISION and ABORT_DECISION, coordinator to participant, and the
-  participant's ACK of a commit: the TranxID in the envelope, an empty
-  payload.  One message names one transaction.  An abort is sent once and
-  never acked (presumed abort): a participant repeats READY for a slice
-  in doubt, which settles from the coordinator's decision, or as aborted
-  once the GC watermark passed it (see server.py).
-  A participant's vote: READY with an empty payload, or an ABORT_DECISION
-  to the coordinator whose payload is the COMMIT answer with committed 0,
-  its reason and the stale entries; one marked committed does not decode
-  as a vote and is dropped.
+* READY, participant to coordinator, is the participant's vote: an empty
+  payload votes Ready, any other votes Abort and is the COMMIT answer with
+  committed 0, its reason and the stale entries; one marked committed does
+  not decode as a vote and is dropped.
+* COMMIT_DECISION and ABORT_DECISION, only ever the coordinator's decision
+  to a participant, and the participant's ACK of a commit: the TranxID in
+  the envelope, an empty payload.  One message names one transaction.  An
+  abort is sent once and never acked (presumed abort): a participant
+  repeats READY for a slice in doubt, which settles from the coordinator's
+  decision, or as aborted once the GC watermark passed it (see server.py).
+  Type bytes 5 and 6 come only from the transaction's coordinator.
   The vote and the decision are the only messages that carry an outcome.
 
 Every payload decoder takes exactly one encoding: a payload that is
@@ -78,11 +79,11 @@ an updates block ends where its body starts, which the body's decoder then
 takes whole).
 A server drops a message whose type names a transaction (PREPARE, READY,
 the decisions, ACK) but whose envelope carries none, any of those, GC_LC
-or READ_NOTICE from a sender whose kind is not server, a group READ whose
-owners leave it out or name a non-member, every RESPONSE, and a message whose
-payload does not decode; a COMMIT whose payload does not decode is
-answered UNKNOWN.  Type bytes 9, 12 and 13 are unassigned and do not
-decode.
+or READ_NOTICE from a sender whose kind is not server, a decision from any
+server but the transaction's coordinator, a group READ whose owners leave it
+out or name a non-member, every RESPONSE, and a message whose payload does
+not decode; a COMMIT whose payload does not decode is answered UNKNOWN.
+Type bytes 9, 12 and 13 are unassigned and do not decode.
 """
 
 from __future__ import annotations
@@ -222,12 +223,7 @@ def enc_read_req(keys: list[bytes], owners=(), group: int = 0) -> bytes:
     return b"".join(out)
 
 
-def dec_read_req(b: bytes) -> list[bytes]:
-    """The READ's keys; raises MalformedRecordError on no key or a torn blob."""
-    return _decode_whole(_unpack_keys, b, "READ request")
-
-
-def dec_read(b: bytes) -> tuple[list[bytes], tuple[int, ...], int]:
+def dec_read_req(b: bytes) -> tuple[list[bytes], tuple[int, ...], int]:
     """(keys, owners, group) of a READ or a group READ; a READ has no owners
     and group 0.  Owners number two or more, strictly ascending."""
     if b[:4] != _GROUP_MARK:
@@ -271,12 +267,20 @@ def enc_read_resp(entries: list[tuple[bytes, int] | None], locked: bool, tokens=
     return b"".join(out)
 
 
-def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool]:
-    """(entry or None per key, in request order; locked).  Every entry is at
-    least one byte and locked is the last one, so the answer needs no count."""
+def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool, tuple[int, ...]]:
+    """(entry or None per key, in request order; locked; tokens) of a READ
+    answer, or of one that vouches for its group round; tokens is empty
+    unless it vouches.  Every entry is at least one byte and locked is the
+    last one, so the answer needs no count."""
     entries: list[tuple[bytes, int] | None] = []
-    pos, last = 0, len(b) - 1
+    pos, last, tokens = 0, len(b) - 1, ()
     try:
+        if b[:1] == _VOUCH:
+            n = b[1]
+            if n < 2:
+                raise MalformedRecordError(f"a vouching READ answer has {n} tokens, under two")
+            tokens = struct.unpack_from(f"<{n}Q", b, 2)
+            pos = 2 + 8 * n
         while pos < last:
             if b[pos] == 1:
                 start = pos + 5
@@ -288,27 +292,13 @@ def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool]:
                 pos += 1
             else:
                 raise MalformedRecordError(f"READ answer found byte {b[pos]}")
-    except struct.error as e:
+    except (IndexError, struct.error) as e:
         raise MalformedRecordError(f"truncated READ answer: {e}") from None
     if pos != last or b[last] > 1:
         raise MalformedRecordError(f"READ answer of {len(b)} bytes has no locked byte of 0 or 1")
-    return entries, b[last] == 1
-
-
-def dec_read_answer(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool, tuple[int, ...]]:
-    """(entries, locked, tokens) of a READ answer, or of one that vouches for
-    its group round; tokens is empty unless it vouches."""
-    if b[:1] != _VOUCH:
-        return *dec_read_resp(b), ()
-    try:
-        n = b[1]
-        tokens = struct.unpack_from(f"<{n}Q", b, 2)
-    except (IndexError, struct.error) as e:
-        raise MalformedRecordError(f"truncated vouching READ answer: {e}") from None
-    entries, locked = dec_read_resp(b[2 + 8 * n:])
-    if locked or n < 2:
-        raise MalformedRecordError("a vouching READ answer is locked or has under two tokens")
-    return entries, locked, tokens
+    if tokens and b[last]:
+        raise MalformedRecordError("a vouching READ answer is locked")
+    return entries, b[last] == 1, tokens
 
 
 def enc_txn(txn: Transaction) -> bytes:

@@ -11,13 +11,16 @@ Commit flow, one path for every write transaction:
      (presumed abort, as in R*); run the coordinator's own slice in-process;
   2. each participant locks (shared for read-only keys, exclusive for
      written keys), validates read versions, freezes post-versions and
-     votes Ready -- a remote one after forcing PartReady -- or votes Abort;
+     votes Ready -- a remote one after forcing PartReady -- or votes Abort.
+     A remote participant votes with READY: an empty one for Ready, one
+     carrying its abort answer (reason and stale entries) for Abort;
   3. all Ready -> persist the own slice's PartReady and CoordCommit, which
      names the owners, in one flush; any Abort vote -> decide Abort
      without waiting for the other votes.  Either way, in that same step,
-     answer the client and send the decision to every remote participant
-     but an Abort's voter, whose slice is already Abort, so their locks go
-     one hop after the decision;
+     answer the client and send the decision, COMMIT_DECISION or
+     ABORT_DECISION, which only a coordinator sends, to every remote
+     participant but an Abort's voter, whose slice is already Abort, so
+     their locks go one hop after the decision;
   4. participants force PartCommit, apply frozen post-versions, release
      locks and ack a commit; once every remote participant acked it, the
      transaction is reported complete to the garbage collector.  An abort
@@ -164,9 +167,10 @@ _SERVER_TYPES = _TRANX_TYPES | {MsgType.GC_LC, MsgType.READ_NOTICE}
 _SENDER_KIND = {t: rpc.SERVER if t in _SERVER_TYPES else rpc.CLIENT for t in MsgType}
 _DECISION = {CoordState.COMMIT: MsgType.COMMIT_DECISION, CoordState.ABORT: MsgType.ABORT_DECISION}
 # the handler of each message type a server takes (ServerNode._on_read for
-# READ, ...; a server receives no RESPONSE) and the crash-point labels,
-# computed once
+# READ, ...; one for both decisions; a server receives no RESPONSE) and the
+# crash-point labels, computed once
 _HANDLER = {t: f"_on_{t.name.lower()}" for t in MsgType if t is not MsgType.RESPONSE}
+_HANDLER.update(dict.fromkeys(_DECISION.values(), "_on_decision"))
 _RECV_POINT = {t: f"recv.{t.name}" for t in MsgType}
 _SEND_POINT = {t: f"send.{t.name}" for t in MsgType}
 _WAL_POINT = {cls: f"wal.{cls.__name__}" for cls in LogRecord.__args__}
@@ -380,12 +384,9 @@ class ServerNode:
         self._respond(env.sender_id, env.message_id, rpc.enc_response((), rpc.enc_u64(self.assign_client_id())))
 
     def _on_ready(self, env: Envelope) -> None:
-        self._vote(env.tranx, env.sender_id, None, [])
-
-    def _on_abort_decision(self, env: Envelope) -> None:
-        """An abort vote when this node coordinates the transaction."""
-        if env.tranx.coordinator != self.sid:  # else the coordinator's decision
-            return self._on_commit_decision(env)
+        """A vote: Ready if the payload is empty, else Abort."""
+        if not env.payload:
+            return self._vote(env.tranx, env.sender_id, None, [])
         vote = self._decode(env, rpc.dec_commit_resp)
         if vote is None:
             return
@@ -395,11 +396,12 @@ class ServerNode:
             return
         self._vote(env.tranx, env.sender_id, reason or AbortReason.UNKNOWN, piggyback)
 
-    def _on_commit_decision(self, env: Envelope) -> None:
+    def _on_decision(self, env: Envelope) -> None:
         """Either decision; only the transaction's coordinator settles a
         slice, and only a commit is acked (presumed abort)."""
         tranx = env.tranx
         if env.sender_id != tranx.coordinator:
+            self._trace("msg.malformed", type=env.msg_type.name, frm=env.sender_id)
             return
         if self._handle_decision(tranx, env.msg_type is MsgType.COMMIT_DECISION):
             self._send(tranx.coordinator, self._server_env(MsgType.ACK, tranx, b""))
@@ -417,7 +419,7 @@ class ServerNode:
     def _on_read(self, env: Envelope) -> None:
         # Idempotent, lock-free, never deduplicated.  Every key is read in
         # this one step, so the answer shows them all at one instant.
-        req = self._decode(env, rpc.dec_read)
+        req = self._decode(env, rpc.dec_read_req)
         if req is None:
             return
         keys, owners, group = req
@@ -697,7 +699,7 @@ class ServerNode:
             # prepare is still locking, or the abort decision overtook this
             # prepare, and preparing now would take locks nothing releases
             if rec.vote is not None:
-                self._send_vote_bytes(tranx, rec.vote)
+                self._send(tranx.coordinator, self._server_env(MsgType.READY, tranx, rec.vote))
             return
         if self.gc.is_final_by_watermark(tranx):
             return  # long decided and reclaimed; the coordinator needs nothing
@@ -740,12 +742,7 @@ class ServerNode:
             self._vote(rec.tranx, self.sid, reason, piggyback)
             return
         rec.vote = b"" if reason is None else rpc.enc_commit_resp(False, reason, piggyback)
-        self._send_vote_bytes(rec.tranx, rec.vote)
-
-    def _send_vote_bytes(self, tranx: TranxID, vote: bytes) -> None:
-        """Empty vote payload means Ready; otherwise an abort vote."""
-        mt = MsgType.READY if vote == b"" else MsgType.ABORT_DECISION
-        self._send(tranx.coordinator, self._server_env(mt, tranx, vote))
+        self._send(rec.tranx.coordinator, self._server_env(MsgType.READY, rec.tranx, rec.vote))
 
     def _handle_decision(self, tranx: TranxID, commit: bool) -> bool:
         """Apply a commit or abort decision; returns whether the sender is
@@ -831,7 +828,7 @@ class ServerNode:
 
     def _repeat_ready(self, rec: PartRec) -> None:
         """READY for a Ready slice, and again every RESEND."""
-        self._send_vote_bytes(rec.tranx, b"")
+        self._send(rec.tranx.coordinator, self._server_env(MsgType.READY, rec.tranx, b""))
         self._queue_resend(rec)
 
     # -- garbage collection ---------------------------------------------------------------

@@ -41,6 +41,16 @@ def drive(gen, responder):
         return stop.value, effects
 
 
+def sent(effect):
+    """(dest, decoded READ) of each request of an "rpcs" effect."""
+    return [(dest, rpc.dec_read_req(env.payload)) for dest, env in effect[1]]
+
+
+def types(effect):
+    """The message type of each request of an "rpcs" effect."""
+    return [env.msg_type for _, env in effect[1]]
+
+
 def read_resp(entry, locked=False):
     return rpc.enc_read_resp([entry], locked)
 
@@ -85,12 +95,12 @@ def test_read_lookup_order_writes_reads_cache_remote():
     h3 = TxnHandle()
     val, fx = drive(txn_read(cs, h3, b"c"), lambda e: None)
     assert val == b"hot" and fx == [] and h3.reads[b"c"] == (b"hot", 2)
-    assert cs.stats["cache_hits"] == 1
+    assert cs.cache.hits == 1
     # 4) remote read goes to the key's owner and populates handle + cache
     h4 = TxnHandle()
-    val, fx = drive(txn_read(cs, h4, b"r"), lambda e: read_resp((b"cold", 9)))
+    val, fx = drive(txn_read(cs, h4, b"r"), lambda e: [read_resp((b"cold", 9))])
     assert val == b"cold"
-    assert fx[0][0] == "rpc" and fx[0][1] == owner_of(b"r", MEMBERS)
+    assert fx[0][0] == "rpcs" and [dest for dest, _ in fx[0][1]] == [owner_of(b"r", MEMBERS)]
     assert h4.reads[b"r"] == (b"cold", 9) and cs.cache.get(b"r") == (b"cold", 9)
 
 
@@ -107,14 +117,14 @@ def test_read_many_sends_the_misses_in_one_round_one_read_per_owner():
 
     def respond(effect):
         assert effect[0] == "rpcs"
-        return [answers[dest, tuple(rpc.dec_read_req(env.payload))] for dest, env in effect[1]]
+        return [answers[dest, tuple(rpc.dec_read_req(env.payload)[0])] for dest, env in effect[1]]
 
     vals, fx = drive(txn_read_many(cs, h, [b0, w, a0, r, c, a1, a0]), respond)
     # own write, own read and cache hit are served locally; the four keys
     # owned by 0 and 1 take one round of two READs, a0 sent once
     assert vals == [b"vb0", b"vw", b"va0", b"vr", b"vc", None, b"va0"]
     assert len(fx) == 1 and [dest for dest, _ in fx[0][1]] == [0, 1]
-    assert cs.stats["rpcs"] == 2 and cs.stats["cache_hits"] == 1
+    assert cs.stats["rpcs"] == 2 and cs.cache.hits == 1
     assert h.reads[a1] == (None, 0) and cs.cache.get(a0) == (b"va0", 1)
     assert h.fresh is None  # two owners answered at unordered instants
 
@@ -125,19 +135,19 @@ def test_read_many_of_one_owner_is_one_plain_rpc_and_vouches_unless_locked():
         cs = make_state()
         h = TxnHandle()
         both = rpc.enc_read_resp([(b"x", 1), (b"y", 2)], locked)
-        vals, fx = drive(txn_read_many(cs, h, [a0, a1]), lambda e: both)
+        vals, fx = drive(txn_read_many(cs, h, [a0, a1]), lambda e: [both])
         assert vals == [b"x", b"y"]
-        assert [(e[0], e[1], rpc.dec_read_req(e[2].payload)) for e in fx] == [("rpc", 0, [a0, a1])]
+        assert [(e[0], sent(e)) for e in fx] == [("rpcs", [(0, ([a0, a1], (), 0))])]
         assert h.fresh == (None if locked else (cs.next_msg_id, frozenset((a0, a1))))
         current = rpc.enc_read_resp([(b"x", 1), (b"y", 2)], False)
-        (ok, _), fx = drive(txn_commit(cs, h), lambda e: current)
-        assert ok and [e[0] for e in fx] == (["rpc"] if locked else [])
+        (ok, _), fx = drive(txn_commit(cs, h), lambda e: [current])
+        assert ok and [e[0] for e in fx] == (["rpcs"] if locked else [])
 
 
 def test_missing_key_reads_as_version_zero():
     cs = make_state()
     h = TxnHandle()
-    val, _ = drive(txn_read(cs, h, b"nope"), lambda e: read_resp(None))
+    val, _ = drive(txn_read(cs, h, b"nope"), lambda e: [read_resp(None)])
     assert val is None and h.reads[b"nope"] == (None, 0)
 
 
@@ -145,7 +155,7 @@ def test_read_rpc_exhaustion_raises():
     cs = make_state()
     gen = txn_read(cs, TxnHandle(), b"k")
     with pytest.raises(ReadUnavailableError):
-        drive(gen, lambda e: None)
+        drive(gen, lambda e: [None])
 
 
 # -- commit retry policy ------------------------------------------------------------
@@ -162,11 +172,10 @@ def test_commit_success_updates_cache_at_read_version_plus_one():
     h = setup_handle()
     txn_write(h, b"blind", b"b")  # written but never read
     cs.cache.put(b"blind", b"stale", 1)
-    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: commit_resp(True))
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [commit_resp(True)])
     assert ok and reason is None and h.status == "Done" and h.attempts == 1
     assert cs.cache.get(b"k") == (b"new", 4)  # read at 3, landed at 4
     assert cs.cache.get(b"blind") is None  # unknown post-version: invalidated
-    assert cs.stats["commits"] == 1
 
 
 def test_stale_read_retries_with_the_piggyback_and_no_read():
@@ -176,8 +185,8 @@ def test_stale_read_retries_with_the_piggyback_and_no_read():
     txn_write(h, b"k", b"new")
     script = iter(
         [
-            commit_resp(False, AbortReason.STALE_READ, [(b"k", b"cur", 5)]),
-            commit_resp(True),
+            [commit_resp(False, AbortReason.STALE_READ, [(b"k", b"cur", 5)])],
+            [commit_resp(True)],
         ]
     )
     (ok, _), fx = drive(txn_commit(cs, h), lambda e: next(script))
@@ -185,8 +194,8 @@ def test_stale_read_retries_with_the_piggyback_and_no_read():
     # j was not reported stale: its read and its cache entry stand, no READ
     assert h.reads == {b"k": (b"cur", 5), b"j": (b"o2", 1)}
     assert cs.cache.get(b"j") == (b"o2", 1)
-    assert [(e[0], e[2].msg_type) for e in fx] == [("rpc", MsgType.COMMIT)] * 2  # no sleeps
-    assert rpc.dec_txn(fx[1][2].payload).reads == ((b"j", 1), (b"k", 5))
+    assert [(e[0], types(e)) for e in fx] == [("rpcs", [MsgType.COMMIT])] * 2  # no sleeps
+    assert rpc.dec_txn(fx[1][1][0][1].payload).reads == ((b"j", 1), (b"k", 5))
 
 
 def test_write_denied_backs_off_exponentially_with_cap_and_jitter():
@@ -194,7 +203,7 @@ def test_write_denied_backs_off_exponentially_with_cap_and_jitter():
     h = setup_handle()
 
     def responder(e):
-        return commit_resp(False, AbortReason.LOCK_DENIED_WRITE) if e[0] == "rpc" else None
+        return [commit_resp(False, AbortReason.LOCK_DENIED_WRITE)] if e[0] == "rpcs" else None
 
     (ok, reason), fx = drive(txn_commit(cs, h), responder)
     assert not ok and reason == AbortReason.LOCK_DENIED_WRITE
@@ -211,15 +220,15 @@ def test_writer_denied_a_read_lock_again_backs_off_and_a_reader_never_does():
     h = setup_handle()  # reads k, writes k
 
     def responder(e):
-        if e[0] == "rpc" and e[2].msg_type == MsgType.READ:
-            return read_resp((b"old", 3))
-        if e[0] == "rpc":
-            return commit_resp(False, AbortReason.LOCK_DENIED_READ)
+        if e[0] == "rpcs" and types(e) == [MsgType.READ]:
+            return [read_resp((b"old", 3))]
+        if e[0] == "rpcs":
+            return [commit_resp(False, AbortReason.LOCK_DENIED_READ)]
         return None
 
     (ok, reason), fx = drive(txn_commit(cs, h), responder)
     assert not ok and reason == AbortReason.LOCK_DENIED_READ
-    kinds = [e[0] if e[0] == "sleep" else e[2].msg_type.name for e in fx]
+    kinds = [e[0] if e[0] == "sleep" else types(e)[0].name for e in fx]
     # the first denial retries at once; later ones back off after the re-read
     assert kinds == ["COMMIT", "READ", "COMMIT", "READ", "sleep", "COMMIT", "READ", "sleep", "COMMIT"]
     sleeps = [e[1] for e in fx if e[0] == "sleep"]
@@ -230,16 +239,16 @@ def test_writer_denied_a_read_lock_again_backs_off_and_a_reader_never_does():
     cs = make_state(max_retries=4)
     h = TxnHandle(reads={b"k": (b"old", 3)})  # read-only: holds no lock
 
-    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: read_resp((b"old", 3), locked=True))
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [read_resp((b"old", 3), locked=True)])
     assert not ok and reason == AbortReason.LOCK_DENIED_READ
     # a validation READ, then a re-read, alternately, and no sleep
-    assert [(e[0], e[2].msg_type) for e in fx] == [("rpc", MsgType.READ)] * 7
+    assert [(e[0], types(e)) for e in fx] == [("rpcs", [MsgType.READ])] * 7
 
 
 def test_silence_is_terminal_unknown():
     cs = make_state()
     h = setup_handle()
-    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: None)
+    (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [None])
     assert not ok and reason == AbortReason.UNKNOWN
     assert len(fx) == 1 and h.status == "Done"
 
@@ -248,7 +257,7 @@ def test_log_failure_is_terminal():
     cs = make_state()
     h = setup_handle()
     (ok, reason), fx = drive(
-        txn_commit(cs, h), lambda e: commit_resp(False, AbortReason.LOG_FAILURE)
+        txn_commit(cs, h), lambda e: [commit_resp(False, AbortReason.LOG_FAILURE)]
     )
     assert not ok and reason == AbortReason.LOG_FAILURE and len(fx) == 1
 
@@ -257,7 +266,7 @@ def test_failed_commit_invalidates_cached_txn_keys():
     cs = make_state()
     cs.cache.put(b"k", b"old", 3)
     h = setup_handle()
-    drive(txn_commit(cs, h), lambda e: commit_resp(False, AbortReason.LOG_FAILURE))
+    drive(txn_commit(cs, h), lambda e: [commit_resp(False, AbortReason.LOG_FAILURE)])
     assert cs.cache.get(b"k") is None
 
 
@@ -267,10 +276,10 @@ def test_retry_reuses_fresh_message_ids_and_targets_coordinator():
     seen = []
 
     def responder(e):
-        if e[0] != "rpc":
+        if e[0] != "rpcs":
             return None
-        seen.append((e[1], e[2].message_id))
-        return commit_resp(False, AbortReason.LOCK_DENIED_WRITE)
+        seen.extend((dest, env.message_id) for dest, env in e[1])
+        return [commit_resp(False, AbortReason.LOCK_DENIED_WRITE)]
 
     cs.max_retries = 3
     drive(txn_commit(cs, h), responder)
@@ -295,12 +304,12 @@ def test_read_only_commit_validates_every_owner_in_one_effect():
     a, b, c = by_owner[0][0], by_owner[1][0], by_owner[2][0]
     cs = make_state()
     h = TxnHandle(reads={a: (b"va", 1), b: (b"vb", 2)})
-    val, fx = drive(txn_read(cs, h, c), lambda e: read_resp((b"vc", 3)))
+    val, fx = drive(txn_read(cs, h, c), lambda e: [read_resp((b"vc", 3))])
     # the latest READ said unlocked and no RPC followed it: c is not validated
     assert h.fresh == (cs.next_msg_id, frozenset((c,)))
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: [read_resp((b"va", 1)), read_resp((b"vb", 2))])
     assert ok and reason is None and len(fx) == 1 and fx[0][0] == "rpcs"
-    assert [(dest, rpc.dec_read_req(env.payload)) for dest, env in fx[0][1]] == [(0, [a]), (1, [b])]
+    assert sent(fx[0]) == [(0, ([a], (), 0)), (1, ([b], (), 0))]
 
 
 def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyback():
@@ -321,10 +330,10 @@ def test_read_only_commit_takes_the_lowest_failed_owners_reason_and_every_piggyb
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: next(script))
     # nothing is re-read after the last attempt
     assert [e[0] for e in fx] == ["rpcs", "rpcs", "rpcs"]
-    assert [(dest, rpc.dec_read_req(env.payload)) for dest, env in fx[1][1]] == [(0, [a]), (1, [b])]
+    assert sent(fx[1]) == [(0, ([a], (), 0)), (1, ([b], (), 0))]
     # the second commit validates all three owners: c came with the abort,
     # and the re-read round went to two owners, so it vouches for nothing
-    assert [(dest, rpc.dec_read_req(env.payload)) for dest, env in fx[2][1]] == [(0, [a]), (1, [b]), (2, [c])]
+    assert sent(fx[2]) == [(0, ([a], (), 0)), (1, ([b], (), 0)), (2, ([c], (), 0))]
     assert h.reads[c] == (b"vc", 5)
     # the first attempt failed for owner 1's reason; the second took owner
     # 0's stale read over owner 1's silence, and a's piggyback
@@ -366,13 +375,13 @@ def test_validation_rounds_leave_the_cache_alone():
         [
             # a and c are current, whatever their values; b moved
             [rpc.enc_read_resp([(b"other", 1), (b"new", 2)], False), read_resp((b"other", 1))],
-            read_resp((b"other", 1)),
+            [read_resp((b"other", 1))],
         ]
     )
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: next(script))
     assert ok and reason is None and h.attempts == 2
     # owner 0 alone failed: its answer vouches for a and b, so only c is checked again
-    assert [e[0] for e in fx] == ["rpcs", "rpc"] and rpc.dec_read_req(fx[1][2].payload) == [c]
+    assert [e[0] for e in fx] == ["rpcs", "rpcs"] and sent(fx[1]) == [(1, ([c], (), 0))]
     assert h.reads == {**first, b: (b"new", 2)}
     assert cache_state(cs.cache) == cache_state(expected)
 
@@ -380,6 +389,6 @@ def test_validation_rounds_leave_the_cache_alone():
 def test_one_unlocked_read_commits_without_an_rpc():
     cs = make_state()
     h = TxnHandle()
-    drive(txn_read(cs, h, b"k"), lambda e: read_resp((b"v", 1)))
+    drive(txn_read(cs, h, b"k"), lambda e: [read_resp((b"v", 1))])
     (ok, reason), fx = drive(txn_commit(cs, h), lambda e: None)
     assert ok and reason is None and fx == []

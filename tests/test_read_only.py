@@ -33,7 +33,7 @@ def client_sends(sim):
         if src[0] == "c":
             key = None
             if env.msg_type == MsgType.READ:
-                keys = rpc.dec_read(env.payload)[0]
+                keys = rpc.dec_read_req(env.payload)[0]
                 key = keys[0] if len(keys) == 1 else tuple(keys)
             sent.append((dst[1], env.msg_type.name, key))
         orig(src, dst, env)
@@ -326,9 +326,9 @@ def test_interleaved_handles_of_one_client_validate_the_fresh_key():
         yield from cl.txn_read(cs, h1, x)
         yield ("sleep", 0.5)  # the writer commits x and y meanwhile
         yield from cl.txn_read(cs, cl.TxnHandle(), y)
-        hits = cs.stats["cache_hits"]
+        hits = cs.cache.hits
         yield from cl.txn_read(cs, h1, y)
-        assert cs.stats["cache_hits"] == hits + 1  # h2's answer, from the cache
+        assert cs.cache.hits == hits + 1  # h2's answer, from the cache
         seen = {k: ver for k, (_, ver) in h1.reads.items()}
         ok, reason = yield from cl.txn_commit(cs, h1)
         return ok, reason, seen
@@ -543,7 +543,7 @@ def read_answers(sim, client):
 
     def net_send(src, dst, env):
         if dst == ("c", client.client_id) and env.msg_type == MsgType.RESPONSE:
-            seen.append((src[1], rpc.dec_read_answer(rpc.dec_response(env.payload)[1])[2]))
+            seen.append((src[1], rpc.dec_read_resp(rpc.dec_response(env.payload)[1])[2]))
         orig(src, dst, env)
 
     sim.net_send = net_send

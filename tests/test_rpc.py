@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dtx import rpc
+from dtx import rpc, server
 from dtx.model import (
     CoordCommit,
     MalformedRecordError,
@@ -65,23 +65,23 @@ entries = st.one_of(st.none(), st.tuples(values, st.integers(0, 2**64 - 1)))
 
 @given(keys)
 def test_read_codec(k):
-    assert rpc.dec_read_req(rpc.enc_read_req([k])) == [k]
+    assert rpc.dec_read_req(rpc.enc_read_req([k])) == ([k], (), 0)
 
 
 @given(entries, st.booleans())
 def test_read_resp_codec(entry, locked):
-    assert rpc.dec_read_resp(rpc.enc_read_resp([entry], locked)) == ([entry], locked)
+    assert rpc.dec_read_resp(rpc.enc_read_resp([entry], locked)) == ([entry], locked, ())
 
 
 @given(st.lists(st.binary(max_size=32), min_size=1, max_size=8))
 def test_multi_key_read_codec(ks):
-    assert rpc.dec_read_req(rpc.enc_read_req(ks)) == ks
+    assert rpc.dec_read_req(rpc.enc_read_req(ks)) == (ks, (), 0)
 
 
 @given(st.lists(entries, min_size=1, max_size=8), st.booleans())
 def test_multi_key_read_resp_codec(es, locked):
     """Missing keys (None) anywhere in the answer, empty values included."""
-    assert rpc.dec_read_resp(rpc.enc_read_resp(es, locked)) == (es, locked)
+    assert rpc.dec_read_resp(rpc.enc_read_resp(es, locked)) == (es, locked, ())
 
 
 def test_multi_key_read_is_the_one_key_format_repeated():
@@ -105,32 +105,30 @@ def test_read_request_without_a_whole_key_does_not_decode(payload):
        st.integers(0, 2**64 - 1))
 def test_group_read_codec(ks, owners, group):
     owners = tuple(sorted(owners))
-    assert rpc.dec_read(rpc.enc_read_req(ks, owners, group)) == (ks, owners, group)
-    assert rpc.dec_read(rpc.enc_read_req(ks)) == (ks, (), 0)
+    assert rpc.dec_read_req(rpc.enc_read_req(ks, owners, group)) == (ks, owners, group)
+    assert rpc.dec_read_req(rpc.enc_read_req(ks)) == (ks, (), 0)
 
 
 @pytest.mark.parametrize("owners", [(3,), (2, 2), (2, 1)])
 def test_group_read_of_under_two_or_unordered_owners_does_not_decode(owners):
     with pytest.raises(MalformedRecordError):
-        rpc.dec_read(rpc.enc_read_req([b"k"], owners, 5))
+        rpc.dec_read_req(rpc.enc_read_req([b"k"], owners, 5))
 
 
 @given(st.lists(entries, min_size=1, max_size=8), st.booleans(),
        st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=8))
 def test_read_answer_codec_with_and_without_a_vouch(es, locked, tokens):
-    assert rpc.dec_read_answer(rpc.enc_read_resp(es, locked)) == (es, locked, ())
-    assert rpc.dec_read_answer(rpc.enc_read_resp(es, False, tokens)) == (es, False, tuple(tokens))
+    assert rpc.dec_read_resp(rpc.enc_read_resp(es, locked)) == (es, locked, ())
+    assert rpc.dec_read_resp(rpc.enc_read_resp(es, False, tokens)) == (es, False, tuple(tokens))
 
 
-def test_a_vouching_answer_is_no_plain_answer_and_is_never_locked():
+def test_a_vouching_answer_is_never_locked_and_has_two_tokens_or_more():
     vouching = rpc.enc_read_resp([(b"v", 3)], False, (1, 2))
     with pytest.raises(MalformedRecordError):
-        rpc.dec_read_resp(vouching)
-    locked = vouching[:-1] + b"\x01"
-    with pytest.raises(MalformedRecordError):
-        rpc.dec_read_answer(locked)
-    with pytest.raises(MalformedRecordError):
-        rpc.dec_read_answer(b"\x02\x01" + bytes(8) + rpc.enc_read_resp([None], False))
+        rpc.dec_read_resp(vouching[:-1] + b"\x01")
+    for n in (0, 1):
+        with pytest.raises(MalformedRecordError):
+            rpc.dec_read_resp(b"\x02" + bytes([n]) + bytes(8 * n) + rpc.enc_read_resp([None], False))
 
 
 FOUND_V = rpc.enc_read_resp([(b"v", 3)], False)
@@ -264,6 +262,14 @@ GOLDEN = {
         "020000006b32" "00000000" "0900000000000000",
         rpc.dec_commit_resp,
     ),
+    # a participant's abort vote is a READY whose payload is the abort answer
+    "abort-vote-frame": _frame(
+        Envelope(MsgType.READY, rpc.SERVER, 2, 0, T, rpc.enc_commit_resp(*VOTE)),
+        "4b000000" "01" "04" "01" "0200000000000000" "0000000000000000" "01"
+        "01000000" "0201000000000000"
+        "00" "02" "02000000" "020000006b31" "0100000076" "0400000000000000"
+        "020000006b32" "00000000" "0900000000000000",
+    ),
     "gc-lc": (258, rpc.enc_u64(258), "0201000000000000", rpc.dec_u64),
     "prepare-frame": _frame(
         Envelope(
@@ -288,16 +294,16 @@ GOLDEN = {
     ),
     # a READ is its key blobs; a group READ puts the round's id and owners
     # first, behind a key length no key has
-    "read-request": ([b"k1"], rpc.enc_read_req([b"k1"]), "02000000" "6b31", rpc.dec_read_req),
+    "read-request": (([b"k1"], (), 0), rpc.enc_read_req([b"k1"]), "02000000" "6b31", rpc.dec_read_req),
     "group-read-request": (
         ([b"k1"], (0, 2), 258), rpc.enc_read_req([b"k1"], (0, 2), 258),
         "ffffffff" "0201000000000000" "02" "00000000" "02000000" "020000006b31",
-        rpc.dec_read,
+        rpc.dec_read_req,
     ),
     "read-answer-vouching": (
         ([(b"v1", 7)], False, (5, 6)), rpc.enc_read_resp([(b"v1", 7)], False, (5, 6)),
         "02" "02" "0500000000000000" "0600000000000000" "01" "020000007631" "0700000000000000" "00",
-        rpc.dec_read_answer,
+        rpc.dec_read_resp,
     ),
     "read-notice": (
         (CLIENT_KEY[0], 258, 7), rpc.enc_read_notice(CLIENT_KEY[0], 258, 7),
@@ -413,6 +419,16 @@ def test_flag_bytes_take_only_0_or_1_and_reasons_only_known_codes(name):
     garbled[offset] = bad
     with pytest.raises((MalformedRecordError, FrameError)):
         decode(bytes(garbled))
+
+
+def test_each_wire_shape_has_one_codec_and_each_handler_exists():
+    """Each public enc_X has its dec_X and each dec_X its enc_X, so a second
+    decoder of one shape cannot creep back in; and each message type a
+    server takes names a ServerNode method."""
+    shapes = {prefix: {n[4:] for n in vars(rpc) if n.startswith(prefix)} for prefix in ("enc_", "dec_")}
+    assert shapes["enc_"] == shapes["dec_"]
+    handlers = set(server._HANDLER.values())
+    assert [n for n in handlers if not callable(getattr(server.ServerNode, n, None))] == []
 
 
 # -- dedup ---------------------------------------------------------------

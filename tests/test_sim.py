@@ -631,27 +631,23 @@ MALFORMED = {
     ),
     "truncated-commit": (MsgType.COMMIT, "none", b"\x01", UNKNOWN),
     "truncated-prepare": (MsgType.PREPARE, "foreign", b"\x01\x00", None),
-    "truncated-abort-vote": (MsgType.ABORT_DECISION, "pending", b"\x00", None),
+    "truncated-abort-vote": (MsgType.READY, "pending", b"\x00", None),
     "truncated-gc-lc": (MsgType.GC_LC, "none", b"\x01", None),
     "response-to-a-server": (
         MsgType.RESPONSE, "foreign", rpc.enc_commit_resp(True, None, []), None
     ),
     "commit-with-trailing-bytes": (MsgType.COMMIT, "none", SLICE + b"x", UNKNOWN),
     "prepare-with-trailing-bytes": (MsgType.PREPARE, "foreign", SLICE + b"x", None),
-    "abort-vote-with-trailing-bytes": (
-        MsgType.ABORT_DECISION, "pending", STALE_VOTE + b"x", None
-    ),
+    "abort-vote-with-trailing-bytes": (MsgType.READY, "pending", STALE_VOTE + b"x", None),
     "gc-lc-with-trailing-bytes": (MsgType.GC_LC, "none", rpc.enc_u64(1) + b"x", None),
     # the commit answer's bytes, but an abort vote cannot say committed
-    "abort-vote-marked-committed": (
-        MsgType.ABORT_DECISION, "pending", rpc.enc_commit_resp(True, None, []), None
-    ),
+    "abort-vote-marked-committed": (MsgType.READY, "pending", rpc.enc_commit_resp(True, None, []), None),
+    # a participant votes with READY; a decision comes only from the coordinator
+    "abort-decision-from-a-participant": (MsgType.ABORT_DECISION, "pending", STALE_VOTE, None),
     # well formed, but a server takes these only from a server
     "prepare-from-a-client": (MsgType.PREPARE, "foreign", SLICE, None, rpc.CLIENT),
     "ready-from-a-client": (MsgType.READY, "pending", b"", None, rpc.CLIENT),
-    "abort-vote-from-a-client": (
-        MsgType.ABORT_DECISION, "pending", STALE_VOTE, None, rpc.CLIENT
-    ),
+    "abort-vote-from-a-client": (MsgType.READY, "pending", STALE_VOTE, None, rpc.CLIENT),
     "commit-decision-from-a-client": (MsgType.COMMIT_DECISION, "foreign", b"", None, rpc.CLIENT),
     "ack-from-a-client": (MsgType.ACK, "pending", b"", None, rpc.CLIENT),
     "gc-lc-from-a-client": (MsgType.GC_LC, "none", rpc.enc_u64(5), None, rpc.CLIENT),
@@ -774,15 +770,16 @@ def test_duplicate_prepare_resends_the_vote_and_takes_no_lock(read_version, rest
     prepare = rpc.enc_txn(Transaction(((k, read_version),), ((k, b"v"),)))
     deliver(sim, MsgType.PREPARE, prepare)
     (vote,) = sent
-    assert vote.msg_type == (MsgType.READY if read_version == 0 else MsgType.ABORT_DECISION)
+    ready = read_version == 0
+    assert vote.msg_type == MsgType.READY and (vote.payload == b"") == ready
     node, appends = repeat_on(sim, sent, restart, monkeypatch)
     held = node.locks.held_by(HAND_TRANX)
-    assert held == ({k} if vote.msg_type == MsgType.READY else set())
+    assert held == ({k} if ready else set())
     part = repr(node.part)
     deliver(sim, MsgType.PREPARE, prepare)
     (again,) = sent
-    assert again.msg_type == vote.msg_type
-    if restart and vote.msg_type == MsgType.ABORT_DECISION:
+    assert again.msg_type == MsgType.READY
+    if restart and not ready:
         # an Abort vote leaves no record to restart from: the duplicate is
         # prepared afresh and votes Abort again on the same stale read
         assert part == "{}" and node.part[HAND_TRANX].state is PartState.ABORT
@@ -998,8 +995,7 @@ def test_a_coordinator_answers_a_counted_ready_with_its_decision():
     def answer(tranx, voter, vote=b""):
         """What coordinator 0 sends when `voter` votes; b"" is Ready."""
         del sent[:]
-        mt = MsgType.READY if vote == b"" else MsgType.ABORT_DECISION
-        node.on_message(Envelope(mt, rpc.SERVER, voter, 1, tranx, vote))
+        node.on_message(Envelope(MsgType.READY, rpc.SERVER, voter, 1, tranx, vote))
         return sorted(sent)
 
     commit, abort_d = MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION
@@ -1018,6 +1014,27 @@ def test_a_coordinator_answers_a_counted_ready_with_its_decision():
     assert answer(early, 2) == []  # the first vote, after the abort
     assert answer(TranxID(0, 99), 1) == [(1, abort_d)]
     assert answer(TranxID(1, 99), 2) == []
+
+
+def test_a_ready_carrying_a_stale_read_answer_aborts_with_its_reason_and_piggyback():
+    """Owner 1 votes down a two-owner transaction with a READY whose payload
+    is a STALE_READ answer: coordinator 0 decides Abort and answers the
+    client with that reason and the piggybacked entry."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    span = key_spanning(sim.members)
+    keys = [span[0], span[1]]
+    txn = Transaction(tuple((k, 0) for k in keys), tuple((k, b"x") for k in keys))
+    node = sim.nodes[0].node
+    sent = []
+    sim.net_send = lambda src, dst, env: sent.append((dst, env.msg_type))
+    tranx = node.coordinate(txn, (7, 1))
+    piggyback = [(span[1], b"cur", 3)]
+    vote = rpc.enc_commit_resp(False, AbortReason.STALE_READ, piggyback)
+    del sent[:]
+    node.on_message(Envelope(MsgType.READY, rpc.SERVER, 1, 1, tranx, vote))
+    assert node.coord[tranx].state is CoordState.ABORT
+    assert rpc.dec_commit_resp(node.dedup.check_client(7, 1)) == (False, AbortReason.STALE_READ, piggyback)
+    assert sent == [(("c", 7), MsgType.RESPONSE)]  # no decision to the voter
 
 
 def test_an_abort_vote_that_decides_is_not_answered_with_the_decision():
@@ -1326,7 +1343,7 @@ def test_load_reads_each_owner_batch_with_one_read():
 
     def net_send(src, dst, env):
         if src[0] == "c" and env.msg_type == MsgType.READ:
-            reads.append((dst[1], rpc.dec_read_req(env.payload)))
+            reads.append((dst[1], rpc.dec_read_req(env.payload)[0]))
         orig(src, dst, env)
 
     sim.net_send = net_send

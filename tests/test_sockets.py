@@ -274,9 +274,13 @@ def test_read_only_commit_validates_at_each_owner_over_sockets(cluster, monkeypa
     assert time.monotonic() - started < driver.tries * (driver.timeout + 0.05)
 
     requests = [(sid, reader.state.env(MsgType.READ, rpc.enc_read_req([k]))) for sid, k in zip(members, keys)]
-    answers = driver.request_many(requests)
+
+    def round_trip():  # every request sent before any answer is awaited
+        return (yield ("rpcs", requests))
+
+    answers = reader._run(round_trip())
     assert answers[2] is None
-    assert [rpc.dec_read_resp(a) for a in answers[:2]] == [([(b"v", 1)], False)] * 2
+    assert [rpc.dec_read_resp(a) for a in answers[:2]] == [([(b"v", 1)], False, ())] * 2
 
     # the live owners still answer each request with its own answer
     h = reader.open_txn()

@@ -111,7 +111,8 @@ def hand_core():
 
 def ask(message_id):
     env = Envelope(MsgType.READ, rpc.CLIENT, 7, message_id, None, rpc.enc_read_req([b"x"]))
-    return (yield ("rpc", 0, env))
+    (payload,) = yield ("rpcs", [(0, env)])
+    return payload
 
 
 def answer(message_id, updates, body=b"body"):
