@@ -1,17 +1,21 @@
 """Per-server key lock table with asymmetric deadlock avoidance.
 
-Rules, applied per request:
+A request names all the keys of one prepare, and is checked in key
+order.  At its first conflict:
   * shared request against an exclusively locked key  -> reject immediately
   * exclusive request against an exclusively locked key -> reject immediately
-  * exclusive request against a shared-locked key -> wait up to
-    LOCK_WAIT (50 ms) for the holders to release
-Every acquire therefore resolves within one deadline, so no wait-for
-graph is needed.  A request is all-or-nothing: rejection releases every
-lock it had taken.
+  * exclusive request against a shared-locked key -> park, up to LOCK_WAIT
+    (50 ms) after it first parked, until the holders release
+With no conflict, every key is granted in one step.  A request is granted
+whole or holds nothing: a parked request holds no lock, so no transaction
+ever waits while holding, and no wait-for graph is needed.  When a key's
+last holder leaves, the requests parked on it retry whole, oldest first,
+until one of them holds the key; a retry that meets another shared-locked
+key parks again on it, within the same deadline.
 
 The table keeps no memory of aborted transactions: the server's
 participant record in Abort drops a late prepare before it reaches the
-table, and record_abort only cancels a waiting acquire or releases the
+table, and record_abort only cancels a parked request or releases the
 locks an aborted slice holds.
 
 The table is single-threaded by contract (it runs on the server's protocol
@@ -21,8 +25,7 @@ thread); deadline expiry arrives as a timer callback on the same thread.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import TranxID
 
@@ -37,41 +40,28 @@ class RejectReason(enum.Enum):
 
 
 @dataclass
-class _Entry:
-    holders: set[TranxID] = field(default_factory=set)
-    exclusive: bool = False
-    waiters: deque = field(default_factory=deque)  # _Request objects, FIFO
-
-    @property
-    def free(self) -> bool:
-        return not self.holders
-
-
-@dataclass
 class _Request:
     tranx: TranxID
     plan: list[tuple[bytes, bool]]  # (key, exclusive) in sorted key order
     on_result: object  # callable(granted: bool, reason: RejectReason | None)
-    pos: int = 0
-    held: list[bytes] = field(default_factory=list)
-    timer: object = None
+    timer: object = None  # the LOCK_WAIT deadline, armed at the first park
     waiting_on: bytes | None = None
-    done: bool = False
 
 
 class LockTable:
     def __init__(self, set_timer, cancel_timer):
         self._set_timer = set_timer
         self._cancel_timer = cancel_timer
-        self._entries: dict[bytes, _Entry] = {}
-        self._holdings: dict[TranxID, set[bytes]] = {}
-        self._pending: dict[TranxID, _Request] = {}
+        self._holders: dict[bytes, set[TranxID]] = {}  # held keys only
+        self._exclusive: set[bytes] = set()
+        self._held: dict[TranxID, list[bytes]] = {}  # keys of each granted transaction
+        self._parked: dict[TranxID, _Request] = {}  # oldest first
         self.trace = None  # optional callable(event, **info)
 
     # -- acquisition ------------------------------------------------------
 
     def acquire_for_prepare(self, tranx: TranxID, shared_keys, exclusive_keys, on_result) -> None:
-        """Atomically acquire all locks for a prepare; result via callback.
+        """Acquire all locks for a prepare at once; result via callback.
 
         The callback may fire synchronously (immediate grant/reject) or
         later from a lock release or deadline timer.
@@ -79,123 +69,70 @@ class LockTable:
         shared_keys, exclusive_keys = set(shared_keys), set(exclusive_keys)
         if shared_keys & exclusive_keys:
             raise ValueError("shared and exclusive key sets overlap")
-        assert tranx not in self._pending, f"concurrent acquire for {tranx}"
+        # a second grant would overwrite the first one's key list
+        assert tranx not in self._parked and tranx not in self._held, f"second acquire for {tranx}"
         plan = sorted([(k, False) for k in shared_keys] + [(k, True) for k in exclusive_keys])
-        req = _Request(tranx, plan, on_result)
-        self._pending[tranx] = req
-        self._advance(req)
+        self._try(_Request(tranx, plan, on_result))
 
-    def _advance(self, req: _Request) -> None:
-        while req.pos < len(req.plan):
-            key, exclusive = req.plan[req.pos]
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = _Entry()
-                self._entries[key] = entry
-            if entry.free:
-                self._grant_key(req, key, exclusive)
-            elif not exclusive:
-                if entry.exclusive:
-                    self._finish(req, False, RejectReason.SHARED_DENIED)
-                    return
-                self._grant_key(req, key, False)
-            else:
-                if entry.exclusive:
-                    self._finish(req, False, RejectReason.EXCLUSIVE_DENIED)
-                    return
-                # exclusive vs shared: queue and (once per request) arm the deadline
-                entry.waiters.append(req)
+    def _try(self, req: _Request) -> None:
+        """Grant req whole, refuse it, or park it on its first conflict."""
+        for key, exclusive in req.plan:
+            if key in self._exclusive:
+                why = RejectReason.EXCLUSIVE_DENIED if exclusive else RejectReason.SHARED_DENIED
+                self._finish(req, False, why)
+                return
+            if exclusive and key in self._holders:
                 req.waiting_on = key
                 if req.timer is None:
+                    self._parked[req.tranx] = req
                     req.timer = self._set_timer(LOCK_WAIT, lambda r=req: self._on_deadline(r))
                 return
-            req.pos += 1
+        for key, exclusive in req.plan:
+            self._holders.setdefault(key, set()).add(req.tranx)
+            if exclusive:
+                self._exclusive.add(key)
+            if self.trace is not None:
+                self.trace("lock.grant", tranx=req.tranx, key=key, exclusive=exclusive)
+        self._held[req.tranx] = [key for key, _ in req.plan]
         self._finish(req, True, None)
 
-    def _grant_key(self, req: _Request, key: bytes, exclusive: bool) -> None:
-        entry = self._entries[key]
-        entry.holders.add(req.tranx)
-        entry.exclusive = exclusive
-        req.held.append(key)
-        self._holdings.setdefault(req.tranx, set()).add(key)
-        if self.trace is not None:
-            self.trace("lock.grant", tranx=req.tranx, key=key, exclusive=exclusive)
-
     def _finish(self, req: _Request, granted: bool, reason) -> None:
-        if req.done:
-            return
-        req.done = True
-        self._pending.pop(req.tranx, None)
-        if req.timer is not None:
+        if self._parked.pop(req.tranx, None) is not None and req.timer is not None:
             self._cancel_timer(req.timer)
-            req.timer = None
-        if not granted:
-            self._rollback(req)
         req.on_result(granted, reason)
 
-    def _rollback(self, req: _Request) -> None:
-        if req.waiting_on is not None:
-            entry = self._entries.get(req.waiting_on)
-            if entry is not None and req in entry.waiters:
-                entry.waiters.remove(req)
-            req.waiting_on = None
-        for key in req.held:
-            self._release_key(req.tranx, key)
-        req.held = []
-
     def _on_deadline(self, req: _Request) -> None:
-        if req.done:
-            return
         req.timer = None
-        self._finish(req, False, RejectReason.WAIT_TIMEOUT)
+        if self._parked.get(req.tranx) is req:
+            self._finish(req, False, RejectReason.WAIT_TIMEOUT)
 
     # -- release ------------------------------------------------------------
 
     def release_all(self, tranx: TranxID) -> None:
-        """Idempotent: releases every lock held by tranx, waking waiters."""
-        req = self._pending.get(tranx)
-        if req is not None:
-            # caller decided the transaction's fate while its acquire was
-            # still waiting; cancel it
+        """Idempotent: cancels tranx's parked request, or releases every
+        lock it holds and retries the requests parked on the freed keys."""
+        req = self._parked.get(tranx)
+        if req is not None:  # its fate was decided while it waited: cancel it
             self._finish(req, False, RejectReason.ALREADY_ABORTED)
             return
-        # in key order, so waiters wake in the same order in every process
-        for key in sorted(self._holdings.get(tranx, ())):
-            self._release_key(tranx, key)
-        self._holdings.pop(tranx, None)
-
-    def _release_key(self, tranx: TranxID, key: bytes) -> None:
-        entry = self._entries.get(key)
-        if entry is None or tranx not in entry.holders:
-            return
-        entry.holders.discard(tranx)
-        if self.trace is not None:
-            self.trace("lock.release", tranx=tranx, key=key)
-        held = self._holdings.get(tranx)
-        if held is not None:
-            held.discard(key)
-            if not held:
-                self._holdings.pop(tranx, None)
-        if entry.free:
-            entry.exclusive = False
-            self._wake_waiters(key, entry)
-        if entry.free and not entry.waiters:
-            self._entries.pop(key, None)
-
-    def _wake_waiters(self, key: bytes, entry: _Entry) -> None:
-        while entry.free and entry.waiters:
-            req = entry.waiters.popleft()
-            if req.done:
-                continue
-            req.waiting_on = None
-            self._grant_key(req, key, True)
-            req.pos += 1
-            self._advance(req)
+        for key in self._held.pop(tranx, ()):
+            holders = self._holders[key]
+            holders.discard(tranx)
+            if self.trace is not None:
+                self.trace("lock.release", tranx=tranx, key=key)
+            if not holders:
+                del self._holders[key]
+                self._exclusive.discard(key)
+        # a retry re-parks, refuses or grants, and never frees a key, so one
+        # pass serves every freed key; a callback that frees more runs its own
+        for req in list(self._parked.values()):
+            if self._parked.get(req.tranx) is req and req.waiting_on not in self._holders:
+                self._try(req)
 
     # -- abort bookkeeping ---------------------------------------------------
 
     def record_abort(self, tranx: TranxID) -> None:
-        """A locally processed abort: cancel a waiting acquire, or drop the
+        """A locally processed abort: cancel a parked request, or drop the
         locks the slice holds."""
         self.release_all(tranx)
 
@@ -203,33 +140,34 @@ class LockTable:
 
     def exclusively_held(self, key: bytes) -> bool:
         """True while a transaction holds the key's exclusive lock."""
-        entry = self._entries.get(key)
-        return entry is not None and entry.exclusive
+        return key in self._exclusive
 
     def holders_of(self, key: bytes):
-        entry = self._entries.get(key)
-        return set(entry.holders) if entry else set()
+        return set(self._holders.get(key, ()))
 
     def held_by(self, tranx: TranxID) -> set[bytes]:
-        return set(self._holdings.get(tranx, ()))
+        return set(self._held.get(tranx, ()))
 
     def entries(self) -> int:
-        """Keys with a lock entry: held, waited on, or kept by their waiters."""
-        return len(self._entries)
+        """Keys with a holder."""
+        return len(self._holders)
 
     def is_idle(self) -> bool:
-        return not any(e.holders or e.waiters for e in self._entries.values()) and not self._pending
+        return not self._holders and not self._parked
 
     def stats(self) -> dict:
-        return {
-            "held_locks": sum(len(e.holders) for e in self._entries.values()),
-            "waiters": sum(len(e.waiters) for e in self._entries.values()),
-        }
+        return {"held_locks": sum(map(len, self._holders.values())), "waiters": len(self._parked)}
 
     def audit(self) -> None:
         """Structural invariants; raises AssertionError when violated."""
-        for key, entry in self._entries.items():
-            if entry.exclusive:
-                assert len(entry.holders) <= 1, f"co-holders on exclusive {key!r}"
-            for t in entry.holders:
-                assert key in self._holdings.get(t, set())
+        assert self._exclusive <= self._holders.keys(), "exclusive key with no holder"
+        for key, holders in self._holders.items():
+            assert holders, f"empty holder set for {key!r}"
+            assert key not in self._exclusive or len(holders) == 1, f"co-holders on exclusive {key!r}"
+            for t in holders:
+                assert key in self._held.get(t, ()), f"{t} holds {key!r} unrecorded"
+        for t, keys in self._held.items():
+            assert all(t in self._holders.get(k, ()) for k in keys), f"{t} records a key it lacks"
+        for t, req in self._parked.items():
+            assert t not in self._held, f"parked {t} holds {self._held[t]}"
+            assert req.waiting_on in self._holders, f"parked {t} waits on a free key"

@@ -723,7 +723,6 @@ class ServerNode:
         reason, out = self._check_locked(tranx, sub, granted, why)
         if reason is not None:  # an abort vote logs nothing (presumed abort)
             self._set_part_state(rec, PartState.ABORT)
-            self.locks.record_abort(tranx)
             self._cast_vote(rec, reason, out)
             return
         rec.writes = out

@@ -1334,6 +1334,33 @@ def test_two_writers_that_deny_each_others_read_lock_both_commit():
     assert oracle.locks_clean(sim) == []
 
 
+def test_a_waiting_slice_holds_no_lock_so_a_writer_of_its_free_key_commits_at_once():
+    """Coordinator 0's T1 reads b at owner 1 and writes a key of 0's; its
+    commit decision to owner 1 is held back, so owner 1 holds b shared.  T2
+    writes a and b blind, both owned by 1 and a first: its slice waits for
+    b holding nothing, so a one-owner writer of a commits at its first
+    attempt.  Once T1's slice decides, T2's slice is granted both keys."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    a, b = sorted(keys_owned_by(1, sim.members, 2))
+    coord, owner = sim.nodes[0].node, sim.nodes[1].node
+    t1 = coord.coordinate(Transaction(((b, 0),), ((keys_owned_by(0, sim.members, 1)[0], b"1"),)), None)
+    held = drop_where(sim, lambda dst, env, n: env.msg_type is MsgType.COMMIT_DECISION and env.tranx == t1)
+    sim.run(0.005)
+    assert coord.coord[t1].state is CoordState.COMMIT and len(held) == 1
+    assert owner.locks.held_by(t1) == {b}
+    t2 = coord.coordinate(Transaction((), ((a, b"2"), (b, b"2"))), None)
+    sim.run(0.005)
+    assert owner.part[t2].state is PartState.START and owner.locks.held_by(t2) == set()
+    assert owner.locks.stats() == {"held_locks": 1, "waiters": 1}
+    ok, reason, h = commit_txn(sim, sim.new_client(seed=1), [], {a: b"3"})
+    assert (ok, reason, h.attempts) == (True, None, 1)
+    owner.on_message(held[0])
+    assert owner.part[t1].state is PartState.COMMIT and owner.locks.held_by(t2) == {a, b}
+    sim.run(0.5)
+    assert sim.global_state()[a] == (b"2", 2) and sim.global_state()[b] == (b"2", 1)
+    assert oracle.locks_clean(sim) == [] and resend_idle(sim)
+
+
 def test_load_reads_each_owner_batch_with_one_read():
     sim = make_sim(3, seed=21)
     spec = WorkloadSpec(key_count=100, value_size=8, seed=3)
