@@ -133,15 +133,17 @@ there first, and the failure answer piggybacks the current entry of each
 stale key.  Those entries replace the stale reads in the transaction and
 the cache, every other read and cache entry stands (the next validation
 rechecks them), and the transaction is resubmitted at once with no READ.
-A denied read lock drops the transaction's keys from the cache and
-rebuilds the reads in one round;
-a denied write lock is retried with the same reads after exponential
-backoff with jitter.  A transaction that writes and is denied a read lock
+A read key found locked at validation (LOCK_DENIED_READ) drops the
+transaction's keys from the cache and rebuilds the reads in one round; a
+denied write lock is retried with the same reads after exponential
+backoff with jitter.  A transaction that writes and fails LOCK_DENIED_READ
 for the second time also backs off after the rebuild: two writers that
-each hold a key the other reads deny each other, and, when their rebuilds
-take equally long, retry in step and deny each other again until both run
-out of attempts; a read-only transaction holds no lock and retries at
-once.  Nothing is rebuilt or slept on after the last attempt.
+each lock a key the other only reads find it locked when their
+coordinators validate (server.py), and, when their rebuilds take equally
+long, retry in step and do so again until both run out of attempts; a
+read-only transaction holds no lock and retries at once.  Nothing is
+rebuilt or slept on after the last attempt.  A write transaction's COMMIT
+goes to the plurality owner of its written keys, so its coordinator writes.
 """
 
 from __future__ import annotations
@@ -208,7 +210,8 @@ class ClientState:
 
 
 def coordinator_for(keys, members) -> int:
-    """Plurality owner of the key set; ties go to the lowest server id."""
+    """Plurality owner of the key set, a commit's written keys; ties go to
+    the lowest server id."""
     if not keys:
         raise ValueError("empty key set")
     counts: dict[int, int] = {}
@@ -311,7 +314,7 @@ def txn_commit(cs: ClientState, h: TxnHandle):
         if not txn.writes:
             committed, reason, piggyback = yield from _validate(cs, h, txn)
         else:
-            coordinator = coordinator_for(txn.keys, cs.members)
+            coordinator = coordinator_for([k for k, _ in txn.writes], cs.members)
             env = cs.env(MsgType.COMMIT, rpc.enc_txn(txn))
             cs.stats["rpcs"] += 1
             (resp,) = yield ("rpcs", [(coordinator, env)])
@@ -354,8 +357,8 @@ def txn_commit(cs: ClientState, h: TxnHandle):
                 yield from _remote_reads(cs, h, again)
         elif reason != AbortReason.LOCK_DENIED_WRITE:
             break  # timeout / log failure: surface to the caller
-        # two writers that each hold a key the other reads deny each other
-        # and retry in step, so a writer denied a read lock again backs off
+        # two writers that each lock a key the other reads deny each other
+        # and retry in step, so a writer that finds a read key locked again backs off
         if reason == AbortReason.LOCK_DENIED_WRITE or (
             reason == AbortReason.LOCK_DENIED_READ and h.writes and read_denials > 1
         ):
@@ -379,21 +382,18 @@ def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
     if not seen:
         return True, None, []
     _, answers = yield from _read_round(cs, seen)
-    reason: AbortReason | None = None
-    piggyback: list = []
+    verdicts: list = []
     failed: list[list[bytes]] = []
     for _, ks, answer in answers:  # in owner-id order
         if answer is None:
-            why = AbortReason.TIMEOUT
+            verdict = AbortReason.TIMEOUT, []
         else:
             entries, locked, _ = rpc.dec_read_resp(answer)
-            stale = [(k, e) for k, e in zip(ks, entries) if (e[1] if e else 0) != seen[k]]
-            why = AbortReason.LOCK_DENIED_READ if locked else AbortReason.STALE_READ if stale else None
-            if why is AbortReason.STALE_READ:
-                piggyback += [(k, *e) for k, e in stale if e is not None]
-        if why is not None:
+            verdict = rpc.read_verdict([(k, seen[k]) for k in ks], entries, locked)
+        if verdict[0] is not None:
             failed.append(ks)
-            reason = reason or why
+        verdicts.append(verdict)
+    reason, piggyback = rpc.fold_verdicts(verdicts)
     h.fresh = None
     if len(failed) == 1 and reason == AbortReason.STALE_READ:
         # the one failed owner vouches for all of its keys (module docstring)

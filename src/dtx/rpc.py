@@ -40,6 +40,9 @@ Payloads (blob = len: u32 LE | bytes):
   exclusively locked, i.e. held by a writer between prepare and apply,
   when the owner read them.  The owner reads every key in one step, so
   the answer shows them at one instant.
+* Validation READ, a coordinator's READ whose envelope names a write
+  transaction, of keys it only reads (server.py): answered with a RESPONSE
+  that names it and holds a READ answer, no updates block.
 * Group READ request, one READ of an owner-validated round (client.py):
   0xffffffff, where a READ has its first key's length (no key is 4 GiB) |
   group: u64 LE, the id of the round, unique per client | n: u8 >= 2 |
@@ -78,11 +81,15 @@ are self-delimiting lists, so trailing bytes there read as a torn element;
 an updates block ends where its body starts, which the body's decoder then
 takes whole).
 A server drops a message whose type names a transaction (PREPARE, READY,
-the decisions, ACK) but whose envelope carries none, any of those, GC_LC
-or READ_NOTICE from a sender whose kind is not server, a decision from any
-server but the transaction's coordinator, a group READ whose owners leave it
-out or name a non-member, every RESPONSE, and a message whose payload does
-not decode; a COMMIT whose payload does not decode is answered UNKNOWN.
+the decisions, ACK, RESPONSE) but whose envelope carries none, any of
+those, GC_LC or READ_NOTICE from a sender whose kind is not server, a READ
+that names a transaction from a client or one that names none from a
+server, a decision from any server but the transaction's coordinator, a
+group READ from a server or whose owners leave it out or name a
+non-member, a RESPONSE that answers no validation READ the server awaits
+or whose entries do not match the keys asked, and a message whose payload
+does not decode; a COMMIT whose payload does not decode is answered
+UNKNOWN.
 Type bytes 9, 12 and 13 are unassigned and do not decode.
 """
 
@@ -299,6 +306,29 @@ def dec_read_resp(b: bytes) -> tuple[list[tuple[bytes, int] | None], bool, tuple
     if tokens and b[last]:
         raise MalformedRecordError("a vouching READ answer is locked")
     return entries, b[last] == 1, tokens
+
+
+def read_verdict(reads, entries, locked: bool):
+    """The verdict of one owner's answer on reads, (key, version read) in
+    the answer's key order: (None, []) if they stand, LOCK_DENIED_READ if
+    any key was exclusively locked, else STALE_READ with the current entry
+    of each key whose version moved; a missing key reads as version 0."""
+    if locked:
+        return AbortReason.LOCK_DENIED_READ, []
+    stale = [(k, e) for (k, ver), e in zip(reads, entries) if (e[1] if e else 0) != ver]
+    if not stale:
+        return None, []
+    return AbortReason.STALE_READ, [(k, *e) for k, e in stale if e is not None]
+
+
+def fold_verdicts(verdicts):
+    """One verdict for a validation round from its owners', in owner-id
+    order: the lowest-id failing owner's reason, with every piggyback."""
+    reason, piggyback = None, []
+    for why, entries in verdicts:
+        reason = reason or why
+        piggyback += entries
+    return reason, piggyback
 
 
 def enc_txn(txn: Transaction) -> bytes:

@@ -6,32 +6,53 @@ blocks, so the same object runs unchanged on the deterministic simulator
 (virtual clock, in-process transport) and on the socket runtime's event
 loop.
 
-Commit flow, one path for every write transaction:
-  1. take a TranxID and send Prepare to every remote owner, logging nothing
-     (presumed abort, as in R*); run the coordinator's own slice in-process;
-  2. each participant locks (shared for read-only keys, exclusive for
-     written keys), validates read versions, freezes post-versions and
-     votes Ready -- a remote one after forcing PartReady -- or votes Abort.
-     A remote participant votes with READY: an empty one for Ready, one
-     carrying its abort answer (reason and stale entries) for Abort;
-  3. all Ready -> persist the own slice's PartReady and CoordCommit, which
-     names the owners, in one flush; any Abort vote -> decide Abort
-     without waiting for the other votes.  Either way, in that same step,
-     answer the client and send the decision, COMMIT_DECISION or
-     ABORT_DECISION, which only a coordinator sends, to every remote
-     participant but an Abort's voter, whose slice is already Abort, so
-     their locks go one hop after the decision;
-  4. participants force PartCommit, apply frozen post-versions, release
-     locks and ack a commit; once every remote participant acked it, the
-     transaction is reported complete to the garbage collector.  An abort
-     releases locks, is complete once decided and is never acked; a
-     participant that missed it learns it from a READY repeat or the GC.
+Commit flow, one path for every write transaction: lock what it writes,
+then validate what it only reads, as FaRM does (Dragojevic et al., SOSP
+2015).  A client sends COMMIT to the plurality owner of the written keys
+(client.py); a coordinator that writes nothing works all the same.
+  1. A write slice is an owner of a written key: its written keys and the
+     read version of each of them the transaction read.  Every key the
+     transaction only reads, a read key at a write owner too, goes into
+     its owner's check list.  Take a TranxID, send PREPARE to every remote
+     write owner, logging nothing (presumed abort, as in R*), and run the
+     own slice in-process.
+  2. Each write owner locks its written keys, exclusively and whole or not
+     at all (locks.py), validates its read versions of them under those
+     locks, freezes post-versions and votes: Ready, a remote one after
+     forcing PartReady, or Abort.  A remote one votes with READY, empty
+     for Ready or carrying its abort answer.  An Abort vote decides Abort.
+  3. In the step the last write slice is Ready, the coordinator checks its
+     own check list and sends each other owner in it one READ naming the
+     transaction, answered with a RESPONSE naming it that holds a bare
+     READ answer; that owner keeps no record, lock, log entry, dedup entry
+     or cursor.  Each owner's verdict is rpc.read_verdict's, or TIMEOUT
+     for silence through the resend budget, and the verdicts fold as a
+     client's validation round does (client.py): the lowest-id failing
+     owner's reason, with every piggyback.
+  4. All checks stand -> persist the own slice's PartReady and CoordCommit,
+     which names the write owners, in one flush; else decide Abort.  In
+     that same step answer the client and send the decision, which only a
+     coordinator sends, to every remote write owner but an Abort's voter.
+  5. Write owners force PartCommit, apply frozen post-versions, release
+     locks and ack a commit; once every remote one acked it, the
+     transaction is complete for the garbage collector.  An abort releases
+     locks, is complete once decided and is never acked; an owner that
+     missed it learns it from a READY repeat or the GC.
 No site logs an abort (presumed abort, at every site): a slice committed
-iff its commit record is logged, CoordCommit for the own slice, as for the
-coordinator's own site in R*, and PartCommit for a remote one.
+iff its commit record is logged, CoordCommit for the own slice and
+PartCommit for a remote one.  An owner that only reads takes no part in
+the commit, as R*'s read-only participants (Mohan, Lindsay & Obermarck,
+TODS 1986) log nothing.  A transaction whose one write owner is its
+coordinator is one-phase: no PREPARE, READY, decision or ACK, and one
+durable flush, CoordCommit, which carries the unforced PartReady.
 
-A transaction owned only by its coordinator sends no message and makes one
-durable flush, CoordCommit, which carries the unforced PartReady with it.
+Why validating after the locks serializes.  Let L be the step in which the
+last write slice is Ready; every check is served at or after L.  A read
+key that still has the version read, and is not exclusively locked when
+served, held that version at L, because versions only grow.  A writer that
+decided before L and has not yet applied still holds that key's exclusive
+lock.  A key that is both read and written is validated under its own
+exclusive lock.  So the transaction serializes at L.
 
 Recovery first takes a new restart epoch from the GC (GcManager.restart),
 which keeps it in the GCLog and issues every TranxID, carrying it, so no id
@@ -39,33 +60,38 @@ a crashed incarnation sent in a PREPARE is issued again.  A coordinator
 record is rebuilt only for a logged CoordCommit some remote owner may not
 have acked: it resends the decision to the owners CoordCommit names.  A
 committed slice is replayed.  A remote slice with a PartReady and no
-PartCommit is in doubt: it is re-locked and repeats READY, unless the
-watermark passed it (below) or a slice that logged its PartReady later
-locked one of its keys in a conflicting mode, which says it aborted: each
-PartReady is logged while its slice holds its locks, and a commit forces
-PartCommit before it releases them.  An aborted slice keeps no record.
+PartCommit is in doubt: its written keys are re-locked and it repeats
+READY, unless the watermark passed it (below) or a slice that logged its
+PartReady later locked one of its written keys, which says it aborted:
+each PartReady is logged while its slice holds its locks, and a commit
+forces PartCommit before it releases them.  An aborted slice keeps no
+record.  An undecided coordinator record is not rebuilt, so a validation
+answer that reaches a restarted coordinator finds nothing and is dropped.
 The client dedup window is rebuilt from CoordCommit only: a resent COMMIT
 whose first attempt aborted runs again, as a new transaction, after its
 coordinator restarted.
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
-owners that have not voted (aborting with TIMEOUT after PREPARE_BUDGET
-rounds) and a commit to those that have not acked.  A remote
-participant repeats its READY vote on the same schedule for each slice it
-holds Ready, from the vote, or the restart that found it Ready, until the
-decision lands.  Every repeat waits the same RESEND, so one map ordered by
+owners that have not voted, then the validation READ to the owners that
+have not answered (aborting with TIMEOUT after PREPARE_BUDGET rounds in
+all), and a commit to those that have not acked.  A remote participant
+repeats its READY vote on the same schedule for each slice it holds Ready,
+from the vote, or the restart that found it Ready, until the decision
+lands.  Every repeat waits the same RESEND, so one map ordered by
 insertion is also ordered by due time, and one timer armed for its head
 serves every pending resend.
 
 A transaction that wrote nothing never reaches a coordinator: its client
 validates its reads with a second read round (see client.py), and a
-COMMIT with no writes is answered UNKNOWN.  A READ takes no TranxID, lock,
-log record, dedup entry or watermark.  Within one step of the protocol
-loop the owner reads every key of a READ and says whether any of them was
-exclusively locked.  That flag is what stops a fractured read: a 2PC
-participant holds its exclusive locks from prepare until it applies the
-decision, so a reader that saw one owner's post-commit value and another
-owner's pre-commit value finds the second key locked or its version moved.
+COMMIT with no writes is answered UNKNOWN.  A READ takes no lock, log
+record, dedup entry or watermark; a client's names no TranxID, and a
+coordinator's validation READ names one and is answered to that server.
+Within one step of the protocol loop the owner reads every key of a READ
+and says whether any of them was exclusively locked.  That flag is what
+stops a fractured read: a 2PC participant holds its exclusive locks from
+prepare until it applies the decision, so a reader that saw one owner's
+post-commit value and another owner's pre-commit value finds the second
+key locked or its version moved.
 
 A group READ, one READ of a read-only transaction's round over two or more
 owners, names the round's owners and its id (client.py).  The owner serves
@@ -105,26 +131,25 @@ decision answers it; one that finds the body gets it again, after a fresh
 updates block.  The CoordRec keeps no reply state.
 
 A node keeps one record per transaction it takes part in: a CoordRec for
-each transaction it coordinates and a PartRec for each slice it prepares,
-and these records answer every repeated message.  A PartRec keeps its
-vote, so a duplicate PREPARE gets the same vote back; a commit the
-record already shows is acked again with no effect; an abort decision that
-overtakes its PREPARE leaves a record in Abort, which drops the late
+each transaction it coordinates and a PartRec for each write slice it
+prepares, and these records answer every repeated message.  A PartRec
+keeps its vote, so a duplicate PREPARE gets the same vote back; a commit
+the record already shows is acked again with no effect; an abort decision
+that overtakes its PREPARE leaves a record in Abort, which drops the late
 PREPARE until a restart.  A CoordRec answers a READY it already counted
 with the decision, once there is one.  One rule settles a slice the
 decision never reached: the GC watermark passed it, so it aborted, as a
-commit completes only once every remote owner forced PartCommit.  Its
-node applies it at each GC tick as at restart, drops every record the
-watermark passed and answers a message naming one as already final.  A
-coordinator presumes Abort (as in R*) for a READY naming an own id with
-no record only above its watermark: an earlier incarnation's id that never
-committed, held up by a recovered commit awaiting an ack.  Below it, the
-READY may come from an owner that committed.  No other sender settles a slice.
+commit completes only once every remote owner forced PartCommit.  Its node
+applies it at each GC tick as at restart, drops every record the watermark
+passed and answers a message naming one as already final.  A coordinator
+presumes Abort (as in R*) for a READY naming an own id with no record only
+above its watermark: an earlier incarnation's id that never committed,
+held up by a recovered commit awaiting an ack.  Below it, the READY may
+come from an owner that committed.  No other sender settles a slice.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar
@@ -132,7 +157,7 @@ from typing import ClassVar
 from . import rpc
 from .env import NodeEnv
 from .gc import GcLog, GcManager
-from .locks import LOCK_WAIT, LockTable, RejectReason
+from .locks import LockTable
 from .model import (
     CoordCommit,
     CoordState,
@@ -154,38 +179,33 @@ from .storage import KvStore, StorageEngine
 from .wal import FILE_CAPACITY, MAX_ENTRY, TranxLog
 
 
-RESEND = 0.200  # repeat PREPARE or a decision an owner has not answered
-PREPARE_BUDGET = 8  # PREPARE rounds before the coordinator aborts
+RESEND = 0.200  # repeat PREPARE, a validation READ or a decision not answered
+PREPARE_BUDGET = 8  # PREPARE and validation READ rounds before the coordinator aborts
 
-# message types that name their transaction in the envelope; with GC_LC
-# and READ_NOTICE these are the types only a server sends, and a client
-# sends the others
+# message types that name their transaction in the envelope; only a server
+# sends them, GC_LC, READ_NOTICE and a READ that names a transaction (a
+# coordinator's validation READ), and a client sends the others
 _TRANX_TYPES = frozenset({
     MsgType.PREPARE, MsgType.READY, MsgType.COMMIT_DECISION, MsgType.ABORT_DECISION, MsgType.ACK,
+    MsgType.RESPONSE,
 })
 _SERVER_TYPES = _TRANX_TYPES | {MsgType.GC_LC, MsgType.READ_NOTICE}
 _SENDER_KIND = {t: rpc.SERVER if t in _SERVER_TYPES else rpc.CLIENT for t in MsgType}
 _DECISION = {CoordState.COMMIT: MsgType.COMMIT_DECISION, CoordState.ABORT: MsgType.ABORT_DECISION}
 # the handler of each message type a server takes (ServerNode._on_read for
-# READ, ...; one for both decisions; a server receives no RESPONSE) and the
-# crash-point labels, computed once
-_HANDLER = {t: f"_on_{t.name.lower()}" for t in MsgType if t is not MsgType.RESPONSE}
+# READ, ...; one for both decisions) and the crash-point labels, computed once
+_HANDLER = {t: f"_on_{t.name.lower()}" for t in MsgType}
 _HANDLER.update(dict.fromkeys(_DECISION.values(), "_on_decision"))
 _RECV_POINT = {t: f"recv.{t.name}" for t in MsgType}
 _SEND_POINT = {t: f"send.{t.name}" for t in MsgType}
 _WAL_POINT = {cls: f"wal.{cls.__name__}" for cls in LogRecord.__args__}
-_LOCK_REASON = {
-    RejectReason.SHARED_DENIED: AbortReason.LOCK_DENIED_READ,
-    RejectReason.EXCLUSIVE_DENIED: AbortReason.LOCK_DENIED_WRITE,
-    RejectReason.WAIT_TIMEOUT: AbortReason.LOCK_DENIED_WRITE,
-}
 
 
 @dataclass
 class ServerConfig:
     members: list[ServerId]
     gc_period: float = 0.100
-    lock_wait: ClassVar[float] = LOCK_WAIT
+    lock_wait: ClassVar[float] = 0.0  # no lock request waits (locks.py)
 
 
 @dataclass
@@ -199,6 +219,11 @@ class CoordRec:
     pending_ack: set[ServerId] = field(default_factory=set)
     client_key: tuple[int, int] | None = None  # (client id, message id)
     retries: int = 0
+    # owner -> (key, version read) of each key the transaction only reads
+    # there, validated once every write slice is Ready, and owner -> the
+    # verdict (rpc.read_verdict) of each owner validated so far
+    checks: dict[ServerId, list] = field(default_factory=dict)
+    verdicts: dict[ServerId, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -230,13 +255,6 @@ class ReadGroup:
     message_id: int = 0
 
 
-def _on_slice_locked(node_ref, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
-    """A slice's lock result; a waiting acquire does not keep its node alive."""
-    node = node_ref()
-    if node is not None:
-        node._prepare_locked(tranx, sub, granted, why)
-
-
 class ServerNode:
     def __init__(self, sid: ServerId, config: ServerConfig, env: NodeEnv, store: KvStore, ctx) -> None:
         assert sid in config.members
@@ -251,14 +269,12 @@ class ServerNode:
         # read once: with tracing off, no step formats or passes trace info
         self._tracer = getattr(ctx, "trace", None)
         self._crash_hook = getattr(ctx, "crash_point", None)
-        # what the node's parts hold must not hold the node: no bound method
-        # of it, and the lock callbacks reach it through a weak reference
+        # what the node's parts hold must not hold the node: no bound method of it
         trace = partial(self._tracer, sid) if self._tracer is not None else None
-        self._ref = weakref.ref(self)
 
         self.tranxlog = TranxLog(env, FILE_CAPACITY)
         self.storage = StorageEngine(store)
-        self.locks = LockTable(ctx.set_timer, ctx.cancel_timer)
+        self.locks = LockTable()
         self.locks.trace = trace
         self.dedup = DedupTable()
         self.gclog = GcLog(env, self.members)
@@ -362,11 +378,8 @@ class ServerNode:
             self._tracer(self.sid, "msg.recv", type=mt.name, tranx=env.tranx, frm=env.sender_id)
         if self._crash_hook is not None:
             self._crash_hook(self.sid, _RECV_POINT[mt])
-        if (
-            mt is MsgType.RESPONSE
-            or env.sender_kind != _SENDER_KIND[mt]
-            or env.tranx is None and mt in _TRANX_TYPES
-        ):
+        kind = rpc.SERVER if mt is MsgType.READ and env.tranx is not None else _SENDER_KIND[mt]
+        if env.sender_kind != kind or env.tranx is None and mt in _TRANX_TYPES:
             self._trace("msg.malformed", type=mt.name, frm=env.sender_id)
             return
         getattr(self, _HANDLER[mt])(env)
@@ -423,11 +436,13 @@ class ServerNode:
         if req is None:
             return
         keys, owners, group = req
-        if owners and (self.sid not in owners or not self._members.issuperset(owners)):
+        if owners and (env.tranx is not None or self.sid not in owners or not self._members.issuperset(owners)):
             self._trace("msg.malformed", type=env.msg_type.name, frm=env.sender_id)
             return
         self.stats["reads"] += len(keys)
-        if not owners or not self._serve_group(env, keys, owners, group):
+        if env.tranx is not None:  # a coordinator's validation READ: a bare answer, nothing kept
+            self._send(env.sender_id, self._server_env(MsgType.RESPONSE, env.tranx, self._read_answer(keys)))
+        elif not owners or not self._serve_group(env, keys, owners, group):
             self._reply(env.sender_id, env.message_id, self._read_answer(keys))
 
     def _read_answer(self, keys) -> bytes:
@@ -515,35 +530,46 @@ class ServerNode:
             return
         # admission bound: every log record derived from this transaction
         # must fit one WAL entry, or commit would die midway.  The largest is
-        # a participant's PartReady, and each owner logs only its own slice
-        subs = self._split(txn)
-        if max(map(part_ready_size, subs.values())) > MAX_ENTRY:
+        # a write owner's PartReady, and each owner logs only its own slice
+        split = self._split(txn)
+        if max(map(part_ready_size, split[0].values())) > MAX_ENTRY:
             payload = rpc.enc_commit_resp(False, AbortReason.LOG_FAILURE, [])
             self.dedup.record_client(client, mid, payload)
             self._reply(client, mid, payload)
             return
-        self.coordinate(txn, (client, mid), subs)
+        self.coordinate(txn, (client, mid), split)
 
-    def _split(self, txn: Transaction) -> dict[ServerId, Transaction]:
+    def _split(self, txn: Transaction):
+        """(write slices, checks): each write owner's slice, its written
+        keys and the read version of each of them the transaction read, and
+        owner -> (key, version read) of each key the transaction only reads."""
+        written = {k for k, _ in txn.writes}
         per: dict[ServerId, tuple[list, list]] = {}
-        for k, ver in txn.reads:
-            per.setdefault(owner_of(k, self.members), ([], []))[0].append((k, ver))
+        checks: dict[ServerId, list] = {}
         for k, v in txn.writes:
             per.setdefault(owner_of(k, self.members), ([], []))[1].append((k, v))
-        if len(per) == 1:  # one owner's slice is the whole transaction
-            return dict.fromkeys(per, txn)
+        for k, ver in txn.reads:
+            sid = owner_of(k, self.members)
+            if k in written:
+                per[sid][0].append((k, ver))
+            else:
+                checks.setdefault(sid, []).append((k, ver))
+        if len(per) == 1 and not checks:  # one owner's slice is the whole transaction
+            return dict.fromkeys(per, txn), checks
         return {
             sid: Transaction(tuple(reads), tuple(writes))
             for sid, (reads, writes) in sorted(per.items())
-        }
+        }, checks
 
-    def coordinate(self, txn: Transaction, client_key: tuple[int, int] | None, subs=None) -> TranxID:
-        """Start a write transaction, whose slices are subs if given, else
-        split here; a client's request waits in its dedup window as the new
-        TranxID until the decision replaces it."""
-        subs = subs or self._split(txn)
+    def coordinate(self, txn: Transaction, client_key: tuple[int, int] | None, split=None) -> TranxID:
+        """Start a write transaction, split by _split if split is not given;
+        a client's request waits in its dedup window as the new TranxID
+        until the decision replaces it."""
+        subs, checks = split or self._split(txn)
         tranx = TranxID(self.sid, self.gc.next_seq())
-        rec = CoordRec(tranx, subs, pending_ready=set(subs), pending_ack=set(subs), client_key=client_key)
+        rec = CoordRec(
+            tranx, subs, pending_ready=set(subs), pending_ack=set(subs), client_key=client_key, checks=checks
+        )
         if client_key is not None:
             self.dedup.record_client(*client_key, tranx)
         self.coord[tranx] = rec
@@ -551,7 +577,7 @@ class ServerNode:
             self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.START.value)
         self._set_coord_state(rec, CoordState.PREPARE)
         if set(subs) == {self.sid}:
-            # nothing to prepare remotely: CoordCommit alone makes it durable
+            # no remote write owner: CoordCommit alone makes it durable
             self.stats["one_phase"] += 1
         else:
             self._send_prepare(rec)
@@ -587,12 +613,57 @@ class ServerNode:
             return
         if reason is None:
             if not rec.pending_ready:
-                self._decide(rec, CoordState.COMMIT, None, [])
+                self._validate(rec)
         else:
             # abort fan-out goes out immediately, without waiting for the
             # remaining votes, and skips the voter, whose slice is Abort
             rec.pending_ack.discard(voter)
             self._decide(rec, CoordState.ABORT, reason, piggyback)
+
+    def _validate(self, rec: CoordRec) -> None:
+        """Every write slice is Ready and holds its locks: check the keys
+        the transaction only reads, this node's in this step and each other
+        owner's with one READ naming the transaction (module docstring)."""
+        own = rec.checks.get(self.sid)
+        if own is not None:
+            rec.verdicts[self.sid] = self._check(own, any(self.locks.exclusively_held(k) for k, _ in own))
+        self._send_checks(rec)
+        if len(rec.verdicts) < len(rec.checks):
+            self._queue_resend(rec)
+        self._settle_checks(rec)
+
+    def _send_checks(self, rec: CoordRec) -> None:
+        """A validation READ to every owner of checked keys that has not answered."""
+        for sid, reads in rec.checks.items():
+            if sid not in rec.verdicts:
+                req = rpc.enc_read_req([k for k, _ in reads])
+                self._send(sid, self._server_env(MsgType.READ, rec.tranx, req))
+
+    def _settle_checks(self, rec: CoordRec) -> None:
+        """Decide once every owner of checked keys has a verdict: commit if
+        all stand, else abort with their fold (rpc.fold_verdicts)."""
+        if len(rec.verdicts) == len(rec.checks):
+            reason, piggyback = rpc.fold_verdicts([rec.verdicts[sid] for sid in sorted(rec.verdicts)])
+            self._decide(rec, CoordState.ABORT if reason else CoordState.COMMIT, reason, piggyback)
+
+    def _on_response(self, env: Envelope) -> None:
+        """A validation answer, counted once from an owner still awaited;
+        any other is traced and changes nothing."""
+        answer = self._decode(env, rpc.dec_read_resp)
+        if answer is None:
+            return
+        rec, sid = self.coord.get(env.tranx), env.sender_id
+        awaited = rec is not None and rec.state is CoordState.PREPARE and not rec.pending_ready
+        reads = rec.checks.get(sid) if awaited and sid not in rec.verdicts else None
+        if reads is None:
+            self._trace("msg.unexpected", type=env.msg_type.name, tranx=env.tranx)
+            return
+        entries, locked, tokens = answer
+        if tokens or len(entries) != len(reads):
+            self._trace("msg.malformed", type=env.msg_type.name, frm=sid)
+            return
+        rec.verdicts[sid] = rpc.read_verdict(reads, entries, locked)
+        self._settle_checks(rec)
 
     def _decide(self, rec: CoordRec, decision: CoordState, reason, piggyback) -> None:
         commit = decision is CoordState.COMMIT
@@ -652,41 +723,16 @@ class ServerNode:
 
     # -- participant ----------------------------------------------------------------
 
-    def _lock_slice(self, tranx: TranxID, reads, writes, on_result) -> None:
-        """Shared locks on the keys a slice only reads, exclusive on those it writes."""
-        written = {w[0] for w in writes}
-        self.locks.acquire_for_prepare(
-            tranx, [k for k, _ in reads if k not in written], sorted(written), on_result
-        )
+    def _lock_writes(self, tranx: TranxID, writes) -> bool:
+        """Exclusive locks on a slice's written keys, granted whole or not
+        at all (locks.py); returns whether they were granted."""
+        granted = []
+        self.locks.acquire_for_prepare(tranx, (), [w[0] for w in writes], lambda ok, why: granted.append(ok))
+        return granted[0]
 
-    def _check_locked(self, tranx: TranxID, sub: Transaction, granted: bool, why):
-        """Validate a slice once its lock request resolved.
-
-        Returns (reason, piggyback) to abort: the locks were denied, or a
-        read is stale, which releases the locks and piggybacks the stored
-        entries of the stale keys.  Otherwise returns (None, writes) with
-        each post-version frozen at current+1 under the exclusive locks.
-        """
-        if not granted:
-            return _LOCK_REASON[why], []
-        piggyback = self._stale_reads(sub.reads)
-        if piggyback is not None:
-            self.locks.release_all(tranx)
-            return AbortReason.STALE_READ, piggyback
-        return None, tuple((k, v, self.storage.current_version(k) + 1) for k, v in sub.writes)
-
-    def _stale_reads(self, reads):
-        """None when every read version is current; otherwise the stored
-        entries of the stale keys, to piggyback on the abort."""
-        stale = [k for k, ver in reads if self.storage.current_version(k) != ver]
-        if not stale:
-            return None
-        piggyback = []
-        for k in stale:
-            entry = self.storage.get(k)
-            if entry is not None:
-                piggyback.append((k, entry[0], entry[1]))
-        return piggyback
+    def _check(self, reads, locked: bool):
+        """rpc.read_verdict on reads, (key, version read), of keys owned here."""
+        return rpc.read_verdict(reads, [self.storage.get(k) for k, _ in reads], locked)
 
     def _on_prepare(self, env: Envelope) -> None:
         sub = self._decode(env, rpc.dec_txn)
@@ -695,9 +741,9 @@ class ServerNode:
         tranx = env.tranx
         rec = self.part.get(tranx)
         if rec is not None:
-            # a duplicate gets the vote again; with no vote yet the first
-            # prepare is still locking, or the abort decision overtook this
-            # prepare, and preparing now would take locks nothing releases
+            # a duplicate gets the vote again; with no vote yet the abort
+            # decision overtook this prepare, and preparing now would take
+            # locks nothing releases
             if rec.vote is not None:
                 self._send(tranx.coordinator, self._server_env(MsgType.READY, tranx, rec.vote))
             return
@@ -706,25 +752,23 @@ class ServerNode:
         self._local_prepare(tranx, sub)
 
     def _local_prepare(self, tranx: TranxID, sub: Transaction) -> None:
+        """Lock the slice's written keys, validate its reads of them under
+        those locks, freeze each post-version at current+1 and vote."""
         rec = PartRec(tranx)
         self.part[tranx] = rec
         if self._tracer is not None:
             self._trace("part.state", tranx=tranx, frm=None, to=PartState.START.value)
-        self._lock_slice(tranx, sub.reads, sub.writes, partial(_on_slice_locked, self._ref, tranx, sub))
-
-    def _prepare_locked(self, tranx: TranxID, sub: Transaction, granted: bool, why) -> None:
-        rec = self.part.get(tranx)
-        if rec is None or rec.state != PartState.START:
-            # only an abort decision settles a slice first, and it cancels
-            # the acquire once the slice is Abort
-            assert why is RejectReason.ALREADY_ABORTED, (tranx, rec, why)
-            assert rec is not None and rec.state is PartState.ABORT, (tranx, rec)
-            return
-        reason, out = self._check_locked(tranx, sub, granted, why)
+        if not self._lock_writes(tranx, sub.writes):
+            reason, piggyback = AbortReason.LOCK_DENIED_WRITE, []
+        else:
+            reason, piggyback = self._check(sub.reads, False)
+            if reason is not None:
+                self.locks.release_all(tranx)
         if reason is not None:  # an abort vote logs nothing (presumed abort)
             self._set_part_state(rec, PartState.ABORT)
-            self._cast_vote(rec, reason, out)
+            self._cast_vote(rec, reason, piggyback)
             return
+        out = tuple((k, v, self.storage.current_version(k) + 1) for k, v in sub.writes)
         rec.writes = out
         remote = tranx.coordinator != self.sid
         if remote:  # an own slice's PartReady waits for the commit (_decide)
@@ -770,7 +814,7 @@ class ServerNode:
                 if self._tracer is not None:
                     self._trace("part.apply", tranx=tranx, writes=rec.writes)
             self.locks.release_all(tranx)
-        elif rec is None or rec.state in (PartState.START, PartState.READY):
+        elif rec is None or rec.state is PartState.READY:
             if remote:
                 self._resend.pop(tranx, None)
             if rec is None:  # the abort overtook its PREPARE: the record drops it
@@ -793,11 +837,13 @@ class ServerNode:
         """Resend for every due entry of _resend, then re-arm for its head.
 
         An undecided record repeats PREPARE to the owners that have not
-        voted, or aborts with TIMEOUT after PREPARE_BUDGET rounds; a
-        committed one repeats its decision to the owners that have not
-        acked.  A Ready slice of another coordinator's transaction repeats
-        its READY vote; its decision takes it out of the map.  The benchmark's tracer wraps
-        this timer by its name, _ack_tick.
+        voted, then, once all have, the validation READ to the owners that
+        have not answered; after PREPARE_BUDGET rounds in all it aborts with
+        TIMEOUT, folded with the answers it has.  A committed one repeats
+        its decision to the owners that have not acked.  A Ready slice of
+        another coordinator's transaction repeats its READY vote; its
+        decision takes it out of the map.  The benchmark's tracer wraps this
+        timer by its name, _ack_tick.
         """
         now = self.ctx.now()
         while self._resend:
@@ -813,11 +859,18 @@ class ServerNode:
                 self._queue_resend(rec)
                 continue
             rec.retries += 1
-            if rec.retries >= PREPARE_BUDGET:
-                self._decide(rec, CoordState.ABORT, AbortReason.TIMEOUT, [])
-            else:
-                self._send_prepare(rec)
+            if rec.retries < PREPARE_BUDGET:
+                if rec.pending_ready:
+                    self._send_prepare(rec)
+                else:
+                    self._send_checks(rec)
                 self._queue_resend(rec)
+            elif rec.pending_ready:
+                self._decide(rec, CoordState.ABORT, AbortReason.TIMEOUT, [])
+            else:  # an owner silent through the budget fails its checks
+                for sid in rec.checks:
+                    rec.verdicts.setdefault(sid, (AbortReason.TIMEOUT, []))
+                self._settle_checks(rec)
         # _resend_timer held the fired timer during the loop, so the
         # re-queues above armed none: arm one timer for the new head
         self._resend_timer = None
@@ -865,12 +918,12 @@ class ServerNode:
 
     def _reclaim_records(self) -> None:
         """Drop every record the watermark passed, settling a slice still
-        Start or Ready as aborted first (see gc.py).  A coordinator record
-        waiting for an ack is never passed: the watermark sits below it."""
+        Ready as aborted first (see gc.py).  A coordinator record waiting
+        for an ack is never passed: the watermark sits below it."""
         passed = self.gc.is_final_by_watermark
         self.coord = {t: r for t, r in self.coord.items() if not passed(t)}
         for t, r in self.part.items():
-            if r.state in (PartState.START, PartState.READY) and passed(t):
+            if r.state is PartState.READY and passed(t):
                 self._handle_decision(t, False)
         self.part = {t: r for t, r in self.part.items() if not passed(t)}
 
@@ -892,20 +945,16 @@ class ServerNode:
                 committed[recd.tranx] = recd
 
         # participant side, newest PartReady first: replay committed slices,
-        # re-lock in-doubt ones the watermark has not passed (see gc.py);
-        # keep no aborted one, such as a slice the lock table refuses or
-        # makes wait for a later one (see the module docstring)
+        # re-lock the written keys of in-doubt ones the watermark has not
+        # passed (see gc.py); keep no aborted one, such as a slice the lock
+        # table refuses for a later one (see the module docstring)
         for t, ready in reversed(part_ready.items()):
             if t in committed:
                 self.part[t] = PartRec(t, ready.writes, PartState.COMMIT, vote=b"")
                 self.storage.apply_writes(list(ready.writes), replay=True)
             elif t.coordinator != self.sid and not self.gc.is_final_by_watermark(t):
-                result: list = []
-                self._lock_slice(t, ready.reads, ready.writes, lambda ok, why: result.append(ok))
-                if result == [True]:
+                if self._lock_writes(t, ready.writes):
                     self.part[t] = PartRec(t, ready.writes, PartState.READY, vote=b"")
-                else:  # a later slice locked it out, so it aborted
-                    self.locks.release_all(t)
 
         # coordinator side: a commit some remote owner may not have acked is
         # pending, and recover_global resends it; anything else is complete.

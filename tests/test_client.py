@@ -76,6 +76,22 @@ def test_coordinator_is_plurality_owner_lowest_on_tie():
         coordinator_for([], MEMBERS)
 
 
+def test_a_write_commit_goes_to_the_owner_of_its_writes_not_of_most_keys():
+    """Two keys of server 2's read, one of server 0's written: the COMMIT
+    goes to 0, so the coordinator writes."""
+    by_owner = keys_by_owner()
+    h = TxnHandle(reads={k: (b"v", 1) for k in by_owner[2][:2]})
+    txn_write(h, by_owner[0][0], b"w")
+    seen = []
+
+    def responder(e):
+        seen.extend(dest for dest, _ in e[1])
+        return [commit_resp(True)]
+
+    drive(txn_commit(make_state(), h), responder)
+    assert seen == [0]
+
+
 # -- reads ------------------------------------------------------------------------
 
 

@@ -231,27 +231,6 @@ def test_dropping_a_simulator_with_transactions_in_flight_frees_it():
             gc.enable()
 
 
-def test_a_crash_frees_a_node_whose_prepare_waits_for_a_lock():
-    """Neither a waiting lock acquire nor its deadline timer keeps a crashed
-    incarnation alive."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        sim = make_sim(3, seed=1)
-        node = sim.nodes[1].node
-        k = keys_owned_by(1, sim.members, 1)[0]
-        node.locks.acquire_for_prepare(TranxID(0, 1), [k], [], lambda granted, why: None)
-        node._local_prepare(TranxID(2, 1), Transaction((), ((k, b"v"),)))
-        assert node.locks.stats()["waiters"] == 1
-        ref = weakref.ref(node)
-        del node
-        sim.crash(1)
-        assert ref() is None
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def idle_read(sim):
     """Midway between two GC ticks, send idle server 0 a READ; returns the
     count of events pushed before it and the instant it arrives."""
@@ -633,6 +612,7 @@ MALFORMED = {
     "truncated-prepare": (MsgType.PREPARE, "foreign", b"\x01\x00", None),
     "truncated-abort-vote": (MsgType.READY, "pending", b"\x00", None),
     "truncated-gc-lc": (MsgType.GC_LC, "none", b"\x01", None),
+    # a commit answer where a validation READ's answer would go
     "response-to-a-server": (
         MsgType.RESPONSE, "foreign", rpc.enc_commit_resp(True, None, []), None
     ),
@@ -651,8 +631,16 @@ MALFORMED = {
     "commit-decision-from-a-client": (MsgType.COMMIT_DECISION, "foreign", b"", None, rpc.CLIENT),
     "ack-from-a-client": (MsgType.ACK, "pending", b"", None, rpc.CLIENT),
     "gc-lc-from-a-client": (MsgType.GC_LC, "none", rpc.enc_u64(5), None, rpc.CLIENT),
-    # well formed, but a server answers only a client
+    # well formed, but a server answers only a client, or a server's READ
+    # that names the transaction it validates
     "read-from-a-server": (MsgType.READ, "none", rpc.enc_read_req([b"k"]), None, rpc.SERVER),
+    "group-read-from-a-server": (
+        MsgType.READ, "pending", rpc.enc_read_req([b"k"], (0, 1), 9), None, rpc.SERVER
+    ),
+    # a RESPONSE reaches a server only as the answer to its validation READ
+    "response-from-a-client": (MsgType.RESPONSE, "pending", rpc.enc_read_resp([None], False), None, rpc.CLIENT),
+    "response-for-no-awaited-validation": (MsgType.RESPONSE, "pending", rpc.enc_read_resp([None], False), None),
+    "response-for-an-unknown-transaction": (MsgType.RESPONSE, "foreign", rpc.enc_read_resp([None], False), None),
     "commit-from-a-server": (MsgType.COMMIT, "none", SLICE, None, rpc.SERVER),
     "client-hello-from-a-server": (MsgType.CLIENT_HELLO, "none", b"", None, rpc.SERVER),
     # a notice comes only from an owner of the round, a server
@@ -664,6 +652,8 @@ MALFORMED = {
     "group-read-of-one-owner": (MsgType.READ, "none", rpc.enc_read_req([b"k"], (0,), 9), None),
     "group-read-without-key": (MsgType.READ, "none", rpc.enc_read_req([], (0, 1), 9), None),
 }
+# well formed but not awaited: traced as unexpected, not as malformed
+UNEXPECTED = {"response-for-no-awaited-validation", "response-for-an-unknown-transaction"}
 
 
 def node_state(node):
@@ -699,7 +689,8 @@ def test_malformed_message_changes_nothing(case):
     assert node_state(node) == before
     if reply is None:
         assert sent == []
-        assert any(e[2] == "msg.malformed" for e in sim.trace[trace_len:])
+        event = "msg.unexpected" if case in UNEXPECTED else "msg.malformed"
+        assert any(e[2] == event for e in sim.trace[trace_len:])
     else:
         assert [body(e) for e in sent] == [reply]
 
@@ -954,19 +945,17 @@ def test_a_restarted_ready_slice_the_watermark_passed_keeps_no_lock_and_sends_no
     assert node.locks.is_idle() and resend_idle(sim)
 
 
-@pytest.mark.parametrize("later", ["writes", "reads"], ids=["refused", "made-to-wait"])
+@pytest.mark.parametrize("later", ["writes"], ids=["refused"])
 def test_a_restarted_participant_drops_an_in_doubt_slice_a_later_one_locked_out(later):
     """T1 prepares k, its abort decision lands, which logs nothing, and T2
     then prepares k too.  Neither logged a commit record, but T2 locked k
     after T1 logged its PartReady, so T1 aborted: every restart re-locks T2
-    alone.  T2 writing k, the lock table refuses T1; T2 only reading it, T1
-    would wait for T2's shared lock."""
+    alone, and the lock table refuses T1."""
     sim, sent, k = hand_driven_participant()
     t1, t2 = HAND_TRANX, TranxID(0, 2)
     deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"v"),))))
     deliver(sim, MsgType.ABORT_DECISION)
-    t2_writes = ((k, b"w"),) if later == "writes" else ()
-    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), t2_writes)), t2)
+    deliver(sim, MsgType.PREPARE, rpc.enc_txn(Transaction(((k, 0),), ((k, b"w"),))), t2)
     assert [e.msg_type for e in sent] == [MsgType.READY, MsgType.READY]
     for _ in range(2):
         sim.crash(1)
@@ -974,7 +963,7 @@ def test_a_restarted_participant_drops_an_in_doubt_slice_a_later_one_locked_out(
         node = sim.nodes[1].node
         assert list(node.part) == [t2] and node.part[t2].state is PartState.READY
         assert node.locks.held_by(t2) == {k} and node.locks.held_by(t1) == set()
-        assert node.locks.stats() == {"held_locks": 1, "waiters": 0}
+        assert node.locks.stats() == {"held_locks": 1}
 
 
 def test_a_coordinator_answers_a_counted_ready_with_its_decision():
@@ -1050,6 +1039,149 @@ def test_an_abort_vote_that_decides_is_not_answered_with_the_decision():
     assert [e[3]["dest"] for e in sends(sim, "ABORT_DECISION") if e[1] == 0] == [2]
     assert all(sim.nodes[sid].node.part[tranx].state is PartState.ABORT for sid in range(3))
     assert resend_idle(sim) and oracle.locks_clean(sim) == []
+
+
+# -- validation after the locks ---------------------------------------------------------
+
+
+def read_remote_write_own(sim):
+    """(coordinator 0, owner 1, x owned by 1, w owned by 0) for a
+    transaction that only reads x and writes w."""
+    x, w = keys_owned_by(1, sim.members, 1)[0], keys_owned_by(0, sim.members, 1)[0]
+    return sim.nodes[0].node, sim.nodes[1].node, x, w
+
+
+def answer_to_7(node):
+    return rpc.dec_commit_resp(node.dedup.check_client(7, 1))
+
+
+def test_a_remote_read_key_written_before_its_validation_read_aborts_stale_read():
+    """Coordinator 0 locks w and sends owner 1 a validation READ of x, which
+    is held back while a one-owner writer commits x at owner 1.  Served
+    then, the READ finds x moved: the transaction aborts STALE_READ, its
+    piggyback carries x's new entry, and w stays unwritten and unlocked."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    coord, owner, x, w = read_remote_write_own(sim)
+    held = drop_where(sim, lambda dst, env, n: env.msg_type is MsgType.READ and dst == ("s", 1) and n == 0)
+    tranx = coord.coordinate(Transaction(((x, 0),), ((w, b"t"),)), (7, 1))
+    assert len(held) == 1 and held[0].tranx == tranx and coord.locks.held_by(tranx) == {w}
+    owner.coordinate(Transaction((), ((x, b"new"),)), None)  # one owner: commits in this step
+    owner.on_message(held[0])
+    sim.run(0.5)
+    assert answer_to_7(coord) == (False, AbortReason.STALE_READ, [(x, b"new", 1)])
+    assert sim.global_state() == {x: (b"new", 1)}
+    assert oracle.locks_clean(sim) == [] and resend_idle(sim)
+
+
+@pytest.mark.parametrize("at", ["remote", "own"])
+def test_a_read_key_locked_at_validation_aborts_lock_denied_read(at):
+    """x's owner, owner 1 or the coordinator itself, holds x's lock for a
+    Ready slice of coordinator 2's, which never hears its vote.
+    Coordinator 0's transaction that only reads x is refused at
+    validation, by a READ or in-process, with LOCK_DENIED_READ, and x's
+    owner keeps the other slice's record and lock and nothing of this
+    transaction."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    coord, owner, x, w = read_remote_write_own(sim)
+    if at == "own":
+        owner, x = coord, keys_owned_by(0, sim.members, 2)[1]
+    drop_where(sim, lambda dst, env, n: dst == ("s", 2))
+    other = TranxID(2, 1)
+    owner.on_message(Envelope(
+        MsgType.PREPARE, rpc.SERVER, 2, 1, other, rpc.enc_txn(Transaction((), ((x, b"o"),)))
+    ))
+    assert owner.locks.held_by(other) == {x}
+    tranx = coord.coordinate(Transaction(((x, 0),), ((w, b"t"),)), (7, 1))
+    sim.run(0.1)
+    assert answer_to_7(coord) == (False, AbortReason.LOCK_DENIED_READ, [])
+    assert owner.part[other].state is PartState.READY and owner.locks.held_by(other) == {x}
+    assert at == "own" or list(owner.part) == [other]
+    assert coord.locks.held_by(tranx) == set() and sim.global_state() == {}
+
+
+def test_a_read_only_owner_silent_past_the_budget_times_the_transaction_out():
+    """Every validation READ to owner 1 is lost: coordinator 0 repeats it
+    every RESEND and aborts with TIMEOUT after PREPARE_BUDGET rounds."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    coord, owner, x, w = read_remote_write_own(sim)
+    dropped = drop_where(sim, lambda dst, env, n: env.msg_type is MsgType.READ and dst == ("s", 1))
+    start = sim.now
+    tranx = coord.coordinate(Transaction(((x, 0),), ((w, b"t"),)), (7, 1))
+    sim.run(3.0)
+    assert len(dropped) == PREPARE_BUDGET
+    asked = [e[0] - start for e in sends(sim, "READ")]
+    assert asked == pytest.approx([RESEND * i for i in range(PREPARE_BUDGET)], abs=1e-9)
+    (aborted,) = [e[0] - start for e in sim.trace if e[2] == "coord.state" and e[3]["to"] == "Abort"]
+    assert aborted == pytest.approx(RESEND * PREPARE_BUDGET, abs=1e-9)
+    assert answer_to_7(coord) == (False, AbortReason.TIMEOUT, [])
+    assert coord.coord[tranx].state is CoordState.ABORT and owner.stats["reads"] == 0
+    assert sends(sim, "PREPARE") == [] and sim.global_state() == {}
+    assert oracle.locks_clean(sim) == [] and resend_idle(sim)
+
+
+def test_a_coordinator_crash_between_validation_and_decision_leaves_nothing_at_the_read_only_owner(
+    monkeypatch,
+):
+    """Coordinator 0 crashes with owner 1's validation answer on the wire,
+    having logged nothing of the transaction.  Owner 1 served the READ and
+    keeps no record, lock, log entry, dedup entry or cursor of it, before
+    and after 0 restarts, and nothing is decided or applied."""
+    sim = make_sim(3, seed=5)
+    appends, _ = record_wal(monkeypatch, sim)
+    coord, owner, x, w = read_remote_write_own(sim)
+    answers = drop_where(sim, lambda dst, env, n: env.msg_type is MsgType.RESPONSE and dst == ("s", 0))
+    dedup = owner.dedup.size()
+    tranx = coord.coordinate(Transaction(((x, 0),), ((w, b"t"),)), (7, 1))
+    while not answers and sim.now < 1.0:
+        assert sim.step()
+    assert [e.tranx for e in answers] == [tranx] and owner.stats["reads"] == 1
+    sim.crash(0)
+    sim.restart(0)
+    sim.run(1.0)
+    assert owner.part == {} and owner.locks.is_idle() and 1 not in appends
+    assert owner.dedup.size() == dedup and owner._cursors == {}
+    assert tranx not in oracle.decided(sim.trace) and sim.global_state() == {}
+    assert oracle.locks_clean(sim) == [] and resend_idle(sim)
+
+
+def test_write_skew_across_two_owners_commits_at_most_one():
+    """T1 reads x and writes y, T2 reads y and writes x, with x owned by 1
+    and y by 2; each COMMIT reaches its write owner in the same instant.
+    Each locks its write before it validates its read, so at most one
+    commits, and the oracle finds a serial order for what committed."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    x, y = keys_owned_by(1, sim.members, 1)[0], keys_owned_by(2, sim.members, 1)[0]
+    assert commit_txn(sim, sim.new_client(seed=9), [], {x: b"0", y: b"0"})[0]
+    sim.run(0.5)
+    drop_where(sim, lambda dst, env, n: dst in (("c", 7), ("c", 8)))
+    t1 = Transaction(((x, 1),), ((y, b"1"),))
+    t2 = Transaction(((y, 1),), ((x, b"2"),))
+    for sid, client, txn in ((2, 7, t1), (1, 8, t2)):
+        sim.nodes[sid].node.on_message(Envelope(MsgType.COMMIT, rpc.CLIENT, client, 1, None, rpc.enc_txn(txn)))
+    sim.run(1.0)
+    outcomes = [rpc.dec_commit_resp(sim.nodes[sid].node.dedup.check_client(client, 1))[0]
+                for sid, client in ((2, 7), (1, 8))]
+    assert sum(outcomes) <= 1
+    committed = [{"reads": dict(t.reads), "writes": dict(t.writes)} for t, ok in zip((t1, t2), outcomes) if ok]
+    assert oracle.check_history(committed, {x: 1, y: 1}).ok
+    assert oracle.locks_clean(sim) == [] and resend_idle(sim)
+
+
+def test_a_coordinator_that_writes_nothing_prepares_the_write_owner_then_checks_its_own_read():
+    """Coordinator 0 gets a transaction that reads x, its own key, and
+    writes y, owner 1's.  It prepares owner 1 alone, checks x in-process
+    once 1 votes Ready, and commits; 0 keeps no slice or lock of it, and
+    no validation READ is sent."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    coord = sim.nodes[0].node
+    x, y = keys_owned_by(0, sim.members, 1)[0], keys_owned_by(1, sim.members, 1)[0]
+    tranx = coord.coordinate(Transaction(((x, 0),), ((y, b"t"),)), (7, 1))
+    assert tranx not in coord.part and coord.locks.is_idle()
+    sim.run(0.5)
+    assert answer_to_7(coord) == (True, None, [])
+    assert [e[1] for e in sends(sim, "PREPARE")] == [0] and sends(sim, "READ") == []
+    assert coord.part == {} and sim.global_state() == {y: (b"t", 1)}
+    assert oracle.locks_clean(sim) == [] and resend_idle(sim)
 
 
 # -- one answer table: a client's dedup window ------------------------------------------
@@ -1293,7 +1425,9 @@ def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():
 
     while not quiet():
         assert sim.step()
-    assert all(n.part for n in nodes)
+    # only a write owner keeps a record, and a node whose last write slice
+    # is more than a GC period old has already dropped it
+    assert any(n.part for n in nodes)
     sim.run(2 * TEST_GC_PERIOD)
     for n in nodes:
         assert (n.coord, n.part) == ({}, {}), n.sid
@@ -1301,8 +1435,9 @@ def test_contended_run_leaves_no_record_two_gc_periods_after_it_quiesces():
 
 def test_two_writers_that_deny_each_others_read_lock_both_commit():
     """A reads x, y and writes x (coordinator 0); B reads x, y, z and writes
-    y (coordinator 1).  Started together, each holds the exclusive lock the
-    other's shared lock needs, so both abort LOCK_DENIED_READ.  With no
+    y (coordinator 1).  Started together, each holds the exclusive lock on
+    the key the other's validation READ finds locked, so both abort
+    LOCK_DENIED_READ.  With no
     jitter their one-round rebuilds take equally long, so retrying at once
     they would deny each other on every attempt; a writer denied a read
     lock again backs off, and both commit."""
@@ -1332,33 +1467,6 @@ def test_two_writers_that_deny_each_others_read_lock_both_commit():
     assert ok_a and ok_b, (reason_a, reason_b)
     assert min(attempts_a, attempts_b) >= 2  # they did deny each other
     assert oracle.locks_clean(sim) == []
-
-
-def test_a_waiting_slice_holds_no_lock_so_a_writer_of_its_free_key_commits_at_once():
-    """Coordinator 0's T1 reads b at owner 1 and writes a key of 0's; its
-    commit decision to owner 1 is held back, so owner 1 holds b shared.  T2
-    writes a and b blind, both owned by 1 and a first: its slice waits for
-    b holding nothing, so a one-owner writer of a commits at its first
-    attempt.  Once T1's slice decides, T2's slice is granted both keys."""
-    sim = make_sim(3, seed=5, gc_period=10.0)
-    a, b = sorted(keys_owned_by(1, sim.members, 2))
-    coord, owner = sim.nodes[0].node, sim.nodes[1].node
-    t1 = coord.coordinate(Transaction(((b, 0),), ((keys_owned_by(0, sim.members, 1)[0], b"1"),)), None)
-    held = drop_where(sim, lambda dst, env, n: env.msg_type is MsgType.COMMIT_DECISION and env.tranx == t1)
-    sim.run(0.005)
-    assert coord.coord[t1].state is CoordState.COMMIT and len(held) == 1
-    assert owner.locks.held_by(t1) == {b}
-    t2 = coord.coordinate(Transaction((), ((a, b"2"), (b, b"2"))), None)
-    sim.run(0.005)
-    assert owner.part[t2].state is PartState.START and owner.locks.held_by(t2) == set()
-    assert owner.locks.stats() == {"held_locks": 1, "waiters": 1}
-    ok, reason, h = commit_txn(sim, sim.new_client(seed=1), [], {a: b"3"})
-    assert (ok, reason, h.attempts) == (True, None, 1)
-    owner.on_message(held[0])
-    assert owner.part[t1].state is PartState.COMMIT and owner.locks.held_by(t2) == {a, b}
-    sim.run(0.5)
-    assert sim.global_state()[a] == (b"2", 2) and sim.global_state()[b] == (b"2", 1)
-    assert oracle.locks_clean(sim) == [] and resend_idle(sim)
 
 
 def test_load_reads_each_owner_batch_with_one_read():
