@@ -150,29 +150,26 @@ def _unpack_txn(b: bytes, pos: int) -> tuple[Transaction, int]:
     return Transaction(reads, tuple(writes)), pos
 
 
+# a record is born in its first state: a coordinator's in PREPARE, a
+# participant's in READY or ABORT, its vote, and either in COMMIT at recovery
 class CoordState(enum.Enum):
-    START = "Start"
     PREPARE = "Prepare"
     COMMIT = "Commit"
     ABORT = "Abort"
 
 
 class PartState(enum.Enum):
-    START = "Start"
     READY = "Ready"
     COMMIT = "Commit"
     ABORT = "Abort"
 
 
 COORD_TRANSITIONS = {
-    (CoordState.START, CoordState.PREPARE),
     (CoordState.PREPARE, CoordState.COMMIT),
     (CoordState.PREPARE, CoordState.ABORT),
 }
 
 PART_TRANSITIONS = {
-    (PartState.START, PartState.READY),
-    (PartState.START, PartState.ABORT),
     (PartState.READY, PartState.COMMIT),
     (PartState.READY, PartState.ABORT),
 }
@@ -199,9 +196,10 @@ _KIND_PART_COMMIT = 5
 class CoordCommit:
     """The coordinator's decision to commit, and the only record it logs:
     an abort logs nothing (presumed abort).  It names the owners, as the
-    commit record does in R*: each slice lives in its owner's PartReady, and
-    a restarted coordinator needs only the ids, to resend the decision to
-    the owners that have not acked."""
+    commit record does in R*, so a restarted coordinator can resend the
+    decision to the owners that have not acked, and it holds the
+    coordinator's own slice, its frozen writes, which it makes durable: a
+    remote slice lives in its owner's PartReady."""
 
     tranx: TranxID
     # (client_id, message_id) of the request being acked, so a restarted
@@ -209,30 +207,34 @@ class CoordCommit:
     # re-executing them as new transactions.  None for internal records.
     client: tuple[int, int] | None = None
     participants: tuple[ServerId, ...] = ()  # ascending
+    # (key, value, post_version) of the own slice; empty if it writes nothing
+    writes: tuple[tuple[bytes, bytes, int], ...] = ()
 
     kind = _KIND_COORD_COMMIT
 
 
 @dataclass(frozen=True)
 class PartReady:
+    """A remote write owner's Ready slice, forced before it votes."""
+
     tranx: TranxID
-    reads: tuple[tuple[bytes, int], ...]
     # Post-versions are frozen at prepare time so commit replay is idempotent.
     writes: tuple[tuple[bytes, bytes, int], ...]
 
     kind = _KIND_PART_READY
 
 
-def part_ready_size(sub: Transaction) -> int:
-    """Bytes of the PartReady a slice logs: the record head (kind and
-    TranxID, 13 B), the slice as enc_txn encodes it (a u32 count each for
-    reads and writes, a blob and a u64 version per read, two blobs per
-    write), and a post-version (8 B) per write."""
-    return (
-        _KIND_TRANX.size + 8
-        + sum(12 + len(k) for k, _ in sub.reads)
-        + sum(16 + len(k) + len(v) for k, v in sub.writes)
-    )
+def commit_record_size(writes, owners=None) -> int:
+    """Bytes of the record that logs a write slice of (key, value) writes:
+    a remote owner's PartReady, or, given the owners CoordCommit names, the
+    coordinator's CoordCommit with a client key.  That is the record head
+    (kind and TranxID, 13 B); for CoordCommit the client key (17 B) and the
+    owners (a u32 count and a u32 each); then a u32 count and, per write,
+    two blobs and a post-version (8 B)."""
+    size = _KIND_TRANX.size + 4 + sum(16 + len(k) + len(v) for k, v in writes)
+    if owners is not None:
+        size += 1 + _CLIENT.size + 4 + 4 * len(owners)
+    return size
 
 
 @dataclass(frozen=True)
@@ -249,18 +251,17 @@ def encode_record(rec: LogRecord) -> bytes:
     """kind: u8 | tranx (coordinator u32 | seq u64) | the kind's fields."""
     kind = rec.kind
     head = _KIND_TRANX.pack(kind, *rec.tranx)
-    if kind == _KIND_COORD_COMMIT:
-        # has_client: u8 | [client id u64 | message id u64], then the
-        # owners: n: u32 | server u32 * n
-        head += b"\x00" if rec.client is None else b"\x01" + _CLIENT.pack(*rec.client)
-        n = len(rec.participants)
-        return head + struct.pack(f"<I{n}I", n, *rec.participants)
     if kind == _KIND_PART_COMMIT:
         return head
-    if kind != _KIND_PART_READY:  # pragma: no cover - exhaustive over LogRecord
+    if kind == _KIND_COORD_COMMIT:
+        # has_client: u8 | [client id u64 | message id u64], then the
+        # owners: n: u32 | server u32 * n, then the own slice's writes
+        head += b"\x00" if rec.client is None else b"\x01" + _CLIENT.pack(*rec.client)
+        n = len(rec.participants)
+        head += struct.pack(f"<I{n}I", n, *rec.participants)
+    elif kind != _KIND_PART_READY:  # pragma: no cover - exhaustive over LogRecord
         raise TypeError(f"unknown record type {type(rec)!r}")
-    out = [head]  # reads, then writes with post-versions
-    _pack_reads(out, rec.reads)
+    out = [head]  # writes with post-versions
     _pack_entries(out, rec.writes)
     return b"".join(out)
 
@@ -273,6 +274,8 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
     kind, coordinator, seq = _KIND_TRANX.unpack_from(b, pos)
     tranx = _new_tuple(TranxID, (coordinator, seq))
     pos += _KIND_TRANX.size
+    if kind == _KIND_PART_COMMIT:
+        return PartCommit(tranx), pos
     if kind == _KIND_COORD_COMMIT:
         has_client = _U8.unpack_from(b, pos)[0]
         if has_client == 1:
@@ -282,12 +285,10 @@ def _unpack_record(b: bytes, pos: int) -> tuple[LogRecord, int]:
         else:
             client, pos = None, pos + 1
         count = _U32.unpack_from(b, pos)[0]
-        pos += 4
-        return CoordCommit(tranx, client, struct.unpack_from(f"<{count}I", b, pos)), pos + 4 * count
-    if kind == _KIND_PART_COMMIT:
-        return PartCommit(tranx), pos
+        participants = struct.unpack_from(f"<{count}I", b, pos + 4)
+        writes, pos = _unpack_entries(b, pos + 4 + 4 * count)
+        return CoordCommit(tranx, client, participants, tuple(writes)), pos
     if kind != _KIND_PART_READY:
         raise MalformedRecordError(f"unknown record kind {kind}")
-    reads, pos = _unpack_reads(b, pos)
     writes, pos = _unpack_entries(b, pos)
-    return PartReady(tranx, reads, tuple(writes)), pos
+    return PartReady(tranx, tuple(writes)), pos

@@ -58,15 +58,14 @@ OUT_LIMIT = 2 * rpc.MAX_FRAME
 
 
 class _Item:
-    """A received message or a timer callback (a timer's item is its cancel
-    handle); `enqueued_at` is when the frame was read or the timer fell due."""
+    """A received message or a timer callback; `enqueued_at` is when the
+    frame was read or the timer fell due."""
 
-    __slots__ = ("fn", "enqueued_at", "cancelled")
+    __slots__ = ("fn", "enqueued_at")
 
     def __init__(self, fn, enqueued_at: float) -> None:
         self.fn = fn
         self.enqueued_at = enqueued_at
-        self.cancelled = False
 
 
 class _Conn:
@@ -125,9 +124,7 @@ class EventLoop:
         events = self._sel.select(max(0.0, timers[0][0] - time.monotonic()) if timers else None)
         now = time.monotonic()
         while timers and timers[0][0] <= now:
-            item = heapq.heappop(timers)[2]
-            if not item.cancelled:
-                self._handle_event(item)
+            self._handle_event(heapq.heappop(timers)[2])
         for key, mask in events:
             if type(key.data) is not _Conn:
                 key.data()
@@ -235,9 +232,6 @@ class ServerRuntime(EventLoop):
 
     def set_timer(self, delay: float, fn) -> _Item:
         return self.call_at(time.monotonic() + delay, fn)
-
-    def cancel_timer(self, handle: _Item) -> None:
-        handle.cancelled = True
 
     send = EventLoop.send  # an own entry, so perfbench/layers.py can wrap it by name
 

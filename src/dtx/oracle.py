@@ -212,7 +212,7 @@ def participant_finals(trace) -> dict:
     """tranx -> {sid: last participant state seen}."""
     out: dict = {}
     for _, sid, event, info in trace:
-        if event == "part.state" and info["to"] in ("Commit", "Abort", "Ready", "Start"):
+        if event == "part.state":
             out.setdefault(info["tranx"], {})[sid] = info["to"]
     return out
 

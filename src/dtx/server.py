@@ -29,9 +29,9 @@ then validate what it only reads, as FaRM does (Dragojevic et al., SOSP
      for silence through the resend budget, and the verdicts fold as a
      client's validation round does (client.py): the lowest-id failing
      owner's reason, with every piggyback.
-  4. All checks stand -> persist the own slice's PartReady and CoordCommit,
-     which names the write owners, in one flush; else decide Abort.  In
-     that same step answer the client and send the decision, which only a
+  4. All checks stand -> force CoordCommit, which names the write owners
+     and holds the own slice's frozen writes; else decide Abort.  In that
+     same step answer the client and send the decision, which only a
      coordinator sends, to every remote write owner but an Abort's voter.
   5. Write owners force PartCommit, apply frozen post-versions, release
      locks and ack a commit; once every remote one acked it, the
@@ -40,11 +40,12 @@ then validate what it only reads, as FaRM does (Dragojevic et al., SOSP
      missed it learns it from a READY repeat or the GC.
 No site logs an abort (presumed abort, at every site): a slice committed
 iff its commit record is logged, CoordCommit for the own slice and
-PartCommit for a remote one.  An owner that only reads takes no part in
-the commit, as R*'s read-only participants (Mohan, Lindsay & Obermarck,
-TODS 1986) log nothing.  A transaction whose one write owner is its
-coordinator is one-phase: no PREPARE, READY, decision or ACK, and one
-durable flush, CoordCommit, which carries the unforced PartReady.
+PartCommit for a remote one.  Every record is forced as it is appended.
+An owner that only reads takes no part in the commit, as R*'s read-only
+participants (Mohan, Lindsay & Obermarck, TODS 1986) log nothing.  A
+transaction whose one write owner is its coordinator is one-phase: no
+PREPARE, READY, decision or ACK, and one record, CoordCommit with the
+own writes, in one flush.
 
 Why validating after the locks serializes.  Let L be the step in which the
 last write slice is Ready; every check is served at or after L.  A read
@@ -59,17 +60,19 @@ which keeps it in the GCLog and issues every TranxID, carrying it, so no id
 a crashed incarnation sent in a PREPARE is issued again.  A coordinator
 record is rebuilt only for a logged CoordCommit some remote owner may not
 have acked: it resends the decision to the owners CoordCommit names.  A
-committed slice is replayed.  A remote slice with a PartReady and no
-PartCommit is in doubt: its written keys are re-locked and it repeats
-READY, unless the watermark passed it (below) or a slice that logged its
-PartReady later locked one of its written keys, which says it aborted:
-each PartReady is logged while its slice holds its locks, and a commit
-forces PartCommit before it releases them.  An aborted slice keeps no
-record.  An undecided coordinator record is not rebuilt, so a validation
-answer that reaches a restarted coordinator finds nothing and is dropped.
-The client dedup window is rebuilt from CoordCommit only: a resent COMMIT
-whose first attempt aborted runs again, as a new transaction, after its
-coordinator restarted.
+committed slice is replayed: an own slice from its CoordCommit alone, a
+remote one from its PartReady and PartCommit.  An own slice is never in
+doubt, as one with no CoordCommit logged nothing.  A remote slice with a
+PartReady and no PartCommit is in doubt: its written keys are re-locked
+and it repeats READY, unless the watermark passed it (below) or a slice
+that logged its PartReady later locked one of its written keys, which
+says it aborted: each PartReady is logged while its slice holds its
+locks, and a commit forces PartCommit before it releases them.  An
+aborted slice keeps no record.  An undecided coordinator record is not
+rebuilt, so a validation answer that reaches a restarted coordinator finds
+nothing and is dropped.  The client dedup window is rebuilt from
+CoordCommit only: a resent COMMIT whose first attempt aborted runs again,
+as a new transaction, after its coordinator restarted.
 
 Until it is complete the coordinator repeats, every RESEND, PREPARE to the
 owners that have not voted, then the validation READ to the owners that
@@ -169,9 +172,9 @@ from .model import (
     ServerId,
     Transaction,
     TranxID,
+    commit_record_size,
     coord_transition_legal,
     owner_of,
-    part_ready_size,
     part_transition_legal,
 )
 from .rpc import AbortReason, DedupTable, Envelope, MsgType
@@ -214,7 +217,7 @@ class CoordRec:
     # each owner's slice; a record rebuilt by recovery, always decided,
     # holds only the owners CoordCommit names (slices None)
     subs: dict[ServerId, Transaction | None]
-    state: CoordState = CoordState.START
+    state: CoordState = CoordState.PREPARE
     pending_ready: set[ServerId] = field(default_factory=set)
     pending_ack: set[ServerId] = field(default_factory=set)
     client_key: tuple[int, int] | None = None  # (client id, message id)
@@ -229,8 +232,8 @@ class CoordRec:
 @dataclass
 class PartRec:
     tranx: TranxID
+    state: PartState
     writes: tuple = ()  # (key, value, post_version) frozen at prepare
-    state: PartState = PartState.START
     # the vote sent to a remote coordinator: b"" Ready, else the abort vote;
     # None until voted, and for an own slice, which votes in-process
     vote: bytes | None = None
@@ -339,9 +342,10 @@ class ServerNode:
         # message id 0: no server answers a server, so nothing matches on it
         return Envelope(msg_type, rpc.SERVER, self.sid, 0, tranx, payload)
 
-    def _append(self, record, durable: bool) -> None:
-        self.tranxlog.append(record, durable)
-        if durable and self._crash_hook is not None:
+    def _append(self, record: LogRecord) -> None:
+        """Append a record and persist it."""
+        self.tranxlog.append(record)
+        if self._crash_hook is not None:
             self._crash_hook(self.sid, _WAL_POINT[type(record)])
 
     def _set_coord_state(self, rec: CoordRec, state: CoordState) -> None:
@@ -529,10 +533,13 @@ class ServerNode:
             self._reply(client, mid, rpc.enc_commit_resp(False, AbortReason.UNKNOWN, []))
             return
         # admission bound: every log record derived from this transaction
-        # must fit one WAL entry, or commit would die midway.  The largest is
-        # a write owner's PartReady, and each owner logs only its own slice
+        # must fit one WAL entry, or commit would die midway.  Each write
+        # owner logs only its own slice: this node in CoordCommit, which
+        # also names the owners, and a remote one in its PartReady
         split = self._split(txn)
-        if max(map(part_ready_size, split[0].values())) > MAX_ENTRY:
+        subs = split[0]
+        if max(commit_record_size(sub.writes, subs if sid == self.sid else None)
+               for sid, sub in subs.items()) > MAX_ENTRY:
             payload = rpc.enc_commit_resp(False, AbortReason.LOG_FAILURE, [])
             self.dedup.record_client(client, mid, payload)
             self._reply(client, mid, payload)
@@ -574,8 +581,7 @@ class ServerNode:
             self.dedup.record_client(*client_key, tranx)
         self.coord[tranx] = rec
         if self._tracer is not None:
-            self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.START.value)
-        self._set_coord_state(rec, CoordState.PREPARE)
+            self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.PREPARE.value)
         if set(subs) == {self.sid}:
             # no remote write owner: CoordCommit alone makes it durable
             self.stats["one_phase"] += 1
@@ -667,12 +673,9 @@ class ServerNode:
 
     def _decide(self, rec: CoordRec, decision: CoordState, reason, piggyback) -> None:
         commit = decision is CoordState.COMMIT
-        if commit:
-            # the own slice's PartReady goes out in the CoordCommit flush
-            own = rec.subs.get(self.sid)
-            if own is not None:
-                self._append(PartReady(rec.tranx, own.reads, self.part[rec.tranx].writes), durable=False)
-            self._append(CoordCommit(rec.tranx, rec.client_key, tuple(rec.subs)), durable=True)
+        if commit:  # the own slice, if any, is logged in its CoordCommit
+            own = self.part[rec.tranx].writes if self.sid in rec.subs else ()
+            self._append(CoordCommit(rec.tranx, rec.client_key, tuple(rec.subs), own))
         self._set_coord_state(rec, decision)
         # the client and the participants hear the decision once it is
         # persisted; the resend timer repeats a commit to owners that do not
@@ -753,29 +756,27 @@ class ServerNode:
 
     def _local_prepare(self, tranx: TranxID, sub: Transaction) -> None:
         """Lock the slice's written keys, validate its reads of them under
-        those locks, freeze each post-version at current+1 and vote."""
-        rec = PartRec(tranx)
-        self.part[tranx] = rec
-        if self._tracer is not None:
-            self._trace("part.state", tranx=tranx, frm=None, to=PartState.START.value)
+        those locks, freeze each post-version at current+1 and vote; the
+        slice's record is born in its vote's state."""
         if not self._lock_writes(tranx, sub.writes):
             reason, piggyback = AbortReason.LOCK_DENIED_WRITE, []
         else:
             reason, piggyback = self._check(sub.reads, False)
             if reason is not None:
                 self.locks.release_all(tranx)
-        if reason is not None:  # an abort vote logs nothing (presumed abort)
-            self._set_part_state(rec, PartState.ABORT)
-            self._cast_vote(rec, reason, piggyback)
-            return
-        out = tuple((k, v, self.storage.current_version(k) + 1) for k, v in sub.writes)
-        rec.writes = out
         remote = tranx.coordinator != self.sid
-        if remote:  # an own slice's PartReady waits for the commit (_decide)
-            self._append(PartReady(tranx, sub.reads, out), durable=True)
-        self._set_part_state(rec, PartState.READY)
-        self._cast_vote(rec, None, [])
-        if remote:  # READY again every RESEND until the decision lands
+        if reason is not None:  # an abort vote logs nothing (presumed abort)
+            rec = PartRec(tranx, PartState.ABORT)
+        else:
+            writes = tuple((k, v, self.storage.current_version(k) + 1) for k, v in sub.writes)
+            if remote:  # an own slice is logged in its CoordCommit (_decide)
+                self._append(PartReady(tranx, writes))
+            rec = PartRec(tranx, PartState.READY, writes)
+        self.part[tranx] = rec
+        if self._tracer is not None:
+            self._trace("part.state", tranx=tranx, frm=None, to=rec.state.value)
+        self._cast_vote(rec, reason, piggyback)
+        if remote and reason is None:  # READY again every RESEND until the decision lands
             self._queue_resend(rec)
 
     def _cast_vote(self, rec: PartRec, reason, piggyback) -> None:
@@ -806,7 +807,7 @@ class ServerNode:
                 self._trace("msg.unexpected", type=MsgType.COMMIT_DECISION.name, tranx=tranx)
                 return False
             if remote:
-                self._append(PartCommit(tranx), durable=True)
+                self._append(PartCommit(tranx))
                 self._resend.pop(tranx, None)
             self._set_part_state(rec, PartState.COMMIT)
             if rec.writes:
@@ -818,7 +819,7 @@ class ServerNode:
             if remote:
                 self._resend.pop(tranx, None)
             if rec is None:  # the abort overtook its PREPARE: the record drops it
-                self.part[tranx] = PartRec(tranx, state=PartState.ABORT)
+                self.part[tranx] = PartRec(tranx, PartState.ABORT)
             else:
                 self._set_part_state(rec, PartState.ABORT)
             self.locks.record_abort(tranx)
@@ -933,8 +934,8 @@ class ServerNode:
         """Take a new restart epoch from the GC, then fold the WAL into
         volatile state."""
         self.gc.restart()
-        # each slice's latest PartReady, in log order, and its commit record
-        # if logged: CoordCommit for an own slice, PartCommit for a remote one
+        # each remote slice's latest PartReady, in log order, and each commit
+        # record: CoordCommit, which holds the own slice, and PartCommit
         part_ready: dict[TranxID, PartReady] = {}
         committed: dict[TranxID, CoordCommit | PartCommit] = {}
         for recd in self.tranxlog.scan():
@@ -950,21 +951,25 @@ class ServerNode:
         # table refuses for a later one (see the module docstring)
         for t, ready in reversed(part_ready.items()):
             if t in committed:
-                self.part[t] = PartRec(t, ready.writes, PartState.COMMIT, vote=b"")
+                self.part[t] = PartRec(t, PartState.COMMIT, ready.writes, vote=b"")
                 self.storage.apply_writes(list(ready.writes), replay=True)
-            elif t.coordinator != self.sid and not self.gc.is_final_by_watermark(t):
+            elif not self.gc.is_final_by_watermark(t):
                 if self._lock_writes(t, ready.writes):
-                    self.part[t] = PartRec(t, ready.writes, PartState.READY, vote=b"")
+                    self.part[t] = PartRec(t, PartState.READY, ready.writes, vote=b"")
 
-        # coordinator side: a commit some remote owner may not have acked is
-        # pending, and recover_global resends it; anything else is complete.
-        # The client-request dedup window is rebuilt for every commit, so a
-        # resent commit request gets the original answer instead of being
-        # re-executed as a fresh transaction; an aborted one runs again
+        # coordinator side: replay the own slice; a commit some remote owner
+        # may not have acked is pending, and recover_global resends it;
+        # anything else is complete.  The client-request dedup window is
+        # rebuilt for every commit, so a resent commit request gets the
+        # original answer instead of being re-executed as a fresh
+        # transaction; an aborted one runs again
         base_lc = self.gc.table.get(self.sid, 0)
         for t, recd in sorted(committed.items()):
             if t.coordinator != self.sid:  # a PartCommit
                 continue
+            if recd.writes:
+                self.part[t] = PartRec(t, PartState.COMMIT, recd.writes)
+                self.storage.apply_writes(list(recd.writes), replay=True)
             if recd.client is not None:
                 self.dedup.record_client(*recd.client, rpc.enc_commit_resp(True, None, []))
             if t.seq <= base_lc:

@@ -128,8 +128,8 @@ class _CrashPoints:
 
 
 def _fire(n: "SimNode", incarnation: int, t) -> None:
-    """Run a server timer unless it was cancelled, dropped by a crash or set
-    by an earlier incarnation."""
+    """Run a server timer unless a crash dropped it or an earlier
+    incarnation set it."""
     fn = n.timers.pop(t, None)
     if fn is not None and n.incarnation == incarnation:
         fn()
@@ -159,16 +159,13 @@ class _Ctx:
         return self._sim().now
 
     def set_timer(self, delay: float, fn):
-        """A handle for cancel_timer; fn waits in the node slot's timer map."""
+        """Run fn after delay; it waits in the node slot's timer map."""
         sim = self._sim()
         n = sim.nodes[self.sid]
         t = object()
         n.timers[t] = fn
         sim._push(sim.now + delay, _fire, n, self.incarnation, t)
         return t
-
-    def cancel_timer(self, t) -> None:
-        self._sim().nodes[self.sid].timers.pop(t, None)
 
     def send(self, dest: ServerId, env: Envelope) -> None:
         self._sim().net_send(self._ep, ("s", dest), env)

@@ -3,9 +3,10 @@
 Bottom: a persistence Region (see env.py) with explicit flush barriers.
 Middle: LogManager frames payloads into fixed 4 KiB checksummed blocks over
 a list of timestamp-named files and rotates to a new file when full.
-Top: TranxLog appends typed protocol records, tracks a per-file summary of
-the largest sequence number seen per coordinator (driving reclamation), and
-provides the oldest-first recovery scan.
+Top: TranxLog appends typed protocol records, each persisted before the
+append returns, tracks a per-file summary of the largest sequence number
+seen per coordinator (driving reclamation), and provides the oldest-first
+recovery scan.
 
 Disk format, bit exact:
   file name        <creation_ts, 20 decimal digits>.log
@@ -209,14 +210,14 @@ class TranxLog:
         # file name -> {coordinator: max seq in file}
         self.summaries: dict[str, dict[ServerId, int]] = {}
 
-    def append(self, record: LogRecord, durable: bool) -> None:
+    def append(self, record: LogRecord) -> None:
+        """Append one record and persist it: every record is forced."""
         fname, _ = self.manager.append(encode_record(record))
         summary = self.summaries.setdefault(fname, {})
         t = record.tranx
         if t.seq > summary.get(t.coordinator, 0):
             summary[t.coordinator] = t.seq
-        if durable:
-            self.manager.flush()
+        self.manager.flush()
 
     def scan(self):
         """Yield every intact record, oldest file first (recovery path).

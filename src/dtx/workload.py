@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import client as cl
-from .model import Transaction, owner_of, part_ready_size
+from .model import commit_record_size, owner_of
 from .wal import MAX_ENTRY
 
 READ_FRACTION_PRESETS = (0.50, 0.75, 0.95, 1.00)
@@ -247,15 +247,15 @@ def txn_script(spec: WorkloadSpec, clock=None):
 
 
 def _insert_size(key: bytes, value_size: int) -> int:
-    """Log bytes of a one-key insert: the key read at version 0, then
-    written; a value's bytes add to the size one for one."""
-    return part_ready_size(Transaction(((key, 0),), ((key, b""),))) + value_size
+    """Log bytes of a one-key insert: the CoordCommit of its one owner,
+    which holds the write; a value's bytes add to the size one for one."""
+    return commit_record_size(((key, b""),), (0,)) + value_size
 
 
 def _insert_batches(keys: list[bytes], value_size: int):
-    """Runs of consecutive keys, each as long as inserting every key of it
-    logs a PartReady that fits one WAL entry."""
-    empty = part_ready_size(Transaction((), ()))
+    """Runs of consecutive keys, each as long as inserting every key of it,
+    a slice of its one owner, logs a CoordCommit that fits one WAL entry."""
+    empty = commit_record_size((), (0,))
     batch, size = [], empty
     for k in keys:
         cost = _insert_size(k, value_size) - empty
@@ -275,7 +275,7 @@ def load_script(keys: list[bytes], spec: WorkloadSpec, seed: int):
     owner's keys, as owner_batches groups them), and writes only the
     missing keys, so a reload leaves existing keys at version 1.  Values
     come from `load_values`, so retries and reloads produce identical
-    bytes.  Each batch is as long as its insert transaction's PartReady
+    bytes.  Each batch is as long as its insert transaction's CoordCommit
     fits one WAL entry.
     """
     value_for = load_values(seed, spec.value_size)

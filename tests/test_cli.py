@@ -174,12 +174,13 @@ def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):
     root = str(tmp_path)
     env = DiskEnv(root)
     log = TranxLog(env, 1 << 20)
-    log.append(CoordCommit(TranxID(0, 1), (7, 1)), durable=True)
-    log.append(CoordCommit(TranxID(0, 2), None, (0, 1, 2)), durable=True)
+    log.append(CoordCommit(TranxID(0, 1), (7, 1)))
+    log.append(CoordCommit(TranxID(0, 2), None, (0, 1, 2), ((b"k", b"v", 4),)))
     assert main(["log-dump", "--dir", root]) == 0
     out = capsys.readouterr().out
     assert "CoordCommit" in out and "seq=1" in out
-    assert "CoordCommit(tranx=TranxID(coordinator=0, seq=2), client=None, participants=(0, 1, 2))" in out
+    assert ("CoordCommit(tranx=TranxID(coordinator=0, seq=2), client=None, participants=(0, 1, 2),"
+            " writes=((b'k', b'v', 4),))") in out
 
     # corrupt a non-newest block: exit 2 with a CORRUPT line
     import os
@@ -189,9 +190,9 @@ def test_log_dump_prints_records_and_flags_corruption(tmp_path, capsys):
     data = bytearray(open(path, "rb").read())
     data[12] ^= 0xFF
     # write a second file so the corrupted one is no longer newest
-    log.append(CoordCommit(TranxID(0, 2)), durable=True)
+    log.append(CoordCommit(TranxID(0, 2)))
     for _ in range(600):  # force rotation past the first file
-        log.append(CoordCommit(TranxID(0, 3)), durable=True)
+        log.append(CoordCommit(TranxID(0, 3)))
     open(path, "wb").write(bytes(data))
     if len(log.manager.file_names()) > 1:
         assert main(["log-dump", "--dir", root]) == 2
@@ -204,12 +205,12 @@ def test_log_dump_flags_a_record_it_cannot_decode(tmp_path, capsys):
     records around them still print."""
     root = str(tmp_path)
     log = TranxLog(DiskEnv(root), 1 << 20)
-    log.append(CoordCommit(TranxID(0, 1)), durable=True)
+    log.append(CoordCommit(TranxID(0, 1)))
     tranx = "01000000" "0200000000000000"  # TranxID(1, 2)
     log.manager.append(bytes.fromhex("01" + tranx + "00" "00000000"))
     log.manager.append(bytes.fromhex("03" + tranx + "00"))
     log.manager.append(bytes.fromhex("06" + tranx))
-    log.append(CoordCommit(TranxID(0, 3)), durable=True)
+    log.append(CoordCommit(TranxID(0, 3)))
     assert main(["log-dump", "--dir", root]) == 2
     out = capsys.readouterr().out
     assert out.count("CORRUPT: undecodable record") == 3

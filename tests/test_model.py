@@ -32,8 +32,8 @@ client_keys = st.one_of(st.none(), st.tuples(st.integers(0, 2**64 - 1), st.integ
 owners = st.lists(st.integers(0, 2**32 - 1), max_size=3, unique=True).map(lambda ids: tuple(sorted(ids)))
 
 records = st.one_of(
-    st.builds(CoordCommit, tranx_ids, client_keys, owners),
-    st.builds(PartReady, tranx_ids, reads, ready_writes),
+    st.builds(CoordCommit, tranx_ids, client_keys, owners, ready_writes),
+    st.builds(PartReady, tranx_ids, ready_writes),
     st.builds(PartCommit, tranx_ids),
 )
 
@@ -102,8 +102,7 @@ def test_issuer_overflow():
 
 
 def test_coordinator_transitions():
-    legal = {(CoordState.START, CoordState.PREPARE),
-             (CoordState.PREPARE, CoordState.COMMIT),
+    legal = {(CoordState.PREPARE, CoordState.COMMIT),
              (CoordState.PREPARE, CoordState.ABORT)}
     for a in CoordState:
         for b in CoordState:
@@ -111,9 +110,7 @@ def test_coordinator_transitions():
 
 
 def test_participant_transitions():
-    legal = {(PartState.START, PartState.READY),
-             (PartState.START, PartState.ABORT),
-             (PartState.READY, PartState.COMMIT),
+    legal = {(PartState.READY, PartState.COMMIT),
              (PartState.READY, PartState.ABORT)}
     for a in PartState:
         for b in PartState:
@@ -148,10 +145,13 @@ def test_transaction_round_trip(r, w):
     assert model._unpack_txn(data, 0) == (txn, len(data))
 
 
-@given(tranx_ids, reads, plain_writes)
-def test_part_ready_size_is_the_logged_size_of_a_slice(tranx, r, w):
-    assume(len(dict(r)) == len(r) and len(dict(w)) == len(w))  # no duplicate key
-    sub = Transaction(r, w)
-    ready = PartReady(tranx, sub.reads, tuple((k, v, 1) for k, v in sub.writes))
-    assert model.part_ready_size(sub) == len(encode_record(ready))
-    assert model.part_ready_size(sub) == 13 + len(rpc.enc_txn(sub)) + 8 * len(sub.writes)
+@given(tranx_ids, plain_writes, client_keys.filter(bool), owners)
+def test_commit_record_size_is_the_logged_size_of_a_slice(tranx, w, client, ids):
+    """commit_record_size is the encoded length of the record that logs a
+    slice: a remote owner's PartReady, and, given the owners, the
+    coordinator's CoordCommit with a client key."""
+    assume(len(dict(w)) == len(w))  # no duplicate key
+    frozen = tuple((k, v, 1) for k, v in w)
+    assert model.commit_record_size(w) == len(encode_record(PartReady(tranx, frozen)))
+    coord = CoordCommit(tranx, client, ids, frozen)
+    assert model.commit_record_size(w, ids) == len(encode_record(coord))

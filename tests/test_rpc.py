@@ -173,18 +173,22 @@ def test_gc_lc_codec(lc):
 
 def test_commit_record_and_prepare_payload_bytes_are_stable():
     """Golden bytes: the CoordCommit log record, which names the owners and
-    none of their slices (18 + 4n bytes with no client), and the PREPARE
-    payload keep their format, so the logs and messages they make stay
-    readable.  Record kind 1, the prepare record it replaced, no longer
-    decodes."""
+    holds the coordinator's own writes (22 + 4n bytes with no client and no
+    write), and the PREPARE payload keep their format, so the logs and
+    messages they make stay readable.  Record kind 1, the prepare record it
+    replaced, no longer decodes."""
     a = Transaction(((b"k1", 3), (b"k2", 0)), ((b"k2", b"val"),))
     slice_a = (
         "02000000020000006b310300000000000000020000006b32000000000000000001000000"
         "020000006b320300000076616c"
     )
-    record = "02" "01000000" "0201000000000000" "00" "02000000" "00000000" "02000000"
+    record = "02" "01000000" "0201000000000000" "00" "02000000" "00000000" "02000000" "00000000"
     assert encode_record(CoordCommit(TranxID(1, 258), None, (0, 2))).hex() == record
-    assert len(bytes.fromhex(record)) == 18 + 4 * 2
+    assert len(bytes.fromhex(record)) == 22 + 4 * 2
+    own = CoordCommit(TranxID(1, 258), None, (0, 2), ((b"k2", b"val", 1),))
+    assert encode_record(own).hex() == record[:-8] + (
+        "01000000" "020000006b32" "0300000076616c" "0100000000000000"
+    )
     assert rpc.enc_txn(a).hex() == slice_a
     with pytest.raises(MalformedRecordError):
         decode_record(bytes.fromhex("01" + record[2:]))
@@ -235,16 +239,17 @@ def _frame(env, golden):
 VOTE = (False, AbortReason.LOCK_DENIED_WRITE, [(b"k1", b"v", 4), (b"k2", b"", 9)])
 GOLDEN = {
     "part-ready": _record(
-        PartReady(T, ((b"k1", 3),), ((b"k2", b"val", 1), (b"z", b"", 5))),
-        "04" "01000000" "0201000000000000" "01000000" "020000006b31" "0300000000000000"
+        PartReady(T, ((b"k2", b"val", 1), (b"z", b"", 5))),
+        "04" "01000000" "0201000000000000"
         "02000000" "020000006b32" "0300000076616c" "0100000000000000"
         "010000007a" "00000000" "0500000000000000",
     ),
-    "coord-commit": _record(CoordCommit(T), "02" "01000000" "0201000000000000" "00" "00000000"),
+    "coord-commit": _record(CoordCommit(T), "02" "01000000" "0201000000000000" "00" "00000000" "00000000"),
     "coord-commit-client": _record(
-        CoordCommit(T, CLIENT_KEY, (0, 2)),
+        CoordCommit(T, CLIENT_KEY, (0, 2), ((b"z", b"", 5),)),
         "02" "01000000" "0201000000000000" "01" "41420f0000000000" "0700000000000000"
-        "02000000" "00000000" "02000000",
+        "02000000" "00000000" "02000000"
+        "01000000" "010000007a" "00000000" "0500000000000000",
     ),
     "part-commit": _record(PartCommit(T), "05" "01000000" "0201000000000000"),
     "commit-frame": _frame(

@@ -17,11 +17,10 @@ from dtx import sim as simmod
 from dtx.bench import preload_sim, run_sim_bench, start_clients
 from dtx.cli import format_trace
 from dtx.model import (
-    CoordCommit, CoordState, PartCommit, PartReady, PartState, Transaction, TranxID, encode_record,
-    part_ready_size,
+    CoordCommit, CoordState, PartState, Transaction, TranxID, commit_record_size, encode_record,
 )
 from dtx.rpc import AbortReason, Envelope, MsgType
-from dtx.sim import CrashPlan, NetConfig, SimCrash, Simulator
+from dtx.sim import CrashPlan, NetConfig, Simulator
 from dtx.server import PREPARE_BUDGET, RESEND, ServerConfig, ServerNode, owner_of
 from dtx.wal import MAX_ENTRY, LogManager, TranxLog
 from dtx.workload import WorkloadSpec, load_script, owner_batches, txn_script
@@ -324,8 +323,8 @@ def test_three_owner_commit_scales_per_participant():
 
 
 def record_wal(monkeypatch, sim):
-    """sid -> [(record kind, durable)] of every append, and sid -> seal
-    count: a seal is one durable flush of a WAL block."""
+    """sid -> [record kind] of every append, and sid -> seal count: a seal
+    is one durable flush of a WAL block."""
     appends, seals = {}, {}
 
     def sid_of(log):
@@ -333,9 +332,9 @@ def record_wal(monkeypatch, sim):
 
     orig_append, orig_seal = TranxLog.append, LogManager._seal
 
-    def append(self, rec, durable):
-        appends.setdefault(sid_of(self), []).append((type(rec).__name__, durable))
-        orig_append(self, rec, durable)
+    def append(self, rec):
+        appends.setdefault(sid_of(self), []).append(type(rec).__name__)
+        orig_append(self, rec)
 
     def seal(self):
         sid = next(sid for sid, n in sim.nodes.items() if n.alive and n.node.tranxlog.manager is self)
@@ -348,12 +347,12 @@ def record_wal(monkeypatch, sim):
 
 
 def test_wal_shape_of_each_commit_kind(monkeypatch):
-    """The coordinator's own slice forces no record: CoordCommit persists
-    its PartReady and is its decision, and it logs nothing before PREPARE,
-    so CoordCommit is its one flush either way.  Only a remote owner forces
-    PartReady and PartCommit.  An abort, decided by an Abort vote or sent
-    as a decision, appends nothing at any server but a remote owner's
-    forced PartReady."""
+    """Every append is forced, one seal each.  The coordinator logs one
+    record, CoordCommit, which holds its own slice and is its decision, and
+    it logs nothing before PREPARE.  Each remote owner forces PartReady and
+    then PartCommit.  An abort, decided by an Abort vote or sent as a
+    decision, appends nothing at any server but a remote owner's
+    PartReady."""
     sim = make_sim(3, seed=5, gc_period=10.0)
     sim.audit_messages = True
     appends, seals = record_wal(monkeypatch, sim)
@@ -361,7 +360,7 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     ks = keys_owned_by(2, sim.members, 2)
     assert commit_txn(sim, c, ks, {ks[0]: b"x"})[0]
     sim.run(1.0)
-    assert appends == {2: [("PartReady", False), ("CoordCommit", True)]}
+    assert appends == {2: ["CoordCommit"]}
     assert seals == {2: 1} and sum(sim.server_msgs.values()) == 0
 
     appends.clear()
@@ -369,11 +368,10 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     span = list(key_spanning(sim.members).values())
     assert commit_txn(sim, c, span, {k: b"z" for k in span})[0]
     sim.run(1.0)
-    (coordinator,) = [sid for sid, kinds in appends.items() if ("CoordCommit", True) in kinds]
-    assert appends.pop(coordinator) == [("PartReady", False), ("CoordCommit", True)]
+    (coordinator,) = [sid for sid, kinds in appends.items() if "CoordCommit" in kinds]
+    assert appends.pop(coordinator) == ["CoordCommit"]
     assert seals.pop(coordinator) == 1
-    assert appends == {sid: [("PartReady", True), ("PartCommit", True)]
-                       for sid in sim.members if sid != coordinator}
+    assert appends == {sid: ["PartReady", "PartCommit"] for sid in sim.members if sid != coordinator}
     assert seals == {sid: 2 for sid in sim.members if sid != coordinator}
 
     # coordinator 0 aborts on its own slice's Abort vote, on a remote
@@ -382,7 +380,7 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
     # stale version
     drop_where(sim, lambda dst, env, n: env.msg_type == MsgType.PREPARE and dst == ("s", 2))
     for owners, stale, logged in (
-        ([0], 0, {}), ([0, 1], 1, {}), ([0, 2], None, {}), ([0, 1, 2], None, {1: [("PartReady", True)]}),
+        ([0], 0, {}), ([0, 1], 1, {}), ([0, 2], None, {}), ([0, 1, 2], None, {1: ["PartReady"]}),
     ):
         appends.clear()
         seals.clear()
@@ -395,24 +393,23 @@ def test_wal_shape_of_each_commit_kind(monkeypatch):
 
 
 def test_admission_bound_is_exact_for_a_single_owner_commit(monkeypatch):
-    """A COMMIT whose PartReady fills a WAL entry exactly commits; one byte
-    more is refused with LOG_FAILURE before anything is logged."""
+    """A COMMIT whose CoordCommit, with the client key, the owner list and
+    the write, fills a WAL entry exactly commits; one byte more is refused
+    with LOG_FAILURE before anything is logged."""
     sim = make_sim(3, seed=5)
     node = sim.nodes[0].node
     k = keys_owned_by(0, sim.members, 1)[0]
     appends = []
     orig_append = node.tranxlog.append
-    monkeypatch.setattr(
-        node.tranxlog, "append", lambda rec, durable: appends.append(rec) or orig_append(rec, durable)
-    )
+    monkeypatch.setattr(node.tranxlog, "append", lambda rec: appends.append(rec) or orig_append(rec))
     sent = []
     sim.net_send = lambda src, dst, env: sent.append(env)
-    fill = MAX_ENTRY - len(encode_record(PartReady(TranxID(0, 1), (), ((k, b"", 1),))))
+    fill = MAX_ENTRY - len(encode_record(CoordCommit(TranxID(0, 1), (7, 1), (0,), ((k, b"", 1),))))
     for msg_id, value in ((1, b"v" * fill), (2, b"v" * (fill + 1))):
         payload = rpc.enc_txn(Transaction((), ((k, value),)))
         node.on_message(Envelope(MsgType.COMMIT, rpc.CLIENT, 7, msg_id, None, payload))
-    ready, commit = appends
-    assert len(encode_record(ready)) == MAX_ENTRY and isinstance(commit, CoordCommit)
+    (commit,) = appends
+    assert len(encode_record(commit)) == MAX_ENTRY and commit.writes == ((k, b"v" * fill, 1),)
     assert [rpc.dec_commit_resp(body(e))[:2] for e in sent] == [
         (True, None), (False, AbortReason.LOG_FAILURE)
     ]
@@ -425,7 +422,7 @@ def test_admission_bounds_each_slice_not_the_whole_transaction():
     sim = make_sim(3, seed=5)
     ks = [keys_owned_by(sid, sim.members, 1)[0] for sid in (0, 1)]
     value = b"v" * 2100
-    assert part_ready_size(Transaction((), tuple((k, value) for k in ks))) > MAX_ENTRY
+    assert commit_record_size(tuple((k, value) for k in ks)) > MAX_ENTRY
     c = sim.new_client(seed=1)
     assert commit_txn(sim, c, [], dict.fromkeys(ks, value))[:2] == (True, None)
     state = sim.global_state()
@@ -702,7 +699,7 @@ def test_commit_decision_for_an_unprepared_transaction_changes_nothing(monkeypat
     sim = make_sim(3, seed=5)
     node = sim.nodes[0].node
     appends = []
-    monkeypatch.setattr(node.tranxlog, "append", lambda rec, durable: appends.append(rec))
+    monkeypatch.setattr(node.tranxlog, "append", lambda rec: appends.append(rec))
     before = node_state(node)
     stored = sim.node_state(0)
     sent = []
@@ -749,7 +746,7 @@ def repeat_on(sim, sent, restart, monkeypatch):
         sim.restart(1)
     node = sim.nodes[1].node
     appends = []
-    monkeypatch.setattr(node.tranxlog, "append", lambda rec, durable: appends.append(rec))
+    monkeypatch.setattr(node.tranxlog, "append", lambda rec: appends.append(rec))
     del sent[:]
     return node, appends
 
@@ -1342,7 +1339,7 @@ def test_a_ready_slice_whose_abort_is_lost_is_settled_by_the_watermark():
     sim.run_until(settled)
     assert tranx not in node.part and tranx not in node._resend and node.locks.is_idle()
     assert [e[3]["to"] for e in sim.trace if e[2] == "part.state" and e[1] == 1] == [
-        "Start", "Ready", "Abort",
+        "Ready", "Abort",
     ]
     sim.run(1.0)
     assert [e for e in sends(sim, "READY") if e[0] > settled] == []
@@ -1498,7 +1495,7 @@ def test_load_reads_each_owner_batch_with_one_read():
 
 @pytest.mark.parametrize("value_size", [250, 1000])
 def test_a_load_of_large_values_inserts_every_key(value_size):
-    """Each load batch is as long as its PartReady fits one WAL entry."""
+    """Each load batch is as long as its CoordCommit fits one WAL entry."""
     sim = make_sim(3, seed=1)
     spec = WorkloadSpec(key_count=64, value_size=value_size, seed=1)
     client = sim.new_client(seed=1)
@@ -1587,44 +1584,33 @@ def test_crash_point_enumeration_and_injection():
         assert all(state[k][0] == b"p" for k in ks)
 
 
-def test_own_slice_logged_without_a_decision_is_aborted_at_recovery(monkeypatch):
-    """A single-owner commit whose CoordCommit append seals the block that
-    holds its PartReady, on a node killed before CoordCommit is flushed,
-    leaves an own slice in the log with no coordinator record.  Recovery
-    aborts it (presumed abort), keeps no record or lock of it, and issues
-    the client's retry an id of its own restart epoch."""
-    sim = make_sim(3, seed=5, gc_period=10.0)
-    sim.auto_restart = 0.100
-    k = b"k0"
-    assert owner_of(k, sim.members) == 0
-    log = sim.nodes[0].node.tranxlog
-    for seq in (1, 2, 3):  # filler, unflushed
-        log.append(PartCommit(TranxID(1, seq)), durable=False)
-    orig_append = TranxLog.append
-    sealed = []
+def test_a_one_phase_commit_killed_after_its_coord_commit_replays_from_that_record():
+    """A one-phase commit whose coordinator dies right after it forces
+    CoordCommit, before it applies or answers, restarts with its write
+    replayed from that record alone: the log holds nothing else.  The
+    client's resent COMMIT is answered from the dedup window recovery
+    rebuilt from the same record, and the write is applied once."""
+    k = keys_owned_by(0, [0, 1, 2], 1)[0]
 
-    def append(self, rec, durable):
-        if self is not log or not isinstance(rec, CoordCommit) or sealed:
-            return orig_append(self, rec, durable)
-        orig_append(self, rec, False)
-        sealed.append(len(self.manager._buf))
-        raise SimCrash(0, "after the seal, before CoordCommit is flushed")
+    def run(plan):
+        sim = make_sim(3, seed=5, gc_period=10.0)  # no GC tick syncs the store
+        sim.auto_restart = 0.100
+        sim.crash_plan = plan
+        return sim, commit_txn(sim, sim.new_client(seed=1), [], {k: b"once"})
 
-    monkeypatch.setattr(TranxLog, "append", append)
-    c = sim.new_client(seed=1)
-    value = b"v" * 3966  # PartReady fills the open block; CoordCommit does not fit
-    ok, reason, _ = commit_txn(sim, c, [], {k: value}, timeout=20.0)
-    assert sealed == [1]  # the open block holds CoordCommit alone: PartReady is durable
-    assert sim.crashes == 1
-    sim.run(2.0)  # settle; the first GC tick after the restart is 10 s away
+    points = []
+    run(CrashPlan(sid=0, collect=points))
+    sim, result = run(CrashPlan(sid=0, index=[label for _, label in points].index("wal.CoordCommit")))
+    assert sim.crash_plan.fired and sim.crashes == 1
+    assert result[:2] == (True, None)
     node = sim.nodes[0].node
-    assert (ok, reason) == (True, None)
-    assert TranxID(0, 1) not in node.part and TranxID(0, 1) not in node.coord
-    retry = TranxID(0, (1 << 40) + 1)  # the first id of epoch 2
-    assert node.gc.last_issued == retry.seq
-    assert node.coord[retry].state is CoordState.COMMIT
-    assert sim.global_state()[k] == (value, 1)
-    assert oracle.locks_clean(sim) == []
+    (rec,) = node.tranxlog.scan()
+    assert isinstance(rec, CoordCommit) and rec.writes == ((k, b"once", 1),)
+    assert node.part[rec.tranx].state is PartState.COMMIT and node.coord == {}
+    recv = [e for e in sim.trace if e[1] == 0 and e[2] == "msg.recv" and e[3]["type"] == "COMMIT"]
+    assert len(recv) == 2  # the first attempt, then the resend after the restart
+    assert sim.global_state()[k] == (b"once", 1)
+    assert oracle.duplicate_applies(sim.trace) == [] and oracle.locks_clean(sim) == []
 
 
 def lost_three_owner_commit(label, nth):

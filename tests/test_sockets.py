@@ -1,8 +1,10 @@
 """Real-socket runtime: a three-server cluster over loopback TCP."""
 
+import gc
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -417,10 +419,20 @@ def hold_with_full_accept_queue(port):
 
 def test_a_peer_that_cannot_be_reached_does_not_stall_the_node(tmp_path):
     """Member 2's port takes no connection, and every GC period servers 0
-    and 1 send it GC_LC: two-owner commits between 0 and 1 stay fast."""
+    and 1 send it GC_LC: two-owner commits between 0 and 1 stay fast.  The
+    bound also times this process's host and collector, as the servers run
+    in it (ROADMAP item 4), so a failure lists each slow commit, the
+    collector passes and each runtime's messages dropped at a full output
+    buffer, to tell a stalled node from a stalled process."""
     cfg = make_cluster(tmp_path, free_ports(3))
     held = hold_with_full_accept_queue(int(cfg.address_of(2).rpartition(":")[2]))
     runtimes = [ServerRuntime(cfg, sid) for sid in (0, 1)]
+    passes = []  # the generation of each collector pass during the loop
+
+    def count_pass(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
     try:
         for r in runtimes:
             r.start()
@@ -429,6 +441,7 @@ def test_a_peer_that_cannot_be_reached_does_not_stall_the_node(tmp_path):
         k0, k1 = (next(k for k in (b"near-%d" % i for i in range(256)) if owner_of(k, members) == sid)
                   for sid in (0, 1))
         durations = []
+        gc.callbacks.append(count_pass)
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
             h = client.open_txn()
@@ -437,9 +450,17 @@ def test_a_peer_that_cannot_be_reached_does_not_stall_the_node(tmp_path):
             started = time.monotonic()
             assert client.commit(h) == (True, None)
             durations.append(time.monotonic() - started)
+        gc.callbacks.remove(count_pass)
         client.driver.close()
-        assert max(durations) < 0.5, (len(durations), max(durations))
+        slow = [(i, round(took, 3)) for i, took in enumerate(durations) if took >= 0.5]
+        assert not slow, (
+            f"(commit index, seconds) of {len(slow)} of {len(durations)} commits at or over 0.5 s: {slow};"
+            f" collector passes by generation: {dict(Counter(passes))};"
+            f" backpressured per runtime: {[r.backpressured for r in runtimes]}"
+        )
     finally:
+        if count_pass in gc.callbacks:
+            gc.callbacks.remove(count_pass)
         for r in runtimes:
             r.stop()
         for s in held:

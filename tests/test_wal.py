@@ -154,12 +154,12 @@ def _tlog(capacity_blocks: int = 64) -> tuple[MemEnv, TranxLog]:
 def test_tranxlog_scan_round_trip_and_summaries():
     env, log = _tlog()
     recs = [
-        PartReady(TranxID(1, 4), ((b"k", 0),), ((b"k", b"v", 1),)),
-        CoordCommit(TranxID(0, 9), (77, 3)),
+        PartReady(TranxID(1, 4), ((b"k", b"v", 1),)),
+        CoordCommit(TranxID(0, 9), (77, 3), (0, 1), ((b"j", b"w", 2),)),
         PartCommit(TranxID(0, 2)),
     ]
     for r in recs:
-        log.append(r, durable=True)
+        log.append(r)
     assert list(log.scan()) == recs
     summary = log.summaries[log.manager.active_file]
     assert summary == {1: 4, 0: 9}
@@ -168,7 +168,7 @@ def test_tranxlog_scan_round_trip_and_summaries():
 def test_reclaim_respects_watermarks_and_stops_at_first_uncovered():
     env, log = _tlog(capacity_blocks=1)  # one block per file: easy file control
     for seq in range(1, 6):
-        log.append(CoordCommit(TranxID(0, seq)), durable=True)
+        log.append(CoordCommit(TranxID(0, seq)))
     files_before = log.file_count()
     assert files_before >= 5
     # watermark covers seq<=2 -> files holding 1 and 2 go, file with 3 stops the pass
@@ -183,7 +183,7 @@ def test_reclaim_respects_watermarks_and_stops_at_first_uncovered():
 def test_reclaim_skips_nothing_after_restart_scan():
     env, log = _tlog(capacity_blocks=1)
     for seq in range(1, 4):
-        log.append(CoordCommit(TranxID(0, seq)), durable=True)
+        log.append(CoordCommit(TranxID(0, seq)))
     # fresh handle over the same medium: summaries rebuilt by scan()
     log2 = TranxLog(env, BLOCK_SIZE)
     recs = list(log2.scan())
