@@ -165,12 +165,15 @@ BACKOFF_JITTER = 0.2
 RPC_TIMEOUT = 0.050  # seconds a request waits for its answer before a resend
 RPC_TRIES = 40  # sends of one request before the caller gets None
 
+_new_tuple = tuple.__new__  # builds an Envelope without its keyword-taking __new__
+_READ = MsgType.READ  # reading an enum member off its class costs a descriptor call
+
 
 class ReadUnavailableError(Exception):
     """A read RPC exhausted its retry budget."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnHandle:
     reads: dict[bytes, tuple[bytes | None, int]] = field(default_factory=dict)
     writes: dict[bytes, bytes] = field(default_factory=dict)
@@ -201,12 +204,10 @@ class ClientState:
         if self.cache is None:
             self.cache = ServerCache(self.cache_capacity)
 
-    def _mid(self) -> int:
-        self.next_msg_id += 1
-        return self.next_msg_id
-
     def env(self, msg_type: MsgType, payload: bytes) -> Envelope:
-        return Envelope(msg_type, rpc.CLIENT, self.client_id, self._mid(), None, payload)
+        """A request of this client, under the next message id."""
+        self.next_msg_id += 1
+        return _new_tuple(Envelope, (msg_type, rpc.CLIENT, self.client_id, self.next_msg_id, None, payload))
 
 
 def coordinator_for(keys, members) -> int:
@@ -223,22 +224,26 @@ def coordinator_for(keys, members) -> int:
 
 
 def _read_round(cs: ClientState, keys, group: bool = False):
-    """One READ per owner of `keys`, carrying every key of that owner, all
-    sent before any answer is awaited; with `group`, a round of two or more
-    owners is a group round, whose READs name its owners and, as its id,
-    the first READ's message id.  Returns the message id of the last READ
-    and [(owner, its keys, its answer or None if it stayed silent)], in
-    owner-id order."""
+    """One READ per owner of `keys`, carrying every key of that owner, to be
+    sent in one "rpcs" effect; with `group`, a round of two or more owners
+    is a group round, whose READs name its owners and, as its id, the first
+    READ's message id.  Returns the requests and [(owner, its keys)], both
+    in owner-id order; the effect's answers come in that order too."""
+    members = cs.members
     by_owner: dict[int, list[bytes]] = {}
     for k in keys:
-        by_owner.setdefault(owner_of(k, cs.members), []).append(k)
+        sid = owner_of(k, members)
+        ks = by_owner.get(sid)
+        if ks is None:
+            by_owner[sid] = [k]
+        else:
+            ks.append(k)
     slices = sorted(by_owner.items())
     owners = tuple(sid for sid, _ in slices) if group and len(slices) > 1 else ()
     gid = cs.next_msg_id + 1  # the message id the first READ takes
-    requests = [(sid, cs.env(MsgType.READ, rpc.enc_read_req(ks, owners, gid))) for sid, ks in slices]
+    requests = [(sid, cs.env(_READ, rpc.enc_read_req(ks, owners, gid))) for sid, ks in slices]
     cs.stats["rpcs"] += len(requests)
-    answers = yield ("rpcs", requests)
-    return requests[-1][1].message_id, [(sid, ks, a) for (sid, ks), a in zip(slices, answers)]
+    return requests, slices
 
 
 def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
@@ -246,13 +251,14 @@ def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
     round if the handle is read-only.  Leaves in h.fresh the round's keys
     if one owner served them all and said none was locked, or if every
     owner vouched for the same servings (see the module docstring)."""
-    mid, answers = yield from _read_round(cs, keys, h.read_only)
-    for sid, ks, answer in answers:
-        if answer is None:
-            raise ReadUnavailableError(sid, ks)
+    requests, slices = _read_round(cs, keys, h.read_only)
+    answers = yield ("rpcs", requests)
+    if None in answers:
+        sid, ks = slices[answers.index(None)]
+        raise ReadUnavailableError(sid, ks)
     put, reads = cs.cache.put, h.reads
     vouched = set()
-    for _, ks, answer in answers:
+    for (_, ks), answer in zip(slices, answers):
         entries, locked, tokens = rpc.dec_read_resp(answer)
         vouched.add(tokens)
         for k, entry in zip(ks, entries):
@@ -263,7 +269,8 @@ def _remote_reads(cs: ClientState, h: TxnHandle, keys: list[bytes]):
             reads[k] = entry
     one_owner = len(answers) == 1 and not locked
     group_vouched = len(vouched) == 1 and () not in vouched
-    h.fresh = (mid, frozenset(keys)) if one_owner or group_vouched else None
+    # the last READ's message id: a later RPC of this client cancels the vouch
+    h.fresh = (requests[-1][1].message_id, frozenset(keys)) if one_owner or group_vouched else None
 
 
 def txn_read_many(cs: ClientState, h: TxnHandle, keys):
@@ -307,13 +314,13 @@ def txn_commit(cs: ClientState, h: TxnHandle):
     read_denials = 0
     for attempt in range(cs.max_retries):
         h.attempts = attempt + 1
-        txn = Transaction(
-            tuple((k, ver) for k, (_, ver) in sorted(h.reads.items())),
-            tuple(sorted(h.writes.items())),
-        )
-        if not txn.writes:
-            committed, reason, piggyback = yield from _validate(cs, h, txn)
+        if not h.writes:  # validated by a read round, or by nothing if vouched for
+            committed, reason, piggyback = yield from _validate(cs, h)
         else:
+            txn = Transaction(
+                tuple((k, ver) for k, (_, ver) in sorted(h.reads.items())),
+                tuple(sorted(h.writes.items())),
+            )
             coordinator = coordinator_for([k for k, _ in txn.writes], cs.members)
             env = cs.env(MsgType.COMMIT, rpc.enc_txn(txn))
             cs.stats["rpcs"] += 1
@@ -336,7 +343,7 @@ def txn_commit(cs: ClientState, h: TxnHandle):
             return True, None
         refreshed = {k: (v, ver) for k, v, ver in piggyback}
         if reason != AbortReason.STALE_READ:
-            cs.cache.invalidate(txn.keys)
+            cs.cache.invalidate([*h.reads, *h.writes])
         for k, (v, ver) in refreshed.items():
             cs.cache.put(k, v, ver)
         if attempt + 1 >= cs.max_retries:
@@ -370,21 +377,25 @@ def txn_commit(cs: ClientState, h: TxnHandle):
     return False, reason
 
 
-def _validate(cs: ClientState, h: TxnHandle, txn: Transaction):
-    """Check a read-only transaction's reads with one read round; returns
-    (committed, reason, piggyback) like a COMMIT answer, and leaves in
-    h.fresh the keys of the one owner that failed STALE_READ, if only one
-    owner failed.  The answers touch neither the cache nor h.reads."""
+def _validate(cs: ClientState, h: TxnHandle):
+    """Check a read-only transaction's reads, in key order, with one read
+    round, which leaves out the keys an answer vouched for and is not sent
+    if that leaves none; returns (committed, reason, piggyback) like a
+    COMMIT answer, and leaves in h.fresh the keys of the one owner that
+    failed STALE_READ, if only one owner failed.  The answers touch neither
+    the cache nor h.reads."""
     # a later RPC of this client, for any handle, may have cached an entry
     # newer than the answer that vouched for the fresh keys
     skip = h.fresh[1] if h.fresh and h.fresh[0] == cs.next_msg_id else frozenset()
-    seen = {k: ver for k, ver in txn.reads if k not in skip}
+    reads = h.reads
+    seen = {k: reads[k][1] for k in sorted(reads) if k not in skip}
     if not seen:
         return True, None, []
-    _, answers = yield from _read_round(cs, seen)
+    requests, slices = _read_round(cs, seen)
+    answers = yield ("rpcs", requests)
     verdicts: list = []
     failed: list[list[bytes]] = []
-    for _, ks, answer in answers:  # in owner-id order
+    for (_, ks), answer in zip(slices, answers):  # in owner-id order
         if answer is None:
             verdict = AbortReason.TIMEOUT, []
         else:
@@ -418,27 +429,30 @@ class RequestCore:
         self.now, self.send, self.arm = now, send, arm
         self.timeout, self.tries = timeout, tries
         self.cache: ServerCache | None = None
-        self._waiters: dict[int, tuple] = {}  # message_id -> (due, dest, env, cont, tries_left)
+        # message_id -> (due, dest, env, join, slot, tries_left): the request
+        # fills slot of its effect's _Join
+        self._waiters: dict[int, tuple] = {}
         self._armed = False  # a timer is armed for the head of _waiters
 
     def on_reply(self, env: Envelope) -> None:
         mid = env.message_id
-        if mid not in self._waiters:  # a late answer to a request answered or given up
+        waiter = self._waiters.get(mid)
+        if waiter is None:  # a late answer to a request answered or given up
             return
         try:
             updates, body = rpc.dec_response(env.payload)
         except MalformedRecordError:  # dropped: the request is resent when due
             return
-        waiter = self._waiters.pop(mid)
+        del self._waiters[mid]
         if updates and self.cache is not None:
             refresh = self.cache.refresh
             for k, v, ver in updates:
                 refresh(k, v, ver)
-        waiter[3](body)
+        waiter[3].answer(waiter[4], body)
 
-    def _request(self, dest: int, env: Envelope, cont, tries_left: int) -> None:
+    def _request(self, dest: int, env: Envelope, join: "_Join", slot: int, tries_left: int) -> None:
         due = self.now() + self.timeout
-        self._waiters[env.message_id] = (due, dest, env, cont, tries_left)
+        self._waiters[env.message_id] = (due, dest, env, join, slot, tries_left)
         if not self._armed:
             self._armed = True
             self.arm(due, self._expire)
@@ -451,40 +465,32 @@ class RequestCore:
         waiters = self._waiters
         while waiters:
             mid = next(iter(waiters))
-            due, dest, env, cont, tries_left = waiters[mid]
+            due, dest, env, join, slot, tries_left = waiters[mid]
             if due > now:
                 self.arm(due, self._expire)
                 return
             del waiters[mid]
             if tries_left <= 1:
-                cont(None)
+                join.answer(slot, None)
             else:
-                self._request(dest, env, cont, tries_left - 1)
+                self._request(dest, env, join, slot, tries_left - 1)
         self._armed = False
 
     def _request_all(self, requests, cont) -> None:
         """Issue every request at once; cont gets the payloads, in request
         order, once each has been answered or given up."""
-        payloads: list = [None] * len(requests)
-        waiting = len(requests)
-
-        def answered(i: int, payload) -> None:
-            nonlocal waiting
-            payloads[i] = payload
-            waiting -= 1
-            if not waiting:
-                cont(payloads)
-
-        for i, (dest, env) in enumerate(requests):
-            self._request(dest, env, lambda p, i=i: answered(i, p), self.tries)
+        join = _Join(len(requests), cont)
+        tries = self.tries
+        for slot, (dest, env) in enumerate(requests):
+            self._request(dest, env, join, slot, tries)
 
     def run(self, gen, on_done) -> None:
         """Drive a client generator; on_done gets ("ok", value) or ("error", e)."""
-        self._step(gen, None, True, on_done)
+        self._step(gen, on_done)
 
-    def _step(self, gen, value, first: bool, on_done) -> None:
+    def _step(self, gen, on_done, value=None) -> None:
         try:
-            effect = next(gen) if first else gen.send(value)
+            effect = gen.send(value)  # a fresh generator takes None as its first step
         except StopIteration as stop:
             on_done(("ok", stop.value))
             return
@@ -492,11 +498,30 @@ class RequestCore:
             on_done(("error", exc))
             return
         if effect[0] == "rpcs":
-            self._request_all(effect[1], lambda payloads: self._step(gen, payloads, False, on_done))
+            self._request_all(effect[1], partial(self._step, gen, on_done))
         elif effect[0] == "sleep":
-            self.arm(self.now() + effect[1], partial(self._step, gen, None, False, on_done))
+            self.arm(self.now() + effect[1], partial(self._step, gen, on_done))
         else:
             on_done(("error", RuntimeError(f"unknown effect {effect[0]!r}")))
+
+
+class _Join:
+    """The answers to one "rpcs" effect: a slot per request, in request
+    order, each filled once, by its answer or by None when it was given up;
+    the last one filled hands them all to cont."""
+
+    __slots__ = ("payloads", "waiting", "cont")
+
+    def __init__(self, n: int, cont) -> None:
+        self.payloads: list = [None] * n
+        self.waiting = n
+        self.cont = cont
+
+    def answer(self, slot: int, payload) -> None:
+        self.payloads[slot] = payload
+        self.waiting -= 1
+        if not self.waiting:
+            self.cont(self.payloads)
 
 
 class BlockingClient:

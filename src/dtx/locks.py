@@ -42,10 +42,10 @@ class LockTable:
         # a second grant would overwrite the first one's key list
         assert tranx not in self._held, f"second acquire for {tranx}"
         keys = sorted(set(exclusive_keys))
-        owner = self._owner
-        if any(k in owner for k in keys):
+        if self.any_held(keys):
             on_result(False, RejectReason.EXCLUSIVE_DENIED)
             return
+        owner = self._owner
         for key in keys:
             owner[key] = tranx
             if self.trace is not None:
@@ -66,9 +66,9 @@ class LockTable:
 
     # -- introspection ---------------------------------------------------------
 
-    def exclusively_held(self, key: bytes) -> bool:
-        """True while a transaction holds the key's lock."""
-        return key in self._owner
+    def any_held(self, keys) -> bool:
+        """True while a transaction holds the lock of any of keys."""
+        return not self._owner.keys().isdisjoint(keys)
 
     def held_by(self, tranx: TranxID) -> set[bytes]:
         return set(self._held.get(tranx, ()))

@@ -338,10 +338,10 @@ class SocketDriver(RequestCore, EventLoop):
         """Send the request, then turn the loop until it is answered or
         given up; the answer, or None if the server stayed silent."""
         done: list = []
-        self._request(dest, env, done.append, self.tries)
+        self._request_all([(dest, env)], done.append)
         while not done:
             self.turn()
-        return done[0]
+        return done[0][0]
 
     def handshake(self) -> int:
         """Ask each member in turn for a client id; any one may assign it,

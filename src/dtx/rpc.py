@@ -98,6 +98,7 @@ from __future__ import annotations
 import enum
 import struct
 from collections import OrderedDict
+from operator import lt
 from typing import NamedTuple
 
 from .model import (
@@ -120,6 +121,7 @@ _HEAD = struct.Struct("<IBBBQQB")
 _HEAD_TRANX = struct.Struct("<IBBBQQBIQ")
 _ENV = struct.Struct("<BBQQB")  # the envelope up to has_tranx
 _ANSWER = struct.Struct("<BB")  # committed, reason code
+_FOUND = struct.Struct("<BI")  # a READ answer's found byte 1 and its value's length
 _GROUP = struct.Struct("<4sQB")  # a group READ's mark, group id and owner count
 _GROUP_MARK = b"\xff\xff\xff\xff"
 _NOTICE = struct.Struct("<QQQ")  # client id, group id, token
@@ -221,10 +223,7 @@ def frame_decode(data: bytes) -> Envelope:
 
 def enc_read_req(keys: list[bytes], owners=(), group: int = 0) -> bytes:
     """A READ of `keys`, or with `owners` a group READ of round `group`."""
-    out = []
-    if owners:
-        out.append(_GROUP.pack(_GROUP_MARK, group, len(owners)))
-        out += map(_U32.pack, owners)
+    out = [_GROUP.pack(_GROUP_MARK, group, len(owners)), *map(_U32.pack, owners)] if owners else []
     for k in keys:
         out += (_U32.pack(len(k)), k)
     return b"".join(out)
@@ -242,7 +241,7 @@ def _unpack_group_read(b: bytes, pos: int):
     _, group, n = _GROUP.unpack_from(b, pos)
     pos += _GROUP.size
     owners = struct.unpack_from(f"<{n}I", b, pos)
-    if n < 2 or any(lo >= hi for lo, hi in zip(owners, owners[1:])):
+    if n < 2 or not all(map(lt, owners, owners[1:])):
         raise MalformedRecordError(f"group READ owners {owners} are not two or more, ascending")
     keys, pos = _unpack_keys(b, pos + 4 * n)
     return (keys, owners, group), pos
@@ -269,7 +268,8 @@ def enc_read_resp(entries: list[tuple[bytes, int] | None], locked: bool, tokens=
         if entry is None:
             out.append(b"\x00")
         else:
-            out += (b"\x01", _U32.pack(len(entry[0])), entry[0], _U64.pack(entry[1]))
+            value, version = entry
+            out += (_FOUND.pack(1, len(value)), value, _U64.pack(version))
     out.append(b"\x01" if locked else b"\x00")
     return b"".join(out)
 

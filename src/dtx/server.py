@@ -195,13 +195,15 @@ _TRANX_TYPES = frozenset({
 _SERVER_TYPES = _TRANX_TYPES | {MsgType.GC_LC, MsgType.READ_NOTICE}
 _SENDER_KIND = {t: rpc.SERVER if t in _SERVER_TYPES else rpc.CLIENT for t in MsgType}
 _DECISION = {CoordState.COMMIT: MsgType.COMMIT_DECISION, CoordState.ABORT: MsgType.ABORT_DECISION}
-# the handler of each message type a server takes (ServerNode._on_read for
-# READ, ...; one for both decisions) and the crash-point labels, computed once
-_HANDLER = {t: f"_on_{t.name.lower()}" for t in MsgType}
-_HANDLER.update(dict.fromkeys(_DECISION.values(), "_on_decision"))
+# the crash-point labels, computed once; the handler of each message type is
+# _HANDLER, below ServerNode
 _RECV_POINT = {t: f"recv.{t.name}" for t in MsgType}
 _SEND_POINT = {t: f"send.{t.name}" for t in MsgType}
 _WAL_POINT = {cls: f"wal.{cls.__name__}" for cls in LogRecord.__args__}
+_new_tuple = tuple.__new__  # builds an Envelope without its keyword-taking __new__
+# the read path's message types; reading an enum member off its class costs
+# a descriptor call, a module global one dict lookup
+_READ, _READ_NOTICE, _RESPONSE = MsgType.READ, MsgType.READ_NOTICE, MsgType.RESPONSE
 
 
 @dataclass
@@ -336,11 +338,11 @@ class ServerNode:
         self._respond(client_id, message_id, rpc.enc_response(updates, body))
 
     def _respond(self, client_id: int, message_id: int, payload: bytes) -> None:
-        self.ctx.reply(client_id, Envelope(MsgType.RESPONSE, rpc.SERVER, self.sid, message_id, None, payload))
+        self.ctx.reply(client_id, _new_tuple(Envelope, (_RESPONSE, rpc.SERVER, self.sid, message_id, None, payload)))
 
     def _server_env(self, msg_type: MsgType, tranx: TranxID | None, payload: bytes) -> Envelope:
         # message id 0: no server answers a server, so nothing matches on it
-        return Envelope(msg_type, rpc.SERVER, self.sid, 0, tranx, payload)
+        return _new_tuple(Envelope, (msg_type, rpc.SERVER, self.sid, 0, tranx, payload))
 
     def _append(self, record: LogRecord) -> None:
         """Append a record and persist it."""
@@ -377,16 +379,17 @@ class ServerNode:
     # -- dispatch ---------------------------------------------------------------
 
     def on_message(self, env: Envelope) -> None:
-        mt = env.msg_type
+        mt, kind, _, _, tranx, _ = env
         if self._tracer is not None:
-            self._tracer(self.sid, "msg.recv", type=mt.name, tranx=env.tranx, frm=env.sender_id)
+            self._tracer(self.sid, "msg.recv", type=mt.name, tranx=tranx, frm=env.sender_id)
         if self._crash_hook is not None:
             self._crash_hook(self.sid, _RECV_POINT[mt])
-        kind = rpc.SERVER if mt is MsgType.READ and env.tranx is not None else _SENDER_KIND[mt]
-        if env.sender_kind != kind or env.tranx is None and mt in _TRANX_TYPES:
+        if kind != (rpc.SERVER if mt is _READ and tranx is not None else _SENDER_KIND[mt]) or (
+            tranx is None and mt in _TRANX_TYPES
+        ):
             self._trace("msg.malformed", type=mt.name, frm=env.sender_id)
             return
-        getattr(self, _HANDLER[mt])(env)
+        _HANDLER[mt](self, env)
 
     def _decode(self, env: Envelope, decoder):
         """The decoded payload, or None, traced, when it does not decode."""
@@ -445,19 +448,20 @@ class ServerNode:
             return
         self.stats["reads"] += len(keys)
         if env.tranx is not None:  # a coordinator's validation READ: a bare answer, nothing kept
-            self._send(env.sender_id, self._server_env(MsgType.RESPONSE, env.tranx, self._read_answer(keys)))
+            self._send(env.sender_id, self._server_env(_RESPONSE, env.tranx, self._read_answer(keys)))
         elif not owners or not self._serve_group(env, keys, owners, group):
             self._reply(env.sender_id, env.message_id, self._read_answer(keys))
 
     def _read_answer(self, keys) -> bytes:
-        locked = any(map(self.locks.exclusively_held, keys))
+        locked = self.locks.any_held(keys)
         return rpc.enc_read_resp(list(map(self.storage.get, keys)), locked)
 
     def _serve_group(self, env: Envelope, keys, owners, group: int) -> bool:
         """Serve the first READ of a group round: note each key's version
-        and whether any was locked, then tell every other owner.  Returns
-        False, to answer at once and unvalidated, for a READ of a group
-        already served or answered here: a resend or a duplicate."""
+        and whether any was locked, then tell every other owner, and answer
+        from what was read if every notice came first.  Returns False, to
+        answer at once and unvalidated, for a READ of a group already
+        served or answered here: a resend or a duplicate."""
         gid = (env.sender_id, group)
         groups = self._groups
         g = groups.get(gid, _UNSEEN)
@@ -469,19 +473,22 @@ class ServerNode:
         else:  # known from notices
             opened, heard = g.opened, g.heard
         self._serves += 1
-        others = tuple(sid for sid in owners if sid != self.sid)
+        at = owners.index(self.sid)
+        others = owners[:at] + owners[at + 1:]
+        entries = list(map(self.storage.get, keys))
+        locked = self.locks.any_held(keys)
         g = groups[gid] = ReadGroup(
             opened, heard, keys, owners, others,
-            list(map(self.storage.current_version, keys)),
-            any(map(self.locks.exclusively_held, keys)),
+            [e[1] if e else 0 for e in entries],
+            locked,
             (self.gclog.epoch << 40) | self._serves,
             env.message_id,
         )
-        notice = self._server_env(MsgType.READ_NOTICE, None, rpc.enc_read_notice(*gid, g.token))
+        notice = self._server_env(_READ_NOTICE, None, rpc.enc_read_notice(*gid, g.token))
         for sid in others:
             self._send(sid, notice)
         if heard:
-            self._close_group_if_heard(gid, g)
+            self._close_group_if_heard(gid, g, entries, locked)
         return True
 
     def _on_read_notice(self, env: Envelope) -> None:
@@ -500,18 +507,21 @@ class ServerNode:
         if g.keys is not None:
             self._close_group_if_heard(gid, g)
 
-    def _close_group_if_heard(self, gid: tuple[int, int], g: ReadGroup) -> None:
-        """Answer a served group once every other owner's notice came.  The
-        answer vouches for the round if no key was locked when served or
-        is now and every key still has the version served: then each key
-        was current at every owner's serving (see client.py)."""
+    def _close_group_if_heard(self, gid: tuple[int, int], g: ReadGroup, entries=None, locked=False) -> None:
+        """Answer a served group once every other owner's notice came, from
+        `entries` and `locked` when it was served in this step, else from
+        its keys as they are now.  The answer vouches for the round if no
+        key was locked when served or is now and every key still has the
+        version served: then each key was current at every owner's serving
+        (see client.py)."""
         heard = g.heard
         for sid in g.others:
             if sid not in heard:
                 return
-        keys = g.keys
-        entries = list(map(self.storage.get, keys))
-        locked = any(map(self.locks.exclusively_held, keys))
+        if entries is None:  # served in an earlier step: read the keys again
+            keys = g.keys
+            entries = list(map(self.storage.get, keys))
+            locked = self.locks.any_held(keys)
         tokens = ()
         if not (g.locked or locked) and [e[1] if e else 0 for e in entries] == g.versions:
             tokens = [g.token if sid == self.sid else heard[sid] for sid in g.owners]
@@ -582,10 +592,7 @@ class ServerNode:
         self.coord[tranx] = rec
         if self._tracer is not None:
             self._trace("coord.state", tranx=tranx, frm=None, to=CoordState.PREPARE.value)
-        if set(subs) == {self.sid}:
-            # no remote write owner: CoordCommit alone makes it durable
-            self.stats["one_phase"] += 1
-        else:
+        if set(subs) != {self.sid}:  # else no remote write owner: CoordCommit alone makes it durable
             self._send_prepare(rec)
             self._queue_resend(rec)
         if self.sid in subs:
@@ -632,7 +639,7 @@ class ServerNode:
         owner's with one READ naming the transaction (module docstring)."""
         own = rec.checks.get(self.sid)
         if own is not None:
-            rec.verdicts[self.sid] = self._check(own, any(self.locks.exclusively_held(k) for k, _ in own))
+            rec.verdicts[self.sid] = self._check(own, self.locks.any_held([k for k, _ in own]))
         self._send_checks(rec)
         if len(rec.verdicts) < len(rec.checks):
             self._queue_resend(rec)
@@ -705,7 +712,10 @@ class ServerNode:
             return
         committed = rec.state is CoordState.COMMIT
         payload = rpc.enc_commit_resp(committed, reason, piggyback)
-        self.stats["commits" if committed else "aborts"] += 1
+        stats = self.stats
+        stats["commits" if committed else "aborts"] += 1
+        if len(rec.subs) == 1 and self.sid in rec.subs:  # one-phase: the coordinator writes alone
+            stats["one_phase"] += 1
         self.dedup.record_client(*rec.client_key, payload)
         self._reply(*rec.client_key, payload)
 
@@ -1017,3 +1027,11 @@ class ServerNode:
         self.tranxlog.close()
         self.gclog.close()
         self.storage.store.close()
+
+
+# the handler of each message type a server takes (ServerNode._on_read for
+# READ, ...; one for both decisions)
+_HANDLER = {
+    t: ServerNode._on_decision if t in _DECISION.values() else getattr(ServerNode, f"_on_{t.name.lower()}")
+    for t in MsgType
+}

@@ -400,19 +400,25 @@ class Simulator:
         return False
 
     def net_send(self, src, dst, env: Envelope) -> None:
-        self._account(src, dst, env)
-        if self._blocked(src, dst):
+        self.msgs_total += 1
+        if src[0] == "s" and dst[0] == "s":
+            name = _MSG_NAME[env.msg_type]
+            self.server_msgs[name] += 1
+            if self.audit_messages and env.tranx is not None:
+                self.msgs_by_tranx.setdefault(env.tranx, Counter())[name] += 1
+        if self._partitions and self._blocked(src, dst):
             self.dropped += 1
             return
-        if self.net.drop_p and self.rng.random() < self.net.drop_p:
+        net = self.net
+        if net.drop_p and self.rng.random() < net.drop_p:
             self.dropped += 1
             return
-        delay = self.net.latency + self.rng.random() * self.net.jitter
-        if self.net.delay_p and self.rng.random() < self.net.delay_p:
-            delay += self.rng.random() * self.net.extra_delay
+        delay = net.latency + self.rng.random() * net.jitter
+        if net.delay_p and self.rng.random() < net.delay_p:
+            delay += self.rng.random() * net.extra_delay
         self._push(self.now + delay, None, dst, env)  # None: run_until delivers it
-        if self.net.dup_p and self.rng.random() < self.net.dup_p:
-            dup_delay = delay + self.net.latency + self.rng.random() * self.net.extra_delay
+        if net.dup_p and self.rng.random() < net.dup_p:
+            dup_delay = delay + net.latency + self.rng.random() * net.extra_delay
             self._push(self.now + dup_delay, None, dst, env)
 
     def _deliver(self, dst, env: Envelope) -> None:
@@ -425,9 +431,12 @@ class Simulator:
         n = self.nodes.get(ident)
         if n is None or not n.alive:
             return
-        start = max(self.now, n.busy_until)
+        now, start = self.now, n.busy_until
+        if start <= now:
+            start = now
         n.busy_until = start + SERVICE_TIME
-        if start == self.now and (not self._heap or self._heap[0][0] > start):
+        heap = self._heap
+        if start == now and (not heap or heap[0][0] > start):
             # the handling pushed now would be the next event popped
             n.node.on_message(env)
         else:
@@ -437,15 +446,6 @@ class Simulator:
     def _handle(n: SimNode, incarnation: int, env: Envelope) -> None:
         if n.alive and n.incarnation == incarnation:
             n.node.on_message(env)
-
-    def _account(self, src, dst, env: Envelope) -> None:
-        self.msgs_total += 1
-        if src[0] != "s" or dst[0] != "s":
-            return
-        name = _MSG_NAME[env.msg_type]
-        self.server_msgs[name] += 1
-        if self.audit_messages and env.tranx is not None:
-            self.msgs_by_tranx.setdefault(env.tranx, Counter())[name] += 1
 
     # -- clients ---------------------------------------------------------------
 

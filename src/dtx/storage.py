@@ -97,9 +97,7 @@ class MemKvStore(KvStore):
         self.overlay: dict[bytes, tuple[bytes, int]] = {}
 
     def get(self, key: bytes) -> tuple[bytes, int] | None:
-        if key in self.overlay:
-            return self.overlay[key]
-        return self.durable.get(key)
+        return self.overlay.get(key) or self.durable.get(key)  # an entry is a 2-tuple, never false
 
     def apply(self, writes: list[tuple[bytes, bytes, int]]) -> None:
         for key, value, version in writes:

@@ -37,7 +37,7 @@ def test_all_or_nothing_releases_partial_grants():
     # T2 is refused at exclusive b and is never granted a
     out = acquire(table, T2, [], [b"a", b"b"])
     assert out == [(False, RejectReason.EXCLUSIVE_DENIED)]
-    assert not table.exclusively_held(b"a")
+    assert not table.any_held([b"a"])
     assert acquire(table, T3, [], [b"a"]) == [(True, None)]
 
 

@@ -72,7 +72,7 @@ def half_applied_write(sim, x, y):
     step_until(sim, lambda: box)
     assert box[0][1][0] is True
     assert sim.nodes[0].node.storage.current_version(x) == 1
-    assert n1.storage.current_version(y) == 0 and n1.locks.exclusively_held(y)
+    assert n1.storage.current_version(y) == 0 and n1.locks.any_held([y])
     return cut
 
 
@@ -298,7 +298,7 @@ def test_writer_between_the_two_owners_answers_makes_the_reader_fail_stale():
     ))
     assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
     step_until(sim, lambda: sim.nodes[1].node.storage.current_version(y) == 2)
-    assert not sim.nodes[1].node.locks.exclusively_held(y) and not box
+    assert not sim.nodes[1].node.locks.any_held([y]) and not box
     sim.heal(cut)
     step_until(sim, lambda: box)
     ok, reason, seen, _ = box[0][1]
@@ -706,7 +706,7 @@ def test_key_locked_between_serving_and_validation_is_not_vouched_for():
     deliver = dropping(sim, MsgType.COMMIT_DECISION, 1)
     assert commit_txn(sim, writer, [x, y], {x: b"v2", y: b"v2"})[0]
     n1 = sim.nodes[1].node
-    assert n1.locks.exclusively_held(y) and n1.storage.current_version(y) == 1
+    assert n1.locks.any_held([y]) and n1.storage.current_version(y) == 1
     release()
     step_until(sim, lambda: box)
     ok, reason, seen, _ = box[0][1]

@@ -432,8 +432,9 @@ def test_each_wire_shape_has_one_codec_and_each_handler_exists():
     server takes names a ServerNode method."""
     shapes = {prefix: {n[4:] for n in vars(rpc) if n.startswith(prefix)} for prefix in ("enc_", "dec_")}
     assert shapes["enc_"] == shapes["dec_"]
+    assert set(server._HANDLER) == set(MsgType)
     handlers = set(server._HANDLER.values())
-    assert [n for n in handlers if not callable(getattr(server.ServerNode, n, None))] == []
+    assert [f for f in handlers if getattr(server.ServerNode, f.__name__, None) is not f] == []
 
 
 # -- dedup ---------------------------------------------------------------

@@ -1070,6 +1070,25 @@ def test_a_remote_read_key_written_before_its_validation_read_aborts_stale_read(
     assert oracle.locks_clean(sim) == [] and resend_idle(sim)
 
 
+def test_a_one_phase_commit_in_flight_is_counted_one_phase_only_once_answered():
+    """Coordinator 0's one-phase commit waits, undecided, for owner 1's
+    answer to its validation READ.  It counts as one-phase where it counts
+    as a commit, when its client is answered, so one_phase never exceeds
+    commits plus aborts, with the commit in flight or decided."""
+    sim = make_sim(3, seed=5, gc_period=10.0)
+    coord, owner, x, w = read_remote_write_own(sim)
+    held = drop_where(sim, lambda dst, env, n: env.msg_type is MsgType.READ and dst == ("s", 1) and n == 0)
+    txn = Transaction(((x, 0),), ((w, b"t"),))
+    coord.on_message(Envelope(MsgType.COMMIT, rpc.CLIENT, 7, 1, None, rpc.enc_txn(txn)))
+    stats = coord.stats
+    assert len(held) == 1 and list(coord.coord.values())[0].state is CoordState.PREPARE
+    assert (stats["one_phase"], stats["commits"], stats["aborts"]) == (0, 0, 0)
+    owner.on_message(held[0])
+    sim.run(0.5)
+    assert answer_to_7(coord) == (True, None, [])
+    assert (stats["one_phase"], stats["commits"], stats["aborts"]) == (1, 1, 0)
+
+
 @pytest.mark.parametrize("at", ["remote", "own"])
 def test_a_read_key_locked_at_validation_aborts_lock_denied_read(at):
     """x's owner, owner 1 or the coordinator itself, holds x's lock for a

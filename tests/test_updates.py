@@ -141,6 +141,38 @@ def test_an_answer_the_core_drops_refreshes_nothing():
     assert core.cache._map[b"k"] == (b"v2", 2) and len(done) == 2
 
 
+def ask_two(first, second):
+    """One effect of two requests, to servers 0 and 1; returns their payloads."""
+    envs = [Envelope(MsgType.READ, rpc.CLIENT, 7, mid, None, rpc.enc_read_req([b"x"])) for mid in (first, second)]
+    return (yield ("rpcs", [(0, envs[0]), (1, envs[1])]))
+
+
+def test_a_join_hands_the_answers_over_in_request_order():
+    """Answers that come in reverse order reach the generator in the order
+    of its requests, once the last one is in."""
+    core, clock, timers = hand_core()
+    done = []
+    core.run(ask_two(1, 2), done.append)
+    core.on_reply(answer(2, [], b"second"))
+    assert done == []
+    core.on_reply(answer(1, [], b"first"))
+    assert done == [("ok", [b"first", b"second"])] and core._waiters == {}
+
+
+def test_a_join_keeps_none_for_a_request_given_up_and_drops_its_late_answer():
+    """A request given up after its tries leaves None in its slot beside the
+    other request's payload; its answer, arriving later, changes nothing."""
+    core, clock, timers = hand_core()
+    done = []
+    core.run(ask_two(1, 2), done.append)
+    core.on_reply(answer(2, [(b"k", b"v2", 2)], b"second"))
+    clock[0] = 1.0
+    timers.pop()()
+    assert done == [("ok", [None, b"second"])] and core._waiters == {}
+    core.on_reply(answer(1, [(b"k", b"v3", 3)], b"late"))
+    assert done == [("ok", [None, b"second"])] and core.cache._map[b"k"] == (b"v2", 2)
+
+
 def test_a_resent_commit_gets_its_stored_body_after_a_fresh_block():
     """The dedup window keeps the answer body only: the resend's block holds
     what the node applied since, here the commit's own write."""
